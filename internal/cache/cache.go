@@ -89,9 +89,14 @@ func New(cfg Config) *Cache {
 	if nsets == 0 || cfg.Size%(cfg.LineSize*cfg.Ways) != 0 {
 		panic(fmt.Sprintf("cache %s: bad geometry %+v", cfg.Name, cfg))
 	}
+	// One backing array per level, sliced per set with the capacity capped
+	// so no set can grow into its neighbour: every machine clone builds
+	// three levels, and one allocation per level beats one per set.
+	lines := make([]line, nsets*cfg.Ways)
 	sets := make([][]line, nsets)
 	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
+		lo := uint64(i) * cfg.Ways
+		sets[i] = lines[lo : lo+cfg.Ways : lo+cfg.Ways]
 	}
 	c := &Cache{cfg: cfg, sets: sets, nsets: nsets}
 	if cfg.LineSize&(cfg.LineSize-1) == 0 && nsets&(nsets-1) == 0 {

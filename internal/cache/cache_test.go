@@ -101,3 +101,17 @@ func TestBadGeometryPanics(t *testing.T) {
 	}()
 	New(Config{Name: "bad", Size: 100, LineSize: 64, Ways: 4})
 }
+
+// TestNewAllocationsIndependentOfSets: a level's lines share one backing
+// array, so building it costs the same few allocations whatever its set
+// count (the cache struct, the lines, the per-set slice headers).
+func TestNewAllocationsIndependentOfSets(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "L1", Size: 32 << 10, LineSize: 64, Ways: 4, HitLatency: 1},
+		{Name: "L2", Size: 256 << 10, LineSize: 64, Ways: 8, HitLatency: 9},
+	} {
+		if n := testing.AllocsPerRun(10, func() { New(cfg) }); n > 3 {
+			t.Fatalf("%s: %v allocations per New, want at most 3", cfg.Name, n)
+		}
+	}
+}

@@ -254,6 +254,54 @@ func TestRepresentableLengthProperties(t *testing.T) {
 	}
 }
 
+// exponentLoop is the reference definition of Format.exponent: the
+// smallest E whose scaled length fits under the mantissa limit, found one
+// step at a time.
+func exponentLoop(f Format, length uint64) uint {
+	if f.MW == 0 {
+		return 0
+	}
+	limit := (uint64(1) << f.MW) - (uint64(1) << (f.MW - 3))
+	e := uint(0)
+	for length>>e > limit {
+		e++
+	}
+	return e
+}
+
+// TestExponentClosedForm: the bits.Len64 closed form agrees with the
+// reference loop on every length below 2^20, on every 2^k-1, 2^k and
+// 2^k+1, and on 10^5 random 64-bit lengths, for both formats and a spread
+// of mantissa widths.
+func TestExponentClosedForm(t *testing.T) {
+	formats := []Format{Format128, Format256}
+	for mw := uint(3); mw <= 24; mw += 3 {
+		formats = append(formats, Format{Name: "mw", Bytes: 16, MW: mw})
+	}
+	check := func(f Format, n uint64) {
+		if got, want := f.exponent(n), exponentLoop(f, n); got != want {
+			t.Fatalf("MW=%d length=%#x: exponent %d, loop %d", f.MW, n, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, f := range formats {
+		for n := uint64(0); n < 1<<20; n++ {
+			check(f, n)
+		}
+		for k := 0; k < 64; k++ {
+			p := uint64(1) << k
+			check(f, p-1)
+			check(f, p)
+			check(f, p+1)
+		}
+		check(f, ^uint64(0))
+		for i := 0; i < 100_000; i++ {
+			// A random shift spreads the draws over every bit length.
+			check(f, rng.Uint64()>>uint(rng.Intn(64)))
+		}
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, f := range []Format{Format128, Format256} {
 		f := f

@@ -1,5 +1,7 @@
 package cap
 
+import "math/bits"
+
 // Format describes a capability encoding. The paper benchmarks the 128-bit
 // compressed encoding ("as its lower overheads make it a more realistic
 // candidate for commercial adoption") and mentions a 256-bit direct
@@ -39,13 +41,21 @@ func (f Format) Exact() bool { return f.MW == 0 }
 // exponent returns the smallest exponent E at which a region of the given
 // length is representable: length in scaled units must leave 1/8 headroom
 // in the MW-bit mantissa so the representable window exists.
+//
+// Closed form: a length above the limit has n ≥ MW significant bits, so
+// length>>(n-MW) is an MW-bit mantissa. It fits unless its top three bits
+// are all set (the limit is 7·2^(MW-3)), in which case one more shift
+// does; one shift fewer leaves MW+1 bits, which never fits.
 func (f Format) exponent(length uint64) uint {
 	if f.MW == 0 {
 		return 0
 	}
 	limit := (uint64(1) << f.MW) - (uint64(1) << (f.MW - 3))
-	e := uint(0)
-	for length>>e > limit {
+	if length <= limit {
+		return 0
+	}
+	e := uint(bits.Len64(length)) - f.MW
+	if length>>e > limit {
 		e++
 	}
 	return e

@@ -9,39 +9,6 @@ import (
 	"cheriabi/internal/vm"
 )
 
-// dataFrame is a one-entry L0 in front of the micro-TLB and mem's
-// Load/Store call chain: it latches one translated data page's backing
-// arrays so aligned scalar accesses that stay on the page are served
-// straight from the page slice. A hit re-proves the cached translation
-// exactly as a micro-TLB hit does (address-space identity plus AS.Gen
-// plus vpn — mprotect, munmap, fork and COW resolution all bump AS.Gen)
-// and additionally re-proves the backing identity with mem's Epoch
-// (chunk materialization, privatization, and snapshotting move or share
-// the arrays; in-place content writes are visible through the slices by
-// mem's contract and need no check). The protection proof is encoded by
-// which frame holds the page: rframe is filled only after a ProtRead
-// translation, wframe only after ProtWrite. Frames never outlive their
-// proofs, and a CPU's Mem is fixed for its lifetime, so the slices can
-// never alias a different machine's memory.
-type dataFrame struct {
-	data  []byte // page bytes; nil means empty frame
-	as    *vm.AddressSpace
-	asGen uint64
-	epoch uint64
-	vpn   uint64
-	base  uint64  // physical page base (for cache-model charging)
-	tags  []bool  // write frames only: the page's tag granules
-	gen   *uint64 // write frames only: the page's write-generation counter
-	gsh   uint    // write frames only: log2(granule)
-}
-
-// hits reports whether the frame serves vpn under the CPU's current
-// translation and backing proofs.
-func (f *dataFrame) hits(c *CPU, vpn uint64) bool {
-	return f.data != nil && f.vpn == vpn && f.as == c.AS &&
-		f.asGen == c.AS.Gen && f.epoch == c.Mem.Epoch()
-}
-
 // AlignmentError reports a misaligned access (CHERI traps on under-aligned
 // accesses; one of the paper's PostgreSQL test failures is exactly this).
 type AlignmentError struct {
@@ -137,38 +104,38 @@ func (c *CPU) loadViaP(auth *cap.Capability, ea, size uint64) (uint64, error) {
 	if !auth.Authorizes(ea, size, cap.PermLoad) {
 		return 0, auth.CheckDeref(ea, size, cap.PermLoad)
 	}
-	vpn := ea >> vm.PageShift
-	// Data-frame hit: serve the load from the latched page slice. An
-	// aligned power-of-two access of ≤ 8 bytes never leaves the page.
-	if f := &c.rframe; f.hits(c, vpn) {
-		off := ea & pageOffMask
-		// The inline-able front-latch probe first; only a latch miss pays
-		// the Data call.
-		if lat, ok := c.Hier.L1D.DataHit(f.base+off, size, false); ok {
-			c.Stats.Cycles += lat
-		} else {
-			c.Stats.Cycles += c.Hier.Data(f.base+off, size, false)
-		}
-		d := f.data[off:]
-		switch size {
-		case 1:
-			return uint64(d[0]), nil
-		case 2:
-			return uint64(binary.LittleEndian.Uint16(d)), nil
-		case 4:
-			return uint64(binary.LittleEndian.Uint32(d)), nil
-		case 8:
-			return binary.LittleEndian.Uint64(d), nil
-		}
-		return c.Mem.Load(f.base+off, size), nil // other sizes panic there, as ever
-	}
-	// Micro-TLB hit check inlined from translate: this is the hottest
+	// Micro-TLB probe inlined from translate: this is the hottest
 	// translation site in the simulator, and the call (with its two return
 	// values) is measurable against a four-compare hit test.
+	vpn := ea >> vm.PageShift
 	e := &c.tlb[vpn&(dtlbSize-1)]
 	var pa uint64
 	if e.as == c.AS && e.gen == c.AS.Gen && e.vpn == vpn && e.prot&vm.ProtRead != 0 {
-		pa = e.base + ea%vm.PageSize
+		off := ea & pageOffMask
+		pa = e.base + off
+		if e.backed(c) {
+			// Backed hit: serve the load from the entry's page slice. An
+			// aligned power-of-two access of ≤ 8 bytes never leaves the
+			// page. The inline-able front-latch probe comes first; only a
+			// latch miss pays the Data call.
+			if lat, ok := c.Hier.L1D.DataHit(pa, size, false); ok {
+				c.Stats.Cycles += lat
+			} else {
+				c.Stats.Cycles += c.Hier.Data(pa, size, false)
+			}
+			d := e.data[off:]
+			switch size {
+			case 1:
+				return uint64(d[0]), nil
+			case 2:
+				return uint64(binary.LittleEndian.Uint16(d)), nil
+			case 4:
+				return uint64(binary.LittleEndian.Uint32(d)), nil
+			case 8:
+				return binary.LittleEndian.Uint64(d), nil
+			}
+			return c.Mem.Load(pa, size), nil // other sizes panic there
+		}
 	} else {
 		var pf *vm.PageFault
 		pa, pf = c.translate(ea, vm.ProtRead)
@@ -176,17 +143,34 @@ func (c *CPU) loadViaP(auth *cap.Capability, ea, size uint64) (uint64, error) {
 			return 0, pf
 		}
 	}
-	// Refill the read frame for the translated page. ReadablePage is nil
-	// for a never-written page — such a page reads as zero through Load
-	// and cannot be latched (materializing on a read would change the
-	// lazy-allocation observable Epoch).
-	paPage := pa &^ uint64(pageOffMask)
-	if d := c.Mem.ReadablePage(paPage); d != nil {
-		c.rframe = dataFrame{data: d, as: c.AS, asGen: c.AS.Gen,
-			epoch: c.Mem.Epoch(), vpn: vpn, base: paPage}
-	}
+	c.fillRead(e, pa)
 	c.Stats.Cycles += c.Hier.Data(pa, size, false)
 	return c.Mem.Load(pa, size), nil
+}
+
+// fillRead attaches a read backing to e, which holds the read proof for
+// the page containing pa, unless it already has a current backing. A
+// never-written page gets none: it reads as zero through Load, and
+// materializing it on a read would change the lazy-allocation observable
+// Epoch.
+func (c *CPU) fillRead(e *tlbEntry, pa uint64) {
+	if e.backed(c) {
+		return
+	}
+	if d, t := c.Mem.ReadablePage(pa &^ pageOffMask); d != nil {
+		e.data, e.tags, e.pgen, e.epoch = d, t, nil, c.Mem.Epoch()
+	}
+}
+
+// fillWrite attaches a writable backing to e, which holds the write proof
+// for the page containing pa. Callers fill only AFTER the store: Store and
+// StoreCap materialize (and, if snapshot-shared, privatize) the chunk, so
+// WritablePage here never moves arrays again and the Epoch read is
+// post-settlement.
+func (c *CPU) fillWrite(e *tlbEntry, pa uint64) {
+	if d, t, g := c.Mem.WritablePage(pa &^ pageOffMask); d != nil {
+		e.data, e.tags, e.pgen, e.epoch = d, t, g, c.Mem.Epoch()
+	}
 }
 
 // StoreVia performs a capability-authorized scalar store.
@@ -202,41 +186,41 @@ func (c *CPU) storeViaP(auth *cap.Capability, ea, size, v uint64) error {
 	if !auth.Authorizes(ea, size, cap.PermStore) {
 		return auth.CheckDeref(ea, size, cap.PermStore)
 	}
+	// Micro-TLB probe inlined from translate (see loadViaP).
 	vpn := ea >> vm.PageShift
-	// Data-frame hit: write the page slice directly, taking over Store's
-	// aligned single-granule contract — an aligned store of ≤ 8 bytes
-	// never straddles a ≥ 16-byte tag granule, so exactly one tag is
-	// cleared and one page generation bumped.
-	if f := &c.wframe; f.hits(c, vpn) {
-		off := ea & pageOffMask
-		if lat, ok := c.Hier.L1D.DataHit(f.base+off, size, true); ok {
-			c.Stats.Cycles += lat
-		} else {
-			c.Stats.Cycles += c.Hier.Data(f.base+off, size, true)
-		}
-		d := f.data[off:]
-		switch size {
-		case 1:
-			d[0] = byte(v)
-		case 2:
-			binary.LittleEndian.PutUint16(d, uint16(v))
-		case 4:
-			binary.LittleEndian.PutUint32(d, uint32(v))
-		case 8:
-			binary.LittleEndian.PutUint64(d, v)
-		default:
-			c.Mem.Store(f.base+off, size, v) // other sizes panic there, as ever
-			return nil
-		}
-		f.tags[off>>f.gsh] = false
-		*f.gen++
-		return nil
-	}
-	// Micro-TLB hit check inlined from translate (see loadViaP).
 	e := &c.tlb[vpn&(dtlbSize-1)]
 	var pa uint64
 	if e.as == c.AS && e.gen == c.AS.Gen && e.vpn == vpn && e.prot&vm.ProtWrite != 0 {
-		pa = e.base + ea%vm.PageSize
+		off := ea & pageOffMask
+		pa = e.base + off
+		if e.pgen != nil && e.backed(c) {
+			// Writable-backed hit: write the page slice directly, taking
+			// over Store's aligned single-granule contract — an aligned
+			// store of ≤ 8 bytes never straddles a ≥ 16-byte tag granule,
+			// so exactly one tag is cleared and one page generation bumped.
+			if lat, ok := c.Hier.L1D.DataHit(pa, size, true); ok {
+				c.Stats.Cycles += lat
+			} else {
+				c.Stats.Cycles += c.Hier.Data(pa, size, true)
+			}
+			d := e.data[off:]
+			switch size {
+			case 1:
+				d[0] = byte(v)
+			case 2:
+				binary.LittleEndian.PutUint16(d, uint16(v))
+			case 4:
+				binary.LittleEndian.PutUint32(d, uint32(v))
+			case 8:
+				binary.LittleEndian.PutUint64(d, v)
+			default:
+				c.Mem.Store(pa, size, v) // other sizes panic there
+				return nil
+			}
+			e.tags[off>>c.Mem.GranShift()] = false
+			*e.pgen++
+			return nil
+		}
 	} else {
 		var pf *vm.PageFault
 		pa, pf = c.translate(ea, vm.ProtWrite)
@@ -246,16 +230,107 @@ func (c *CPU) storeViaP(auth *cap.Capability, ea, size, v uint64) error {
 	}
 	c.Stats.Cycles += c.Hier.Data(pa, size, true)
 	c.Mem.Store(pa, size, v)
-	// Refill the write frame AFTER the store: Store materializes (and, if
-	// snapshot-shared, privatizes) the chunk, so WritablePage here never
-	// moves arrays again and the Epoch read is post-settlement.
-	paPage := pa &^ uint64(pageOffMask)
-	if d, tags, gen := c.Mem.WritablePage(paPage); d != nil {
-		c.wframe = dataFrame{data: d, as: c.AS, asGen: c.AS.Gen,
-			epoch: c.Mem.Epoch(), vpn: vpn, base: paPage,
-			tags: tags, gen: gen, gsh: c.Mem.GranShift()}
-	}
+	c.fillWrite(e, pa)
 	return nil
+}
+
+// capMem executes one capability load or store (CLC/CLCB/CSC/CSCB) with
+// its Stats update, for exec and the threaded engine alike. Kept out of
+// line (like indirectTransfer) so its capability-typed locals stay out of
+// the threaded engine's register allocation.
+//
+//go:noinline
+func (c *CPU) capMem(in isa.Inst) error {
+	auth := &c.C[in.Rb]
+	ea := auth.Addr() + uint64(int64(in.Imm))
+	if in.Op == isa.CSC || in.Op == isa.CSCB {
+		if err := c.storeCapP(auth, ea, &c.C[in.Ra]); err != nil {
+			return err
+		}
+		c.Stats.CapStores++
+		return nil
+	}
+	if err := c.loadCapP(auth, ea, in.Ra); err != nil {
+		return err
+	}
+	c.Stats.CapLoads++
+	return nil
+}
+
+// loadCapP is LoadCapVia behind a pointer, writing the loaded capability
+// straight into register rd (c0 stays NULL). A load whose checks pass and
+// whose page has a current backing is served from the micro-TLB entry;
+// anything else — a fault, a TLB miss, an unbacked page — runs
+// LoadCapVia's exact sequence from the start. The fast path changes no
+// state before it commits, so the fallback sees the machine untouched.
+func (c *CPU) loadCapP(auth *cap.Capability, ea uint64, rd uint8) error {
+	bytes := c.Fmt.Bytes
+	if ea&(bytes-1) == 0 && auth.Authorizes(ea, bytes, cap.PermLoad) {
+		vpn := ea >> vm.PageShift
+		e := &c.tlb[vpn&(dtlbSize-1)]
+		if e.as == c.AS && e.gen == c.AS.Gen && e.vpn == vpn && e.prot&vm.ProtRead != 0 && e.backed(c) {
+			off := ea & pageOffMask
+			pa := e.base + off
+			if lat, ok := c.Hier.L1D.DataHit(pa, bytes, false); ok {
+				c.Stats.Cycles += lat
+			} else {
+				c.Stats.Cycles += c.Hier.Data(pa, bytes, false)
+			}
+			tag := e.tags[off>>c.Mem.GranShift()] && auth.HasPerm(cap.PermLoadCap)
+			if rd != 0 {
+				c.C[rd] = c.Fmt.Decode(e.data[off:off+bytes], tag)
+			}
+			return nil
+		}
+	}
+	v, err := c.LoadCapVia(*auth, ea)
+	if err != nil {
+		return err
+	}
+	c.setC(rd, v)
+	return nil
+}
+
+// storeCapP is StoreCapVia behind pointers, served from a writable
+// micro-TLB backing when every check passes (see loadCapP); anything else
+// runs StoreCapVia's exact sequence.
+func (c *CPU) storeCapP(auth *cap.Capability, ea uint64, v *cap.Capability) error {
+	bytes := c.Fmt.Bytes
+	if ea&(bytes-1) == 0 && auth.Authorizes(ea, bytes, capStoreNeed(v)) {
+		vpn := ea >> vm.PageShift
+		e := &c.tlb[vpn&(dtlbSize-1)]
+		if e.as == c.AS && e.gen == c.AS.Gen && e.vpn == vpn && e.prot&vm.ProtWrite != 0 &&
+			e.pgen != nil && e.backed(c) {
+			off := ea & pageOffMask
+			pa := e.base + off
+			if lat, ok := c.Hier.L1D.DataHit(pa, bytes, true); ok {
+				c.Stats.Cycles += lat
+			} else {
+				c.Stats.Cycles += c.Hier.Data(pa, bytes, true)
+			}
+			// StoreCap's contract: the bytes, the granule's tag, and one
+			// page-generation bump (a granule never straddles a page).
+			c.Fmt.Encode(*v, e.data[off:off+bytes])
+			e.tags[off>>c.Mem.GranShift()] = v.Tag()
+			*e.pgen++
+			return nil
+		}
+	}
+	return c.StoreCapVia(*auth, ea, *v)
+}
+
+// capStoreNeed returns the permissions storing v requires: PermStore, plus
+// PermStoreCap for a tagged value, plus PermStoreLocalCap for a tagged
+// non-global one.
+func capStoreNeed(v *cap.Capability) cap.Perm {
+	need := cap.PermStore
+	if v.Tag() {
+		need |= cap.PermStoreCap
+		if !v.HasPerm(cap.PermGlobal) {
+			need |= cap.PermStoreLocalCap
+		}
+	}
+	return need
 }
 
 // LoadCapVia loads one capability. PermLoad authorizes the bytes; without
@@ -272,6 +347,7 @@ func (c *CPU) LoadCapVia(auth cap.Capability, ea uint64) (cap.Capability, error)
 	if pf != nil {
 		return cap.Null(), pf
 	}
+	c.fillRead(&c.tlb[(ea>>vm.PageShift)&(dtlbSize-1)], pa)
 	c.Stats.Cycles += c.Hier.Data(pa, bytes, false)
 	var arr [32]byte // large enough for both capability formats
 	buf := arr[:bytes]
@@ -290,14 +366,7 @@ func (c *CPU) StoreCapVia(auth cap.Capability, ea uint64, v cap.Capability) erro
 	if ea&(bytes-1) != 0 { // capability widths are powers of two
 		return &AlignmentError{VA: ea, Size: bytes}
 	}
-	need := cap.PermStore
-	if v.Tag() {
-		need |= cap.PermStoreCap
-		if !v.HasPerm(cap.PermGlobal) {
-			need |= cap.PermStoreLocalCap
-		}
-	}
-	if err := auth.CheckDeref(ea, bytes, need); err != nil {
+	if err := auth.CheckDeref(ea, bytes, capStoreNeed(&v)); err != nil {
 		return err
 	}
 	pa, pf := c.translate(ea, vm.ProtWrite)
@@ -309,6 +378,7 @@ func (c *CPU) StoreCapVia(auth cap.Capability, ea uint64, v cap.Capability) erro
 	buf := arr[:bytes]
 	c.Fmt.Encode(v, buf)
 	c.Mem.StoreCap(pa, buf, v.Tag())
+	c.fillWrite(&c.tlb[(ea>>vm.PageShift)&(dtlbSize-1)], pa)
 	return nil
 }
 

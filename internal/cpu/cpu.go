@@ -149,11 +149,15 @@ type CPU struct {
 	// DecodeStats counts decode-cache events (non-architectural).
 	DecodeStats DecodeStats
 
-	// Data micro-TLB (see translate): a small direct-mapped cache of
-	// per-page translations, keyed on the address space and its mutation
-	// generation. This is a simulator fast path, not an architectural
-	// structure; it never changes behaviour because every event that could
-	// change a translation bumps vm.AddressSpace.Gen.
+	// Data micro-TLB (see translate and tlbEntry): a small direct-mapped
+	// cache of per-page translations, keyed on the address space and its
+	// mutation generation, whose entries also carry their page's backing
+	// arrays so scalar and capability loads/stores that hit are served
+	// straight from the page (access.go). This is a simulator fast path,
+	// not an architectural structure; it never changes behaviour because
+	// every event that could change a translation bumps
+	// vm.AddressSpace.Gen, and every event that could move a backing bumps
+	// mem.Physical.Epoch.
 	tlb [dtlbSize]tlbEntry
 
 	// Decoded-instruction cache (see decode.go): per-physical-page decoded
@@ -171,12 +175,6 @@ type CPU struct {
 	icache [indirectSize]indirectEnt
 	rstack [retStackSize]indirectEnt
 	rsp    int
-
-	// Data-page frames (see access.go): one-entry L0 caches in front of
-	// the micro-TLB and mem's Load/Store for scalar loads (rframe) and
-	// stores (wframe), holding the translated page's backing arrays.
-	rframe dataFrame
-	wframe dataFrame
 }
 
 // blockIdxSize is the number of direct-mapped block-index entries.
@@ -191,12 +189,39 @@ type blockIdxEnt struct {
 // shared by fetch, read, and write accesses).
 const dtlbSize = 64
 
+// tlbEntry is one micro-TLB slot: a page's translation proof plus,
+// optionally, its backing.
+//
+// The proof (as, gen, vpn, base, prot) says that at AS generation gen,
+// Translate maps vpn to the frame at base for every access kind in prot.
+//
+// The backing (data, tags, pgen, epoch) holds the frame's byte and tag
+// slices, valid while mem.Physical.Epoch still equals epoch. It is only
+// ever attached after the proof for the access that filled it, and it is
+// dropped with the proof (any refill for another page or generation
+// clears it). A read backing (pgen nil) comes from ReadablePage and may
+// serve loads only: on a snapshot-shared copy-on-write chunk its slices
+// alias the shared arrays. A writable backing (pgen set) comes from
+// WritablePage after a store has settled (materialized and privatized)
+// the chunk, and may serve stores as well as loads. Either kind still
+// needs the matching prot bit on every hit.
 type tlbEntry struct {
 	as   *vm.AddressSpace
 	gen  uint64
 	vpn  uint64
 	base uint64  // frame base physical address
 	prot vm.Prot // access kinds proven against Translate at this gen
+
+	data  []byte  // page bytes; nil means no backing
+	tags  []bool  // the page's tag granules
+	pgen  *uint64 // the page's write-generation counter; nil for a read backing
+	epoch uint64  // mem Epoch the slices were taken at
+}
+
+// backed reports whether e's backing is current. The caller has already
+// matched e's proof.
+func (e *tlbEntry) backed(c *CPU) bool {
+	return e.data != nil && e.epoch == c.Mem.Epoch()
 }
 
 // translate resolves va with the micro-TLB fast path. An entry is valid
@@ -204,7 +229,8 @@ type tlbEntry struct {
 // by a read must still take the full Translate walk on its first write so
 // that copy-on-write resolution (and the protection check) happens exactly
 // as without the TLB. Soft faults resolved inside Translate bump
-// AddressSpace.Gen, which invalidates every cached entry at once.
+// AddressSpace.Gen, which invalidates every cached entry at once. On
+// return without a fault the slot for va holds va's proof.
 func (c *CPU) translate(va uint64, access vm.Prot) (uint64, *vm.PageFault) {
 	vpn := va >> vm.PageShift
 	e := &c.tlb[vpn&(dtlbSize-1)]
@@ -215,12 +241,13 @@ func (c *CPU) translate(va uint64, access vm.Prot) (uint64, *vm.PageFault) {
 	if pf != nil {
 		return 0, pf
 	}
-	prot := access
 	if e.as == c.AS && e.gen == c.AS.Gen && e.vpn == vpn {
-		// Same page, same generation: earlier proofs still hold; widen.
-		prot |= e.prot
+		// Same page, same generation: the earlier proofs, and the backing
+		// they vouch for, still hold; widen.
+		e.prot |= access
+		return pa, nil
 	}
-	*e = tlbEntry{as: c.AS, gen: c.AS.Gen, vpn: vpn, base: pa &^ (vm.PageSize - 1), prot: prot}
+	*e = tlbEntry{as: c.AS, gen: c.AS.Gen, vpn: vpn, base: pa &^ (vm.PageSize - 1), prot: access}
 	return pa, nil
 }
 
@@ -231,8 +258,13 @@ func (c *CPU) TranslateData(va uint64, access vm.Prot) (uint64, *vm.PageFault) {
 	return c.translate(va, access)
 }
 
-// New returns a CPU bound to the given memory system.
+// New returns a CPU bound to the given memory system. The memory's tag
+// granule must be the capability width: one tag per stored capability is
+// what LoadCap/StoreCap and the micro-TLB's capability fast paths assume.
 func New(m *mem.Physical, h *cache.Hierarchy, f cap.Format) *CPU {
+	if m.Granule() != f.Bytes {
+		panic(fmt.Sprintf("cpu: memory granule %d is not the %s capability width %d", m.Granule(), f.Name, f.Bytes))
+	}
 	c := &CPU{Mem: m, Hier: h, Fmt: f}
 	for i := range c.C {
 		c.C[i] = cap.Null()
@@ -517,20 +549,10 @@ func (c *CPU) exec(in isa.Inst) *Trap {
 		if t := c.storeInt(in, c.C[in.Rb], ea, c.X[in.Ra]); t != nil {
 			return t
 		}
-	case isa.CLC, isa.CLCB:
-		ea := c.C[in.Rb].Addr() + uint64(int64(in.Imm))
-		v, err := c.LoadCapVia(c.C[in.Rb], ea)
-		if err != nil {
+	case isa.CLC, isa.CLCB, isa.CSC, isa.CSCB:
+		if err := c.capMem(in); err != nil {
 			return c.accessTrap(in, err)
 		}
-		c.Stats.CapLoads++
-		c.setC(in.Ra, v)
-	case isa.CSC, isa.CSCB:
-		ea := c.C[in.Rb].Addr() + uint64(int64(in.Imm))
-		if err := c.StoreCapVia(c.C[in.Rb], ea, c.C[in.Ra]); err != nil {
-			return c.accessTrap(in, err)
-		}
-		c.Stats.CapStores++
 
 	// ---- capability manipulation ----
 	case isa.CMOVE:

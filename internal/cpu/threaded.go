@@ -115,30 +115,6 @@ func init() {
 // simulator reads Stats or cache state mid-run, so deferring the flushes
 // cannot perturb LRU decisions or miss counts.
 
-// capMem executes one capability load or store (CLC/CLCB/CSC/CSCB) for
-// the threaded engine: exec's exact sequence and Stats updates, minus the
-// op-switch dispatch. Kept out of line (like indirectTransfer) so its
-// capability-typed locals stay out of the hot loop's register allocation.
-//
-//go:noinline
-func (c *CPU) capMem(in isa.Inst) error {
-	ea := c.C[in.Rb].Addr() + uint64(int64(in.Imm))
-	if in.Op == isa.CSC || in.Op == isa.CSCB {
-		if err := c.StoreCapVia(c.C[in.Rb], ea, c.C[in.Ra]); err != nil {
-			return err
-		}
-		c.Stats.CapStores++
-		return nil
-	}
-	v, err := c.LoadCapVia(c.C[in.Rb], ea)
-	if err != nil {
-		return err
-	}
-	c.Stats.CapLoads++
-	c.setC(in.Ra, v)
-	return nil
-}
-
 // fetchWindow reduces pcc's bounds to the window of PCs from which a
 // one-instruction fetch stays in bounds, as a base and a length: pc is in
 // bounds iff pc-lo < span, a single subtract-and-compare per retired
@@ -352,9 +328,10 @@ run:
 			// Capability loads/stores — the only ops outside the scalar
 			// table that can touch memory (and therefore bump AS.Gen via a
 			// soft fault resolved in translate, or a page's write
-			// generation via a store): exec's sequence via capMem, minus
-			// the dispatch. Like the scalar memops above they advance PC
-			// by one instruction and fall through to the generation probe.
+			// generation via a store): capMem, exactly as exec calls it,
+			// minus the dispatch. Like the scalar memops above they advance
+			// PC by one instruction and fall through to the generation
+			// probe.
 			if err := c.capMem(in); err != nil {
 				c.PC = pc
 				flush()

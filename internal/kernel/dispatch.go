@@ -212,11 +212,17 @@ func (k *Kernel) syscall(t *Thread) {
 		setRet(&t.Frame, ^uint64(0), ENOSYS)
 	} else {
 		d := &sysTable[num]
-		var a SysArgs
-		if e := k.decodeArgs(t, d.spec, &a); e != OK {
+		// The per-Kernel argument block, zeroed per call: a local would
+		// escape to the heap through the indirect handler call. Reuse is
+		// safe because handlers only read their arguments during the call
+		// (none keeps the pointer) and syscalls never nest (CallGuest runs
+		// callbacks that must end in BREAK, never a dispatched syscall).
+		a := &k.args
+		*a = SysArgs{}
+		if e := k.decodeArgs(t, d.spec, a); e != OK {
 			setRet(&t.Frame, ^uint64(0), e)
 		} else {
-			advance = d.fn(k, t, &a)
+			advance = d.fn(k, t, a)
 		}
 	}
 	if advance {

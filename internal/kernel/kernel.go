@@ -148,6 +148,10 @@ type Kernel struct {
 	// urand is the /dev/urandom xorshift64 state (per boot, never zero).
 	urand uint64
 
+	// args is the argument block of the syscall being dispatched (see
+	// Kernel.syscall).
+	args SysArgs
+
 	// Stats
 	ContextSwitches uint64
 	SyscallCount    map[int]uint64

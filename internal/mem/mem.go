@@ -64,9 +64,9 @@ type Physical struct {
 	// back a chunk, or to whether a write may mutate them in place (chunk
 	// materialization, privatization, Snapshot marking chunks
 	// copy-on-write). Consumers holding slices into chunk arrays — the
-	// CPU's data-page frames — revalidate with one compare; contents are
-	// NOT covered (in-place writes are visible through such slices by
-	// construction).
+	// page backings in the CPU's data micro-TLB — revalidate with one
+	// compare; contents are NOT covered (in-place writes are visible
+	// through such slices by construction).
 	epoch uint64
 }
 
@@ -108,7 +108,7 @@ func (m *Physical) Size() uint64 { return m.size }
 func (m *Physical) Granule() uint64 { return m.granule }
 
 // GranShift returns log2(Granule()), for callers that index the tag
-// slices WritablePage hands out.
+// slices ReadablePage and WritablePage hand out.
 func (m *Physical) GranShift() uint { return m.granShift }
 
 func (m *Physical) check(pa, n uint64) {
@@ -196,23 +196,27 @@ func (m *Physical) PageGenPtr(pa uint64) *uint64 {
 // they were handed out for only while Epoch is unchanged.
 func (m *Physical) Epoch() uint64 { return m.epoch }
 
-// ReadablePage returns the byte slice backing the page at paPage for
-// direct reads, or nil when there is nothing to read in place (page out
-// of range, or chunk never materialized — such a page reads as zeroes
-// through Load). The slice aliases live memory: in-place mutations by
-// this Physical remain visible through it, and it must be dropped when
-// Epoch changes (a privatization or snapshot may detach the array). It
-// must never be written through.
-func (m *Physical) ReadablePage(paPage uint64) []byte {
+// ReadablePage returns the byte and tag slices backing the page at paPage
+// for direct reads, or nils when there is nothing to read in place (page
+// out of range, or chunk never materialized — such a page reads as zeroes
+// with clear tags through Load and LoadCap). The slices alias live
+// memory: in-place mutations by this Physical remain visible through
+// them, and they must be dropped when Epoch changes (a privatization or
+// snapshot may detach the arrays). They must never be written through: a
+// snapshot-shared chunk is handed out as is, unprivatized.
+func (m *Physical) ReadablePage(paPage uint64) (data []byte, tags []bool) {
 	if paPage%PageSize != 0 || paPage+PageSize > m.size || paPage+PageSize < paPage {
-		return nil
+		return nil, nil
 	}
-	ch := m.chunks[paPage>>chunkShift]
+	ci := paPage >> chunkShift
+	ch := m.chunks[ci]
 	if ch == nil {
-		return nil
+		return nil, nil
 	}
 	off := paPage & chunkMask
-	return ch[off : off+PageSize : off+PageSize]
+	gs := m.granShift
+	return ch[off : off+PageSize : off+PageSize],
+		m.tags[ci][off>>gs : (off+PageSize)>>gs : (off+PageSize)>>gs]
 }
 
 // WritablePage returns the byte and tag slices backing the page at paPage
@@ -621,7 +625,7 @@ func (m *Physical) Snapshot() *Snapshot {
 		}
 	}
 	// Chunks just became write-shared: a consumer holding writable slices
-	// into them (a CPU data-page frame) must re-acquire through
+	// into them (a CPU micro-TLB page backing) must re-acquire through
 	// WritablePage, whose materialize privatizes first.
 	m.epoch++
 	return s

@@ -8,7 +8,6 @@ package cheriabi_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -240,7 +239,8 @@ func BenchmarkCopyInOut(b *testing.B) {
 			if err := c.AS.Map(va, pages*vm.PageSize, vm.ProtRead|vm.ProtWrite, false); err != nil {
 				b.Fatal(err)
 			}
-			u := &uaccess.Space{CPU: c, DisableBulkFastPath: mode.slow}
+			c.Engine.ByteCopy = mode.slow
+			u := &uaccess.Space{CPU: c}
 			auth := cap.Root(va, pages*vm.PageSize, cap.PermData)
 			buf := make([]byte, copyBytes)
 			for i := range buf {
@@ -592,132 +592,24 @@ func BenchmarkSimulator(b *testing.B) {
 // host throughput changes. MB/s stands in for guest instructions/s.
 func BenchmarkThreadedDispatch(b *testing.B) {
 	for _, mode := range []struct {
-		name    string
-		disable bool
+		name string
+		tier cpu.Tier
 	}{
-		{"on", false},
-		{"off", true},
+		{"on", cpu.Threaded},
+		{"off", cpu.DecodeCache},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			w, _ := workload.ByName("auto-basicmath")
 			var insts, cycles uint64
 			for i := 0; i < b.N; i++ {
 				m, err := workload.Run(w, workload.BuildOptions{
-					ABI:                     cheriabi.ABICheri,
-					DisableThreadedDispatch: mode.disable,
+					ABI:    cheriabi.ABICheri,
+					Engine: cpu.Engine{Tier: mode.tier},
 				}, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
 				insts, cycles = m.Instructions, m.Cycles
-			}
-			b.SetBytes(int64(insts))
-			b.ReportMetric(float64(cycles), "sim-cycles") // must match across modes
-		})
-	}
-}
-
-// BenchmarkSuperblocks ablates superblock chaining on a program whose
-// loop body straddles several code pages, so every iteration crosses
-// page boundaries in both directions: with chaining the threaded engine
-// follows the crossings block-to-block; without it every crossing exits
-// to Step. Guest-visible results are bit-identical (the differential
-// matrix runs the same straddle program); only host throughput changes.
-// MB/s stands in for guest instructions/s.
-func BenchmarkSuperblocks(b *testing.B) {
-	img, _, err := cheriabi.Compile(cheriabi.CompileOptions{
-		Name: "straddle", ABI: cheriabi.ABICheri,
-	}, straddleSrc())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"on", false},
-		{"off", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var insts, cycles, chains uint64
-			for i := 0; i < b.N; i++ {
-				sys := cheriabi.NewSystem(cheriabi.Config{
-					MemBytes:           128 << 20,
-					DisableSuperblocks: mode.disable,
-				})
-				res, err := sys.RunImage(img, "straddle")
-				if err != nil {
-					b.Fatal(err)
-				}
-				insts, cycles = res.Stats.Instructions, res.Stats.Cycles
-				chains = sys.DecodeCacheStats().Chains
-			}
-			if !mode.disable && chains == 0 {
-				b.Fatal("straddle workload never chained; the ablation is vacuous")
-			}
-			b.SetBytes(int64(insts))
-			b.ReportMetric(float64(cycles), "sim-cycles") // must match across modes
-		})
-	}
-}
-
-// indirectSrc builds a call/return-dense program: a chain of tiny
-// functions each calling the next, entered from a hot loop, so CJR/CJALR
-// dominates the dynamic control-flow mix the way call/return does in
-// real capability code.
-func indirectSrc() string {
-	var b strings.Builder
-	const fns = 8
-	fmt.Fprintf(&b, "int leaf%d(int x) { return x + 1; }\n", fns-1)
-	for i := fns - 2; i >= 0; i-- {
-		fmt.Fprintf(&b, "int leaf%d(int x) { return leaf%d(x) + 1; }\n", i, i+1)
-	}
-	b.WriteString("int main() {\n  int s = 0;\n  for (int i = 0; i < 20000; i++) {\n")
-	b.WriteString("    s = leaf0(s);\n")
-	b.WriteString("  }\n  printf(\"%d\\n\", s);\n  return 0;\n}\n")
-	return b.String()
-}
-
-// BenchmarkIndirectTransfer ablates the indirect-transfer target cache on
-// a call/return-dense CheriABI program: with the cache the threaded
-// engine serves every repeated CJR/CJALR from a cached capability proof;
-// without it every transfer exits to Step for a full latch rebuild.
-// Guest-visible results are bit-identical (the differential matrix runs
-// the same ablation); only host throughput changes. MB/s stands in for
-// guest instructions/s.
-func BenchmarkIndirectTransfer(b *testing.B) {
-	img, _, err := cheriabi.Compile(cheriabi.CompileOptions{
-		Name: "calls", ABI: cheriabi.ABICheri,
-	}, indirectSrc())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"on", false},
-		{"off", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var insts, cycles, hits uint64
-			for i := 0; i < b.N; i++ {
-				sys := cheriabi.NewSystem(cheriabi.Config{
-					MemBytes:             128 << 20,
-					DisableIndirectCache: mode.disable,
-				})
-				res, err := sys.RunImage(img, "calls")
-				if err != nil {
-					b.Fatal(err)
-				}
-				insts, cycles = res.Stats.Instructions, res.Stats.Cycles
-				hits = sys.DecodeCacheStats().IndirectHits
-			}
-			if !mode.disable && hits == 0 {
-				b.Fatal("call workload never hit the indirect cache; the ablation is vacuous")
-			}
-			if mode.disable && hits != 0 {
-				b.Fatal("indirect cache hit while disabled")
 			}
 			b.SetBytes(int64(insts))
 			b.ReportMetric(float64(cycles), "sim-cycles") // must match across modes
@@ -780,24 +672,25 @@ func BenchmarkParallelDriver(b *testing.B) {
 }
 
 // BenchmarkDecodeCache ablates the simulator's decoded-instruction cache:
-// the same workload with the fetch fast path enabled and disabled. The
-// guest-visible results are bit-identical (TestDecodeCacheDifferential);
-// only host throughput changes. MB/s stands in for guest instructions/s.
+// the same workload on the default engine and on the plain interpreter,
+// which has no decode cache (and so no threaded dispatch either). The
+// guest-visible results are bit-identical (TestDifferentialMatrix); only
+// host throughput changes. MB/s stands in for guest instructions/s.
 func BenchmarkDecodeCache(b *testing.B) {
 	for _, mode := range []struct {
-		name    string
-		disable bool
+		name string
+		tier cpu.Tier
 	}{
-		{"on", false},
-		{"off", true},
+		{"on", cpu.Threaded},
+		{"off", cpu.Interpreter},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			w, _ := workload.ByName("auto-basicmath")
 			var insts, cycles uint64
 			for i := 0; i < b.N; i++ {
 				m, err := workload.Run(w, workload.BuildOptions{
-					ABI:                cheriabi.ABICheri,
-					DisableDecodeCache: mode.disable,
+					ABI:    cheriabi.ABICheri,
+					Engine: cpu.Engine{Tier: mode.tier},
 				}, 1)
 				if err != nil {
 					b.Fatal(err)

@@ -38,6 +38,10 @@ import (
 // ABI selects the process ABI.
 type ABI = image.ABI
 
+// ParseABI returns the ABI named s ("mips64" or "cheriabi"), the inverse
+// of ABI.String.
+func ParseABI(s string) (ABI, error) { return image.ParseABI(s) }
+
 // Process ABIs.
 const (
 	// ABILegacy is the mips64 SysV ABI: pointers are 64-bit integers
@@ -116,36 +120,11 @@ type Config struct {
 	Tracer cpu.CapTracer
 	// OnCapCreate observes kernel/linker/allocator-created capabilities.
 	OnCapCreate func(label string, c cap.Capability)
-	// DisableDecodeCache turns off the simulator's decoded-instruction
-	// cache. Results are bit-identical either way (the differential
-	// determinism suite enforces this); the knob exists for the ablation
-	// benchmarks and as a safety hatch.
-	DisableDecodeCache bool
-	// DisableThreadedDispatch turns off the simulator's block-threaded
-	// execution engine, falling back to one Step per instruction. Results
-	// are bit-identical either way (the differential determinism suite
-	// runs the full {decode cache, threaded dispatch, bulk fast path}
-	// matrix); the knob exists for the ablation benchmarks and as a
-	// safety hatch.
-	DisableThreadedDispatch bool
-	// DisableSuperblocks turns off superblock chaining: the threaded
-	// engine then exits at every page boundary instead of following
-	// direct branches and fallthrough block-to-block. Results are
-	// bit-identical either way (same matrix); the knob exists for the
-	// ablation benchmarks and as a safety hatch.
-	DisableSuperblocks bool
-	// DisableIndirectCache turns off the indirect-transfer target cache
-	// and return-stack latch: every CJR/CJALR then exits the threaded
-	// engine to the Step slow path instead of being served from a cached
-	// capability proof. Results are bit-identical either way (same
-	// matrix); the knob exists for the ablation benchmarks and as a
-	// safety hatch.
-	DisableIndirectCache bool
-	// DisableBulkFastPath forces byte-at-a-time movement in the uaccess
-	// subsystem's kernel/runtime bulk copies. Results are bit-identical
-	// either way (same matrix); the knob exists for the ablation
-	// benchmarks and as a safety hatch.
-	DisableBulkFastPath bool
+	// Engine selects the simulator's host-side fast paths; the zero value
+	// enables all of them. Results are bit-identical for every value (the
+	// differential determinism suite runs all of cpu.Engines()); the knob
+	// exists for the ablation benchmarks and as a safety hatch.
+	Engine cpu.Engine
 	// OnTrap observes every trap the CPU delivers, in program order
 	// (used by the differential determinism suite).
 	OnTrap func(*cpu.Trap)
@@ -165,18 +144,14 @@ func NewSystem(cfg Config) *System {
 		format = cap.Format256
 	}
 	m := kernel.NewMachine(kernel.Config{
-		MemBytes:                cfg.MemBytes,
-		Format:                  format,
-		Seed:                    cfg.Seed,
-		UrandomSeed:             cfg.UrandomSeed,
-		Console:                 cfg.Console,
-		Tracer:                  cfg.Tracer,
-		DisableDecodeCache:      cfg.DisableDecodeCache,
-		DisableThreadedDispatch: cfg.DisableThreadedDispatch,
-		DisableSuperblocks:      cfg.DisableSuperblocks,
-		DisableIndirectCache:    cfg.DisableIndirectCache,
-		DisableBulkFastPath:     cfg.DisableBulkFastPath,
-		OnTrap:                  cfg.OnTrap,
+		MemBytes:    cfg.MemBytes,
+		Format:      format,
+		Seed:        cfg.Seed,
+		UrandomSeed: cfg.UrandomSeed,
+		Console:     cfg.Console,
+		Tracer:      cfg.Tracer,
+		Engine:      cfg.Engine,
+		OnTrap:      cfg.OnTrap,
 	})
 	if cfg.OnCapCreate != nil {
 		m.Kern.OnCapCreate = cfg.OnCapCreate
@@ -199,8 +174,8 @@ type Snapshot struct {
 // quiescent: freshly booted, or with every spawned process run to
 // completion and reaped. A cloned boot from a Seed-0 template is
 // bit-identical to a cold NewSystem boot with the clone's Config — the
-// differential suite's TestSnapshotCloneDifferential enforces this across
-// the full {decode cache, threaded dispatch, bulk copy} matrix.
+// differential suite's TestSnapshotCloneDifferential enforces this under
+// every cpu.Engine value.
 func (s *System) Snapshot() (*Snapshot, error) {
 	ms, err := s.Machine.Snapshot()
 	if err != nil {
@@ -211,20 +186,16 @@ func (s *System) Snapshot() (*Snapshot, error) {
 
 // Clone boots a fresh System from the snapshot. cfg.MemBytes and
 // cfg.Cap256 are fixed by the snapshot and ignored; the seed, urandom,
-// console, tracers, ablation knobs, and trap observer apply to the clone
+// console, tracers, engine, and trap observer apply to the clone
 // exactly as they would to NewSystem.
 func (s *Snapshot) Clone(cfg Config) *System {
 	m := s.ms.Boot(kernel.Config{
-		Seed:                    cfg.Seed,
-		UrandomSeed:             cfg.UrandomSeed,
-		Console:                 cfg.Console,
-		Tracer:                  cfg.Tracer,
-		DisableDecodeCache:      cfg.DisableDecodeCache,
-		DisableThreadedDispatch: cfg.DisableThreadedDispatch,
-		DisableSuperblocks:      cfg.DisableSuperblocks,
-		DisableIndirectCache:    cfg.DisableIndirectCache,
-		DisableBulkFastPath:     cfg.DisableBulkFastPath,
-		OnTrap:                  cfg.OnTrap,
+		Seed:        cfg.Seed,
+		UrandomSeed: cfg.UrandomSeed,
+		Console:     cfg.Console,
+		Tracer:      cfg.Tracer,
+		Engine:      cfg.Engine,
+		OnTrap:      cfg.OnTrap,
 	})
 	if cfg.OnCapCreate != nil {
 		m.Kern.OnCapCreate = cfg.OnCapCreate
@@ -313,7 +284,7 @@ func deltaStats(a, b Stats) Stats {
 func (s *System) L2Misses() uint64 { return s.Machine.Hier.L2.Stats().Misses }
 
 // DecodeCacheStats reports the simulator's decoded-instruction-cache
-// event counts (non-architectural). With the cache disabled, Hits,
+// event counts (non-architectural). Under the cpu.Interpreter tier, Hits,
 // Misses, and Decodes stay zero; every fetch instead counts in Disabled
 // (so ablation reports never conflate "cache off" with "latch invalid"),
 // and Flushes still counts every explicit sync.

@@ -10,8 +10,9 @@
 // committed ledger and exits non-zero on a regression: any sim-cycles
 // drift on a shared benchmark (simulated cycle counts are architectural
 // results and must not move unless the committed ledger is regenerated
-// in the same change), or a MB/s drop of more than -max-mbs-drop percent
-// on the benchmarks matched by -mbs-guard:
+// in the same change), or a baseline benchmark missing from the fresh
+// results. Throughput is not compared, because the committed ledger
+// comes from another host:
 //
 //	cheri-benchjson -in bench.txt -baseline BENCH_simulator.json
 //
@@ -32,8 +33,6 @@ func main() {
 	in := flag.String("in", "", "bench output file to read (default stdin)")
 	out := flag.String("out", "", "JSON file to write (default stdout)")
 	baseline := flag.String("baseline", "", "committed JSON ledger to compare against; regressions exit non-zero")
-	maxDrop := flag.Float64("max-mbs-drop", 15, "percent MB/s drop tolerated on guarded benchmarks")
-	mbGuard := flag.String("mbs-guard", "BenchmarkSimulator", "benchmark name prefix whose MB/s is guarded")
 	flag.Parse()
 
 	var r io.Reader = os.Stdin
@@ -67,7 +66,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "cheri-benchjson:", err)
 			os.Exit(1)
 		}
-		if findings := benchjson.Compare(base, led, *maxDrop, *mbGuard); len(findings) != 0 {
+		if findings := benchjson.Compare(base, led); len(findings) != 0 {
 			for _, f := range findings {
 				fmt.Fprintln(os.Stderr, "cheri-benchjson: REGRESSION:", f)
 			}

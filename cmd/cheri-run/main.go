@@ -46,9 +46,10 @@ func main() {
 		return
 	}
 
-	abi := cheriabi.ABICheri
-	if *abiFlag == "mips64" {
-		abi = cheriabi.ABILegacy
+	abi, err := cheriabi.ParseABI(*abiFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cheri-run:", err)
+		os.Exit(2)
 	}
 
 	var img *cheriabi.Image

@@ -1,7 +1,7 @@
 // Differential determinism suite: every benchmark, test-suite, and bodiag
-// program is run under all ten simulator fast-path configurations —
-// {decoded-instruction cache, block-threaded dispatch, superblock
-// chaining, uaccess bulk-copy fast path} — and must
+// program is run under every simulator engine configuration —
+// cpu.Engines(), the execution tiers {interpreter, decode cache, threaded}
+// crossed with uaccess byte-at-a-time copies on and off — and must
 // produce bit-identical architectural results: Stats (instructions,
 // cycles, loads/stores, branches, syscalls), program output, exit status,
 // L2 miss counts, and the exact sequence of traps the CPU delivered. This
@@ -27,45 +27,12 @@ import (
 	"cheriabi/internal/workload"
 )
 
-// simConfig is one simulator fast-path configuration.
-type simConfig struct {
-	name     string
-	decode   bool // decoded-instruction cache enabled
-	threaded bool // block-threaded dispatch enabled
-	super    bool // superblock chaining enabled (needs decode+threaded)
-	indirect bool // indirect-transfer target cache enabled (needs threaded)
-	bulk     bool // uaccess bulk-copy fast path enabled
-}
+// engines is the ablation matrix: every engine configuration. The first
+// entry, the plain interpreter with byte-at-a-time copies, is the
+// reference every other configuration must be indistinguishable from.
+var engines = cpu.Engines()
 
-// simConfigs is the full ablation matrix: {decode cache, threaded
-// dispatch} crossed with the uaccess bulk-copy fast path. Threaded
-// dispatch executes out of decoded blocks, so threaded-without-cache
-// degenerates to the plain interpreter — it is still exercised to prove
-// the degenerate path is sound. The superblock and indirect-transfer
-// dimensions are each ablated separately against the all-on threaded
-// configuration. The first entry (everything off) is the reference
-// byte-at-a-time interpreter every other configuration must be
-// indistinguishable from.
-var simConfigs = func() []simConfig {
-	base := []simConfig{
-		{"plain", false, false, false, false, false},
-		{"cache", true, false, false, false, false},
-		{"cache+threaded", true, true, true, true, false},
-		{"cache+threaded-nosuper", true, true, false, true, false},
-		{"cache+threaded-noindirect", true, true, true, false, false},
-		{"threaded-sans-cache", false, true, false, false, false},
-	}
-	out := make([]simConfig, 0, 2*len(base))
-	for _, c := range base {
-		fast := c
-		fast.name += "+bulkcopy"
-		fast.bulk = true
-		out = append(out, c, fast)
-	}
-	return out
-}()
-
-// diffCase is one program to run under every simulator configuration.
+// diffCase is one program to run under every engine configuration.
 type diffCase struct {
 	name string
 	src  string
@@ -76,20 +43,6 @@ type diffCase struct {
 	// they are allowed to die on a signal or exit non-zero, and the
 	// differential comparison of that outcome is exactly the test.
 	mayTrap bool
-	// chains marks programs whose code provably straddles page boundaries
-	// on the hot path, so superblock configurations must actually chain
-	// (the vacuousness check for the superblock dimension). Most guest
-	// programs compile into one or two code pages with every cross-page
-	// transfer a CJR/CJALR, which by design exits the block instead of
-	// chaining, so the positive check is opt-in per case.
-	chains bool
-	// indirects marks programs whose hot path provably repeats CJR/CJALR
-	// transfers under threaded dispatch, so indirect-cache configurations
-	// must actually hit (the vacuousness check for the indirect-transfer
-	// dimension). Only CheriABI code issues capability jumps — the legacy
-	// ABI calls through integer JR/JALR — so the positive check is opt-in
-	// per case like chains.
-	indirects bool
 }
 
 // diffRecord captures everything a run can observe.
@@ -103,16 +56,12 @@ type diffRecord struct {
 	trapHash uint64 // FNV-1a over the rendered trap sequence
 }
 
-// diffConfig is the machine Config for one fast-path configuration; the
+// diffConfig is the machine Config for one engine configuration; the
 // trap observer feeds the (traps, hash) cells of the returned record.
-func diffConfig(cfg simConfig, traps *uint64, h io.Writer) cheriabi.Config {
+func diffConfig(e cpu.Engine, traps *uint64, h io.Writer) cheriabi.Config {
 	return cheriabi.Config{
-		MemBytes:                128 << 20,
-		DisableDecodeCache:      !cfg.decode,
-		DisableThreadedDispatch: !cfg.threaded,
-		DisableSuperblocks:      !cfg.super,
-		DisableIndirectCache:    !cfg.indirect,
-		DisableBulkFastPath:     !cfg.bulk,
+		MemBytes: 128 << 20,
+		Engine:   e,
 		OnTrap: func(tr *cpu.Trap) {
 			*traps++
 			io.WriteString(h, tr.Error())
@@ -121,20 +70,20 @@ func diffConfig(cfg simConfig, traps *uint64, h io.Writer) cheriabi.Config {
 }
 
 // runCase executes one case on a cold-booted machine with the given
-// fast-path configuration, recording the full trap sequence through the
+// engine configuration, recording the full trap sequence through the
 // OnTrap hook.
-func runCase(t *testing.T, tc diffCase, cfg simConfig) diffRecord {
+func runCase(t *testing.T, tc diffCase, e cpu.Engine) diffRecord {
 	t.Helper()
 	h := fnv.New64a()
 	var traps uint64
-	sys := cheriabi.NewSystem(diffConfig(cfg, &traps, h))
+	sys := cheriabi.NewSystem(diffConfig(e, &traps, h))
 	sys.Kernel.FS.Mkdir(bodiag.CwdPath) // the bodiag getcwd case chdirs here
-	return runCaseOn(t, sys, tc, cfg, &traps, h)
+	return runCaseOn(t, sys, tc, e, &traps, h)
 }
 
 // runCaseOn executes one case on the given machine (cold boot or snapshot
 // clone) and records everything a run can observe.
-func runCaseOn(t *testing.T, sys *cheriabi.System, tc diffCase, cfg simConfig, traps *uint64, h hash.Hash64) diffRecord {
+func runCaseOn(t *testing.T, sys *cheriabi.System, tc diffCase, e cpu.Engine, traps *uint64, h hash.Hash64) diffRecord {
 	t.Helper()
 	var needed []string
 	for name := range tc.libs {
@@ -156,39 +105,33 @@ func runCaseOn(t *testing.T, sys *cheriabi.System, tc diffCase, cfg simConfig, t
 	}
 	res, err := sys.RunImage(img, append([]string{tc.name}, tc.args...)...)
 	if err != nil {
-		t.Fatalf("%s (%s): %v", tc.name, cfg.name, err)
+		t.Fatalf("%s (%v): %v", tc.name, e, err)
 	}
+	// Vacuity checks: each tier's fast path must have run, and no faster
+	// one may have.
 	ds := sys.DecodeCacheStats()
-	if cfg.decode && ds.Hits == 0 {
-		t.Fatalf("%s: decode cache never hit; the differential run is vacuous", tc.name)
+	cached, threaded := e.Tier >= cpu.DecodeCache, e.Tier >= cpu.Threaded
+	if !cached && ds.Disabled == 0 {
+		t.Fatalf("%s (%v): no fetch took the interpreter path; the differential run is vacuous", tc.name, e)
 	}
-	if !cfg.decode && ds.Hits != 0 {
-		t.Fatalf("%s: decode cache hit while disabled", tc.name)
+	if cached && ds.Hits == 0 {
+		t.Fatalf("%s (%v): decode cache never hit; the differential run is vacuous", tc.name, e)
 	}
-	if cfg.decode && cfg.threaded && ds.Threaded == 0 {
-		t.Fatalf("%s: threaded dispatch never ran; the differential run is vacuous", tc.name)
+	if !cached && ds.Hits != 0 {
+		t.Fatalf("%s (%v): decode cache hit while disabled", tc.name, e)
 	}
-	if !(cfg.decode && cfg.threaded) && ds.Threaded != 0 {
-		t.Fatalf("%s: threaded dispatch ran while disabled (%+v)", tc.name, ds)
+	if threaded && ds.Threaded == 0 {
+		t.Fatalf("%s (%v): threaded dispatch never ran; the differential run is vacuous", tc.name, e)
 	}
-	if cfg.super && tc.chains && ds.Chains == 0 {
-		t.Fatalf("%s: superblock chaining never ran; the differential run is vacuous", tc.name)
-	}
-	if !cfg.super && ds.Chains != 0 {
-		t.Fatalf("%s: superblock chaining ran while disabled (%+v)", tc.name, ds)
-	}
-	if cfg.indirect && tc.indirects && ds.IndirectHits == 0 {
-		t.Fatalf("%s: indirect-transfer cache never hit; the differential run is vacuous", tc.name)
-	}
-	if !cfg.indirect && ds.IndirectHits != 0 {
-		t.Fatalf("%s: indirect-transfer cache hit while disabled (%+v)", tc.name, ds)
+	if !threaded && ds.Threaded != 0 {
+		t.Fatalf("%s (%v): threaded dispatch ran while disabled (%+v)", tc.name, e, ds)
 	}
 	us := sys.Machine.UA.Stats
-	if cfg.bulk && us.SlowRuns != 0 {
-		t.Fatalf("%s: uaccess slow path ran with the bulk fast path enabled (%+v)", tc.name, us)
+	if !e.ByteCopy && us.SlowRuns != 0 {
+		t.Fatalf("%s (%v): uaccess byte-copy path ran with bulk copies enabled (%+v)", tc.name, e, us)
 	}
-	if !cfg.bulk && us.FastRuns != 0 {
-		t.Fatalf("%s: uaccess bulk fast path ran while disabled (%+v)", tc.name, us)
+	if e.ByteCopy && us.FastRuns != 0 {
+		t.Fatalf("%s (%v): uaccess bulk path ran under byte copies (%+v)", tc.name, e, us)
 	}
 	return diffRecord{
 		exit:     res.ExitCode,
@@ -201,33 +144,34 @@ func runCaseOn(t *testing.T, sys *cheriabi.System, tc diffCase, cfg simConfig, t
 	}
 }
 
-// compare runs tc under every configuration and requires each to be
-// indistinguishable from the plain interpreter.
+// compare runs tc under every engine configuration and requires each to
+// be indistinguishable from the reference.
 func compare(t *testing.T, tc diffCase) {
 	t.Helper()
-	base := runCase(t, tc, simConfigs[0])
+	ref := engines[0]
+	base := runCase(t, tc, ref)
 	if !tc.mayTrap && (base.signal != 0 || base.exit != 0) {
 		// Not a differential failure, but a corpus bug worth surfacing.
 		t.Fatalf("baseline run misbehaved: exit=%d signal=%d output=%q", base.exit, base.signal, base.output)
 	}
-	for _, cfg := range simConfigs[1:] {
-		got := runCase(t, tc, cfg)
+	for _, e := range engines[1:] {
+		got := runCase(t, tc, e)
 		if got.stats != base.stats {
-			t.Errorf("%s: Stats diverged:\n %s: %+v\nplain: %+v", cfg.name, cfg.name, got.stats, base.stats)
+			t.Errorf("%v: Stats diverged:\n %v: %+v\n %v: %+v", e, e, got.stats, ref, base.stats)
 		}
 		if got.output != base.output {
-			t.Errorf("%s: output diverged:\n %s: %q\nplain: %q", cfg.name, cfg.name, got.output, base.output)
+			t.Errorf("%v: output diverged:\n %v: %q\n %v: %q", e, e, got.output, ref, base.output)
 		}
 		if got.exit != base.exit || got.signal != base.signal {
-			t.Errorf("%s: termination diverged: %s exit=%d sig=%d, plain exit=%d sig=%d",
-				cfg.name, cfg.name, got.exit, got.signal, base.exit, base.signal)
+			t.Errorf("%v: termination diverged: exit=%d sig=%d, %v exit=%d sig=%d",
+				e, got.exit, got.signal, ref, base.exit, base.signal)
 		}
 		if got.traps != base.traps || got.trapHash != base.trapHash {
-			t.Errorf("%s: trap sequence diverged: %s %d traps (hash %x), plain %d traps (hash %x)",
-				cfg.name, cfg.name, got.traps, got.trapHash, base.traps, base.trapHash)
+			t.Errorf("%v: trap sequence diverged: %d traps (hash %x), %v %d traps (hash %x)",
+				e, got.traps, got.trapHash, ref, base.traps, base.trapHash)
 		}
 		if got.l2Misses != base.l2Misses {
-			t.Errorf("%s: L2 misses diverged: %s %d, plain %d", cfg.name, cfg.name, got.l2Misses, base.l2Misses)
+			t.Errorf("%v: L2 misses diverged: %d, %v %d", e, got.l2Misses, ref, base.l2Misses)
 		}
 	}
 }
@@ -259,20 +203,13 @@ func corpus(short bool) []diffCase {
 	}
 	// A synthetic case whose main loop body spans several code pages: the
 	// backward loop branch and the straight-line fallthrough both cross
-	// page boundaries on every iteration, so the superblock configurations
-	// must chain (and are checked to, via diffCase.chains) under both ABIs
-	// and both directions, with a helper call (CJR exit) breaking the chain
-	// mid-loop.
+	// page boundaries on every iteration, in both directions, with helper
+	// calls (CJR/CJALR under CheriABI) mid-loop.
 	for _, a := range diffABIs {
 		out = append(out, diffCase{
-			name:   fmt.Sprintf("superblock-straddle-%s", a.label),
-			src:    straddleSrc(),
-			abi:    a.abi,
-			chains: true,
-			// The straddle loop calls a helper every iteration; under
-			// CheriABI those calls and returns are CJR/CJALR, so the
-			// indirect-transfer cache must serve repeats.
-			indirects: a.abi == cheriabi.ABICheri,
+			name: fmt.Sprintf("superblock-straddle-%s", a.label),
+			src:  straddleSrc(),
+			abi:  a.abi,
 		})
 	}
 	for _, s := range testsuite.Suites {
@@ -347,9 +284,8 @@ func bodiagCorpus(short bool) []diffCase {
 }
 
 // TestDifferentialMatrix is the determinism gate for the workload and
-// test-suite corpora: every fast-path configuration in the
-// {decode cache × threaded dispatch × superblocks × bulk copy} matrix
-// must be indistinguishable across every program and both ABIs.
+// test-suite corpora: every engine configuration must be
+// indistinguishable across every program and both ABIs.
 func TestDifferentialMatrix(t *testing.T) {
 	for _, tc := range corpus(testing.Short()) {
 		tc := tc
@@ -372,11 +308,9 @@ func TestBodiagDifferential(t *testing.T) {
 // TestSnapshotCloneDifferential is the determinism gate for machine
 // snapshot/clone: for each case, a machine cloned from a shared post-boot
 // snapshot must be bit-identical — output, Stats, termination, trap
-// sequence, L2 misses — to a cold NewSystem boot, under every fast-path
-// configuration in the {decode cache × threaded dispatch × superblocks
-// × bulk copy} matrix. One plain-boot template serves all ten
-// configurations: the
-// knobs, like the seed, are clone-time Config fields. The corpora are the
+// sequence, L2 misses — to a cold NewSystem boot, under every engine
+// configuration. One plain-boot template serves all of them: the engine,
+// like the seed, is a clone-time Config field. The corpora are the
 // short workload + test-suite and bodiag sets under both ABIs (strided
 // further in -short mode).
 func TestSnapshotCloneDifferential(t *testing.T) {
@@ -403,14 +337,14 @@ func TestSnapshotCloneDifferential(t *testing.T) {
 	for i := 0; i < len(cases); i += stride {
 		tc := cases[i]
 		t.Run(tc.name, func(t *testing.T) {
-			cold := runCase(t, tc, simConfigs[0])
-			for _, cfg := range simConfigs {
+			cold := runCase(t, tc, engines[0])
+			for _, e := range engines {
 				h := fnv.New64a()
 				var traps uint64
-				sys := snap.Clone(diffConfig(cfg, &traps, h))
-				got := runCaseOn(t, sys, tc, cfg, &traps, h)
+				sys := snap.Clone(diffConfig(e, &traps, h))
+				got := runCaseOn(t, sys, tc, e, &traps, h)
 				if got != cold {
-					t.Errorf("clone(%s) diverged from cold boot:\nclone: %+v\n cold: %+v", cfg.name, got, cold)
+					t.Errorf("clone(%v) diverged from cold boot:\nclone: %+v\n cold: %+v", e, got, cold)
 				}
 			}
 		})

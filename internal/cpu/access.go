@@ -236,8 +236,8 @@ func (c *CPU) storeViaP(auth *cap.Capability, ea, size, v uint64) error {
 
 // capMem executes one capability load or store (CLC/CLCB/CSC/CSCB) with
 // its Stats update, for exec and the threaded engine alike. Kept out of
-// line (like indirectTransfer) so its capability-typed locals stay out of
-// the threaded engine's register allocation.
+// line so its capability-typed locals stay out of the threaded engine's
+// register allocation.
 //
 //go:noinline
 func (c *CPU) capMem(in isa.Inst) error {

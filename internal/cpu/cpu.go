@@ -114,35 +114,10 @@ type CPU struct {
 	// preserves trap sequences exactly.
 	OnTrap func(*Trap)
 
-	// NoDecodeCache disables the decoded-instruction cache and its fetch
-	// fast path; every Step then performs the full check/translate/decode
-	// sequence. Behaviour is identical either way (the differential tests
-	// enforce this); the knob exists for ablation and as a safety hatch.
-	NoDecodeCache bool
-
-	// NoThreadedDispatch disables the block-threaded execution engine
-	// (threaded.go), which executes straight-line runs of decoded
-	// instructions without returning to the Step loop. Behaviour is
-	// identical either way; the knob exists for ablation and as a safety
-	// hatch. Threaded dispatch also requires the decode cache, so setting
-	// NoDecodeCache disables it implicitly.
-	NoThreadedDispatch bool
-
-	// NoSuperblocks disables superblock chaining: the threaded engine then
-	// exits at every page boundary instead of following direct branches and
-	// fallthrough block-to-block (threaded.go). Behaviour is identical
-	// either way; the knob exists for ablation and as a safety hatch.
-	// Chaining also requires threaded dispatch, so either knob above
-	// disables it implicitly.
-	NoSuperblocks bool
-
-	// NoIndirectCache disables the indirect-transfer target cache and the
-	// return-prediction stack (indirect.go): CJR/CJALR then exit the
-	// threaded engine and re-prove through the Step latch rebuild, as
-	// before. Behaviour is identical either way; the knob exists for
-	// ablation and as a safety hatch. The cache is only consulted inside
-	// the threaded engine, so either knob above disables it implicitly.
-	NoIndirectCache bool
+	// Engine selects the host-side fast paths (engine.go). Behaviour is
+	// identical for every value; it exists for ablation and as a safety
+	// hatch.
+	Engine Engine
 
 	Stats Stats
 
@@ -162,19 +137,11 @@ type CPU struct {
 
 	// Decoded-instruction cache (see decode.go): per-physical-page decoded
 	// blocks plus the fast-path latch for the page PC is executing from,
-	// fronted by a small direct-mapped block index so the hot path
-	// (superblock chaining, latch refills) skips the map lookup.
+	// fronted by a small direct-mapped block index so latch refills skip
+	// the map lookup.
 	decoded  map[uint64]*instPage
 	latch    fetchLatch
 	blockIdx [blockIdxSize]blockIdxEnt
-
-	// Indirect-transfer prediction (see indirect.go): the direct-mapped
-	// target cache of validated CJR/CJALR transfers, and the return stack
-	// of link capabilities CJALR wrote (rsp counts pushes; the stack wraps,
-	// so the live top is rstack[(rsp-1)%retStackSize]).
-	icache [indirectSize]indirectEnt
-	rstack [retStackSize]indirectEnt
-	rsp    int
 }
 
 // blockIdxSize is the number of direct-mapped block-index entries.
@@ -308,16 +275,16 @@ func (c *CPU) capTrap(in isa.Inst, err error) *Trap {
 // Run executes until a trap occurs or max instructions retire (0 = no
 // limit). It returns the trap, or nil if the instruction budget expired.
 //
-// When the decoded-instruction cache and threaded dispatch are enabled,
-// Run alternates between the block-threaded engine (runBlock, which
-// executes straight-line runs of decoded instructions) and single Steps
-// (which handle everything the block engine exits for: page crossings,
-// PCC changes, invalidations, misaligned PCs, and cold pages). The two
+// Under the Threaded tier, Run alternates between the block-threaded
+// engine (runBlock, which executes straight-line runs of decoded
+// instructions) and single Steps (which handle everything the block engine
+// exits for: page crossings, PCC changes, invalidations, misaligned PCs,
+// and cold pages). The two
 // interleavings retire the same instructions in the same order and charge
 // the same cycles; the differential determinism suite enforces this.
 func (c *CPU) Run(max uint64) *Trap {
 	start := c.Stats.Instructions
-	threaded := !c.NoDecodeCache && !c.NoThreadedDispatch
+	threaded := c.Engine.Tier >= Threaded
 	for {
 		done := c.Stats.Instructions - start
 		if max != 0 && done >= max {

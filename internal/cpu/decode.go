@@ -36,43 +36,10 @@ import (
 // counts, and LRU state are bit-identical with the cache on or off.
 
 // instPage is one decoded physical page: PageSize/InstSize instructions
-// plus the mem write generation the decode was taken at, and the
-// superblock successor links for runs that left this page (threaded.go).
+// plus the mem write generation the decode was taken at.
 type instPage struct {
 	gen   uint64
 	insts [vm.PageSize / isa.InstSize]isa.Inst
-	links [linkWays]chainLink
-}
-
-// linkWays is the number of direct-mapped successor-link slots per decoded
-// page, indexed by the target's virtual page number. Hot code rarely
-// leaves one page for more than a few distinct successors (fallthrough
-// plus a handful of branch targets); conflicting targets just re-prove.
-const linkWays = 4
-
-// chainLink is one superblock successor edge: proof that a virtual target
-// page resolved to a particular decoded block last time control left the
-// owning page for it. A link asserts nothing about the owning page's
-// contents — it is keyed purely by target — so it survives re-decodes of
-// its owner. It is live only while every recorded condition still holds:
-//
-//   - the run executes under the same address space at the same mutation
-//     generation (lk.as, lk.asGen), so vaPage still translates to paPage
-//     with execute rights proven;
-//   - the target page's bytes are unchanged (mem.PageGen(paPage) still
-//     equals page.gen), so the decoded block mirrors memory.
-//
-// PCC validity is deliberately not recorded: the traverser re-checks the
-// target against the current PCC's bounds on every traversal (tag, seal,
-// and permissions are already proven for the whole run, since nothing
-// inside a run replaces PCC). A link that fails validation is re-proved
-// through the full translate walk or severed.
-type chainLink struct {
-	page   *instPage
-	as     *vm.AddressSpace
-	asGen  uint64
-	vaPage uint64
-	paPage uint64
 }
 
 // fetchLatch caches everything needed to prove the fast path sound for
@@ -92,7 +59,7 @@ type fetchLatch struct {
 type DecodeStats struct {
 	Hits     uint64 // fast-path fetches served from a decoded block
 	Misses   uint64 // slow-path fetches with the cache enabled (latch invalid)
-	Disabled uint64 // slow-path fetches taken because NoDecodeCache is set
+	Disabled uint64 // slow-path fetches taken under the Interpreter tier
 	Decodes  uint64 // whole-page decodes (first touch or invalidation)
 	Flushes  uint64 // explicit SyncICache calls
 
@@ -102,20 +69,12 @@ type DecodeStats struct {
 	Threaded uint64
 	Blocks   uint64
 
-	// Chains counts superblock link traversals (page-to-page transitions
-	// that stayed inside the threaded engine); Severs counts links dropped
-	// because re-proving the target translation faulted.
+	// Chains is always zero; bench/main.go still reads it.
 	Chains uint64
-	Severs uint64
-
-	// IndirectHits counts CJR/CJALR transfers served by the
-	// indirect-target cache or the return stack (the run stayed inside
-	// the threaded engine); IndirectMisses counts transfers that
-	// re-proved from scratch; IndirectSevers counts cache entries dropped
-	// because the re-proof's translate walk faulted (indirect.go).
-	IndirectHits   uint64
+	// IndirectHits is always zero; bench/main.go still reads it.
+	IndirectHits uint64
+	// IndirectMisses is always zero; bench/main.go still reads it.
 	IndirectMisses uint64
-	IndirectSevers uint64
 }
 
 const pageOffMask = vm.PageSize - 1
@@ -123,7 +82,7 @@ const pageOffMask = vm.PageSize - 1
 // pageFor returns the decoded block for the physical page containing pa,
 // (re)decoding it if the page's bytes changed since the last decode. A
 // small direct-mapped block index in front of the map serves the hot path
-// (page-boundary crossings and chain re-proofs revisit the same few pages);
+// (page-boundary crossings revisit the same few pages);
 // the map remains the backing store, so an index conflict only costs the
 // map lookup, never a re-decode.
 func (c *CPU) pageFor(paPage uint64) *instPage {
@@ -164,14 +123,9 @@ func (c *CPU) SyncICache() {
 	c.decoded = nil
 	c.latch = fetchLatch{}
 	// The block index must drop with the map: a surviving entry would
-	// resurrect a pre-sync decoded page (and its superblock links) whose
-	// generation still matches, defeating the explicit flush. The
-	// indirect-target cache and return stack hold decoded pages too, so
-	// they drop for the same reason.
+	// resurrect a pre-sync decoded page whose generation still matches,
+	// defeating the explicit flush.
 	c.blockIdx = [blockIdxSize]blockIdxEnt{}
-	c.icache = [indirectSize]indirectEnt{}
-	c.rstack = [retStackSize]indirectEnt{}
-	c.rsp = 0
 	c.DecodeStats.Flushes++
 }
 
@@ -181,7 +135,8 @@ func (c *CPU) SyncICache() {
 // issued identically on both paths.
 func (c *CPU) fetchInst() (isa.Inst, *Trap) {
 	l := &c.latch
-	if !c.NoDecodeCache && l.page != nil &&
+	cached := c.Engine.Tier >= DecodeCache
+	if cached && l.page != nil &&
 		c.PC-l.vaPage < vm.PageSize &&
 		c.AS == l.as && c.AS.Gen == l.asGen &&
 		c.PCC == l.pcc &&
@@ -194,10 +149,10 @@ func (c *CPU) fetchInst() (isa.Inst, *Trap) {
 			return l.page.insts[off/isa.InstSize], nil
 		}
 	}
-	if c.NoDecodeCache {
-		c.DecodeStats.Disabled++ // cache off: not a miss, the cache never ran
-	} else {
+	if cached {
 		c.DecodeStats.Misses++
+	} else {
+		c.DecodeStats.Disabled++ // cache off: not a miss, the cache never ran
 	}
 
 	// Slow path: identical to the pre-cache fetch sequence.
@@ -209,7 +164,7 @@ func (c *CPU) fetchInst() (isa.Inst, *Trap) {
 		return isa.Inst{}, &Trap{Kind: TrapPageFault, PC: c.PC, Page: pf}
 	}
 	c.Stats.Cycles += c.Hier.Fetch(pa, isa.InstSize) - 1 // L1I hit is pipelined
-	if c.NoDecodeCache || c.PC%isa.InstSize != 0 {
+	if !cached || c.PC%isa.InstSize != 0 {
 		// Misaligned PCs fetch the word at the raw address, which is not
 		// one of the page's aligned slots; decode it directly.
 		return isa.Decode(uint32(c.Mem.Load(pa, isa.InstSize))), nil

@@ -32,9 +32,9 @@ func storeWordInsts(w uint32, va uint64) []isa.Inst {
 // and checks execution sees the new bytes. Run with the decode cache on
 // and off, asserting identical architectural results.
 func TestSelfModifyingCodeObservesNewBytes(t *testing.T) {
-	run := func(disable bool) (uint64, Stats) {
+	run := func(tier Tier) (uint64, Stats) {
 		c := newTestCPU(t)
-		c.NoDecodeCache = disable
+		c.Engine.Tier = tier
 		patched := isa.MustEncode(isa.Inst{Op: isa.ADDI, Ra: 2, Rb: 0, Imm: 42})
 		prog := storeWordInsts(patched, codeVA+5*isa.InstSize)
 		prog = append(prog,
@@ -45,8 +45,8 @@ func TestSelfModifyingCodeObservesNewBytes(t *testing.T) {
 		run(t, c)
 		return c.X[2], c.Stats
 	}
-	gotOn, statsOn := run(false)
-	gotOff, statsOff := run(true)
+	gotOn, statsOn := run(Threaded)
+	gotOff, statsOff := run(Interpreter)
 	if gotOn != 42 {
 		t.Fatalf("decode cache served stale instruction: r2 = %d, want 42", gotOn)
 	}
@@ -173,9 +173,9 @@ func TestSyncICacheDropsBlocks(t *testing.T) {
 // so the fast path must step aside. Both cache modes must execute the
 // exact same straddled bytes.
 func TestMisalignedPCBypassesCache(t *testing.T) {
-	exec := func(disable bool) (Stats, [isa.NumRegs]uint64, TrapKind) {
+	exec := func(tier Tier) (Stats, [isa.NumRegs]uint64, TrapKind) {
 		c := newTestCPU(t)
-		c.NoDecodeCache = disable
+		c.Engine.Tier = tier
 		load(t, c, []isa.Inst{
 			{Op: isa.ADDI, Ra: 2, Rb: 0, Imm: 1},
 			{Op: isa.BREAK},
@@ -190,8 +190,8 @@ func TestMisalignedPCBypassesCache(t *testing.T) {
 		}
 		return c.Stats, c.X, kind
 	}
-	sOn, xOn, kOn := exec(false)
-	sOff, xOff, kOff := exec(true)
+	sOn, xOn, kOn := exec(Threaded)
+	sOff, xOff, kOff := exec(Interpreter)
 	if sOn != sOff || xOn != xOff || kOn != kOff {
 		t.Fatalf("misaligned execution diverged:\n on: trap=%v %+v\noff: trap=%v %+v", kOn, sOn, kOff, sOff)
 	}
@@ -200,9 +200,9 @@ func TestMisalignedPCBypassesCache(t *testing.T) {
 // TestDecodeCacheDifferentialSmoke runs a branchy, self-patching program
 // under both cache modes and requires bit-identical Stats and registers.
 func TestDecodeCacheDifferentialSmoke(t *testing.T) {
-	exec := func(disable bool) (Stats, [isa.NumRegs]uint64) {
+	exec := func(tier Tier) (Stats, [isa.NumRegs]uint64) {
 		c := newTestCPU(t)
-		c.NoDecodeCache = disable
+		c.Engine.Tier = tier
 		patched := isa.MustEncode(isa.Inst{Op: isa.ADDI, Ra: 6, Rb: 6, Imm: 5})
 		prog := []isa.Inst{
 			{Op: isa.ADDI, Ra: 4, Rb: 0, Imm: 1},  // i = 1
@@ -220,8 +220,8 @@ func TestDecodeCacheDifferentialSmoke(t *testing.T) {
 		run(t, c)
 		return c.Stats, c.X
 	}
-	sOn, xOn := exec(false)
-	sOff, xOff := exec(true)
+	sOn, xOn := exec(Threaded)
+	sOff, xOff := exec(Interpreter)
 	if sOn != sOff {
 		t.Fatalf("stats diverged:\n on: %+v\noff: %+v", sOn, sOff)
 	}

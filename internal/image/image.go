@@ -35,6 +35,16 @@ func (a ABI) String() string {
 	return "mips64"
 }
 
+// ParseABI returns the ABI whose String is s.
+func ParseABI(s string) (ABI, error) {
+	for _, a := range []ABI{ABILegacy, ABICheri} {
+		if s == a.String() {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown ABI %q (want %s or %s)", s, ABILegacy, ABICheri)
+}
+
 // PtrSize returns the in-memory pointer size for the ABI.
 func (a ABI) PtrSize(capBytes uint64) uint64 {
 	if a == ABICheri {

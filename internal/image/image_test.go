@@ -1,6 +1,7 @@
 package image
 
 import (
+	"strings"
 	"testing"
 
 	"cheriabi/internal/vm"
@@ -104,6 +105,20 @@ func TestABIHelpers(t *testing.T) {
 	}
 	if SecText.String() != "text" || SecBSS.String() != "bss" {
 		t.Fatal("section names wrong")
+	}
+}
+
+func TestParseABI(t *testing.T) {
+	for _, a := range []ABI{ABILegacy, ABICheri} {
+		if got, err := ParseABI(a.String()); err != nil || got != a {
+			t.Errorf("ParseABI(%q) = %v, %v; want %v", a.String(), got, err, a)
+		}
+	}
+	for _, s := range []string{"", "cheri", "CheriABI", "mips"} {
+		_, err := ParseABI(s)
+		if err == nil || !strings.Contains(err.Error(), "mips64 or cheriabi") {
+			t.Errorf("ParseABI(%q) error = %v, want one naming the valid ABIs", s, err)
+		}
 	}
 }
 

@@ -24,7 +24,8 @@ func newSpace(t *testing.T, pages int, slow bool) (*Space, *cpu.CPU) {
 	if err := c.AS.Map(dataVA, uint64(pages)*vm.PageSize, vm.ProtRead|vm.ProtWrite, false); err != nil {
 		t.Fatal(err)
 	}
-	return &Space{CPU: c, DisableBulkFastPath: slow}, c
+	c.Engine.ByteCopy = slow
+	return &Space{CPU: c}, c
 }
 
 func dataCap(pages int) cap.Capability {

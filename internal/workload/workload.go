@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"cheriabi"
+	"cheriabi/internal/cpu"
 	"cheriabi/internal/driver"
 )
 
@@ -89,27 +90,9 @@ type BuildOptions struct {
 	ASan            bool
 	NoBigCLC        bool
 	SubObjectBounds bool
-	// DisableDecodeCache turns off the simulator's decoded-instruction
-	// cache for this run (host-side ablation; guest-visible results are
-	// identical either way).
-	DisableDecodeCache bool
-	// DisableThreadedDispatch turns off the simulator's block-threaded
-	// execution engine for this run (host-side ablation; guest-visible
-	// results are identical either way).
-	DisableThreadedDispatch bool
-	// DisableSuperblocks turns off superblock chaining in the threaded
-	// engine for this run (host-side ablation; guest-visible results are
-	// identical either way).
-	DisableSuperblocks bool
-	// DisableIndirectCache turns off the indirect-transfer target cache
-	// and return-stack latch in the threaded engine for this run
-	// (host-side ablation; guest-visible results are identical either
-	// way).
-	DisableIndirectCache bool
-	// DisableBulkFastPath forces the uaccess subsystem's byte-at-a-time
-	// slow path for this run (host-side ablation; guest-visible results
-	// are identical either way).
-	DisableBulkFastPath bool
+	// Engine selects the simulator's fast paths for this run (host-side
+	// ablation; guest-visible results are identical for every value).
+	Engine cpu.Engine
 }
 
 // Build compiles a workload (and its libraries) for the given options.
@@ -156,13 +139,9 @@ func Run(w Workload, opt BuildOptions, seed int64) (Measurement, error) {
 // runConfig maps per-run knobs onto the machine Config.
 func runConfig(opt BuildOptions, seed int64) cheriabi.Config {
 	return cheriabi.Config{
-		MemBytes:                memBytes,
-		Seed:                    seed,
-		DisableDecodeCache:      opt.DisableDecodeCache,
-		DisableThreadedDispatch: opt.DisableThreadedDispatch,
-		DisableSuperblocks:      opt.DisableSuperblocks,
-		DisableIndirectCache:    opt.DisableIndirectCache,
-		DisableBulkFastPath:     opt.DisableBulkFastPath,
+		MemBytes: memBytes,
+		Seed:     seed,
+		Engine:   opt.Engine,
 	}
 }
 
@@ -197,7 +176,7 @@ func runOn(sys *cheriabi.System, w Workload, exe *cheriabi.Image, libs []*cheria
 }
 
 // buildKey identifies one cached toolchain output: everything BuildOptions
-// says that affects compilation (the simulator ablation knobs do not).
+// says that affects compilation (the simulator engine does not).
 type buildKey struct {
 	name            string
 	abi             cheriabi.ABI
@@ -213,8 +192,8 @@ type buildVal struct {
 
 // Engine executes workloads for a sweep. With snapshots enabled it boots
 // one Seed-0 template machine, captures it, and stamps every run's machine
-// as a copy-on-write clone — the per-run seed, like the simulator ablation
-// knobs, is a clone-time Config field, so a single snapshot serves every
+// as a copy-on-write clone — the per-run seed, like the simulator engine,
+// is a clone-time Config field, so a single snapshot serves every
 // row and seed of a sweep. Builds are cached by their compile-relevant
 // options (the compiler is deterministic, and images are immutable once
 // built). An Engine is safe for concurrent use by the driver's worker

@@ -239,7 +239,7 @@ func BenchmarkCopyInOut(b *testing.B) {
 			if err := c.AS.Map(va, pages*vm.PageSize, vm.ProtRead|vm.ProtWrite, false); err != nil {
 				b.Fatal(err)
 			}
-			c.Engine.ByteCopy = mode.slow
+			c.Reference = mode.slow
 			u := &uaccess.Space{CPU: c}
 			auth := cap.Root(va, pages*vm.PageSize, cap.PermData)
 			buf := make([]byte, copyBytes)
@@ -585,38 +585,6 @@ func BenchmarkSimulator(b *testing.B) {
 	b.SetBytes(int64(insts)) // bytes/s stands in for guest instructions/s
 }
 
-// BenchmarkThreadedDispatch ablates the block-threaded execution engine:
-// the same workload with straight-line runs executed inside runBlock
-// versus one Step per instruction (decode cache enabled in both modes).
-// Guest-visible results are bit-identical (TestDifferentialMatrix); only
-// host throughput changes. MB/s stands in for guest instructions/s.
-func BenchmarkThreadedDispatch(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		tier cpu.Tier
-	}{
-		{"on", cpu.Threaded},
-		{"off", cpu.DecodeCache},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			w, _ := workload.ByName("auto-basicmath")
-			var insts, cycles uint64
-			for i := 0; i < b.N; i++ {
-				m, err := workload.Run(w, workload.BuildOptions{
-					ABI:    cheriabi.ABICheri,
-					Engine: cpu.Engine{Tier: mode.tier},
-				}, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				insts, cycles = m.Instructions, m.Cycles
-			}
-			b.SetBytes(int64(insts))
-			b.ReportMetric(float64(cycles), "sim-cycles") // must match across modes
-		})
-	}
-}
-
 // BenchmarkMiniCCompile measures the MiniC compiler end to end (lex,
 // parse, codegen, link, image marshal) on the largest workload source,
 // isolated from simulation. bytes/s is source bytes compiled per host
@@ -671,34 +639,40 @@ func BenchmarkParallelDriver(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeCache ablates the simulator's decoded-instruction cache:
-// the same workload on the default engine and on the plain interpreter,
-// which has no decode cache (and so no threaded dispatch either). The
+// BenchmarkDecodeCache ablates the simulator's fast engine: the same
+// workload on the default engine and on the CPU's Reference, one full
+// Step per instruction with byte-at-a-time uaccess copies. The
 // guest-visible results are bit-identical (TestDifferentialMatrix); only
 // host throughput changes. MB/s stands in for guest instructions/s.
 func BenchmarkDecodeCache(b *testing.B) {
+	w, _ := workload.ByName("auto-basicmath")
+	exe, libs, err := workload.Build(w, workload.BuildOptions{ABI: cheriabi.ABICheri})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, mode := range []struct {
 		name string
-		tier cpu.Tier
+		ref  bool
 	}{
-		{"on", cpu.Threaded},
-		{"off", cpu.Interpreter},
+		{"on", false},
+		{"off", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			w, _ := workload.ByName("auto-basicmath")
-			var insts, cycles uint64
+			var res *cheriabi.RunResult
 			for i := 0; i < b.N; i++ {
-				m, err := workload.Run(w, workload.BuildOptions{
-					ABI:    cheriabi.ABICheri,
-					Engine: cpu.Engine{Tier: mode.tier},
-				}, 1)
-				if err != nil {
+				sys := cheriabi.NewSystem(cheriabi.Config{MemBytes: 128 << 20, Seed: 1})
+				sys.Machine.CPU.Reference = mode.ref
+				for _, lib := range libs {
+					if _, err := sys.Install(lib); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if res, err = sys.RunImage(exe, append([]string{w.Name}, w.Args...)...); err != nil {
 					b.Fatal(err)
 				}
-				insts, cycles = m.Instructions, m.Cycles
 			}
-			b.SetBytes(int64(insts))
-			b.ReportMetric(float64(cycles), "sim-cycles") // must match across modes
+			b.SetBytes(int64(res.Stats.Instructions))
+			b.ReportMetric(float64(res.Stats.Cycles), "sim-cycles") // must match across modes
 		})
 	}
 }

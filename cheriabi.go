@@ -8,7 +8,7 @@
 // AddressSanitizer backends, a run-time linker, and a C runtime — enough
 // of the paper's stack to regenerate every table and figure in its
 // evaluation. DESIGN.md describes the simulator internals (including the
-// decoded-instruction cache and its invalidation protocol); bench_test.go
+// decoded pages and their invalidation protocol); bench_test.go
 // maps each benchmark to its table or figure.
 //
 // Quick start:
@@ -120,11 +120,6 @@ type Config struct {
 	Tracer cpu.CapTracer
 	// OnCapCreate observes kernel/linker/allocator-created capabilities.
 	OnCapCreate func(label string, c cap.Capability)
-	// Engine selects the simulator's host-side fast paths; the zero value
-	// enables all of them. Results are bit-identical for every value (the
-	// differential determinism suite runs all of cpu.Engines()); the knob
-	// exists for the ablation benchmarks and as a safety hatch.
-	Engine cpu.Engine
 	// OnTrap observes every trap the CPU delivers, in program order
 	// (used by the differential determinism suite).
 	OnTrap func(*cpu.Trap)
@@ -143,16 +138,20 @@ func NewSystem(cfg Config) *System {
 	if cfg.Cap256 {
 		format = cap.Format256
 	}
-	m := kernel.NewMachine(kernel.Config{
+	return newSystem(kernel.NewMachine(kernel.Config{
 		MemBytes:    cfg.MemBytes,
 		Format:      format,
 		Seed:        cfg.Seed,
 		UrandomSeed: cfg.UrandomSeed,
 		Console:     cfg.Console,
 		Tracer:      cfg.Tracer,
-		Engine:      cfg.Engine,
 		OnTrap:      cfg.OnTrap,
-	})
+	}), cfg)
+}
+
+// newSystem finishes a booted machine: cfg's capability-creation hook and
+// the C runtime.
+func newSystem(m *kernel.Machine, cfg Config) *System {
 	if cfg.OnCapCreate != nil {
 		m.Kern.OnCapCreate = cfg.OnCapCreate
 	}
@@ -174,8 +173,8 @@ type Snapshot struct {
 // quiescent: freshly booted, or with every spawned process run to
 // completion and reaped. A cloned boot from a Seed-0 template is
 // bit-identical to a cold NewSystem boot with the clone's Config — the
-// differential suite's TestSnapshotCloneDifferential enforces this under
-// every cpu.Engine value.
+// differential suite's TestSnapshotCloneDifferential enforces this on the
+// reference and the fast engine.
 func (s *System) Snapshot() (*Snapshot, error) {
 	ms, err := s.Machine.Snapshot()
 	if err != nil {
@@ -186,22 +185,16 @@ func (s *System) Snapshot() (*Snapshot, error) {
 
 // Clone boots a fresh System from the snapshot. cfg.MemBytes and
 // cfg.Cap256 are fixed by the snapshot and ignored; the seed, urandom,
-// console, tracers, engine, and trap observer apply to the clone
-// exactly as they would to NewSystem.
+// console, tracers, and trap observer apply to the clone exactly as they
+// would to NewSystem.
 func (s *Snapshot) Clone(cfg Config) *System {
-	m := s.ms.Boot(kernel.Config{
+	return newSystem(s.ms.Boot(kernel.Config{
 		Seed:        cfg.Seed,
 		UrandomSeed: cfg.UrandomSeed,
 		Console:     cfg.Console,
 		Tracer:      cfg.Tracer,
-		Engine:      cfg.Engine,
 		OnTrap:      cfg.OnTrap,
-	})
-	if cfg.OnCapCreate != nil {
-		m.Kern.OnCapCreate = cfg.OnCapCreate
-	}
-	rt := libc.Install(m.Kern)
-	return &System{Machine: m, Kernel: m.Kern, Runtime: rt}
+	}), cfg)
 }
 
 // Install places an image in the VFS: executables under /bin, libraries
@@ -283,11 +276,10 @@ func deltaStats(a, b Stats) Stats {
 // L2Misses returns the machine's cumulative L2 miss count.
 func (s *System) L2Misses() uint64 { return s.Machine.Hier.L2.Stats().Misses }
 
-// DecodeCacheStats reports the simulator's decoded-instruction-cache
-// event counts (non-architectural). Under the cpu.Interpreter tier, Hits,
-// Misses, and Decodes stay zero; every fetch instead counts in Disabled
-// (so ablation reports never conflate "cache off" with "latch invalid"),
-// and Flushes still counts every explicit sync.
+// DecodeCacheStats reports the simulator's decoded-page and
+// threaded-engine event counts (non-architectural). With
+// Machine.CPU.Reference set, every field but Flushes stays zero; Flushes
+// still counts every explicit sync.
 func (s *System) DecodeCacheStats() cpu.DecodeStats { return s.Machine.CPU.DecodeStats }
 
 // InstSize is the size of one instruction, exported for code-size metrics.

@@ -1,8 +1,8 @@
 // Differential determinism suite: every benchmark, test-suite, and bodiag
-// program is run under every simulator engine configuration —
-// cpu.Engines(), the execution tiers {interpreter, decode cache, threaded}
-// crossed with uaccess byte-at-a-time copies on and off — and must
-// produce bit-identical architectural results: Stats (instructions,
+// program is run on the simulator's reference engine (CPU.Reference: one
+// full Step per instruction and byte-at-a-time uaccess copies) and on its
+// fast engine (threaded dispatch and bulk copies), and must produce
+// bit-identical architectural results: Stats (instructions,
 // cycles, loads/stores, branches, syscalls), program output, exit status,
 // L2 miss counts, and the exact sequence of traps the CPU delivered. This
 // is the proof obligation for the fast paths: cycle counts and fault
@@ -24,15 +24,25 @@ import (
 	"cheriabi/internal/bodiag"
 	"cheriabi/internal/cpu"
 	"cheriabi/internal/testsuite"
+	"cheriabi/internal/uaccess"
 	"cheriabi/internal/workload"
 )
 
-// engines is the ablation matrix: every engine configuration. The first
-// entry, the plain interpreter with byte-at-a-time copies, is the
-// reference every other configuration must be indistinguishable from.
-var engines = cpu.Engines()
+// engine is one value of CPU.Reference, named for failure messages.
+type engine bool
 
-// diffCase is one program to run under every engine configuration.
+func (e engine) String() string {
+	if e {
+		return "reference"
+	}
+	return "fast"
+}
+
+// engines are the two configurations, reference first: the fast engine
+// must be indistinguishable from it.
+var engines = []engine{true, false}
+
+// diffCase is one program to run on both engines.
 type diffCase struct {
 	name string
 	src  string
@@ -56,12 +66,11 @@ type diffRecord struct {
 	trapHash uint64 // FNV-1a over the rendered trap sequence
 }
 
-// diffConfig is the machine Config for one engine configuration; the
-// trap observer feeds the (traps, hash) cells of the returned record.
-func diffConfig(e cpu.Engine, traps *uint64, h io.Writer) cheriabi.Config {
+// diffConfig is the machine Config of every differential run; the trap
+// observer feeds the (traps, hash) cells of the returned record.
+func diffConfig(traps *uint64, h io.Writer) cheriabi.Config {
 	return cheriabi.Config{
 		MemBytes: 128 << 20,
-		Engine:   e,
 		OnTrap: func(tr *cpu.Trap) {
 			*traps++
 			io.WriteString(h, tr.Error())
@@ -69,22 +78,25 @@ func diffConfig(e cpu.Engine, traps *uint64, h io.Writer) cheriabi.Config {
 	}
 }
 
-// runCase executes one case on a cold-booted machine with the given
-// engine configuration, recording the full trap sequence through the
-// OnTrap hook.
-func runCase(t *testing.T, tc diffCase, e cpu.Engine) diffRecord {
+// runCase executes one case on a cold-booted machine running engine e,
+// recording the full trap sequence through the OnTrap hook.
+func runCase(t *testing.T, tc diffCase, e engine) diffRecord {
 	t.Helper()
 	h := fnv.New64a()
 	var traps uint64
-	sys := cheriabi.NewSystem(diffConfig(e, &traps, h))
+	sys := cheriabi.NewSystem(diffConfig(&traps, h))
 	sys.Kernel.FS.Mkdir(bodiag.CwdPath) // the bodiag getcwd case chdirs here
 	return runCaseOn(t, sys, tc, e, &traps, h)
 }
 
 // runCaseOn executes one case on the given machine (cold boot or snapshot
-// clone) and records everything a run can observe.
-func runCaseOn(t *testing.T, sys *cheriabi.System, tc diffCase, e cpu.Engine, traps *uint64, h hash.Hash64) diffRecord {
+// clone) running engine e and records everything a run can observe. Boot
+// and clone run no guest instruction and move no uaccess run
+// (TestBootRunsNothing), so switching the engine here is the same as
+// booting with it.
+func runCaseOn(t *testing.T, sys *cheriabi.System, tc diffCase, e engine, traps *uint64, h hash.Hash64) diffRecord {
 	t.Helper()
+	sys.Machine.CPU.Reference = bool(e)
 	var needed []string
 	for name := range tc.libs {
 		needed = append(needed, name)
@@ -107,31 +119,20 @@ func runCaseOn(t *testing.T, sys *cheriabi.System, tc diffCase, e cpu.Engine, tr
 	if err != nil {
 		t.Fatalf("%s (%v): %v", tc.name, e, err)
 	}
-	// Vacuity checks: each tier's fast path must have run, and no faster
-	// one may have.
-	ds := sys.DecodeCacheStats()
-	cached, threaded := e.Tier >= cpu.DecodeCache, e.Tier >= cpu.Threaded
-	if !cached && ds.Disabled == 0 {
-		t.Fatalf("%s (%v): no fetch took the interpreter path; the differential run is vacuous", tc.name, e)
+	// Vacuity checks: each engine must have taken its own paths and
+	// none of the other's.
+	ds, us := sys.DecodeCacheStats(), sys.Machine.UA.Stats
+	if e && (ds.Threaded != 0 || ds.Decodes != 0 || us.FastRuns != 0) {
+		t.Fatalf("%s (%v): a fast path ran (%+v, %+v)", tc.name, e, ds, us)
 	}
-	if cached && ds.Hits == 0 {
-		t.Fatalf("%s (%v): decode cache never hit; the differential run is vacuous", tc.name, e)
-	}
-	if !cached && ds.Hits != 0 {
-		t.Fatalf("%s (%v): decode cache hit while disabled", tc.name, e)
-	}
-	if threaded && ds.Threaded == 0 {
+	if !e && ds.Threaded == 0 {
 		t.Fatalf("%s (%v): threaded dispatch never ran; the differential run is vacuous", tc.name, e)
 	}
-	if !threaded && ds.Threaded != 0 {
-		t.Fatalf("%s (%v): threaded dispatch ran while disabled (%+v)", tc.name, e, ds)
+	if !e && ds.Hits != ds.Threaded {
+		t.Fatalf("%s (%v): a decoded-block hit came from outside threaded dispatch (%+v)", tc.name, e, ds)
 	}
-	us := sys.Machine.UA.Stats
-	if !e.ByteCopy && us.SlowRuns != 0 {
-		t.Fatalf("%s (%v): uaccess byte-copy path ran with bulk copies enabled (%+v)", tc.name, e, us)
-	}
-	if e.ByteCopy && us.FastRuns != 0 {
-		t.Fatalf("%s (%v): uaccess bulk path ran under byte copies (%+v)", tc.name, e, us)
+	if !e && us.SlowRuns != 0 {
+		t.Fatalf("%s (%v): uaccess byte-copy path ran on the fast engine (%+v)", tc.name, e, us)
 	}
 	return diffRecord{
 		exit:     res.ExitCode,
@@ -144,8 +145,8 @@ func runCaseOn(t *testing.T, sys *cheriabi.System, tc diffCase, e cpu.Engine, tr
 	}
 }
 
-// compare runs tc under every engine configuration and requires each to
-// be indistinguishable from the reference.
+// compare runs tc on both engines and requires the fast one to be
+// indistinguishable from the reference.
 func compare(t *testing.T, tc diffCase) {
 	t.Helper()
 	ref := engines[0]
@@ -284,8 +285,8 @@ func bodiagCorpus(short bool) []diffCase {
 }
 
 // TestDifferentialMatrix is the determinism gate for the workload and
-// test-suite corpora: every engine configuration must be
-// indistinguishable across every program and both ABIs.
+// test-suite corpora: the fast engine must be indistinguishable from the
+// reference across every program and both ABIs.
 func TestDifferentialMatrix(t *testing.T) {
 	for _, tc := range corpus(testing.Short()) {
 		tc := tc
@@ -296,7 +297,7 @@ func TestDifferentialMatrix(t *testing.T) {
 // TestBodiagDifferential extends the determinism gate to the bodiag
 // corpus: buffer-overflow programs that fault on purpose, so the exact
 // trap kind, trap sequence, and termination signal are compared across
-// every configuration (an optimisation that altered *where or how* a
+// both engines (an optimisation that altered *where or how* a
 // violation traps would corrupt Table 3).
 func TestBodiagDifferential(t *testing.T) {
 	for _, tc := range bodiagCorpus(testing.Short()) {
@@ -308,9 +309,9 @@ func TestBodiagDifferential(t *testing.T) {
 // TestSnapshotCloneDifferential is the determinism gate for machine
 // snapshot/clone: for each case, a machine cloned from a shared post-boot
 // snapshot must be bit-identical — output, Stats, termination, trap
-// sequence, L2 misses — to a cold NewSystem boot, under every engine
-// configuration. One plain-boot template serves all of them: the engine,
-// like the seed, is a clone-time Config field. The corpora are the
+// sequence, L2 misses — to a cold NewSystem boot of the reference, on
+// both engines. One plain-boot template serves both: the engine is a CPU
+// switch set on the clone. The corpora are the
 // short workload + test-suite and bodiag sets under both ABIs (strided
 // further in -short mode).
 func TestSnapshotCloneDifferential(t *testing.T) {
@@ -341,13 +342,40 @@ func TestSnapshotCloneDifferential(t *testing.T) {
 			for _, e := range engines {
 				h := fnv.New64a()
 				var traps uint64
-				sys := snap.Clone(diffConfig(e, &traps, h))
+				sys := snap.Clone(diffConfig(&traps, h))
 				got := runCaseOn(t, sys, tc, e, &traps, h)
 				if got != cold {
 					t.Errorf("clone(%v) diverged from cold boot:\nclone: %+v\n cold: %+v", e, got, cold)
 				}
 			}
 		})
+	}
+}
+
+// TestBootRunsNothing pins what lets the differential suites switch the
+// engine after boot: NewSystem and Snapshot.Clone retire no guest
+// instruction, touch no decoded page and move no uaccess run, so a
+// machine switched to the reference right after either is the machine a
+// reference boot would have built.
+func TestBootRunsNothing(t *testing.T) {
+	cold := cheriabi.NewSystem(cheriabi.Config{MemBytes: 64 << 20})
+	snap, err := cold.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sys := range map[string]*cheriabi.System{
+		"NewSystem": cold,
+		"Clone":     snap.Clone(cheriabi.Config{Seed: 7}),
+	} {
+		if n := sys.Machine.CPU.Stats.Instructions; n != 0 {
+			t.Errorf("%s retired %d instructions", name, n)
+		}
+		if ds := sys.DecodeCacheStats(); ds != (cpu.DecodeStats{}) {
+			t.Errorf("%s left decode stats %+v", name, ds)
+		}
+		if us := sys.Machine.UA.Stats; us != (uaccess.Stats{}) {
+			t.Errorf("%s moved uaccess runs %+v", name, us)
+		}
 	}
 }
 

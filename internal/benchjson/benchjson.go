@@ -17,7 +17,7 @@ import (
 // Benchmark is one parsed benchmark result line.
 type Benchmark struct {
 	// Name is the full benchmark name including sub-benchmark path and
-	// the -cpu suffix if present (e.g. "BenchmarkThreadedDispatch/on-8").
+	// the -cpu suffix if present (e.g. "BenchmarkDecodeCache/off-8").
 	Name string `json:"name"`
 	// Iterations is b.N for the reported run.
 	Iterations int64 `json:"iterations"`

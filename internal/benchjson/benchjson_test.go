@@ -12,7 +12,7 @@ goarch: amd64
 pkg: cheriabi
 cpu: Intel(R) Xeon(R) CPU
 BenchmarkSimulator 	       5	  61790230 ns/op	  47.28 MB/s
-BenchmarkThreadedDispatch/on-8 	       3	  59327307 ns/op	  49.25 MB/s	  8847070 sim-cycles
+BenchmarkDecodeCache/off-8 	       3	  59327307 ns/op	  49.25 MB/s	  8847070 sim-cycles
 BenchmarkCopyInOut/bulk 	      12	   1032100 ns/op	2901.55 MB/s	     120 B/op	       3 allocs/op
 BenchmarkPollStorm/idle=4 	       3	  10000000 ns/op	      4072 sim-cycles/wake
 PASS
@@ -33,7 +33,7 @@ func TestParse(t *testing.T) {
 		t.Fatalf("BenchmarkSimulator parsed wrong: %+v", b)
 	}
 	b = led.Benchmarks[1]
-	if b.Name != "BenchmarkThreadedDispatch/on-8" || b.SimCycles != 8847070 || b.MBPerS != 49.25 {
+	if b.Name != "BenchmarkDecodeCache/off-8" || b.SimCycles != 8847070 || b.MBPerS != 49.25 {
 		t.Fatalf("sub-benchmark parsed wrong: %+v", b)
 	}
 	b = led.Benchmarks[2]
@@ -137,13 +137,13 @@ func TestCompareFindsRegressions(t *testing.T) {
 	base := ledger(
 		Benchmark{Name: "BenchmarkSimulator-8", MBPerS: 50},
 		Benchmark{Name: "BenchmarkDecodeCache/on-8", MBPerS: 44, SimCycles: 8847070},
-		Benchmark{Name: "BenchmarkThreadedDispatch/on-8", SimCycles: 100},
+		Benchmark{Name: "BenchmarkDecodeCache/off-8", SimCycles: 100},
 	)
 	cur := ledger(
 		Benchmark{Name: "BenchmarkSimulator-8", MBPerS: 40},
 		// sim-cycles drift.
 		Benchmark{Name: "BenchmarkDecodeCache/on-8", MBPerS: 44, SimCycles: 8847071},
-		// BenchmarkThreadedDispatch/on missing entirely.
+		// BenchmarkDecodeCache/off missing entirely.
 	)
 	findings := Compare(base, cur)
 	if len(findings) != 2 {

@@ -110,18 +110,20 @@ type CPU struct {
 	Tracer CapTracer
 
 	// OnTrap observes every trap Run surfaces, in order. The differential
-	// determinism suite uses it to prove the decoded-instruction cache
-	// preserves trap sequences exactly.
+	// determinism suite uses it to prove the fast engine preserves trap
+	// sequences exactly.
 	OnTrap func(*Trap)
 
-	// Engine selects the host-side fast paths (engine.go). Behaviour is
-	// identical for every value; it exists for ablation and as a safety
-	// hatch.
-	Engine Engine
+	// Reference runs every host-side fast path's reference: one full Step
+	// per instruction and byte-at-a-time uaccess copies. Behaviour is
+	// identical either way (the differential suites run both); the switch
+	// exists for those suites and the ablation benchmarks.
+	Reference bool
 
 	Stats Stats
 
-	// DecodeStats counts decode-cache events (non-architectural).
+	// DecodeStats counts decoded-page and threaded-engine events
+	// (non-architectural).
 	DecodeStats DecodeStats
 
 	// Data micro-TLB (see translate and tlbEntry): a small direct-mapped
@@ -135,10 +137,10 @@ type CPU struct {
 	// mem.Physical.Epoch.
 	tlb [dtlbSize]tlbEntry
 
-	// Decoded-instruction cache (see decode.go): per-physical-page decoded
-	// blocks plus the fast-path latch for the page PC is executing from,
-	// fronted by a small direct-mapped block index so latch refills skip
-	// the map lookup.
+	// Decoded pages (see decode.go): per-physical-page decoded blocks plus
+	// the latch Step sets for the page PC is executing from, which is
+	// runBlock's entry proof, fronted by a small direct-mapped block index
+	// so Step's re-latch skips the map lookup.
 	decoded  map[uint64]*instPage
 	latch    fetchLatch
 	blockIdx [blockIdxSize]blockIdxEnt
@@ -275,7 +277,7 @@ func (c *CPU) capTrap(in isa.Inst, err error) *Trap {
 // Run executes until a trap occurs or max instructions retire (0 = no
 // limit). It returns the trap, or nil if the instruction budget expired.
 //
-// Under the Threaded tier, Run alternates between the block-threaded
+// Unless Reference is set, Run alternates between the block-threaded
 // engine (runBlock, which executes straight-line runs of decoded
 // instructions) and single Steps (which handle everything the block engine
 // exits for: page crossings, PCC changes, invalidations, misaligned PCs,
@@ -284,7 +286,7 @@ func (c *CPU) capTrap(in isa.Inst, err error) *Trap {
 // the same cycles; the differential determinism suite enforces this.
 func (c *CPU) Run(max uint64) *Trap {
 	start := c.Stats.Instructions
-	threaded := c.Engine.Tier >= Threaded
+	threaded := !c.Reference
 	for {
 		done := c.Stats.Instructions - start
 		if max != 0 && done >= max {
@@ -318,7 +320,7 @@ func (c *CPU) Run(max uint64) *Trap {
 // trapping instruction; the kernel advances it after handling syscalls,
 // breaks, and native calls.
 func (c *CPU) Step() *Trap {
-	// Instruction fetch through PCC and the I-cache (fast path: decode.go).
+	// Instruction fetch through PCC and the I-cache (decode.go).
 	in, tr := c.fetchInst()
 	if tr != nil {
 		return tr

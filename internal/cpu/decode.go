@@ -9,31 +9,29 @@ import (
 	"cheriabi/internal/vm"
 )
 
-// The decoded-instruction cache removes the three per-instruction fetch
-// costs that dominate simulator time — the PCC dereference check, the
-// virtual-to-physical walk, and isa.Decode — without changing anything a
-// guest can observe. On first execution of a page the whole page is
-// decoded into a block keyed by its physical page number; Step consults
-// the block directly while a set of latch conditions prove that the slow
-// path would have produced the same result:
+// Decoded pages feed the block-threaded engine (threaded.go). On first
+// execution of a page the whole page is decoded into a block keyed by its
+// physical page number. Every Step performs the full fetch — PCC check,
+// translation, I-cache charge — and, unless the CPU runs its Reference,
+// takes the instruction from the block and records in the latch what that
+// fetch proved:
 //
-//   - the PCC register is bit-identical to the one the latch was set
-//     under, so the (already passed) tag/seal/permission checks still
-//     hold and only the bounds compare depends on PC;
-//   - the address space and its mutation generation are unchanged, so the
-//     cached translation is the one Translate would return (the same
-//     discipline as the micro-TLB, which bumps vm.AddressSpace.Gen on
+//   - the PCC register it was checked under, so while PCC is bit-identical
+//     the tag/seal/permission checks still hold and only the bounds
+//     compare depends on PC;
+//   - the address space and its mutation generation, so while both are
+//     unchanged the translation is the one Translate would return (the
+//     same discipline as the micro-TLB, which bumps vm.AddressSpace.Gen on
 //     every map, unmap, protect, demand-zero, COW, and swap event);
-//   - the physical page's write generation (mem.Physical.PageGen) is
-//     unchanged, so the decoded block still mirrors the bytes in memory.
-//     Every layer that can change executable bytes funnels through the
-//     mem.Physical mutators — guest stores (self-modifying code), kernel
-//     image loading, rtld relocation, COW copies, and swap-in — and each
-//     of those bumps the page counter.
+//   - the physical page and the write generation (mem.Physical.PageGen)
+//     its block was decoded at, so while that is unchanged the block still
+//     mirrors the bytes in memory. Every layer that can change executable
+//     bytes funnels through the mem.Physical mutators — guest stores
+//     (self-modifying code), kernel image loading, rtld relocation, COW
+//     copies, and swap-in — and each of those bumps the page counter.
 //
-// The I-cache cycle charge is NOT skipped: the fast path issues the same
-// cache.Hierarchy.Fetch call as the slow path, so cycle counts, miss
-// counts, and LRU state are bit-identical with the cache on or off.
+// runBlock is the latch's only reader: it re-validates the latch once on
+// entry and then runs straight-line code from the block.
 
 // instPage is one decoded physical page: PageSize/InstSize instructions
 // plus the mem write generation the decode was taken at.
@@ -42,8 +40,8 @@ type instPage struct {
 	insts [vm.PageSize / isa.InstSize]isa.Inst
 }
 
-// fetchLatch caches everything needed to prove the fast path sound for
-// the current (PCC, address space, page) triple.
+// fetchLatch records what Step's last fetch proved for the current (PCC,
+// address space, page) triple.
 type fetchLatch struct {
 	page   *instPage
 	as     *vm.AddressSpace
@@ -53,19 +51,21 @@ type fetchLatch struct {
 	paPage uint64 // physical page base it translates to
 }
 
-// DecodeStats counts decoded-instruction-cache events. These are simulator
-// bookkeeping, not architectural state: they are deliberately kept out of
-// Stats so runs with the cache on and off report identical Stats.
+// DecodeStats counts decoded-page and threaded-engine events. These are
+// simulator bookkeeping, not architectural state: they are deliberately
+// kept out of Stats so reference and fast runs report identical Stats.
 type DecodeStats struct {
-	Hits     uint64 // fast-path fetches served from a decoded block
-	Misses   uint64 // slow-path fetches with the cache enabled (latch invalid)
-	Disabled uint64 // slow-path fetches taken under the Interpreter tier
-	Decodes  uint64 // whole-page decodes (first touch or invalidation)
-	Flushes  uint64 // explicit SyncICache calls
+	// Hits always equals Threaded. bench/main.go reads it.
+	Hits uint64
+	// Misses counts Step's fetches outside Reference, so there
+	// Hits+Misses counts every retired instruction. bench/main.go reads
+	// it.
+	Misses  uint64
+	Decodes uint64 // whole-page decodes (first touch or invalidation)
+	Flushes uint64 // explicit SyncICache calls
 
 	// Threaded counts instructions retired inside the block-threaded
-	// engine (a subset of Hits); Blocks counts the straight-line runs they
-	// were grouped into.
+	// engine; Blocks counts the straight-line runs they were grouped into.
 	Threaded uint64
 	Blocks   uint64
 
@@ -130,32 +130,10 @@ func (c *CPU) SyncICache() {
 }
 
 // fetchInst performs the instruction fetch for Step: PCC check,
-// translation, I-cache cycle charge, and decode. The fast path replaces
-// the first, second, and fourth with latch validation; the cycle charge is
-// issued identically on both paths.
+// translation, I-cache cycle charge, and decode. Outside Reference an
+// aligned fetch takes its instruction from the page's decoded block and
+// latches the proof for runBlock.
 func (c *CPU) fetchInst() (isa.Inst, *Trap) {
-	l := &c.latch
-	cached := c.Engine.Tier >= DecodeCache
-	if cached && l.page != nil &&
-		c.PC-l.vaPage < vm.PageSize &&
-		c.AS == l.as && c.AS.Gen == l.asGen &&
-		c.PCC == l.pcc &&
-		c.PCC.InBounds(c.PC, isa.InstSize) &&
-		c.Mem.PageGen(l.paPage) == l.page.gen {
-		off := c.PC - l.vaPage
-		if off%isa.InstSize == 0 {
-			c.Stats.Cycles += c.Hier.Fetch(l.paPage+off, isa.InstSize) - 1
-			c.DecodeStats.Hits++
-			return l.page.insts[off/isa.InstSize], nil
-		}
-	}
-	if cached {
-		c.DecodeStats.Misses++
-	} else {
-		c.DecodeStats.Disabled++ // cache off: not a miss, the cache never ran
-	}
-
-	// Slow path: identical to the pre-cache fetch sequence.
 	if err := c.PCC.CheckDeref(c.PC, isa.InstSize, cap.PermExecute); err != nil {
 		return isa.Inst{}, c.capTrap(isa.Inst{}, err)
 	}
@@ -164,7 +142,11 @@ func (c *CPU) fetchInst() (isa.Inst, *Trap) {
 		return isa.Inst{}, &Trap{Kind: TrapPageFault, PC: c.PC, Page: pf}
 	}
 	c.Stats.Cycles += c.Hier.Fetch(pa, isa.InstSize) - 1 // L1I hit is pipelined
-	if !cached || c.PC%isa.InstSize != 0 {
+	if c.Reference {
+		return isa.Decode(uint32(c.Mem.Load(pa, isa.InstSize))), nil
+	}
+	c.DecodeStats.Misses++
+	if c.PC%isa.InstSize != 0 {
 		// Misaligned PCs fetch the word at the raw address, which is not
 		// one of the page's aligned slots; decode it directly.
 		return isa.Decode(uint32(c.Mem.Load(pa, isa.InstSize))), nil
@@ -183,6 +165,6 @@ func (c *CPU) fetchInst() (isa.Inst, *Trap) {
 }
 
 // Compile-time guarantee that the generation-tracking page in mem matches
-// the MMU page: the decode cache keys blocks by vm page but validates them
+// the MMU page: decoded blocks are keyed by vm page but validated
 // with mem page generations.
 var _ [0]struct{} = [vm.PageShift - mem.PageShift]struct{}{}

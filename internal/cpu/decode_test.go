@@ -29,12 +29,12 @@ func storeWordInsts(w uint32, va uint64) []isa.Inst {
 
 // TestSelfModifyingCodeObservesNewBytes patches an instruction on a page
 // that has already been decoded (the whole page is decoded on first fetch)
-// and checks execution sees the new bytes. Run with the decode cache on
-// and off, asserting identical architectural results.
+// and checks execution sees the new bytes. Run on the fast engine and the
+// reference, asserting identical architectural results.
 func TestSelfModifyingCodeObservesNewBytes(t *testing.T) {
-	run := func(tier Tier) (uint64, Stats) {
+	run := func(ref bool) (uint64, Stats) {
 		c := newTestCPU(t)
-		c.Engine.Tier = tier
+		c.Reference = ref
 		patched := isa.MustEncode(isa.Inst{Op: isa.ADDI, Ra: 2, Rb: 0, Imm: 42})
 		prog := storeWordInsts(patched, codeVA+5*isa.InstSize)
 		prog = append(prog,
@@ -45,13 +45,13 @@ func TestSelfModifyingCodeObservesNewBytes(t *testing.T) {
 		run(t, c)
 		return c.X[2], c.Stats
 	}
-	gotOn, statsOn := run(Threaded)
-	gotOff, statsOff := run(Interpreter)
+	gotOn, statsOn := run(false)
+	gotOff, statsOff := run(true)
 	if gotOn != 42 {
 		t.Fatalf("decode cache served stale instruction: r2 = %d, want 42", gotOn)
 	}
 	if gotOff != gotOn || statsOn != statsOff {
-		t.Fatalf("cache on/off diverged: on r2=%d %+v, off r2=%d %+v", gotOn, statsOn, gotOff, statsOff)
+		t.Fatalf("fast/reference diverged: on r2=%d %+v, off r2=%d %+v", gotOn, statsOn, gotOff, statsOff)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestProtectRemovingExecFaults(t *testing.T) {
 		{Op: isa.ADDI, Ra: 2, Rb: 2, Imm: 4},
 		{Op: isa.BREAK},
 	})
-	// Prime the decode cache for the page.
+	// Decode the page.
 	run(t, c)
 	if c.X[2] != 7 {
 		t.Fatalf("r2 = %d", c.X[2])
@@ -170,12 +170,12 @@ func TestSyncICacheDropsBlocks(t *testing.T) {
 
 // TestMisalignedPCBypassesCache: a misaligned PC fetches the word at the
 // raw (unaligned) address, which is not one of the page's decoded slots,
-// so the fast path must step aside. Both cache modes must execute the
+// so fetchInst must decode it directly. Both engines must execute the
 // exact same straddled bytes.
 func TestMisalignedPCBypassesCache(t *testing.T) {
-	exec := func(tier Tier) (Stats, [isa.NumRegs]uint64, TrapKind) {
+	exec := func(ref bool) (Stats, [isa.NumRegs]uint64, TrapKind) {
 		c := newTestCPU(t)
-		c.Engine.Tier = tier
+		c.Reference = ref
 		load(t, c, []isa.Inst{
 			{Op: isa.ADDI, Ra: 2, Rb: 0, Imm: 1},
 			{Op: isa.BREAK},
@@ -190,19 +190,19 @@ func TestMisalignedPCBypassesCache(t *testing.T) {
 		}
 		return c.Stats, c.X, kind
 	}
-	sOn, xOn, kOn := exec(Threaded)
-	sOff, xOff, kOff := exec(Interpreter)
+	sOn, xOn, kOn := exec(false)
+	sOff, xOff, kOff := exec(true)
 	if sOn != sOff || xOn != xOff || kOn != kOff {
 		t.Fatalf("misaligned execution diverged:\n on: trap=%v %+v\noff: trap=%v %+v", kOn, sOn, kOff, sOff)
 	}
 }
 
 // TestDecodeCacheDifferentialSmoke runs a branchy, self-patching program
-// under both cache modes and requires bit-identical Stats and registers.
+// on both engines and requires bit-identical Stats and registers.
 func TestDecodeCacheDifferentialSmoke(t *testing.T) {
-	exec := func(tier Tier) (Stats, [isa.NumRegs]uint64) {
+	exec := func(ref bool) (Stats, [isa.NumRegs]uint64) {
 		c := newTestCPU(t)
-		c.Engine.Tier = tier
+		c.Reference = ref
 		patched := isa.MustEncode(isa.Inst{Op: isa.ADDI, Ra: 6, Rb: 6, Imm: 5})
 		prog := []isa.Inst{
 			{Op: isa.ADDI, Ra: 4, Rb: 0, Imm: 1},  // i = 1
@@ -220,8 +220,8 @@ func TestDecodeCacheDifferentialSmoke(t *testing.T) {
 		run(t, c)
 		return c.Stats, c.X
 	}
-	sOn, xOn := exec(Threaded)
-	sOff, xOff := exec(Interpreter)
+	sOn, xOn := exec(false)
+	sOff, xOff := exec(true)
 	if sOn != sOff {
 		t.Fatalf("stats diverged:\n on: %+v\noff: %+v", sOn, sOff)
 	}

@@ -50,16 +50,15 @@ func init() {
 	}
 }
 
-// Block-threaded execution engine: the Threaded tier of the simulator fast
-// path.
+// Block-threaded execution engine: the simulator's fast path, which Run
+// takes unless the CPU runs its Reference.
 //
-// With the decoded-instruction cache (decode.go), every Step still pays a
-// full latch validation — an address-space compare, two generation
-// compares, and a bit-for-bit PCC compare — plus the Step/fetchInst call
-// overhead, per instruction. runBlock hoists that validation out of the
-// loop: it proves the latch once, then executes decoded instructions
-// directly from blocks, re-checking per instruction only what an
-// instruction can actually change:
+// Every Step pays the full fetch — PCC check, translation, and the
+// Step/fetchInst call overhead — per instruction. runBlock pays it once:
+// it validates the latch Step's fetch left behind (an address-space
+// compare, two generation compares, and a bit-for-bit PCC compare), then
+// executes decoded instructions directly from the block, re-checking per
+// instruction only what an instruction can actually change:
 //
 //   - PC instruction-aligned, maintained by induction (every inline PC
 //     advance is a multiple of InstSize; transfer targets and exec-set

@@ -12,9 +12,9 @@ import (
 // CJR/CJALR — the points where the threaded engine hands the next
 // instruction back to Step — while code is patched, translations are
 // revoked, or the address space forks underneath. runTiers runs each one
-// under every Engine value and requires identical registers, Stats and
-// trap (kind and PC); each case's check then pins the architectural
-// outcome.
+// on the reference and the fast engine and requires identical registers,
+// Stats and trap (kind and PC); each case's check then pins the
+// architectural outcome.
 
 // instsPerPage is how many instruction slots one page holds.
 const instsPerPage = int(vm.PageSize / isa.InstSize)
@@ -37,11 +37,11 @@ type tierCase struct {
 	// drive runs the loaded program and returns the trap it stopped on;
 	// nil runs it to its BREAK.
 	drive func(t *testing.T, c *CPU) *Trap
-	// check pins the outcome of one run; c.Engine names the run.
+	// check pins the outcome of one run; engineName(c) names the run.
 	check func(t *testing.T, c *CPU, tr *Trap)
 }
 
-// tierState is what must match across Engine values.
+// tierState is what must match across the two engines.
 type tierState struct {
 	X        [isa.NumRegs]uint64
 	C        [isa.NumRegs]cap.Capability
@@ -52,14 +52,26 @@ type tierState struct {
 	TrapPC   uint64
 }
 
-// runTiers runs tc under every Engine value and requires each run to end
-// in the state the first one, the plain interpreter, ends in.
+// engineName names the engine c runs, for failure messages.
+func engineName(c *CPU) string {
+	if c.Reference {
+		return "reference"
+	}
+	return "fast"
+}
+
+// runTiers runs tc on the reference and then on the fast engine and
+// requires the fast run to end in the state the reference ends in. Each
+// run must also have taken its own engine's path: the reference never
+// decodes a page or runs a threaded instruction, and the fast engine
+// does, with every decoded-block hit inside a threaded run.
 func runTiers(t *testing.T, tc tierCase) {
 	t.Helper()
 	var want tierState
-	for i, e := range Engines() {
+	for _, ref := range []bool{true, false} {
 		c := newTestCPU(t)
-		c.Engine = e
+		c.Reference = ref
+		e := engineName(c)
 		if tc.setup != nil {
 			tc.setup(c)
 		}
@@ -77,10 +89,17 @@ func runTiers(t *testing.T, tc tierCase) {
 		if tc.check != nil {
 			tc.check(t, c, tr)
 		}
-		if i == 0 {
+		ds := c.DecodeStats
+		if ref && (ds.Threaded != 0 || ds.Decodes != 0) {
+			t.Fatalf("%v: the fast path ran: %+v", e, ds)
+		}
+		if !ref && (ds.Threaded == 0 || ds.Hits != ds.Threaded) {
+			t.Fatalf("%v: threaded dispatch never ran or a hit came from outside it: %+v", e, ds)
+		}
+		if ref {
 			want = got
 		} else if got != want {
-			t.Fatalf("%v diverged from %v:\n got %+v\nwant %+v", e, Engines()[0], got, want)
+			t.Fatalf("%v diverged from the reference:\n got %+v\nwant %+v", e, got, want)
 		}
 	}
 }
@@ -89,17 +108,17 @@ func runTiers(t *testing.T, tc tierCase) {
 func wantR2(t *testing.T, c *CPU, want uint64) {
 	t.Helper()
 	if got := c.X[2]; got != want {
-		t.Fatalf("%v: r2 = %d, want %d", c.Engine, got, want)
+		t.Fatalf("%v: r2 = %d, want %d", engineName(c), got, want)
 	}
 }
 
 // wantRedecoded checks that a patched page was decoded again: three
-// decodes at least (two pages, then the patched one once more) on every
-// tier that decodes.
+// decodes at least (two pages, then the patched one once more) on the
+// fast engine, the one that decodes.
 func wantRedecoded(t *testing.T, c *CPU) {
 	t.Helper()
-	if c.Engine.Tier >= DecodeCache && c.DecodeStats.Decodes < 3 {
-		t.Fatalf("%v: patched page was not re-decoded: %+v", c.Engine, c.DecodeStats)
+	if !c.Reference && c.DecodeStats.Decodes < 3 {
+		t.Fatalf("%v: patched page was not re-decoded: %+v", engineName(c), c.DecodeStats)
 	}
 }
 
@@ -107,7 +126,7 @@ func wantRedecoded(t *testing.T, c *CPU) {
 func wantTrap(t *testing.T, c *CPU, tr *Trap, kind TrapKind, pc uint64) {
 	t.Helper()
 	if tr == nil || tr.Kind != kind || tr.PC != pc {
-		t.Fatalf("%v: trap = %v, want %v at pc=%x", c.Engine, tr, kind, pc)
+		t.Fatalf("%v: trap = %v, want %v at pc=%x", engineName(c), tr, kind, pc)
 	}
 }
 
@@ -196,7 +215,7 @@ func TestSuperblockMprotectSeversLink(t *testing.T) {
 					// Three laps, then 100 more instructions park the PC
 					// mid-way through page 0.
 					if tr := c.Run(3*iter + 100); tr != nil {
-						t.Fatalf("%v: unexpected trap while priming: %v", c.Engine, tr)
+						t.Fatalf("%v: unexpected trap while priming: %v", engineName(c), tr)
 					}
 					if err := rv.revoke(c, targetVA); err != nil {
 						t.Fatal(err)
@@ -320,7 +339,7 @@ func TestIndirectMprotectSeversEntry(t *testing.T) {
 					// J, not on the callee's CJR, whose own fetch would
 					// fault first.
 					if tr := c.Run(101); tr != nil {
-						t.Fatalf("%v: unexpected trap while priming: %v", c.Engine, tr)
+						t.Fatalf("%v: unexpected trap while priming: %v", engineName(c), tr)
 					}
 					if err := rv.revoke(c, targetVA); err != nil {
 						t.Fatal(err)
@@ -370,7 +389,7 @@ func TestIndirectBadCalleeTrapsWithoutFill(t *testing.T) {
 				check: func(t *testing.T, c *CPU, tr *Trap) {
 					wantTrap(t, c, tr, TrapCapFault, codeVA+isa.InstSize)
 					if c.C[17].Tag() {
-						t.Fatalf("%v: failed CJALR wrote the link register", c.Engine)
+						t.Fatalf("%v: failed CJALR wrote the link register", engineName(c))
 					}
 				},
 			})
@@ -422,7 +441,7 @@ func TestIndirectForkInvalidatesEntries(t *testing.T) {
 		setup: callTarget,
 		drive: func(t *testing.T, c *CPU) *Trap {
 			if tr := c.Run(100); tr != nil {
-				t.Fatalf("%v: unexpected trap while priming: %v", c.Engine, tr)
+				t.Fatalf("%v: unexpected trap while priming: %v", engineName(c), tr)
 			}
 			c.AS.Fork()
 			return c.Run(100)
@@ -430,7 +449,7 @@ func TestIndirectForkInvalidatesEntries(t *testing.T) {
 		check: func(t *testing.T, c *CPU, tr *Trap) {
 			if tr != nil || c.Stats.Instructions != 200 {
 				t.Fatalf("%v: trap %v after %d instructions, want none after 200",
-					c.Engine, tr, c.Stats.Instructions)
+					engineName(c), tr, c.Stats.Instructions)
 			}
 		},
 	})

@@ -191,9 +191,9 @@ func TestMicroTLBSwap(t *testing.T) {
 // later instruction of the *same page* must be observed by the very next
 // fetch — the per-instruction generation re-check inside runBlock.
 func TestThreadedMidRunSMC(t *testing.T) {
-	exec := func(tier Tier) (uint64, Stats) {
+	exec := func(ref bool) (uint64, Stats) {
 		c := newTestCPU(t)
-		c.Engine.Tier = tier
+		c.Reference = ref
 		patched := isa.MustEncode(isa.Inst{Op: isa.ADDI, Ra: 2, Rb: 0, Imm: 42})
 		prog := storeWordInsts(patched, codeVA+6*isa.InstSize)
 		prog = append(prog,
@@ -205,8 +205,8 @@ func TestThreadedMidRunSMC(t *testing.T) {
 		run(t, c)
 		return c.X[2], c.Stats
 	}
-	gotOn, statsOn := exec(Threaded)
-	gotOff, statsOff := exec(DecodeCache)
+	gotOn, statsOn := exec(false)
+	gotOff, statsOff := exec(true)
 	if gotOn != 42 {
 		t.Fatalf("threaded run executed stale instruction after mid-run patch: r2 = %d, want 42", gotOn)
 	}
@@ -221,9 +221,9 @@ func TestThreadedMidRunSMC(t *testing.T) {
 // simulated time. Compare the exact Stats at every trap against the
 // unthreaded interpreter.
 func TestThreadedLedgerFlushOnTrap(t *testing.T) {
-	exec := func(tier Tier) []Stats {
+	exec := func(ref bool) []Stats {
 		c := newTestCPU(t)
-		c.Engine.Tier = tier
+		c.Reference = ref
 		prog := []isa.Inst{
 			{Op: isa.ADDI, Ra: 2, Rb: 0, Imm: 1},
 			{Op: isa.ADDI, Ra: 3, Rb: 0, Imm: 2},
@@ -250,8 +250,8 @@ func TestThreadedLedgerFlushOnTrap(t *testing.T) {
 			c.PC += isa.InstSize // kernel-style syscall completion
 		}
 	}
-	on := exec(Threaded)
-	off := exec(DecodeCache)
+	on := exec(false)
+	off := exec(true)
 	if len(on) != len(off) {
 		t.Fatalf("trap counts diverged: %d vs %d", len(on), len(off))
 	}
@@ -273,9 +273,9 @@ func TestThreadedBudgetBoundary(t *testing.T) {
 	prog = append(prog, isa.Inst{Op: isa.BREAK})
 	for max := uint64(1); max <= 8; max++ {
 		var got [2]Stats
-		for mode, tier := range []Tier{Threaded, DecodeCache} {
+		for mode, ref := range []bool{false, true} {
 			c := newTestCPU(t)
-			c.Engine.Tier = tier
+			c.Reference = ref
 			load(t, c, prog)
 			// Warm the decode latch so the threaded engine engages, then
 			// reset the counters for a clean budget window.
@@ -288,7 +288,7 @@ func TestThreadedBudgetBoundary(t *testing.T) {
 				t.Fatalf("trapped inside budget: %v", tr)
 			}
 			if c.Stats.Instructions != max {
-				t.Fatalf("%v: retired %d instructions, budget %d", tier, c.Stats.Instructions, max)
+				t.Fatalf("reference=%v: retired %d instructions, budget %d", ref, c.Stats.Instructions, max)
 			}
 			got[mode] = c.Stats
 		}
@@ -590,9 +590,9 @@ func TestTLBFastCSCStoreLocal(t *testing.T) {
 // stored capability is untagged; its cursor bytes encode the new
 // instructions.
 func TestThreadedMidRunCSCSMC(t *testing.T) {
-	exec := func(tier Tier) (uint64, Stats) {
+	exec := func(ref bool) (uint64, Stats) {
 		c := newTestCPU(t)
-		c.Engine.Tier = tier
+		c.Reference = ref
 		patch := uint64(isa.MustEncode(isa.Inst{Op: isa.ADDI, Ra: 2, Rb: 0, Imm: 42})) |
 			uint64(isa.MustEncode(isa.Inst{Op: isa.BREAK}))<<32
 		c.C[3] = cap.Root(codeVA, vm.PageSize, cap.PermData)
@@ -608,8 +608,8 @@ func TestThreadedMidRunCSCSMC(t *testing.T) {
 		run(t, c)
 		return c.X[2], c.Stats
 	}
-	gotOn, statsOn := exec(Threaded)
-	gotOff, statsOff := exec(DecodeCache)
+	gotOn, statsOn := exec(false)
+	gotOff, statsOff := exec(true)
 	if gotOn != 42 {
 		t.Fatalf("threaded run executed a stale instruction after a CSC patch: r2 = %d, want 42", gotOn)
 	}

@@ -46,9 +46,6 @@ type Config struct {
 	Console io.Writer
 	// Tracer observes user-code capability derivations (Figure 5).
 	Tracer cpu.CapTracer
-	// Engine selects the simulator's host-side fast paths (ablation /
-	// differential-testing knob; no observable effect).
-	Engine cpu.Engine
 	// OnTrap observes every trap in program order (differential testing).
 	OnTrap func(*cpu.Trap)
 }
@@ -142,6 +139,15 @@ type Kernel struct {
 	SyscallCount    map[int]uint64
 }
 
+// attachCPU builds the machine's CPU over its memory and caches, wires
+// cfg's observers into it, and puts the uaccess layer on top.
+func (m *Machine) attachCPU(cfg Config) {
+	m.CPU = cpu.New(m.Mem, m.Hier, m.Fmt)
+	m.CPU.Tracer = cfg.Tracer
+	m.CPU.OnTrap = cfg.OnTrap
+	m.UA = &uaccess.Space{CPU: m.CPU}
+}
+
 // NewMachine boots a machine: memory, caches, CPU, kernel, VFS, and the
 // boot-time capability carve (reset → kernel root → per-process roots).
 func NewMachine(cfg Config) *Machine {
@@ -164,11 +170,7 @@ func NewMachine(cfg Config) *Machine {
 	if n := int(cfg.Seed % 61); n > 0 {
 		m.VM.AllocFrames(n)
 	}
-	m.CPU = cpu.New(m.Mem, m.Hier, m.Fmt)
-	m.CPU.Tracer = cfg.Tracer
-	m.CPU.Engine = cfg.Engine
-	m.CPU.OnTrap = cfg.OnTrap
-	m.UA = &uaccess.Space{CPU: m.CPU}
+	m.attachCPU(cfg)
 
 	k := &Kernel{
 		M:            m,

@@ -6,10 +6,8 @@ import (
 	"cheriabi/internal/cache"
 	"cheriabi/internal/cap"
 	"cheriabi/internal/core"
-	"cheriabi/internal/cpu"
 	"cheriabi/internal/isa"
 	"cheriabi/internal/mem"
-	"cheriabi/internal/uaccess"
 	"cheriabi/internal/vm"
 )
 
@@ -30,15 +28,15 @@ import (
 //   - Ledger: per-clone maps over shared immutable Principal/AbstractCap
 //     nodes (derivation only appends).
 //   - CPU, cache hierarchy, uaccess space: built fresh per Boot with the
-//     new Config's engine. A clone therefore starts with an empty decode
-//     cache and micro-TLB, and its AddressSpaces are created after the
+//     new Config's observers. A clone therefore starts with no decoded
+//     pages and an empty micro-TLB, and its AddressSpaces are created after the
 //     clone (none exist at snapshot time), so the AS.Gen invalidation
 //     protocol needs no snapshot-specific handling: there is no stale
 //     cached translation or decoded block for a clone to observe.
 //
 // Per-boot state that NewMachine derives from its Config — the layout
 // perturbation (Seed), the /dev/urandom stream, the console, tracers, and
-// the simulator engine — is re-derived by Boot from the Config it
+// the trap observer — is re-derived by Boot from the Config it
 // is given, by exactly NewMachine's rules. Snapshot a Seed-0 boot and
 // Boot(cfg) is state-identical to NewMachine(cfg): everything boot does
 // besides the seed perturbation is host-side table construction that
@@ -123,8 +121,8 @@ func (m *Machine) Snapshot() (*MachineSnapshot, error) {
 
 // Boot stamps a new machine from the snapshot. cfg.MemBytes and
 // cfg.Format are fixed by the snapshot and ignored; every other Config
-// field — the seed, the urandom stream, console, tracers, the engine, and
-// the trap observer — applies to the clone exactly as it would
+// field — the seed, the urandom stream, console, tracers, and the trap
+// observer — applies to the clone exactly as it would
 // to NewMachine, including the seed-dependent boot-time frame
 // perturbation. The snapshot is read-only here: Boot may be called
 // concurrently from any number of goroutines.
@@ -139,15 +137,11 @@ func (s *MachineSnapshot) Boot(cfg Config) *Machine {
 	if n := int(cfg.Seed % 61); n > 0 {
 		m.VM.AllocFrames(n)
 	}
-	m.CPU = cpu.New(m.Mem, m.Hier, m.Fmt)
+	m.attachCPU(cfg)
 	// The virtual clock is machine state: guests read it through
 	// clock_gettime, so a clone must resume the snapshot's cycle count to
 	// stay bit-identical to the machine it was taken from.
 	m.CPU.Stats.Cycles = s.cycles
-	m.CPU.Tracer = cfg.Tracer
-	m.CPU.Engine = cfg.Engine
-	m.CPU.OnTrap = cfg.OnTrap
-	m.UA = &uaccess.Space{CPU: m.CPU}
 
 	shm := make(map[int]*shmSeg, len(s.shmSegs))
 	for id, seg := range s.shmSegs {

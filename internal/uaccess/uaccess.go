@@ -15,7 +15,7 @@
 //     (through cache.Hierarchy.DataRun, the batched multi-line walk);
 //  3. move whole runs with memmove-style bulk operations on tagged
 //     physical memory (the fast path), or byte-at-a-time (the slow
-//     path, selected by the CPU's Engine.ByteCopy).
+//     path, the one the CPU's Reference switch selects).
 //
 // The two paths are observation-equivalent by construction: they perform
 // identical capability checks, identical translations, identical cache
@@ -43,8 +43,8 @@ var ErrTooLong = errors.New("uaccess: string exceeds limit")
 
 // Stats counts uaccess activity. Like the CPU's DecodeStats these are
 // simulator bookkeeping, not architectural state: the differential suite
-// uses them to prove the ablation knob is actually plumbed (a run with
-// the fast path disabled must never move a bulk run, and vice versa).
+// uses them to prove the Reference switch is actually honoured (a
+// reference run must never move a bulk run, and vice versa).
 type Stats struct {
 	FastRuns uint64 // page runs moved by bulk memmove
 	SlowRuns uint64 // page runs moved byte-at-a-time
@@ -53,7 +53,7 @@ type Stats struct {
 // Space provides capability-checked bulk access to the guest memory of
 // the address space currently on the CPU. One Space serves a whole
 // machine: it holds no per-process state, because the authority for every
-// access is the capability presented with it. The CPU's Engine.ByteCopy
+// access is the capability presented with it. The CPU's Reference switch
 // selects the movement strategy; checks, translations, cache charges, and
 // resulting memory are identical either way.
 type Space struct {
@@ -65,7 +65,7 @@ type Space struct {
 
 // countRun records which strategy moved a page run.
 func (u *Space) countRun() {
-	if u.CPU.Engine.ByteCopy {
+	if u.CPU.Reference {
 		u.Stats.SlowRuns++
 	} else {
 		u.Stats.FastRuns++
@@ -119,7 +119,7 @@ func (u *Space) Read(auth cap.Capability, va uint64, buf []byte) error {
 	}
 	m := u.CPU.Mem
 	return u.forRuns(va, n, vm.ProtRead, false, func(r run) error {
-		if u.CPU.Engine.ByteCopy {
+		if u.CPU.Reference {
 			for i := uint64(0); i < r.cnt; i++ {
 				buf[r.off+i] = byte(m.Load(r.pa+i, 1))
 			}
@@ -144,7 +144,7 @@ func (u *Space) Write(auth cap.Capability, va uint64, data []byte) error {
 	}
 	m := u.CPU.Mem
 	return u.forRuns(va, n, vm.ProtWrite, true, func(r run) error {
-		if u.CPU.Engine.ByteCopy {
+		if u.CPU.Reference {
 			for i := uint64(0); i < r.cnt; i++ {
 				m.Store(r.pa+i, 1, uint64(data[r.off+i]))
 			}
@@ -168,7 +168,7 @@ func (u *Space) Zero(auth cap.Capability, va, n uint64) error {
 	}
 	m := u.CPU.Mem
 	return u.forRuns(va, n, vm.ProtWrite, true, func(r run) error {
-		if u.CPU.Engine.ByteCopy {
+		if u.CPU.Reference {
 			for i := uint64(0); i < r.cnt; i++ {
 				m.Store(r.pa+i, 1, 0)
 			}
@@ -189,7 +189,7 @@ func (u *Space) Fill(auth cap.Capability, va uint64, v byte, n uint64) error {
 	}
 	m := u.CPU.Mem
 	return u.forRuns(va, n, vm.ProtWrite, true, func(r run) error {
-		if u.CPU.Engine.ByteCopy {
+		if u.CPU.Reference {
 			for i := uint64(0); i < r.cnt; i++ {
 				m.Store(r.pa+i, 1, uint64(v))
 			}
@@ -234,7 +234,7 @@ func (u *Space) CString(auth cap.Capability, va uint64, max uint64) (string, err
 		}
 		u.countRun()
 		var idx int
-		if u.CPU.Engine.ByteCopy {
+		if u.CPU.Reference {
 			idx = -1
 			for i := uint64(0); i < cnt; i++ {
 				page[i] = byte(m.Load(pa+i, 1))
@@ -303,7 +303,7 @@ func (u *Space) Copy(dst cap.Capability, dstVA uint64, src cap.Capability, srcVA
 	// and end granule-aligned (pages are granule multiples), so per-run
 	// tag extraction lines up.
 	err := u.forRuns(srcVA, n, vm.ProtRead, false, func(r run) error {
-		if u.CPU.Engine.ByteCopy {
+		if u.CPU.Reference {
 			for i := uint64(0); i < r.cnt; i++ {
 				buf[r.off+i] = byte(m.Load(r.pa+i, 1))
 			}
@@ -345,7 +345,7 @@ func (u *Space) Copy(dst cap.Capability, dstVA uint64, src cap.Capability, srcVA
 
 	// Store phase: destination page runs.
 	return u.forRuns(dstVA, n, vm.ProtWrite, true, func(r run) error {
-		if u.CPU.Engine.ByteCopy {
+		if u.CPU.Reference {
 			for o := r.off; o < r.off+r.cnt; {
 				if preserve && o < nAligned {
 					m.StoreCap(r.pa+(o-r.off), buf[o:o+g], tags[o/g])

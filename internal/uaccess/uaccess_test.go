@@ -24,7 +24,7 @@ func newSpace(t *testing.T, pages int, slow bool) (*Space, *cpu.CPU) {
 	if err := c.AS.Map(dataVA, uint64(pages)*vm.PageSize, vm.ProtRead|vm.ProtWrite, false); err != nil {
 		t.Fatal(err)
 	}
-	c.Engine.ByteCopy = slow
+	c.Reference = slow
 	return &Space{CPU: c}, c
 }
 

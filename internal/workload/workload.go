@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"cheriabi"
-	"cheriabi/internal/cpu"
 	"cheriabi/internal/driver"
 )
 
@@ -83,16 +82,12 @@ type Measurement struct {
 	Output       string
 }
 
-// BuildOptions vary the toolchain — and, for ablations, the simulator —
-// per run.
+// BuildOptions vary the toolchain per run.
 type BuildOptions struct {
 	ABI             cheriabi.ABI
 	ASan            bool
 	NoBigCLC        bool
 	SubObjectBounds bool
-	// Engine selects the simulator's fast paths for this run (host-side
-	// ablation; guest-visible results are identical for every value).
-	Engine cpu.Engine
 }
 
 // Build compiles a workload (and its libraries) for the given options.
@@ -132,17 +127,13 @@ func Run(w Workload, opt BuildOptions, seed int64) (Measurement, error) {
 	if err != nil {
 		return Measurement{}, err
 	}
-	sys := cheriabi.NewSystem(runConfig(opt, seed))
+	sys := cheriabi.NewSystem(runConfig(seed))
 	return runOn(sys, w, exe, libs)
 }
 
-// runConfig maps per-run knobs onto the machine Config.
-func runConfig(opt BuildOptions, seed int64) cheriabi.Config {
-	return cheriabi.Config{
-		MemBytes: memBytes,
-		Seed:     seed,
-		Engine:   opt.Engine,
-	}
+// runConfig is the machine Config for one run.
+func runConfig(seed int64) cheriabi.Config {
+	return cheriabi.Config{MemBytes: memBytes, Seed: seed}
 }
 
 // runOn installs and executes one built workload on sys.
@@ -175,8 +166,8 @@ func runOn(sys *cheriabi.System, w Workload, exe *cheriabi.Image, libs []*cheria
 	}, nil
 }
 
-// buildKey identifies one cached toolchain output: everything BuildOptions
-// says that affects compilation (the simulator engine does not).
+// buildKey identifies one cached toolchain output: everything
+// BuildOptions says.
 type buildKey struct {
 	name            string
 	abi             cheriabi.ABI
@@ -192,8 +183,8 @@ type buildVal struct {
 
 // Engine executes workloads for a sweep. With snapshots enabled it boots
 // one Seed-0 template machine, captures it, and stamps every run's machine
-// as a copy-on-write clone — the per-run seed, like the simulator engine,
-// is a clone-time Config field, so a single snapshot serves every
+// as a copy-on-write clone — the per-run seed is a clone-time Config
+// field, so a single snapshot serves every
 // row and seed of a sweep. Builds are cached by their compile-relevant
 // options (the compiler is deterministic, and images are immutable once
 // built). An Engine is safe for concurrent use by the driver's worker
@@ -237,8 +228,8 @@ func (e *Engine) build(w Workload, opt BuildOptions) (*cheriabi.Image, []*cheria
 }
 
 // system provisions the machine for one run.
-func (e *Engine) system(opt BuildOptions, seed int64) (*cheriabi.System, error) {
-	cfg := runConfig(opt, seed)
+func (e *Engine) system(seed int64) (*cheriabi.System, error) {
+	cfg := runConfig(seed)
 	if !e.snapshot {
 		return cheriabi.NewSystem(cfg), nil
 	}
@@ -264,7 +255,7 @@ func (e *Engine) Run(w Workload, opt BuildOptions, seed int64) (Measurement, err
 	if err != nil {
 		return Measurement{}, err
 	}
-	sys, err := e.system(opt, seed)
+	sys, err := e.system(seed)
 	if err != nil {
 		return Measurement{}, err
 	}

@@ -208,7 +208,7 @@ func corpus(short bool) []diffCase {
 	// calls (CJR/CJALR under CheriABI) mid-loop.
 	for _, a := range diffABIs {
 		out = append(out, diffCase{
-			name: fmt.Sprintf("superblock-straddle-%s", a.label),
+			name: fmt.Sprintf("page-straddling-loop-%s", a.label),
 			src:  straddleSrc(),
 			abi:  a.abi,
 		})

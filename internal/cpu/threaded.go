@@ -86,15 +86,16 @@ func init() {
 // counters and are flushed to Stats when the run ends — before any trap is
 // surfaced, so the kernel and any OnTrap observer always see exact
 // architectural counts. Consecutive fetches from one L1I line are batched
-// the same way: only the first issues a real Hierarchy.Fetch; the rest are
-// guaranteed hits (nothing but instruction fetches touches L1I state) and
-// are applied as one FetchRepeats bulk update before the next real fetch
-// or flush, leaving clock, LRU, and counters bit-identical to per-fetch
-// issue. Op-specific extras (multi-cycle ALU ops, branch bubbles,
-// data-cache costs) are charged directly by exec, exactly as on the Step
-// path; the final sums are bit-identical either way. Nothing in the
-// simulator reads Stats or cache state mid-run, so deferring the flushes
-// cannot perturb LRU decisions or miss counts.
+// the same way: only the first issues a real Hierarchy.Fetch, which leaves
+// the line first in its set's recency order. Nothing but instruction
+// fetches touches L1I state, so the rest are hits on that most recent way
+// whose only effect is the access count, and one FetchRepeats counter add
+// before the next real fetch or flush leaves the cache bit-identical to
+// per-fetch issue. Op-specific extras (multi-cycle ALU ops, branch
+// bubbles, data-cache costs) are charged directly by exec, exactly as on
+// the Step path; the final sums are bit-identical either way. Nothing in
+// the simulator reads Stats or cache counters mid-run, so deferring the
+// flushes cannot change what anyone observes.
 
 // fetchWindow reduces pcc's bounds to the window of PCs from which a
 // one-instruction fetch stays in bounds, as a base and a length: pc is in
@@ -150,8 +151,7 @@ func (c *CPU) runBlock(rem uint64) *Trap {
 	// lineRepeats counts fetches from it not yet applied to the cache
 	// model. The span compare keeps the per-instruction check free of
 	// method calls; the line index is recomputed only at flush time.
-	lineSize := c.Hier.L1I.Config().LineSize
-	linePow2 := lineSize&(lineSize-1) == 0    // mask vs. modulo at line turnover
+	lineSize := c.Hier.L1I.Config().LineSize  // a power of two (cache.New)
 	lineBase, lineEnd := uint64(1), uint64(0) // empty span: no line fetched yet
 	var lineRepeats uint64
 	flushLine := func() {
@@ -200,11 +200,7 @@ run:
 		} else {
 			flushLine()
 			nCycles += c.Hier.Fetch(pa, isa.InstSize)
-			if linePow2 {
-				lineBase = pa &^ (lineSize - 1)
-			} else {
-				lineBase = pa - pa%lineSize // variable-divisor fallback
-			}
+			lineBase = pa &^ (lineSize - 1)
 			lineEnd = lineBase + lineSize
 		}
 		nInst++

@@ -12,7 +12,7 @@
 //     (tag, seal, permissions, bounds via cap.CheckDeref);
 //  2. walk the access in page runs, translating each page once through
 //     the CPU's micro-TLB and charging the cache model once per run
-//     (through cache.Hierarchy.DataRun, the batched multi-line walk);
+//     (one cache.Hierarchy.Data call covering every line of the run);
 //  3. move whole runs with memmove-style bulk operations on tagged
 //     physical memory (the fast path), or byte-at-a-time (the slow
 //     path, the one the CPU's Reference switch selects).
@@ -94,7 +94,7 @@ func (u *Space) forRuns(va, n uint64, access vm.Prot, write bool, fn func(r run)
 		if cnt > n-done {
 			cnt = n - done
 		}
-		c.Stats.Cycles += c.Hier.DataRun(pa, cnt, write)
+		c.Stats.Cycles += c.Hier.Data(pa, cnt, write)
 		u.countRun()
 		if err := fn(run{pa: pa, off: done, cnt: cnt}); err != nil {
 			return err
@@ -248,10 +248,10 @@ func (u *Space) CString(auth cap.Capability, va uint64, max uint64) (string, err
 			idx = bytes.IndexByte(page[:cnt], 0)
 		}
 		if idx >= 0 {
-			c.Stats.Cycles += c.Hier.DataRun(pa, uint64(idx)+1, false)
+			c.Stats.Cycles += c.Hier.Data(pa, uint64(idx)+1, false)
 			return string(append(out, page[:idx]...)), nil
 		}
-		c.Stats.Cycles += c.Hier.DataRun(pa, cnt, false)
+		c.Stats.Cycles += c.Hier.Data(pa, cnt, false)
 		out = append(out, page[:cnt]...)
 		scanned += cnt
 	}

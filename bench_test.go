@@ -1,15 +1,17 @@
 // Benchmark harness: one benchmark per table and figure in the paper's
-// evaluation (§5). Each benchmark performs a full regeneration of its
-// experiment per iteration and reports the headline numbers as custom
-// metrics, so `go test -bench=. -benchmem` reproduces the evaluation
-// end to end. The cmd/ tools print the full tables; DESIGN.md describes
-// the simulator machinery the numbers come from.
+// evaluation (§5), plus host-cost benchmarks of the simulator's layers.
+// Each benchmark regenerates its experiment per iteration and reports the
+// headline numbers as custom metrics; the cmd/ tools print the full
+// tables, and DESIGN.md describes the machinery the numbers come from.
+// CI runs every benchmark once on each pull request
+// (`go test -run '^$' -bench . -benchtime 1x ./...`), so each must finish
+// without b.Fatal. Simulated figures are pinned by tests, not here; host
+// time is measured by interleaved bench/compare runs.
 package cheriabi_test
 
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"cheriabi"
 	"cheriabi/internal/bodiag"
@@ -18,7 +20,6 @@ import (
 	"cheriabi/internal/compat"
 	"cheriabi/internal/cpu"
 	"cheriabi/internal/driver"
-	"cheriabi/internal/kernel"
 	"cheriabi/internal/mem"
 	"cheriabi/internal/testsuite"
 	"cheriabi/internal/trace"
@@ -219,7 +220,7 @@ func BenchmarkSubObjectAblation(b *testing.B) {
 // page-run bulk fast path on (bulk) and off (bytecopy — the byte-loop
 // baseline). Guest-visible results are bit-identical (the differential
 // matrix and TestFastSlowEquivalence enforce it); only host throughput
-// changes. The fast path must hold a ≥3× advantage.
+// changes. It reports bulk and byte-copy throughput side by side.
 func BenchmarkCopyInOut(b *testing.B) {
 	const pages = 32
 	const copyBytes = 64 << 10
@@ -361,230 +362,6 @@ func BenchmarkSocketEcho(b *testing.B) {
 	}
 }
 
-// BenchmarkInetEcho measures the cross-machine socket path: two simulated
-// machines joined by the network fabric, one echoing the other's 512-byte
-// records. Against BenchmarkSocketEcho (the same record size over an
-// AF_UNIX socketpair on one machine) the delta is the cost of the packet
-// NIC, the lockstep coordinator, and the seeded link latency. sim-cycles
-// is the fleet makespan — the largest per-machine virtual-time delta.
-func BenchmarkInetEcho(b *testing.B) {
-	const rounds = 200
-	var makespan uint64
-	b.SetBytes(2 * 512 * rounds)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := workload.FleetEcho(cheriabi.ABICheri, 1, rounds, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		makespan = 0
-		for _, n := range res.Nodes {
-			if n.ExitCode != 0 || n.Signal != 0 {
-				b.Fatalf("node exited %d signal %d (output %q)", n.ExitCode, n.Signal, n.Output)
-			}
-			if n.Stats.Cycles > makespan {
-				makespan = n.Stats.Cycles
-			}
-		}
-	}
-	b.ReportMetric(float64(makespan), "sim-cycles")
-}
-
-// BenchmarkLoadGen runs the multi-machine load-generator fleet: one echo
-// server and four client machines, each forking eight connection workers
-// that drive the fixed 64/256/512/1024-byte request mix. Reported
-// metrics are the guest-observed latency percentiles in simulated cycles
-// and the simulated-time request throughput; MB/s covers the payload
-// bytes the fabric moved.
-func BenchmarkLoadGen(b *testing.B) {
-	spec := workload.LoadGenSpec{
-		ABI:      cheriabi.ABICheri,
-		Clients:  4,
-		Conns:    8,
-		Requests: 8,
-		Seed:     1,
-	}
-	var res *workload.LoadGenResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = workload.LoadGen(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(res.Fleet.DataBytes))
-	b.ReportMetric(float64(res.P50), "p50-cycles")
-	b.ReportMetric(float64(res.P99), "p99-cycles")
-	b.ReportMetric(res.RequestsPerSec, "sim-req/s")
-	b.ReportMetric(float64(res.Cycles), "sim-cycles")
-}
-
-// BenchmarkPollStorm measures wakeup cost against a crowd of idle blocked
-// threads: idle children parked forever on silent pipes while one hot
-// pipe pair echoes. Boot/fork/teardown scale with the idle count, so the
-// per-wake cost is the MARGINAL cost — the same run at two wake counts,
-// differenced — and it must stay flat as idle grows: the wait-queue
-// scheduler does O(subscribers-of-the-hot-pipe) work per wake, never
-// O(blocked) closure re-polling. sim-cycles/wake is deterministic and is
-// the gating number; marginal-wakes/s tracks the host-side cost
-// (BenchmarkSchedulerRotation in internal/kernel isolates the same
-// property allocation-free).
-func BenchmarkPollStorm(b *testing.B) {
-	const loWakes, hiWakes = 50, 350
-	for _, idle := range []int{4, 16, 60} {
-		b.Run(fmt.Sprintf("idle=%d", idle), func(b *testing.B) {
-			run := func(wakes int) (uint64, time.Duration) {
-				w := workload.Workload{
-					Name: "poll-storm",
-					Src:  workload.SrcPollStormBench,
-					Args: []string{fmt.Sprint(idle), fmt.Sprint(wakes)},
-				}
-				exe, _, err := workload.Build(w, workload.BuildOptions{ABI: cheriabi.ABICheri})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sys := cheriabi.NewSystem(cheriabi.Config{MemBytes: 128 << 20})
-				start := time.Now()
-				res, err := sys.RunImage(exe, append([]string{w.Name}, w.Args...)...)
-				host := time.Since(start)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.ExitCode != 0 {
-					b.Fatalf("guest exited %d (output %q)", res.ExitCode, res.Output)
-				}
-				return res.Stats.Cycles, host
-			}
-			var dCycles float64
-			var dHost time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cLo, hLo := run(loWakes)
-				cHi, hHi := run(hiWakes)
-				dCycles = float64(cHi - cLo)
-				dHost += hHi - hLo
-			}
-			b.ReportMetric(dCycles/(hiWakes-loWakes), "sim-cycles/wake")
-			b.ReportMetric(float64((hiWakes-loWakes)*b.N)/dHost.Seconds(), "marginal-wakes/s")
-		})
-	}
-}
-
-// BenchmarkTimedPollStorm measures timer-expiry cost against a crowd of
-// concurrent sleepers: n children each cycling a finite-timeout poll on
-// staggered 1–4 ms intervals, so the deadline heap holds n live entries
-// in mixed order for the whole run. The virtual clock necessarily
-// advances by the slept spans, so the per-expiry cost is the MARGINAL
-// sim-cycle cost — two round counts differenced, with the pure sleep
-// span of the slowest chain subtracted — and it must stay flat as n
-// grows: each expiry is one O(log timers) heap pop plus one wake, never
-// a scan of the sleeper crowd.
-func BenchmarkTimedPollStorm(b *testing.B) {
-	const loRounds, hiRounds = 10, 40
-	const maxIntervalMS = 4 // the i&3 stagger tops out at 4 ms
-	msCycles := uint64(kernel.ClockHz / 1_000)
-	for _, n := range []int{4, 16, 48} {
-		b.Run(fmt.Sprintf("sleepers=%d", n), func(b *testing.B) {
-			run := func(rounds int) (uint64, time.Duration) {
-				w := workload.Workload{
-					Name: "timed-poll-storm",
-					Src:  workload.SrcTimedPollStormBench,
-					Args: []string{fmt.Sprint(n), fmt.Sprint(rounds)},
-				}
-				exe, _, err := workload.Build(w, workload.BuildOptions{ABI: cheriabi.ABICheri})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sys := cheriabi.NewSystem(cheriabi.Config{MemBytes: 128 << 20})
-				start := time.Now()
-				res, err := sys.RunImage(exe, append([]string{w.Name}, w.Args...)...)
-				host := time.Since(start)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.ExitCode != 0 {
-					b.Fatalf("guest exited %d (output %q)", res.ExitCode, res.Output)
-				}
-				return res.Stats.Cycles, host
-			}
-			var dCycles float64
-			var dHost time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cLo, hLo := run(loRounds)
-				cHi, hHi := run(hiRounds)
-				dRounds := uint64(hiRounds - loRounds)
-				slept := dRounds * maxIntervalMS * msCycles
-				dCycles = float64(cHi - cLo - slept)
-				dHost += hHi - hLo
-			}
-			expiries := float64(n * (hiRounds - loRounds))
-			b.ReportMetric(dCycles/expiries, "sim-cycles/expiry")
-			b.ReportMetric(expiries*float64(b.N)/dHost.Seconds(), "marginal-expiries/s")
-		})
-	}
-}
-
-// BenchmarkNanosleepChurn measures the pure timer round trip: one thread
-// arming, parking on, and being woken by back-to-back 200 us nanosleeps
-// with an always-empty runq — every expiry is a tickless skip. The
-// reported sim-cycle cost is marginal (two sleep counts differenced,
-// slept spans subtracted): the arm/park/skip/fire overhead per sleep.
-func BenchmarkNanosleepChurn(b *testing.B) {
-	const loSleeps, hiSleeps = 100, 400
-	sleptCycles := uint64(200_000 / 10) // 200 us at 10 ns per cycle
-	run := func(sleeps int) (uint64, time.Duration) {
-		w := workload.Workload{
-			Name: "nanosleep-churn",
-			Src:  workload.SrcNanosleepChurnBench,
-			Args: []string{fmt.Sprint(sleeps)},
-		}
-		exe, _, err := workload.Build(w, workload.BuildOptions{ABI: cheriabi.ABICheri})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys := cheriabi.NewSystem(cheriabi.Config{MemBytes: 128 << 20})
-		start := time.Now()
-		res, err := sys.RunImage(exe, w.Name, fmt.Sprint(sleeps))
-		host := time.Since(start)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.ExitCode != 0 {
-			b.Fatalf("guest exited %d (output %q)", res.ExitCode, res.Output)
-		}
-		return res.Stats.Cycles, host
-	}
-	var dCycles float64
-	var dHost time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cLo, hLo := run(loSleeps)
-		cHi, hHi := run(hiSleeps)
-		dSleeps := uint64(hiSleeps - loSleeps)
-		dCycles = float64(cHi - cLo - dSleeps*sleptCycles)
-		dHost += hHi - hLo
-	}
-	dSleeps := float64(hiSleeps - loSleeps)
-	b.ReportMetric(dCycles/dSleeps, "sim-cycles/sleep")
-	b.ReportMetric(dSleeps*float64(b.N)/dHost.Seconds(), "marginal-sleeps/s")
-}
-
-// BenchmarkSimulator measures raw simulation speed: guest instructions
-// executed per host second for a compute-bound workload.
-func BenchmarkSimulator(b *testing.B) {
-	w, _ := workload.ByName("auto-basicmath")
-	var insts uint64
-	for i := 0; i < b.N; i++ {
-		m, err := workload.Run(w, workload.BuildOptions{ABI: cheriabi.ABICheri}, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts = m.Instructions
-	}
-	b.SetBytes(int64(insts)) // bytes/s stands in for guest instructions/s
-}
-
 // BenchmarkMiniCCompile measures the MiniC compiler end to end (lex,
 // parse, codegen, link, image marshal) on the largest workload source,
 // isolated from simulation. bytes/s is source bytes compiled per host
@@ -594,22 +371,16 @@ func BenchmarkMiniCCompile(b *testing.B) {
 	if !ok {
 		b.Fatal("initdb-dynamic workload missing")
 	}
-	var n int
-	for i := 0; i < b.N; i++ {
-		exe, libs, err := workload.Build(w, workload.BuildOptions{ABI: cheriabi.ABICheri})
-		if err != nil {
-			b.Fatal(err)
-		}
-		n = len(w.Src)
-		for _, lib := range libs {
-			_ = lib
-		}
-		_ = exe
-		for _, src := range w.Libs {
-			n += len(src)
-		}
+	n := len(w.Src)
+	for _, src := range w.Libs {
+		n += len(src)
 	}
 	b.SetBytes(int64(n))
+	for i := 0; i < b.N; i++ {
+		if _, _, err := workload.Build(w, workload.BuildOptions{ABI: cheriabi.ABICheri}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkParallelDriver measures the sharded evaluation driver on a
@@ -639,12 +410,12 @@ func BenchmarkParallelDriver(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeCache ablates the simulator's fast engine: the same
-// workload on the default engine and on the CPU's Reference, one full
-// Step per instruction with byte-at-a-time uaccess copies. The
-// guest-visible results are bit-identical (TestDifferentialMatrix); only
-// host throughput changes. MB/s stands in for guest instructions/s.
-func BenchmarkDecodeCache(b *testing.B) {
+// BenchmarkEngine compares the simulator's fast engine with the CPU's
+// Reference (one full Step per instruction with byte-at-a-time uaccess
+// copies) on the same workload. The guest-visible results are
+// bit-identical (TestDifferentialMatrix); only host throughput changes.
+// MB/s stands in for guest instructions/s.
+func BenchmarkEngine(b *testing.B) {
 	w, _ := workload.ByName("auto-basicmath")
 	exe, libs, err := workload.Build(w, workload.BuildOptions{ABI: cheriabi.ABICheri})
 	if err != nil {
@@ -654,8 +425,8 @@ func BenchmarkDecodeCache(b *testing.B) {
 		name string
 		ref  bool
 	}{
-		{"on", false},
-		{"off", true},
+		{"fast", false},
+		{"reference", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			var res *cheriabi.RunResult

@@ -2,13 +2,14 @@ package cheriabi_test
 
 // AF_INET + network-fabric tests: the socket-domain errno contract, the
 // listen(2) backlog bound in both address families, the single-machine
-// loopback workload, and the multi-machine load-generator fleet — whose
-// whole observable state (per-node output, exit, Stats, clocks, and the
-// fabric delivery-trace hash) must be bit-identical across same-seed
-// repeats, while adjacent seeds reshuffle latencies without touching any
-// byte-stream checksum.
+// loopback workload, and the multi-machine fleets — whose simulated
+// figures are pinned, and whose whole observable state (per-node output,
+// exit, Stats, clocks, and the fabric delivery-trace hash) must be
+// bit-identical across same-seed repeats, while adjacent seeds reshuffle
+// latencies without touching any byte-stream checksum.
 
 import (
+	"fmt"
 	"testing"
 
 	"cheriabi"
@@ -202,73 +203,109 @@ func loadGenFidelity(t *testing.T, label string, a, b *workload.LoadGenResult) {
 }
 
 // TestFleetDeterminism is the multi-machine acceptance gate: one server
-// plus four client machines, 32 connections, ≥1000 requests (cut down
-// under -short). Two same-seed runs must match bit for bit — every
-// node's output, termination, Stats, and final clock, and the fabric's
-// delivery-trace hash — and an adjacent seed must reshuffle the delivery
-// schedule (different trace, different latencies) while leaving every
-// byte-stream checksum untouched.
+// plus four client machines with eight connections each, at 8 and 32
+// requests per connection (the larger fleet, 1024 requests, is skipped
+// under -short). Each fleet's simulated figures are pinned: request count,
+// makespan, p50/p99 round-trip latency, packets and payload bytes. Two
+// same-seed runs must match bit for bit — every node's output,
+// termination, Stats, and final clock, and the fabric's delivery-trace
+// hash — and an adjacent seed must reshuffle the delivery schedule
+// (different trace, different latencies) while leaving every byte-stream
+// checksum untouched.
 func TestFleetDeterminism(t *testing.T) {
-	spec := workload.LoadGenSpec{
-		ABI:      cheriabi.ABICheri,
-		Clients:  4,
-		Conns:    8,
-		Requests: 32, // 4 x 8 x 32 = 1024 requests
-		Seed:     1,
-	}
-	if testing.Short() {
-		spec.Requests = 4
-	}
-	a, err := workload.LoadGen(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := workload.LoadGen(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadGenFidelity(t, "same-seed", a, b)
+	for _, pin := range []struct {
+		requests           int // per connection
+		total              int
+		makespan, p50, p99 uint64
+		packets, bytes     uint64
+	}{
+		{8, 256, 2_103_280, 110_754, 316_957, 1152, 237_568},
+		{32, 1024, 6_608_903, 113_529, 279_016, 4224, 950_272},
+	} {
+		t.Run(fmt.Sprintf("requests=%d", pin.requests), func(t *testing.T) {
+			if pin.requests > 8 && testing.Short() {
+				t.Skip("the 1024-request fleet is long")
+			}
+			spec := workload.LoadGenSpec{
+				ABI:      cheriabi.ABICheri,
+				Clients:  4,
+				Conns:    8,
+				Requests: pin.requests,
+				Seed:     1,
+			}
+			a, err := workload.LoadGen(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Requests != pin.total || a.Cycles != pin.makespan || a.P50 != pin.p50 || a.P99 != pin.p99 ||
+				a.Fleet.Delivered != pin.packets || a.Fleet.DataBytes != pin.bytes {
+				t.Errorf("requests %d makespan %d p50 %d p99 %d packets %d bytes %d, want %d %d %d %d %d %d",
+					a.Requests, a.Cycles, a.P50, a.P99, a.Fleet.Delivered, a.Fleet.DataBytes,
+					pin.total, pin.makespan, pin.p50, pin.p99, pin.packets, pin.bytes)
+			}
+			b, err := workload.LoadGen(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loadGenFidelity(t, "same-seed", a, b)
 
-	spec.Seed = 2
-	c, err := workload.LoadGen(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Fleet.TraceHash == a.Fleet.TraceHash {
-		t.Errorf("adjacent seeds produced the same delivery trace %x", a.Fleet.TraceHash)
-	}
-	if len(c.Checksums) != len(a.Checksums) {
-		t.Fatalf("checksum line counts diverged: %d vs %d", len(a.Checksums), len(c.Checksums))
-	}
-	for i := range a.Checksums {
-		if a.Checksums[i] != c.Checksums[i] {
-			t.Errorf("seed-dependent checksum: %q vs %q", a.Checksums[i], c.Checksums[i])
-		}
-	}
-	if a.Requests != c.Requests {
-		t.Errorf("request counts diverged across seeds: %d vs %d", a.Requests, c.Requests)
+			spec.Seed = 2
+			c, err := workload.LoadGen(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Fleet.TraceHash == a.Fleet.TraceHash {
+				t.Errorf("adjacent seeds produced the same delivery trace %x", a.Fleet.TraceHash)
+			}
+			if len(c.Checksums) != len(a.Checksums) {
+				t.Fatalf("checksum line counts diverged: %d vs %d", len(a.Checksums), len(c.Checksums))
+			}
+			for i := range a.Checksums {
+				if a.Checksums[i] != c.Checksums[i] {
+					t.Errorf("seed-dependent checksum: %q vs %q", a.Checksums[i], c.Checksums[i])
+				}
+			}
+			if a.Requests != c.Requests {
+				t.Errorf("request counts diverged across seeds: %d vs %d", a.Requests, c.Requests)
+			}
+		})
 	}
 }
 
-// TestFleetEchoCrossMachine is the two-machine smoke test: a server and
-// one client machine exchanging 512-byte records through the fabric,
-// under both ABIs.
+// TestFleetEchoCrossMachine runs a server and one client machine
+// exchanging 512-byte records through the fabric, under both ABIs, and
+// pins each run's simulated makespan (the largest per-machine cycle
+// count) and the packets the fabric delivered.
 func TestFleetEchoCrossMachine(t *testing.T) {
-	for _, a := range inetABIs {
-		res, err := workload.FleetEcho(a.abi, 1, 16, 7)
+	for _, pin := range []struct {
+		label             string
+		abi               cheriabi.ABI
+		rounds            int
+		seed              uint64
+		makespan, packets uint64
+	}{
+		{"mips64", cheriabi.ABILegacy, 16, 7, 467_752, 68},
+		{"cheriabi", cheriabi.ABICheri, 16, 7, 465_028, 68},
+		{"cheriabi/rounds=200", cheriabi.ABICheri, 200, 1, 5_129_959, 804},
+	} {
+		res, err := workload.FleetEcho(pin.abi, 1, pin.rounds, pin.seed)
 		if err != nil {
-			t.Fatalf("%s: %v", a.label, err)
+			t.Fatalf("%s: %v", pin.label, err)
 		}
+		var makespan uint64
 		for i, n := range res.Nodes {
 			if n.ExitCode != 0 || n.Signal != 0 {
-				t.Errorf("%s: node %d exit %d signal %d (output %q)", a.label, i, n.ExitCode, n.Signal, n.Output)
+				t.Errorf("%s: node %d exit %d signal %d (output %q)", pin.label, i, n.ExitCode, n.Signal, n.Output)
 			}
+			makespan = max(makespan, n.Stats.Cycles)
 		}
-		if res.Nodes[0].Output != "server served 8192 conns 1\n" {
-			t.Errorf("%s: server output %q", a.label, res.Nodes[0].Output)
+		bytes := uint64(2 * pin.rounds * 512)
+		if want := fmt.Sprintf("server served %d conns 1\n", bytes/2); res.Nodes[0].Output != want {
+			t.Errorf("%s: server output %q, want %q", pin.label, res.Nodes[0].Output, want)
 		}
-		if res.DataBytes != 2*16*512 {
-			t.Errorf("%s: fabric moved %d payload bytes, want %d", a.label, res.DataBytes, 2*16*512)
+		if makespan != pin.makespan || res.Delivered != pin.packets || res.DataBytes != bytes {
+			t.Errorf("%s: makespan %d packets %d bytes %d, want %d %d %d", pin.label,
+				makespan, res.Delivered, res.DataBytes, pin.makespan, pin.packets, bytes)
 		}
 	}
 }

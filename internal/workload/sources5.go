@@ -202,7 +202,7 @@ int main(int argc, char **argv) {
 }
 `
 
-// SrcPollStormBench drives BenchmarkPollStorm: argv[1] idle children each
+// SrcPollStormBench drives TestMarginalCycles: argv[1] idle children each
 // parked forever on its own silent pipe, argv[2] echo round trips through
 // one hot pipe pair. With the wait-queue scheduler each wake costs
 // O(subscribers of the hot pipe) regardless of argv[1]; the old

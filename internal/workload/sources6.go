@@ -119,11 +119,11 @@ int main() {
 }
 `
 
-// SrcTimedPollStormBench drives BenchmarkTimedPollStorm: argv[1] forked
+// SrcTimedPollStormBench drives TestMarginalCycles: argv[1] forked
 // sleepers each run argv[2] rounds of a finite-timeout poll with no fds
 // — a pure timer park — on staggered 1..4 ms intervals, so the deadline
 // heap holds argv[1] live entries in mixed order the whole run. Each
-// expiry is one heap pop + one wake; the benchmark differences two
+// expiry is one heap pop + one wake; the test differences two
 // round counts to isolate that per-expiry cost from setup.
 const SrcTimedPollStormBench = `
 int main(int argc, char **argv) {
@@ -151,7 +151,7 @@ int main(int argc, char **argv) {
 }
 `
 
-// SrcNanosleepChurnBench drives BenchmarkNanosleepChurn: argv[1]
+// SrcNanosleepChurnBench drives TestMarginalCycles: argv[1]
 // back-to-back 200 us nanosleeps in a single thread — the arm/park/
 // tickless-skip/fire cycle with an always-empty runq, the pure overhead
 // of one timer round trip.

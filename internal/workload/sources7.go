@@ -224,7 +224,7 @@ int main(int argc, char **argv) {
 `
 
 // SrcInetFleetClient is the fleet-side echo client driving
-// BenchmarkInetEcho: argv[1] is the server's fabric address as a host
+// TestFleetEchoCrossMachine: argv[1] is the server's fabric address as a host
 // integer, argv[2] the number of 512-byte round trips, argv[3] this
 // machine's id. Connects use timed retry (50 us of virtual time between
 // attempts) until the server's listener is up. The checksum it prints

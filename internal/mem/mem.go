@@ -27,11 +27,21 @@ const PageSize = 1 << PageShift
 // chunk observe zeroes and clear tags without allocating, so first-touch
 // semantics are bit-identical to the eager array (a regression test
 // proves it against a flat reference model).
+//
+// The chunk is also the copy-on-write unit of Snapshot, so its size
+// trades the bytes a first write zeroes or copies against the length of
+// the chunk tables Snapshot and Clone copy. A short program touches a few
+// hundred scattered pages: 1 MiB chunks made every exec zero a whole
+// chunk for them, 4 KiB chunks made every Clone copy 32k-entry tables.
 const (
-	chunkShift = 20 // 1 MiB chunks
+	chunkShift = 16 // 64 KiB chunks
 	chunkSize  = 1 << chunkShift
 	chunkMask  = chunkSize - 1
 )
+
+// A page never straddles a chunk: ReadablePage and WritablePage hand out
+// one page as a subslice of one chunk.
+var _ [0]struct{} = [chunkSize % PageSize]struct{}{}
 
 // Physical is tagged physical memory. Addresses are physical; bounds and
 // permission checking happen above this layer (capabilities + MMU), so an
@@ -213,7 +223,7 @@ func (m *Physical) ReadablePage(paPage uint64) (data []byte, tags []bool) {
 	if ch == nil {
 		return nil, nil
 	}
-	off := paPage & chunkMask
+	off := paPage & chunkMask // the whole page lies in chunk ci
 	gs := m.granShift
 	return ch[off : off+PageSize : off+PageSize],
 		m.tags[ci][off>>gs : (off+PageSize)>>gs : (off+PageSize)>>gs]
@@ -231,7 +241,7 @@ func (m *Physical) WritablePage(paPage uint64) (data []byte, tags []bool, gen *u
 		return nil, nil, nil
 	}
 	ch, tg := m.materialize(paPage)
-	off := paPage & chunkMask
+	off := paPage & chunkMask // the whole page lies in this chunk
 	gs := m.granShift
 	return ch[off : off+PageSize : off+PageSize],
 		tg[off>>gs : (off+PageSize)>>gs : (off+PageSize)>>gs],

@@ -131,3 +131,34 @@ func TestOutOfRangePanics(t *testing.T) {
 	}()
 	m.Load(1<<12, 8)
 }
+
+// TestPagesTileChunks: the chunk is a whole number of pages (the
+// compile-time assertion beside chunkShift), so the pages on either side
+// of a chunk boundary are each served whole from their own chunk, and a
+// write through one page's backing never reaches the other.
+func TestPagesTileChunks(t *testing.T) {
+	if chunkSize%PageSize != 0 {
+		t.Fatalf("chunk %d is not a multiple of the page %d", chunkSize, PageSize)
+	}
+	m := New(2*chunkSize, 16)
+	last, first := uint64(chunkSize-PageSize), uint64(chunkSize)
+	d, tags, gen := m.WritablePage(last)
+	if len(d) != PageSize || len(tags) != PageSize/16 || gen == nil {
+		t.Fatalf("last page of chunk 0: %d bytes, %d tags", len(d), len(tags))
+	}
+	d[PageSize-1] = 0xAA
+	if got := m.Load(first-1, 1); got != 0xAA {
+		t.Fatalf("write through the page backing: Load = %#x", got)
+	}
+	if d, _ := m.ReadablePage(first); d != nil {
+		t.Fatal("chunk 1 materialized by a write to chunk 0")
+	}
+	m.Store(first, 1, 0xBB)
+	d, _ = m.ReadablePage(first)
+	if len(d) != PageSize || d[0] != 0xBB {
+		t.Fatalf("first page of chunk 1: %d bytes, d[0] = %#x", len(d), d[0])
+	}
+	if got := m.Load(first-1, 1); got != 0xAA {
+		t.Fatalf("store to chunk 1 reached chunk 0: %#x", got)
+	}
+}

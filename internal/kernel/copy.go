@@ -80,10 +80,22 @@ func setRetCap(f *Frame, abi image.ABI, c cap.Capability, e Errno) {
 	f.X[isa.RV1] = uint64(e)
 }
 
-// copyIn copies n bytes from user memory at auth's cursor through the
-// uaccess page-run engine.
+// staging returns the kernel's staging buffer cut to n bytes, n ≤
+// ioChunk. Syscalls move bytes between user memory and a File through
+// it, so it grows to the largest transfer seen and is then reused. The
+// slice is valid until the next call; a File method handed it must not
+// keep it.
+func (k *Kernel) staging(n uint64) []byte {
+	if n > uint64(len(k.stage)) {
+		k.stage = make([]byte, max(n, min(2*uint64(len(k.stage)), ioChunk)))
+	}
+	return k.stage[:n]
+}
+
+// copyIn copies n bytes (n ≤ ioChunk) from user memory at auth's cursor
+// through the uaccess page-run engine into the staging buffer.
 func (k *Kernel) copyIn(auth cap.Capability, n uint64) ([]byte, Errno) {
-	buf := make([]byte, n)
+	buf := k.staging(n)
 	if err := k.M.UA.Read(auth, auth.Addr(), buf); err != nil {
 		return nil, EFAULT
 	}

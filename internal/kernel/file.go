@@ -66,11 +66,13 @@ type File interface {
 	// advancing the cursor for seekable objects. Returns 0, OK at EOF.
 	Read(f *FDesc, b []byte) (int, Errno)
 	// Write writes b at the descriptor cursor (honouring OAppend),
-	// returning the bytes accepted — pipes may accept a short count.
+	// returning the bytes accepted — pipes may accept a short count. b
+	// is the kernel's staging buffer: copy what you keep, never retain b.
 	Write(f *FDesc, b []byte) (int, Errno)
 	// Pread reads up to len(b) bytes at offset off, cursor untouched.
 	Pread(b []byte, off int64) (int, Errno)
-	// Pwrite writes b at offset off, cursor untouched.
+	// Pwrite writes b at offset off, cursor untouched. As for Write, b
+	// must not be retained.
 	Pwrite(b []byte, off int64) (int, Errno)
 	// Seek repositions the descriptor cursor and returns it.
 	Seek(f *FDesc, off int64, whence int) (int64, Errno)

@@ -133,6 +133,9 @@ type Kernel struct {
 	// args is the argument block of the syscall being dispatched (see
 	// Kernel.syscall).
 	args SysArgs
+	// stage is the staging buffer every byte-moving syscall copies
+	// through (see Kernel.staging).
+	stage []byte
 
 	// Stats
 	ContextSwitches uint64

@@ -164,18 +164,18 @@ func sysFork(k *Kernel, t *Thread, a *SysArgs) bool {
 	return true
 }
 
-// ioChunk caps the kernel's per-call staging buffer: streams whose length
-// is caller-invented (/dev/zero, /dev/urandom) are served in bounded
-// chunks — a short read is POSIX-legal — and a runaway length never turns
-// into a host-side allocation.
+// ioChunk caps one call's use of the kernel staging buffer: streams whose
+// length is caller-invented (/dev/zero, /dev/urandom) are served in
+// bounded chunks — a short read is POSIX-legal — and a runaway length
+// never turns into a host-side allocation.
 const ioChunk = 256 << 10
 
-// ioScratch sizes one read's kernel staging buffer: the claimed length,
+// ioScratch cuts the staging buffer for one read: the claimed length,
 // clamped to the bytes the object can currently supply (regular files:
 // size minus cursor; pipes: buffered bytes — so an EOF read stages zero
 // bytes and needs no destination authority) and to ioChunk. Devices
 // synthesize their stream, so only the chunk clamp applies.
-func ioScratch(f *FDesc, n uint64) []byte {
+func (k *Kernel) ioScratch(f *FDesc, n uint64) []byte {
 	switch st := f.file.Stat(); st.Kind {
 	case StatFile, StatDir:
 		avail := st.Size - f.off
@@ -193,7 +193,7 @@ func ioScratch(f *FDesc, n uint64) []byte {
 	if n > ioChunk {
 		n = ioChunk
 	}
-	return make([]byte, n)
+	return k.staging(n)
 }
 
 // precheckOut validates the destination capability for the bytes a read
@@ -226,7 +226,7 @@ func doReadFD(k *Kernel, t *Thread, f *FDesc, buf cap.Capability, n uint64) bool
 		k.blockFD(t, f)
 		return false
 	}
-	scratch := ioScratch(f, n)
+	scratch := k.ioScratch(f, n)
 	if e := precheckOut(buf, len(scratch)); e != OK {
 		setRet(&t.Frame, ^uint64(0), e)
 		return true
@@ -264,7 +264,7 @@ func doWriteFD(k *Kernel, t *Thread, f *FDesc, buf cap.Capability, n uint64) boo
 		return false
 	}
 	if n > ioChunk {
-		n = ioChunk // short write: bounds the kernel staging allocation
+		n = ioChunk // short write: bounds the staging buffer
 	}
 	data, e := k.copyIn(buf, n)
 	if e != OK {
@@ -334,7 +334,7 @@ func sysPread(k *Kernel, t *Thread, a *SysArgs) bool {
 	if n > ioChunk {
 		n = ioChunk
 	}
-	scratch := make([]byte, n)
+	scratch := k.staging(n)
 	if e := precheckOut(buf, len(scratch)); e != OK {
 		setRet(&t.Frame, ^uint64(0), e)
 		return true
@@ -366,7 +366,7 @@ func sysPwrite(k *Kernel, t *Thread, a *SysArgs) bool {
 		return true
 	}
 	if n > ioChunk {
-		n = ioChunk // short write: bounds the kernel staging allocation
+		n = ioChunk // short write: bounds the staging buffer
 	}
 	data, e := k.copyIn(buf, n)
 	if e != OK {
@@ -456,7 +456,7 @@ func sysReadv(k *Kernel, t *Thread, a *SysArgs) bool {
 		if n == 0 {
 			continue
 		}
-		scratch := ioScratch(f, n)
+		scratch := k.ioScratch(f, n)
 		// Validate this segment's destination before consuming the
 		// object: a bad iovec entry must not drain bytes it cannot land.
 		if e := precheckOut(bp, len(scratch)); e != OK {
@@ -537,7 +537,7 @@ func sysWritev(k *Kernel, t *Thread, a *SysArgs) bool {
 			continue
 		}
 		if n > ioChunk {
-			n = ioChunk // short write: bounds the kernel staging allocation
+			n = ioChunk // short write: bounds the staging buffer
 		}
 		data, e := k.copyIn(bp, n)
 		if e != OK {

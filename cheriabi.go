@@ -121,7 +121,8 @@ type Config struct {
 	// OnCapCreate observes kernel/linker/allocator-created capabilities.
 	OnCapCreate func(label string, c cap.Capability)
 	// OnTrap observes every trap the CPU delivers, in program order
-	// (used by the differential determinism suite).
+	// (used by the differential determinism suite). The trap is valid only
+	// during the call: copy it to keep it (see cpu.CPU.Run).
 	OnTrap func(*cpu.Trap)
 }
 

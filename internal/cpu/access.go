@@ -24,11 +24,11 @@ func (e *AlignmentError) Error() string {
 func (c *CPU) accessTrap(in isa.Inst, err error) *Trap {
 	switch e := err.(type) {
 	case *cap.Fault:
-		return &Trap{Kind: TrapCapFault, PC: c.PC, Inst: in, Cap: e}
+		return c.raise(Trap{Kind: TrapCapFault, PC: c.PC, Inst: in, Cap: e})
 	case *vm.PageFault:
-		return &Trap{Kind: TrapPageFault, PC: c.PC, Inst: in, Page: e}
+		return c.raise(Trap{Kind: TrapPageFault, PC: c.PC, Inst: in, Page: e})
 	case *AlignmentError:
-		return &Trap{Kind: TrapAlignment, PC: c.PC, Inst: in}
+		return c.raise(Trap{Kind: TrapAlignment, PC: c.PC, Inst: in})
 	}
 	panic(fmt.Sprintf("cpu: unexpected access error %T: %v", err, err))
 }

@@ -111,7 +111,8 @@ type CPU struct {
 
 	// OnTrap observes every trap Run surfaces, in order. The differential
 	// determinism suite uses it to prove the fast engine preserves trap
-	// sequences exactly.
+	// sequences exactly. The *Trap is the one Run returns, valid only
+	// until the next Run or Step: copy it to keep it.
 	OnTrap func(*Trap)
 
 	// Reference runs every host-side fast path's reference: one full Step
@@ -144,6 +145,9 @@ type CPU struct {
 	decoded  map[uint64]*instPage
 	latch    fetchLatch
 	blockIdx [blockIdxSize]blockIdxEnt
+
+	// tr is the trap Run and Step return (see raise).
+	tr Trap
 }
 
 // blockIdxSize is the number of direct-mapped block-index entries.
@@ -263,19 +267,30 @@ func (c *CPU) ReadCap(r uint8) cap.Capability { return c.C[r] }
 // WriteCap sets capability register r, honouring the hardwired NULL.
 func (c *CPU) WriteCap(r uint8, v cap.Capability) { c.setC(r, v) }
 
+// raise records t as the CPU's trap and returns it. Every trap is
+// reported through this one value, so taking one allocates nothing; see
+// Run for how long it stays valid.
+func (c *CPU) raise(t Trap) *Trap {
+	c.tr = t
+	return &c.tr
+}
+
 func (c *CPU) trap(kind TrapKind, in isa.Inst) *Trap {
-	return &Trap{Kind: kind, PC: c.PC, Inst: in}
+	return c.raise(Trap{Kind: kind, PC: c.PC, Inst: in})
 }
 
 func (c *CPU) capTrap(in isa.Inst, err error) *Trap {
 	if f, ok := err.(*cap.Fault); ok {
-		return &Trap{Kind: TrapCapFault, PC: c.PC, Inst: in, Cap: f}
+		return c.raise(Trap{Kind: TrapCapFault, PC: c.PC, Inst: in, Cap: f})
 	}
 	panic(fmt.Sprintf("cpu: non-capability error %v", err))
 }
 
 // Run executes until a trap occurs or max instructions retire (0 = no
 // limit). It returns the trap, or nil if the instruction budget expired.
+// The trap is a field of the CPU, overwritten by the next trap: it is
+// valid until the next call of Run or Step, so a caller that keeps a trap
+// across calls copies it.
 //
 // Unless Reference is set, Run alternates between the block-threaded
 // engine (runBlock, which executes straight-line runs of decoded
@@ -318,7 +333,8 @@ func (c *CPU) Run(max uint64) *Trap {
 
 // Step executes one instruction. On a trap, PC still addresses the
 // trapping instruction; the kernel advances it after handling syscalls,
-// breaks, and native calls.
+// breaks, and native calls. As with Run, the returned trap is valid
+// until the next Run or Step.
 func (c *CPU) Step() *Trap {
 	// Instruction fetch through PCC and the I-cache (decode.go).
 	in, tr := c.fetchInst()

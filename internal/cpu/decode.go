@@ -139,7 +139,7 @@ func (c *CPU) fetchInst() (isa.Inst, *Trap) {
 	}
 	pa, pf := c.translate(c.PC, vm.ProtExec)
 	if pf != nil {
-		return isa.Inst{}, &Trap{Kind: TrapPageFault, PC: c.PC, Page: pf}
+		return isa.Inst{}, c.raise(Trap{Kind: TrapPageFault, PC: c.PC, Page: pf})
 	}
 	c.Stats.Cycles += c.Hier.Fetch(pa, isa.InstSize) - 1 // L1I hit is pipelined
 	if c.Reference {

@@ -47,6 +47,7 @@ type Config struct {
 	// Tracer observes user-code capability derivations (Figure 5).
 	Tracer cpu.CapTracer
 	// OnTrap observes every trap in program order (differential testing).
+	// The trap is valid only during the call (see cpu.CPU.Run).
 	OnTrap func(*cpu.Trap)
 }
 

@@ -92,29 +92,40 @@ type pte struct {
 
 // Frames is the physical frame allocator, shared by all address spaces.
 // Frames are reference counted so copy-on-write sharing works.
+//
+// Frames never handed out lie in [hw, end) and go out in ascending
+// order; freed frames are pushed on the free stack and handed out again,
+// most recent first, before the high-water mark moves. The order in
+// which frames are handed out decides physical placement, and with it
+// cache behaviour, so it is part of the allocator's contract.
 type Frames struct {
-	free []uint64
-	refs map[uint64]int
+	hw, end uint64   // the never-allocated frames [hw, end)
+	free    []uint64 // freed frames, popped from the tail
+	refs    map[uint64]int
 }
 
-// NewFrames manages frames for physical addresses [start, end).
+// NewFrames manages the whole frames in physical addresses [start, end).
 func NewFrames(start, end uint64) *Frames {
-	f := &Frames{refs: map[uint64]int{}}
-	for pa := end &^ (PageSize - 1); pa >= start+PageSize; pa -= PageSize {
-		f.free = append(f.free, pa-PageSize)
-	}
-	return f
+	hw := (start + PageSize - 1) &^ (PageSize - 1)
+	end &^= PageSize - 1
+	return &Frames{hw: hw, end: max(hw, end), refs: map[uint64]int{}}
 }
 
 // Free returns the number of free frames.
-func (f *Frames) Free() int { return len(f.free) }
+func (f *Frames) Free() int { return len(f.free) + int((f.end-f.hw)/PageSize) }
 
 func (f *Frames) alloc() uint64 {
-	if len(f.free) == 0 {
+	var pa uint64
+	switch {
+	case len(f.free) > 0:
+		pa = f.free[len(f.free)-1]
+		f.free = f.free[:len(f.free)-1]
+	case f.hw < f.end:
+		pa = f.hw
+		f.hw += PageSize
+	default:
 		panic("vm: out of physical frames")
 	}
-	pa := f.free[len(f.free)-1]
-	f.free = f.free[:len(f.free)-1]
 	f.refs[pa] = 1
 	return pa
 }
@@ -131,12 +142,15 @@ func (f *Frames) decref(pa uint64) {
 
 func (f *Frames) shared(pa uint64) bool { return f.refs[pa] > 1 }
 
-// Clone deep-copies the allocator: the clone hands out the same frame
-// sequence as the source would from this point on, which is what makes a
-// cloned boot's physical placement — and so its cache behaviour —
-// bit-identical to a cold boot's.
+// Clone deep-copies the allocator in O(frames ever freed plus frames in
+// use): the clone hands out the same frame sequence as the source would
+// from this point on, which is what makes a cloned boot's physical
+// placement — and so its cache behaviour — bit-identical to a cold
+// boot's.
 func (f *Frames) Clone() *Frames {
 	nf := &Frames{
+		hw:   f.hw,
+		end:  f.end,
 		free: make([]uint64, len(f.free)),
 		refs: make(map[uint64]int, len(f.refs)),
 	}

@@ -7,8 +7,9 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cheriabi/internal/mem"
 )
@@ -511,8 +512,9 @@ func (as *AddressSpace) Resident(va uint64) bool {
 func (as *AddressSpace) Fork() *AddressSpace {
 	child := as.sys.NewAddressSpace()
 	child.Rederive = nil // kernel installs a fresh one bound to the child root
-	for _, p := range as.sortedVPNs() {
-		e := as.pages[p]
+	child.pages = make(map[uint64]*pte, len(as.pages))
+	var swapped []uint64
+	for p, e := range as.pages {
 		ne := *e
 		if e.present {
 			as.sys.Frames.incref(e.frame)
@@ -522,18 +524,23 @@ func (as *AddressSpace) Fork() *AddressSpace {
 			}
 		}
 		if e.swapped {
-			// Duplicate the swap slot so each side owns one.
-			slot := as.sys.Swap.slots[e.swapID]
-			data := make([]byte, len(slot.data))
-			copy(data, slot.data)
-			tags := make([]bool, len(slot.tags))
-			copy(tags, slot.tags)
-			ne.swapID = as.sys.Swap.put(data, tags)
+			swapped = append(swapped, p)
 		}
 		if e.zero {
 			ne = pte{prot: e.prot, zero: true}
 		}
 		child.pages[p] = &ne
+	}
+	// Duplicate each swap slot so each side owns one. Slot IDs are handed
+	// out in sequence, so the duplicates are made in page order.
+	slices.Sort(swapped)
+	for _, p := range swapped {
+		slot := as.sys.Swap.slots[as.pages[p].swapID]
+		data := make([]byte, len(slot.data))
+		copy(data, slot.data)
+		tags := make([]bool, len(slot.tags))
+		copy(tags, slot.tags)
+		child.pages[p].swapID = as.sys.Swap.put(data, tags)
 	}
 	// The fork mutated the *parent's* page table too (writable pages became
 	// copy-on-write), so any cached translation that still allows a direct
@@ -542,30 +549,31 @@ func (as *AddressSpace) Fork() *AddressSpace {
 	return child
 }
 
-// sortedVPNs returns the mapped page numbers in ascending order, so page
-// walks that mutate shared allocator state never depend on Go map
-// iteration order.
-func (as *AddressSpace) sortedVPNs() []uint64 {
-	vpns := make([]uint64, 0, len(as.pages))
-	for p := range as.pages {
-		vpns = append(vpns, p)
-	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	return vpns
-}
-
-// Release drops every mapping (process exit). Pages are released in
-// ascending address order: freed frames re-enter the shared allocator in
-// a deterministic sequence, so the physical placement — and therefore the
-// cache behaviour — of every later allocation is a pure function of the
-// boot seed and the guest's actions. (Map-order frees made simulated
-// cycles flicker across identical runs once several processes exited
-// mid-run; the posix-sockets differential rows caught it.)
+// Release drops every mapping (process exit). Resident pages are
+// released in ascending address order: freed frames re-enter the shared
+// allocator in a deterministic sequence, so the physical placement — and
+// therefore the cache behaviour — of every later allocation is a pure
+// function of the boot seed and the guest's actions. (Map-order frees
+// made simulated cycles flicker across identical runs once several
+// processes exited mid-run; the posix-sockets differential rows caught
+// it.) Only the resident pages are sorted: demand-zero pages free
+// nothing, and swap slots are returned in any order.
 func (as *AddressSpace) Release() {
-	for _, p := range as.sortedVPNs() {
-		as.release(as.pages[p])
-		delete(as.pages, p)
+	type resident struct{ vpn, frame uint64 }
+	var frames []resident
+	for p, e := range as.pages {
+		if e.present {
+			frames = append(frames, resident{p, e.frame})
+		}
+		if e.swapped {
+			as.sys.Swap.take(e.swapID)
+		}
 	}
+	slices.SortFunc(frames, func(a, b resident) int { return cmp.Compare(a.vpn, b.vpn) })
+	for _, r := range frames {
+		as.sys.Frames.decref(r.frame)
+	}
+	clear(as.pages)
 }
 
 // Regions returns the mapped ranges, merged and sorted, for /proc-style
@@ -578,7 +586,7 @@ func (as *AddressSpace) Regions() []Region {
 	for p := range as.pages {
 		vpns = append(vpns, p)
 	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
+	slices.Sort(vpns)
 	var out []Region
 	cur := Region{Start: vpns[0] << PageShift, End: (vpns[0] + 1) << PageShift, Prot: as.pages[vpns[0]].prot}
 	for _, p := range vpns[1:] {

@@ -346,8 +346,8 @@ func (pf *pipeFile) Read(f *FDesc, b []byte) (int, Errno) {
 	if len(pf.pip.buf) == 0 {
 		return 0, OK // writers gone: EOF (Poll gates the blocking case)
 	}
-	n := copy(b, pf.pip.buf)
-	pf.pip.buf = pf.pip.buf[n:]
+	var n int
+	pf.pip.buf, n = queueRead(pf.pip.buf, b)
 	return n, OK
 }
 
@@ -362,7 +362,7 @@ func (pf *pipeFile) Write(f *FDesc, b []byte) (int, Errno) {
 	if space := pipeCap - len(pf.pip.buf); n > space {
 		n = space
 	}
-	pf.pip.buf = append(pf.pip.buf, b[:n]...)
+	pf.pip.buf = queueWrite(pf.pip.buf, b[:n], pipeCap)
 	return n, OK
 }
 

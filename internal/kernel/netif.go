@@ -187,7 +187,7 @@ func (k *Kernel) DeliverNetPacket(p *NetPacket) {
 			k.netEmit(k.netReply(p, NetRst, 0))
 			return
 		}
-		s.recv.data = append(s.recv.data, p.Data...)
+		s.recv.data = queueWrite(s.recv.data, p.Data, sockCap)
 		s.q.Wake(k) // readers and pollers
 	case NetAck:
 		s := k.netConns[p.DstConn]

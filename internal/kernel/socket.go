@@ -172,8 +172,8 @@ func (s *socketFile) Read(f *FDesc, b []byte) (int, Errno) {
 		// the stream is finished: EOF (recv.shut or peerGone).
 		return 0, OK
 	}
-	n := copy(b, s.recv.data)
-	s.recv.data = s.recv.data[n:]
+	var n int
+	s.recv.data, n = queueRead(s.recv.data, b)
 	if s.domain == AFInet && !s.peerGone {
 		// Credit return: the guest drained n bytes, so the peer may send
 		// n more (loopback delivers the Ack synchronously, waking the
@@ -207,7 +207,7 @@ func (s *socketFile) Write(f *FDesc, b []byte) (int, Errno) {
 	if space := sockCap - len(s.send.data); n > space {
 		n = space
 	}
-	s.send.data = append(s.send.data, b[:n]...)
+	s.send.data = queueWrite(s.send.data, b[:n], sockCap)
 	return n, OK
 }
 

@@ -11,10 +11,17 @@ import (
 // spawnStopped builds a minimal CheriABI process without running it.
 func spawnStopped(t *testing.T) (*Machine, *Proc) {
 	t.Helper()
+	return spawnStoppedCode(t, image.ABICheri, isa.Inst{Op: isa.BREAK})
+}
+
+// spawnStoppedCode builds a process under abi whose code is the one
+// instruction in, without running it.
+func spawnStoppedCode(t *testing.T, abi image.ABI, in isa.Inst) (*Machine, *Proc) {
+	t.Helper()
 	m := NewMachine(Config{MemBytes: 64 << 20})
 	img := &image.Image{
-		Name: "victim", ABI: image.ABICheri,
-		Code:  []uint32{isa.MustEncode(isa.Inst{Op: isa.BREAK})},
+		Name: "victim", ABI: abi,
+		Code:  []uint32{isa.MustEncode(in)},
 		Entry: "_start",
 		Symbols: map[string]*image.Symbol{
 			"_start": {Name: "_start", Kind: image.SymFunc, Sec: image.SecText, Size: 4, Global: true},

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"cheriabi/internal/mem"
@@ -310,4 +312,174 @@ func TestReleaseOrderDeterministic(t *testing.T) {
 			t.Fatalf("free list order diverged at %d: %#x vs %#x", i, a[i], b[i])
 		}
 	}
+}
+
+// freeListFrames is the allocator Frames replaced, kept as its oracle:
+// every free frame sits on one list, built in descending address order,
+// and allocation pops its tail, so frames come out in ascending order
+// with freed frames pushed on top, most recent first.
+type freeListFrames struct {
+	free []uint64
+	refs map[uint64]int
+}
+
+func newFreeListFrames(start, end uint64) *freeListFrames {
+	f := &freeListFrames{refs: map[uint64]int{}}
+	for pa := end &^ (PageSize - 1); pa >= start+PageSize; pa -= PageSize {
+		f.free = append(f.free, pa-PageSize)
+	}
+	return f
+}
+
+func (f *freeListFrames) alloc() uint64 {
+	pa := f.free[len(f.free)-1]
+	f.free = f.free[:len(f.free)-1]
+	f.refs[pa] = 1
+	return pa
+}
+
+func (f *freeListFrames) incref(pa uint64) { f.refs[pa]++ }
+
+func (f *freeListFrames) decref(pa uint64) {
+	f.refs[pa]--
+	if f.refs[pa] == 0 {
+		delete(f.refs, pa)
+		f.free = append(f.free, pa)
+	}
+}
+
+func (f *freeListFrames) clone() *freeListFrames {
+	nf := &freeListFrames{free: append([]uint64(nil), f.free...), refs: map[uint64]int{}}
+	for pa, c := range f.refs {
+		nf.refs[pa] = c
+	}
+	return nf
+}
+
+// oraclePage is the oracle's page-table entry: a resident, writable
+// page and whether it is copy-on-write.
+type oraclePage struct {
+	frame uint64
+	cow   bool
+}
+
+// FuzzFramesMatchesFreeList drives a System's Frames, directly and
+// through address spaces, alongside the free-list oracle and a plain
+// model of the page tables, and requires every frame handed out and
+// every Free() count to agree. Each 2-byte group of the input is one op:
+// allocate, incref or decref a loose frame; write-touch a page (demand
+// zero or a copy-on-write copy); fork, release or create an address
+// space; or clone the allocator. Cloning also allocates two frames on
+// the abandoned original and frees them in allocation order, so a clone
+// that shared state with it would diverge. At the end both sides hand out every remaining frame,
+// which must come out in the same order.
+func FuzzFramesMatchesFreeList(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 0, 3, 4, 4, 0, 3, 4, 5, 0, 0, 0, 2, 0, 6, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		const reserved, size = 1 << 20, 1<<20 + 64*PageSize
+		s := NewSystem(mem.New(size, 16), reserved)
+		o := newFreeListFrames(reserved, size)
+		type space struct {
+			as    *AddressSpace
+			pages map[uint64]*oraclePage
+		}
+		var spaces []*space
+		var loose []uint64 // one entry per reference held outside any address space
+		check := func(what string) {
+			t.Helper()
+			if got, want := s.Frames.Free(), len(o.free); got != want {
+				t.Fatalf("after %s: Free() = %d, oracle %d", what, got, want)
+			}
+		}
+		for ; len(in) >= 2; in = in[2:] {
+			kind, arg := in[0]%8, int(in[1])
+			switch {
+			case kind == 0 && len(o.free) > 0:
+				got, want := s.Frames.alloc(), o.alloc()
+				if got != want {
+					t.Fatalf("alloc = %#x, oracle %#x", got, want)
+				}
+				loose = append(loose, got)
+			case kind == 1 && len(loose) > 0:
+				pa := loose[arg%len(loose)]
+				s.Frames.incref(pa)
+				o.incref(pa)
+				loose = append(loose, pa)
+			case kind == 2 && len(loose) > 0:
+				i := arg % len(loose)
+				s.Frames.decref(loose[i])
+				o.decref(loose[i])
+				loose = append(loose[:i], loose[i+1:]...)
+			case kind == 3 && len(spaces) > 0 && len(o.free) > 0:
+				sp := spaces[arg%len(spaces)]
+				vpn := uint64(0x10 + arg/8%16)
+				va := vpn << PageShift
+				pg := sp.pages[vpn]
+				if pg == nil {
+					if err := sp.as.Map(va, PageSize, ProtRead|ProtWrite, false); err != nil {
+						t.Fatal(err)
+					}
+					pg = &oraclePage{frame: o.alloc()}
+					sp.pages[vpn] = pg
+				} else if pg.cow {
+					if o.refs[pg.frame] > 1 {
+						old := pg.frame
+						pg.frame = o.alloc()
+						o.decref(old)
+					}
+					pg.cow = false
+				}
+				got, pf := sp.as.Translate(va, ProtWrite)
+				if pf != nil {
+					t.Fatal(pf)
+				}
+				if got != pg.frame {
+					t.Fatalf("write to va %#x: frame %#x, oracle %#x", va, got, pg.frame)
+				}
+			case kind == 4 && len(spaces) > 0:
+				sp := spaces[arg%len(spaces)]
+				child := &space{as: sp.as.Fork(), pages: map[uint64]*oraclePage{}}
+				for vpn, pg := range sp.pages {
+					o.incref(pg.frame)
+					pg.cow = true
+					child.pages[vpn] = &oraclePage{frame: pg.frame, cow: true}
+				}
+				spaces = append(spaces, child)
+			case kind == 5 && len(spaces) > 0:
+				i := arg % len(spaces)
+				sp := spaces[i]
+				sp.as.Release()
+				vpns := make([]uint64, 0, len(sp.pages))
+				for vpn := range sp.pages {
+					vpns = append(vpns, vpn)
+				}
+				slices.Sort(vpns)
+				for _, vpn := range vpns {
+					o.decref(sp.pages[vpn].frame)
+				}
+				spaces = append(spaces[:i], spaces[i+1:]...)
+			case kind == 6:
+				orig, origO := s.Frames, o
+				s.Frames, o = orig.Clone(), o.clone()
+				if len(origO.free) >= 2 {
+					// Free two frames in allocation order: the original's
+					// free stack ends up reordered.
+					a, b := orig.alloc(), orig.alloc()
+					orig.decref(a)
+					orig.decref(b)
+				}
+			case kind == 7:
+				spaces = append(spaces, &space{as: s.NewAddressSpace(), pages: map[uint64]*oraclePage{}})
+			default:
+				continue
+			}
+			check(fmt.Sprintf("op %d(%d)", kind, arg))
+		}
+		for i := 0; len(o.free) > 0; i++ {
+			if got, want := s.Frames.alloc(), o.alloc(); got != want {
+				t.Fatalf("draining, frame %d: %#x, oracle %#x", i, got, want)
+			}
+		}
+		check("draining")
+	})
 }

@@ -7,7 +7,6 @@
 package vm
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -105,7 +104,7 @@ type Frames struct {
 	refs    map[uint64]int
 }
 
-// NewFrames manages the whole frames in physical addresses [start, end).
+// NewFrames manages every whole frame in physical addresses [start, end).
 func NewFrames(start, end uint64) *Frames {
 	hw := (start + PageSize - 1) &^ (PageSize - 1)
 	end &^= PageSize - 1
@@ -559,19 +558,18 @@ func (as *AddressSpace) Fork() *AddressSpace {
 // it.) Only the resident pages are sorted: demand-zero pages free
 // nothing, and swap slots are returned in any order.
 func (as *AddressSpace) Release() {
-	type resident struct{ vpn, frame uint64 }
-	var frames []resident
+	var resident []uint64
 	for p, e := range as.pages {
 		if e.present {
-			frames = append(frames, resident{p, e.frame})
+			resident = append(resident, p)
 		}
 		if e.swapped {
 			as.sys.Swap.take(e.swapID)
 		}
 	}
-	slices.SortFunc(frames, func(a, b resident) int { return cmp.Compare(a.vpn, b.vpn) })
-	for _, r := range frames {
-		as.sys.Frames.decref(r.frame)
+	slices.Sort(resident)
+	for _, p := range resident {
+		as.sys.Frames.decref(as.pages[p].frame)
 	}
 	clear(as.pages)
 }

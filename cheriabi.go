@@ -162,7 +162,7 @@ func newSystem(m *kernel.Machine, cfg Config) *System {
 
 // Snapshot is an immutable post-boot machine image. Clone stamps out
 // fresh booted Systems from it in O(touched pages) — physical memory is
-// shared copy-on-write at 1 MiB chunk granularity, kernel tables are
+// shared copy-on-write at 64 KiB chunk granularity, kernel tables are
 // deep-copied — instead of paying full kernel boot per machine. Any
 // number of goroutines may Clone the same Snapshot concurrently; the
 // evaluation fleet runners stamp one clone per sweep row.

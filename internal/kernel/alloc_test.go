@@ -104,12 +104,13 @@ func (h *ioProc) open(f File) uint64 {
 	return uint64(h.th.Proc.allocFD(&FDesc{file: f, flags: ORdWr, refs: 1}))
 }
 
-// wantZeroAllocs runs op under AllocsPerRun under both ABIs; op reports
-// a failed call as an error string.
-func wantZeroAllocs(t *testing.T, name string, op func(h *ioProc) string) {
+// wantZeroAllocs runs setup and then op under AllocsPerRun, under both
+// ABIs; op reports a failed call as an error string.
+func wantZeroAllocs(t *testing.T, name string, setup func(h *ioProc), op func(h *ioProc) string) {
 	t.Helper()
 	for _, abi := range []image.ABI{image.ABILegacy, image.ABICheri} {
 		h := newIOProc(t, abi)
+		setup(h)
 		var failed string
 		allocs := testing.AllocsPerRun(100, func() {
 			if msg := op(h); msg != "" && failed == "" {
@@ -134,19 +135,19 @@ func moved(what string, n uint64, e Errno) string {
 }
 
 func TestFileReadWriteDoesNotAllocate(t *testing.T) {
-	wantZeroAllocs(t, "write+lseek+read of a regular file", func(h *ioProc) string {
-		if h.th.Proc.fd(3) == nil {
-			h.k.FS.WriteFile("/data", nil)
-			h.open(&vnodeFile{node: h.k.FS.lookup("/data")})
-		}
-		n, e := h.call(SysWrite, []uint64{3, ioAllocLen}, []cap.Capability{h.buf})
+	var fd uint64
+	wantZeroAllocs(t, "write+lseek+read of a regular file", func(h *ioProc) {
+		h.k.FS.WriteFile("/data", nil)
+		fd = h.open(&vnodeFile{node: h.k.FS.lookup("/data")})
+	}, func(h *ioProc) string {
+		n, e := h.call(SysWrite, []uint64{fd, ioAllocLen}, []cap.Capability{h.buf})
 		if msg := moved("write", n, e); msg != "" {
 			return msg
 		}
-		if _, e := h.call(SysLseek, []uint64{3, 0, 0}, nil); e != OK {
+		if _, e := h.call(SysLseek, []uint64{fd, 0, 0}, nil); e != OK {
 			return "lseek: errno " + itoa(int(e))
 		}
-		n, e = h.call(SysRead, []uint64{3, ioAllocLen}, []cap.Capability{h.buf})
+		n, e = h.call(SysRead, []uint64{fd, ioAllocLen}, []cap.Capability{h.buf})
 		return moved("read", n, e)
 	})
 }
@@ -159,10 +160,7 @@ func (h *ioProc) pipePair() (r, w uint64) {
 
 func TestPipeWriteReadDoesNotAllocate(t *testing.T) {
 	var r, w uint64
-	wantZeroAllocs(t, "pipe write+read", func(h *ioProc) string {
-		if h.th.Proc.fd(3) == nil {
-			r, w = h.pipePair()
-		}
+	wantZeroAllocs(t, "pipe write+read", func(h *ioProc) { r, w = h.pipePair() }, func(h *ioProc) string {
 		n, e := h.call(SysWrite, []uint64{w, ioAllocLen}, []cap.Capability{h.buf})
 		if msg := moved("write", n, e); msg != "" {
 			return msg
@@ -174,10 +172,7 @@ func TestPipeWriteReadDoesNotAllocate(t *testing.T) {
 
 func TestReadvWritevDoesNotAllocate(t *testing.T) {
 	var r, w uint64
-	wantZeroAllocs(t, "writev+readv over a pipe", func(h *ioProc) string {
-		if h.th.Proc.fd(3) == nil {
-			r, w = h.pipePair()
-		}
+	wantZeroAllocs(t, "writev+readv over a pipe", func(h *ioProc) { r, w = h.pipePair() }, func(h *ioProc) string {
 		n, e := h.call(SysWritev, []uint64{w, 2}, []cap.Capability{h.iov})
 		if msg := moved("writev", n, e); msg != "" {
 			return msg
@@ -189,12 +184,11 @@ func TestReadvWritevDoesNotAllocate(t *testing.T) {
 
 func TestUnixSendRecvDoesNotAllocate(t *testing.T) {
 	var a, b uint64
-	wantZeroAllocs(t, "AF_UNIX send+recv", func(h *ioProc) string {
-		if h.th.Proc.fd(3) == nil {
-			s1, s2 := newSocketFile(h.k, AFUnix), newSocketFile(h.k, AFUnix)
-			wireSockets(s1, s2, &WaitQueue{})
-			a, b = h.open(s1), h.open(s2)
-		}
+	wantZeroAllocs(t, "AF_UNIX send+recv", func(h *ioProc) {
+		s1, s2 := newSocketFile(h.k, AFUnix), newSocketFile(h.k, AFUnix)
+		wireSockets(s1, s2, &WaitQueue{})
+		a, b = h.open(s1), h.open(s2)
+	}, func(h *ioProc) string {
 		n, e := h.call(SysSend, []uint64{a, ioAllocLen, 0}, []cap.Capability{h.buf})
 		if msg := moved("send", n, e); msg != "" {
 			return msg

@@ -14,7 +14,7 @@ import (
 // Machine checkpoint/clone. A MachineSnapshot freezes the post-boot state
 // of a quiescent machine — kernel tables, the VFS, the abstract-capability
 // ledger, the frame allocator, swap, and physical memory (shared
-// copy-on-write at mem's 1 MiB chunk granularity) — and Boot stamps out
+// copy-on-write at mem's 64 KiB chunk granularity) — and Boot stamps out
 // fresh machines from it in O(touched chunks) instead of re-running boot.
 //
 // What is shared vs copied:

@@ -137,9 +137,6 @@ func TestOutOfRangePanics(t *testing.T) {
 // of a chunk boundary are each served whole from their own chunk, and a
 // write through one page's backing never reaches the other.
 func TestPagesTileChunks(t *testing.T) {
-	if chunkSize%PageSize != 0 {
-		t.Fatalf("chunk %d is not a multiple of the page %d", chunkSize, PageSize)
-	}
 	m := New(2*chunkSize, 16)
 	last, first := uint64(chunkSize-PageSize), uint64(chunkSize)
 	d, tags, gen := m.WritablePage(last)

@@ -448,11 +448,10 @@ func BenchmarkEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkBootSnapshot measures the machine checkpoint path piecewise:
-// a full cold kernel boot, capturing a post-boot snapshot, and stamping
-// one copy-on-write clone from it. Boot is already cheap here because
-// physical memory is lazily chunked (nothing is zeroed eagerly); the
-// clone's win is the remaining kernel table construction, and the
+// BenchmarkBootSnapshot measures the boot-template path piecewise: a full
+// cold kernel boot, capturing a template, and stamping one clone from it.
+// A clone is a cold boot that copies the template's file tree instead of
+// building the standard one, so it does no more work than cold-boot; the
 // machines/s metric is what bounds fleet fan-out.
 func BenchmarkBootSnapshot(b *testing.B) {
 	cfg := cheriabi.Config{MemBytes: 128 << 20}
@@ -484,12 +483,10 @@ func BenchmarkBootSnapshot(b *testing.B) {
 }
 
 // BenchmarkCloneFanout measures the fleet-runner path end to end: raw
-// clone fan-out throughput, and the bodiag short sweep under cold-boot
-// versus snapshot provisioning (each run on its own pristine machine
-// either way — only how the machine is stamped differs). Guest execution
-// dominates each bodiag run, so the snapshot win here is bounded by the
-// boot fraction of a run; the runs/s metrics make the actual ratio
-// visible on every CI record.
+// clone fan-out throughput, and the bodiag short sweep with every run on
+// its own freshly booted machine. Guest execution dominates each bodiag
+// run; the runs/s metric makes the boot fraction visible on every CI
+// record.
 func BenchmarkCloneFanout(b *testing.B) {
 	b.Run("clones", func(b *testing.B) {
 		snap, err := cheriabi.NewSystem(cheriabi.Config{MemBytes: 192 << 20}).Snapshot()
@@ -509,25 +506,17 @@ func BenchmarkCloneFanout(b *testing.B) {
 		subset = append(subset, all[i])
 	}
 	workers := driver.AutoWorkers(len(subset) * 4 * len(bodiag.Envs))
-	for _, mode := range []struct {
-		name     string
-		snapshot bool
-	}{
-		{"bodiag-short-cold", false},
-		{"bodiag-short-snapshot", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var res *bodiag.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = bodiag.RunParallelMode(subset, bodiag.Envs, workers, mode.snapshot)
-				if err != nil {
-					b.Fatal(err)
-				}
+	b.Run("bodiag-short", func(b *testing.B) {
+		var res *bodiag.Result
+		var err error
+		for i := 0; i < b.N; i++ {
+			res, err = bodiag.RunParallel(subset, bodiag.Envs, workers)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(res.Detected["cheriabi"][0]), "cheri-min")
-			totalRuns := float64(b.N) * float64(len(subset)*4*len(bodiag.Envs))
-			b.ReportMetric(totalRuns/b.Elapsed().Seconds(), "runs/s")
-		})
-	}
+		}
+		b.ReportMetric(float64(res.Detected["cheriabi"][0]), "cheri-min")
+		totalRuns := float64(b.N) * float64(len(subset)*4*len(bodiag.Envs))
+		b.ReportMetric(totalRuns/b.Elapsed().Seconds(), "runs/s")
+	})
 }

@@ -134,12 +134,15 @@ type System struct {
 }
 
 // NewSystem boots a machine.
-func NewSystem(cfg Config) *System {
+func NewSystem(cfg Config) *System { return newSystem(cfg, kernel.NewFS()) }
+
+// newSystem boots a machine with fs as its file tree.
+func newSystem(cfg Config, fs *kernel.FS) *System {
 	format := cap.Format128
 	if cfg.Cap256 {
 		format = cap.Format256
 	}
-	return newSystem(kernel.NewMachine(kernel.Config{
+	m := kernel.NewMachineFS(kernel.Config{
 		MemBytes:    cfg.MemBytes,
 		Format:      format,
 		Seed:        cfg.Seed,
@@ -147,12 +150,7 @@ func NewSystem(cfg Config) *System {
 		Console:     cfg.Console,
 		Tracer:      cfg.Tracer,
 		OnTrap:      cfg.OnTrap,
-	}), cfg)
-}
-
-// newSystem finishes a booted machine: cfg's capability-creation hook and
-// the C runtime.
-func newSystem(m *kernel.Machine, cfg Config) *System {
+	}, fs)
 	if cfg.OnCapCreate != nil {
 		m.Kern.OnCapCreate = cfg.OnCapCreate
 	}
@@ -160,42 +158,46 @@ func newSystem(m *kernel.Machine, cfg Config) *System {
 	return &System{Machine: m, Kernel: m.Kern, Runtime: rt}
 }
 
-// Snapshot is an immutable post-boot machine image. Clone stamps out
-// fresh booted Systems from it in O(touched pages) — physical memory is
-// shared copy-on-write at 64 KiB chunk granularity, kernel tables are
-// deep-copied — instead of paying full kernel boot per machine. Any
-// number of goroutines may Clone the same Snapshot concurrently; the
-// evaluation fleet runners stamp one clone per sweep row.
+// Snapshot is a boot template: a machine's memory size, capability
+// format and a frozen copy of its file tree. Clone boots a fresh System
+// with those values and gives it its own copy of the tree. Boot writes no
+// guest memory, so this is all the state a never-run machine holds that
+// NewSystem would not rebuild. Any number of goroutines may Clone the
+// same Snapshot concurrently; driver.RunFleet, given one, stamps one
+// clone per node.
 type Snapshot struct {
-	ms *kernel.MachineSnapshot
+	memBytes uint64
+	cap256   bool
+	fs       *kernel.FS
 }
 
-// Snapshot captures the booted machine for cloning. The machine must be
-// quiescent: freshly booted, or with every spawned process run to
-// completion and reaped. A cloned boot from a Seed-0 template is
-// bit-identical to a cold NewSystem boot with the clone's Config — the
-// differential suite's TestSnapshotCloneDifferential enforces this on the
-// reference and the fast engine.
+// Snapshot captures the machine as a boot template. A machine on which a
+// process was ever spawned is refused, even after the process is reaped:
+// running a program leaves state behind (memory, frames, the clock, the
+// ledger) that a template does not carry. Edits to the file tree of a
+// fresh boot are kept; later writes to the template's tree do not reach
+// its clones.
 func (s *System) Snapshot() (*Snapshot, error) {
-	ms, err := s.Machine.Snapshot()
-	if err != nil {
-		return nil, err
+	if s.Kernel.Spawned() {
+		return nil, fmt.Errorf("cheriabi: snapshot requires a machine that has never spawned a process")
 	}
-	return &Snapshot{ms: ms}, nil
+	return &Snapshot{
+		memBytes: s.Machine.Mem.Size(),
+		cap256:   s.Machine.Fmt == cap.Format256,
+		fs:       s.Kernel.FS.Clone(),
+	}, nil
 }
 
 // Clone boots a fresh System from the snapshot. cfg.MemBytes and
-// cfg.Cap256 are fixed by the snapshot and ignored; the seed, urandom,
-// console, tracers, and trap observer apply to the clone exactly as they
-// would to NewSystem.
+// cfg.Cap256 are fixed by the snapshot and ignored; every other field
+// applies to the clone exactly as it would to NewSystem. A clone is a
+// cold boot with the template's file tree, so it is bit-identical to
+// NewSystem with the same Config and tree — the differential suite's
+// TestSnapshotCloneDifferential enforces this on the reference and the
+// fast engine.
 func (s *Snapshot) Clone(cfg Config) *System {
-	return newSystem(s.ms.Boot(kernel.Config{
-		Seed:        cfg.Seed,
-		UrandomSeed: cfg.UrandomSeed,
-		Console:     cfg.Console,
-		Tracer:      cfg.Tracer,
-		OnTrap:      cfg.OnTrap,
-	}), cfg)
+	cfg.MemBytes, cfg.Cap256 = s.memBytes, s.cap256
+	return newSystem(cfg, s.fs.Clone())
 }
 
 // Install places an image in the VFS: executables under /bin, libraries

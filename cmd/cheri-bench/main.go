@@ -23,8 +23,6 @@ func main() {
 	seeds := flag.Int("seeds", 3, "number of layout seeds per measurement")
 	workersFlag := flag.Int("workers", runtime.GOMAXPROCS(0),
 		"parallel evaluation workers (the default auto-calibrates to host parallelism and the sweep size)")
-	snapshot := flag.Bool("snapshot", true,
-		"clone each sweep machine from one shared pre-booted snapshot; false cold-boots per run (differential reference)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
@@ -80,7 +78,7 @@ func main() {
 		for i := 0; i < *seeds; i++ {
 			seedList = append(seedList, int64(i*7+1))
 		}
-		rows, err := workload.Figure4RowsMode(workload.Figure4, seedList, *workers, *snapshot)
+		rows, err := workload.Figure4Rows(workload.Figure4, seedList, *workers)
 		if err != nil {
 			return err
 		}
@@ -95,7 +93,7 @@ func main() {
 
 	run("table1", func() error {
 		fmt.Println("\nTable 1. Test-suite results under both ABIs")
-		rows, err := testsuite.Table1ParallelWith(*workers, *snapshot)
+		rows, err := testsuite.Table1Parallel(*workers)
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,7 @@
 // Command cheri-bodiag regenerates the paper's Table 3: BOdiagsuite
 // detections under mips64, CheriABI, and AddressSanitizer. The 291×4×3
-// sweep is sharded across a worker pool (one simulated System per
-// goroutine per environment); the aggregated table is identical for any
-// worker count.
+// sweep is sharded across a worker pool (one freshly booted System per
+// run); the aggregated table is identical for any worker count.
 package main
 
 import (
@@ -18,8 +17,6 @@ import (
 func main() {
 	workersFlag := flag.Int("workers", runtime.GOMAXPROCS(0),
 		"parallel evaluation workers (the default auto-calibrates to host parallelism and the sweep size)")
-	snapshot := flag.Bool("snapshot", true,
-		"clone each run's machine from one shared pre-booted snapshot; false cold-boots per run (differential reference)")
 	flag.Parse()
 
 	cases := bodiag.Generate()
@@ -28,9 +25,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cheri-bodiag:", err)
 		os.Exit(2)
 	}
-	fmt.Printf("Running BOdiagsuite: %d cases x 4 variants x 3 environments (%d workers, snapshot=%v)\n",
-		len(cases), workers, *snapshot)
-	res, err := bodiag.RunParallelMode(cases, bodiag.Envs, workers, *snapshot)
+	fmt.Printf("Running BOdiagsuite: %d cases x 4 variants x 3 environments (%d workers)\n",
+		len(cases), workers)
+	res, err := bodiag.RunParallel(cases, bodiag.Envs, workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cheri-bodiag:", err)
 		os.Exit(1)

@@ -33,8 +33,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print architectural statistics")
 	seed := flag.Int64("seed", 0, "layout perturbation seed")
 	runs := flag.Int("runs", 1, "repeat the program across n machines with seeds seed..seed+n-1")
-	snapshot := flag.Bool("snapshot", true,
-		"with -runs > 1, clone each machine from one shared pre-booted snapshot; false cold-boots per run")
 	wlName := flag.String("workload", "", "run a named Figure 4 workload instead of a source file")
 	list := flag.Bool("list", false, "list the runnable workload names and exit")
 	flag.Parse()
@@ -97,27 +95,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cheri-run: -runs must be positive")
 		os.Exit(2)
 	}
-	// With -runs > 1 and -snapshot, boot one template machine and stamp
-	// each run's machine as a copy-on-write clone (the seed is a clone-time
-	// knob, so one snapshot serves every run).
-	var snap *cheriabi.Snapshot
-	if *runs > 1 && *snapshot {
-		var err error
-		snap, err = cheriabi.NewSystem(cheriabi.Config{}).Snapshot()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cheri-run:", err)
-			os.Exit(1)
-		}
-	}
 	exitCode := 0
 	for i := 0; i < *runs; i++ {
-		cfg := cheriabi.Config{Seed: *seed + int64(i), Console: os.Stdout}
-		var sys *cheriabi.System
-		if snap != nil {
-			sys = snap.Clone(cfg)
-		} else {
-			sys = cheriabi.NewSystem(cfg)
-		}
+		sys := cheriabi.NewSystem(cheriabi.Config{Seed: *seed + int64(i), Console: os.Stdout})
 		for _, lib := range libs {
 			if _, err := sys.Install(lib); err != nil {
 				fmt.Fprintln(os.Stderr, "cheri-run:", err)

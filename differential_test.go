@@ -379,10 +379,12 @@ func TestBootRunsNothing(t *testing.T) {
 	}
 }
 
-// TestSnapshotRequiresQuiescence: capturing a machine with a live process
-// must be refused — in-flight CPU context, wait queues, and address
-// spaces are not checkpointable state — and must succeed again once the
-// process is run to completion and reaped.
+// TestSnapshotRequiresQuiescence: only a machine that has never spawned
+// a process is a boot template. A machine with a live process is refused,
+// and so is one whose processes have all been reaped, since running a
+// program leaves state behind that a template does not carry. A fresh
+// boot whose file tree was edited is accepted; its clones see the tree as
+// it was at Snapshot and none of the template's later writes.
 func TestSnapshotRequiresQuiescence(t *testing.T) {
 	img, _, err := cheriabi.Compile(cheriabi.CompileOptions{Name: "quiet", ABI: cheriabi.ABICheri},
 		`int main() { return 0; }`)
@@ -405,42 +407,47 @@ func TestSnapshotRequiresQuiescence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Kernel.Reap(p)
-	if _, err := sys.Snapshot(); err != nil {
-		t.Fatalf("snapshot after reap: %v", err)
+	if _, err := sys.Snapshot(); err == nil {
+		t.Fatal("snapshot of a machine whose process was reaped must fail")
 	}
 
-	// A pending timer is likewise non-checkpointable state: a guest parked
-	// mid-sleep must be refused — by the timer check specifically, since
-	// the deadline heap references live thread state a clone cannot carry.
-	img, _, err = cheriabi.Compile(cheriabi.CompileOptions{Name: "dozer", ABI: cheriabi.ABICheri},
-		`int main() { poll(0, 0, 50); return 0; }`)
+	template := cheriabi.NewSystem(cheriabi.Config{MemBytes: 64 << 20})
+	template.Kernel.FS.Mkdir("/work")
+	if err := template.Kernel.FS.WriteFile("/work/in", []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := template.Install(img); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := template.Snapshot()
 	if err != nil {
+		t.Fatalf("snapshot of a fresh boot with file-tree edits: %v", err)
+	}
+	if err := template.Kernel.FS.WriteFile("/work/in", []byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	path, err = sys.Install(img)
-	if err != nil {
+	if err := template.Kernel.FS.WriteFile("/work/late", []byte("late")); err != nil {
 		t.Fatal(err)
 	}
-	p, err = sys.Kernel.Spawn(path, []string{"dozer"}, nil)
-	if err != nil {
+	clone := snap.Clone(cheriabi.Config{Seed: 3})
+	if b, err := clone.Kernel.FS.ReadFile("/work/in"); err != nil || string(b) != "before" {
+		t.Fatalf("clone's /work/in = %q, %v; want the tree as it was at Snapshot", b, err)
+	}
+	if _, err := clone.Kernel.FS.ReadFile("/work/late"); err == nil {
+		t.Fatal("a file the template wrote after Snapshot reached the clone")
+	}
+	if got, want := clone.Machine.Mem.Size(), uint64(64<<20); got != want {
+		t.Fatalf("clone memory %d, template %d", got, want)
+	}
+	res, err := clone.RunPath(path, "quiet")
+	if err != nil || res.ExitCode != 0 {
+		t.Fatalf("installed image did not run on the clone: %+v, %v", res, err)
+	}
+	if err := clone.Kernel.FS.WriteFile("/work/in", []byte("clone")); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Kernel.Run(0, func() bool { return sys.Kernel.PendingTimers() > 0 }); err != nil {
-		t.Fatal(err)
-	}
-	if sys.Kernel.PendingTimers() == 0 {
-		t.Fatal("guest never armed a timer")
-	}
-	_, err = sys.Snapshot()
-	if err == nil || !strings.Contains(err.Error(), "pending timers") {
-		t.Fatalf("snapshot with a pending timer must fail with the timer reason, got: %v", err)
-	}
-	if err := sys.Kernel.RunUntilExit(p, 0); err != nil {
-		t.Fatal(err)
-	}
-	sys.Kernel.Reap(p)
-	if _, err := sys.Snapshot(); err != nil {
-		t.Fatalf("snapshot after the sleeper drained: %v", err)
+	if b, _ := snap.Clone(cheriabi.Config{}).Kernel.FS.ReadFile("/work/in"); string(b) != "before" {
+		t.Fatalf("a clone's write reached a sibling clone: %q", b)
 	}
 }
 

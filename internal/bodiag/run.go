@@ -76,8 +76,8 @@ func (r *Runner) detected(env Env, c Case, v Variant) (bool, error) {
 // kernel/library path refused the access (exit 99 = EFAULT observed).
 // Detection is an architectural outcome, invariant to the machine's
 // physical placement and reuse state, so running on a reused per-env
-// system, a fresh boot, or a snapshot clone gives the same answer — the
-// parallel determinism test and the differential suite both enforce this.
+// system or a fresh boot gives the same answer — the parallel determinism
+// test and the differential suite both enforce this.
 func detectedOn(sys *cheriabi.System, env Env, c Case, v Variant) (bool, error) {
 	src := Source(c, v)
 	// The image name must be a deterministic function of (case, variant,
@@ -132,22 +132,15 @@ func (r *Runner) RunEnvs(cases []Case, envs []Env) (*Result, error) {
 	return out, nil
 }
 
-// RunParallel evaluates cases across a worker pool, stamping each run's
-// machine as a copy-on-write clone of one shared template boot, and
-// aggregates exactly the same Table 3 a sequential RunEnvs produces:
+// RunParallel evaluates cases across a worker pool and aggregates exactly
+// the same Table 3 a sequential RunEnvs produces. Every (case, variant,
+// env) run is one item executed on its own freshly booted machine, so no
+// simulated state leaks between runs regardless of scheduling; and
 // detection is an architectural outcome (signal or EFAULT), not a timing
-// or placement one, so machine provisioning and worker count cannot change
-// it — the parallel determinism test compares this path against RunEnvs.
+// or placement one, so neither the machine nor the worker count can
+// change it — the parallel determinism test compares this path against
+// RunEnvs.
 func RunParallel(cases []Case, envs []Env, workers int) (*Result, error) {
-	return RunParallelMode(cases, envs, workers, true)
-}
-
-// RunParallelMode is RunParallel with explicit machine provisioning. Every
-// (case, variant, env) run is one fleet item executed on its own pristine
-// machine — snapshot=true clones it from a shared pre-booted template,
-// false cold-boots it (the differential reference) — so no simulated state
-// leaks between runs regardless of scheduling.
-func RunParallelMode(cases []Case, envs []Env, workers int, snapshot bool) (*Result, error) {
 	type run struct {
 		ci, ei, vi int // vi indexes variants: 0 = OK, 1..3 = min/med/large
 	}
@@ -160,20 +153,9 @@ func RunParallelMode(cases []Case, envs []Env, workers int, snapshot bool) (*Res
 			}
 		}
 	}
-	makeSystem := func(run) (*cheriabi.System, error) { return newSystem(), nil }
-	if snapshot {
-		snap, err := newSystem().Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		makeSystem = func(run) (*cheriabi.System, error) {
-			return snap.Clone(cheriabi.Config{}), nil
-		}
-	}
-	hits, err := driver.MapFleet(workers, runs, makeSystem,
-		func(sys *cheriabi.System, r run) (bool, error) {
-			return detectedOn(sys, envs[r.ei], cases[r.ci], variants[r.vi])
-		})
+	hits, err := driver.Map(workers, runs, func(r run) (bool, error) {
+		return detectedOn(newSystem(), envs[r.ei], cases[r.ci], variants[r.vi])
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -141,29 +141,6 @@ func NewLedger() *Ledger {
 	}
 }
 
-// Clone returns a ledger that shares the recorded nodes but evolves
-// independently (machine snapshot/clone support). Principal and
-// AbstractCap nodes are immutable after creation — derivation only ever
-// appends — so the maps copy but the node pointers are shared: clones
-// running on separate goroutines only read them, and each clone's own
-// derivations land in its private maps.
-func (l *Ledger) Clone() *Ledger {
-	n := &Ledger{
-		principals: make(map[uint64]*Principal, len(l.principals)),
-		caps:       make(map[uint64]*AbstractCap, len(l.caps)),
-		violations: append([]Violation(nil), l.violations...),
-		nextPrin:   l.nextPrin,
-		nextCap:    l.nextCap,
-	}
-	for id, p := range l.principals {
-		n.principals[id] = p
-	}
-	for id, a := range l.caps {
-		n.caps[id] = a
-	}
-	return n
-}
-
 // NewPrincipal mints a fresh principal ("freshly created for the kernel
 // and each process address space, unique over the entire execution").
 func (l *Ledger) NewPrincipal(kind PrincipalKind, name string) *Principal {

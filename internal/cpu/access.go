@@ -113,7 +113,7 @@ func (c *CPU) loadViaP(auth *cap.Capability, ea, size uint64) (uint64, error) {
 	if e.as == c.AS && e.gen == c.AS.Gen && e.vpn == vpn && e.prot&vm.ProtRead != 0 {
 		off := ea & pageOffMask
 		pa = e.base + off
-		if e.backed(c) {
+		if e.data != nil {
 			// Backed hit: serve the load from the entry's page slice. An
 			// aligned power-of-two access of ≤ 8 bytes never leaves the
 			// page. The inline-able front-latch probe comes first; only a
@@ -143,34 +143,25 @@ func (c *CPU) loadViaP(auth *cap.Capability, ea, size uint64) (uint64, error) {
 			return 0, pf
 		}
 	}
-	c.fillRead(e, pa)
+	c.fill(e, pa)
 	c.Stats.Cycles += c.Hier.Data(pa, size, false)
 	return c.Mem.Load(pa, size), nil
 }
 
-// fillRead attaches a read backing to e, which holds the read proof for
-// the page containing pa, unless it already has a current backing. A
-// never-written page gets none: it reads as zero through Load, and
-// materializing it on a read would change the lazy-allocation observable
-// Epoch.
-func (c *CPU) fillRead(e *tlbEntry, pa uint64) {
-	if e.backed(c) {
+// fill attaches a backing to e, which holds a proof for the page
+// containing pa, unless it already has one. A never-written page gets
+// none: it reads as zero through Load, and materializing it on a read
+// would change what the lazy allocator observably allocates. Store and
+// StoreCap materialize the chunk first, so filling after a store always
+// attaches one. Kept out of line so the slow path it sits on does not
+// grow the hot access functions' frames.
+//
+//go:noinline
+func (c *CPU) fill(e *tlbEntry, pa uint64) {
+	if e.data != nil {
 		return
 	}
-	if d, t := c.Mem.ReadablePage(pa &^ pageOffMask); d != nil {
-		e.data, e.tags, e.pgen, e.epoch = d, t, nil, c.Mem.Epoch()
-	}
-}
-
-// fillWrite attaches a writable backing to e, which holds the write proof
-// for the page containing pa. Callers fill only AFTER the store: Store and
-// StoreCap materialize (and, if snapshot-shared, privatize) the chunk, so
-// WritablePage here never moves arrays again and the Epoch read is
-// post-settlement.
-func (c *CPU) fillWrite(e *tlbEntry, pa uint64) {
-	if d, t, g := c.Mem.WritablePage(pa &^ pageOffMask); d != nil {
-		e.data, e.tags, e.pgen, e.epoch = d, t, g, c.Mem.Epoch()
-	}
+	e.data, e.tags, e.pgen = c.Mem.Page(pa &^ pageOffMask)
 }
 
 // StoreVia performs a capability-authorized scalar store.
@@ -193,8 +184,8 @@ func (c *CPU) storeViaP(auth *cap.Capability, ea, size, v uint64) error {
 	if e.as == c.AS && e.gen == c.AS.Gen && e.vpn == vpn && e.prot&vm.ProtWrite != 0 {
 		off := ea & pageOffMask
 		pa = e.base + off
-		if e.pgen != nil && e.backed(c) {
-			// Writable-backed hit: write the page slice directly, taking
+		if e.data != nil {
+			// Backed hit: write the page slice directly, taking
 			// over Store's aligned single-granule contract — an aligned
 			// store of ≤ 8 bytes never straddles a ≥ 16-byte tag granule,
 			// so exactly one tag is cleared and one page generation bumped.
@@ -230,7 +221,7 @@ func (c *CPU) storeViaP(auth *cap.Capability, ea, size, v uint64) error {
 	}
 	c.Stats.Cycles += c.Hier.Data(pa, size, true)
 	c.Mem.Store(pa, size, v)
-	c.fillWrite(e, pa)
+	c.fill(e, pa)
 	return nil
 }
 
@@ -259,7 +250,7 @@ func (c *CPU) capMem(in isa.Inst) error {
 
 // loadCapP is LoadCapVia behind a pointer, writing the loaded capability
 // straight into register rd (c0 stays NULL). A load whose checks pass and
-// whose page has a current backing is served from the micro-TLB entry;
+// whose page has a backing is served from the micro-TLB entry;
 // anything else — a fault, a TLB miss, an unbacked page — runs
 // LoadCapVia's exact sequence from the start. The fast path changes no
 // state before it commits, so the fallback sees the machine untouched.
@@ -268,7 +259,7 @@ func (c *CPU) loadCapP(auth *cap.Capability, ea uint64, rd uint8) error {
 	if ea&(bytes-1) == 0 && auth.Authorizes(ea, bytes, cap.PermLoad) {
 		vpn := ea >> vm.PageShift
 		e := &c.tlb[vpn&(dtlbSize-1)]
-		if e.as == c.AS && e.gen == c.AS.Gen && e.vpn == vpn && e.prot&vm.ProtRead != 0 && e.backed(c) {
+		if e.as == c.AS && e.gen == c.AS.Gen && e.vpn == vpn && e.prot&vm.ProtRead != 0 && e.data != nil {
 			off := ea & pageOffMask
 			pa := e.base + off
 			if lat, ok := c.Hier.L1D.DataHit(pa, bytes, false); ok {
@@ -291,16 +282,15 @@ func (c *CPU) loadCapP(auth *cap.Capability, ea uint64, rd uint8) error {
 	return nil
 }
 
-// storeCapP is StoreCapVia behind pointers, served from a writable
-// micro-TLB backing when every check passes (see loadCapP); anything else
+// storeCapP is StoreCapVia behind pointers, served from the micro-TLB
+// backing when every check passes (see loadCapP); anything else
 // runs StoreCapVia's exact sequence.
 func (c *CPU) storeCapP(auth *cap.Capability, ea uint64, v *cap.Capability) error {
 	bytes := c.Fmt.Bytes
 	if ea&(bytes-1) == 0 && auth.Authorizes(ea, bytes, capStoreNeed(v)) {
 		vpn := ea >> vm.PageShift
 		e := &c.tlb[vpn&(dtlbSize-1)]
-		if e.as == c.AS && e.gen == c.AS.Gen && e.vpn == vpn && e.prot&vm.ProtWrite != 0 &&
-			e.pgen != nil && e.backed(c) {
+		if e.as == c.AS && e.gen == c.AS.Gen && e.vpn == vpn && e.prot&vm.ProtWrite != 0 && e.data != nil {
 			off := ea & pageOffMask
 			pa := e.base + off
 			if lat, ok := c.Hier.L1D.DataHit(pa, bytes, true); ok {
@@ -347,7 +337,7 @@ func (c *CPU) LoadCapVia(auth cap.Capability, ea uint64) (cap.Capability, error)
 	if pf != nil {
 		return cap.Null(), pf
 	}
-	c.fillRead(&c.tlb[(ea>>vm.PageShift)&(dtlbSize-1)], pa)
+	c.fill(&c.tlb[(ea>>vm.PageShift)&(dtlbSize-1)], pa)
 	c.Stats.Cycles += c.Hier.Data(pa, bytes, false)
 	var arr [32]byte // large enough for both capability formats
 	buf := arr[:bytes]
@@ -378,7 +368,7 @@ func (c *CPU) StoreCapVia(auth cap.Capability, ea uint64, v cap.Capability) erro
 	buf := arr[:bytes]
 	c.Fmt.Encode(v, buf)
 	c.Mem.StoreCap(pa, buf, v.Tag())
-	c.fillWrite(&c.tlb[(ea>>vm.PageShift)&(dtlbSize-1)], pa)
+	c.fill(&c.tlb[(ea>>vm.PageShift)&(dtlbSize-1)], pa)
 	return nil
 }
 

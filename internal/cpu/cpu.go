@@ -134,8 +134,7 @@ type CPU struct {
 	// straight from the page (access.go). This is a simulator fast path,
 	// not an architectural structure; it never changes behaviour because
 	// every event that could change a translation bumps
-	// vm.AddressSpace.Gen, and every event that could move a backing bumps
-	// mem.Physical.Epoch.
+	// vm.AddressSpace.Gen, and a backing's arrays never move.
 	tlb [dtlbSize]tlbEntry
 
 	// Decoded pages (see decode.go): per-physical-page decoded blocks plus
@@ -168,16 +167,14 @@ const dtlbSize = 64
 // The proof (as, gen, vpn, base, prot) says that at AS generation gen,
 // Translate maps vpn to the frame at base for every access kind in prot.
 //
-// The backing (data, tags, pgen, epoch) holds the frame's byte and tag
-// slices, valid while mem.Physical.Epoch still equals epoch. It is only
-// ever attached after the proof for the access that filled it, and it is
-// dropped with the proof (any refill for another page or generation
-// clears it). A read backing (pgen nil) comes from ReadablePage and may
-// serve loads only: on a snapshot-shared copy-on-write chunk its slices
-// alias the shared arrays. A writable backing (pgen set) comes from
-// WritablePage after a store has settled (materialized and privatized)
-// the chunk, and may serve stores as well as loads. Either kind still
-// needs the matching prot bit on every hit.
+// The backing (data, tags, pgen) holds the frame's byte and tag slices
+// and its write-generation counter, from mem.Physical.Page. Chunk arrays
+// never move once allocated, so a backing stays valid as long as the
+// proof does. It is only ever attached after the proof for the access
+// that filled it, and it is dropped with the proof (any refill for
+// another page or generation clears it). A page whose chunk was never
+// written has no backing. The backing serves loads and stores alike; the
+// matching prot bit still gates every hit.
 type tlbEntry struct {
 	as   *vm.AddressSpace
 	gen  uint64
@@ -185,16 +182,9 @@ type tlbEntry struct {
 	base uint64  // frame base physical address
 	prot vm.Prot // access kinds proven against Translate at this gen
 
-	data  []byte  // page bytes; nil means no backing
-	tags  []bool  // the page's tag granules
-	pgen  *uint64 // the page's write-generation counter; nil for a read backing
-	epoch uint64  // mem Epoch the slices were taken at
-}
-
-// backed reports whether e's backing is current. The caller has already
-// matched e's proof.
-func (e *tlbEntry) backed(c *CPU) bool {
-	return e.data != nil && e.epoch == c.Mem.Epoch()
+	data []byte  // page bytes; nil means no backing
+	tags []bool  // the page's tag granules
+	pgen *uint64 // the page's write-generation counter
 }
 
 // translate resolves va with the micro-TLB fast path. An entry is valid

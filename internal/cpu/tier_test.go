@@ -149,9 +149,9 @@ var revocations = []struct {
 	}},
 }
 
-// TestSuperblockChainsAcrossPages: straight-line code walks off the end of
+// TestTierFallthroughIntoNextPage: straight-line code walks off the end of
 // page 0 into page 1.
-func TestSuperblockChainsAcrossPages(t *testing.T) {
+func TestTierFallthroughIntoNextPage(t *testing.T) {
 	prog := make([]isa.Inst, 0, instsPerPage+1)
 	for i := 0; i < instsPerPage; i++ {
 		prog = append(prog, isa.Inst{Op: isa.ADDI, Ra: 2, Rb: 2, Imm: 1})
@@ -162,14 +162,14 @@ func TestSuperblockChainsAcrossPages(t *testing.T) {
 	})
 }
 
-// TestSuperblockSMCReprovesLink stores into the next page between
+// TestTierPatchNextPageBetweenFallthroughs stores into the next page between
 // fallthroughs into it: the next entry must execute the patched bytes.
 //
 // Iteration 1 skips the patch and executes the original target (r2 += 5).
 // Iteration 2 patches the target to r2 += 9 from page 0, then falls
 // through into it. Iteration 3 falls through once more. Stale decoded
 // instructions would leave r2 = 15.
-func TestSuperblockSMCReprovesLink(t *testing.T) {
+func TestTierPatchNextPageBetweenFallthroughs(t *testing.T) {
 	patched := isa.MustEncode(isa.Inst{Op: isa.ADDI, Ra: 2, Rb: 2, Imm: 9})
 	prog := []isa.Inst{
 		{Op: isa.ADDI, Ra: 4, Rb: 4, Imm: 1}, // 0: iteration counter
@@ -202,10 +202,10 @@ func crossPageLoop() []isa.Inst {
 	)
 }
 
-// TestSuperblockMprotectSeversLink drops execute rights on (or unmaps)
+// TestTierRevokeNextPageMidLoop drops execute rights on (or unmaps)
 // page 1 of a running two-page loop while the PC is mid-way through page
 // 0: the fault must surface exactly at page 1's first instruction.
-func TestSuperblockMprotectSeversLink(t *testing.T) {
+func TestTierRevokeNextPageMidLoop(t *testing.T) {
 	iter := uint64(instsPerPage + 2)
 	for _, rv := range revocations {
 		t.Run(rv.name, func(t *testing.T) {
@@ -230,10 +230,10 @@ func TestSuperblockMprotectSeversLink(t *testing.T) {
 	}
 }
 
-// TestSuperblockCJRLandsOnPatchedChainTarget falls through into page 1
+// TestTierCJALRIntoPatchedPage falls through into page 1
 // once, then patches it and enters it through CJALR: the capability jump
 // must execute the patched bytes.
-func TestSuperblockCJRLandsOnPatchedChainTarget(t *testing.T) {
+func TestTierCJALRIntoPatchedPage(t *testing.T) {
 	patched := isa.MustEncode(isa.Inst{Op: isa.ADDI, Ra: 2, Rb: 2, Imm: 9})
 	prog := []isa.Inst{
 		{Op: isa.ADDI, Ra: 4, Rb: 4, Imm: 1}, // 0: iteration counter
@@ -286,21 +286,21 @@ func endlessCallLoop() []isa.Inst {
 	return append(prog, isa.Inst{Op: isa.CJR, Ra: 17}) // 1024: return
 }
 
-// TestIndirectCacheServesCallReturnLoop runs a call/return loop across
+// TestTierCallReturnLoop runs a call/return loop across
 // two pages to completion.
-func TestIndirectCacheServesCallReturnLoop(t *testing.T) {
+func TestTierCallReturnLoop(t *testing.T) {
 	const iters = 20
 	runTiers(t, tierCase{prog: callLoop(iters, 5), setup: callTarget,
 		check: func(t *testing.T, c *CPU, _ *Trap) { wantR2(t, c, 5*iters) }})
 }
 
-// TestIndirectSMCReprovesEntry patches the callee body between calls: the
+// TestTierPatchCalleeBetweenCalls patches the callee body between calls: the
 // next call must execute the patched bytes.
 //
 // Iteration 1 calls the original callee (r2 += 5). Iteration 2 patches
 // the callee to r2 += 9 and calls again; iteration 3 calls once more. A
 // stale callee would leave r2 = 15.
-func TestIndirectSMCReprovesEntry(t *testing.T) {
+func TestTierPatchCalleeBetweenCalls(t *testing.T) {
 	patched := isa.MustEncode(isa.Inst{Op: isa.ADDI, Ra: 2, Rb: 2, Imm: 9})
 	prog := []isa.Inst{
 		{Op: isa.ADDI, Ra: 4, Rb: 4, Imm: 1}, // 0: iteration counter
@@ -325,10 +325,10 @@ func TestIndirectSMCReprovesEntry(t *testing.T) {
 	}})
 }
 
-// TestIndirectMprotectSeversEntry revokes execute rights on (or unmaps)
+// TestTierRevokeCalleeMidLoop revokes execute rights on (or unmaps)
 // the callee page of a running call loop: the next call must fault
 // exactly at the callee's first instruction.
-func TestIndirectMprotectSeversEntry(t *testing.T) {
+func TestTierRevokeCalleeMidLoop(t *testing.T) {
 	for _, rv := range revocations {
 		t.Run(rv.name, func(t *testing.T) {
 			runTiers(t, tierCase{
@@ -354,10 +354,10 @@ func TestIndirectMprotectSeversEntry(t *testing.T) {
 	}
 }
 
-// TestIndirectBadCalleeTrapsWithoutFill jumps through a sealed and an
+// TestTierBadCalleeCapabilityTraps jumps through a sealed and an
 // untagged capability: the transfer must trap at the CJALR itself and
 // leave the link register unwritten.
-func TestIndirectBadCalleeTrapsWithoutFill(t *testing.T) {
+func TestTierBadCalleeCapabilityTraps(t *testing.T) {
 	sealRoot := cap.Root(1, 100, cap.PermSeal)
 	for _, tc := range []struct {
 		name string
@@ -397,10 +397,10 @@ func TestIndirectBadCalleeTrapsWithoutFill(t *testing.T) {
 	}
 }
 
-// TestIndirectNarrowerCapabilityMisses calls the same target twice, first
+// TestTierNarrowedCalleeCapability calls the same target twice, first
 // through a PCC-derived capability and then through one narrowed to the
 // callee page: both calls must run the callee.
-func TestIndirectNarrowerCapabilityMisses(t *testing.T) {
+func TestTierNarrowedCalleeCapability(t *testing.T) {
 	prog := []isa.Inst{
 		{Op: isa.NOP},                   // 0: keeps the CJALR on the threaded path
 		{Op: isa.CJALR, Ra: 17, Rb: 12}, // 1: call page 1
@@ -432,10 +432,10 @@ func TestIndirectNarrowerCapabilityMisses(t *testing.T) {
 	})
 }
 
-// TestIndirectForkInvalidatesEntries forks the address space in the middle
+// TestTierForkMidCallLoop forks the address space in the middle
 // of a call loop, which turns its writable pages copy-on-write and bumps
 // its generation, then keeps calling.
-func TestIndirectForkInvalidatesEntries(t *testing.T) {
+func TestTierForkMidCallLoop(t *testing.T) {
 	runTiers(t, tierCase{
 		prog:  endlessCallLoop(),
 		setup: callTarget,

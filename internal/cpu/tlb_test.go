@@ -303,86 +303,90 @@ func tlbSlot(c *CPU, va uint64) *tlbEntry {
 	return &c.tlb[(va>>vm.PageShift)&(dtlbSize-1)]
 }
 
-// TestTLBReadBackingNeverServesStore: after a snapshot, a load fills a
-// read backing that aliases the snapshot-shared chunk. A store through the
-// same slot must not write those arrays: it takes the slow path, which
-// privatizes the chunk, so a sibling clone of the snapshot still sees the
-// old bytes.
-func TestTLBReadBackingNeverServesStore(t *testing.T) {
-	m := mem.New(16<<20, 16)
-	sys := vm.NewSystem(m, 1<<20)
-	c := New(m, cache.DefaultHierarchy(), cap.Format128)
-	c.AS = sys.NewAddressSpace()
-	if err := c.AS.Map(dataVA, vm.PageSize, vm.ProtRead|vm.ProtWrite, false); err != nil {
-		t.Fatal(err)
-	}
+// TestTLBBackingOutlivesOtherChunks: chunk arrays never move once
+// allocated, so a backing taken before other chunks materialize keeps
+// serving loads and stores. A twin CPU runs the same accesses with its
+// backing dropped before each one, so every access takes the slow path
+// through mem.Physical; the two must agree on every loaded value, on the
+// page's bytes, tags and write generation, and on the cycle count.
+func TestTLBBackingOutlivesOtherChunks(t *testing.T) {
+	fast, slow := newTestCPU(t), newTestCPU(t)
 	ddc := testDDC()
-	if err := c.StoreVia(ddc, dataVA, 8, 0x11); err != nil {
-		t.Fatal(err)
+	for _, c := range []*CPU{fast, slow} {
+		if err := c.StoreVia(ddc, dataVA, 8, 0x1111); err != nil {
+			t.Fatal(err)
+		}
 	}
-	snap := m.Snapshot()
-	sibling := snap.Clone()
-	if v, err := c.LoadVia(ddc, dataVA, 8); err != nil || v != 0x11 {
-		t.Fatalf("load after snapshot: %#x, %v", v, err)
+	e := tlbSlot(fast, dataVA)
+	if e.data == nil {
+		t.Fatal("store left no backing")
 	}
-	e := tlbSlot(c, dataVA)
-	if !e.backed(c) || e.pgen != nil {
-		t.Fatalf("load did not leave a read backing (backed=%v writable=%v)", e.backed(c), e.pgen != nil)
+	backing := &e.data[0]
+	// Materialize every chunk of the top MiB, far from the mapped frames.
+	for _, c := range []*CPU{fast, slow} {
+		for pa := c.Mem.Size() - 1<<20; pa < c.Mem.Size(); pa += mem.PageSize {
+			c.Mem.Store(pa, 8, pa)
+		}
 	}
-	epoch := m.Epoch()
-	if err := c.StoreVia(ddc, dataVA, 8, 0x22); err != nil {
-		t.Fatal(err)
+	if e.data == nil || &e.data[0] != backing {
+		t.Fatal("materializing other chunks replaced the backing")
 	}
-	if m.Epoch() == epoch {
-		t.Fatal("store did not privatize the shared chunk")
+	val := cap.Root(dataVA, 64, cap.PermData)
+	for i := uint64(0); i < 96; i++ {
+		// Each group of four accesses stores a capability, loads it back,
+		// overwrites part of its granule with integer data and loads again.
+		off := i / 4 * 40 % (vm.PageSize - 32) &^ 31
+		size := uint64(1) << (i / 4 % 4)
+		var got [2]uint64
+		var caps [2]cap.Capability
+		for k, c := range []*CPU{fast, slow} {
+			if c == slow {
+				se := tlbSlot(slow, dataVA)
+				se.data, se.tags, se.pgen = nil, nil, nil
+			}
+			var err error
+			switch i % 4 {
+			case 0:
+				err = c.storeCapP(&ddc, dataVA+off, &val)
+			case 1, 3:
+				if err = c.loadCapP(&ddc, dataVA+off, 5); err == nil {
+					caps[k] = c.C[5]
+					got[k], err = c.LoadVia(ddc, dataVA+off, 8)
+				}
+			case 2:
+				err = c.StoreVia(ddc, dataVA+off+size, size, i*0x0101010101010101)
+			}
+			if err != nil {
+				t.Fatalf("access %d: %v", i, err)
+			}
+		}
+		if got[0] != got[1] || !reflect.DeepEqual(caps[0], caps[1]) {
+			t.Fatalf("access %d: backed %#x %v, slow path %#x %v", i, got[0], caps[0], got[1], caps[1])
+		}
+		if i%4 == 1 && !caps[0].Tag() || i%4 == 3 && caps[0].Tag() {
+			t.Fatalf("access %d: tag %v", i, caps[0].Tag())
+		}
 	}
-	pa, pf := c.AS.Translate(dataVA, vm.ProtRead)
+	if e.data == nil || &e.data[0] != backing {
+		t.Fatal("the accesses were not served from the original backing")
+	}
+	pa, pf := fast.AS.Translate(dataVA, vm.ProtRead)
 	if pf != nil {
 		t.Fatal(pf)
 	}
-	if v := sibling.Load(pa, 8); v != 0x11 {
-		t.Fatalf("sibling clone observed the store through a read backing: %#x", v)
+	page := func(c *CPU) ([]byte, []bool, uint64) {
+		b := make([]byte, vm.PageSize)
+		c.Mem.ReadBytes(pa, b)
+		return b, c.Mem.ExtractTags(pa, vm.PageSize), c.Mem.PageGen(pa)
 	}
-	if v, _ := c.LoadVia(ddc, dataVA, 8); v != 0x22 {
-		t.Fatalf("store lost: %#x", v)
+	fb, ft, fg := page(fast)
+	sb, st, sg := page(slow)
+	if !reflect.DeepEqual(fb, sb) || !reflect.DeepEqual(ft, st) || fg != sg {
+		t.Fatalf("page diverged: generations %d vs %d, bytes equal %v, tags equal %v",
+			fg, sg, reflect.DeepEqual(fb, sb), reflect.DeepEqual(ft, st))
 	}
-	if !e.backed(c) || e.pgen == nil {
-		t.Fatal("store did not refill a writable backing after settling the chunk")
-	}
-}
-
-// TestTLBEpochFromAnotherChunkDropsBacking: Epoch is one counter for the
-// whole memory, so materializing an unrelated chunk drops every backing;
-// the next accesses refill and still see the page's bytes.
-func TestTLBEpochFromAnotherChunkDropsBacking(t *testing.T) {
-	c := newTestCPU(t)
-	ddc := testDDC()
-	if err := c.StoreVia(ddc, dataVA, 8, 0x5A); err != nil {
-		t.Fatal(err)
-	}
-	e := tlbSlot(c, dataVA)
-	if !e.backed(c) || e.pgen == nil {
-		t.Fatal("store left no writable backing")
-	}
-	far := c.Mem.Size() - mem.PageSize // far from every frame the test mapped
-	if c.Mem.Tag(far) {
-		t.Fatal("unexpected tag")
-	}
-	c.Mem.Store(far, 8, 1) // materializes a new chunk: Epoch moves
-	if e.backed(c) {
-		t.Fatal("backing survived an Epoch bump from another chunk")
-	}
-	if v, err := c.LoadVia(ddc, dataVA, 8); err != nil || v != 0x5A {
-		t.Fatalf("load after Epoch bump: %#x, %v", v, err)
-	}
-	if !e.backed(c) || e.pgen != nil {
-		t.Fatal("load did not refill a read backing")
-	}
-	if err := c.StoreVia(ddc, dataVA+8, 8, 0x5B); err != nil {
-		t.Fatal(err)
-	}
-	if !e.backed(c) || e.pgen == nil {
-		t.Fatal("store did not upgrade to a writable backing")
+	if fast.Stats.Cycles != slow.Stats.Cycles {
+		t.Fatalf("cycles: backed %d, slow path %d", fast.Stats.Cycles, slow.Stats.Cycles)
 	}
 }
 
@@ -445,7 +449,7 @@ func TestTLBFastCLCStripsTag(t *testing.T) {
 	if _, err := c.LoadCapVia(full, dataVA); err != nil {
 		t.Fatal(err)
 	}
-	if e := tlbSlot(c, dataVA); !e.backed(c) || e.prot&vm.ProtRead == 0 {
+	if e := tlbSlot(c, dataVA); e.data == nil || e.prot&vm.ProtRead == 0 {
 		t.Fatal("no read-proven backing; the CLCs below would not take the fast path")
 	}
 	c.C[3] = full
@@ -511,8 +515,8 @@ func TestTLBCapAccessFaultOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := tlbSlot(c, dataVA)
-		if !e.backed(c) || e.pgen == nil || e.prot&(vm.ProtRead|vm.ProtWrite) != vm.ProtRead|vm.ProtWrite {
-			t.Fatal("warm-up left no read- and write-proven writable backing")
+		if e.data == nil || e.prot&(vm.ProtRead|vm.ProtWrite) != vm.ProtRead|vm.ProtWrite {
+			t.Fatal("warm-up left no read- and write-proven backing")
 		}
 	}
 	for _, tc := range cases {
@@ -562,8 +566,8 @@ func TestTLBFastCSCStoreLocal(t *testing.T) {
 	if err := c.StoreVia(auth, dataVA+64, 8, 1); err != nil {
 		t.Fatal(err)
 	}
-	if e := tlbSlot(c, dataVA); !e.backed(c) || e.pgen == nil {
-		t.Fatal("warm-up left no writable backing")
+	if e := tlbSlot(c, dataVA); e.data == nil {
+		t.Fatal("warm-up left no backing")
 	}
 	c.C[3] = auth
 	c.C[4] = cap.Root(dataVA, 64, cap.PermData&^cap.PermGlobal)

@@ -51,10 +51,10 @@ func ResolveWorkers(explicit bool, requested, nItems int) (int, error) {
 // AutoWorkers returns the calibrated worker count for a sweep of nItems
 // independent whole-machine runs: the host's available parallelism
 // (GOMAXPROCS), clamped to the number of shards — workers beyond the
-// shard count only pay goroutine and per-worker-state spin-up for idle
-// hands — with a floor of one. Single-core hosts therefore run
-// sequentially without pool overhead, and the nightly multi-core runners
-// use every core the sweep can feed.
+// shard count only pay goroutine spin-up for idle hands — with a floor
+// of one. Single-core hosts therefore run sequentially without pool
+// overhead, and the nightly multi-core runners use every core the sweep
+// can feed.
 func AutoWorkers(nItems int) int {
 	w := runtime.GOMAXPROCS(0)
 	if nItems > 0 && w > nItems {
@@ -67,38 +67,10 @@ func AutoWorkers(nItems int) int {
 }
 
 // Map runs fn over items on a pool of workers and returns the results in
-// input order. workers < 1 (or > len(items)) is clamped.
+// input order. workers < 1 (or > len(items)) is clamped. A sweep gives
+// each item its own machine inside fn, so no simulated state leaks
+// between items regardless of worker scheduling.
 func Map[T, R any](workers int, items []T, fn func(T) (R, error)) ([]R, error) {
-	return MapWith(workers, items, func() struct{} { return struct{}{} },
-		func(_ struct{}, item T) (R, error) { return fn(item) })
-}
-
-// MapFleet runs fn over items with a per-item machine stamped by make:
-// the fleet-runner discipline for snapshot/clone sweeps. Where MapWith
-// reuses one resource per worker across all the items it claims, MapFleet
-// gives every item a pristine machine (typically a copy-on-write clone of
-// a shared pre-booted snapshot) and drops it afterwards, so no simulated
-// state leaks between sweep rows regardless of worker scheduling — the
-// aggregate is a pure function of the item list. make runs on the worker
-// goroutine; a make error counts as the item's error, with the usual
-// lowest-index selection.
-func MapFleet[T, M, R any](workers int, items []T, make func(T) (M, error), fn func(M, T) (R, error)) ([]R, error) {
-	return MapWith(workers, items, func() struct{} { return struct{}{} },
-		func(_ struct{}, item T) (R, error) {
-			m, err := make(item)
-			if err != nil {
-				var zero R
-				return zero, err
-			}
-			return fn(m, item)
-		})
-}
-
-// MapWith is Map with per-worker state: each worker calls state once and
-// passes the value to every fn invocation it performs. Evaluation harnesses
-// use this to reuse expensive per-worker resources (a booted System, a
-// bodiag Runner) across the items a worker processes.
-func MapWith[S, T, R any](workers int, items []T, state func() S, fn func(S, T) (R, error)) ([]R, error) {
 	results := make([]R, len(items))
 	if len(items) == 0 {
 		return results, nil
@@ -117,7 +89,6 @@ func MapWith[S, T, R any](workers int, items []T, state func() S, fn func(S, T) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := state()
 			for {
 				// Short-circuit once anything failed: items are claimed in
 				// index order, so every unclaimed item has a higher index
@@ -131,7 +102,7 @@ func MapWith[S, T, R any](workers int, items []T, state func() S, fn func(S, T) 
 				if i >= len(items) {
 					return
 				}
-				results[i], errs[i] = fn(s, items[i])
+				results[i], errs[i] = fn(items[i])
 				if errs[i] != nil {
 					failed.Store(true)
 				}

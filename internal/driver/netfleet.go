@@ -29,9 +29,6 @@ type FleetConfig struct {
 	Snapshot *cheriabi.Snapshot
 	// Config is the per-node machine config (seed, ablations, memory).
 	Config cheriabi.Config
-	// NodeConfig, when non-nil, overrides Config per node index — e.g. to
-	// give each node its own OnTrap observer.
-	NodeConfig func(i int) cheriabi.Config
 	// Fabric seeds and sizes the switch.
 	Fabric fabric.Config
 	// Budget bounds total fleet instructions (0 = fabric default).
@@ -67,15 +64,11 @@ func RunFleet(cfg FleetConfig, nodes []FleetNode) (*FleetResult, error) {
 	procs := make([]*kernel.Proc, len(nodes))
 	before := make([]cheriabi.Stats, len(nodes))
 	for i, nd := range nodes {
-		c := cfg.Config
-		if cfg.NodeConfig != nil {
-			c = cfg.NodeConfig(i)
-		}
 		var sys *cheriabi.System
 		if cfg.Snapshot != nil {
-			sys = cfg.Snapshot.Clone(c)
+			sys = cfg.Snapshot.Clone(cfg.Config)
 		} else {
-			sys = cheriabi.NewSystem(c)
+			sys = cheriabi.NewSystem(cfg.Config)
 		}
 		fab.Attach(sys.Kernel)
 		path, err := sys.Install(nd.Exe)

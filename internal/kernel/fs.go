@@ -52,11 +52,12 @@ func NewFS() *FS {
 	return fs
 }
 
-// Clone deep-copies the filesystem tree (machine snapshot/clone support).
-// File contents must be copied, not shared: vnodeFile writes mutate
-// node.data in place (and growth can append within a shared backing
-// array), so sharing nodes would leak one clone's file writes into its
-// siblings. Device constructors are stateless closures and are shared.
+// Clone deep-copies the filesystem tree, for boot templates
+// (cheriabi.Snapshot). File contents must be copied, not shared:
+// vnodeFile writes mutate node.data in place (and growth can append
+// within a shared backing array), so sharing nodes would leak one
+// clone's file writes into its siblings. Device constructors are
+// stateless closures and are shared.
 func (fs *FS) Clone() *FS {
 	return &FS{root: fs.root.clone()}
 }

@@ -143,18 +143,14 @@ type Kernel struct {
 	SyscallCount    map[int]uint64
 }
 
-// attachCPU builds the machine's CPU over its memory and caches, wires
-// cfg's observers into it, and puts the uaccess layer on top.
-func (m *Machine) attachCPU(cfg Config) {
-	m.CPU = cpu.New(m.Mem, m.Hier, m.Fmt)
-	m.CPU.Tracer = cfg.Tracer
-	m.CPU.OnTrap = cfg.OnTrap
-	m.UA = &uaccess.Space{CPU: m.CPU}
-}
+// NewMachine boots a machine: memory, caches, CPU, kernel, the standard
+// VFS (NewFS), and the boot-time capability carve (reset → kernel root →
+// per-process roots).
+func NewMachine(cfg Config) *Machine { return NewMachineFS(cfg, NewFS()) }
 
-// NewMachine boots a machine: memory, caches, CPU, kernel, VFS, and the
-// boot-time capability carve (reset → kernel root → per-process roots).
-func NewMachine(cfg Config) *Machine {
+// NewMachineFS is NewMachine with fs as the machine's file tree. The
+// machine takes fs over: nothing else may keep or mutate it.
+func NewMachineFS(cfg Config, fs *FS) *Machine {
 	if cfg.MemBytes == 0 {
 		cfg.MemBytes = 256 << 20
 	}
@@ -174,11 +170,14 @@ func NewMachine(cfg Config) *Machine {
 	if n := int(cfg.Seed % 61); n > 0 {
 		m.VM.AllocFrames(n)
 	}
-	m.attachCPU(cfg)
+	m.CPU = cpu.New(m.Mem, m.Hier, m.Fmt)
+	m.CPU.Tracer = cfg.Tracer
+	m.CPU.OnTrap = cfg.OnTrap
+	m.UA = &uaccess.Space{CPU: m.CPU}
 
 	k := &Kernel{
 		M:            m,
-		FS:           NewFS(),
+		FS:           fs,
 		Ledger:       core.NewLedger(),
 		procs:        map[int]*Proc{},
 		unixNS:       map[string]*socketFile{},
@@ -207,8 +206,7 @@ func NewMachine(cfg Config) *Machine {
 // deriveURand seeds the /dev/urandom stream from a boot Config: an
 // explicit UrandomSeed wins, else derive from the boot seed. Xorshift
 // state must be nonzero, but distinct nonzero seeds must stay distinct,
-// so only a zero state is remapped. Shared by NewMachine and
-// MachineSnapshot.Boot so cloned and cold boots derive identically.
+// so only a zero state is remapped.
 func deriveURand(cfg Config) uint64 {
 	urand := cfg.UrandomSeed
 	if urand == 0 {
@@ -233,6 +231,10 @@ func (k *Kernel) capCreated(label string, c cap.Capability) {
 
 // Proc returns a process by pid.
 func (k *Kernel) Proc(pid int) *Proc { return k.procs[pid] }
+
+// Spawned reports whether a process was ever created on this machine,
+// live or reaped.
+func (k *Kernel) Spawned() bool { return k.nextPID != 0 }
 
 // urandomBytes fills b from the boot-seeded xorshift64 stream backing
 // /dev/urandom. The stream is machine-global: interleaved readers observe

@@ -158,8 +158,7 @@ func (k *Kernel) timerSkip() bool {
 }
 
 // PendingTimers reports the number of live armed timers (cancelled heap
-// entries are not counted). Snapshot quiescence checks use it, as may
-// external stop predicates.
+// entries are not counted), for external stop predicates.
 func (k *Kernel) PendingTimers() int {
 	n := 0
 	for _, e := range k.timers {

@@ -28,19 +28,19 @@ const PageSize = 1 << PageShift
 // semantics are bit-identical to the eager array (a regression test
 // proves it against a flat reference model).
 //
-// The chunk is also the copy-on-write unit of Snapshot, so its size
-// trades the bytes a first write zeroes or copies against the length of
-// the chunk tables Snapshot and Clone copy. A short program touches a few
-// hundred scattered pages: 1 MiB chunks made every exec zero a whole
-// chunk for them, 4 KiB chunks made every Clone copy 32k-entry tables.
+// The chunk size trades the bytes (and tags) a first write allocates and
+// zeroes against the two chunk tables New allocates per boot. A short
+// program touches a few hundred scattered pages: 1 MiB chunks made every
+// exec zero a whole megabyte for them, while 4 KiB chunks would give a
+// 256 MiB machine 65,536-entry tables; 64 KiB chunks give 4096.
 const (
 	chunkShift = 16 // 64 KiB chunks
 	chunkSize  = 1 << chunkShift
 	chunkMask  = chunkSize - 1
 )
 
-// A page never straddles a chunk: ReadablePage and WritablePage hand out
-// one page as a subslice of one chunk.
+// A page never straddles a chunk: Page hands out one page as a subslice
+// of one chunk.
 var _ [0]struct{} = [chunkSize % PageSize]struct{}{}
 
 // Physical is tagged physical memory. Addresses are physical; bounds and
@@ -53,7 +53,9 @@ type Physical struct {
 	// chunks and tags are parallel lazily-allocated arrays: chunks[i] is
 	// nil until the chunk's bytes (or tags) are first written, and nil
 	// means "all zero bytes, all tags clear". The two materialize
-	// together, so chunks[i] == nil ⟺ tags[i] == nil.
+	// together, so chunks[i] == nil ⟺ tags[i] == nil. Once allocated, a
+	// chunk's arrays never move: slices into them (the page backings in
+	// the CPU's data micro-TLB) stay valid for the Physical's lifetime.
 	chunks [][]byte
 	tags   [][]bool
 	// gens holds one write-generation counter per page. Every mutation of
@@ -64,20 +66,6 @@ type Physical struct {
 	// store, byte copy, capability store, tagged copy, or zeroing that can
 	// change executable bytes lands here.
 	gens []uint64
-	// cow marks chunks whose backing arrays are shared with a Snapshot
-	// (and through it with sibling clones). A shared chunk is read in
-	// place; the first mutation privatizes it — copies bytes and tags into
-	// fresh arrays — so the snapshot stays immutable and siblings never
-	// observe each other's writes. nil means no chunk is shared.
-	cow []bool
-	// epoch counts backing-identity events: any change to which arrays
-	// back a chunk, or to whether a write may mutate them in place (chunk
-	// materialization, privatization, Snapshot marking chunks
-	// copy-on-write). Consumers holding slices into chunk arrays — the
-	// page backings in the CPU's data micro-TLB — revalidate with one
-	// compare; contents are NOT covered (in-place writes are visible
-	// through such slices by construction).
-	epoch uint64
 }
 
 // New returns size bytes of zeroed physical memory with one tag per
@@ -118,7 +106,7 @@ func (m *Physical) Size() uint64 { return m.size }
 func (m *Physical) Granule() uint64 { return m.granule }
 
 // GranShift returns log2(Granule()), for callers that index the tag
-// slices ReadablePage and WritablePage hand out.
+// slices Page hands out.
 func (m *Physical) GranShift() uint { return m.granShift }
 
 func (m *Physical) check(pa, n uint64) {
@@ -128,48 +116,16 @@ func (m *Physical) check(pa, n uint64) {
 }
 
 // materialize returns the chunk containing pa for mutation, allocating
-// (implicitly zeroed) bytes and tags on first touch and privatizing a
-// snapshot-shared chunk first.
+// (implicitly zeroed) bytes and tags on first touch.
 func (m *Physical) materialize(pa uint64) ([]byte, []bool) {
 	ci := pa >> chunkShift
-	ch := m.chunks[ci]
-	if ch == nil {
+	if m.chunks[ci] == nil {
 		csize := uint64(chunkSize)
 		if rem := m.size - ci<<chunkShift; rem < csize {
 			csize = rem
 		}
-		ch = make([]byte, csize)
-		m.chunks[ci] = ch
+		m.chunks[ci] = make([]byte, csize)
 		m.tags[ci] = make([]bool, csize/m.granule)
-		m.epoch++
-	} else if m.cow != nil && m.cow[ci] {
-		m.privatize(ci)
-	}
-	return m.chunks[ci], m.tags[ci]
-}
-
-// privatize replaces a snapshot-shared chunk's arrays with private copies.
-func (m *Physical) privatize(ci uint64) {
-	nb := make([]byte, len(m.chunks[ci]))
-	copy(nb, m.chunks[ci])
-	nt := make([]bool, len(m.tags[ci]))
-	copy(nt, m.tags[ci])
-	m.chunks[ci], m.tags[ci] = nb, nt
-	m.cow[ci] = false
-	m.epoch++
-}
-
-// writable returns the chunk's arrays for in-place mutation, privatizing
-// a snapshot-shared chunk first — but unlike materialize it leaves an
-// untouched chunk unmaterialized and returns nils: callers that only
-// clear bytes or tags (Zero, clearTags, CopyTagged's zero-source branch)
-// can skip a chunk that already reads as zero.
-func (m *Physical) writable(ci uint64) ([]byte, []bool) {
-	if m.chunks[ci] == nil {
-		return nil, nil
-	}
-	if m.cow != nil && m.cow[ci] {
-		m.privatize(ci)
 	}
 	return m.chunks[ci], m.tags[ci]
 }
@@ -201,50 +157,27 @@ func (m *Physical) PageGenPtr(pa uint64) *uint64 {
 	return &m.gens[pa>>PageShift]
 }
 
-// Epoch returns the backing-identity counter (see the field comment).
-// Slices obtained from ReadablePage/WritablePage are valid for the use
-// they were handed out for only while Epoch is unchanged.
-func (m *Physical) Epoch() uint64 { return m.epoch }
-
-// ReadablePage returns the byte and tag slices backing the page at paPage
-// for direct reads, or nils when there is nothing to read in place (page
-// out of range, or chunk never materialized — such a page reads as zeroes
-// with clear tags through Load and LoadCap). The slices alias live
-// memory: in-place mutations by this Physical remain visible through
-// them, and they must be dropped when Epoch changes (a privatization or
-// snapshot may detach the arrays). They must never be written through: a
-// snapshot-shared chunk is handed out as is, unprivatized.
-func (m *Physical) ReadablePage(paPage uint64) (data []byte, tags []bool) {
+// Page returns the byte and tag slices backing the page at paPage, plus
+// the page's write-generation counter, or nils when there is nothing to
+// serve in place: the page is out of range, or its chunk was never
+// written (such a page reads as zeroes with clear tags through Load and
+// LoadCap, and handing it out would materialize it on a read). The
+// slices alias live memory for the Physical's lifetime. A caller that
+// writes through them takes over Store's contract for every write: clear
+// the tags of touched granules and bump the generation counter.
+func (m *Physical) Page(paPage uint64) (data []byte, tags []bool, gen *uint64) {
 	if paPage%PageSize != 0 || paPage+PageSize > m.size || paPage+PageSize < paPage {
-		return nil, nil
+		return nil, nil, nil
 	}
 	ci := paPage >> chunkShift
 	ch := m.chunks[ci]
 	if ch == nil {
-		return nil, nil
+		return nil, nil, nil
 	}
 	off := paPage & chunkMask // the whole page lies in chunk ci
 	gs := m.granShift
 	return ch[off : off+PageSize : off+PageSize],
-		m.tags[ci][off>>gs : (off+PageSize)>>gs : (off+PageSize)>>gs]
-}
-
-// WritablePage returns the byte and tag slices backing the page at paPage
-// for direct mutation, plus the page's write-generation counter, after
-// materializing (and, if snapshot-shared, privatizing) the chunk — the
-// same preparation Store performs. nils when the page is out of range.
-// The caller takes over Store's contract for every write: clear the tags
-// of touched granules and bump the generation counter. Slices and pointer
-// must be dropped when Epoch changes.
-func (m *Physical) WritablePage(paPage uint64) (data []byte, tags []bool, gen *uint64) {
-	if paPage%PageSize != 0 || paPage+PageSize > m.size || paPage+PageSize < paPage {
-		return nil, nil, nil
-	}
-	ch, tg := m.materialize(paPage)
-	off := paPage & chunkMask // the whole page lies in this chunk
-	gs := m.granShift
-	return ch[off : off+PageSize : off+PageSize],
-		tg[off>>gs : (off+PageSize)>>gs : (off+PageSize)>>gs],
+		m.tags[ci][off>>gs : (off+PageSize)>>gs : (off+PageSize)>>gs],
 		&m.gens[paPage>>PageShift]
 }
 
@@ -263,7 +196,7 @@ func (m *Physical) clearTags(pa, n uint64) {
 		if chunkEnd < end {
 			end = chunkEnd
 		}
-		if _, t := m.writable(ci); t != nil {
+		if t := m.tags[ci]; t != nil {
 			base := ci << chunkShift >> gs
 			clear(t[g-base : end-base])
 		}
@@ -340,9 +273,7 @@ func (m *Physical) Store(pa, n, v uint64) {
 		if pa>>m.granShift == (pa+n-1)>>m.granShift {
 			// Inside one granule (every naturally aligned scalar store):
 			// exactly one tag to clear and — granules never straddle
-			// pages — exactly one page generation to bump. The chunk is
-			// already materialized and private, so the generic walks'
-			// writable() re-checks are skipped too.
+			// pages — exactly one page generation to bump.
 			tags[off>>m.granShift] = false
 			m.gens[pa>>PageShift]++
 			return
@@ -463,7 +394,7 @@ func (m *Physical) CopyTagged(dst, src, n uint64) {
 		if srcCh == nil {
 			// Source untouched: the destination range becomes zero bytes
 			// with clear tags; an untouched destination already is.
-			if dstCh, dstTags := m.writable(d >> chunkShift); dstCh != nil {
+			if dstCh, dstTags := m.chunks[d>>chunkShift], m.tags[d>>chunkShift]; dstCh != nil {
 				off := d & chunkMask
 				clear(dstCh[off : off+span])
 				clear(dstTags[off/m.granule : (off+span)/m.granule])
@@ -587,7 +518,7 @@ func (m *Physical) Zero(pa, n uint64) {
 		if r := chunkSize - p&chunkMask; r < span {
 			span = r
 		}
-		if ch, _ := m.writable(p >> chunkShift); ch != nil {
+		if ch := m.chunks[p>>chunkShift]; ch != nil {
 			off := p & chunkMask
 			clear(ch[off : off+span])
 		}
@@ -595,75 +526,4 @@ func (m *Physical) Zero(pa, n uint64) {
 	}
 	m.clearTags(pa, n)
 	m.touch(pa, n)
-}
-
-// Snapshot is an immutable image of a Physical's contents at one moment.
-// It holds references to the source's materialized chunk arrays — taking
-// it is O(materialized chunks), not O(memory) — and both the source and
-// every Clone treat those arrays as copy-on-write: reads are served in
-// place, the first mutation of a shared chunk privatizes it. The snapshot
-// itself never changes, so any number of clones can be stamped from it
-// concurrently.
-type Snapshot struct {
-	size    uint64
-	granule uint64
-	chunks  [][]byte
-	tags    [][]bool
-	gens    []uint64
-}
-
-// Snapshot freezes the current contents. The source keeps running: its
-// materialized chunks are marked copy-on-write, so its next write to each
-// one privatizes it and the frozen image stays intact.
-func (m *Physical) Snapshot() *Snapshot {
-	if m.cow == nil {
-		m.cow = make([]bool, len(m.chunks))
-	}
-	s := &Snapshot{
-		size:    m.size,
-		granule: m.granule,
-		chunks:  make([][]byte, len(m.chunks)),
-		tags:    make([][]bool, len(m.tags)),
-		gens:    make([]uint64, len(m.gens)),
-	}
-	copy(s.chunks, m.chunks)
-	copy(s.tags, m.tags)
-	copy(s.gens, m.gens)
-	for i := range m.chunks {
-		if m.chunks[i] != nil {
-			m.cow[i] = true
-		}
-	}
-	// Chunks just became write-shared: a consumer holding writable slices
-	// into them (a CPU micro-TLB page backing) must re-acquire through
-	// WritablePage, whose materialize privatizes first.
-	m.epoch++
-	return s
-}
-
-// Clone stamps a new Physical from the snapshot in O(materialized
-// chunks): chunk arrays are shared copy-on-write, unmaterialized chunks
-// stay unmaterialized, and the page write-generation counters are copied
-// so cached views carried over conceptually from the snapshot point
-// validate exactly as they would on the source. Writes to a clone
-// privatize per chunk; the snapshot and sibling clones are unaffected.
-func (s *Snapshot) Clone() *Physical {
-	m := &Physical{
-		size:      s.size,
-		granule:   s.granule,
-		granShift: granShiftOf(s.granule),
-		chunks:    make([][]byte, len(s.chunks)),
-		tags:      make([][]bool, len(s.tags)),
-		gens:      make([]uint64, len(s.gens)),
-		cow:       make([]bool, len(s.chunks)),
-	}
-	copy(m.chunks, s.chunks)
-	copy(m.tags, s.tags)
-	copy(m.gens, s.gens)
-	for i, ch := range s.chunks {
-		if ch != nil {
-			m.cow[i] = true
-		}
-	}
-	return m
 }

@@ -139,7 +139,11 @@ func TestOutOfRangePanics(t *testing.T) {
 func TestPagesTileChunks(t *testing.T) {
 	m := New(2*chunkSize, 16)
 	last, first := uint64(chunkSize-PageSize), uint64(chunkSize)
-	d, tags, gen := m.WritablePage(last)
+	if d, _, _ := m.Page(last); d != nil {
+		t.Fatal("Page handed out a never-written page")
+	}
+	m.Store(last, 1, 0)
+	d, tags, gen := m.Page(last)
 	if len(d) != PageSize || len(tags) != PageSize/16 || gen == nil {
 		t.Fatalf("last page of chunk 0: %d bytes, %d tags", len(d), len(tags))
 	}
@@ -147,11 +151,11 @@ func TestPagesTileChunks(t *testing.T) {
 	if got := m.Load(first-1, 1); got != 0xAA {
 		t.Fatalf("write through the page backing: Load = %#x", got)
 	}
-	if d, _ := m.ReadablePage(first); d != nil {
+	if d, _, _ := m.Page(first); d != nil {
 		t.Fatal("chunk 1 materialized by a write to chunk 0")
 	}
 	m.Store(first, 1, 0xBB)
-	d, _ = m.ReadablePage(first)
+	d, _, _ = m.Page(first)
 	if len(d) != PageSize || d[0] != 0xBB {
 		t.Fatalf("first page of chunk 1: %d bytes, d[0] = %#x", len(d), d[0])
 	}

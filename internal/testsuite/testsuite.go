@@ -38,16 +38,10 @@ var Suites = []Suite{
 const memBytes = 128 << 20
 
 // RunSuite executes one corpus under one ABI on a cold-booted machine and
-// tallies conditions.
+// tallies conditions. Programs run in sorted name order and machine state
+// carries across the row's programs.
 func RunSuite(s Suite, abi cheriabi.ABI) (Tally, error) {
-	return RunSuiteOn(cheriabi.NewSystem(cheriabi.Config{MemBytes: memBytes}), s, abi)
-}
-
-// RunSuiteOn executes one corpus under one ABI on the given machine
-// (typically a snapshot clone owned by this call) and tallies conditions.
-// Programs run in sorted name order and machine state carries across the
-// row's programs, exactly as on a cold boot.
-func RunSuiteOn(sys *cheriabi.System, s Suite, abi cheriabi.ABI) (Tally, error) {
+	sys := cheriabi.NewSystem(cheriabi.Config{MemBytes: memBytes})
 	var tally Tally
 	names := make([]string, 0, len(s.Programs))
 	for name := range s.Programs {
@@ -84,19 +78,9 @@ type Row struct {
 func Table1() ([]Row, error) { return Table1Parallel(1) }
 
 // Table1Parallel runs the six (suite, ABI) rows across a worker pool,
-// each row's machine cloned from one shared snapshot. Rows are
-// independent; results arrive in table order regardless of the worker
-// count.
+// each row on its own freshly booted machine. Rows are independent;
+// results arrive in table order regardless of the worker count.
 func Table1Parallel(workers int) ([]Row, error) {
-	return Table1ParallelWith(workers, true)
-}
-
-// Table1ParallelWith is Table1Parallel with explicit machine provisioning:
-// snapshot=true stamps each row's machine as a copy-on-write clone of one
-// shared template boot; false cold-boots per row (the differential
-// reference). Tallies are identical either way — clones are bit-identical
-// to cold boots.
-func Table1ParallelWith(workers int, snapshot bool) ([]Row, error) {
 	type job struct {
 		suite Suite
 		abi   cheriabi.ABI
@@ -107,20 +91,8 @@ func Table1ParallelWith(workers int, snapshot bool) ([]Row, error) {
 			jobs = append(jobs, job{suite: s, abi: abi})
 		}
 	}
-	makeSystem := func(job) (*cheriabi.System, error) {
-		return cheriabi.NewSystem(cheriabi.Config{MemBytes: memBytes}), nil
-	}
-	if snapshot {
-		snap, err := cheriabi.NewSystem(cheriabi.Config{MemBytes: memBytes}).Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		makeSystem = func(job) (*cheriabi.System, error) {
-			return snap.Clone(cheriabi.Config{}), nil
-		}
-	}
-	return driver.MapFleet(workers, jobs, makeSystem, func(sys *cheriabi.System, j job) (Row, error) {
-		t, err := RunSuiteOn(sys, j.suite, j.abi)
+	return driver.Map(workers, jobs, func(j job) (Row, error) {
+		t, err := RunSuite(j.suite, j.abi)
 		if err != nil {
 			return Row{}, err
 		}

@@ -142,25 +142,6 @@ func (f *Frames) decref(pa uint64) {
 
 func (f *Frames) shared(pa uint64) bool { return f.refs[pa] > 1 }
 
-// Clone deep-copies the allocator in O(frames ever freed plus frames in
-// use): the clone hands out the same frame sequence as the source would
-// from this point on, which is what makes a cloned boot's physical
-// placement — and so its cache behaviour — bit-identical to a cold
-// boot's.
-func (f *Frames) Clone() *Frames {
-	nf := &Frames{
-		hw:   f.hw,
-		end:  f.end,
-		free: make([]uint64, len(f.free)),
-		refs: make(map[uint64]int, len(f.refs)),
-	}
-	copy(nf.free, f.free)
-	for pa, c := range f.refs {
-		nf.refs[pa] = c
-	}
-	return nf
-}
-
 // SwapStore is tag-oblivious backing storage. Pages are stored as raw
 // bytes plus the tag bitmap the swapper extracted before eviction.
 type SwapStore struct {
@@ -194,21 +175,6 @@ func (s *SwapStore) Inject(fn func(id uint64, data []byte, tags []bool)) {
 	}
 }
 
-// Clone deep-copies the store: slot IDs (and the next-ID counter) carry
-// over, and each slot's bytes and tag bitmap are copied so a clone's
-// swap-ins never observe another machine's mutations.
-func (s *SwapStore) Clone() *SwapStore {
-	ns := &SwapStore{slots: make(map[uint64]swapSlot, len(s.slots)), next: s.next}
-	for id, slot := range s.slots {
-		data := make([]byte, len(slot.data))
-		copy(data, slot.data)
-		tags := make([]bool, len(slot.tags))
-		copy(tags, slot.tags)
-		ns.slots[id] = swapSlot{data: data, tags: tags}
-	}
-	return ns
-}
-
 func (s *SwapStore) take(id uint64) swapSlot {
 	slot, ok := s.slots[id]
 	if !ok {
@@ -234,18 +200,6 @@ func NewSystem(m *mem.Physical, reserved uint64) *System {
 		Swap:   NewSwapStore(),
 	}
 }
-
-// RestoreSystem rebuilds a System from snapshotted component state (the
-// machine-clone path): the caller supplies already-cloned memory, frame
-// allocator, and swap store, plus the address-space ID counter as of the
-// snapshot, so clone address spaces receive the same IDs a cold boot
-// would mint.
-func RestoreSystem(m *mem.Physical, frames *Frames, swap *SwapStore, nextAS uint64) *System {
-	return &System{Mem: m, Frames: frames, Swap: swap, nextAS: nextAS}
-}
-
-// NextAS returns the address-space ID counter (snapshot support).
-func (s *System) NextAS() uint64 { return s.nextAS }
 
 // RederiveFunc validates one swapped-in capability granule. It receives
 // the physical address of the granule (whose bytes are already restored)

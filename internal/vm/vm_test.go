@@ -348,14 +348,6 @@ func (f *freeListFrames) decref(pa uint64) {
 	}
 }
 
-func (f *freeListFrames) clone() *freeListFrames {
-	nf := &freeListFrames{free: append([]uint64(nil), f.free...), refs: map[uint64]int{}}
-	for pa, c := range f.refs {
-		nf.refs[pa] = c
-	}
-	return nf
-}
-
 // oraclePage is the oracle's page-table entry: a resident, writable
 // page and whether it is copy-on-write.
 type oraclePage struct {
@@ -368,11 +360,10 @@ type oraclePage struct {
 // model of the page tables, and requires every frame handed out and
 // every Free() count to agree. Each 2-byte group of the input is one op:
 // allocate, incref or decref a loose frame; write-touch a page (demand
-// zero or a copy-on-write copy); fork, release or create an address
-// space; or clone the allocator. Cloning also allocates two frames on
-// the abandoned original and frees them in allocation order, so a clone
-// that shared state with it would diverge. At the end both sides hand out every remaining frame,
-// which must come out in the same order.
+// zero or a copy-on-write copy); or fork, release or create an address
+// space. Kind 6 is unassigned and skipped, so the committed corpus still
+// decodes. At the end both sides hand out every remaining frame, which
+// must come out in the same order.
 func FuzzFramesMatchesFreeList(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 0, 3, 4, 4, 0, 3, 4, 5, 0, 0, 0, 2, 0, 6, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -458,16 +449,6 @@ func FuzzFramesMatchesFreeList(f *testing.F) {
 					o.decref(sp.pages[vpn].frame)
 				}
 				spaces = append(spaces[:i], spaces[i+1:]...)
-			case kind == 6:
-				orig, origO := s.Frames, o
-				s.Frames, o = orig.Clone(), o.clone()
-				if len(origO.free) >= 2 {
-					// Free two frames in allocation order: the original's
-					// free stack ends up reordered.
-					a, b := orig.alloc(), orig.alloc()
-					orig.decref(a)
-					orig.decref(b)
-				}
 			case kind == 7:
 				spaces = append(spaces, &space{as: s.NewAddressSpace(), pages: map[uint64]*oraclePage{}})
 			default:

@@ -54,16 +54,12 @@ func LoadGenImages(abi cheriabi.ABI) (server, client *cheriabi.Image, err error)
 
 // FleetEcho runs the cross-machine echo fleet: one server machine plus
 // clients machines, each performing rounds 512-byte round trips through
-// the fabric seeded with seed. All machines clone one booted template.
+// the fabric seeded with seed.
 func FleetEcho(abi cheriabi.ABI, clients, rounds int, seed uint64) (*driver.FleetResult, error) {
 	if clients <= 0 || clients > fleetConns {
 		return nil, fmt.Errorf("workload: echo fleet size %d out of range", clients)
 	}
 	server, client, err := FleetEchoImages(abi)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := cheriabi.NewSystem(cheriabi.Config{MemBytes: memBytes}).Snapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -79,9 +75,8 @@ func FleetEcho(abi cheriabi.ABI, clients, rounds int, seed uint64) (*driver.Flee
 		})
 	}
 	return driver.RunFleet(driver.FleetConfig{
-		Snapshot: snap,
-		Config:   cheriabi.Config{MemBytes: memBytes},
-		Fabric:   fabric.Config{Seed: seed},
+		Config: cheriabi.Config{MemBytes: memBytes},
+		Fabric: fabric.Config{Seed: seed},
 	}, nodes)
 }
 
@@ -120,11 +115,10 @@ type LoadGenResult struct {
 // 64-descriptor cap.
 const fleetConns = 48
 
-// LoadGen runs the load-generator fleet: it snapshots one booted
-// template machine, clones 1+Clients nodes from it, joins them with a
-// seeded fabric, runs every program to completion, and aggregates the
-// per-request latency lines. Defaults: 4 clients x 8 connections x 8
-// requests.
+// LoadGen runs the load-generator fleet: it boots 1+Clients nodes, joins
+// them with a seeded fabric, runs every program to completion, and
+// aggregates the per-request latency lines. Defaults: 4 clients x 8
+// connections x 8 requests.
 func LoadGen(spec LoadGenSpec) (*LoadGenResult, error) {
 	if spec.Clients <= 0 {
 		spec.Clients = 4
@@ -143,10 +137,6 @@ func LoadGen(spec LoadGenSpec) (*LoadGenResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap, err := cheriabi.NewSystem(cheriabi.Config{MemBytes: memBytes}).Snapshot()
-	if err != nil {
-		return nil, err
-	}
 	srvAddr := strconv.FormatUint(fabric.NodeAddr(0), 10)
 	nodes := []driver.FleetNode{{
 		Exe:  server,
@@ -160,10 +150,9 @@ func LoadGen(spec LoadGenSpec) (*LoadGenResult, error) {
 		})
 	}
 	res, err := driver.RunFleet(driver.FleetConfig{
-		Snapshot: snap,
-		Config:   cheriabi.Config{MemBytes: memBytes, Seed: spec.MachineSeed},
-		Fabric:   fabric.Config{Seed: spec.Seed},
-		Budget:   spec.Budget,
+		Config: cheriabi.Config{MemBytes: memBytes, Seed: spec.MachineSeed},
+		Fabric: fabric.Config{Seed: spec.Seed},
+		Budget: spec.Budget,
 	}, nodes)
 	if err != nil {
 		return nil, err

@@ -120,8 +120,8 @@ func Build(w Workload, opt BuildOptions) (exe *cheriabi.Image, libs []*cheriabi.
 const memBytes = 128 << 20
 
 // Run executes one workload on a cold-booted machine with the given layout
-// seed and returns its counters. This is the uncached, snapshot-free
-// reference path; sweeps go through an Engine.
+// seed and returns its counters. This is the uncached path; sweeps go
+// through an Engine, which caches builds.
 func Run(w Workload, opt BuildOptions, seed int64) (Measurement, error) {
 	exe, libs, err := Build(w, opt)
 	if err != nil {
@@ -181,27 +181,18 @@ type buildVal struct {
 	libs []*cheriabi.Image
 }
 
-// Engine executes workloads for a sweep. With snapshots enabled it boots
-// one Seed-0 template machine, captures it, and stamps every run's machine
-// as a copy-on-write clone — the per-run seed is a clone-time Config
-// field, so a single snapshot serves every
-// row and seed of a sweep. Builds are cached by their compile-relevant
-// options (the compiler is deterministic, and images are immutable once
-// built). An Engine is safe for concurrent use by the driver's worker
-// pools; the shared snapshot is read-only after capture.
+// Engine executes workloads for a sweep, cold-booting every run's machine.
+// Builds are cached by their compile-relevant options (the compiler is
+// deterministic, and images are immutable once built). An Engine is safe
+// for concurrent use by the driver's worker pools.
 type Engine struct {
-	snapshot bool
-
 	mu     sync.Mutex
-	snap   *cheriabi.Snapshot
 	builds map[buildKey]buildVal
 }
 
-// NewEngine returns an Engine. snapshot selects machine provisioning:
-// clone-from-snapshot (the fleet-runner fast path) or cold boot per run
-// (the differential reference; still build-cached).
-func NewEngine(snapshot bool) *Engine {
-	return &Engine{snapshot: snapshot, builds: map[buildKey]buildVal{}}
+// NewEngine returns an Engine with an empty build cache.
+func NewEngine() *Engine {
+	return &Engine{builds: map[buildKey]buildVal{}}
 }
 
 // build returns the cached toolchain output for (w, opt), compiling on
@@ -227,39 +218,13 @@ func (e *Engine) build(w Workload, opt BuildOptions) (*cheriabi.Image, []*cheria
 	return exe, libs, nil
 }
 
-// system provisions the machine for one run.
-func (e *Engine) system(seed int64) (*cheriabi.System, error) {
-	cfg := runConfig(seed)
-	if !e.snapshot {
-		return cheriabi.NewSystem(cfg), nil
-	}
-	e.mu.Lock()
-	if e.snap == nil {
-		snap, err := cheriabi.NewSystem(cheriabi.Config{MemBytes: memBytes}).Snapshot()
-		if err != nil {
-			e.mu.Unlock()
-			return nil, err
-		}
-		e.snap = snap
-	}
-	snap := e.snap
-	e.mu.Unlock()
-	return snap.Clone(cfg), nil
-}
-
-// Run executes one workload on a machine provisioned by the engine.
-// Results are bit-identical to the package-level Run — the differential
-// suite's TestSnapshotCloneDifferential enforces this.
+// Run is the package-level Run with the build taken from the cache.
 func (e *Engine) Run(w Workload, opt BuildOptions, seed int64) (Measurement, error) {
 	exe, libs, err := e.build(w, opt)
 	if err != nil {
 		return Measurement{}, err
 	}
-	sys, err := e.system(seed)
-	if err != nil {
-		return Measurement{}, err
-	}
-	return runOn(sys, w, exe, libs)
+	return runOn(cheriabi.NewSystem(runConfig(seed)), w, exe, libs)
 }
 
 // Overhead is one Figure 4 data point: median percentage overhead of the
@@ -293,14 +258,12 @@ func medianIQR(vals []float64) (med, iqr float64) {
 
 // Figure4Row measures one workload across the given seeds and reports the
 // overhead shape (median of per-seed overheads, IQR across seeds). The
-// package-level form cold-boots every machine; sweeps use the Engine
-// method.
+// package-level form compiles every build; sweeps use the Engine method.
 func Figure4Row(w Workload, seeds []int64) (Overhead, error) {
 	return figure4Row(Run, w, seeds)
 }
 
-// Figure4Row is the Engine form of the package-level Figure4Row; with
-// snapshots enabled, every measurement's machine is a clone.
+// Figure4Row is the Engine form of the package-level Figure4Row.
 func (e *Engine) Figure4Row(w Workload, seeds []int64) (Overhead, error) {
 	return figure4Row(e.Run, w, seeds)
 }
@@ -330,21 +293,11 @@ func figure4Row(run func(Workload, BuildOptions, int64) (Measurement, error), w 
 }
 
 // Figure4Rows measures the given workloads across a pool of workers and
-// returns the rows in input order, provisioning machines from a shared
-// snapshot. The per-row measurements are deterministic for a given seed
-// list — and identical between snapshot and cold provisioning — so the
-// result is independent of the worker count and the mode; the
-// parallel-driver determinism test enforces the former and the
-// differential suite the latter.
+// returns the rows in input order. The per-row measurements are
+// deterministic for a given seed list, so the result is independent of
+// the worker count; the parallel-driver determinism test enforces this.
 func Figure4Rows(ws []Workload, seeds []int64, workers int) ([]Overhead, error) {
-	return Figure4RowsMode(ws, seeds, workers, true)
-}
-
-// Figure4RowsMode is Figure4Rows with explicit machine provisioning:
-// snapshot=true clones every machine from one shared template, false
-// cold-boots per measurement (the differential reference).
-func Figure4RowsMode(ws []Workload, seeds []int64, workers int, snapshot bool) ([]Overhead, error) {
-	e := NewEngine(snapshot)
+	e := NewEngine()
 	return driver.Map(workers, ws, func(w Workload) (Overhead, error) {
 		return e.Figure4Row(w, seeds)
 	})

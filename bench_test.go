@@ -153,8 +153,7 @@ func BenchmarkTable3BOdiag(b *testing.B) {
 	var res *bodiag.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		r := bodiag.NewRunner()
-		res, err = r.Run(subset)
+		res, err = bodiag.RunParallel(subset, bodiag.Envs, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +203,7 @@ func BenchmarkSubObjectAblation(b *testing.B) {
 			b.Fatal(err)
 		}
 		overheadPct = (float64(sub.Cycles) - float64(base.Cycles)) / float64(base.Cycles) * 100
-		res, err := bodiag.NewRunner().RunEnvs(intra, env)
+		res, err := bodiag.RunParallel(intra, env, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -252,7 +252,7 @@ func (s *System) RunPath(path string, argv ...string) (*RunResult, error) {
 		ExitCode: p.ExitCode(),
 		Signal:   p.TermSignal(),
 		Output:   p.Stdout.String(),
-		Stats:    deltaStats(before, after),
+		Stats:    after.Sub(before),
 	}
 	s.Kernel.Reap(p)
 	return res, nil
@@ -260,21 +260,7 @@ func (s *System) RunPath(path string, argv ...string) (*RunResult, error) {
 
 // DeltaStats subtracts two Stats snapshots field-wise (b - a); fleet
 // runners use it to report per-machine deltas.
-func DeltaStats(a, b Stats) Stats { return deltaStats(a, b) }
-
-func deltaStats(a, b Stats) Stats {
-	return Stats{
-		Instructions: b.Instructions - a.Instructions,
-		Cycles:       b.Cycles - a.Cycles,
-		Loads:        b.Loads - a.Loads,
-		Stores:       b.Stores - a.Stores,
-		CapLoads:     b.CapLoads - a.CapLoads,
-		CapStores:    b.CapStores - a.CapStores,
-		Branches:     b.Branches - a.Branches,
-		Taken:        b.Taken - a.Taken,
-		Syscalls:     b.Syscalls - a.Syscalls,
-	}
-}
+func DeltaStats(a, b Stats) Stats { return b.Sub(a) }
 
 // L2Misses returns the machine's cumulative L2 miss count.
 func (s *System) L2Misses() uint64 { return s.Machine.Hier.L2.Stats().Misses }

@@ -53,8 +53,7 @@ func TestSubsetShape(t *testing.T) {
 			seen[c.Region]++
 		}
 	}
-	r := NewRunner()
-	res, err := r.Run(subset)
+	res, err := RunParallel(subset, Envs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,50 +35,14 @@ type Result struct {
 	Failures []string
 }
 
-// Runner executes bodiag cases, reusing one booted system per environment
-// to keep the 3,500-odd runs fast.
-type Runner struct {
-	systems map[string]*cheriabi.System
-}
-
-// NewRunner returns a Runner with lazily booted systems.
-func NewRunner() *Runner {
-	return &Runner{systems: map[string]*cheriabi.System{}}
-}
-
 // memBytes is the physical-memory size every bodiag machine boots with.
 const memBytes = 192 << 20
 
-// newSystem cold-boots a machine prepared for bodiag runs.
-func newSystem() *cheriabi.System {
-	s := cheriabi.NewSystem(cheriabi.Config{MemBytes: memBytes})
-	s.Kernel.FS.Mkdir(CwdPath)
-	return s
-}
-
-func (r *Runner) system(env Env) *cheriabi.System {
-	s, ok := r.systems[env.Name]
-	if !ok {
-		s = newSystem()
-		r.systems[env.Name] = s
-	}
-	return s
-}
-
-// detected runs one case/variant in env and reports whether the violation
-// was detected.
-func (r *Runner) detected(env Env, c Case, v Variant) (bool, error) {
-	return detectedOn(r.system(env), env, c, v)
-}
-
-// detectedOn runs one case/variant on sys and reports whether the
-// violation was detected: the process died on a signal, or a
-// kernel/library path refused the access (exit 99 = EFAULT observed).
-// Detection is an architectural outcome, invariant to the machine's
-// physical placement and reuse state, so running on a reused per-env
-// system or a fresh boot gives the same answer — the parallel determinism
-// test and the differential suite both enforce this.
-func detectedOn(sys *cheriabi.System, env Env, c Case, v Variant) (bool, error) {
+// detected runs one case/variant in env on a freshly booted machine and
+// reports whether the violation was detected: the process died on a
+// signal, or a kernel/library path refused the access (exit 99 = EFAULT
+// observed).
+func detected(env Env, c Case, v Variant) (bool, error) {
 	src := Source(c, v)
 	// The image name must be a deterministic function of (case, variant,
 	// env): it becomes the installed path and therefore argv[0], which is
@@ -94,6 +58,8 @@ func detectedOn(sys *cheriabi.System, env Env, c Case, v Variant) (bool, error) 
 	if err != nil {
 		return false, fmt.Errorf("%s/%s: compile: %w", c.Name(), v, err)
 	}
+	sys := cheriabi.NewSystem(cheriabi.Config{MemBytes: memBytes})
+	sys.Kernel.FS.Mkdir(CwdPath)
 	res, err := sys.RunImage(img)
 	if err != nil {
 		return false, fmt.Errorf("%s/%s: run: %w", c.Name(), v, err)
@@ -101,45 +67,13 @@ func detectedOn(sys *cheriabi.System, env Env, c Case, v Variant) (bool, error) 
 	return res.Signal != 0 || res.ExitCode == 99, nil
 }
 
-// Run evaluates the given cases (pass Generate() for the full table).
-func (r *Runner) Run(cases []Case) (*Result, error) { return r.RunEnvs(cases, Envs) }
-
-// RunEnvs evaluates cases under a custom environment list (ablations).
-func (r *Runner) RunEnvs(cases []Case, envs []Env) (*Result, error) {
-	out := &Result{Total: len(cases), Detected: map[string][3]int{}}
-	for _, env := range envs {
-		var counts [3]int
-		for _, c := range cases {
-			// Sanity: the correct variant must run clean everywhere.
-			if ok, err := r.detected(env, c, VarOK); err != nil {
-				return nil, err
-			} else if ok {
-				out.OKFailures++
-				out.Failures = append(out.Failures, fmt.Sprintf("%s: OK variant flagged under %s", c.Name(), env.Name))
-			}
-			for vi, v := range []Variant{VarMin, VarMed, VarLarge} {
-				hit, err := r.detected(env, c, v)
-				if err != nil {
-					return nil, err
-				}
-				if hit {
-					counts[vi]++
-				}
-			}
-		}
-		out.Detected[env.Name] = counts
-	}
-	return out, nil
-}
-
-// RunParallel evaluates cases across a worker pool and aggregates exactly
-// the same Table 3 a sequential RunEnvs produces. Every (case, variant,
+// RunParallel evaluates cases under envs across a pool of workers
+// (pass Generate() and Envs for the full Table 3). Every (case, variant,
 // env) run is one item executed on its own freshly booted machine, so no
 // simulated state leaks between runs regardless of scheduling; and
 // detection is an architectural outcome (signal or EFAULT), not a timing
-// or placement one, so neither the machine nor the worker count can
-// change it — the parallel determinism test compares this path against
-// RunEnvs.
+// or placement one, so the worker count cannot change it — the parallel
+// determinism test compares one worker against eight.
 func RunParallel(cases []Case, envs []Env, workers int) (*Result, error) {
 	type run struct {
 		ci, ei, vi int // vi indexes variants: 0 = OK, 1..3 = min/med/large
@@ -154,13 +88,13 @@ func RunParallel(cases []Case, envs []Env, workers int) (*Result, error) {
 		}
 	}
 	hits, err := driver.Map(workers, runs, func(r run) (bool, error) {
-		return detectedOn(newSystem(), envs[r.ei], cases[r.ci], variants[r.vi])
+		return detected(envs[r.ei], cases[r.ci], variants[r.vi])
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Fold in RunEnvs's order (env-major, then case, then variant) so the
-	// Result — including the Failures diagnostics — matches it exactly.
+	// Fold env-major, then case, then variant, so the Failures
+	// diagnostics come out in a fixed order.
 	idx := func(ci, ei, vi int) int { return (ci*len(envs)+ei)*len(variants) + vi }
 	res := &Result{Total: len(cases), Detected: map[string][3]int{}}
 	for ei, env := range envs {

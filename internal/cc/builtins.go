@@ -1,13 +1,9 @@
 package cc
 
 import (
-	"cheriabi/internal/nat"
-)
+	"strings"
 
-// Extra native ids layered on package nat for toolchain-internal runtime
-// entry points.
-const (
-	natAsanReport = 200 // ASan failure reporting (aborts the process)
+	"cheriabi/internal/nat"
 )
 
 type builtinKind int
@@ -29,180 +25,53 @@ type builtin struct {
 	cheriOp string // for bCheri
 }
 
-// Syscall numbers mirrored from the kernel (kept in sync by
-// TestBuiltinSyscallNumbers).
-const (
-	sysExit = iota + 1
-	sysFork
-	sysRead
-	sysWrite
-	sysOpen
-	sysClose
-	sysWait4
-	sysPipe
-	sysDup
-	sysGetpid
-	sysExecve
-	sysMmap
-	sysMunmap
-	sysMprotect
-	sysSbrk
-	sysSelect
-	sysKqueue
-	sysKevent
-	sysSigaction
-	sysSigreturn
-	sysKill
-	sysIoctl
-	sysSysctl
-	sysPtrace
-	sysGetcwd
-	sysChdir
-	sysLseek
-	sysFstat
-	sysShmget
-	sysShmat
-	sysShmdt
-	sysYield
-	sysSigprocmask
-	sysGetTime
-	sysUnlink
-	sysSwapSelf
-	sysReadv
-	sysWritev
-	sysPread
-	sysPwrite
-	sysFtruncate
-	sysSocket
-	sysSocketpair
-	sysBind
-	sysListen
-	sysConnect
-	sysAccept
-	sysShutdown
-	sysSend
-	sysRecv
-	sysPoll
-	sysFcntl
-	sysGetdents
-	sysNanosleep
-	sysSleep
-	sysUsleep
-	sysClockGettime
-	sysGettimeofday
-	sysGetsockname
-	sysGetpeername
-)
+// builtins are the MiniC builtins: every syscall and native package nat
+// exposes, plus the hand-written CHERI intrinsics and errno.
+var builtins = func() map[string]builtin {
+	m := map[string]builtin{
+		// CHERI introspection (compile to single instructions; degrade
+		// gracefully under the legacy ABI).
+		"cheri_tag_get":        {kind: bCheri, spec: "p", cheriOp: "tag"},
+		"cheri_length_get":     {kind: bCheri, spec: "p", cheriOp: "len"},
+		"cheri_base_get":       {kind: bCheri, spec: "p", cheriOp: "base"},
+		"cheri_address_get":    {kind: bCheri, spec: "p", cheriOp: "addr"},
+		"cheri_perms_get":      {kind: bCheri, spec: "p", cheriOp: "perms"},
+		"cheri_bounds_set":     {kind: bCheri, spec: "pi", cheriOp: "setbounds", retPtr: true},
+		"cheri_perms_and":      {kind: bCheri, spec: "pi", cheriOp: "andperm", retPtr: true},
+		"cheri_tag_clear":      {kind: bCheri, spec: "p", cheriOp: "cleartag", retPtr: true},
+		"representable_length": {kind: bCheri, spec: "i", cheriOp: "crrl"},
+		"representable_mask":   {kind: bCheri, spec: "i", cheriOp: "cram"},
 
-var builtins = map[string]builtin{
-	// Syscall wrappers.
-	"exit":        {kind: bSyscall, num: sysExit, spec: "i", retVoid: true},
-	"fork":        {kind: bSyscall, num: sysFork, spec: ""},
-	"read":        {kind: bSyscall, num: sysRead, spec: "ipi"},
-	"write":       {kind: bSyscall, num: sysWrite, spec: "ipi"},
-	"open":        {kind: bSyscall, num: sysOpen, spec: "pii"},
-	"close":       {kind: bSyscall, num: sysClose, spec: "i"},
-	"wait4":       {kind: bSyscall, num: sysWait4, spec: "ipi"},
-	"pipe":        {kind: bSyscall, num: sysPipe, spec: "p"},
-	"dup":         {kind: bSyscall, num: sysDup, spec: "i"},
-	"getpid":      {kind: bSyscall, num: sysGetpid, spec: ""},
-	"execve":      {kind: bSyscall, num: sysExecve, spec: "ppp"},
-	"mmap":        {kind: bSyscall, num: sysMmap, spec: "piii", retPtr: true},
-	"munmap":      {kind: bSyscall, num: sysMunmap, spec: "pi"},
-	"mprotect":    {kind: bSyscall, num: sysMprotect, spec: "pii"},
-	"sbrk":        {kind: bSyscall, num: sysSbrk, spec: "i"},
-	"select":      {kind: bSyscall, num: sysSelect, spec: "ipppp"},
-	"kqueue":      {kind: bSyscall, num: sysKqueue, spec: ""},
-	"kevent":      {kind: bSyscall, num: sysKevent, spec: "ipipip"},
-	"sigaction":   {kind: bSyscall, num: sysSigaction, spec: "ip"},
-	"kill":        {kind: bSyscall, num: sysKill, spec: "ii"},
-	"ioctl":       {kind: bSyscall, num: sysIoctl, spec: "iip"},
-	"sysctl":      {kind: bSyscall, num: sysSysctl, spec: "ippp"},
-	"ptrace":      {kind: bSyscall, num: sysPtrace, spec: "iipi"},
-	"getcwd":      {kind: bSyscall, num: sysGetcwd, spec: "pi"},
-	"chdir":       {kind: bSyscall, num: sysChdir, spec: "p"},
-	"lseek":       {kind: bSyscall, num: sysLseek, spec: "iii"},
-	"fstat":       {kind: bSyscall, num: sysFstat, spec: "ip"},
-	"shmget":      {kind: bSyscall, num: sysShmget, spec: "ii"},
-	"shmat":       {kind: bSyscall, num: sysShmat, spec: "ip", retPtr: true},
-	"shmdt":       {kind: bSyscall, num: sysShmdt, spec: "p"},
-	"yield":       {kind: bSyscall, num: sysYield, spec: ""},
-	"sigprocmask": {kind: bSyscall, num: sysSigprocmask, spec: "iii"},
-	"gettime":     {kind: bSyscall, num: sysGetTime, spec: ""},
-	"unlink":      {kind: bSyscall, num: sysUnlink, spec: "p"},
-	"swapself":    {kind: bSyscall, num: sysSwapSelf, spec: ""},
-	"readv":       {kind: bSyscall, num: sysReadv, spec: "ipi"},
-	"writev":      {kind: bSyscall, num: sysWritev, spec: "ipi"},
-	"pread":       {kind: bSyscall, num: sysPread, spec: "ipii"},
-	"pwrite":      {kind: bSyscall, num: sysPwrite, spec: "ipii"},
-	"ftruncate":   {kind: bSyscall, num: sysFtruncate, spec: "ii"},
-	"socket":      {kind: bSyscall, num: sysSocket, spec: "iii"},
-	"socketpair":  {kind: bSyscall, num: sysSocketpair, spec: "iiip"},
-	"bind":        {kind: bSyscall, num: sysBind, spec: "ip"},
-	"listen":      {kind: bSyscall, num: sysListen, spec: "ii"},
-	"connect":     {kind: bSyscall, num: sysConnect, spec: "ip"},
-	"accept":      {kind: bSyscall, num: sysAccept, spec: "i"},
-	"shutdown":    {kind: bSyscall, num: sysShutdown, spec: "ii"},
-	"send":        {kind: bSyscall, num: sysSend, spec: "ipii"},
-	"recv":        {kind: bSyscall, num: sysRecv, spec: "ipii"},
-	"poll":        {kind: bSyscall, num: sysPoll, spec: "pii"},
-	"fcntl":       {kind: bSyscall, num: sysFcntl, spec: "iii"},
-	// readdir is the getdents(2) wrapper: it fills buf with fixed 64-byte
-	// records {kind u64, name NUL-terminated} in sorted order.
-	"readdir": {kind: bSyscall, num: sysGetdents, spec: "ipi"},
-	// Timed waits on the virtual clock (1 cycle = 10 ns).
-	"nanosleep":     {kind: bSyscall, num: sysNanosleep, spec: "pp"},
-	"sleep":         {kind: bSyscall, num: sysSleep, spec: "i"},
-	"usleep":        {kind: bSyscall, num: sysUsleep, spec: "i"},
-	"clock_gettime": {kind: bSyscall, num: sysClockGettime, spec: "ip"},
-	"gettimeofday":  {kind: bSyscall, num: sysGettimeofday, spec: "p"},
-	// Socket name queries: fill a struct sockaddr_in {family, port, addr}.
-	"getsockname": {kind: bSyscall, num: sysGetsockname, spec: "ip"},
-	"getpeername": {kind: bSyscall, num: sysGetpeername, spec: "ip"},
+		"errno": {kind: bErrno},
+	}
+	for num, c := range nat.Syscalls {
+		if c.Name != "" {
+			m[c.Name] = callBuiltin(bSyscall, num, c)
+		}
+	}
+	for num, c := range nat.Natives {
+		if c.Name != "" {
+			m[c.Name] = callBuiltin(bNative, num, c)
+		}
+	}
+	return m
+}()
 
-	// C runtime natives.
-	"malloc":  {kind: bNative, num: nat.Malloc, spec: "i", retPtr: true},
-	"free":    {kind: bNative, num: nat.Free, spec: "p", retVoid: true},
-	"realloc": {kind: bNative, num: nat.Realloc, spec: "pi", retPtr: true},
-	"calloc":  {kind: bNative, num: nat.Calloc, spec: "ii", retPtr: true},
-	"memcpy":  {kind: bNative, num: nat.Memcpy, spec: "ppi", retPtr: true},
-	"memmove": {kind: bNative, num: nat.Memmove, spec: "ppi", retPtr: true},
-	"memset":  {kind: bNative, num: nat.Memset, spec: "pii", retPtr: true},
-	"memcmp":  {kind: bNative, num: nat.Memcmp, spec: "ppi"},
-	"strlen":  {kind: bNative, num: nat.Strlen, spec: "p"},
-	"strcpy":  {kind: bNative, num: nat.Strcpy, spec: "pp", retPtr: true},
-	"strncpy": {kind: bNative, num: nat.Strncpy, spec: "ppi", retPtr: true},
-	"strcmp":  {kind: bNative, num: nat.Strcmp, spec: "pp"},
-	"strncmp": {kind: bNative, num: nat.Strncmp, spec: "ppi"},
-	"strcat":  {kind: bNative, num: nat.Strcat, spec: "pp", retPtr: true},
-	"strchr":  {kind: bNative, num: nat.Strchr, spec: "pi", retPtr: true},
-	"qsort":   {kind: bNative, num: nat.Qsort, spec: "piip", retVoid: true},
-	"puts":    {kind: bNative, num: nat.Puts, spec: "p"},
-	"putchar": {kind: bNative, num: nat.Putchar, spec: "i"},
-	"atoi":    {kind: bNative, num: nat.Atoi, spec: "p"},
-	"rand":    {kind: bNative, num: nat.Rand, spec: ""},
-	"srand":   {kind: bNative, num: nat.Srand, spec: "i", retVoid: true},
-	"abort":   {kind: bNative, num: nat.Abort, spec: "", retVoid: true},
-	"getenv":  {kind: bNative, num: nat.Getenv, spec: "p", retPtr: true},
-	"tls_get": {kind: bNative, num: nat.TLSGet, spec: "i", retPtr: true},
-
-	// Variadic printf family ("variadic arguments are always spilled to
-	// the stack and passed via a capability").
-	"printf":   {kind: bVariadic, num: nat.Printf, spec: "p"},
-	"snprintf": {kind: bVariadic, num: nat.Snprintf, spec: "pip"},
-
-	// CHERI introspection (compile to single instructions; degrade
-	// gracefully under the legacy ABI).
-	"cheri_tag_get":        {kind: bCheri, spec: "p", cheriOp: "tag"},
-	"cheri_length_get":     {kind: bCheri, spec: "p", cheriOp: "len"},
-	"cheri_base_get":       {kind: bCheri, spec: "p", cheriOp: "base"},
-	"cheri_address_get":    {kind: bCheri, spec: "p", cheriOp: "addr"},
-	"cheri_perms_get":      {kind: bCheri, spec: "p", cheriOp: "perms"},
-	"cheri_bounds_set":     {kind: bCheri, spec: "pi", cheriOp: "setbounds", retPtr: true},
-	"cheri_perms_and":      {kind: bCheri, spec: "pi", cheriOp: "andperm", retPtr: true},
-	"cheri_tag_clear":      {kind: bCheri, spec: "p", cheriOp: "cleartag", retPtr: true},
-	"representable_length": {kind: bCheri, spec: "i", cheriOp: "crrl"},
-	"representable_mask":   {kind: bCheri, spec: "i", cheriOp: "cram"},
-
-	"errno": {kind: bErrno},
+// callBuiltin derives the builtin for nat entry c. To MiniC every argument
+// letter other than 'i' is a pointer. A variadic entry's trailing
+// argument points at the spilled variadic arguments, which the compiler
+// supplies (genVariadicCall), so it is not a fixed argument.
+func callBuiltin(kind builtinKind, num int, c nat.Call) builtin {
+	spec := c.Spec
+	if c.Variadic {
+		kind = bVariadic
+		spec = spec[:len(spec)-1]
+	}
+	spec = strings.Map(func(r rune) rune {
+		if r == 'i' {
+			return 'i'
+		}
+		return 'p'
+	}, spec)
+	return builtin{kind: kind, num: num, spec: spec, retPtr: c.Ret == nat.Ptr, retVoid: c.Ret == nat.Void}
 }

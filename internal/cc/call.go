@@ -92,14 +92,7 @@ func (g *gen) emitCall(plan callPlan, x *callExpr) (val, error) {
 	}
 
 	// Spill the caller's live temps (those allocated before this call).
-	savedInt := append([]uint8{}, g.intLive[:intMark]...)
-	savedCap := append([]uint8{}, g.capLive[:capMark]...)
-	for i, r := range savedInt {
-		g.storeLocalSlot(g.intSpillOff()+int64(i)*8, r, 8)
-	}
-	for i, r := range savedCap {
-		g.storeLocalCapSlot(g.capSpillOff()+int64(i)*capBytes, r)
-	}
+	savedInt, savedCap := g.spillLive(intMark, capMark)
 
 	// Move argument temps into ABI registers.
 	if err := g.marshalArgs(args, x.line()); err != nil {
@@ -149,12 +142,7 @@ func (g *gen) emitCall(plan callPlan, x *callExpr) (val, error) {
 	}
 
 	// Restore spilled temps.
-	for i, r := range savedInt {
-		g.loadLocalSlot(g.intSpillOff()+int64(i)*8, r, 8, false)
-	}
-	for i, r := range savedCap {
-		g.loadLocalCapSlot(g.capSpillOff()+int64(i)*capBytes, r)
-	}
+	g.restoreLive(savedInt, savedCap)
 
 	// Capture the return value.
 	retPtr := plan.sig != nil && plan.sig.ret.isCapLike()
@@ -270,14 +258,7 @@ func (g *gen) genBuiltinCall(name string, b builtin, x *callExpr) (val, error) {
 		}
 		args = append(args, v)
 	}
-	savedInt := append([]uint8{}, g.intLive[:intMark]...)
-	savedCap := append([]uint8{}, g.capLive[:capMark]...)
-	for i, r := range savedInt {
-		g.storeLocalSlot(g.intSpillOff()+int64(i)*8, r, 8)
-	}
-	for i, r := range savedCap {
-		g.storeLocalCapSlot(g.capSpillOff()+int64(i)*capBytes, r)
-	}
+	savedInt, savedCap := g.spillLive(intMark, capMark)
 	if err := g.marshalArgs(args, x.line()); err != nil {
 		return val{}, err
 	}
@@ -295,12 +276,7 @@ func (g *gen) genBuiltinCall(name string, b builtin, x *callExpr) (val, error) {
 		g.emit(isa.Inst{Op: isa.NCALL, Imm: int32(b.num)})
 	}
 
-	for i, r := range savedInt {
-		g.loadLocalSlot(g.intSpillOff()+int64(i)*8, r, 8, false)
-	}
-	for i, r := range savedCap {
-		g.loadLocalCapSlot(g.capSpillOff()+int64(i)*capBytes, r)
-	}
+	g.restoreLive(savedInt, savedCap)
 	retType := typeLong
 	if b.retPtr {
 		retType = ptrTo(typeChar)
@@ -372,14 +348,7 @@ func (g *gen) genVariadicCall(b builtin, x *callExpr) (val, error) {
 		args = append(args, val{kind: vkTemp, typ: ptrTo(typeChar), reg: rd})
 	}
 
-	savedInt := append([]uint8{}, g.intLive[:intMark]...)
-	savedCap := append([]uint8{}, g.capLive[:capMark]...)
-	for i, r := range savedInt {
-		g.storeLocalSlot(g.intSpillOff()+int64(i)*8, r, 8)
-	}
-	for i, r := range savedCap {
-		g.storeLocalCapSlot(g.capSpillOff()+int64(i)*capBytes, r)
-	}
+	savedInt, savedCap := g.spillLive(intMark, capMark)
 	if err := g.marshalArgs(args, x.line()); err != nil {
 		return val{}, err
 	}
@@ -387,12 +356,7 @@ func (g *gen) genVariadicCall(b builtin, x *callExpr) (val, error) {
 		g.release(args[i])
 	}
 	g.emit(isa.Inst{Op: isa.NCALL, Imm: int32(b.num)})
-	for i, r := range savedInt {
-		g.loadLocalSlot(g.intSpillOff()+int64(i)*8, r, 8, false)
-	}
-	for i, r := range savedCap {
-		g.loadLocalCapSlot(g.capSpillOff()+int64(i)*capBytes, r)
-	}
+	g.restoreLive(savedInt, savedCap)
 	return g.captureReturn(false, false, typeLong, x.line())
 }
 

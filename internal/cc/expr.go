@@ -2,6 +2,7 @@ package cc
 
 import (
 	"cheriabi/internal/isa"
+	"cheriabi/internal/nat"
 )
 
 // val is an expression result held in a register. Under CheriABI,
@@ -709,6 +710,6 @@ func (g *gen) emitASanCheck(addrReg uint8, size int64) {
 	g.emit(isa.Inst{Op: isa.ADDI, Ra: isa.RK1, Rb: isa.RK1, Imm: int32(size)})
 	g.emitBranch(isa.Inst{Op: isa.BGE, Ra: isa.RAT, Rb: isa.RK1}, ok)
 	g.bind(fail)
-	g.emit(isa.Inst{Op: isa.NCALL, Imm: int32(natAsanReport)})
+	g.emit(isa.Inst{Op: isa.NCALL, Imm: int32(nat.AsanReport)})
 	g.bind(ok)
 }

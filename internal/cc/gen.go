@@ -309,10 +309,12 @@ func (g *gen) release(v val) {
 	}
 }
 
-// spillLive saves all live temps before a call and returns a restore plan.
-func (g *gen) spillLive() (ints []uint8, caps []uint8) {
-	ints = append(ints, g.intLive...)
-	caps = append(caps, g.capLive...)
+// spillLive saves the live temps allocated before a call's arguments
+// (those below the intMark/capMark watermarks) and returns them for
+// restoreLive.
+func (g *gen) spillLive(intMark, capMark int) (ints, caps []uint8) {
+	ints = append(ints, g.intLive[:intMark]...)
+	caps = append(caps, g.capLive[:capMark]...)
 	for i, r := range ints {
 		g.storeLocalSlot(g.intSpillOff()+int64(i)*8, r, 8)
 	}
@@ -322,6 +324,7 @@ func (g *gen) spillLive() (ints []uint8, caps []uint8) {
 	return ints, caps
 }
 
+// restoreLive reloads the temps spillLive saved.
 func (g *gen) restoreLive(ints, caps []uint8) {
 	for i, r := range ints {
 		g.loadLocalSlot(g.intSpillOff()+int64(i)*8, r, 8, false)

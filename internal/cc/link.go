@@ -6,6 +6,7 @@ import (
 	"cheriabi/internal/cap"
 	"cheriabi/internal/image"
 	"cheriabi/internal/isa"
+	"cheriabi/internal/nat"
 )
 
 // Compile builds the given MiniC sources into a single image (an
@@ -180,7 +181,7 @@ func (g *gen) synthesizeStart() {
 	idx := g.emit(isa.Inst{Op: callOp})
 	g.callFix = append(g.callFix, fixup{idx: idx, fn: "main"})
 	g.emit(isa.Inst{Op: isa.OR, Ra: isa.RA0, Rb: isa.RV0, Rc: 0})
-	g.emit(isa.Inst{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: sysExit})
+	g.emit(isa.Inst{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysExit})
 	g.emit(isa.Inst{Op: isa.SYSCALL})
 }
 

@@ -83,6 +83,23 @@ type Stats struct {
 	Syscalls     uint64
 }
 
+// Sub returns the field-wise difference s - before: the events counted
+// between two snapshots. It names every field, and TestStatsSubCoversEveryField
+// fails when a new counter is left out.
+func (s Stats) Sub(before Stats) Stats {
+	return Stats{
+		Instructions: s.Instructions - before.Instructions,
+		Cycles:       s.Cycles - before.Cycles,
+		Loads:        s.Loads - before.Loads,
+		Stores:       s.Stores - before.Stores,
+		CapLoads:     s.CapLoads - before.CapLoads,
+		CapStores:    s.CapStores - before.CapStores,
+		Branches:     s.Branches - before.Branches,
+		Taken:        s.Taken - before.Taken,
+		Syscalls:     s.Syscalls - before.Syscalls,
+	}
+}
+
 // CapTracer observes capability derivations for the Figure 5 analysis.
 // The CPU reports bounds-restricting derivations; run-time components
 // (kernel, rtld, malloc) report their own creations with richer labels.

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"reflect"
 	"testing"
 
 	"cheriabi/internal/cache"
@@ -464,5 +465,25 @@ func TestCyclesExceedInstructions(t *testing.T) {
 	run(t, c)
 	if c.Stats.Cycles < c.Stats.Instructions {
 		t.Fatalf("cycles %d < instructions %d", c.Stats.Cycles, c.Stats.Instructions)
+	}
+}
+
+// TestStatsSubCoversEveryField: Sub subtracts every counter, so one added
+// to Stats cannot silently read 0 in run results and fleet deltas.
+func TestStatsSubCoversEveryField(t *testing.T) {
+	var before, after Stats
+	bv, av := reflect.ValueOf(&before).Elem(), reflect.ValueOf(&after).Elem()
+	for i := range bv.NumField() {
+		if bv.Field(i).Kind() != reflect.Uint64 {
+			t.Fatalf("Stats.%s is %v; Sub handles uint64 counters", bv.Type().Field(i).Name, bv.Field(i).Kind())
+		}
+		bv.Field(i).SetUint(uint64(i + 1))
+		av.Field(i).SetUint(uint64(100*i + 1000))
+	}
+	dv := reflect.ValueOf(after.Sub(before))
+	for i := range dv.NumField() {
+		if got, want := dv.Field(i).Uint(), uint64(99*i+999); got != want {
+			t.Errorf("Sub: Stats.%s = %d, want %d", dv.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"cheriabi/internal/cpu"
 	"cheriabi/internal/image"
 	"cheriabi/internal/isa"
+	"cheriabi/internal/nat"
 )
 
 // The I/O paths of a steady-state syscall allocate nothing on the host:
@@ -77,7 +78,7 @@ func (h *ioProc) call(num int, ints []uint64, ptrs []cap.Capability) (uint64, Er
 	f := &h.th.Frame
 	legacy := h.th.Proc.ABI == image.ABILegacy
 	ni, np := 0, 0
-	for idx, c := range sysTable[num].spec {
+	for idx, c := range nat.Syscalls[num].Spec {
 		switch {
 		case c == 'i' && legacy:
 			f.X[isa.RA0+idx] = ints[ni]
@@ -140,14 +141,14 @@ func TestFileReadWriteDoesNotAllocate(t *testing.T) {
 		h.k.FS.WriteFile("/data", nil)
 		fd = h.open(&vnodeFile{node: h.k.FS.lookup("/data")})
 	}, func(h *ioProc) string {
-		n, e := h.call(SysWrite, []uint64{fd, ioAllocLen}, []cap.Capability{h.buf})
+		n, e := h.call(nat.SysWrite, []uint64{fd, ioAllocLen}, []cap.Capability{h.buf})
 		if msg := moved("write", n, e); msg != "" {
 			return msg
 		}
-		if _, e := h.call(SysLseek, []uint64{fd, 0, 0}, nil); e != OK {
+		if _, e := h.call(nat.SysLseek, []uint64{fd, 0, 0}, nil); e != OK {
 			return "lseek: errno " + itoa(int(e))
 		}
-		n, e = h.call(SysRead, []uint64{fd, ioAllocLen}, []cap.Capability{h.buf})
+		n, e = h.call(nat.SysRead, []uint64{fd, ioAllocLen}, []cap.Capability{h.buf})
 		return moved("read", n, e)
 	})
 }
@@ -161,11 +162,11 @@ func (h *ioProc) pipePair() (r, w uint64) {
 func TestPipeWriteReadDoesNotAllocate(t *testing.T) {
 	var r, w uint64
 	wantZeroAllocs(t, "pipe write+read", func(h *ioProc) { r, w = h.pipePair() }, func(h *ioProc) string {
-		n, e := h.call(SysWrite, []uint64{w, ioAllocLen}, []cap.Capability{h.buf})
+		n, e := h.call(nat.SysWrite, []uint64{w, ioAllocLen}, []cap.Capability{h.buf})
 		if msg := moved("write", n, e); msg != "" {
 			return msg
 		}
-		n, e = h.call(SysRead, []uint64{r, ioAllocLen}, []cap.Capability{h.buf})
+		n, e = h.call(nat.SysRead, []uint64{r, ioAllocLen}, []cap.Capability{h.buf})
 		return moved("read", n, e)
 	})
 }
@@ -173,11 +174,11 @@ func TestPipeWriteReadDoesNotAllocate(t *testing.T) {
 func TestReadvWritevDoesNotAllocate(t *testing.T) {
 	var r, w uint64
 	wantZeroAllocs(t, "writev+readv over a pipe", func(h *ioProc) { r, w = h.pipePair() }, func(h *ioProc) string {
-		n, e := h.call(SysWritev, []uint64{w, 2}, []cap.Capability{h.iov})
+		n, e := h.call(nat.SysWritev, []uint64{w, 2}, []cap.Capability{h.iov})
 		if msg := moved("writev", n, e); msg != "" {
 			return msg
 		}
-		n, e = h.call(SysReadv, []uint64{r, 2}, []cap.Capability{h.iov})
+		n, e = h.call(nat.SysReadv, []uint64{r, 2}, []cap.Capability{h.iov})
 		return moved("readv", n, e)
 	})
 }
@@ -189,11 +190,11 @@ func TestUnixSendRecvDoesNotAllocate(t *testing.T) {
 		wireSockets(s1, s2, &WaitQueue{})
 		a, b = h.open(s1), h.open(s2)
 	}, func(h *ioProc) string {
-		n, e := h.call(SysSend, []uint64{a, ioAllocLen, 0}, []cap.Capability{h.buf})
+		n, e := h.call(nat.SysSend, []uint64{a, ioAllocLen, 0}, []cap.Capability{h.buf})
 		if msg := moved("send", n, e); msg != "" {
 			return msg
 		}
-		n, e = h.call(SysRecv, []uint64{b, ioAllocLen, 0}, []cap.Capability{h.buf})
+		n, e = h.call(nat.SysRecv, []uint64{b, ioAllocLen, 0}, []cap.Capability{h.buf})
 		return moved("recv", n, e)
 	})
 }

@@ -7,42 +7,6 @@ import (
 	"cheriabi/internal/uaccess"
 )
 
-// Syscall argument conventions. A syscall's signature is a string of
-// per-argument letters (see dispatch.go). Under the legacy ABI all
-// arguments travel in integer registers r4..r11 in declaration order;
-// under CheriABI integers use r4.. and pointers use capability registers
-// c3.., each in declaration order ("integer and pointer arguments use
-// different register files").
-
-// argInt returns the idx-th argument (which must be an 'i' in spec).
-func argInt(f *Frame, abi image.ABI, spec string, idx int) uint64 {
-	if abi == image.ABILegacy {
-		return f.X[isa.RA0+idx]
-	}
-	n := 0
-	for i := 0; i < idx; i++ {
-		if spec[i] == 'i' {
-			n++
-		}
-	}
-	return f.X[isa.RA0+n]
-}
-
-// argPtrRaw returns the idx-th pointer argument exactly as presented: a
-// capability under CheriABI, an untagged address under legacy.
-func argPtrRaw(f *Frame, abi image.ABI, spec string, idx int) cap.Capability {
-	if abi == image.ABILegacy {
-		return cap.NullWithAddr(f.X[isa.RA0+idx])
-	}
-	n := 0
-	for i := 0; i < idx; i++ {
-		if spec[i] != 'i' {
-			n++
-		}
-	}
-	return f.C[isa.CA0+n]
-}
-
 // materializePtr turns a raw pointer argument into the authorizing
 // capability the kernel will access user memory through. This is where
 // the two syscall paths diverge (§5.2):
@@ -59,20 +23,26 @@ func (k *Kernel) materializePtr(p *Proc, raw cap.Capability) cap.Capability {
 		return raw
 	}
 	k.charge(CostLegacyCapConstruct)
-	// The constructed capability carries the process's full data authority:
-	// the kernel will faithfully access whatever address the integer names.
-	return k.M.Fmt.SetAddr(p.Root.AndPerms(cap.PermData), raw.Addr())
+	return k.dataAuth(p, raw.Addr())
 }
 
-// setRet writes the integer return value and errno.
-func setRet(f *Frame, v uint64, e Errno) {
+// dataAuth constructs a capability carrying p's full data authority with
+// its cursor at va: how an integer address of a legacy-ABI process is
+// accessed. The accessor faithfully reaches whatever address the integer
+// names.
+func (k *Kernel) dataAuth(p *Proc, va uint64) cap.Capability {
+	return k.M.Fmt.SetAddr(p.Root.AndPerms(cap.PermData), va)
+}
+
+// SetRet writes a call's integer return value and errno.
+func (f *Frame) SetRet(v uint64, e Errno) {
 	f.X[isa.RV0] = v
 	f.X[isa.RV1] = uint64(e)
 }
 
-// setRetCap writes a capability return value (CheriABI) or its address
-// (legacy).
-func setRetCap(f *Frame, abi image.ABI, c cap.Capability, e Errno) {
+// SetRetCap writes a call's capability return value (CheriABI) or its
+// address (legacy), and errno.
+func (f *Frame) SetRetCap(abi image.ABI, c cap.Capability, e Errno) {
 	if abi == image.ABICheri {
 		f.C[isa.CA0] = c
 	}
@@ -141,7 +111,7 @@ func (k *Kernel) copyInPtr(t *Thread, auth cap.Capability, va uint64) (cap.Capab
 		return cap.Null(), EFAULT
 	}
 	k.charge(CostLegacyCapConstruct)
-	return k.M.Fmt.SetAddr(t.Proc.Root.AndPerms(cap.PermData), v), OK
+	return k.dataAuth(t.Proc, v), OK
 }
 
 // readStrVec marshals a NULL-terminated user pointer vector of

@@ -7,6 +7,7 @@ import (
 	"cheriabi/internal/core"
 	"cheriabi/internal/image"
 	"cheriabi/internal/isa"
+	"cheriabi/internal/nat"
 	"cheriabi/internal/rtld"
 	"cheriabi/internal/uaccess"
 	"cheriabi/internal/vm"
@@ -57,17 +58,17 @@ func (k *Kernel) Spawn(path string, argv, envv []string) (*Proc, error) {
 
 // sigTrampoline is the read-only signal-return code page mapped by execve
 // ("the return trampoline capability is a tightly bound capability to a
-// read-only shared page mapped by execve"). The BREAK at NativeRetOff is
+// read-only shared page mapped by execve"). The BREAK at callbackRetOff is
 // the return point for run-time callbacks into guest code (qsort
 // comparators), giving the fast-model runtime a precise stop address.
 var sigTrampoline = []isa.Inst{
-	{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysSigreturn},
+	{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysSigreturn},
 	{Op: isa.SYSCALL},
 	{Op: isa.BREAK}, // native-callback return point
 }
 
-// NativeRetOff is the offset of the callback BREAK within the trampoline.
-const NativeRetOff = 2 * isa.InstSize
+// callbackRetOff is the offset of the callback BREAK within the trampoline.
+const callbackRetOff = 2 * isa.InstSize
 
 // exec replaces p's address space with a fresh image: Figure 1 process
 // creation. A fresh abstract principal is minted; every initial capability

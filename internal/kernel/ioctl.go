@@ -33,7 +33,7 @@ func sysIoctl(k *Kernel, t *Thread, a *SysArgs) bool {
 
 	f := p.fd(fd)
 	if f == nil {
-		setRet(&t.Frame, ^uint64(0), EBADF)
+		t.Frame.SetRet(^uint64(0), EBADF)
 		return true
 	}
 	switch cmd {
@@ -47,10 +47,10 @@ func sysIoctl(k *Kernel, t *Thread, a *SysArgs) bool {
 			avail = 0
 		}
 		if e := k.writeUserWord(argp, argp.Addr(), 4, uint64(avail)); e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
-		setRet(&t.Frame, 0, OK)
+		t.Frame.SetRet(0, OK)
 
 	case IoctlGIFCONF:
 		// struct ifconf { i64 len; ptr buf }: the kernel writes interface
@@ -58,12 +58,12 @@ func sysIoctl(k *Kernel, t *Thread, a *SysArgs) bool {
 		// path; the capability's bounds drive the CheriABI path.
 		claimed, e := k.readUserWord(argp, argp.Addr(), 8)
 		if e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
 		bufPtr, e := k.copyInPtr(t, argp, argp.Addr()+8)
 		if e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
 		records := []byte("em0\x00inet 10.0.0.2\x00\x00lo0\x00inet 127.0.0.1\x00\x00bge0\x00inet 192.168.1.9\x00\x00")
@@ -75,22 +75,22 @@ func sysIoctl(k *Kernel, t *Thread, a *SysArgs) bool {
 		// and writes through its own authority; CheriABI dereferences the
 		// user capability and faults on underallocation.
 		if e := k.copyOut(bufPtr, records[:n]); e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
 		if e := k.writeUserWord(argp, argp.Addr(), 8, n); e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
-		setRet(&t.Frame, 0, OK)
+		t.Frame.SetRet(0, OK)
 
 	default:
 		// Object-specific commands (TIOCGWINSZ on the console, future
 		// device controls) live with the File implementation.
 		if e := f.file.Ioctl(k, t, f, cmd, argp); e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 		} else {
-			setRet(&t.Frame, 0, OK)
+			t.Frame.SetRet(0, OK)
 		}
 	}
 	return true
@@ -115,17 +115,17 @@ func sysSysctl(k *Kernel, t *Thread, a *SysArgs) bool {
 	writeOut := func(data []byte) {
 		if oldp.Addr() != 0 {
 			if e := k.copyOut(oldp, data); e != OK {
-				setRet(&t.Frame, ^uint64(0), e)
+				t.Frame.SetRet(^uint64(0), e)
 				return
 			}
 		}
 		if oldlenp.Addr() != 0 {
 			if e := k.writeUserWord(oldlenp, oldlenp.Addr(), 8, uint64(len(data))); e != OK {
-				setRet(&t.Frame, ^uint64(0), e)
+				t.Frame.SetRet(^uint64(0), e)
 				return
 			}
 		}
-		setRet(&t.Frame, 0, OK)
+		t.Frame.SetRet(0, OK)
 	}
 
 	switch id {
@@ -149,7 +149,7 @@ func sysSysctl(k *Kernel, t *Thread, a *SysArgs) bool {
 		}
 		writeOut(b[:])
 	default:
-		setRet(&t.Frame, ^uint64(0), EINVAL)
+		t.Frame.SetRet(^uint64(0), EINVAL)
 	}
 	return true
 }

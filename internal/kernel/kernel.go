@@ -23,6 +23,7 @@ import (
 	"cheriabi/internal/image"
 	"cheriabi/internal/isa"
 	"cheriabi/internal/mem"
+	"cheriabi/internal/nat"
 	"cheriabi/internal/uaccess"
 	"cheriabi/internal/vm"
 )
@@ -66,7 +67,7 @@ type Machine struct {
 // NativeFunc is a fast-model run-time routine (package libc registers
 // these): it behaves as user-level library code, operating on guest state
 // through capability-checked accessors.
-type NativeFunc func(k *Kernel, t *Thread) Errno
+type NativeFunc func(k *Kernel, t *Thread, a *SysArgs) Errno
 
 // CapCreateFunc observes kernel- and linker-created capabilities by label
 // (exec, mmap, syscall, kern, glob relocs, ...) for the Figure 5 analysis.
@@ -121,7 +122,8 @@ type Kernel struct {
 	timers   []*timerEntry
 	timerSeq uint64
 
-	Natives     map[int]NativeFunc
+	// Natives holds the registered native bodies, indexed by nat id.
+	Natives     [len(nat.Natives)]NativeFunc
 	OnCapCreate CapCreateFunc
 	Console     io.Writer
 
@@ -131,16 +133,12 @@ type Kernel struct {
 	// urand is the /dev/urandom xorshift64 state (per boot, never zero).
 	urand uint64
 
-	// args is the argument block of the syscall being dispatched (see
-	// Kernel.syscall).
+	// args is the argument block of the syscall or native being
+	// dispatched (see Kernel.syscall).
 	args SysArgs
 	// stage is the staging buffer every byte-moving syscall copies
 	// through (see Kernel.staging).
 	stage []byte
-
-	// Stats
-	ContextSwitches uint64
-	SyscallCount    map[int]uint64
 }
 
 // NewMachine boots a machine: memory, caches, CPU, kernel, the standard
@@ -176,20 +174,18 @@ func NewMachineFS(cfg Config, fs *FS) *Machine {
 	m.UA = &uaccess.Space{CPU: m.CPU}
 
 	k := &Kernel{
-		M:            m,
-		FS:           fs,
-		Ledger:       core.NewLedger(),
-		procs:        map[int]*Proc{},
-		unixNS:       map[string]*socketFile{},
-		netAddr:      NetLoopback,
-		inetNS:       map[uint64]*socketFile{},
-		netConns:     map[int]*socketFile{},
-		nextPort:     netEphemeralBase,
-		Natives:      map[int]NativeFunc{},
-		shmSegs:      map[int]*shmSeg{},
-		seed:         cfg.Seed,
-		Console:      cfg.Console,
-		SyscallCount: map[int]uint64{},
+		M:        m,
+		FS:       fs,
+		Ledger:   core.NewLedger(),
+		procs:    map[int]*Proc{},
+		unixNS:   map[string]*socketFile{},
+		netAddr:  NetLoopback,
+		inetNS:   map[uint64]*socketFile{},
+		netConns: map[int]*socketFile{},
+		nextPort: netEphemeralBase,
+		shmSegs:  map[int]*shmSeg{},
+		seed:     cfg.Seed,
+		Console:  cfg.Console,
 	}
 	k.urand = deriveURand(cfg)
 	// CPU reset: a maximally permissive capability; kernel startup narrows
@@ -453,7 +449,6 @@ func (k *Kernel) Run(budget uint64, stop func() bool) error {
 // signal delivery, execution, trap handling, round-robin re-enqueue.
 // Shared by Run and StepSlice.
 func (k *Kernel) runThread(t *Thread, quantum uint64) {
-	k.ContextSwitches++
 	k.charge(CostContextSwitch)
 	k.switchTo(t)
 	// Deliver pending signals at kernel->user transition.
@@ -572,12 +567,7 @@ func (k *Kernel) handleTrap(t *Thread, tr *cpu.Trap) {
 	case cpu.TrapSyscall:
 		k.syscall(t)
 	case cpu.TrapNCall:
-		if fn := k.Natives[tr.NCall]; fn != nil {
-			if errno := fn(k, t); errno != OK {
-				t.Frame.X[isa.RV1] = uint64(errno)
-			}
-			t.Frame.PC += isa.InstSize
-		} else {
+		if !k.native(t, tr.NCall) {
 			k.deliverOrKill(t, SIGSYS)
 		}
 	case cpu.TrapBreak:

@@ -6,6 +6,7 @@ import (
 
 	"cheriabi/internal/image"
 	"cheriabi/internal/isa"
+	"cheriabi/internal/nat"
 )
 
 // asm assembles instructions into encoded words.
@@ -54,10 +55,10 @@ func helloImage(abi image.ABI) *image.Image {
 			{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 1},      // fd = 1
 			{Op: isa.CLC, Ra: isa.CA0, Rb: isa.CGP, Imm: 0}, // buf = GOT[0]
 			{Op: isa.ADDI, Ra: isa.RA1, Rb: 0, Imm: 5},      // n = 5
-			{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysWrite},
+			{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysWrite},
 			{Op: isa.SYSCALL},
 			{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 7},
-			{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysExit},
+			{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysExit},
 			{Op: isa.SYSCALL},
 		}
 	} else {
@@ -65,10 +66,10 @@ func helloImage(abi image.ABI) *image.Image {
 			{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 1},
 			{Op: isa.LD, Ra: isa.RA1, Rb: isa.RGP, Imm: 0}, // buf = GOT[0]
 			{Op: isa.ADDI, Ra: isa.RA2, Rb: 0, Imm: 5},
-			{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysWrite},
+			{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysWrite},
 			{Op: isa.SYSCALL},
 			{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 7},
-			{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysExit},
+			{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysExit},
 			{Op: isa.SYSCALL},
 		}
 	}
@@ -117,7 +118,7 @@ func TestCheriABIHasNullDDC(t *testing.T) {
 		ABI:  image.ABICheri,
 		Code: asm([]isa.Inst{
 			{Op: isa.LD, Ra: 8, Rb: 0, Imm: 0}, // legacy load through DDC
-			{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysExit},
+			{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysExit},
 			{Op: isa.SYSCALL},
 		}),
 		Entry: "_start",
@@ -141,7 +142,7 @@ func TestLegacyHasFullDDC(t *testing.T) {
 			{Op: isa.LUI, Ra: 8, Imm: ExecBase >> 14},
 			{Op: isa.LD, Ra: 9, Rb: 8, Imm: 0}, // read own text through DDC
 			{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 0},
-			{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysExit},
+			{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysExit},
 			{Op: isa.SYSCALL},
 		}),
 		Entry: "_start",
@@ -160,22 +161,22 @@ func TestLegacyHasFullDDC(t *testing.T) {
 // child's code plus one.
 func forkImage() *image.Image {
 	code := []isa.Inst{
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysFork},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysFork},
 		{Op: isa.SYSCALL},
 		{Op: isa.BNE, Ra: isa.RV0, Rb: 0, Imm: 4}, // parent jumps ahead
 		// child:
 		{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 3},
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysExit},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysExit},
 		{Op: isa.SYSCALL},
 		{Op: isa.NOP},
 		// parent: wait4(childpid, NULL, 0)
 		{Op: isa.OR, Ra: isa.RA0, Rb: isa.RV0, Rc: 0},
 		{Op: isa.ADDI, Ra: isa.RA1, Rb: 0, Imm: 0}, // status ptr NULL (legacy reg; harmless for cheri)
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysWait4},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysWait4},
 		{Op: isa.SYSCALL},
 		// exit(4)
 		{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 4},
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysExit},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysExit},
 		{Op: isa.SYSCALL},
 	}
 	return &image.Image{
@@ -205,7 +206,7 @@ func mmapImage() *image.Image {
 		{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 4096},
 		{Op: isa.ADDI, Ra: isa.RA1, Rb: 0, Imm: ProtReadFlag | ProtWriteFlag},
 		{Op: isa.ADDI, Ra: isa.RA2, Rb: 0, Imm: 0},
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysMmap},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysMmap},
 		{Op: isa.SYSCALL},
 		// store/load through the returned capability
 		{Op: isa.ADDI, Ra: 9, Rb: 0, Imm: 99},
@@ -214,14 +215,14 @@ func mmapImage() *image.Image {
 		{Op: isa.BNE, Ra: 9, Rb: 10, Imm: 7}, // mismatch -> exit 1 path below
 		// munmap(c3, 4096)
 		{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 4096},
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysMunmap},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysMunmap},
 		{Op: isa.SYSCALL},
 		{Op: isa.BNE, Ra: isa.RV1, Rb: 0, Imm: 3},
 		{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 0},
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysExit},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysExit},
 		{Op: isa.SYSCALL},
 		{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 1},
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysExit},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysExit},
 		{Op: isa.SYSCALL},
 	}
 	return &image.Image{
@@ -249,11 +250,11 @@ func TestMmapCapOutOfBoundsFaults(t *testing.T) {
 		{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 4096},
 		{Op: isa.ADDI, Ra: isa.RA1, Rb: 0, Imm: ProtReadFlag | ProtWriteFlag},
 		{Op: isa.ADDI, Ra: isa.RA2, Rb: 0, Imm: 0},
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysMmap},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysMmap},
 		{Op: isa.SYSCALL},
 		{Op: isa.CINCOFFI, Ra: isa.CA0, Rb: isa.CA0, Imm: 4096},
 		{Op: isa.CSD, Ra: 9, Rb: isa.CA0, Imm: 0}, // one page past: bounds fault
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysExit},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysExit},
 		{Op: isa.SYSCALL},
 	}
 	img := &image.Image{
@@ -273,10 +274,10 @@ func TestMmapCapOutOfBoundsFaults(t *testing.T) {
 func TestSbrkRejectedUnderCheriABI(t *testing.T) {
 	code := []isa.Inst{
 		{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 4096},
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysSbrk},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysSbrk},
 		{Op: isa.SYSCALL},
 		{Op: isa.OR, Ra: isa.RA0, Rb: isa.RV1, Rc: 0}, // exit(errno)
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysExit},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysExit},
 		{Op: isa.SYSCALL},
 	}
 	img := &image.Image{
@@ -306,7 +307,7 @@ func TestSwapRederivation(t *testing.T) {
 		{Op: isa.ADDI, Ra: 9, Rb: 0, Imm: 1234},
 		{Op: isa.CSD, Ra: 9, Rb: isa.CT0, Imm: 0},
 		// Force swap of the whole address space.
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysSwapSelf},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysSwapSelf},
 		{Op: isa.SYSCALL},
 		// Reload the capability and dereference it.
 		{Op: isa.CLC, Ra: isa.CT1, Rb: isa.CSP, Imm: 0},
@@ -317,7 +318,7 @@ func TestSwapRederivation(t *testing.T) {
 		{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 0},
 		{Op: isa.J, Imm: 2},
 		{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 9},
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysExit},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysExit},
 		{Op: isa.SYSCALL},
 	}
 	img := &image.Image{
@@ -361,11 +362,11 @@ func TestKernelPointerLeakMitigated(t *testing.T) {
 				{Op: isa.CMOVE, Ra: isa.CA0, Rb: isa.CT0}, // oldp
 				{Op: isa.CMOVE, Ra: isa.CA1, Rb: isa.CNULL},
 				{Op: isa.CMOVE, Ra: isa.CA2, Rb: isa.CNULL},
-				{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysSysctl},
+				{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysSysctl},
 				{Op: isa.SYSCALL},
 				{Op: isa.CLD, Ra: 9, Rb: isa.CT0, Imm: -64},
 				{Op: isa.SRLI, Ra: isa.RA0, Rb: 9, Imm: 60}, // high nibble: 0xF for kernel addrs
-				{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysExit},
+				{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysExit},
 				{Op: isa.SYSCALL},
 			}
 		} else {
@@ -375,11 +376,11 @@ func TestKernelPointerLeakMitigated(t *testing.T) {
 				{Op: isa.OR, Ra: isa.RA1, Rb: 8, Rc: 0},
 				{Op: isa.ADDI, Ra: isa.RA2, Rb: 0, Imm: 0},
 				{Op: isa.ADDI, Ra: isa.RA3, Rb: 0, Imm: 0},
-				{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysSysctl},
+				{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysSysctl},
 				{Op: isa.SYSCALL},
 				{Op: isa.LD, Ra: 9, Rb: 8, Imm: 0},
 				{Op: isa.SRLI, Ra: isa.RA0, Rb: 9, Imm: 60},
-				{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysExit},
+				{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysExit},
 				{Op: isa.SYSCALL},
 			}
 		}
@@ -428,10 +429,10 @@ func TestArgvDelivered(t *testing.T) {
 		{Op: isa.CLC, Ra: isa.CA0, Rb: isa.CA0, Imm: 16},
 		{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 1}, // fd
 		{Op: isa.ADDI, Ra: isa.RA1, Rb: 0, Imm: 3}, // n
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysWrite},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysWrite},
 		{Op: isa.SYSCALL},
 		{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 0},
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysExit},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysExit},
 		{Op: isa.SYSCALL},
 	}
 	img := &image.Image{
@@ -453,7 +454,7 @@ func TestArgvCapabilityIsBounded(t *testing.T) {
 		{Op: isa.CLC, Ra: isa.CT0, Rb: isa.CA0, Imm: 16},
 		{Op: isa.CLBU, Ra: 9, Rb: isa.CT0, Imm: 4}, // one past NUL
 		{Op: isa.ADDI, Ra: isa.RA0, Rb: 0, Imm: 0},
-		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: SysExit},
+		{Op: isa.ADDI, Ra: isa.RV0, Rb: 0, Imm: nat.SysExit},
 		{Op: isa.SYSCALL},
 	}
 	img := &image.Image{

@@ -64,7 +64,7 @@ func sysKqueue(k *Kernel, t *Thread, a *SysArgs) bool {
 	kq := &kqueue{}
 	fd := p.allocFD(&FDesc{file: &kqueueFile{kq: kq}, flags: ORdWr, refs: 1})
 	p.kqs[fd] = kq
-	setRet(&t.Frame, uint64(fd), OK)
+	t.Frame.SetRet(uint64(fd), OK)
 	return true
 }
 
@@ -79,7 +79,7 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) bool {
 
 	kq := p.kqs[kqfd]
 	if kq == nil {
-		setRet(&t.Frame, ^uint64(0), EBADF)
+		t.Frame.SetRet(^uint64(0), EBADF)
 		return true
 	}
 	size := keventSize(p.ABI, k.M.Fmt.Bytes)
@@ -91,14 +91,14 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) bool {
 		ident, e1 := k.readUserWord(changes, base, 8)
 		filt, e2 := k.readUserWord(changes, base+8, 8)
 		if e1 != OK || e2 != OK {
-			setRet(&t.Frame, ^uint64(0), EFAULT)
+			t.Frame.SetRet(^uint64(0), EFAULT)
 			return true
 		}
 		filter := int16(int64(filt))
 		flags := int16(int64(filt) >> 32) // flags packed in the high word
 		udata, e := k.copyInPtr(t, changes, base+udataOff)
 		if e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
 		if flags&EvDelete != 0 {
@@ -114,7 +114,7 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 
 	if nevents == 0 {
-		setRet(&t.Frame, 0, OK)
+		t.Frame.SetRet(0, OK)
 		return true
 	}
 
@@ -143,7 +143,7 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) bool {
 		}
 		base := events.Addr() + count*size
 		if e := k.writeUserWord(events, base, 8, n.ident); e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
 		// The output filter slot mirrors the input convention: the filter
@@ -154,20 +154,20 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) bool {
 			outFilt |= uint64(EvEOF) << 32
 		}
 		if e := k.writeUserWord(events, base+8, 8, outFilt); e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
 		if e := k.writeUserWord(events, base+16, 8, uint64(pollDepth(f.file, kind))); e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
 		if p.ABI == image.ABICheri {
 			if err := k.M.CPU.StoreCapVia(events, base+udataOff, n.udata); err != nil {
-				setRet(&t.Frame, ^uint64(0), EFAULT)
+				t.Frame.SetRet(^uint64(0), EFAULT)
 				return true
 			}
 		} else if e := k.writeUserWord(events, base+udataOff, 8, n.udata.Addr()); e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
 		count++
@@ -194,7 +194,7 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) bool {
 			sec, e1 := k.readUserWord(tmo, tmo.Addr(), 8)
 			nsec, e2 := k.readUserWord(tmo, tmo.Addr()+8, 8)
 			if e1 != OK || e2 != OK {
-				setRet(&t.Frame, ^uint64(0), EFAULT)
+				t.Frame.SetRet(^uint64(0), EFAULT)
 				return true
 			}
 			if delta := sec*ClockHz + nsToCycles(nsec); delta > 0 && !k.deadlineExpired(t) {
@@ -202,7 +202,7 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) bool {
 			}
 		}
 		if !block {
-			setRet(&t.Frame, 0, OK)
+			t.Frame.SetRet(0, OK)
 			return true
 		}
 		var qs []*WaitQueue
@@ -220,6 +220,6 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) bool {
 		}
 		return false
 	}
-	setRet(&t.Frame, count, OK)
+	t.Frame.SetRet(count, OK)
 	return true
 }

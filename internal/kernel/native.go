@@ -8,6 +8,7 @@ import (
 	"cheriabi/internal/cpu"
 	"cheriabi/internal/image"
 	"cheriabi/internal/isa"
+	"cheriabi/internal/nat"
 	"cheriabi/internal/vm"
 )
 
@@ -16,40 +17,36 @@ import (
 // AsanShadowBase + a>>3).
 const AsanShadowBase = 0x6000_0000
 
-// Support for fast-model run-time natives (package libc): argument access
-// with the ABI conventions, return-value plumbing, guest-memory mapping on
-// behalf of a process, and synchronous calls back into guest code.
+// Support for fast-model run-time natives (package libc): dispatch with
+// the ABI argument conventions, guest-memory mapping on behalf of a
+// process, and synchronous calls back into guest code.
 
-// NativeArgInt returns the idx-th argument of the in-flight native call.
-func (k *Kernel) NativeArgInt(t *Thread, spec string, idx int) uint64 {
-	return argInt(&t.Frame, t.Proc.ABI, spec, idx)
-}
-
-// NativeArgPtr returns the idx-th pointer argument. Natives behave as
-// user-level library code: under CheriABI they use the caller's capability
-// unchanged; under the legacy ABI they access memory with DDC-equivalent
-// authority, exactly as compiled library code would.
-func (k *Kernel) NativeArgPtr(t *Thread, spec string, idx int) cap.Capability {
-	raw := argPtrRaw(&t.Frame, t.Proc.ABI, spec, idx)
-	if t.Proc.ABI == image.ABICheri {
-		return raw
+// native runs the registered body of native id for t's NCALL and advances
+// past it. It reports false when no body is registered. Arguments decode
+// through the syscall register reader, but natives behave as user-level
+// library code: under CheriABI a pointer is the caller's capability
+// unchanged; under the legacy ABI it is accessed with DDC-equivalent
+// authority, exactly as compiled library code would, and neither is
+// charged as a kernel validation.
+func (k *Kernel) native(t *Thread, id int) bool {
+	if id <= 0 || id >= len(k.Natives) || k.Natives[id] == nil {
+		return false
 	}
-	return k.M.Fmt.SetAddr(t.Proc.Root.AndPerms(cap.PermData), raw.Addr())
-}
-
-// NativeRet sets the integer return value.
-func (k *Kernel) NativeRet(t *Thread, v uint64) {
-	t.Frame.X[isa.RV0] = v
-	t.Frame.X[isa.RV1] = 0
-}
-
-// NativeRetCap sets a pointer return value.
-func (k *Kernel) NativeRetCap(t *Thread, c cap.Capability) {
-	if t.Proc.ABI == image.ABICheri {
-		t.Frame.C[isa.CA0] = c
+	// The argument block syscalls use: a native is never dispatched while
+	// another call is in flight (see Kernel.syscall).
+	a := &k.args
+	*a = SysArgs{}
+	np := readArgs(&t.Frame, t.Proc.ABI, nat.Natives[id].Spec, a)
+	if t.Proc.ABI == image.ABILegacy {
+		for i := range np {
+			a.ptrs[i] = k.dataAuth(t.Proc, a.ptrs[i].Addr())
+		}
 	}
-	t.Frame.X[isa.RV0] = c.Addr()
-	t.Frame.X[isa.RV1] = 0
+	if errno := k.Natives[id](k, t, a); errno != OK {
+		t.Frame.X[isa.RV1] = uint64(errno)
+	}
+	t.Frame.PC += isa.InstSize
+	return true
 }
 
 // MapAnon maps anonymous memory for a process and returns the region
@@ -98,7 +95,7 @@ func (k *Kernel) CallGuest(t *Thread, fn cap.Capability, intArgs []uint64, capAr
 			got, err = c.LoadCapVia(fn, fn.Addr()+k.M.Fmt.Bytes)
 		}
 	} else {
-		auth := k.M.Fmt.SetAddr(p.Root.AndPerms(cap.PermData), fn.Addr())
+		auth := k.dataAuth(p, fn.Addr())
 		var a, g uint64
 		a, err = c.LoadVia(auth, fn.Addr(), 8)
 		if err == nil {
@@ -120,7 +117,7 @@ func (k *Kernel) CallGuest(t *Thread, fn cap.Capability, intArgs []uint64, capAr
 	for i, v := range capArgs {
 		c.C[isa.CA0+i] = v
 	}
-	retPC := uint64(TrampVA + NativeRetOff)
+	retPC := uint64(TrampVA + callbackRetOff)
 	if cheri {
 		c.C[isa.CSP] = k.M.Fmt.IncAddr(c.C[isa.CSP], -256)
 		c.C[isa.CGP] = got

@@ -36,35 +36,35 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) bool {
 
 	target := k.procs[pid]
 	if target == nil || target == p {
-		setRet(&t.Frame, ^uint64(0), ESRCH)
+		t.Frame.SetRet(^uint64(0), ESRCH)
 		return true
 	}
 
 	switch req {
 	case PtAttach:
 		target.Suspended = true
-		setRet(&t.Frame, 0, OK)
+		t.Frame.SetRet(0, OK)
 		return true
 	case PtDetach:
 		target.Suspended = false
 		k.resumeProc(target) // parked threads rejoin the scheduler ring
-		setRet(&t.Frame, 0, OK)
+		t.Frame.SetRet(0, OK)
 		return true
 	}
 	if !target.Suspended {
-		setRet(&t.Frame, ^uint64(0), EBUSY)
+		t.Frame.SetRet(^uint64(0), EBUSY)
 		return true
 	}
 	tt := target.mainThread()
 	if tt == nil {
-		setRet(&t.Frame, ^uint64(0), ESRCH)
+		t.Frame.SetRet(^uint64(0), ESRCH)
 		return true
 	}
 
 	// Access to target memory is authorized by the *target's* root
 	// capability at the requested address, never by tracer capabilities.
 	targetMem := func(va uint64) cap.Capability {
-		return k.M.Fmt.SetAddr(target.Root.AndPerms(cap.PermData), va)
+		return k.dataAuth(target, va)
 	}
 	// Kernel accesses to the target run under the target's address space.
 	cur := k.M.CPU.AS
@@ -75,38 +75,38 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) bool {
 	case PtRead: // data = target va; returns the word
 		v, err := k.M.CPU.LoadVia(targetMem(data), data, 8)
 		if err != nil {
-			setRet(&t.Frame, ^uint64(0), EFAULT)
+			t.Frame.SetRet(^uint64(0), EFAULT)
 			return true
 		}
-		setRet(&t.Frame, v, OK)
+		t.Frame.SetRet(v, OK)
 
 	case PtWrite: // addrp = tracer buffer holding the word; data = target va
 		k.M.CPU.AS = p.AS
 		v, e := k.readUserWord(addrp, addrp.Addr(), 8)
 		k.M.CPU.AS = target.AS
 		if e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
 		if err := k.M.CPU.StoreVia(targetMem(data), data, 8, v); err != nil {
-			setRet(&t.Frame, ^uint64(0), EFAULT)
+			t.Frame.SetRet(^uint64(0), EFAULT)
 			return true
 		}
-		setRet(&t.Frame, 0, OK)
+		t.Frame.SetRet(0, OK)
 
 	case PtGetReg: // data = register index
 		if data >= isa.NumRegs {
-			setRet(&t.Frame, ^uint64(0), EINVAL)
+			t.Frame.SetRet(^uint64(0), EINVAL)
 			return true
 		}
-		setRet(&t.Frame, tt.Frame.X[data], OK)
+		t.Frame.SetRet(tt.Frame.X[data], OK)
 
 	case PtGetCapReg:
 		// Extends ptrace "to permit reading the values of capability
 		// registers": writes {tag, base, len, addr, perms} into the tracer
 		// buffer.
 		if data >= isa.NumRegs {
-			setRet(&t.Frame, ^uint64(0), EINVAL)
+			t.Frame.SetRet(^uint64(0), EINVAL)
 			return true
 		}
 		c := tt.Frame.C[data]
@@ -117,11 +117,11 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) bool {
 		}
 		for i, v := range vals {
 			if e := k.writeUserWord(addrp, addrp.Addr()+uint64(i)*8, 8, v); e != OK {
-				setRet(&t.Frame, ^uint64(0), e)
+				t.Frame.SetRet(^uint64(0), e)
 				return true
 			}
 		}
-		setRet(&t.Frame, 0, OK)
+		t.Frame.SetRet(0, OK)
 
 	case PtSetCapReg:
 		// Injection: the tracer supplies {base, len, addr, perms}; the
@@ -129,7 +129,7 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) bool {
 		// capabilities are derived from an appropriate extant target or
 		// root architectural capability".
 		if data >= isa.NumRegs {
-			setRet(&t.Frame, ^uint64(0), EINVAL)
+			t.Frame.SetRet(^uint64(0), EINVAL)
 			return true
 		}
 		k.M.CPU.AS = p.AS
@@ -137,14 +137,14 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) bool {
 		for i := range vals {
 			v, e := k.readUserWord(addrp, addrp.Addr()+uint64(i)*8, 8)
 			if e != OK {
-				setRet(&t.Frame, ^uint64(0), e)
+				t.Frame.SetRet(^uint64(0), e)
 				return true
 			}
 			vals[i] = v
 		}
 		nc, err := k.M.Fmt.SetBounds(target.Root, vals[0], vals[1])
 		if err != nil {
-			setRet(&t.Frame, ^uint64(0), EACCES)
+			t.Frame.SetRet(^uint64(0), EACCES)
 			return true
 		}
 		nc = nc.AndPerms(cap.Perm(vals[3]) & target.Root.Perms())
@@ -152,7 +152,7 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) bool {
 		tt.Frame.C[data] = nc
 		k.capCreated("ptrace", nc)
 		k.Ledger.Derive(target.Prin, target.AbsRoot, nc, core.OriginPtrace)
-		setRet(&t.Frame, 0, OK)
+		t.Frame.SetRet(0, OK)
 
 	case PtWriteCap:
 		// Inject a rederived capability into target *memory* at data.
@@ -161,29 +161,29 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) bool {
 		for i := range vals {
 			v, e := k.readUserWord(addrp, addrp.Addr()+uint64(i)*8, 8)
 			if e != OK {
-				setRet(&t.Frame, ^uint64(0), e)
+				t.Frame.SetRet(^uint64(0), e)
 				return true
 			}
 			vals[i] = v
 		}
 		nc, err := k.M.Fmt.SetBounds(target.Root, vals[0], vals[1])
 		if err != nil {
-			setRet(&t.Frame, ^uint64(0), EACCES)
+			t.Frame.SetRet(^uint64(0), EACCES)
 			return true
 		}
 		nc = nc.AndPerms(cap.Perm(vals[3]) & target.Root.Perms())
 		nc = k.M.Fmt.SetAddr(nc, vals[2])
 		k.M.CPU.AS = target.AS
 		if err := k.M.CPU.StoreCapVia(targetMem(data), data, nc); err != nil {
-			setRet(&t.Frame, ^uint64(0), EFAULT)
+			t.Frame.SetRet(^uint64(0), EFAULT)
 			return true
 		}
 		k.capCreated("ptrace", nc)
 		k.Ledger.Derive(target.Prin, target.AbsRoot, nc, core.OriginPtrace)
-		setRet(&t.Frame, 0, OK)
+		t.Frame.SetRet(0, OK)
 
 	default:
-		setRet(&t.Frame, ^uint64(0), EINVAL)
+		t.Frame.SetRet(^uint64(0), EINVAL)
 	}
 	return true
 }

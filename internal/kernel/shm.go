@@ -19,7 +19,7 @@ type shmSeg struct {
 func sysShmget(k *Kernel, t *Thread, a *SysArgs) bool {
 	size := a.Int(1)
 	if size == 0 || size > 64<<20 {
-		setRet(&t.Frame, ^uint64(0), EINVAL)
+		t.Frame.SetRet(^uint64(0), EINVAL)
 		return true
 	}
 	rlen := k.M.Fmt.RepresentableLength((size + vm.PageSize - 1) &^ (vm.PageSize - 1))
@@ -30,7 +30,7 @@ func sysShmget(k *Kernel, t *Thread, a *SysArgs) bool {
 		frames: k.M.VM.AllocFrames(int(rlen / vm.PageSize)),
 	}
 	k.shmSegs[seg.id] = seg
-	setRet(&t.Frame, uint64(seg.id), OK)
+	t.Frame.SetRet(uint64(seg.id), OK)
 	return true
 }
 
@@ -43,7 +43,7 @@ func sysShmat(k *Kernel, t *Thread, a *SysArgs) bool {
 	hint := a.Ptr(0)
 	seg := k.shmSegs[id]
 	if seg == nil {
-		setRet(&t.Frame, ^uint64(0), EINVAL)
+		t.Frame.SetRet(^uint64(0), EINVAL)
 		return true
 	}
 	var va uint64
@@ -51,7 +51,7 @@ func sysShmat(k *Kernel, t *Thread, a *SysArgs) bool {
 		if p.ABI == image.ABICheri {
 			k.charge(CostCheriCapCheck)
 			if !hint.Tag() || !hint.HasPerm(cap.PermVMMap) {
-				setRetCap(&t.Frame, p.ABI, cap.Null(), EACCES)
+				t.Frame.SetRetCap(p.ABI, cap.Null(), EACCES)
 				return true
 			}
 		}
@@ -61,26 +61,26 @@ func sysShmat(k *Kernel, t *Thread, a *SysArgs) bool {
 		p.MmapHint = va + seg.size
 	}
 	if !validUserRange(va, seg.size) {
-		setRetCap(&t.Frame, p.ABI, cap.Null(), EINVAL)
+		t.Frame.SetRetCap(p.ABI, cap.Null(), EINVAL)
 		return true
 	}
 	if err := p.AS.MapFrames(va, seg.frames, vm.ProtRead|vm.ProtWrite); err != nil {
-		setRetCap(&t.Frame, p.ABI, cap.Null(), ENOMEM)
+		t.Frame.SetRetCap(p.ABI, cap.Null(), ENOMEM)
 		return true
 	}
 	if p.ABI != image.ABICheri {
-		setRet(&t.Frame, va, OK)
+		t.Frame.SetRet(va, OK)
 		return true
 	}
 	ret, err := k.M.Fmt.SetBounds(p.Root, va, seg.size)
 	if err != nil {
-		setRetCap(&t.Frame, p.ABI, cap.Null(), ENOMEM)
+		t.Frame.SetRetCap(p.ABI, cap.Null(), ENOMEM)
 		return true
 	}
 	ret = ret.AndPerms(cap.PermData | cap.PermVMMap)
 	k.capCreated("syscall", ret)
 	k.Ledger.Derive(p.Prin, p.AbsRoot, ret, core.OriginSyscall)
-	setRetCap(&t.Frame, p.ABI, ret, OK)
+	t.Frame.SetRetCap(p.ABI, ret, OK)
 	return true
 }
 
@@ -99,17 +99,17 @@ func sysShmdt(k *Kernel, t *Thread, a *SysArgs) bool {
 		}
 	}
 	if seg == nil {
-		setRet(&t.Frame, ^uint64(0), EINVAL)
+		t.Frame.SetRet(^uint64(0), EINVAL)
 		return true
 	}
 	if e := k.checkVMAuth(p, c, va, seg.size); e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
 	if err := p.AS.Unmap(va, seg.size); err != nil {
-		setRet(&t.Frame, ^uint64(0), EINVAL)
+		t.Frame.SetRet(^uint64(0), EINVAL)
 		return true
 	}
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }

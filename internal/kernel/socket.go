@@ -302,7 +302,7 @@ func sockFD(p *Proc, fd int) (*FDesc, *socketFile, Errno) {
 }
 
 func sockErr(t *Thread, e Errno) bool {
-	setRet(&t.Frame, ^uint64(0), e)
+	t.Frame.SetRet(^uint64(0), e)
 	return true
 }
 
@@ -315,7 +315,7 @@ func sysSocket(k *Kernel, t *Thread, a *SysArgs) bool {
 		return sockErr(t, EINVAL) // only default-protocol stream sockets
 	}
 	fd := t.Proc.allocFD(&FDesc{file: newSocketFile(k, domain), flags: ORdWr, refs: 1})
-	setRet(&t.Frame, uint64(fd), OK)
+	t.Frame.SetRet(uint64(fd), OK)
 	return true
 }
 
@@ -344,7 +344,7 @@ func sysSocketpair(k *Kernel, t *Thread, a *SysArgs) bool {
 	if e := k.writeUserWord(sv, sv.Addr()+8, 8, uint64(fd2)); e != OK {
 		return sockErr(t, e)
 	}
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }
 
@@ -374,7 +374,7 @@ func (k *Kernel) writeSockaddrIn(t *Thread, sa cap.Capability, family, port, add
 	if e := k.writeUserWord(sa, base+16, 8, addr); e != OK {
 		return sockErr(t, e)
 	}
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }
 
@@ -410,7 +410,7 @@ func sysBind(k *Kernel, t *Thread, a *SysArgs) bool {
 		k.inetNS[port] = s
 		s.port = port
 		s.addr = k.netAddr
-		setRet(&t.Frame, 0, OK)
+		t.Frame.SetRet(0, OK)
 		return true
 	}
 	path, e := k.copyInStr(a.Ptr(0))
@@ -431,7 +431,7 @@ func sysBind(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 	k.unixNS[path] = s
 	s.path = path
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }
 
@@ -453,7 +453,7 @@ func sysListen(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 	s.state = sockListening
 	s.backlog = backlog
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }
 
@@ -475,7 +475,7 @@ func sysConnect(k *Kernel, t *Thread, a *SysArgs) bool {
 	case sockConnected:
 		if !s.connReported {
 			s.connReported = true
-			setRet(&t.Frame, 0, OK)
+			t.Frame.SetRet(0, OK)
 			return true
 		}
 		return sockErr(t, EISCONN)
@@ -586,7 +586,7 @@ func sysAccept(k *Kernel, t *Thread, a *SysArgs) bool {
 		// Rst, tearing srv down again.
 		k.netEmit(srv.netHeader(NetSynAck))
 		fd := p.allocFD(&FDesc{file: srv, flags: ORdWr, refs: 1})
-		setRet(&t.Frame, uint64(fd), OK)
+		t.Frame.SetRet(uint64(fd), OK)
 		return true
 	}
 	if len(s.pending) == 0 {
@@ -606,7 +606,7 @@ func sysAccept(k *Kernel, t *Thread, a *SysArgs) bool {
 	wireSockets(c, srv, connq)
 	connq.Wake(k) // complete the connector's connect(2)
 	fd := p.allocFD(&FDesc{file: srv, flags: ORdWr, refs: 1})
-	setRet(&t.Frame, uint64(fd), OK)
+	t.Frame.SetRet(uint64(fd), OK)
 	return true
 }
 
@@ -637,7 +637,7 @@ func sysShutdown(k *Kernel, t *Thread, a *SysArgs) bool {
 		}
 	}
 	s.q.Wake(k)
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }
 

@@ -8,70 +8,6 @@ import (
 	"cheriabi/internal/vm"
 )
 
-// Syscall numbers.
-const (
-	SysExit = iota + 1
-	SysFork
-	SysRead
-	SysWrite
-	SysOpen
-	SysClose
-	SysWait4
-	SysPipe
-	SysDup
-	SysGetpid
-	SysExecve
-	SysMmap
-	SysMunmap
-	SysMprotect
-	SysSbrk
-	SysSelect
-	SysKqueue
-	SysKevent
-	SysSigaction
-	SysSigreturn
-	SysKill
-	SysIoctl
-	SysSysctl
-	SysPtrace
-	SysGetcwd
-	SysChdir
-	SysLseek
-	SysFstat
-	SysShmget
-	SysShmat
-	SysShmdt
-	SysYield
-	SysSigprocmask
-	SysGetTime
-	SysUnlink
-	SysSwapSelf // simulator-specific: force the process's pages to swap
-	SysReadv
-	SysWritev
-	SysPread
-	SysPwrite
-	SysFtruncate
-	SysSocket
-	SysSocketpair
-	SysBind
-	SysListen
-	SysConnect
-	SysAccept
-	SysShutdown
-	SysSend
-	SysRecv
-	SysPoll
-	SysFcntl
-	SysGetdents
-	SysNanosleep
-	SysSleep
-	SysUsleep
-	SysClockGettime
-	SysGettimeofday
-	SysGetsockname
-	SysGetpeername
-)
-
 // mmap prot/flags.
 const (
 	ProtReadFlag  = 1
@@ -91,31 +27,31 @@ func sysExit(k *Kernel, t *Thread, a *SysArgs) bool {
 }
 
 func sysGetpid(k *Kernel, t *Thread, a *SysArgs) bool {
-	setRet(&t.Frame, uint64(t.Proc.PID), OK)
+	t.Frame.SetRet(uint64(t.Proc.PID), OK)
 	return true
 }
 
 func sysYield(k *Kernel, t *Thread, a *SysArgs) bool {
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }
 
 func sysGetTime(k *Kernel, t *Thread, a *SysArgs) bool {
-	setRet(&t.Frame, k.Now(), OK)
+	t.Frame.SetRet(k.Now(), OK)
 	return true
 }
 
 func sysSwapSelf(k *Kernel, t *Thread, a *SysArgs) bool {
 	n := k.SwapOutProc(t.Proc)
-	setRet(&t.Frame, uint64(n), OK)
+	t.Frame.SetRet(uint64(n), OK)
 	return true
 }
 
 func sysKill(k *Kernel, t *Thread, a *SysArgs) bool {
 	if e := k.Kill(int(a.Int(0)), int(a.Int(1))); e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 	} else {
-		setRet(&t.Frame, 0, OK)
+		t.Frame.SetRet(0, OK)
 	}
 	return true
 }
@@ -158,9 +94,9 @@ func sysFork(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 	ct := k.newThread(child)
 	ct.Frame = t.Frame
-	setRet(&ct.Frame, 0, OK)    // child sees 0
+	ct.Frame.SetRet(0, OK)      // child sees 0
 	ct.Frame.PC += isa.InstSize // child resumes after the syscall
-	setRet(&t.Frame, uint64(child.PID), OK)
+	t.Frame.SetRet(uint64(child.PID), OK)
 	return true
 }
 
@@ -220,7 +156,7 @@ func precheckOut(buf cap.Capability, n int) Errno {
 func doReadFD(k *Kernel, t *Thread, f *FDesc, buf cap.Capability, n uint64) bool {
 	if !f.file.Poll(PollIn) {
 		if f.nonblock() {
-			setRet(&t.Frame, ^uint64(0), EAGAIN)
+			t.Frame.SetRet(^uint64(0), EAGAIN)
 			return true
 		}
 		k.blockFD(t, f)
@@ -228,12 +164,12 @@ func doReadFD(k *Kernel, t *Thread, f *FDesc, buf cap.Capability, n uint64) bool
 	}
 	scratch := k.ioScratch(f, n)
 	if e := precheckOut(buf, len(scratch)); e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
 	m, e := f.file.Read(f, scratch)
 	if e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
 	if m > 0 {
@@ -243,11 +179,11 @@ func doReadFD(k *Kernel, t *Thread, f *FDesc, buf cap.Capability, n uint64) bool
 		// in-bounds page) — a skipped wake here is a lost wakeup.
 		k.wakeFD(f)
 		if e := k.copyOut(buf, scratch[:m]); e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
 	}
-	setRet(&t.Frame, uint64(m), OK)
+	t.Frame.SetRet(uint64(m), OK)
 	return true
 }
 
@@ -257,7 +193,7 @@ func doReadFD(k *Kernel, t *Thread, f *FDesc, buf cap.Capability, n uint64) bool
 func doWriteFD(k *Kernel, t *Thread, f *FDesc, buf cap.Capability, n uint64) bool {
 	if !f.file.Poll(PollOut) {
 		if f.nonblock() {
-			setRet(&t.Frame, ^uint64(0), EAGAIN)
+			t.Frame.SetRet(^uint64(0), EAGAIN)
 			return true
 		}
 		k.blockFD(t, f)
@@ -268,7 +204,7 @@ func doWriteFD(k *Kernel, t *Thread, f *FDesc, buf cap.Capability, n uint64) boo
 	}
 	data, e := k.copyIn(buf, n)
 	if e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
 	m, e := f.file.Write(f, data)
@@ -276,20 +212,20 @@ func doWriteFD(k *Kernel, t *Thread, f *FDesc, buf cap.Capability, n uint64) boo
 		if e == EPIPE {
 			k.PostSignal(t.Proc, SIGPIPE)
 		}
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
 	if m > 0 {
 		k.wakeFD(f)
 	}
-	setRet(&t.Frame, uint64(m), OK)
+	t.Frame.SetRet(uint64(m), OK)
 	return true
 }
 
 func sysRead(k *Kernel, t *Thread, a *SysArgs) bool {
 	f := t.Proc.fd(int(a.Int(0)))
 	if f == nil || !f.mayRead() {
-		setRet(&t.Frame, ^uint64(0), EBADF)
+		t.Frame.SetRet(^uint64(0), EBADF)
 		return true
 	}
 	return doReadFD(k, t, f, a.Ptr(0), a.Int(1))
@@ -298,7 +234,7 @@ func sysRead(k *Kernel, t *Thread, a *SysArgs) bool {
 func sysWrite(k *Kernel, t *Thread, a *SysArgs) bool {
 	f := t.Proc.fd(int(a.Int(0)))
 	if f == nil || !f.mayWrite() {
-		setRet(&t.Frame, ^uint64(0), EBADF)
+		t.Frame.SetRet(^uint64(0), EBADF)
 		return true
 	}
 	return doWriteFD(k, t, f, a.Ptr(0), a.Int(1))
@@ -310,11 +246,11 @@ func sysWrite(k *Kernel, t *Thread, a *SysArgs) bool {
 func sysGetdents(k *Kernel, t *Thread, a *SysArgs) bool {
 	f := t.Proc.fd(int(a.Int(0)))
 	if f == nil || !f.mayRead() {
-		setRet(&t.Frame, ^uint64(0), EBADF)
+		t.Frame.SetRet(^uint64(0), EBADF)
 		return true
 	}
 	if f.file.Stat().Kind != StatDir {
-		setRet(&t.Frame, ^uint64(0), ENOTDIR)
+		t.Frame.SetRet(^uint64(0), ENOTDIR)
 		return true
 	}
 	return doReadFD(k, t, f, a.Ptr(0), a.Int(1))
@@ -328,7 +264,7 @@ func sysPread(k *Kernel, t *Thread, a *SysArgs) bool {
 	off := int64(a.Int(2))
 	f := p.fd(fd)
 	if f == nil || !f.mayRead() {
-		setRet(&t.Frame, ^uint64(0), EBADF)
+		t.Frame.SetRet(^uint64(0), EBADF)
 		return true
 	}
 	if n > ioChunk {
@@ -336,21 +272,21 @@ func sysPread(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 	scratch := k.staging(n)
 	if e := precheckOut(buf, len(scratch)); e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
 	m, e := f.file.Pread(scratch, off)
 	if e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
 	if m > 0 {
 		if e := k.copyOut(buf, scratch[:m]); e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
 	}
-	setRet(&t.Frame, uint64(m), OK)
+	t.Frame.SetRet(uint64(m), OK)
 	return true
 }
 
@@ -362,7 +298,7 @@ func sysPwrite(k *Kernel, t *Thread, a *SysArgs) bool {
 	off := int64(a.Int(2))
 	f := p.fd(fd)
 	if f == nil || !f.mayWrite() {
-		setRet(&t.Frame, ^uint64(0), EBADF)
+		t.Frame.SetRet(^uint64(0), EBADF)
 		return true
 	}
 	if n > ioChunk {
@@ -370,7 +306,7 @@ func sysPwrite(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 	data, e := k.copyIn(buf, n)
 	if e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
 	m, e := f.file.Pwrite(data, off)
@@ -378,10 +314,10 @@ func sysPwrite(k *Kernel, t *Thread, a *SysArgs) bool {
 		if e == EPIPE {
 			k.PostSignal(p, SIGPIPE)
 		}
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
-	setRet(&t.Frame, uint64(m), OK)
+	t.Frame.SetRet(uint64(m), OK)
 	return true
 }
 
@@ -415,16 +351,16 @@ func sysReadv(k *Kernel, t *Thread, a *SysArgs) bool {
 	cnt := a.Int(1)
 	f := p.fd(fd)
 	if f == nil || !f.mayRead() {
-		setRet(&t.Frame, ^uint64(0), EBADF)
+		t.Frame.SetRet(^uint64(0), EBADF)
 		return true
 	}
 	if cnt > iovMax {
-		setRet(&t.Frame, ^uint64(0), EINVAL)
+		t.Frame.SetRet(^uint64(0), EINVAL)
 		return true
 	}
 	if !f.file.Poll(PollIn) {
 		if f.nonblock() {
-			setRet(&t.Frame, ^uint64(0), EAGAIN)
+			t.Frame.SetRet(^uint64(0), EAGAIN)
 			return true
 		}
 		k.blockFD(t, f)
@@ -436,9 +372,9 @@ func sysReadv(k *Kernel, t *Thread, a *SysArgs) bool {
 	total := uint64(0)
 	fail := func(e Errno) {
 		if total > 0 {
-			setRet(&t.Frame, total, OK)
+			t.Frame.SetRet(total, OK)
 		} else {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 		}
 	}
 	consumed := false
@@ -482,7 +418,7 @@ func sysReadv(k *Kernel, t *Thread, a *SysArgs) bool {
 			break // short read: stop filling further segments
 		}
 	}
-	setRet(&t.Frame, total, OK)
+	t.Frame.SetRet(total, OK)
 	return true
 }
 
@@ -493,16 +429,16 @@ func sysWritev(k *Kernel, t *Thread, a *SysArgs) bool {
 	cnt := a.Int(1)
 	f := p.fd(fd)
 	if f == nil || !f.mayWrite() {
-		setRet(&t.Frame, ^uint64(0), EBADF)
+		t.Frame.SetRet(^uint64(0), EBADF)
 		return true
 	}
 	if cnt > iovMax {
-		setRet(&t.Frame, ^uint64(0), EINVAL)
+		t.Frame.SetRet(^uint64(0), EINVAL)
 		return true
 	}
 	if !f.file.Poll(PollOut) {
 		if f.nonblock() {
-			setRet(&t.Frame, ^uint64(0), EAGAIN)
+			t.Frame.SetRet(^uint64(0), EAGAIN)
 			return true
 		}
 		k.blockFD(t, f)
@@ -514,13 +450,13 @@ func sysWritev(k *Kernel, t *Thread, a *SysArgs) bool {
 	total := uint64(0)
 	fail := func(e Errno) {
 		if total > 0 {
-			setRet(&t.Frame, total, OK)
+			t.Frame.SetRet(total, OK)
 			return
 		}
 		if e == EPIPE {
 			k.PostSignal(p, SIGPIPE)
 		}
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 	}
 	defer func() {
 		if total > 0 {
@@ -554,7 +490,7 @@ func sysWritev(k *Kernel, t *Thread, a *SysArgs) bool {
 			break // short write: the object is full
 		}
 	}
-	setRet(&t.Frame, total, OK)
+	t.Frame.SetRet(total, OK)
 	return true
 }
 
@@ -564,14 +500,14 @@ func sysFtruncate(k *Kernel, t *Thread, a *SysArgs) bool {
 	size := int64(a.Int(1))
 	f := p.fd(fd)
 	if f == nil || !f.mayWrite() {
-		setRet(&t.Frame, ^uint64(0), EBADF)
+		t.Frame.SetRet(^uint64(0), EBADF)
 		return true
 	}
 	if e := f.file.Truncate(size); e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }
 
@@ -580,7 +516,7 @@ func sysOpen(k *Kernel, t *Thread, a *SysArgs) bool {
 	path := a.Str(0)
 	flags := int(a.Int(0))
 	if len(path) == 0 {
-		setRet(&t.Frame, ^uint64(0), ENOENT)
+		t.Frame.SetRet(^uint64(0), ENOENT)
 		return true
 	}
 	if path[0] != '/' {
@@ -589,17 +525,17 @@ func sysOpen(k *Kernel, t *Thread, a *SysArgs) bool {
 	n := k.FS.lookup(path)
 	if n == nil {
 		if flags&OCreat == 0 {
-			setRet(&t.Frame, ^uint64(0), ENOENT)
+			t.Frame.SetRet(^uint64(0), ENOENT)
 			return true
 		}
 		if err := k.FS.WriteFile(path, nil); err != nil {
-			setRet(&t.Frame, ^uint64(0), ENOENT)
+			t.Frame.SetRet(^uint64(0), ENOENT)
 			return true
 		}
 		n = k.FS.lookup(path)
 	}
 	if n.kind == nodeDir && flags&(OWrOnly|ORdWr) != 0 {
-		setRet(&t.Frame, ^uint64(0), EISDIR)
+		t.Frame.SetRet(^uint64(0), EISDIR)
 		return true
 	}
 	if n.kind == nodeFile && flags&OTrunc != 0 {
@@ -618,7 +554,7 @@ func sysOpen(k *Kernel, t *Thread, a *SysArgs) bool {
 		file = &vnodeFile{node: n}
 	}
 	f := &FDesc{file: file, flags: flags, refs: 1}
-	setRet(&t.Frame, uint64(p.allocFD(f)), OK)
+	t.Frame.SetRet(uint64(p.allocFD(f)), OK)
 	return true
 }
 
@@ -627,12 +563,12 @@ func sysClose(k *Kernel, t *Thread, a *SysArgs) bool {
 	fd := int(a.Int(0))
 	f := p.fd(fd)
 	if f == nil {
-		setRet(&t.Frame, ^uint64(0), EBADF)
+		t.Frame.SetRet(^uint64(0), EBADF)
 		return true
 	}
 	f.close(k)
 	p.FDs[fd] = nil
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }
 
@@ -654,7 +590,7 @@ func sysWait4(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 	if zombie == nil {
 		if candidates == 0 {
-			setRet(&t.Frame, ^uint64(0), ECHILD)
+			t.Frame.SetRet(^uint64(0), ECHILD)
 			return true
 		}
 		// Park on the process's child queue; exitProc wakes it and the
@@ -664,11 +600,11 @@ func sysWait4(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 	if statusPtr.Addr() != 0 {
 		if e := k.writeUserWord(statusPtr, statusPtr.Addr(), 4, uint64(zombie.Status)); e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
 	}
-	setRet(&t.Frame, uint64(zombie.PID), OK)
+	t.Frame.SetRet(uint64(zombie.PID), OK)
 	k.Reap(zombie)
 	return true
 }
@@ -681,14 +617,14 @@ func sysPipe(k *Kernel, t *Thread, a *SysArgs) bool {
 	w := p.allocFD(&FDesc{file: &pipeFile{pip: pip, writeEnd: true}, flags: OWrOnly, refs: 1})
 	// MiniC's int is 8 bytes, so the fds array uses 8-byte slots.
 	if e := k.writeUserWord(fdsPtr, fdsPtr.Addr(), 8, uint64(r)); e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
 	if e := k.writeUserWord(fdsPtr, fdsPtr.Addr()+8, 8, uint64(w)); e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }
 
@@ -697,10 +633,10 @@ func sysDup(k *Kernel, t *Thread, a *SysArgs) bool {
 	fd := int(a.Int(0))
 	f := p.fd(fd)
 	if f == nil {
-		setRet(&t.Frame, ^uint64(0), EBADF)
+		t.Frame.SetRet(^uint64(0), EBADF)
 		return true
 	}
-	setRet(&t.Frame, uint64(p.allocFD(f.incref())), OK)
+	t.Frame.SetRet(uint64(p.allocFD(f.incref())), OK)
 	return true
 }
 
@@ -709,19 +645,19 @@ func sysExecve(k *Kernel, t *Thread, a *SysArgs) bool {
 	path := a.Str(0)
 	argv, e := k.readStrVec(t, a.Ptr(1))
 	if e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
 	envv, e := k.readStrVec(t, a.Ptr(2))
 	if e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
 	if path != "" && path[0] != '/' {
 		path = p.CWD + "/" + path
 	}
 	if err := k.exec(p, t, path, argv, envv); err != nil {
-		setRet(&t.Frame, ^uint64(0), ENOEXEC)
+		t.Frame.SetRet(^uint64(0), ENOEXEC)
 		return true
 	}
 	k.switchTo(t)
@@ -737,7 +673,7 @@ func sysMmap(k *Kernel, t *Thread, a *SysArgs) bool {
 	prot := int(a.Int(1))
 	flags := int(a.Int(2))
 	if length == 0 {
-		setRetCap(&t.Frame, p.ABI, cap.Null(), EINVAL)
+		t.Frame.SetRetCap(p.ABI, cap.Null(), EINVAL)
 		return true
 	}
 	k.charge(CostCheriCapCheck)
@@ -759,7 +695,7 @@ func sysMmap(k *Kernel, t *Thread, a *SysArgs) bool {
 	if fixed {
 		va = hint.Addr() &^ (vm.PageSize - 1)
 		if !validUserRange(va, rlen) {
-			setRetCap(&t.Frame, p.ABI, cap.Null(), EINVAL)
+			t.Frame.SetRetCap(p.ABI, cap.Null(), EINVAL)
 			return true
 		}
 		replacing := p.AS.Mapped(va, rlen)
@@ -770,16 +706,16 @@ func sysMmap(k *Kernel, t *Thread, a *SysArgs) bool {
 			// one], we allow it only if it would not replace an existing
 			// mapping."
 			if hint.Tag() && !hint.HasPerm(cap.PermVMMap) && replacing {
-				setRetCap(&t.Frame, p.ABI, cap.Null(), EACCES)
+				t.Frame.SetRetCap(p.ABI, cap.Null(), EACCES)
 				return true
 			}
 			if !hint.Tag() && replacing {
-				setRetCap(&t.Frame, p.ABI, cap.Null(), EACCES)
+				t.Frame.SetRetCap(p.ABI, cap.Null(), EACCES)
 				return true
 			}
 		}
 		if err := p.AS.Map(va, rlen, prot2, true); err != nil {
-			setRetCap(&t.Frame, p.ABI, cap.Null(), ENOMEM)
+			t.Frame.SetRetCap(p.ABI, cap.Null(), ENOMEM)
 			return true
 		}
 	} else {
@@ -789,18 +725,18 @@ func sysMmap(k *Kernel, t *Thread, a *SysArgs) bool {
 		}
 		va = p.AS.FindFree(start, rlen)
 		if !validUserRange(va, rlen) {
-			setRetCap(&t.Frame, p.ABI, cap.Null(), ENOMEM)
+			t.Frame.SetRetCap(p.ABI, cap.Null(), ENOMEM)
 			return true
 		}
 		if err := p.AS.Map(va, rlen, prot2, false); err != nil {
-			setRetCap(&t.Frame, p.ABI, cap.Null(), ENOMEM)
+			t.Frame.SetRetCap(p.ABI, cap.Null(), ENOMEM)
 			return true
 		}
 		p.MmapHint = va + rlen + vm.PageSize // guard gap between regions
 	}
 
 	if p.ABI != image.ABICheri {
-		setRet(&t.Frame, va, OK)
+		t.Frame.SetRet(va, OK)
 		return true
 	}
 	// Derive the returned capability: from the hint if it is a valid
@@ -821,13 +757,13 @@ func sysMmap(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 	ret, err := k.M.Fmt.SetBounds(parent, va, rlen)
 	if err != nil {
-		setRetCap(&t.Frame, p.ABI, cap.Null(), ENOMEM)
+		t.Frame.SetRetCap(p.ABI, cap.Null(), ENOMEM)
 		return true
 	}
 	ret = ret.AndPerms(perms)
 	k.capCreated("syscall", ret)
 	k.Ledger.Derive(p.Prin, p.AbsRoot, ret, core.OriginMmap)
-	setRetCap(&t.Frame, p.ABI, ret, OK)
+	t.Frame.SetRetCap(p.ABI, ret, OK)
 	return true
 }
 
@@ -852,14 +788,14 @@ func sysMunmap(k *Kernel, t *Thread, a *SysArgs) bool {
 	length := (a.Int(0) + vm.PageSize - 1) &^ (vm.PageSize - 1)
 	va := c.Addr() &^ (vm.PageSize - 1)
 	if e := k.checkVMAuth(p, c, va, length); e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
 	if err := p.AS.Unmap(va, length); err != nil {
-		setRet(&t.Frame, ^uint64(0), EINVAL)
+		t.Frame.SetRet(^uint64(0), EINVAL)
 		return true
 	}
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }
 
@@ -870,7 +806,7 @@ func sysMprotect(k *Kernel, t *Thread, a *SysArgs) bool {
 	prot := int(a.Int(1))
 	va := c.Addr() &^ (vm.PageSize - 1)
 	if e := k.checkVMAuth(p, c, va, length); e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
 	var prot2 vm.Prot
@@ -884,10 +820,10 @@ func sysMprotect(k *Kernel, t *Thread, a *SysArgs) bool {
 		prot2 |= vm.ProtExec
 	}
 	if err := p.AS.Protect(va, length, prot2); err != nil {
-		setRet(&t.Frame, ^uint64(0), EINVAL)
+		t.Frame.SetRet(^uint64(0), EINVAL)
 		return true
 	}
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }
 
@@ -896,7 +832,7 @@ func sysMprotect(k *Kernel, t *Thread, a *SysArgs) bool {
 func sysSbrk(k *Kernel, t *Thread, a *SysArgs) bool {
 	p := t.Proc
 	if p.ABI == image.ABICheri {
-		setRet(&t.Frame, ^uint64(0), ENOSYS)
+		t.Frame.SetRet(^uint64(0), ENOSYS)
 		return true
 	}
 	incr := int64(a.Int(0))
@@ -910,12 +846,12 @@ func sysSbrk(k *Kernel, t *Thread, a *SysArgs) bool {
 		// Map from the page the old break rounds up to (&^ binds tighter
 		// than +, so the rounding needs the explicit parens).
 		if err := p.AS.Map((old+vm.PageSize-1)&^(vm.PageSize-1), grow, vm.ProtRead|vm.ProtWrite, true); err != nil {
-			setRet(&t.Frame, ^uint64(0), ENOMEM)
+			t.Frame.SetRet(^uint64(0), ENOMEM)
 			return true
 		}
 		p.brk = old + uint64(incr)
 	}
-	setRet(&t.Frame, old, OK)
+	t.Frame.SetRet(old, OK)
 	return true
 }
 
@@ -936,7 +872,7 @@ func sysSelect(k *Kernel, t *Thread, a *SysArgs) bool {
 	rq, e1 := readMask(a.Ptr(0))
 	wq, e2 := readMask(a.Ptr(1))
 	if e1 != OK || e2 != OK {
-		setRet(&t.Frame, ^uint64(0), EFAULT)
+		t.Frame.SetRet(^uint64(0), EFAULT)
 		return true
 	}
 	var rdy, wdy uint64
@@ -969,7 +905,7 @@ func sysSelect(k *Kernel, t *Thread, a *SysArgs) bool {
 			sec, e1 := k.readUserWord(tmo, tmo.Addr(), 8)
 			usec, e2 := k.readUserWord(tmo, tmo.Addr()+8, 8)
 			if e1 != OK || e2 != OK {
-				setRet(&t.Frame, ^uint64(0), EFAULT)
+				t.Frame.SetRet(^uint64(0), EFAULT)
 				return true
 			}
 			if delta := sec*ClockHz + usToCycles(usec); delta > 0 && !k.deadlineExpired(t) {
@@ -988,17 +924,17 @@ func sysSelect(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 	if a.Ptr(0).Addr() != 0 {
 		if e := k.writeUserWord(a.Ptr(0), a.Ptr(0).Addr(), 8, rdy); e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
 	}
 	if a.Ptr(1).Addr() != 0 {
 		if e := k.writeUserWord(a.Ptr(1), a.Ptr(1).Addr(), 8, wdy); e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
 	}
-	setRet(&t.Frame, uint64(count), OK)
+	t.Frame.SetRet(uint64(count), OK)
 	return true
 }
 
@@ -1048,7 +984,7 @@ func sysPoll(k *Kernel, t *Thread, a *SysArgs) bool {
 	nfds := a.Int(0)
 	timeout := int64(a.Int(1))
 	if nfds > pollMax {
-		setRet(&t.Frame, ^uint64(0), EINVAL)
+		t.Frame.SetRet(^uint64(0), EINVAL)
 		return true
 	}
 	k.charge(nfds * CostSelectPerFD)
@@ -1059,7 +995,7 @@ func sysPoll(k *Kernel, t *Thread, a *SysArgs) bool {
 		fdw, e1 := k.readUserWord(fds, base, 8)
 		events, e2 := k.readUserWord(fds, base+8, 8)
 		if e1 != OK || e2 != OK {
-			setRet(&t.Frame, ^uint64(0), EFAULT)
+			t.Frame.SetRet(^uint64(0), EFAULT)
 			return true
 		}
 		var revents uint64
@@ -1093,7 +1029,7 @@ func sysPoll(k *Kernel, t *Thread, a *SysArgs) bool {
 			}
 		}
 		if e := k.writeUserWord(fds, base+16, 8, revents); e != OK {
-			setRet(&t.Frame, ^uint64(0), e)
+			t.Frame.SetRet(^uint64(0), e)
 			return true
 		}
 		if revents != 0 {
@@ -1103,7 +1039,7 @@ func sysPoll(k *Kernel, t *Thread, a *SysArgs) bool {
 	if count == 0 && timeout != 0 {
 		if timeout > 0 {
 			if k.deadlineExpired(t) {
-				setRet(&t.Frame, 0, OK)
+				t.Frame.SetRet(0, OK)
 				return true
 			}
 			k.blockOnDeadline(t, k.parkDeadline(t, msToCycles(uint64(timeout))), qs...)
@@ -1115,7 +1051,7 @@ func sysPoll(k *Kernel, t *Thread, a *SysArgs) bool {
 		t.blockOn(qs...)
 		return false
 	}
-	setRet(&t.Frame, count, OK)
+	t.Frame.SetRet(count, OK)
 	return true
 }
 
@@ -1166,16 +1102,16 @@ func sysNanosleep(k *Kernel, t *Thread, a *SysArgs) bool {
 		sec, e1 := k.readUserWord(req, req.Addr(), 8)
 		nsec, e2 := k.readUserWord(req, req.Addr()+8, 8)
 		if e1 != OK || e2 != OK {
-			setRet(&t.Frame, ^uint64(0), EFAULT)
+			t.Frame.SetRet(^uint64(0), EFAULT)
 			return true
 		}
 		if int64(sec) < 0 || int64(nsec) < 0 || nsec >= 1_000_000_000 {
-			setRet(&t.Frame, ^uint64(0), EINVAL)
+			t.Frame.SetRet(^uint64(0), EINVAL)
 			return true
 		}
 		delta := sec*ClockHz + nsToCycles(nsec)
 		if delta == 0 {
-			setRet(&t.Frame, 0, OK)
+			t.Frame.SetRet(0, OK)
 			return true
 		}
 		k.blockOnDeadline(t, k.Now()+delta)
@@ -1184,18 +1120,18 @@ func sysNanosleep(k *Kernel, t *Thread, a *SysArgs) bool {
 		if rem.Addr() != 0 {
 			ns := cyclesToNs(k.sleepLeft(t))
 			if e := k.writeUserWord(rem, rem.Addr(), 8, ns/1_000_000_000); e != OK {
-				setRet(&t.Frame, ^uint64(0), e)
+				t.Frame.SetRet(^uint64(0), e)
 				return true
 			}
 			if e := k.writeUserWord(rem, rem.Addr()+8, 8, ns%1_000_000_000); e != OK {
-				setRet(&t.Frame, ^uint64(0), e)
+				t.Frame.SetRet(^uint64(0), e)
 				return true
 			}
 		}
-		setRet(&t.Frame, ^uint64(0), EINTR)
+		t.Frame.SetRet(^uint64(0), EINTR)
 		return true
 	case sleepDone:
-		setRet(&t.Frame, 0, OK)
+		t.Frame.SetRet(0, OK)
 		return true
 	default:
 		k.blockOnDeadline(t, t.deadline)
@@ -1210,16 +1146,16 @@ func sysSleep(k *Kernel, t *Thread, a *SysArgs) bool {
 	case sleepArm:
 		sec := a.Int(0)
 		if sec == 0 {
-			setRet(&t.Frame, 0, OK)
+			t.Frame.SetRet(0, OK)
 			return true
 		}
 		k.blockOnDeadline(t, k.Now()+sec*ClockHz)
 		return false
 	case sleepIntr:
-		setRet(&t.Frame, (k.sleepLeft(t)+ClockHz-1)/ClockHz, OK)
+		t.Frame.SetRet((k.sleepLeft(t)+ClockHz-1)/ClockHz, OK)
 		return true
 	case sleepDone:
-		setRet(&t.Frame, 0, OK)
+		t.Frame.SetRet(0, OK)
 		return true
 	default:
 		k.blockOnDeadline(t, t.deadline)
@@ -1233,16 +1169,16 @@ func sysUsleep(k *Kernel, t *Thread, a *SysArgs) bool {
 	case sleepArm:
 		us := a.Int(0)
 		if us == 0 {
-			setRet(&t.Frame, 0, OK)
+			t.Frame.SetRet(0, OK)
 			return true
 		}
 		k.blockOnDeadline(t, k.Now()+usToCycles(us))
 		return false
 	case sleepIntr:
-		setRet(&t.Frame, ^uint64(0), EINTR)
+		t.Frame.SetRet(^uint64(0), EINTR)
 		return true
 	case sleepDone:
-		setRet(&t.Frame, 0, OK)
+		t.Frame.SetRet(0, OK)
 		return true
 	default:
 		k.blockOnDeadline(t, t.deadline)
@@ -1257,14 +1193,14 @@ func sysClockGettime(k *Kernel, t *Thread, a *SysArgs) bool {
 	tp := a.Ptr(0)
 	ns := cyclesToNs(k.Now())
 	if e := k.writeUserWord(tp, tp.Addr(), 8, ns/1_000_000_000); e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
 	if e := k.writeUserWord(tp, tp.Addr()+8, 8, ns%1_000_000_000); e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }
 
@@ -1273,14 +1209,14 @@ func sysGettimeofday(k *Kernel, t *Thread, a *SysArgs) bool {
 	tv := a.Ptr(0)
 	ns := cyclesToNs(k.Now())
 	if e := k.writeUserWord(tv, tv.Addr(), 8, ns/1_000_000_000); e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
 	if e := k.writeUserWord(tv, tv.Addr()+8, 8, ns%1_000_000_000/1_000); e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }
 
@@ -1292,17 +1228,17 @@ func sysFcntl(k *Kernel, t *Thread, a *SysArgs) bool {
 	p := t.Proc
 	f := p.fd(int(a.Int(0)))
 	if f == nil {
-		setRet(&t.Frame, ^uint64(0), EBADF)
+		t.Frame.SetRet(^uint64(0), EBADF)
 		return true
 	}
 	switch int(a.Int(1)) {
 	case FGetFl:
-		setRet(&t.Frame, uint64(f.flags&(OAccMode|fcntlSettable)), OK)
+		t.Frame.SetRet(uint64(f.flags&(OAccMode|fcntlSettable)), OK)
 	case FSetFl:
 		f.flags = f.flags&^fcntlSettable | int(a.Int(2))&fcntlSettable
-		setRet(&t.Frame, 0, OK)
+		t.Frame.SetRet(0, OK)
 	default:
-		setRet(&t.Frame, ^uint64(0), EINVAL)
+		t.Frame.SetRet(^uint64(0), EINVAL)
 	}
 	return true
 }
@@ -1312,7 +1248,7 @@ func sysSigaction(k *Kernel, t *Thread, a *SysArgs) bool {
 	sig := int(a.Int(0))
 	handler := a.Ptr(0)
 	if sig <= 0 || sig >= NSig {
-		setRet(&t.Frame, ^uint64(0), EINVAL)
+		t.Frame.SetRet(^uint64(0), EINVAL)
 		return true
 	}
 	if handler.Addr() == 0 && !handler.Tag() {
@@ -1322,7 +1258,7 @@ func sysSigaction(k *Kernel, t *Thread, a *SysArgs) bool {
 		// capability for CheriABI processes.
 		p.Sig[sig] = SigAction{Handler: handler, Set: true}
 	}
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }
 
@@ -1339,10 +1275,10 @@ func sysSigprocmask(k *Kernel, t *Thread, a *SysArgs) bool {
 	case 2:
 		p.SigMask &^= mask
 	default:
-		setRet(&t.Frame, 0, EINVAL)
+		t.Frame.SetRet(0, EINVAL)
 		return true
 	}
-	setRet(&t.Frame, old, OK)
+	t.Frame.SetRet(old, OK)
 	return true
 }
 
@@ -1352,17 +1288,17 @@ func sysGetcwd(k *Kernel, t *Thread, a *SysArgs) bool {
 	length := a.Int(0)
 	cwd := append([]byte(p.CWD), 0)
 	if uint64(len(cwd)) > length {
-		setRet(&t.Frame, ^uint64(0), ERANGE)
+		t.Frame.SetRet(^uint64(0), ERANGE)
 		return true
 	}
 	// The copy is authorized by the *capability*, not the length argument:
 	// an over-stated length cannot make the kernel overrun the buffer
 	// under CheriABI (the BOdiagsuite getcwd cases).
 	if e := k.copyOut(buf, cwd); e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
-	setRet(&t.Frame, uint64(len(cwd)), OK)
+	t.Frame.SetRet(uint64(len(cwd)), OK)
 	return true
 }
 
@@ -1374,11 +1310,11 @@ func sysChdir(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 	n := k.FS.lookup(path)
 	if n == nil || n.kind != nodeDir {
-		setRet(&t.Frame, ^uint64(0), ENOENT)
+		t.Frame.SetRet(^uint64(0), ENOENT)
 		return true
 	}
 	p.CWD = path
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }
 
@@ -1389,15 +1325,15 @@ func sysLseek(k *Kernel, t *Thread, a *SysArgs) bool {
 	whence := int(a.Int(2))
 	f := p.fd(fd)
 	if f == nil {
-		setRet(&t.Frame, ^uint64(0), EBADF)
+		t.Frame.SetRet(^uint64(0), EBADF)
 		return true
 	}
 	pos, e := f.file.Seek(f, off, whence)
 	if e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
-	setRet(&t.Frame, uint64(pos), OK)
+	t.Frame.SetRet(uint64(pos), OK)
 	return true
 }
 
@@ -1407,20 +1343,20 @@ func sysFstat(k *Kernel, t *Thread, a *SysArgs) bool {
 	buf := a.Ptr(0)
 	f := p.fd(fd)
 	if f == nil {
-		setRet(&t.Frame, ^uint64(0), EBADF)
+		t.Frame.SetRet(^uint64(0), EBADF)
 		return true
 	}
 	st := f.file.Stat()
 	size, kind := uint64(st.Size), st.Kind
 	if e := k.writeUserWord(buf, buf.Addr(), 8, size); e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
 	if e := k.writeUserWord(buf, buf.Addr()+8, 8, kind); e != OK {
-		setRet(&t.Frame, ^uint64(0), e)
+		t.Frame.SetRet(^uint64(0), e)
 		return true
 	}
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }
 
@@ -1431,9 +1367,9 @@ func sysUnlink(k *Kernel, t *Thread, a *SysArgs) bool {
 		path = p.CWD + "/" + path
 	}
 	if err := k.FS.Remove(path); err != nil {
-		setRet(&t.Frame, ^uint64(0), ENOENT)
+		t.Frame.SetRet(^uint64(0), ENOENT)
 		return true
 	}
-	setRet(&t.Frame, 0, OK)
+	t.Frame.SetRet(0, OK)
 	return true
 }

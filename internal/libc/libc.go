@@ -33,10 +33,10 @@ func Install(k *kernel.Kernel) *Runtime {
 		tls:   map[int]cap.Capability{},
 		seed:  map[int]uint64{},
 	}
-	reg := func(id int, fn func(t *kernel.Thread) kernel.Errno) {
-		k.Natives[id] = func(_ *kernel.Kernel, t *kernel.Thread) kernel.Errno {
+	reg := func(id int, fn func(*kernel.Thread, *kernel.SysArgs) kernel.Errno) {
+		k.Natives[id] = func(_ *kernel.Kernel, t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
 			k.M.CPU.Stats.Cycles += 20 // call/return overhead of the library routine
-			return fn(t)
+			return fn(t, a)
 		}
 	}
 	reg(nat.Malloc, rt.nMalloc)
@@ -65,12 +65,9 @@ func Install(k *kernel.Kernel) *Runtime {
 	reg(nat.Abort, rt.nAbort)
 	reg(nat.Getenv, rt.nGetenv)
 	reg(nat.TLSGet, rt.nTLSGet)
-	reg(asanReportID, rt.nAsanReport)
+	reg(nat.AsanReport, rt.nAsanReport)
 	return rt
 }
-
-// asanReportID mirrors the compiler's internal native id for ASan faults.
-const asanReportID = 200
 
 func (rt *Runtime) heap(t *kernel.Thread) *heap {
 	p := t.Proc
@@ -98,68 +95,68 @@ func (rt *Runtime) HeapBytes(pid int) uint64 {
 
 // ---- allocator ----
 
-func (rt *Runtime) nMalloc(t *kernel.Thread) kernel.Errno {
-	n := rt.k.NativeArgInt(t, "i", 0)
+func (rt *Runtime) nMalloc(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	n := a.Int(0)
 	c, errno := rt.heap(t).Malloc(n)
 	if errno != kernel.OK {
-		rt.k.NativeRetCap(t, cap.Null())
+		t.Frame.SetRetCap(t.Proc.ABI, cap.Null(), kernel.OK)
 		return errno
 	}
 	rt.k.M.Kern.OnMallocTrace(c)
-	rt.k.NativeRetCap(t, c)
+	t.Frame.SetRetCap(t.Proc.ABI, c, kernel.OK)
 	return kernel.OK
 }
 
-func (rt *Runtime) nCalloc(t *kernel.Thread) kernel.Errno {
-	n := rt.k.NativeArgInt(t, "ii", 0) * rt.k.NativeArgInt(t, "ii", 1)
+func (rt *Runtime) nCalloc(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	n := a.Int(0) * a.Int(1)
 	c, errno := rt.heap(t).Malloc(n)
 	if errno != kernel.OK {
-		rt.k.NativeRetCap(t, cap.Null())
+		t.Frame.SetRetCap(t.Proc.ABI, cap.Null(), kernel.OK)
 		return errno
 	}
 	// Freshly mapped chunks are demand-zero, but recycled blocks are not.
 	if err := rt.k.M.UA.Zero(c, c.Base(), n); err != nil {
-		rt.k.NativeRetCap(t, cap.Null())
+		t.Frame.SetRetCap(t.Proc.ABI, cap.Null(), kernel.OK)
 		return kernel.EFAULT
 	}
 	rt.k.M.Kern.OnMallocTrace(c)
-	rt.k.NativeRetCap(t, c)
+	t.Frame.SetRetCap(t.Proc.ABI, c, kernel.OK)
 	return kernel.OK
 }
 
-func (rt *Runtime) nFree(t *kernel.Thread) kernel.Errno {
-	ptr := rt.k.NativeArgPtr(t, "p", 0)
+func (rt *Runtime) nFree(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	ptr := a.Ptr(0)
 	rt.heap(t).Free(ptr, rt.cheri(t))
-	rt.k.NativeRet(t, 0)
+	t.Frame.SetRet(0, kernel.OK)
 	return kernel.OK
 }
 
-func (rt *Runtime) nRealloc(t *kernel.Thread) kernel.Errno {
-	old := rt.k.NativeArgPtr(t, "pi", 0)
-	n := rt.k.NativeArgInt(t, "pi", 1)
+func (rt *Runtime) nRealloc(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	old := a.Ptr(0)
+	n := a.Int(0)
 	h := rt.heap(t)
 	nc, errno := h.Malloc(n)
 	if errno != kernel.OK {
-		rt.k.NativeRetCap(t, cap.Null())
+		t.Frame.SetRetCap(t.Proc.ABI, cap.Null(), kernel.OK)
 		return errno
 	}
 	if old.Addr() != 0 {
-		if a, ok := h.Lookup(old.Addr()); ok {
-			copyN := a.req
+		if blk, ok := h.Lookup(old.Addr()); ok {
+			copyN := blk.req
 			if copyN > n {
 				copyN = n
 			}
 			// Tag-preserving copy via the allocator's inner capability,
 			// mirroring jemalloc's internal rederivation on realloc.
-			if err := rt.copyGuest(nc, nc.Base(), a.inner, old.Addr(), copyN); err != nil {
-				rt.k.NativeRetCap(t, cap.Null())
+			if err := rt.copyGuest(nc, nc.Base(), blk.inner, old.Addr(), copyN); err != nil {
+				t.Frame.SetRetCap(t.Proc.ABI, cap.Null(), kernel.OK)
 				return kernel.EFAULT
 			}
 			h.Free(old, rt.cheri(t))
 		}
 	}
 	rt.k.M.Kern.OnMallocTrace(nc)
-	rt.k.NativeRetCap(t, nc)
+	t.Frame.SetRetCap(t.Proc.ABI, nc, kernel.OK)
 	return kernel.OK
 }
 
@@ -211,24 +208,24 @@ func (rt *Runtime) asanViolates(t *kernel.Thread, addr, n uint64) bool {
 func (rt *Runtime) asanIntercept(t *kernel.Thread, ranges ...[2]uint64) bool {
 	for _, r := range ranges {
 		if rt.asanViolates(t, r[0], r[1]) {
-			rt.nAsanReport(t)
+			rt.nAsanReport(t, nil)
 			return true
 		}
 	}
 	return false
 }
 
-func (rt *Runtime) nMemcpy(t *kernel.Thread) kernel.Errno {
-	dst := rt.k.NativeArgPtr(t, "ppi", 0)
-	src := rt.k.NativeArgPtr(t, "ppi", 1)
-	n := rt.k.NativeArgInt(t, "ppi", 2)
+func (rt *Runtime) nMemcpy(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	dst := a.Ptr(0)
+	src := a.Ptr(1)
+	n := a.Int(0)
 	if rt.asanIntercept(t, [2]uint64{dst.Addr(), n}, [2]uint64{src.Addr(), n}) {
 		return kernel.OK
 	}
 	if err := rt.copyGuest(dst, dst.Addr(), src, src.Addr(), n); err != nil {
 		return rt.memFault(t, err)
 	}
-	rt.k.NativeRetCap(t, dst)
+	t.Frame.SetRetCap(t.Proc.ABI, dst, kernel.OK)
 	return kernel.OK
 }
 
@@ -244,40 +241,39 @@ func (rt *Runtime) memFault(t *kernel.Thread, err error) kernel.Errno {
 	return kernel.EFAULT
 }
 
-func (rt *Runtime) nMemset(t *kernel.Thread) kernel.Errno {
-	dst := rt.k.NativeArgPtr(t, "pii", 0)
-	v := byte(rt.k.NativeArgInt(t, "pii", 1))
-	n := rt.k.NativeArgInt(t, "pii", 2)
+func (rt *Runtime) nMemset(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	dst := a.Ptr(0)
+	v := byte(a.Int(0))
+	n := a.Int(1)
 	if rt.asanIntercept(t, [2]uint64{dst.Addr(), n}) {
 		return kernel.OK
 	}
 	if err := rt.k.M.UA.Fill(dst, dst.Addr(), v, n); err != nil {
 		return rt.memFault(t, err)
 	}
-	rt.k.NativeRetCap(t, dst)
+	t.Frame.SetRetCap(t.Proc.ABI, dst, kernel.OK)
 	return kernel.OK
 }
 
-func (rt *Runtime) nMemcmp(t *kernel.Thread) kernel.Errno {
-	a := rt.k.NativeArgPtr(t, "ppi", 0)
-	b := rt.k.NativeArgPtr(t, "ppi", 1)
-	n := rt.k.NativeArgInt(t, "ppi", 2)
+func (rt *Runtime) nMemcmp(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	s1, s2 := a.Ptr(0), a.Ptr(1)
+	n := a.Int(0)
 	c := rt.k.M.CPU
 	for i := uint64(0); i < n; i++ {
-		va, err := c.LoadVia(a, a.Addr()+i, 1)
+		va, err := c.LoadVia(s1, s1.Addr()+i, 1)
 		if err != nil {
 			return rt.memFault(t, err)
 		}
-		vb, err := c.LoadVia(b, b.Addr()+i, 1)
+		vb, err := c.LoadVia(s2, s2.Addr()+i, 1)
 		if err != nil {
 			return rt.memFault(t, err)
 		}
 		if va != vb {
-			rt.k.NativeRet(t, uint64(int64(va)-int64(vb)))
+			t.Frame.SetRet(uint64(int64(va)-int64(vb)), kernel.OK)
 			return kernel.OK
 		}
 	}
-	rt.k.NativeRet(t, 0)
+	t.Frame.SetRet(0, kernel.OK)
 	return kernel.OK
 }
 
@@ -288,19 +284,19 @@ func (rt *Runtime) readCStr(auth cap.Capability, va uint64) (string, error) {
 	return rt.k.M.UA.CString(auth, va, 1<<20)
 }
 
-func (rt *Runtime) nStrlen(t *kernel.Thread) kernel.Errno {
-	s := rt.k.NativeArgPtr(t, "p", 0)
+func (rt *Runtime) nStrlen(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	s := a.Ptr(0)
 	str, err := rt.readCStr(s, s.Addr())
 	if err != nil {
 		return rt.memFault(t, err)
 	}
-	rt.k.NativeRet(t, uint64(len(str)))
+	t.Frame.SetRet(uint64(len(str)), kernel.OK)
 	return kernel.OK
 }
 
-func (rt *Runtime) nStrcpy(t *kernel.Thread) kernel.Errno {
-	dst := rt.k.NativeArgPtr(t, "pp", 0)
-	src := rt.k.NativeArgPtr(t, "pp", 1)
+func (rt *Runtime) nStrcpy(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	dst := a.Ptr(0)
+	src := a.Ptr(1)
 	str, err := rt.readCStr(src, src.Addr())
 	if err != nil {
 		return rt.memFault(t, err)
@@ -308,14 +304,14 @@ func (rt *Runtime) nStrcpy(t *kernel.Thread) kernel.Errno {
 	if err := rt.k.M.UA.Write(dst, dst.Addr(), append([]byte(str), 0)); err != nil {
 		return rt.memFault(t, err)
 	}
-	rt.k.NativeRetCap(t, dst)
+	t.Frame.SetRetCap(t.Proc.ABI, dst, kernel.OK)
 	return kernel.OK
 }
 
-func (rt *Runtime) nStrncpy(t *kernel.Thread) kernel.Errno {
-	dst := rt.k.NativeArgPtr(t, "ppi", 0)
-	src := rt.k.NativeArgPtr(t, "ppi", 1)
-	n := rt.k.NativeArgInt(t, "ppi", 2)
+func (rt *Runtime) nStrncpy(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	dst := a.Ptr(0)
+	src := a.Ptr(1)
+	n := a.Int(0)
 	str, err := rt.readCStr(src, src.Addr())
 	if err != nil {
 		return rt.memFault(t, err)
@@ -325,43 +321,41 @@ func (rt *Runtime) nStrncpy(t *kernel.Thread) kernel.Errno {
 	if err := rt.k.M.UA.Write(dst, dst.Addr(), buf); err != nil {
 		return rt.memFault(t, err)
 	}
-	rt.k.NativeRetCap(t, dst)
+	t.Frame.SetRetCap(t.Proc.ABI, dst, kernel.OK)
 	return kernel.OK
 }
 
-func (rt *Runtime) strcmpCommon(t *kernel.Thread, spec string, n uint64, bounded bool) kernel.Errno {
-	a := rt.k.NativeArgPtr(t, spec, 0)
-	b := rt.k.NativeArgPtr(t, spec, 1)
+func (rt *Runtime) strcmpCommon(t *kernel.Thread, s1, s2 cap.Capability, n uint64, bounded bool) kernel.Errno {
 	c := rt.k.M.CPU
 	for i := uint64(0); !bounded || i < n; i++ {
-		va, err := c.LoadVia(a, a.Addr()+i, 1)
+		va, err := c.LoadVia(s1, s1.Addr()+i, 1)
 		if err != nil {
 			return rt.memFault(t, err)
 		}
-		vb, err := c.LoadVia(b, b.Addr()+i, 1)
+		vb, err := c.LoadVia(s2, s2.Addr()+i, 1)
 		if err != nil {
 			return rt.memFault(t, err)
 		}
 		if va != vb || va == 0 {
-			rt.k.NativeRet(t, uint64(int64(va)-int64(vb)))
+			t.Frame.SetRet(uint64(int64(va)-int64(vb)), kernel.OK)
 			return kernel.OK
 		}
 	}
-	rt.k.NativeRet(t, 0)
+	t.Frame.SetRet(0, kernel.OK)
 	return kernel.OK
 }
 
-func (rt *Runtime) nStrcmp(t *kernel.Thread) kernel.Errno {
-	return rt.strcmpCommon(t, "pp", 0, false)
+func (rt *Runtime) nStrcmp(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	return rt.strcmpCommon(t, a.Ptr(0), a.Ptr(1), 0, false)
 }
 
-func (rt *Runtime) nStrncmp(t *kernel.Thread) kernel.Errno {
-	return rt.strcmpCommon(t, "ppi", rt.k.NativeArgInt(t, "ppi", 2), true)
+func (rt *Runtime) nStrncmp(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	return rt.strcmpCommon(t, a.Ptr(0), a.Ptr(1), a.Int(0), true)
 }
 
-func (rt *Runtime) nStrcat(t *kernel.Thread) kernel.Errno {
-	dst := rt.k.NativeArgPtr(t, "pp", 0)
-	src := rt.k.NativeArgPtr(t, "pp", 1)
+func (rt *Runtime) nStrcat(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	dst := a.Ptr(0)
+	src := a.Ptr(1)
 	d, err := rt.readCStr(dst, dst.Addr())
 	if err != nil {
 		return rt.memFault(t, err)
@@ -373,13 +367,13 @@ func (rt *Runtime) nStrcat(t *kernel.Thread) kernel.Errno {
 	if err := rt.k.M.UA.Write(dst, dst.Addr()+uint64(len(d)), append([]byte(s), 0)); err != nil {
 		return rt.memFault(t, err)
 	}
-	rt.k.NativeRetCap(t, dst)
+	t.Frame.SetRetCap(t.Proc.ABI, dst, kernel.OK)
 	return kernel.OK
 }
 
-func (rt *Runtime) nStrchr(t *kernel.Thread) kernel.Errno {
-	s := rt.k.NativeArgPtr(t, "pi", 0)
-	ch := byte(rt.k.NativeArgInt(t, "pi", 1))
+func (rt *Runtime) nStrchr(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	s := a.Ptr(0)
+	ch := byte(a.Int(0))
 	c := rt.k.M.CPU
 	for i := uint64(0); ; i++ {
 		v, err := c.LoadVia(s, s.Addr()+i, 1)
@@ -387,11 +381,11 @@ func (rt *Runtime) nStrchr(t *kernel.Thread) kernel.Errno {
 			return rt.memFault(t, err)
 		}
 		if byte(v) == ch {
-			rt.k.NativeRetCap(t, rt.k.M.Fmt.IncAddr(s, int64(i)))
+			t.Frame.SetRetCap(t.Proc.ABI, rt.k.M.Fmt.IncAddr(s, int64(i)), kernel.OK)
 			return kernel.OK
 		}
 		if v == 0 {
-			rt.k.NativeRetCap(t, cap.Null())
+			t.Frame.SetRetCap(t.Proc.ABI, cap.Null(), kernel.OK)
 			return kernel.OK
 		}
 	}
@@ -399,13 +393,13 @@ func (rt *Runtime) nStrchr(t *kernel.Thread) kernel.Errno {
 
 // ---- qsort with guest comparator callbacks ----
 
-func (rt *Runtime) nQsort(t *kernel.Thread) kernel.Errno {
-	base := rt.k.NativeArgPtr(t, "piip", 0)
-	n := rt.k.NativeArgInt(t, "piip", 1)
-	width := rt.k.NativeArgInt(t, "piip", 2)
-	cmp := rt.k.NativeArgPtr(t, "piip", 3)
+func (rt *Runtime) nQsort(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	base := a.Ptr(0)
+	n := a.Int(0)
+	width := a.Int(1)
+	cmp := a.Ptr(1)
 	if n < 2 || width == 0 {
-		rt.k.NativeRet(t, 0)
+		t.Frame.SetRet(0, kernel.OK)
 		return kernel.OK
 	}
 
@@ -487,7 +481,7 @@ func (rt *Runtime) nQsort(t *kernel.Thread) kernel.Errno {
 	if err != nil {
 		return rt.memFault(t, err)
 	}
-	rt.k.NativeRet(t, 0)
+	t.Frame.SetRet(0, kernel.OK)
 	return kernel.OK
 }
 
@@ -580,9 +574,9 @@ func (rt *Runtime) formatGuest(t *kernel.Thread, format string, va cap.Capabilit
 	return string(out), nil
 }
 
-func (rt *Runtime) nPrintf(t *kernel.Thread) kernel.Errno {
-	fmtCap := rt.k.NativeArgPtr(t, "pp", 0)
-	vaCap := rt.k.NativeArgPtr(t, "pp", 1)
+func (rt *Runtime) nPrintf(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	fmtCap := a.Ptr(0)
+	vaCap := a.Ptr(1)
 	format, err := rt.readCStr(fmtCap, fmtCap.Addr())
 	if err != nil {
 		return rt.memFault(t, err)
@@ -592,15 +586,15 @@ func (rt *Runtime) nPrintf(t *kernel.Thread) kernel.Errno {
 		return rt.memFault(t, err)
 	}
 	rt.writeConsole(t, s)
-	rt.k.NativeRet(t, uint64(len(s)))
+	t.Frame.SetRet(uint64(len(s)), kernel.OK)
 	return kernel.OK
 }
 
-func (rt *Runtime) nSnprintf(t *kernel.Thread) kernel.Errno {
-	buf := rt.k.NativeArgPtr(t, "pipp", 0)
-	n := rt.k.NativeArgInt(t, "pipp", 1)
-	fmtCap := rt.k.NativeArgPtr(t, "pipp", 2)
-	vaCap := rt.k.NativeArgPtr(t, "pipp", 3)
+func (rt *Runtime) nSnprintf(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	buf := a.Ptr(0)
+	n := a.Int(0)
+	fmtCap := a.Ptr(1)
+	vaCap := a.Ptr(2)
 	format, err := rt.readCStr(fmtCap, fmtCap.Addr())
 	if err != nil {
 		return rt.memFault(t, err)
@@ -612,7 +606,7 @@ func (rt *Runtime) nSnprintf(t *kernel.Thread) kernel.Errno {
 	full := len(s)
 	if uint64(len(s))+1 > n {
 		if n == 0 {
-			rt.k.NativeRet(t, uint64(full))
+			t.Frame.SetRet(uint64(full), kernel.OK)
 			return kernel.OK
 		}
 		s = s[:n-1]
@@ -620,7 +614,7 @@ func (rt *Runtime) nSnprintf(t *kernel.Thread) kernel.Errno {
 	if err := rt.k.M.UA.Write(buf, buf.Addr(), append([]byte(s), 0)); err != nil {
 		return rt.memFault(t, err)
 	}
-	rt.k.NativeRet(t, uint64(full))
+	t.Frame.SetRet(uint64(full), kernel.OK)
 	return kernel.OK
 }
 
@@ -633,28 +627,28 @@ func (rt *Runtime) writeConsole(t *kernel.Thread, s string) {
 	rt.k.M.CPU.Stats.Cycles += uint64(len(s)) * 2
 }
 
-func (rt *Runtime) nPuts(t *kernel.Thread) kernel.Errno {
-	s := rt.k.NativeArgPtr(t, "p", 0)
+func (rt *Runtime) nPuts(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	s := a.Ptr(0)
 	str, err := rt.readCStr(s, s.Addr())
 	if err != nil {
 		return rt.memFault(t, err)
 	}
 	rt.writeConsole(t, str+"\n")
-	rt.k.NativeRet(t, uint64(len(str)+1))
+	t.Frame.SetRet(uint64(len(str)+1), kernel.OK)
 	return kernel.OK
 }
 
-func (rt *Runtime) nPutchar(t *kernel.Thread) kernel.Errno {
-	ch := byte(rt.k.NativeArgInt(t, "i", 0))
+func (rt *Runtime) nPutchar(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	ch := byte(a.Int(0))
 	rt.writeConsole(t, string(ch))
-	rt.k.NativeRet(t, uint64(ch))
+	t.Frame.SetRet(uint64(ch), kernel.OK)
 	return kernel.OK
 }
 
 // ---- misc ----
 
-func (rt *Runtime) nAtoi(t *kernel.Thread) kernel.Errno {
-	s := rt.k.NativeArgPtr(t, "p", 0)
+func (rt *Runtime) nAtoi(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	s := a.Ptr(0)
 	str, err := rt.readCStr(s, s.Addr())
 	if err != nil {
 		return rt.memFault(t, err)
@@ -675,56 +669,56 @@ func (rt *Runtime) nAtoi(t *kernel.Thread) kernel.Errno {
 	if neg {
 		v = -v
 	}
-	rt.k.NativeRet(t, uint64(v))
+	t.Frame.SetRet(uint64(v), kernel.OK)
 	return kernel.OK
 }
 
-func (rt *Runtime) nRand(t *kernel.Thread) kernel.Errno {
+func (rt *Runtime) nRand(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
 	s := rt.seed[t.Proc.PID]
 	s = s*6364136223846793005 + 1442695040888963407
 	rt.seed[t.Proc.PID] = s
-	rt.k.NativeRet(t, (s>>33)&0x7FFFFFFF)
+	t.Frame.SetRet((s>>33)&0x7FFFFFFF, kernel.OK)
 	return kernel.OK
 }
 
-func (rt *Runtime) nSrand(t *kernel.Thread) kernel.Errno {
-	rt.seed[t.Proc.PID] = rt.k.NativeArgInt(t, "i", 0)
-	rt.k.NativeRet(t, 0)
+func (rt *Runtime) nSrand(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	rt.seed[t.Proc.PID] = a.Int(0)
+	t.Frame.SetRet(0, kernel.OK)
 	return kernel.OK
 }
 
-func (rt *Runtime) nAbort(t *kernel.Thread) kernel.Errno {
+func (rt *Runtime) nAbort(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
 	rt.k.PostSignal(t.Proc, kernel.SIGABRT)
 	return kernel.OK
 }
 
-func (rt *Runtime) nGetenv(t *kernel.Thread) kernel.Errno {
-	rt.k.NativeRetCap(t, cap.Null())
+func (rt *Runtime) nGetenv(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	t.Frame.SetRetCap(t.Proc.ABI, cap.Null(), kernel.OK)
 	return kernel.OK
 }
 
-func (rt *Runtime) nTLSGet(t *kernel.Thread) kernel.Errno {
+func (rt *Runtime) nTLSGet(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
 	// Thread-local block, bounded per request ("We have added a
 	// CHERI-compatible TLS implementation").
 	if c, ok := rt.tls[t.TID]; ok {
-		rt.k.NativeRetCap(t, c)
+		t.Frame.SetRetCap(t.Proc.ABI, c, kernel.OK)
 		return kernel.OK
 	}
-	n := rt.k.NativeArgInt(t, "i", 0)
+	n := a.Int(0)
 	if n == 0 {
 		n = 4096
 	}
 	c, errno := rt.heap(t).Malloc(n)
 	if errno != kernel.OK {
-		rt.k.NativeRetCap(t, cap.Null())
+		t.Frame.SetRetCap(t.Proc.ABI, cap.Null(), kernel.OK)
 		return errno
 	}
 	rt.tls[t.TID] = c
-	rt.k.NativeRetCap(t, c)
+	t.Frame.SetRetCap(t.Proc.ABI, c, kernel.OK)
 	return kernel.OK
 }
 
-func (rt *Runtime) nAsanReport(t *kernel.Thread) kernel.Errno {
+func (rt *Runtime) nAsanReport(t *kernel.Thread, _ *kernel.SysArgs) kernel.Errno {
 	rt.writeConsole(t, "==ASAN== heap-buffer-overflow or stack violation detected\n")
 	rt.k.PostSignal(t.Proc, kernel.SIGABRT)
 	return kernel.OK

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"cheriabi"
+	"cheriabi/internal/kernel"
+	"cheriabi/internal/libc"
+	"cheriabi/internal/nat"
 )
 
 func run(t *testing.T, abi cheriabi.ABI, src string) *cheriabi.RunResult {
@@ -217,5 +220,62 @@ int main() {
 }`)
 	if res.ExitCode != 0 {
 		t.Fatalf("exit %d", res.ExitCode)
+	}
+}
+
+// TestEveryNativeRegistered: Install registers a body for exactly the
+// natives package nat declares, so a declared native never traps SIGSYS
+// and no body hides behind an undeclared id.
+func TestEveryNativeRegistered(t *testing.T) {
+	k := kernel.NewMachine(kernel.Config{MemBytes: 16 << 20}).Kern
+	libc.Install(k)
+	for id, c := range nat.Natives {
+		if declared, registered := c.Sig != "", k.Natives[id] != nil; declared != registered {
+			t.Errorf("native %d (%q): declared %v, registered %v", id, c.Sig, declared, registered)
+		}
+	}
+}
+
+// TestNativePointerAuthorityPinned pins output and cycles of a program that
+// passes pointers and integers to snprintf, memcpy, qsort and strncmp
+// under both ABIs. A native's pointer is the caller's capability under
+// CheriABI and DDC-equivalent authority under legacy, never charged as a
+// kernel validation: passing the legacy pointer untagged faults the
+// first access, charging it moves the cycle count, and a misdecoded
+// argument changes the output.
+func TestNativePointerAuthorityPinned(t *testing.T) {
+	const src = `
+int keys[9] = { 42, -7, 19, 0, 88, 3, -21, 55, 19 };
+int cmp(int *x, int *y) {
+	if (*x < *y) return -1;
+	if (*x > *y) return 1;
+	return 0;
+}
+int main() {
+	char buf[48];
+	char copy[48];
+	int n = snprintf(buf, 10, "%s=%d/%x", "answer", 42, 255);
+	memcpy(copy, buf, 10);
+	qsort(keys, 9, sizeof(int), cmp);
+	int i;
+	for (i = 0; i < 9; i++) printf("%d ", keys[i]);
+	printf("| %s %d %d %d %d\n", copy, n, strncmp(copy, "answer=41", 8), strncmp(copy, "answer=41", 9) > 0, strncmp("abc", "abd", 2));
+	return 0;
+}`
+	const want = "-21 -7 0 3 19 19 42 55 88 | answer=42 12 0 1 0\n"
+	for _, tc := range []struct {
+		abi    cheriabi.ABI
+		cycles uint64
+	}{
+		{cheriabi.ABILegacy, 21375},
+		{cheriabi.ABICheri, 21878},
+	} {
+		res := run(t, tc.abi, src)
+		if res.ExitCode != 0 || res.Signal != 0 || res.Output != want {
+			t.Errorf("%v: exit %d signal %d output %q, want %q", tc.abi, res.ExitCode, res.Signal, res.Output, want)
+		}
+		if res.Stats.Cycles != tc.cycles {
+			t.Errorf("%v: %d cycles, want %d", tc.abi, res.Stats.Cycles, tc.cycles)
+		}
 	}
 }

@@ -59,14 +59,6 @@ func TestParallelBodiagDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("Table 3 aggregation diverged across worker counts:\nworkers=1: %+v\nworkers=8: %+v", seq, par)
 	}
-	// The sharded aggregate must also match the original sequential runner.
-	ref, err := bodiag.NewRunner().RunEnvs(subset, bodiag.Envs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, seq) {
-		t.Fatalf("RunParallel diverged from RunEnvs:\nparallel: %+v\nsequential: %+v", seq, ref)
-	}
 }
 
 // TestParallelTable1Determinism compares sequential and sharded Table 1.

@@ -306,9 +306,3 @@ const (
 	CLCBigMin   = -8192
 	CLCBigMax   = 8191
 )
-
-// Features describes optional ISA extensions.
-type Features struct {
-	// BigCLCImm enables the large-immediate CLC/CSC encodings (§5.2).
-	BigCLCImm bool
-}

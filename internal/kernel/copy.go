@@ -3,7 +3,6 @@ package kernel
 import (
 	"cheriabi/internal/cap"
 	"cheriabi/internal/image"
-	"cheriabi/internal/isa"
 	"cheriabi/internal/uaccess"
 )
 
@@ -32,22 +31,6 @@ func (k *Kernel) materializePtr(p *Proc, raw cap.Capability) cap.Capability {
 // names.
 func (k *Kernel) dataAuth(p *Proc, va uint64) cap.Capability {
 	return k.M.Fmt.SetAddr(p.Root.AndPerms(cap.PermData), va)
-}
-
-// SetRet writes a call's integer return value and errno.
-func (f *Frame) SetRet(v uint64, e Errno) {
-	f.X[isa.RV0] = v
-	f.X[isa.RV1] = uint64(e)
-}
-
-// SetRetCap writes a call's capability return value (CheriABI) or its
-// address (legacy), and errno.
-func (f *Frame) SetRetCap(abi image.ABI, c cap.Capability, e Errno) {
-	if abi == image.ABICheri {
-		f.C[isa.CA0] = c
-	}
-	f.X[isa.RV0] = c.Addr()
-	f.X[isa.RV1] = uint64(e)
 }
 
 // staging returns the kernel's staging buffer cut to n bytes, n ≤

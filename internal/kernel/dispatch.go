@@ -13,9 +13,10 @@ import (
 // all of them — argument decode under both ABI register conventions,
 // capability validation and cost charging for pointer arguments
 // (CostCheriCapCheck / CostLegacyCapConstruct, the asymmetry §5.2
-// measures), and copyin of string in-arguments — so the handler bodies
-// are pure semantics. Natives (native.go) decode through the same
-// register reader.
+// measures), copyin of string in-arguments, and the encoding of every
+// result into registers — so the handler bodies are pure semantics.
+// Natives (native.go) decode through the same register reader and
+// return through the same result writer.
 //
 // The nat signature documents each pointer's direction (in/out) and, for
 // copies whose extent a second argument claims to bound, the length
@@ -45,9 +46,52 @@ func (a *SysArgs) Ptr(i int) cap.Capability { return a.ptrs[i] }
 // Str returns the i-th copied-in string ('s') argument.
 func (a *SysArgs) Str(i int) string { return a.strs[i] }
 
-// sysTable maps each syscall number to its handler. Handlers return true
-// to advance the PC past the syscall instruction.
-var sysTable = [...]func(*Kernel, *Thread, *SysArgs) bool{
+// Handler is the body of a syscall or of a run-time native. It returns
+// the call's result and errno and writes no result register itself: the
+// dispatcher encodes them (setResult). The result is capability-width,
+// like CheriBSD's td_retval: a pointer result is the capability, an
+// integer result an untagged capability holding the value (Ret). A
+// failed call's value is ignored (Err). EJUSTRETURN leaves the frame,
+// the PC and the timed-park state untouched.
+type Handler func(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno)
+
+// Ret is a successful integer result.
+func Ret(v uint64) (cap.Capability, Errno) { return cap.NullWithAddr(v), OK }
+
+// Err is a call that failed with e, or parked or replaced its frame
+// (e == EJUSTRETURN).
+func Err(e Errno) (cap.Capability, Errno) { return cap.Null(), e }
+
+// setResult is the result writer: the one place a call's result reaches
+// the guest's registers. It encodes v and e into f by the call's return
+// kind (nat.Ret):
+//
+//	Int   v0 = the value, or ^0 on error
+//	Ptr   v0 = the address and, under CheriABI, c3 = the capability;
+//	      0 and NULL on error
+//	Void  v0 = 0
+//
+// v1 is the errno in every case.
+func setResult(f *Frame, abi image.ABI, kind nat.Ret, v cap.Capability, e Errno) {
+	switch {
+	case kind == nat.Void:
+		v = cap.Null()
+	case kind == nat.Ptr:
+		if e != OK {
+			v = cap.Null()
+		}
+		if abi == image.ABICheri {
+			f.C[isa.CA0] = v
+		}
+	case e != OK:
+		v = cap.NullWithAddr(^uint64(0))
+	}
+	f.X[isa.RV0] = v.Addr()
+	f.X[isa.RV1] = uint64(e)
+}
+
+// sysTable maps each syscall number to its handler.
+var sysTable = [...]Handler{
 	nat.SysExit:         sysExit,
 	nat.SysFork:         sysFork,
 	nat.SysRead:         sysRead,
@@ -67,7 +111,7 @@ var sysTable = [...]func(*Kernel, *Thread, *SysArgs) bool{
 	nat.SysKqueue:       sysKqueue,
 	nat.SysKevent:       sysKevent,
 	nat.SysSigaction:    sysSigaction,
-	nat.SysSigreturn:    sysSigreturnWrap,
+	nat.SysSigreturn:    sysSigreturn,
 	nat.SysKill:         sysKill,
 	nat.SysIoctl:        sysIoctl,
 	nat.SysSysctl:       sysSysctl,
@@ -172,17 +216,14 @@ func (k *Kernel) decodeArgs(t *Thread, spec string, a *SysArgs) Errno {
 	return OK
 }
 
-// syscall dispatches the trapped syscall through the table. Blocking
-// handlers (the syscall restarts on wake) and frame-replacing ones
-// (sigreturn, execve) return false.
+// syscall dispatches the trapped syscall through the table and writes
+// its result. A call that returns EJUSTRETURN (it parked, or replaced the
+// frame) keeps its PC, so a parked call restarts on wake.
 func (k *Kernel) syscall(t *Thread) {
-	p := t.Proc
 	num := int(t.Frame.X[isa.RV0])
 	k.charge(CostSyscallBase)
-	advance := true
-	if num <= 0 || num >= len(sysTable) || sysTable[num] == nil {
-		t.Frame.SetRet(^uint64(0), ENOSYS)
-	} else {
+	kind, v, e := nat.Int, cap.Null(), ENOSYS
+	if num > 0 && num < len(sysTable) && sysTable[num] != nil {
 		// The per-Kernel argument block, zeroed per call: a local would
 		// escape to the heap through the indirect handler call. Reuse is
 		// safe because handlers only read their arguments during the call
@@ -190,20 +231,21 @@ func (k *Kernel) syscall(t *Thread) {
 		// callbacks that must end in BREAK, never a dispatched call).
 		a := &k.args
 		*a = SysArgs{}
-		if e := k.decodeArgs(t, nat.Syscalls[num].Spec, a); e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-		} else {
-			advance = sysTable[num](k, t, a)
+		kind = nat.Syscalls[num].Ret
+		if e = k.decodeArgs(t, nat.Syscalls[num].Spec, a); e == OK {
+			v, e = sysTable[num](k, t, a)
 		}
 	}
-	if advance {
-		// A completed syscall consumes its timed-park state; the next
-		// timed syscall arms a fresh deadline. Blocking handlers return
-		// false, so a re-park keeps deadline/timedOut/interrupted intact
-		// across restarts.
-		t.deadline, t.timedOut, t.interrupted = 0, false, false
+	if e == EJUSTRETURN {
+		// A re-park keeps deadline/timedOut/interrupted intact across
+		// restarts.
+		return
 	}
-	if advance && t.State != ThreadExited && p.State != ProcZombie {
+	setResult(&t.Frame, t.Proc.ABI, kind, v, e)
+	// A completed syscall consumes its timed-park state; the next timed
+	// syscall arms a fresh deadline.
+	t.deadline, t.timedOut, t.interrupted = 0, false, false
+	if t.State != ThreadExited && t.Proc.State != ProcZombie {
 		t.Frame.PC += isa.InstSize
 	}
 }

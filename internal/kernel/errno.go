@@ -50,6 +50,11 @@ const (
 	// ECAPMODE mirrors CheriBSD's capability-violation errno for syscall
 	// argument checks.
 	ECAPMODE Errno = 94
+	// EJUSTRETURN is FreeBSD's pseudo-errno for a call that must leave
+	// the frame alone: its handler parked the thread (the call restarts
+	// on wake) or replaced the frame (execve, sigreturn). The dispatcher
+	// consumes it; it never reaches a guest register.
+	EJUSTRETURN Errno = -2
 )
 
 var errnoNames = map[Errno]string{
@@ -63,7 +68,7 @@ var errnoNames = map[Errno]string{
 	EAFNOSUPPORT: "EAFNOSUPPORT",
 	EADDRINUSE:   "EADDRINUSE", EISCONN: "EISCONN", ENOTCONN: "ENOTCONN",
 	ECONNREFUSED: "ECONNREFUSED",
-	ECAPMODE:     "ECAPMODE",
+	ECAPMODE:     "ECAPMODE", EJUSTRETURN: "EJUSTRETURN",
 }
 
 func (e Errno) String() string {

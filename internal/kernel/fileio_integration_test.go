@@ -205,6 +205,7 @@ func TestPreadPwrite(t *testing.T) {
 	bothABIs(t, func(t *testing.T, abi cheriabi.ABI) {
 		res := runC(t, abi, `
 char b[8];
+char s[16];
 int main() {
 	int fd = open("/tmp/pos.dat", 0x200 | 2, 0);
 	if (write(fd, "XXXXXXXXXX", 10) != 10) return 1; // cursor now 10
@@ -213,6 +214,12 @@ int main() {
 	if (b[0] != 'a' || b[1] != 'b') return 4;
 	if (lseek(fd, 0, 1) != 10) return 5; // cursor untouched
 	if (pread(fd, b, 8, 100) != 0) return 6; // past EOF
+	// A length claimed past the buffer is fine while the file supplies
+	// less: pread stages only the bytes at its offset, as read does at
+	// the cursor.
+	if (pread(fd, s, 64, 0) != 10) return 11;
+	lseek(fd, 0, 0);
+	if (read(fd, s, 64) != 10) return 12;
 	close(fd);
 	int fds[2];
 	pipe(fds);

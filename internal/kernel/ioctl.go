@@ -3,6 +3,7 @@ package kernel
 import (
 	"encoding/binary"
 
+	"cheriabi/internal/cap"
 	"cheriabi/internal/image"
 )
 
@@ -25,7 +26,7 @@ const (
 // from Stat, GIFCONF's network query) are handled here; everything else
 // dispatches to the File object's Ioctl method, so device-specific
 // commands live with the device.
-func sysIoctl(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysIoctl(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	fd := int(a.Int(0))
 	cmd := a.Int(1)
@@ -33,8 +34,7 @@ func sysIoctl(k *Kernel, t *Thread, a *SysArgs) bool {
 
 	f := p.fd(fd)
 	if f == nil {
-		t.Frame.SetRet(^uint64(0), EBADF)
-		return true
+		return Err(EBADF)
 	}
 	switch cmd {
 	case IoctlFIONREAD:
@@ -47,10 +47,9 @@ func sysIoctl(k *Kernel, t *Thread, a *SysArgs) bool {
 			avail = 0
 		}
 		if e := k.writeUserWord(argp, argp.Addr(), 4, uint64(avail)); e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
-		t.Frame.SetRet(0, OK)
+		return Ret(0)
 
 	case IoctlGIFCONF:
 		// struct ifconf { i64 len; ptr buf }: the kernel writes interface
@@ -58,13 +57,11 @@ func sysIoctl(k *Kernel, t *Thread, a *SysArgs) bool {
 		// path; the capability's bounds drive the CheriABI path.
 		claimed, e := k.readUserWord(argp, argp.Addr(), 8)
 		if e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
 		bufPtr, e := k.copyInPtr(t, argp, argp.Addr()+8)
 		if e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
 		records := []byte("em0\x00inet 10.0.0.2\x00\x00lo0\x00inet 127.0.0.1\x00\x00bge0\x00inet 192.168.1.9\x00\x00")
 		n := uint64(len(records))
@@ -75,25 +72,21 @@ func sysIoctl(k *Kernel, t *Thread, a *SysArgs) bool {
 		// and writes through its own authority; CheriABI dereferences the
 		// user capability and faults on underallocation.
 		if e := k.copyOut(bufPtr, records[:n]); e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
 		if e := k.writeUserWord(argp, argp.Addr(), 8, n); e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
-		t.Frame.SetRet(0, OK)
+		return Ret(0)
 
 	default:
 		// Object-specific commands (TIOCGWINSZ on the console, future
 		// device controls) live with the File implementation.
 		if e := f.file.Ioctl(k, t, f, cmd, argp); e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-		} else {
-			t.Frame.SetRet(0, OK)
+			return Err(e)
 		}
+		return Ret(0)
 	}
-	return true
 }
 
 // sysctl ids.
@@ -106,35 +99,33 @@ const (
 // sysSysctl: sysctl(id, oldp, oldlenp, newp). The declared-but-unused
 // newp stays a raw pointer in the table, so no authority is constructed
 // for it on the legacy path (and no charge taken) — exactly as before.
-func sysSysctl(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysSysctl(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	id := int(a.Int(0))
 	oldp := a.Ptr(0)
 	oldlenp := a.Ptr(1)
 
-	writeOut := func(data []byte) {
+	writeOut := func(data []byte) (cap.Capability, Errno) {
 		if oldp.Addr() != 0 {
 			if e := k.copyOut(oldp, data); e != OK {
-				t.Frame.SetRet(^uint64(0), e)
-				return
+				return Err(e)
 			}
 		}
 		if oldlenp.Addr() != 0 {
 			if e := k.writeUserWord(oldlenp, oldlenp.Addr(), 8, uint64(len(data))); e != OK {
-				t.Frame.SetRet(^uint64(0), e)
-				return
+				return Err(e)
 			}
 		}
-		t.Frame.SetRet(0, OK)
+		return Ret(0)
 	}
 
 	switch id {
 	case SysctlOSType:
-		writeOut(append([]byte("CheriBSD-sim"), 0))
+		return writeOut(append([]byte("CheriBSD-sim"), 0))
 	case SysctlPageSize:
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], 4096)
-		writeOut(b[:])
+		return writeOut(b[:])
 	case SysctlKernPtr:
 		// "Some management interfaces export kernel pointers. Where we
 		// have encountered them, we have altered them to expose virtual
@@ -147,9 +138,7 @@ func sysSysctl(k *Kernel, t *Thread, a *SysArgs) bool {
 		} else {
 			binary.LittleEndian.PutUint64(b[:], uint64(p.PID)<<16|0x42)
 		}
-		writeOut(b[:])
-	default:
-		t.Frame.SetRet(^uint64(0), EINVAL)
+		return writeOut(b[:])
 	}
-	return true
+	return Err(EINVAL)
 }

@@ -21,7 +21,6 @@ import (
 	"cheriabi/internal/core"
 	"cheriabi/internal/cpu"
 	"cheriabi/internal/image"
-	"cheriabi/internal/isa"
 	"cheriabi/internal/mem"
 	"cheriabi/internal/nat"
 	"cheriabi/internal/uaccess"
@@ -34,8 +33,6 @@ type Config struct {
 	MemBytes uint64
 	// Format is the capability encoding (default Format128).
 	Format cap.Format
-	// Features are optional ISA extensions.
-	Features isa.Features
 	// Seed perturbs load addresses and stack placement across boots, the
 	// way ASLR and environment differences perturb the paper's runs.
 	Seed int64
@@ -60,14 +57,8 @@ type Machine struct {
 	CPU  *cpu.CPU
 	UA   *uaccess.Space
 	Fmt  cap.Format
-	Feat isa.Features
 	Kern *Kernel
 }
-
-// NativeFunc is a fast-model run-time routine (package libc registers
-// these): it behaves as user-level library code, operating on guest state
-// through capability-checked accessors.
-type NativeFunc func(k *Kernel, t *Thread, a *SysArgs) Errno
 
 // CapCreateFunc observes kernel- and linker-created capabilities by label
 // (exec, mmap, syscall, kern, glob relocs, ...) for the Figure 5 analysis.
@@ -122,8 +113,11 @@ type Kernel struct {
 	timers   []*timerEntry
 	timerSeq uint64
 
-	// Natives holds the registered native bodies, indexed by nat id.
-	Natives     [len(nat.Natives)]NativeFunc
+	// Natives holds the registered native bodies, indexed by nat id
+	// (package libc registers them): fast-model run-time routines that
+	// behave as user-level library code, operating on guest state through
+	// capability-checked accessors.
+	Natives     [len(nat.Natives)]Handler
 	OnCapCreate CapCreateFunc
 	Console     io.Writer
 
@@ -159,7 +153,6 @@ func NewMachineFS(cfg Config, fs *FS) *Machine {
 		Mem:  mem.New(cfg.MemBytes, cfg.Format.Bytes),
 		Hier: cache.DefaultHierarchy(),
 		Fmt:  cfg.Format,
-		Feat: cfg.Features,
 	}
 	m.VM = vm.NewSystem(m.Mem, 1<<20) // boot-reserved low MiB
 	// Layout perturbation: retire a seed-dependent number of frames at
@@ -567,9 +560,7 @@ func (k *Kernel) handleTrap(t *Thread, tr *cpu.Trap) {
 	case cpu.TrapSyscall:
 		k.syscall(t)
 	case cpu.TrapNCall:
-		if !k.native(t, tr.NCall) {
-			k.deliverOrKill(t, SIGSYS)
-		}
+		k.native(t, tr.NCall)
 	case cpu.TrapBreak:
 		k.deliverOrKill(t, SIGTRAP)
 	case cpu.TrapCapFault:

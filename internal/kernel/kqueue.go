@@ -59,16 +59,15 @@ func keventSize(abi image.ABI, capBytes uint64) uint64 {
 	return 32
 }
 
-func sysKqueue(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysKqueue(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	kq := &kqueue{}
 	fd := p.allocFD(&FDesc{file: &kqueueFile{kq: kq}, flags: ORdWr, refs: 1})
 	p.kqs[fd] = kq
-	t.Frame.SetRet(uint64(fd), OK)
-	return true
+	return Ret(uint64(fd))
 }
 
-func sysKevent(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysKevent(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	kqfd := int(a.Int(0))
 	changes := a.Ptr(0)
@@ -79,8 +78,7 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) bool {
 
 	kq := p.kqs[kqfd]
 	if kq == nil {
-		t.Frame.SetRet(^uint64(0), EBADF)
-		return true
+		return Err(EBADF)
 	}
 	size := keventSize(p.ABI, k.M.Fmt.Bytes)
 	udataOff := keventUdataOff(p.ABI, k.M.Fmt.Bytes)
@@ -91,15 +89,13 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) bool {
 		ident, e1 := k.readUserWord(changes, base, 8)
 		filt, e2 := k.readUserWord(changes, base+8, 8)
 		if e1 != OK || e2 != OK {
-			t.Frame.SetRet(^uint64(0), EFAULT)
-			return true
+			return Err(EFAULT)
 		}
 		filter := int16(int64(filt))
 		flags := int16(int64(filt) >> 32) // flags packed in the high word
 		udata, e := k.copyInPtr(t, changes, base+udataOff)
 		if e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
 		if flags&EvDelete != 0 {
 			for j, n := range kq.notes {
@@ -114,8 +110,7 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 
 	if nevents == 0 {
-		t.Frame.SetRet(0, OK)
-		return true
+		return Ret(0)
 	}
 
 	// Collect ready events; the stored udata capability is returned to the
@@ -143,8 +138,7 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) bool {
 		}
 		base := events.Addr() + count*size
 		if e := k.writeUserWord(events, base, 8, n.ident); e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
 		// The output filter slot mirrors the input convention: the filter
 		// in the low 32 bits (truncated, not sign-extended across the whole
@@ -154,21 +148,17 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) bool {
 			outFilt |= uint64(EvEOF) << 32
 		}
 		if e := k.writeUserWord(events, base+8, 8, outFilt); e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
 		if e := k.writeUserWord(events, base+16, 8, uint64(pollDepth(f.file, kind))); e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
 		if p.ABI == image.ABICheri {
 			if err := k.M.CPU.StoreCapVia(events, base+udataOff, n.udata); err != nil {
-				t.Frame.SetRet(^uint64(0), EFAULT)
-				return true
+				return Err(EFAULT)
 			}
 		} else if e := k.writeUserWord(events, base+udataOff, 8, n.udata.Addr()); e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
 		count++
 	}
@@ -194,16 +184,14 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) bool {
 			sec, e1 := k.readUserWord(tmo, tmo.Addr(), 8)
 			nsec, e2 := k.readUserWord(tmo, tmo.Addr()+8, 8)
 			if e1 != OK || e2 != OK {
-				t.Frame.SetRet(^uint64(0), EFAULT)
-				return true
+				return Err(EFAULT)
 			}
 			if delta := sec*ClockHz + nsToCycles(nsec); delta > 0 && !k.deadlineExpired(t) {
 				block, deadline = true, k.parkDeadline(t, delta)
 			}
 		}
 		if !block {
-			t.Frame.SetRet(0, OK)
-			return true
+			return Ret(0)
 		}
 		var qs []*WaitQueue
 		for _, n := range kq.notes {
@@ -218,8 +206,7 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) bool {
 		} else {
 			t.blockOn(qs...)
 		}
-		return false
+		return Err(EJUSTRETURN)
 	}
-	t.Frame.SetRet(count, OK)
-	return true
+	return Ret(count)
 }

@@ -21,16 +21,17 @@ const AsanShadowBase = 0x6000_0000
 // the ABI argument conventions, guest-memory mapping on behalf of a
 // process, and synchronous calls back into guest code.
 
-// native runs the registered body of native id for t's NCALL and advances
-// past it. It reports false when no body is registered. Arguments decode
-// through the syscall register reader, but natives behave as user-level
-// library code: under CheriABI a pointer is the caller's capability
-// unchanged; under the legacy ABI it is accessed with DDC-equivalent
-// authority, exactly as compiled library code would, and neither is
-// charged as a kernel validation.
-func (k *Kernel) native(t *Thread, id int) bool {
+// native runs the registered body of native id for t's NCALL, writes its
+// result and advances past it; an unregistered id raises SIGSYS.
+// Arguments decode through the syscall register reader, but natives
+// behave as user-level library code: under CheriABI a pointer is the
+// caller's capability unchanged; under the legacy ABI it is accessed with
+// DDC-equivalent authority, exactly as compiled library code would, and
+// neither is charged as a kernel validation.
+func (k *Kernel) native(t *Thread, id int) {
 	if id <= 0 || id >= len(k.Natives) || k.Natives[id] == nil {
-		return false
+		k.deliverOrKill(t, SIGSYS)
+		return
 	}
 	// The argument block syscalls use: a native is never dispatched while
 	// another call is in flight (see Kernel.syscall).
@@ -42,11 +43,9 @@ func (k *Kernel) native(t *Thread, id int) bool {
 			a.ptrs[i] = k.dataAuth(t.Proc, a.ptrs[i].Addr())
 		}
 	}
-	if errno := k.Natives[id](k, t, a); errno != OK {
-		t.Frame.X[isa.RV1] = uint64(errno)
-	}
+	v, e := k.Natives[id](k, t, a)
+	setResult(&t.Frame, t.Proc.ABI, nat.Natives[id].Ret, v, e)
 	t.Frame.PC += isa.InstSize
-	return true
 }
 
 // MapAnon maps anonymous memory for a process and returns the region

@@ -27,7 +27,7 @@ const (
 // ptrace(req, pid, addrp, data): addrp is a pointer into the *tracer* for
 // transfer buffers; addresses inside the target are plain integers in
 // data/aux words, exactly as in the flat ptrace API the paper extends.
-func sysPtrace(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysPtrace(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	req := int(a.Int(0))
 	pid := int(a.Int(1))
@@ -36,29 +36,24 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) bool {
 
 	target := k.procs[pid]
 	if target == nil || target == p {
-		t.Frame.SetRet(^uint64(0), ESRCH)
-		return true
+		return Err(ESRCH)
 	}
 
 	switch req {
 	case PtAttach:
 		target.Suspended = true
-		t.Frame.SetRet(0, OK)
-		return true
+		return Ret(0)
 	case PtDetach:
 		target.Suspended = false
 		k.resumeProc(target) // parked threads rejoin the scheduler ring
-		t.Frame.SetRet(0, OK)
-		return true
+		return Ret(0)
 	}
 	if !target.Suspended {
-		t.Frame.SetRet(^uint64(0), EBUSY)
-		return true
+		return Err(EBUSY)
 	}
 	tt := target.mainThread()
 	if tt == nil {
-		t.Frame.SetRet(^uint64(0), ESRCH)
-		return true
+		return Err(ESRCH)
 	}
 
 	// Access to target memory is authorized by the *target's* root
@@ -75,39 +70,34 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) bool {
 	case PtRead: // data = target va; returns the word
 		v, err := k.M.CPU.LoadVia(targetMem(data), data, 8)
 		if err != nil {
-			t.Frame.SetRet(^uint64(0), EFAULT)
-			return true
+			return Err(EFAULT)
 		}
-		t.Frame.SetRet(v, OK)
+		return Ret(v)
 
 	case PtWrite: // addrp = tracer buffer holding the word; data = target va
 		k.M.CPU.AS = p.AS
 		v, e := k.readUserWord(addrp, addrp.Addr(), 8)
 		k.M.CPU.AS = target.AS
 		if e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
 		if err := k.M.CPU.StoreVia(targetMem(data), data, 8, v); err != nil {
-			t.Frame.SetRet(^uint64(0), EFAULT)
-			return true
+			return Err(EFAULT)
 		}
-		t.Frame.SetRet(0, OK)
+		return Ret(0)
 
 	case PtGetReg: // data = register index
 		if data >= isa.NumRegs {
-			t.Frame.SetRet(^uint64(0), EINVAL)
-			return true
+			return Err(EINVAL)
 		}
-		t.Frame.SetRet(tt.Frame.X[data], OK)
+		return Ret(tt.Frame.X[data])
 
 	case PtGetCapReg:
 		// Extends ptrace "to permit reading the values of capability
 		// registers": writes {tag, base, len, addr, perms} into the tracer
 		// buffer.
 		if data >= isa.NumRegs {
-			t.Frame.SetRet(^uint64(0), EINVAL)
-			return true
+			return Err(EINVAL)
 		}
 		c := tt.Frame.C[data]
 		k.M.CPU.AS = p.AS
@@ -117,11 +107,10 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) bool {
 		}
 		for i, v := range vals {
 			if e := k.writeUserWord(addrp, addrp.Addr()+uint64(i)*8, 8, v); e != OK {
-				t.Frame.SetRet(^uint64(0), e)
-				return true
+				return Err(e)
 			}
 		}
-		t.Frame.SetRet(0, OK)
+		return Ret(0)
 
 	case PtSetCapReg:
 		// Injection: the tracer supplies {base, len, addr, perms}; the
@@ -129,30 +118,27 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) bool {
 		// capabilities are derived from an appropriate extant target or
 		// root architectural capability".
 		if data >= isa.NumRegs {
-			t.Frame.SetRet(^uint64(0), EINVAL)
-			return true
+			return Err(EINVAL)
 		}
 		k.M.CPU.AS = p.AS
 		var vals [4]uint64
 		for i := range vals {
 			v, e := k.readUserWord(addrp, addrp.Addr()+uint64(i)*8, 8)
 			if e != OK {
-				t.Frame.SetRet(^uint64(0), e)
-				return true
+				return Err(e)
 			}
 			vals[i] = v
 		}
 		nc, err := k.M.Fmt.SetBounds(target.Root, vals[0], vals[1])
 		if err != nil {
-			t.Frame.SetRet(^uint64(0), EACCES)
-			return true
+			return Err(EACCES)
 		}
 		nc = nc.AndPerms(cap.Perm(vals[3]) & target.Root.Perms())
 		nc = k.M.Fmt.SetAddr(nc, vals[2])
 		tt.Frame.C[data] = nc
 		k.capCreated("ptrace", nc)
 		k.Ledger.Derive(target.Prin, target.AbsRoot, nc, core.OriginPtrace)
-		t.Frame.SetRet(0, OK)
+		return Ret(0)
 
 	case PtWriteCap:
 		// Inject a rederived capability into target *memory* at data.
@@ -161,29 +147,24 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) bool {
 		for i := range vals {
 			v, e := k.readUserWord(addrp, addrp.Addr()+uint64(i)*8, 8)
 			if e != OK {
-				t.Frame.SetRet(^uint64(0), e)
-				return true
+				return Err(e)
 			}
 			vals[i] = v
 		}
 		nc, err := k.M.Fmt.SetBounds(target.Root, vals[0], vals[1])
 		if err != nil {
-			t.Frame.SetRet(^uint64(0), EACCES)
-			return true
+			return Err(EACCES)
 		}
 		nc = nc.AndPerms(cap.Perm(vals[3]) & target.Root.Perms())
 		nc = k.M.Fmt.SetAddr(nc, vals[2])
 		k.M.CPU.AS = target.AS
 		if err := k.M.CPU.StoreCapVia(targetMem(data), data, nc); err != nil {
-			t.Frame.SetRet(^uint64(0), EFAULT)
-			return true
+			return Err(EFAULT)
 		}
 		k.capCreated("ptrace", nc)
 		k.Ledger.Derive(target.Prin, target.AbsRoot, nc, core.OriginPtrace)
-		t.Frame.SetRet(0, OK)
+		return Ret(0)
 
-	default:
-		t.Frame.SetRet(^uint64(0), EINVAL)
 	}
-	return true
+	return Err(EINVAL)
 }

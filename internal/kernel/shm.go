@@ -16,11 +16,10 @@ type shmSeg struct {
 }
 
 // sysShmget: shmget(key, size) — key 0 always creates.
-func sysShmget(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysShmget(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	size := a.Int(1)
 	if size == 0 || size > 64<<20 {
-		t.Frame.SetRet(^uint64(0), EINVAL)
-		return true
+		return Err(EINVAL)
 	}
 	rlen := k.M.Fmt.RepresentableLength((size + vm.PageSize - 1) &^ (vm.PageSize - 1))
 	k.nextShmID++
@@ -30,29 +29,26 @@ func sysShmget(k *Kernel, t *Thread, a *SysArgs) bool {
 		frames: k.M.VM.AllocFrames(int(rlen / vm.PageSize)),
 	}
 	k.shmSegs[seg.id] = seg
-	t.Frame.SetRet(uint64(seg.id), OK)
-	return true
+	return Ret(uint64(seg.id))
 }
 
 // sysShmat: shmat(id, addr) maps the segment, honouring the paper's rule:
 // a fixed address is accepted only as a valid capability carrying the
 // vmmap permission.
-func sysShmat(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysShmat(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	id := int(a.Int(0))
 	hint := a.Ptr(0)
 	seg := k.shmSegs[id]
 	if seg == nil {
-		t.Frame.SetRet(^uint64(0), EINVAL)
-		return true
+		return Err(EINVAL)
 	}
 	var va uint64
 	if hint.Addr() != 0 {
 		if p.ABI == image.ABICheri {
 			k.charge(CostCheriCapCheck)
 			if !hint.Tag() || !hint.HasPerm(cap.PermVMMap) {
-				t.Frame.SetRetCap(p.ABI, cap.Null(), EACCES)
-				return true
+				return Err(EACCES)
 			}
 		}
 		va = hint.Addr() &^ (vm.PageSize - 1)
@@ -61,32 +57,27 @@ func sysShmat(k *Kernel, t *Thread, a *SysArgs) bool {
 		p.MmapHint = va + seg.size
 	}
 	if !validUserRange(va, seg.size) {
-		t.Frame.SetRetCap(p.ABI, cap.Null(), EINVAL)
-		return true
+		return Err(EINVAL)
 	}
 	if err := p.AS.MapFrames(va, seg.frames, vm.ProtRead|vm.ProtWrite); err != nil {
-		t.Frame.SetRetCap(p.ABI, cap.Null(), ENOMEM)
-		return true
+		return Err(ENOMEM)
 	}
 	if p.ABI != image.ABICheri {
-		t.Frame.SetRet(va, OK)
-		return true
+		return Ret(va)
 	}
 	ret, err := k.M.Fmt.SetBounds(p.Root, va, seg.size)
 	if err != nil {
-		t.Frame.SetRetCap(p.ABI, cap.Null(), ENOMEM)
-		return true
+		return Err(ENOMEM)
 	}
 	ret = ret.AndPerms(cap.PermData | cap.PermVMMap)
 	k.capCreated("syscall", ret)
 	k.Ledger.Derive(p.Prin, p.AbsRoot, ret, core.OriginSyscall)
-	t.Frame.SetRetCap(p.ABI, ret, OK)
-	return true
+	return ret, OK
 }
 
 // sysShmdt: shmdt(addr) requires the vmmap permission on the presented
 // capability, like munmap.
-func sysShmdt(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysShmdt(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	c := a.Ptr(0)
 	va := c.Addr() &^ (vm.PageSize - 1)
@@ -99,17 +90,13 @@ func sysShmdt(k *Kernel, t *Thread, a *SysArgs) bool {
 		}
 	}
 	if seg == nil {
-		t.Frame.SetRet(^uint64(0), EINVAL)
-		return true
+		return Err(EINVAL)
 	}
 	if e := k.checkVMAuth(p, c, va, seg.size); e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
 	if err := p.AS.Unmap(va, seg.size); err != nil {
-		t.Frame.SetRet(^uint64(0), EINVAL)
-		return true
+		return Err(EINVAL)
 	}
-	t.Frame.SetRet(0, OK)
-	return true
+	return Ret(0)
 }

@@ -191,11 +191,12 @@ func (p *Proc) sigTrampCap(k *Kernel) cap.Capability {
 	return c.AndPerms(cap.PermCode)
 }
 
-// sigreturn restores the interrupted context from the signal frame at the
-// current stack pointer. Capabilities are reloaded through the stack
+// sysSigreturn restores the interrupted context from the signal frame at
+// the current stack pointer. Capabilities are reloaded through the stack
 // capability, so "manipulation of saved capability state by the signal
-// handler preserves the architectural capability chain".
-func (k *Kernel) sigreturn(t *Thread) Errno {
+// handler preserves the architectural capability chain". The frame is
+// replaced, or the process killed, so it never returns a result.
+func sysSigreturn(k *Kernel, t *Thread, _ *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	c := k.M.CPU
 	cheri := p.ABI == image.ABICheri
@@ -241,12 +242,12 @@ func (k *Kernel) sigreturn(t *Thread) Errno {
 	}
 	if err != nil {
 		k.exitProc(p, SIGSEGV)
-		return OK
+		return Err(EJUSTRETURN)
 	}
 	p.SigMask = mask
 	t.Frame = f
 	k.switchTo(t)
-	return OK
+	return Err(EJUSTRETURN)
 }
 
 // Kill posts sig to process pid, waking any of its queued waiters (the

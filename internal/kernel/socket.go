@@ -301,34 +301,28 @@ func sockFD(p *Proc, fd int) (*FDesc, *socketFile, Errno) {
 	return f, s, OK
 }
 
-func sockErr(t *Thread, e Errno) bool {
-	t.Frame.SetRet(^uint64(0), e)
-	return true
-}
-
-func sysSocket(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysSocket(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	domain := int(a.Int(0))
 	if domain != AFUnix && domain != AFInet {
-		return sockErr(t, EAFNOSUPPORT) // unknown address family
+		return Err(EAFNOSUPPORT) // unknown address family
 	}
 	if a.Int(1) != SockStream || a.Int(2) != 0 {
-		return sockErr(t, EINVAL) // only default-protocol stream sockets
+		return Err(EINVAL) // only default-protocol stream sockets
 	}
 	fd := t.Proc.allocFD(&FDesc{file: newSocketFile(k, domain), flags: ORdWr, refs: 1})
-	t.Frame.SetRet(uint64(fd), OK)
-	return true
+	return Ret(uint64(fd))
 }
 
 // sysSocketpair builds an already-connected pair, like pipe(2) but
 // bidirectional; the two fds land in an 8-byte-slot array. AF_UNIX only,
 // as on FreeBSD.
-func sysSocketpair(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysSocketpair(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	if a.Int(0) != AFUnix {
-		return sockErr(t, EAFNOSUPPORT)
+		return Err(EAFNOSUPPORT)
 	}
 	if a.Int(1) != SockStream || a.Int(2) != 0 {
-		return sockErr(t, EINVAL)
+		return Err(EINVAL)
 	}
 	sv := a.Ptr(0)
 	s1, s2 := newSocketFile(k, AFUnix), newSocketFile(k, AFUnix)
@@ -339,13 +333,12 @@ func sysSocketpair(k *Kernel, t *Thread, a *SysArgs) bool {
 	fd1 := p.allocFD(&FDesc{file: s1, flags: ORdWr, refs: 1})
 	fd2 := p.allocFD(&FDesc{file: s2, flags: ORdWr, refs: 1})
 	if e := k.writeUserWord(sv, sv.Addr(), 8, uint64(fd1)); e != OK {
-		return sockErr(t, e)
+		return Err(e)
 	}
 	if e := k.writeUserWord(sv, sv.Addr()+8, 8, uint64(fd2)); e != OK {
-		return sockErr(t, e)
+		return Err(e)
 	}
-	t.Frame.SetRet(0, OK)
-	return true
+	return Ret(0)
 }
 
 // readSockaddrIn copies in a guest struct sockaddr_in — three 8-byte
@@ -363,19 +356,15 @@ func (k *Kernel) readSockaddrIn(sa cap.Capability) (family, port, addr uint64, e
 }
 
 // writeSockaddrIn fills a guest struct sockaddr_in.
-func (k *Kernel) writeSockaddrIn(t *Thread, sa cap.Capability, family, port, addr uint64) bool {
+func (k *Kernel) writeSockaddrIn(sa cap.Capability, family, port, addr uint64) Errno {
 	base := sa.Addr()
 	if e := k.writeUserWord(sa, base, 8, family); e != OK {
-		return sockErr(t, e)
+		return e
 	}
 	if e := k.writeUserWord(sa, base+8, 8, port); e != OK {
-		return sockErr(t, e)
+		return e
 	}
-	if e := k.writeUserWord(sa, base+16, 8, addr); e != OK {
-		return sockErr(t, e)
-	}
-	t.Frame.SetRet(0, OK)
-	return true
+	return k.writeUserWord(sa, base+16, 8, addr)
 }
 
 // sysBind registers the socket's address. The AF_UNIX sockaddr is the
@@ -384,65 +373,63 @@ func (k *Kernel) writeSockaddrIn(t *Thread, sa cap.Capability, family, port, add
 // sockaddr is a struct sockaddr_in, and binds claim the port in the
 // machine's inet namespace (addr 0 is INADDR_ANY; otherwise it must name
 // this machine).
-func sysBind(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysBind(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	_, s, e := sockFD(p, int(a.Int(0)))
 	if e != OK {
-		return sockErr(t, e)
+		return Err(e)
 	}
 	if s.domain == AFInet {
 		family, port, addr, e := k.readSockaddrIn(a.Ptr(0))
 		if e != OK {
-			return sockErr(t, e)
+			return Err(e)
 		}
 		if family != AFInet {
-			return sockErr(t, EAFNOSUPPORT)
+			return Err(EAFNOSUPPORT)
 		}
 		if port == 0 || port > 65535 || (addr != 0 && !k.netLocal(addr)) {
-			return sockErr(t, EINVAL)
+			return Err(EINVAL)
 		}
 		if s.state != sockNew || s.port != 0 {
-			return sockErr(t, EINVAL)
+			return Err(EINVAL)
 		}
 		if k.inetNS[port] != nil {
-			return sockErr(t, EADDRINUSE)
+			return Err(EADDRINUSE)
 		}
 		k.inetNS[port] = s
 		s.port = port
 		s.addr = k.netAddr
-		t.Frame.SetRet(0, OK)
-		return true
+		return Ret(0)
 	}
 	path, e := k.copyInStr(a.Ptr(0))
 	if e != OK {
-		return sockErr(t, e)
+		return Err(e)
 	}
 	if path == "" {
-		return sockErr(t, EINVAL)
+		return Err(EINVAL)
 	}
 	if path[0] != '/' {
 		path = p.CWD + "/" + path
 	}
 	if s.state != sockNew || s.path != "" {
-		return sockErr(t, EINVAL)
+		return Err(EINVAL)
 	}
 	if k.unixNS[path] != nil {
-		return sockErr(t, EADDRINUSE)
+		return Err(EADDRINUSE)
 	}
 	k.unixNS[path] = s
 	s.path = path
-	t.Frame.SetRet(0, OK)
-	return true
+	return Ret(0)
 }
 
-func sysListen(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysListen(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	_, s, e := sockFD(t.Proc, int(a.Int(0)))
 	if e != OK {
-		return sockErr(t, e)
+		return Err(e)
 	}
 	bound := s.path != "" || s.port != 0
 	if !bound || s.state != sockNew && s.state != sockListening {
-		return sockErr(t, EINVAL)
+		return Err(EINVAL)
 	}
 	backlog := int(int64(a.Int(1)))
 	if backlog <= 0 {
@@ -453,8 +440,7 @@ func sysListen(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 	s.state = sockListening
 	s.backlog = backlog
-	t.Frame.SetRet(0, OK)
-	return true
+	return Ret(0)
 }
 
 // sysConnect initiates (or, restarted after a wake, completes) a
@@ -465,42 +451,41 @@ func sysListen(k *Kernel, t *Thread, a *SysArgs) bool {
 // writability and the follow-up connect returning 0. A connect that hits
 // a full listener backlog (either family) is refused: ECONNREFUSED, with
 // the socket reusable for a later retry.
-func sysConnect(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysConnect(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	f, s, e := sockFD(p, int(a.Int(0)))
 	if e != OK {
-		return sockErr(t, e)
+		return Err(e)
 	}
 	switch s.state {
 	case sockConnected:
 		if !s.connReported {
 			s.connReported = true
-			t.Frame.SetRet(0, OK)
-			return true
+			return Ret(0)
 		}
-		return sockErr(t, EISCONN)
+		return Err(EISCONN)
 	case sockConnecting:
 		if f.nonblock() {
-			return sockErr(t, EINPROGRESS)
+			return Err(EINPROGRESS)
 		}
 		t.blockOn(s.q)
-		return false
+		return Err(EJUSTRETURN)
 	case sockRefused:
 		s.state = sockNew // a later retry may succeed
-		return sockErr(t, ECONNREFUSED)
+		return Err(ECONNREFUSED)
 	case sockListening:
-		return sockErr(t, EINVAL)
+		return Err(EINVAL)
 	}
 	if s.domain == AFInet {
 		family, port, addr, e := k.readSockaddrIn(a.Ptr(0))
 		if e != OK {
-			return sockErr(t, e)
+			return Err(e)
 		}
 		if family != AFInet {
-			return sockErr(t, EAFNOSUPPORT)
+			return Err(EAFNOSUPPORT)
 		}
 		if port == 0 || port > 65535 {
-			return sockErr(t, EINVAL)
+			return Err(EINVAL)
 		}
 		s.addr = k.netAddr
 		k.nextPort++
@@ -519,57 +504,57 @@ func sysConnect(k *Kernel, t *Thread, a *SysArgs) bool {
 		// FreeBSD does for a local connect, leaving the socket reusable.
 		if s.state == sockRefused {
 			s.state = sockNew
-			return sockErr(t, ECONNREFUSED)
+			return Err(ECONNREFUSED)
 		}
 		if f.nonblock() {
-			return sockErr(t, EINPROGRESS)
+			return Err(EINPROGRESS)
 		}
 		t.blockOn(s.q)
-		return false
+		return Err(EJUSTRETURN)
 	}
 	path, e := k.copyInStr(a.Ptr(0))
 	if e != OK {
-		return sockErr(t, e)
+		return Err(e)
 	}
 	if path != "" && path[0] != '/' {
 		path = p.CWD + "/" + path
 	}
 	l := k.unixNS[path]
 	if l == nil || l.state != sockListening {
-		return sockErr(t, ECONNREFUSED)
+		return Err(ECONNREFUSED)
 	}
 	if len(l.pending) >= l.backlog {
 		// listen(2)'s backlog is a hard bound: refuse instead of queueing
 		// unboundedly. The caller may retry after the server accepts.
-		return sockErr(t, ECONNREFUSED)
+		return Err(ECONNREFUSED)
 	}
 	s.state = sockConnecting
 	s.waitingOn = l
 	l.pending = append(l.pending, s)
 	l.q.Wake(k) // accept(2) waiters
 	if f.nonblock() {
-		return sockErr(t, EINPROGRESS)
+		return Err(EINPROGRESS)
 	}
 	t.blockOn(s.q)
-	return false
+	return Err(EJUSTRETURN)
 }
 
-func sysAccept(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysAccept(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	f, s, e := sockFD(p, int(a.Int(0)))
 	if e != OK {
-		return sockErr(t, e)
+		return Err(e)
 	}
 	if s.state != sockListening {
-		return sockErr(t, EINVAL)
+		return Err(EINVAL)
 	}
 	if s.domain == AFInet {
 		if len(s.pendingSyn) == 0 {
 			if f.nonblock() {
-				return sockErr(t, EAGAIN)
+				return Err(EAGAIN)
 			}
 			t.blockOn(s.q)
-			return false
+			return Err(EJUSTRETURN)
 		}
 		syn := s.pendingSyn[0]
 		s.pendingSyn = s.pendingSyn[1:]
@@ -586,15 +571,14 @@ func sysAccept(k *Kernel, t *Thread, a *SysArgs) bool {
 		// Rst, tearing srv down again.
 		k.netEmit(srv.netHeader(NetSynAck))
 		fd := p.allocFD(&FDesc{file: srv, flags: ORdWr, refs: 1})
-		t.Frame.SetRet(uint64(fd), OK)
-		return true
+		return Ret(uint64(fd))
 	}
 	if len(s.pending) == 0 {
 		if f.nonblock() {
-			return sockErr(t, EAGAIN)
+			return Err(EAGAIN)
 		}
 		t.blockOn(s.q)
-		return false
+		return Err(EJUSTRETURN)
 	}
 	c := s.pending[0]
 	s.pending = s.pending[1:]
@@ -606,21 +590,20 @@ func sysAccept(k *Kernel, t *Thread, a *SysArgs) bool {
 	wireSockets(c, srv, connq)
 	connq.Wake(k) // complete the connector's connect(2)
 	fd := p.allocFD(&FDesc{file: srv, flags: ORdWr, refs: 1})
-	t.Frame.SetRet(uint64(fd), OK)
-	return true
+	return Ret(uint64(fd))
 }
 
-func sysShutdown(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysShutdown(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	_, s, e := sockFD(t.Proc, int(a.Int(0)))
 	if e != OK {
-		return sockErr(t, e)
+		return Err(e)
 	}
 	if s.state != sockConnected {
-		return sockErr(t, ENOTCONN)
+		return Err(ENOTCONN)
 	}
 	how := int(a.Int(1))
 	if how < ShutRd || how > ShutRdWr {
-		return sockErr(t, EINVAL)
+		return Err(EINVAL)
 	}
 	if how == ShutRd || how == ShutRdWr {
 		s.recvShut = true
@@ -637,49 +620,54 @@ func sysShutdown(k *Kernel, t *Thread, a *SysArgs) bool {
 		}
 	}
 	s.q.Wake(k)
-	t.Frame.SetRet(0, OK)
-	return true
+	return Ret(0)
 }
 
 // sysGetsockname / sysGetpeername fill a struct sockaddr_in with the
 // local / remote address of the endpoint. For AF_UNIX sockets only the
 // family field is meaningful (the path does not fit the fixed struct);
 // getpeername requires a connected socket.
-func sysGetsockname(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysGetsockname(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	_, s, e := sockFD(t.Proc, int(a.Int(0)))
 	if e != OK {
-		return sockErr(t, e)
+		return Err(e)
 	}
-	return k.writeSockaddrIn(t, a.Ptr(0), uint64(s.domain), s.port, s.addr)
+	if e := k.writeSockaddrIn(a.Ptr(0), uint64(s.domain), s.port, s.addr); e != OK {
+		return Err(e)
+	}
+	return Ret(0)
 }
 
-func sysGetpeername(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysGetpeername(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	_, s, e := sockFD(t.Proc, int(a.Int(0)))
 	if e != OK {
-		return sockErr(t, e)
+		return Err(e)
 	}
 	if s.state != sockConnected {
-		return sockErr(t, ENOTCONN)
+		return Err(ENOTCONN)
 	}
-	return k.writeSockaddrIn(t, a.Ptr(0), uint64(s.domain), s.peerPort, s.peerAddr)
+	if e := k.writeSockaddrIn(a.Ptr(0), uint64(s.domain), s.peerPort, s.peerAddr); e != OK {
+		return Err(e)
+	}
+	return Ret(0)
 }
 
 // sysSend and sysRecv are send(fd, buf, n, flags) / recv(fd, buf, n,
 // flags): the shared read/write bodies over a socket descriptor (flags
 // are accepted and ignored — no MSG_* semantics exist here; O_NONBLOCK
 // governs blocking, as with plain read/write on the socket).
-func sysSend(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysSend(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	f, _, e := sockFD(t.Proc, int(a.Int(0)))
 	if e != OK {
-		return sockErr(t, e)
+		return Err(e)
 	}
 	return doWriteFD(k, t, f, a.Ptr(0), a.Int(1))
 }
 
-func sysRecv(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysRecv(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	f, _, e := sockFD(t.Proc, int(a.Int(0)))
 	if e != OK {
-		return sockErr(t, e)
+		return Err(e)
 	}
 	return doReadFD(k, t, f, a.Ptr(0), a.Int(1))
 }

@@ -5,6 +5,7 @@ import (
 	"cheriabi/internal/core"
 	"cheriabi/internal/image"
 	"cheriabi/internal/isa"
+	"cheriabi/internal/nat"
 	"cheriabi/internal/vm"
 )
 
@@ -17,51 +18,41 @@ const (
 )
 
 // Handler bodies. Argument decode, pointer validation, cost charging,
-// and string copyin happen in the dispatcher (dispatch.go); these
-// functions implement only the semantics. Each returns true to advance
-// the PC past the syscall instruction.
+// string copyin and the result registers are the dispatcher's
+// (dispatch.go); these functions implement only the semantics. Each
+// returns its result and errno, or EJUSTRETURN when it parked the thread
+// or replaced the frame.
 
-func sysExit(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysExit(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	k.exitProc(t.Proc, int(a.Int(0))<<8)
-	return true
+	return Ret(0)
 }
 
-func sysGetpid(k *Kernel, t *Thread, a *SysArgs) bool {
-	t.Frame.SetRet(uint64(t.Proc.PID), OK)
-	return true
+func sysGetpid(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
+	return Ret(uint64(t.Proc.PID))
 }
 
-func sysYield(k *Kernel, t *Thread, a *SysArgs) bool {
-	t.Frame.SetRet(0, OK)
-	return true
+func sysYield(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
+	return Ret(0)
 }
 
-func sysGetTime(k *Kernel, t *Thread, a *SysArgs) bool {
-	t.Frame.SetRet(k.Now(), OK)
-	return true
+func sysGetTime(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
+	return Ret(k.Now())
 }
 
-func sysSwapSelf(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysSwapSelf(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	n := k.SwapOutProc(t.Proc)
-	t.Frame.SetRet(uint64(n), OK)
-	return true
+	return Ret(uint64(n))
 }
 
-func sysKill(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysKill(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	if e := k.Kill(int(a.Int(0)), int(a.Int(1))); e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-	} else {
-		t.Frame.SetRet(0, OK)
+		return Err(e)
 	}
-	return true
+	return Ret(0)
 }
 
-func sysSigreturnWrap(k *Kernel, t *Thread, a *SysArgs) bool {
-	k.sigreturn(t)
-	return false // frame replaced
-}
-
-func sysFork(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysFork(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	pages := 0
 	for _, r := range p.AS.Regions() {
@@ -94,10 +85,9 @@ func sysFork(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 	ct := k.newThread(child)
 	ct.Frame = t.Frame
-	ct.Frame.SetRet(0, OK)      // child sees 0
-	ct.Frame.PC += isa.InstSize // child resumes after the syscall
-	t.Frame.SetRet(uint64(child.PID), OK)
-	return true
+	setResult(&ct.Frame, p.ABI, nat.Int, cap.Null(), OK) // child sees 0
+	ct.Frame.PC += isa.InstSize                          // child resumes after the syscall
+	return Ret(uint64(child.PID))
 }
 
 // ioChunk caps one call's use of the kernel staging buffer: streams whose
@@ -106,15 +96,16 @@ func sysFork(k *Kernel, t *Thread, a *SysArgs) bool {
 // never turns into a host-side allocation.
 const ioChunk = 256 << 10
 
-// ioScratch cuts the staging buffer for one read: the claimed length,
-// clamped to the bytes the object can currently supply (regular files:
-// size minus cursor; pipes: buffered bytes — so an EOF read stages zero
-// bytes and needs no destination authority) and to ioChunk. Devices
-// synthesize their stream, so only the chunk clamp applies.
-func (k *Kernel) ioScratch(f *FDesc, n uint64) []byte {
+// ioScratch cuts the staging buffer for one read at offset off (the
+// cursor for read, the argument for pread): the claimed length, clamped
+// to the bytes the object can currently supply (regular files: size
+// minus off; pipes: buffered bytes — so an EOF read stages zero bytes and
+// needs no destination authority) and to ioChunk. Devices synthesize
+// their stream, so only the chunk clamp applies.
+func (k *Kernel) ioScratch(f *FDesc, off int64, n uint64) []byte {
 	switch st := f.file.Stat(); st.Kind {
 	case StatFile, StatDir:
-		avail := st.Size - f.off
+		avail := st.Size - off
 		if avail < 0 {
 			avail = 0
 		}
@@ -153,24 +144,21 @@ func precheckOut(buf cap.Capability, n int) Errno {
 // non-blocking descriptors, park on the object's wait queue otherwise),
 // stage through uaccess into the guest buffer, and wake threads parked on
 // the object (a drained pipe or socket has space for writers again).
-func doReadFD(k *Kernel, t *Thread, f *FDesc, buf cap.Capability, n uint64) bool {
+func doReadFD(k *Kernel, t *Thread, f *FDesc, buf cap.Capability, n uint64) (cap.Capability, Errno) {
 	if !f.file.Poll(PollIn) {
 		if f.nonblock() {
-			t.Frame.SetRet(^uint64(0), EAGAIN)
-			return true
+			return Err(EAGAIN)
 		}
 		k.blockFD(t, f)
-		return false
+		return Err(EJUSTRETURN)
 	}
-	scratch := k.ioScratch(f, n)
+	scratch := k.ioScratch(f, f.off, n)
 	if e := precheckOut(buf, len(scratch)); e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
 	m, e := f.file.Read(f, scratch)
 	if e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
 	if m > 0 {
 		// Wake before attempting the copyout: the object was drained
@@ -179,63 +167,55 @@ func doReadFD(k *Kernel, t *Thread, f *FDesc, buf cap.Capability, n uint64) bool
 		// in-bounds page) — a skipped wake here is a lost wakeup.
 		k.wakeFD(f)
 		if e := k.copyOut(buf, scratch[:m]); e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
 	}
-	t.Frame.SetRet(uint64(m), OK)
-	return true
+	return Ret(uint64(m))
 }
 
 // doWriteFD is the shared body of write(2) and send(2) after descriptor
 // validation; EPIPE raises SIGPIPE, and accepted bytes wake threads
 // parked on the object (readers of the pipe or socket).
-func doWriteFD(k *Kernel, t *Thread, f *FDesc, buf cap.Capability, n uint64) bool {
+func doWriteFD(k *Kernel, t *Thread, f *FDesc, buf cap.Capability, n uint64) (cap.Capability, Errno) {
 	if !f.file.Poll(PollOut) {
 		if f.nonblock() {
-			t.Frame.SetRet(^uint64(0), EAGAIN)
-			return true
+			return Err(EAGAIN)
 		}
 		k.blockFD(t, f)
-		return false
+		return Err(EJUSTRETURN)
 	}
 	if n > ioChunk {
 		n = ioChunk // short write: bounds the staging buffer
 	}
 	data, e := k.copyIn(buf, n)
 	if e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
 	m, e := f.file.Write(f, data)
 	if e != OK {
 		if e == EPIPE {
 			k.PostSignal(t.Proc, SIGPIPE)
 		}
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
 	if m > 0 {
 		k.wakeFD(f)
 	}
-	t.Frame.SetRet(uint64(m), OK)
-	return true
+	return Ret(uint64(m))
 }
 
-func sysRead(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysRead(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	f := t.Proc.fd(int(a.Int(0)))
 	if f == nil || !f.mayRead() {
-		t.Frame.SetRet(^uint64(0), EBADF)
-		return true
+		return Err(EBADF)
 	}
 	return doReadFD(k, t, f, a.Ptr(0), a.Int(1))
 }
 
-func sysWrite(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysWrite(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	f := t.Proc.fd(int(a.Int(0)))
 	if f == nil || !f.mayWrite() {
-		t.Frame.SetRet(^uint64(0), EBADF)
-		return true
+		return Err(EBADF)
 	}
 	return doWriteFD(k, t, f, a.Ptr(0), a.Int(1))
 }
@@ -243,20 +223,18 @@ func sysWrite(k *Kernel, t *Thread, a *SysArgs) bool {
 // sysGetdents reads directory entries: read(2) semantics over a directory
 // descriptor's dirent stream (fixed 64-byte records: an 8-byte kind word
 // then a NUL-terminated name), in sorted-name order snapshotted at open.
-func sysGetdents(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysGetdents(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	f := t.Proc.fd(int(a.Int(0)))
 	if f == nil || !f.mayRead() {
-		t.Frame.SetRet(^uint64(0), EBADF)
-		return true
+		return Err(EBADF)
 	}
 	if f.file.Stat().Kind != StatDir {
-		t.Frame.SetRet(^uint64(0), ENOTDIR)
-		return true
+		return Err(ENOTDIR)
 	}
 	return doReadFD(k, t, f, a.Ptr(0), a.Int(1))
 }
 
-func sysPread(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysPread(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	fd := int(a.Int(0))
 	buf := a.Ptr(0)
@@ -264,33 +242,25 @@ func sysPread(k *Kernel, t *Thread, a *SysArgs) bool {
 	off := int64(a.Int(2))
 	f := p.fd(fd)
 	if f == nil || !f.mayRead() {
-		t.Frame.SetRet(^uint64(0), EBADF)
-		return true
+		return Err(EBADF)
 	}
-	if n > ioChunk {
-		n = ioChunk
-	}
-	scratch := k.staging(n)
+	scratch := k.ioScratch(f, off, n)
 	if e := precheckOut(buf, len(scratch)); e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
 	m, e := f.file.Pread(scratch, off)
 	if e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
 	if m > 0 {
 		if e := k.copyOut(buf, scratch[:m]); e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
 	}
-	t.Frame.SetRet(uint64(m), OK)
-	return true
+	return Ret(uint64(m))
 }
 
-func sysPwrite(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysPwrite(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	fd := int(a.Int(0))
 	buf := a.Ptr(0)
@@ -298,27 +268,23 @@ func sysPwrite(k *Kernel, t *Thread, a *SysArgs) bool {
 	off := int64(a.Int(2))
 	f := p.fd(fd)
 	if f == nil || !f.mayWrite() {
-		t.Frame.SetRet(^uint64(0), EBADF)
-		return true
+		return Err(EBADF)
 	}
 	if n > ioChunk {
 		n = ioChunk // short write: bounds the staging buffer
 	}
 	data, e := k.copyIn(buf, n)
 	if e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
 	m, e := f.file.Pwrite(data, off)
 	if e != OK {
 		if e == EPIPE {
 			k.PostSignal(p, SIGPIPE)
 		}
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
-	t.Frame.SetRet(uint64(m), OK)
-	return true
+	return Ret(uint64(m))
 }
 
 // iovMax bounds readv/writev vectors, like a small IOV_MAX.
@@ -344,40 +310,37 @@ func (k *Kernel) readIovec(t *Thread, vec cap.Capability, i uint64) (cap.Capabil
 	return bp, length, OK
 }
 
-func sysReadv(k *Kernel, t *Thread, a *SysArgs) bool {
+// partial is a vectored transfer's result. Once any segment has moved,
+// a later error reports the partial count (the bytes are already in the
+// guest's buffers or the object); an error with nothing transferred
+// reports the errno.
+func partial(total uint64, e Errno) (cap.Capability, Errno) {
+	if total > 0 || e == OK {
+		return Ret(total)
+	}
+	return Err(e)
+}
+
+func sysReadv(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	fd := int(a.Int(0))
 	vec := a.Ptr(0)
 	cnt := a.Int(1)
 	f := p.fd(fd)
 	if f == nil || !f.mayRead() {
-		t.Frame.SetRet(^uint64(0), EBADF)
-		return true
+		return Err(EBADF)
 	}
 	if cnt > iovMax {
-		t.Frame.SetRet(^uint64(0), EINVAL)
-		return true
+		return Err(EINVAL)
 	}
 	if !f.file.Poll(PollIn) {
 		if f.nonblock() {
-			t.Frame.SetRet(^uint64(0), EAGAIN)
-			return true
+			return Err(EAGAIN)
 		}
 		k.blockFD(t, f)
-		return false
+		return Err(EJUSTRETURN)
 	}
-	// Once any segment has transferred, a later fault reports the partial
-	// count (the bytes are already in the guest's buffers); an error with
-	// nothing transferred reports the errno.
-	total := uint64(0)
-	fail := func(e Errno) {
-		if total > 0 {
-			t.Frame.SetRet(total, OK)
-		} else {
-			t.Frame.SetRet(^uint64(0), e)
-		}
-	}
-	consumed := false
+	total, consumed := uint64(0), false
 	defer func() {
 		if consumed {
 			k.wakeFD(f) // drained bytes freed object space for writers
@@ -386,31 +349,27 @@ func sysReadv(k *Kernel, t *Thread, a *SysArgs) bool {
 	for i := uint64(0); i < cnt; i++ {
 		bp, n, e := k.readIovec(t, vec, i)
 		if e != OK {
-			fail(e)
-			return true
+			return partial(total, e)
 		}
 		if n == 0 {
 			continue
 		}
-		scratch := k.ioScratch(f, n)
+		scratch := k.ioScratch(f, f.off, n)
 		// Validate this segment's destination before consuming the
 		// object: a bad iovec entry must not drain bytes it cannot land.
 		if e := precheckOut(bp, len(scratch)); e != OK {
-			fail(e)
-			return true
+			return partial(total, e)
 		}
 		m, e := f.file.Read(f, scratch)
 		if e != OK {
-			fail(e)
-			return true
+			return partial(total, e)
 		}
 		// The object gave up bytes: parked writers must be woken even if
 		// landing them in the guest faults below (lost-wakeup hazard).
 		consumed = consumed || m > 0
 		if m > 0 {
 			if e := k.copyOut(bp, scratch[:m]); e != OK {
-				fail(e)
-				return true
+				return partial(total, e)
 			}
 		}
 		total += uint64(m)
@@ -418,46 +377,29 @@ func sysReadv(k *Kernel, t *Thread, a *SysArgs) bool {
 			break // short read: stop filling further segments
 		}
 	}
-	t.Frame.SetRet(total, OK)
-	return true
+	return Ret(total)
 }
 
-func sysWritev(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysWritev(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	fd := int(a.Int(0))
 	vec := a.Ptr(0)
 	cnt := a.Int(1)
 	f := p.fd(fd)
 	if f == nil || !f.mayWrite() {
-		t.Frame.SetRet(^uint64(0), EBADF)
-		return true
+		return Err(EBADF)
 	}
 	if cnt > iovMax {
-		t.Frame.SetRet(^uint64(0), EINVAL)
-		return true
+		return Err(EINVAL)
 	}
 	if !f.file.Poll(PollOut) {
 		if f.nonblock() {
-			t.Frame.SetRet(^uint64(0), EAGAIN)
-			return true
+			return Err(EAGAIN)
 		}
 		k.blockFD(t, f)
-		return false
+		return Err(EJUSTRETURN)
 	}
-	// As with readv: bytes already accepted by the object are reported as
-	// a partial count; an error before any byte moved reports the errno
-	// (and EPIPE with nothing written raises SIGPIPE, as write(2) does).
 	total := uint64(0)
-	fail := func(e Errno) {
-		if total > 0 {
-			t.Frame.SetRet(total, OK)
-			return
-		}
-		if e == EPIPE {
-			k.PostSignal(p, SIGPIPE)
-		}
-		t.Frame.SetRet(^uint64(0), e)
-	}
 	defer func() {
 		if total > 0 {
 			k.wakeFD(f) // supplied bytes made the object readable
@@ -466,8 +408,7 @@ func sysWritev(k *Kernel, t *Thread, a *SysArgs) bool {
 	for i := uint64(0); i < cnt; i++ {
 		bp, n, e := k.readIovec(t, vec, i)
 		if e != OK {
-			fail(e)
-			return true
+			return partial(total, e)
 		}
 		if n == 0 {
 			continue
@@ -477,47 +418,43 @@ func sysWritev(k *Kernel, t *Thread, a *SysArgs) bool {
 		}
 		data, e := k.copyIn(bp, n)
 		if e != OK {
-			fail(e)
-			return true
+			return partial(total, e)
 		}
 		m, e := f.file.Write(f, data)
 		if e != OK {
-			fail(e)
-			return true
+			if e == EPIPE && total == 0 {
+				k.PostSignal(p, SIGPIPE) // nothing written: as write(2) does
+			}
+			return partial(total, e)
 		}
 		total += uint64(m)
 		if uint64(m) < n {
 			break // short write: the object is full
 		}
 	}
-	t.Frame.SetRet(total, OK)
-	return true
+	return Ret(total)
 }
 
-func sysFtruncate(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysFtruncate(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	fd := int(a.Int(0))
 	size := int64(a.Int(1))
 	f := p.fd(fd)
 	if f == nil || !f.mayWrite() {
-		t.Frame.SetRet(^uint64(0), EBADF)
-		return true
+		return Err(EBADF)
 	}
 	if e := f.file.Truncate(size); e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
-	t.Frame.SetRet(0, OK)
-	return true
+	return Ret(0)
 }
 
-func sysOpen(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysOpen(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	path := a.Str(0)
 	flags := int(a.Int(0))
 	if len(path) == 0 {
-		t.Frame.SetRet(^uint64(0), ENOENT)
-		return true
+		return Err(ENOENT)
 	}
 	if path[0] != '/' {
 		path = p.CWD + "/" + path
@@ -525,18 +462,15 @@ func sysOpen(k *Kernel, t *Thread, a *SysArgs) bool {
 	n := k.FS.lookup(path)
 	if n == nil {
 		if flags&OCreat == 0 {
-			t.Frame.SetRet(^uint64(0), ENOENT)
-			return true
+			return Err(ENOENT)
 		}
 		if err := k.FS.WriteFile(path, nil); err != nil {
-			t.Frame.SetRet(^uint64(0), ENOENT)
-			return true
+			return Err(ENOENT)
 		}
 		n = k.FS.lookup(path)
 	}
 	if n.kind == nodeDir && flags&(OWrOnly|ORdWr) != 0 {
-		t.Frame.SetRet(^uint64(0), EISDIR)
-		return true
+		return Err(EISDIR)
 	}
 	if n.kind == nodeFile && flags&OTrunc != 0 {
 		n.data = nil
@@ -554,25 +488,22 @@ func sysOpen(k *Kernel, t *Thread, a *SysArgs) bool {
 		file = &vnodeFile{node: n}
 	}
 	f := &FDesc{file: file, flags: flags, refs: 1}
-	t.Frame.SetRet(uint64(p.allocFD(f)), OK)
-	return true
+	return Ret(uint64(p.allocFD(f)))
 }
 
-func sysClose(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysClose(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	fd := int(a.Int(0))
 	f := p.fd(fd)
 	if f == nil {
-		t.Frame.SetRet(^uint64(0), EBADF)
-		return true
+		return Err(EBADF)
 	}
 	f.close(k)
 	p.FDs[fd] = nil
-	t.Frame.SetRet(0, OK)
-	return true
+	return Ret(0)
 }
 
-func sysWait4(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysWait4(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	pid := int(int64(a.Int(0)))
 	statusPtr := a.Ptr(0)
@@ -590,26 +521,23 @@ func sysWait4(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 	if zombie == nil {
 		if candidates == 0 {
-			t.Frame.SetRet(^uint64(0), ECHILD)
-			return true
+			return Err(ECHILD)
 		}
 		// Park on the process's child queue; exitProc wakes it and the
 		// restarted wait4 re-scans the children.
 		t.blockOn(&p.childq)
-		return false
+		return Err(EJUSTRETURN)
 	}
 	if statusPtr.Addr() != 0 {
 		if e := k.writeUserWord(statusPtr, statusPtr.Addr(), 4, uint64(zombie.Status)); e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
 	}
-	t.Frame.SetRet(uint64(zombie.PID), OK)
 	k.Reap(zombie)
-	return true
+	return Ret(uint64(zombie.PID))
 }
 
-func sysPipe(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysPipe(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	fdsPtr := a.Ptr(0)
 	pip := &pipe{readers: 1, writers: 1}
@@ -617,64 +545,55 @@ func sysPipe(k *Kernel, t *Thread, a *SysArgs) bool {
 	w := p.allocFD(&FDesc{file: &pipeFile{pip: pip, writeEnd: true}, flags: OWrOnly, refs: 1})
 	// MiniC's int is 8 bytes, so the fds array uses 8-byte slots.
 	if e := k.writeUserWord(fdsPtr, fdsPtr.Addr(), 8, uint64(r)); e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
 	if e := k.writeUserWord(fdsPtr, fdsPtr.Addr()+8, 8, uint64(w)); e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
-	t.Frame.SetRet(0, OK)
-	return true
+	return Ret(0)
 }
 
-func sysDup(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysDup(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	fd := int(a.Int(0))
 	f := p.fd(fd)
 	if f == nil {
-		t.Frame.SetRet(^uint64(0), EBADF)
-		return true
+		return Err(EBADF)
 	}
-	t.Frame.SetRet(uint64(p.allocFD(f.incref())), OK)
-	return true
+	return Ret(uint64(p.allocFD(f.incref())))
 }
 
-func sysExecve(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysExecve(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	path := a.Str(0)
 	argv, e := k.readStrVec(t, a.Ptr(1))
 	if e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
 	envv, e := k.readStrVec(t, a.Ptr(2))
 	if e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
 	if path != "" && path[0] != '/' {
 		path = p.CWD + "/" + path
 	}
 	if err := k.exec(p, t, path, argv, envv); err != nil {
-		t.Frame.SetRet(^uint64(0), ENOEXEC)
-		return true
+		return Err(ENOEXEC)
 	}
 	k.switchTo(t)
-	return false // frame replaced: entry point, no PC advance
+	return Err(EJUSTRETURN) // frame replaced: entry point, no PC advance
 }
 
 // sysMmap implements the paper's mmap rules (§4, "Virtual-address
 // management APIs").
-func sysMmap(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysMmap(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	hint := a.Ptr(0)
 	length := a.Int(0)
 	prot := int(a.Int(1))
 	flags := int(a.Int(2))
 	if length == 0 {
-		t.Frame.SetRetCap(p.ABI, cap.Null(), EINVAL)
-		return true
+		return Err(EINVAL)
 	}
 	k.charge(CostCheriCapCheck)
 
@@ -695,8 +614,7 @@ func sysMmap(k *Kernel, t *Thread, a *SysArgs) bool {
 	if fixed {
 		va = hint.Addr() &^ (vm.PageSize - 1)
 		if !validUserRange(va, rlen) {
-			t.Frame.SetRetCap(p.ABI, cap.Null(), EINVAL)
-			return true
+			return Err(EINVAL)
 		}
 		replacing := p.AS.Mapped(va, rlen)
 		if p.ABI == image.ABICheri {
@@ -706,17 +624,14 @@ func sysMmap(k *Kernel, t *Thread, a *SysArgs) bool {
 			// one], we allow it only if it would not replace an existing
 			// mapping."
 			if hint.Tag() && !hint.HasPerm(cap.PermVMMap) && replacing {
-				t.Frame.SetRetCap(p.ABI, cap.Null(), EACCES)
-				return true
+				return Err(EACCES)
 			}
 			if !hint.Tag() && replacing {
-				t.Frame.SetRetCap(p.ABI, cap.Null(), EACCES)
-				return true
+				return Err(EACCES)
 			}
 		}
 		if err := p.AS.Map(va, rlen, prot2, true); err != nil {
-			t.Frame.SetRetCap(p.ABI, cap.Null(), ENOMEM)
-			return true
+			return Err(ENOMEM)
 		}
 	} else {
 		start := p.MmapHint
@@ -725,19 +640,16 @@ func sysMmap(k *Kernel, t *Thread, a *SysArgs) bool {
 		}
 		va = p.AS.FindFree(start, rlen)
 		if !validUserRange(va, rlen) {
-			t.Frame.SetRetCap(p.ABI, cap.Null(), ENOMEM)
-			return true
+			return Err(ENOMEM)
 		}
 		if err := p.AS.Map(va, rlen, prot2, false); err != nil {
-			t.Frame.SetRetCap(p.ABI, cap.Null(), ENOMEM)
-			return true
+			return Err(ENOMEM)
 		}
 		p.MmapHint = va + rlen + vm.PageSize // guard gap between regions
 	}
 
 	if p.ABI != image.ABICheri {
-		t.Frame.SetRet(va, OK)
-		return true
+		return Ret(va)
 	}
 	// Derive the returned capability: from the hint if it is a valid
 	// capability (preserving provenance), else from the process root.
@@ -757,14 +669,12 @@ func sysMmap(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 	ret, err := k.M.Fmt.SetBounds(parent, va, rlen)
 	if err != nil {
-		t.Frame.SetRetCap(p.ABI, cap.Null(), ENOMEM)
-		return true
+		return Err(ENOMEM)
 	}
 	ret = ret.AndPerms(perms)
 	k.capCreated("syscall", ret)
 	k.Ledger.Derive(p.Prin, p.AbsRoot, ret, core.OriginMmap)
-	t.Frame.SetRetCap(p.ABI, ret, OK)
-	return true
+	return ret, OK
 }
 
 // checkVMAuth validates the capability presented to munmap/mprotect/shmdt:
@@ -782,32 +692,28 @@ func (k *Kernel) checkVMAuth(p *Proc, c cap.Capability, va, length uint64) Errno
 	return OK
 }
 
-func sysMunmap(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysMunmap(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	c := a.Ptr(0)
 	length := (a.Int(0) + vm.PageSize - 1) &^ (vm.PageSize - 1)
 	va := c.Addr() &^ (vm.PageSize - 1)
 	if e := k.checkVMAuth(p, c, va, length); e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
 	if err := p.AS.Unmap(va, length); err != nil {
-		t.Frame.SetRet(^uint64(0), EINVAL)
-		return true
+		return Err(EINVAL)
 	}
-	t.Frame.SetRet(0, OK)
-	return true
+	return Ret(0)
 }
 
-func sysMprotect(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysMprotect(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	c := a.Ptr(0)
 	length := (a.Int(0) + vm.PageSize - 1) &^ (vm.PageSize - 1)
 	prot := int(a.Int(1))
 	va := c.Addr() &^ (vm.PageSize - 1)
 	if e := k.checkVMAuth(p, c, va, length); e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
 	var prot2 vm.Prot
 	if prot&ProtReadFlag != 0 {
@@ -820,20 +726,17 @@ func sysMprotect(k *Kernel, t *Thread, a *SysArgs) bool {
 		prot2 |= vm.ProtExec
 	}
 	if err := p.AS.Protect(va, length, prot2); err != nil {
-		t.Frame.SetRet(^uint64(0), EINVAL)
-		return true
+		return Err(EINVAL)
 	}
-	t.Frame.SetRet(0, OK)
-	return true
+	return Ret(0)
 }
 
 // sysSbrk: "we have excluded sbrk as a matter of principle" under
 // CheriABI; the legacy ABI keeps a minimal implementation.
-func sysSbrk(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysSbrk(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	if p.ABI == image.ABICheri {
-		t.Frame.SetRet(^uint64(0), ENOSYS)
-		return true
+		return Err(ENOSYS)
 	}
 	incr := int64(a.Int(0))
 	const brkBase = 0x3000_0000
@@ -846,16 +749,14 @@ func sysSbrk(k *Kernel, t *Thread, a *SysArgs) bool {
 		// Map from the page the old break rounds up to (&^ binds tighter
 		// than +, so the rounding needs the explicit parens).
 		if err := p.AS.Map((old+vm.PageSize-1)&^(vm.PageSize-1), grow, vm.ProtRead|vm.ProtWrite, true); err != nil {
-			t.Frame.SetRet(^uint64(0), ENOMEM)
-			return true
+			return Err(ENOMEM)
 		}
 		p.brk = old + uint64(incr)
 	}
-	t.Frame.SetRet(old, OK)
-	return true
+	return Ret(old)
 }
 
-func sysSelect(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysSelect(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	nfds := int(a.Int(0))
 	if nfds > 64 {
@@ -872,8 +773,7 @@ func sysSelect(k *Kernel, t *Thread, a *SysArgs) bool {
 	rq, e1 := readMask(a.Ptr(0))
 	wq, e2 := readMask(a.Ptr(1))
 	if e1 != OK || e2 != OK {
-		t.Frame.SetRet(^uint64(0), EFAULT)
-		return true
+		return Err(EFAULT)
 	}
 	var rdy, wdy uint64
 	count := 0
@@ -905,8 +805,7 @@ func sysSelect(k *Kernel, t *Thread, a *SysArgs) bool {
 			sec, e1 := k.readUserWord(tmo, tmo.Addr(), 8)
 			usec, e2 := k.readUserWord(tmo, tmo.Addr()+8, 8)
 			if e1 != OK || e2 != OK {
-				t.Frame.SetRet(^uint64(0), EFAULT)
-				return true
+				return Err(EFAULT)
 			}
 			if delta := sec*ClockHz + usToCycles(usec); delta > 0 && !k.deadlineExpired(t) {
 				block, deadline = true, k.parkDeadline(t, delta)
@@ -919,23 +818,20 @@ func sysSelect(k *Kernel, t *Thread, a *SysArgs) bool {
 			} else {
 				t.blockOn(qs...)
 			}
-			return false
+			return Err(EJUSTRETURN)
 		}
 	}
 	if a.Ptr(0).Addr() != 0 {
 		if e := k.writeUserWord(a.Ptr(0), a.Ptr(0).Addr(), 8, rdy); e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
 	}
 	if a.Ptr(1).Addr() != 0 {
 		if e := k.writeUserWord(a.Ptr(1), a.Ptr(1).Addr(), 8, wdy); e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
 	}
-	t.Frame.SetRet(uint64(count), OK)
-	return true
+	return Ret(uint64(count))
 }
 
 // collectFDSet gathers the wait queues of every descriptor named in mask
@@ -978,14 +874,13 @@ const pollMax = 64
 // zero is a non-blocking scan. poll(0, 0, ms) is therefore a portable
 // millisecond sleep, and poll(0, 0, -1) a park with no wake source,
 // which the scheduler's deadlock detector reports.
-func sysPoll(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysPoll(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	fds := a.Ptr(0)
 	nfds := a.Int(0)
 	timeout := int64(a.Int(1))
 	if nfds > pollMax {
-		t.Frame.SetRet(^uint64(0), EINVAL)
-		return true
+		return Err(EINVAL)
 	}
 	k.charge(nfds * CostSelectPerFD)
 	count := uint64(0)
@@ -995,8 +890,7 @@ func sysPoll(k *Kernel, t *Thread, a *SysArgs) bool {
 		fdw, e1 := k.readUserWord(fds, base, 8)
 		events, e2 := k.readUserWord(fds, base+8, 8)
 		if e1 != OK || e2 != OK {
-			t.Frame.SetRet(^uint64(0), EFAULT)
-			return true
+			return Err(EFAULT)
 		}
 		var revents uint64
 		fd := int(int64(fdw))
@@ -1029,8 +923,7 @@ func sysPoll(k *Kernel, t *Thread, a *SysArgs) bool {
 			}
 		}
 		if e := k.writeUserWord(fds, base+16, 8, revents); e != OK {
-			t.Frame.SetRet(^uint64(0), e)
-			return true
+			return Err(e)
 		}
 		if revents != 0 {
 			count++
@@ -1039,20 +932,18 @@ func sysPoll(k *Kernel, t *Thread, a *SysArgs) bool {
 	if count == 0 && timeout != 0 {
 		if timeout > 0 {
 			if k.deadlineExpired(t) {
-				t.Frame.SetRet(0, OK)
-				return true
+				return Ret(0)
 			}
 			k.blockOnDeadline(t, k.parkDeadline(t, msToCycles(uint64(timeout))), qs...)
-			return false
+			return Err(EJUSTRETURN)
 		}
 		// Infinite timeout: park even with an empty subscription set — a
 		// poll with nothing that can ever wake it is a genuine deadlock,
 		// not a spurious 0 return.
 		t.blockOn(qs...)
-		return false
+		return Err(EJUSTRETURN)
 	}
-	t.Frame.SetRet(count, OK)
-	return true
+	return Ret(count)
 }
 
 // sleepState classifies the in-flight timed-sleep syscall on (re)entry.
@@ -1095,161 +986,138 @@ func (k *Kernel) sleepLeft(t *Thread) uint64 {
 // sysNanosleep sleeps for a timespec {sec, nsec} on the virtual clock.
 // Interrupted by a caught signal, it returns EINTR with the remaining
 // virtual time written through rem (when non-NULL).
-func sysNanosleep(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysNanosleep(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	req, rem := a.Ptr(0), a.Ptr(1)
 	switch k.sleepCheck(t) {
 	case sleepArm:
 		sec, e1 := k.readUserWord(req, req.Addr(), 8)
 		nsec, e2 := k.readUserWord(req, req.Addr()+8, 8)
 		if e1 != OK || e2 != OK {
-			t.Frame.SetRet(^uint64(0), EFAULT)
-			return true
+			return Err(EFAULT)
 		}
 		if int64(sec) < 0 || int64(nsec) < 0 || nsec >= 1_000_000_000 {
-			t.Frame.SetRet(^uint64(0), EINVAL)
-			return true
+			return Err(EINVAL)
 		}
 		delta := sec*ClockHz + nsToCycles(nsec)
 		if delta == 0 {
-			t.Frame.SetRet(0, OK)
-			return true
+			return Ret(0)
 		}
 		k.blockOnDeadline(t, k.Now()+delta)
-		return false
+		return Err(EJUSTRETURN)
 	case sleepIntr:
 		if rem.Addr() != 0 {
 			ns := cyclesToNs(k.sleepLeft(t))
 			if e := k.writeUserWord(rem, rem.Addr(), 8, ns/1_000_000_000); e != OK {
-				t.Frame.SetRet(^uint64(0), e)
-				return true
+				return Err(e)
 			}
 			if e := k.writeUserWord(rem, rem.Addr()+8, 8, ns%1_000_000_000); e != OK {
-				t.Frame.SetRet(^uint64(0), e)
-				return true
+				return Err(e)
 			}
 		}
-		t.Frame.SetRet(^uint64(0), EINTR)
-		return true
+		return Err(EINTR)
 	case sleepDone:
-		t.Frame.SetRet(0, OK)
-		return true
+		return Ret(0)
 	default:
 		k.blockOnDeadline(t, t.deadline)
-		return false
+		return Err(EJUSTRETURN)
 	}
 }
 
 // sysSleep sleeps whole seconds; like libc sleep(3) it returns the
 // number of unslept seconds when a caught signal cut it short, else 0.
-func sysSleep(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysSleep(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	switch k.sleepCheck(t) {
 	case sleepArm:
 		sec := a.Int(0)
 		if sec == 0 {
-			t.Frame.SetRet(0, OK)
-			return true
+			return Ret(0)
 		}
 		k.blockOnDeadline(t, k.Now()+sec*ClockHz)
-		return false
+		return Err(EJUSTRETURN)
 	case sleepIntr:
-		t.Frame.SetRet((k.sleepLeft(t)+ClockHz-1)/ClockHz, OK)
-		return true
+		return Ret((k.sleepLeft(t) + ClockHz - 1) / ClockHz)
 	case sleepDone:
-		t.Frame.SetRet(0, OK)
-		return true
+		return Ret(0)
 	default:
 		k.blockOnDeadline(t, t.deadline)
-		return false
+		return Err(EJUSTRETURN)
 	}
 }
 
 // sysUsleep sleeps microseconds; EINTR when a caught signal interrupts.
-func sysUsleep(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysUsleep(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	switch k.sleepCheck(t) {
 	case sleepArm:
 		us := a.Int(0)
 		if us == 0 {
-			t.Frame.SetRet(0, OK)
-			return true
+			return Ret(0)
 		}
 		k.blockOnDeadline(t, k.Now()+usToCycles(us))
-		return false
+		return Err(EJUSTRETURN)
 	case sleepIntr:
-		t.Frame.SetRet(^uint64(0), EINTR)
-		return true
+		return Err(EINTR)
 	case sleepDone:
-		t.Frame.SetRet(0, OK)
-		return true
+		return Ret(0)
 	default:
 		k.blockOnDeadline(t, t.deadline)
-		return false
+		return Err(EJUSTRETURN)
 	}
 }
 
 // sysClockGettime writes the virtual clock as a timespec {sec, nsec}.
 // Every clock id reads the same clock: the cycle counter is the only
 // time source the machine has, and it is monotonic by construction.
-func sysClockGettime(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysClockGettime(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	tp := a.Ptr(0)
 	ns := cyclesToNs(k.Now())
 	if e := k.writeUserWord(tp, tp.Addr(), 8, ns/1_000_000_000); e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
 	if e := k.writeUserWord(tp, tp.Addr()+8, 8, ns%1_000_000_000); e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
-	t.Frame.SetRet(0, OK)
-	return true
+	return Ret(0)
 }
 
 // sysGettimeofday writes the virtual clock as a timeval {sec, usec}.
-func sysGettimeofday(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysGettimeofday(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	tv := a.Ptr(0)
 	ns := cyclesToNs(k.Now())
 	if e := k.writeUserWord(tv, tv.Addr(), 8, ns/1_000_000_000); e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
 	if e := k.writeUserWord(tv, tv.Addr()+8, 8, ns%1_000_000_000/1_000); e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
-	t.Frame.SetRet(0, OK)
-	return true
+	return Ret(0)
 }
 
 // sysFcntl implements F_GETFL/F_SETFL over the open-file description.
 // O_NONBLOCK and O_APPEND are the settable status flags; because they
 // live on the shared description, a mode change through one descriptor is
 // observed by its dup(2)/fork(2) sharers, per POSIX.
-func sysFcntl(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysFcntl(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	f := p.fd(int(a.Int(0)))
 	if f == nil {
-		t.Frame.SetRet(^uint64(0), EBADF)
-		return true
+		return Err(EBADF)
 	}
 	switch int(a.Int(1)) {
 	case FGetFl:
-		t.Frame.SetRet(uint64(f.flags&(OAccMode|fcntlSettable)), OK)
+		return Ret(uint64(f.flags & (OAccMode | fcntlSettable)))
 	case FSetFl:
 		f.flags = f.flags&^fcntlSettable | int(a.Int(2))&fcntlSettable
-		t.Frame.SetRet(0, OK)
-	default:
-		t.Frame.SetRet(^uint64(0), EINVAL)
+		return Ret(0)
 	}
-	return true
+	return Err(EINVAL)
 }
 
-func sysSigaction(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysSigaction(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	sig := int(a.Int(0))
 	handler := a.Ptr(0)
 	if sig <= 0 || sig >= NSig {
-		t.Frame.SetRet(^uint64(0), EINVAL)
-		return true
+		return Err(EINVAL)
 	}
 	if handler.Addr() == 0 && !handler.Tag() {
 		p.Sig[sig] = SigAction{}
@@ -1258,11 +1126,10 @@ func sysSigaction(k *Kernel, t *Thread, a *SysArgs) bool {
 		// capability for CheriABI processes.
 		p.Sig[sig] = SigAction{Handler: handler, Set: true}
 	}
-	t.Frame.SetRet(0, OK)
-	return true
+	return Ret(0)
 }
 
-func sysSigprocmask(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysSigprocmask(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	how := int(a.Int(0))
 	mask := a.Int(1)
@@ -1275,34 +1142,29 @@ func sysSigprocmask(k *Kernel, t *Thread, a *SysArgs) bool {
 	case 2:
 		p.SigMask &^= mask
 	default:
-		t.Frame.SetRet(0, EINVAL)
-		return true
+		return Err(EINVAL)
 	}
-	t.Frame.SetRet(old, OK)
-	return true
+	return Ret(old)
 }
 
-func sysGetcwd(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysGetcwd(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	buf := a.Ptr(0)
 	length := a.Int(0)
 	cwd := append([]byte(p.CWD), 0)
 	if uint64(len(cwd)) > length {
-		t.Frame.SetRet(^uint64(0), ERANGE)
-		return true
+		return Err(ERANGE)
 	}
 	// The copy is authorized by the *capability*, not the length argument:
 	// an over-stated length cannot make the kernel overrun the buffer
 	// under CheriABI (the BOdiagsuite getcwd cases).
 	if e := k.copyOut(buf, cwd); e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
-	t.Frame.SetRet(uint64(len(cwd)), OK)
-	return true
+	return Ret(uint64(len(cwd)))
 }
 
-func sysChdir(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysChdir(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	path := a.Str(0)
 	if path == "" || path[0] != '/' {
@@ -1310,66 +1172,55 @@ func sysChdir(k *Kernel, t *Thread, a *SysArgs) bool {
 	}
 	n := k.FS.lookup(path)
 	if n == nil || n.kind != nodeDir {
-		t.Frame.SetRet(^uint64(0), ENOENT)
-		return true
+		return Err(ENOENT)
 	}
 	p.CWD = path
-	t.Frame.SetRet(0, OK)
-	return true
+	return Ret(0)
 }
 
-func sysLseek(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysLseek(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	fd := int(a.Int(0))
 	off := int64(a.Int(1))
 	whence := int(a.Int(2))
 	f := p.fd(fd)
 	if f == nil {
-		t.Frame.SetRet(^uint64(0), EBADF)
-		return true
+		return Err(EBADF)
 	}
 	pos, e := f.file.Seek(f, off, whence)
 	if e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
-	t.Frame.SetRet(uint64(pos), OK)
-	return true
+	return Ret(uint64(pos))
 }
 
-func sysFstat(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysFstat(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	fd := int(a.Int(0))
 	buf := a.Ptr(0)
 	f := p.fd(fd)
 	if f == nil {
-		t.Frame.SetRet(^uint64(0), EBADF)
-		return true
+		return Err(EBADF)
 	}
 	st := f.file.Stat()
 	size, kind := uint64(st.Size), st.Kind
 	if e := k.writeUserWord(buf, buf.Addr(), 8, size); e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
 	if e := k.writeUserWord(buf, buf.Addr()+8, 8, kind); e != OK {
-		t.Frame.SetRet(^uint64(0), e)
-		return true
+		return Err(e)
 	}
-	t.Frame.SetRet(0, OK)
-	return true
+	return Ret(0)
 }
 
-func sysUnlink(k *Kernel, t *Thread, a *SysArgs) bool {
+func sysUnlink(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	path := a.Str(0)
 	if path == "" || path[0] != '/' {
 		path = p.CWD + "/" + path
 	}
 	if err := k.FS.Remove(path); err != nil {
-		t.Frame.SetRet(^uint64(0), ENOENT)
-		return true
+		return Err(ENOENT)
 	}
-	t.Frame.SetRet(0, OK)
-	return true
+	return Ret(0)
 }

@@ -33,8 +33,8 @@ func Install(k *kernel.Kernel) *Runtime {
 		tls:   map[int]cap.Capability{},
 		seed:  map[int]uint64{},
 	}
-	reg := func(id int, fn func(*kernel.Thread, *kernel.SysArgs) kernel.Errno) {
-		k.Natives[id] = func(_ *kernel.Kernel, t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+	reg := func(id int, fn func(*kernel.Thread, *kernel.SysArgs) (cap.Capability, kernel.Errno)) {
+		k.Natives[id] = func(_ *kernel.Kernel, t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 			k.M.CPU.Stats.Cycles += 20 // call/return overhead of the library routine
 			return fn(t, a)
 		}
@@ -95,50 +95,43 @@ func (rt *Runtime) HeapBytes(pid int) uint64 {
 
 // ---- allocator ----
 
-func (rt *Runtime) nMalloc(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nMalloc(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	n := a.Int(0)
 	c, errno := rt.heap(t).Malloc(n)
 	if errno != kernel.OK {
-		t.Frame.SetRetCap(t.Proc.ABI, cap.Null(), kernel.OK)
-		return errno
+		return kernel.Err(errno)
 	}
 	rt.k.M.Kern.OnMallocTrace(c)
-	t.Frame.SetRetCap(t.Proc.ABI, c, kernel.OK)
-	return kernel.OK
+	return c, kernel.OK
 }
 
-func (rt *Runtime) nCalloc(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nCalloc(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	n := a.Int(0) * a.Int(1)
 	c, errno := rt.heap(t).Malloc(n)
 	if errno != kernel.OK {
-		t.Frame.SetRetCap(t.Proc.ABI, cap.Null(), kernel.OK)
-		return errno
+		return kernel.Err(errno)
 	}
 	// Freshly mapped chunks are demand-zero, but recycled blocks are not.
 	if err := rt.k.M.UA.Zero(c, c.Base(), n); err != nil {
-		t.Frame.SetRetCap(t.Proc.ABI, cap.Null(), kernel.OK)
-		return kernel.EFAULT
+		return kernel.Err(kernel.EFAULT)
 	}
 	rt.k.M.Kern.OnMallocTrace(c)
-	t.Frame.SetRetCap(t.Proc.ABI, c, kernel.OK)
-	return kernel.OK
+	return c, kernel.OK
 }
 
-func (rt *Runtime) nFree(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nFree(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	ptr := a.Ptr(0)
 	rt.heap(t).Free(ptr, rt.cheri(t))
-	t.Frame.SetRet(0, kernel.OK)
-	return kernel.OK
+	return kernel.Ret(0)
 }
 
-func (rt *Runtime) nRealloc(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nRealloc(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	old := a.Ptr(0)
 	n := a.Int(0)
 	h := rt.heap(t)
 	nc, errno := h.Malloc(n)
 	if errno != kernel.OK {
-		t.Frame.SetRetCap(t.Proc.ABI, cap.Null(), kernel.OK)
-		return errno
+		return kernel.Err(errno)
 	}
 	if old.Addr() != 0 {
 		if blk, ok := h.Lookup(old.Addr()); ok {
@@ -149,15 +142,13 @@ func (rt *Runtime) nRealloc(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
 			// Tag-preserving copy via the allocator's inner capability,
 			// mirroring jemalloc's internal rederivation on realloc.
 			if err := rt.copyGuest(nc, nc.Base(), blk.inner, old.Addr(), copyN); err != nil {
-				t.Frame.SetRetCap(t.Proc.ABI, cap.Null(), kernel.OK)
-				return kernel.EFAULT
+				return kernel.Err(kernel.EFAULT)
 			}
 			h.Free(old, rt.cheri(t))
 		}
 	}
 	rt.k.M.Kern.OnMallocTrace(nc)
-	t.Frame.SetRetCap(t.Proc.ABI, nc, kernel.OK)
-	return kernel.OK
+	return nc, kernel.OK
 }
 
 // ---- memory/string ----
@@ -215,47 +206,45 @@ func (rt *Runtime) asanIntercept(t *kernel.Thread, ranges ...[2]uint64) bool {
 	return false
 }
 
-func (rt *Runtime) nMemcpy(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nMemcpy(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	dst := a.Ptr(0)
 	src := a.Ptr(1)
 	n := a.Int(0)
 	if rt.asanIntercept(t, [2]uint64{dst.Addr(), n}, [2]uint64{src.Addr(), n}) {
-		return kernel.OK
+		return cap.Null(), kernel.OK // the report aborted the process
 	}
 	if err := rt.copyGuest(dst, dst.Addr(), src, src.Addr(), n); err != nil {
 		return rt.memFault(t, err)
 	}
-	t.Frame.SetRetCap(t.Proc.ABI, dst, kernel.OK)
-	return kernel.OK
+	return dst, kernel.OK
 }
 
 // memFault converts an access error inside a native into the fault the
 // equivalent compiled code would have taken: the process dies on SIGPROT
 // (capability) or SIGSEGV (paging).
-func (rt *Runtime) memFault(t *kernel.Thread, err error) kernel.Errno {
+func (rt *Runtime) memFault(t *kernel.Thread, err error) (cap.Capability, kernel.Errno) {
 	if _, ok := err.(*cap.Fault); ok {
 		rt.k.PostSignal(t.Proc, kernel.SIGPROT)
 	} else {
 		rt.k.PostSignal(t.Proc, kernel.SIGSEGV)
 	}
-	return kernel.EFAULT
+	return kernel.Err(kernel.EFAULT)
 }
 
-func (rt *Runtime) nMemset(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nMemset(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	dst := a.Ptr(0)
 	v := byte(a.Int(0))
 	n := a.Int(1)
 	if rt.asanIntercept(t, [2]uint64{dst.Addr(), n}) {
-		return kernel.OK
+		return cap.Null(), kernel.OK // the report aborted the process
 	}
 	if err := rt.k.M.UA.Fill(dst, dst.Addr(), v, n); err != nil {
 		return rt.memFault(t, err)
 	}
-	t.Frame.SetRetCap(t.Proc.ABI, dst, kernel.OK)
-	return kernel.OK
+	return dst, kernel.OK
 }
 
-func (rt *Runtime) nMemcmp(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nMemcmp(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	s1, s2 := a.Ptr(0), a.Ptr(1)
 	n := a.Int(0)
 	c := rt.k.M.CPU
@@ -269,12 +258,10 @@ func (rt *Runtime) nMemcmp(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
 			return rt.memFault(t, err)
 		}
 		if va != vb {
-			t.Frame.SetRet(uint64(int64(va)-int64(vb)), kernel.OK)
-			return kernel.OK
+			return kernel.Ret(uint64(int64(va) - int64(vb)))
 		}
 	}
-	t.Frame.SetRet(0, kernel.OK)
-	return kernel.OK
+	return kernel.Ret(0)
 }
 
 // readCStr walks a guest string through its capability via the uaccess
@@ -284,17 +271,16 @@ func (rt *Runtime) readCStr(auth cap.Capability, va uint64) (string, error) {
 	return rt.k.M.UA.CString(auth, va, 1<<20)
 }
 
-func (rt *Runtime) nStrlen(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nStrlen(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	s := a.Ptr(0)
 	str, err := rt.readCStr(s, s.Addr())
 	if err != nil {
 		return rt.memFault(t, err)
 	}
-	t.Frame.SetRet(uint64(len(str)), kernel.OK)
-	return kernel.OK
+	return kernel.Ret(uint64(len(str)))
 }
 
-func (rt *Runtime) nStrcpy(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nStrcpy(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	dst := a.Ptr(0)
 	src := a.Ptr(1)
 	str, err := rt.readCStr(src, src.Addr())
@@ -304,11 +290,10 @@ func (rt *Runtime) nStrcpy(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
 	if err := rt.k.M.UA.Write(dst, dst.Addr(), append([]byte(str), 0)); err != nil {
 		return rt.memFault(t, err)
 	}
-	t.Frame.SetRetCap(t.Proc.ABI, dst, kernel.OK)
-	return kernel.OK
+	return dst, kernel.OK
 }
 
-func (rt *Runtime) nStrncpy(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nStrncpy(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	dst := a.Ptr(0)
 	src := a.Ptr(1)
 	n := a.Int(0)
@@ -321,11 +306,10 @@ func (rt *Runtime) nStrncpy(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
 	if err := rt.k.M.UA.Write(dst, dst.Addr(), buf); err != nil {
 		return rt.memFault(t, err)
 	}
-	t.Frame.SetRetCap(t.Proc.ABI, dst, kernel.OK)
-	return kernel.OK
+	return dst, kernel.OK
 }
 
-func (rt *Runtime) strcmpCommon(t *kernel.Thread, s1, s2 cap.Capability, n uint64, bounded bool) kernel.Errno {
+func (rt *Runtime) strcmpCommon(t *kernel.Thread, s1, s2 cap.Capability, n uint64, bounded bool) (cap.Capability, kernel.Errno) {
 	c := rt.k.M.CPU
 	for i := uint64(0); !bounded || i < n; i++ {
 		va, err := c.LoadVia(s1, s1.Addr()+i, 1)
@@ -337,23 +321,21 @@ func (rt *Runtime) strcmpCommon(t *kernel.Thread, s1, s2 cap.Capability, n uint6
 			return rt.memFault(t, err)
 		}
 		if va != vb || va == 0 {
-			t.Frame.SetRet(uint64(int64(va)-int64(vb)), kernel.OK)
-			return kernel.OK
+			return kernel.Ret(uint64(int64(va) - int64(vb)))
 		}
 	}
-	t.Frame.SetRet(0, kernel.OK)
-	return kernel.OK
+	return kernel.Ret(0)
 }
 
-func (rt *Runtime) nStrcmp(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nStrcmp(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	return rt.strcmpCommon(t, a.Ptr(0), a.Ptr(1), 0, false)
 }
 
-func (rt *Runtime) nStrncmp(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nStrncmp(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	return rt.strcmpCommon(t, a.Ptr(0), a.Ptr(1), a.Int(0), true)
 }
 
-func (rt *Runtime) nStrcat(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nStrcat(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	dst := a.Ptr(0)
 	src := a.Ptr(1)
 	d, err := rt.readCStr(dst, dst.Addr())
@@ -367,11 +349,10 @@ func (rt *Runtime) nStrcat(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
 	if err := rt.k.M.UA.Write(dst, dst.Addr()+uint64(len(d)), append([]byte(s), 0)); err != nil {
 		return rt.memFault(t, err)
 	}
-	t.Frame.SetRetCap(t.Proc.ABI, dst, kernel.OK)
-	return kernel.OK
+	return dst, kernel.OK
 }
 
-func (rt *Runtime) nStrchr(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nStrchr(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	s := a.Ptr(0)
 	ch := byte(a.Int(0))
 	c := rt.k.M.CPU
@@ -381,26 +362,23 @@ func (rt *Runtime) nStrchr(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
 			return rt.memFault(t, err)
 		}
 		if byte(v) == ch {
-			t.Frame.SetRetCap(t.Proc.ABI, rt.k.M.Fmt.IncAddr(s, int64(i)), kernel.OK)
-			return kernel.OK
+			return rt.k.M.Fmt.IncAddr(s, int64(i)), kernel.OK
 		}
 		if v == 0 {
-			t.Frame.SetRetCap(t.Proc.ABI, cap.Null(), kernel.OK)
-			return kernel.OK
+			return cap.Null(), kernel.OK
 		}
 	}
 }
 
 // ---- qsort with guest comparator callbacks ----
 
-func (rt *Runtime) nQsort(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nQsort(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	base := a.Ptr(0)
 	n := a.Int(0)
 	width := a.Int(1)
 	cmp := a.Ptr(1)
 	if n < 2 || width == 0 {
-		t.Frame.SetRet(0, kernel.OK)
-		return kernel.OK
+		return kernel.Ret(0)
 	}
 
 	elem := func(i uint64) cap.Capability {
@@ -422,7 +400,7 @@ func (rt *Runtime) nQsort(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
 	// swapping array elements."
 	tmp, errno := rt.heap(t).Malloc(width)
 	if errno != kernel.OK {
-		return errno
+		return kernel.Err(errno)
 	}
 	swap := func(i, j uint64) error {
 		if err := rt.copyGuest(tmp, tmp.Base(), base, elem(i).Addr(), width); err != nil {
@@ -481,8 +459,7 @@ func (rt *Runtime) nQsort(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
 	if err != nil {
 		return rt.memFault(t, err)
 	}
-	t.Frame.SetRet(0, kernel.OK)
-	return kernel.OK
+	return kernel.Ret(0)
 }
 
 // ---- stdio ----
@@ -574,7 +551,7 @@ func (rt *Runtime) formatGuest(t *kernel.Thread, format string, va cap.Capabilit
 	return string(out), nil
 }
 
-func (rt *Runtime) nPrintf(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nPrintf(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	fmtCap := a.Ptr(0)
 	vaCap := a.Ptr(1)
 	format, err := rt.readCStr(fmtCap, fmtCap.Addr())
@@ -586,11 +563,10 @@ func (rt *Runtime) nPrintf(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
 		return rt.memFault(t, err)
 	}
 	rt.writeConsole(t, s)
-	t.Frame.SetRet(uint64(len(s)), kernel.OK)
-	return kernel.OK
+	return kernel.Ret(uint64(len(s)))
 }
 
-func (rt *Runtime) nSnprintf(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nSnprintf(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	buf := a.Ptr(0)
 	n := a.Int(0)
 	fmtCap := a.Ptr(1)
@@ -606,16 +582,14 @@ func (rt *Runtime) nSnprintf(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
 	full := len(s)
 	if uint64(len(s))+1 > n {
 		if n == 0 {
-			t.Frame.SetRet(uint64(full), kernel.OK)
-			return kernel.OK
+			return kernel.Ret(uint64(full))
 		}
 		s = s[:n-1]
 	}
 	if err := rt.k.M.UA.Write(buf, buf.Addr(), append([]byte(s), 0)); err != nil {
 		return rt.memFault(t, err)
 	}
-	t.Frame.SetRet(uint64(full), kernel.OK)
-	return kernel.OK
+	return kernel.Ret(uint64(full))
 }
 
 func (rt *Runtime) writeConsole(t *kernel.Thread, s string) {
@@ -627,27 +601,25 @@ func (rt *Runtime) writeConsole(t *kernel.Thread, s string) {
 	rt.k.M.CPU.Stats.Cycles += uint64(len(s)) * 2
 }
 
-func (rt *Runtime) nPuts(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nPuts(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	s := a.Ptr(0)
 	str, err := rt.readCStr(s, s.Addr())
 	if err != nil {
 		return rt.memFault(t, err)
 	}
 	rt.writeConsole(t, str+"\n")
-	t.Frame.SetRet(uint64(len(str)+1), kernel.OK)
-	return kernel.OK
+	return kernel.Ret(uint64(len(str) + 1))
 }
 
-func (rt *Runtime) nPutchar(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nPutchar(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	ch := byte(a.Int(0))
 	rt.writeConsole(t, string(ch))
-	t.Frame.SetRet(uint64(ch), kernel.OK)
-	return kernel.OK
+	return kernel.Ret(uint64(ch))
 }
 
 // ---- misc ----
 
-func (rt *Runtime) nAtoi(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nAtoi(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	s := a.Ptr(0)
 	str, err := rt.readCStr(s, s.Addr())
 	if err != nil {
@@ -669,40 +641,35 @@ func (rt *Runtime) nAtoi(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
 	if neg {
 		v = -v
 	}
-	t.Frame.SetRet(uint64(v), kernel.OK)
-	return kernel.OK
+	return kernel.Ret(uint64(v))
 }
 
-func (rt *Runtime) nRand(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nRand(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	s := rt.seed[t.Proc.PID]
 	s = s*6364136223846793005 + 1442695040888963407
 	rt.seed[t.Proc.PID] = s
-	t.Frame.SetRet((s>>33)&0x7FFFFFFF, kernel.OK)
-	return kernel.OK
+	return kernel.Ret((s >> 33) & 0x7FFFFFFF)
 }
 
-func (rt *Runtime) nSrand(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nSrand(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	rt.seed[t.Proc.PID] = a.Int(0)
-	t.Frame.SetRet(0, kernel.OK)
-	return kernel.OK
+	return kernel.Ret(0)
 }
 
-func (rt *Runtime) nAbort(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nAbort(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	rt.k.PostSignal(t.Proc, kernel.SIGABRT)
-	return kernel.OK
+	return kernel.Ret(0)
 }
 
-func (rt *Runtime) nGetenv(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
-	t.Frame.SetRetCap(t.Proc.ABI, cap.Null(), kernel.OK)
-	return kernel.OK
+func (rt *Runtime) nGetenv(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
+	return cap.Null(), kernel.OK
 }
 
-func (rt *Runtime) nTLSGet(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nTLSGet(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	// Thread-local block, bounded per request ("We have added a
 	// CHERI-compatible TLS implementation").
 	if c, ok := rt.tls[t.TID]; ok {
-		t.Frame.SetRetCap(t.Proc.ABI, c, kernel.OK)
-		return kernel.OK
+		return c, kernel.OK
 	}
 	n := a.Int(0)
 	if n == 0 {
@@ -710,16 +677,14 @@ func (rt *Runtime) nTLSGet(t *kernel.Thread, a *kernel.SysArgs) kernel.Errno {
 	}
 	c, errno := rt.heap(t).Malloc(n)
 	if errno != kernel.OK {
-		t.Frame.SetRetCap(t.Proc.ABI, cap.Null(), kernel.OK)
-		return errno
+		return kernel.Err(errno)
 	}
 	rt.tls[t.TID] = c
-	t.Frame.SetRetCap(t.Proc.ABI, c, kernel.OK)
-	return kernel.OK
+	return c, kernel.OK
 }
 
-func (rt *Runtime) nAsanReport(t *kernel.Thread, _ *kernel.SysArgs) kernel.Errno {
+func (rt *Runtime) nAsanReport(t *kernel.Thread, _ *kernel.SysArgs) (cap.Capability, kernel.Errno) {
 	rt.writeConsole(t, "==ASAN== heap-buffer-overflow or stack violation detected\n")
 	rt.k.PostSignal(t.Proc, kernel.SIGABRT)
-	return kernel.OK
+	return kernel.Ret(0)
 }

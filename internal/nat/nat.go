@@ -50,13 +50,22 @@ type Call struct {
 	Sig      string
 }
 
-// Ret is a call's return kind.
+// Ret is a call's return kind. A kernel handler or native body returns
+// a value and an errno; the kernel's one result writer encodes them by
+// the kind:
+//
+//	Int   v0 = the value, or ^0 (-1) on error
+//	Ptr   v0 = the address and, under CheriABI, c3 = the capability;
+//	      0 and NULL on error
+//	Void  v0 = 0
+//
+// v1 is the errno in every case, 0 on success.
 type Ret uint8
 
 const (
-	Int  Ret = iota // integer in v0
-	Ptr             // capability in c3 (CheriABI) or address in v0 (legacy)
-	Void            // no value
+	Int Ret = iota
+	Ptr
+	Void
 )
 
 // Syscall numbers (the SYSCALL instruction's v0).

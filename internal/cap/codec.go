@@ -59,41 +59,38 @@ func (f Format) Encode(c Capability, buf []byte) {
 
 // Decode unpacks a capability from buf with the given out-of-band tag.
 func (f Format) Decode(buf []byte, tag bool) Capability {
+	var c Capability
+	f.DecodeInto(&c, buf, tag)
+	return c
+}
+
+// DecodeInto unpacks a capability from buf with the given out-of-band tag
+// into *dst, overwriting every field: the CPU decodes a loaded
+// capability straight into its destination register.
+func (f *Format) DecodeInto(dst *Capability, buf []byte, tag bool) {
 	addr := binary.LittleEndian.Uint64(buf[0:8])
 	if !tag {
-		return NullWithAddr(addr)
+		*dst = NullWithAddr(addr)
+		return
 	}
+	var packed uint64
 	if f.MW == 0 {
-		packed := binary.LittleEndian.Uint64(buf[24:32])
-		ot := uint32(packed >> otypeShift & 0xFF)
-		if ot == 0xFF {
-			ot = OTypeUnsealed
-		}
-		return Capability{
-			tag:   true,
-			addr:  addr,
-			base:  binary.LittleEndian.Uint64(buf[8:16]),
-			len:   binary.LittleEndian.Uint64(buf[16:24]),
-			perms: Perm(packed) & PermAll,
-			otype: ot,
-		}
+		packed = binary.LittleEndian.Uint64(buf[24:32])
+		dst.base = binary.LittleEndian.Uint64(buf[8:16])
+		dst.len = binary.LittleEndian.Uint64(buf[16:24])
+	} else {
+		packed = binary.LittleEndian.Uint64(buf[8:16])
+		e := uint(packed >> expShift & 0x3F)
+		boff := int64(int16(packed >> boffShift & 0xFFFF))
+		dst.base = uint64(int64(addr>>e)-boff) << e
+		dst.len = (packed >> lenShift & 0x7FFF) << e
 	}
-	packed := binary.LittleEndian.Uint64(buf[8:16])
-	perms := Perm(packed) & PermAll
 	ot := uint32(packed >> otypeShift & 0xFF)
 	if ot == 0xFF {
 		ot = OTypeUnsealed
 	}
-	e := uint(packed >> expShift & 0x3F)
-	lenMant := packed >> lenShift & 0x7FFF
-	boff := int64(int16(packed >> boffShift & 0xFFFF))
-	base := uint64(int64(addr>>e)-boff) << e
-	return Capability{
-		tag:   true,
-		addr:  addr,
-		base:  base,
-		len:   lenMant << e,
-		perms: perms,
-		otype: ot,
-	}
+	dst.tag = true
+	dst.addr = addr
+	dst.perms = Perm(packed) & PermAll
+	dst.otype = ot
 }

@@ -186,3 +186,37 @@ func (f Format) SetAddr(c Capability, addr uint64) Capability {
 func (f Format) IncAddr(c Capability, delta int64) Capability {
 	return f.SetAddr(c, c.addr+uint64(delta))
 }
+
+// IncAddrP sets *dst to IncAddr(*src, delta) through pointers (see
+// SetAddrP).
+func (f *Format) IncAddrP(dst, src *Capability, delta int64) {
+	f.SetAddrP(dst, src, src.addr+uint64(delta))
+}
+
+// SetAddrP sets *dst to SetAddr(*src, addr) through pointers, for the
+// threaded engine's inline CIncOffset and CJAL, which keep
+// capability-typed values out of its loop.
+//
+// It takes an exact shortcut for the common case: a tagged, unsealed
+// capability whose new cursor stays in [base, top) keeps its tag and its
+// bounds. The representable window [base-slack, top+slack) contains the
+// bounds (slack is at least 1, and the window's clamp at 2^64-1 is
+// still at or above top, which addr stays strictly below), so cursorOK
+// holds and SetAddr would change nothing but the cursor. Every other
+// case goes through SetAddr, the one definition of the rule.
+func (f *Format) SetAddrP(dst, src *Capability, addr uint64) {
+	if src.tag && src.otype == OTypeUnsealed && addr-src.base < src.len {
+		*dst = *src
+		dst.addr = addr
+		return
+	}
+	f.setAddrP(dst, src, addr)
+}
+
+// setAddrP is SetAddrP's general case, out of line so that its
+// capability-typed values stay out of the caller's frame.
+//
+//go:noinline
+func (f *Format) setAddrP(dst, src *Capability, addr uint64) {
+	*dst = f.SetAddr(*src, addr)
+}

@@ -225,31 +225,8 @@ func (c *CPU) storeViaP(auth *cap.Capability, ea, size, v uint64) error {
 	return nil
 }
 
-// capMem executes one capability load or store (CLC/CLCB/CSC/CSCB) with
-// its Stats update, for exec and the threaded engine alike. Kept out of
-// line so its capability-typed locals stay out of the threaded engine's
-// register allocation.
-//
-//go:noinline
-func (c *CPU) capMem(in isa.Inst) error {
-	auth := &c.C[in.Rb]
-	ea := auth.Addr() + uint64(int64(in.Imm))
-	if in.Op == isa.CSC || in.Op == isa.CSCB {
-		if err := c.storeCapP(auth, ea, &c.C[in.Ra]); err != nil {
-			return err
-		}
-		c.Stats.CapStores++
-		return nil
-	}
-	if err := c.loadCapP(auth, ea, in.Ra); err != nil {
-		return err
-	}
-	c.Stats.CapLoads++
-	return nil
-}
-
-// loadCapP is LoadCapVia behind a pointer, writing the loaded capability
-// straight into register rd (c0 stays NULL). A load whose checks pass and
+// loadCapP is LoadCapVia behind a pointer, decoding the loaded capability
+// in place into register rd (c0 stays NULL). A load whose checks pass and
 // whose page has a backing is served from the micro-TLB entry;
 // anything else — a fault, a TLB miss, an unbacked page — runs
 // LoadCapVia's exact sequence from the start. The fast path changes no
@@ -269,7 +246,7 @@ func (c *CPU) loadCapP(auth *cap.Capability, ea uint64, rd uint8) error {
 			}
 			tag := e.tags[off>>c.Mem.GranShift()] && auth.HasPerm(cap.PermLoadCap)
 			if rd != 0 {
-				c.C[rd] = c.Fmt.Decode(e.data[off:off+bytes], tag)
+				c.Fmt.DecodeInto(&c.C[rd], e.data[off:off+bytes], tag)
 			}
 			return nil
 		}

@@ -541,10 +541,18 @@ func (c *CPU) exec(in isa.Inst) *Trap {
 		if t := c.storeInt(in, c.C[in.Rb], ea, c.X[in.Ra]); t != nil {
 			return t
 		}
-	case isa.CLC, isa.CLCB, isa.CSC, isa.CSCB:
-		if err := c.capMem(in); err != nil {
+	case isa.CLC, isa.CLCB:
+		auth := &c.C[in.Rb]
+		if err := c.loadCapP(auth, auth.Addr()+uint64(int64(in.Imm)), in.Ra); err != nil {
 			return c.accessTrap(in, err)
 		}
+		c.Stats.CapLoads++
+	case isa.CSC, isa.CSCB:
+		auth := &c.C[in.Rb]
+		if err := c.storeCapP(auth, auth.Addr()+uint64(int64(in.Imm)), &c.C[in.Ra]); err != nil {
+			return c.accessTrap(in, err)
+		}
+		c.Stats.CapStores++
 
 	// ---- capability manipulation ----
 	case isa.CMOVE:

@@ -57,22 +57,33 @@ func init() {
 // Step/fetchInst call overhead — per instruction. runBlock pays it once:
 // it validates the latch Step's fetch left behind (an address-space
 // compare, two generation compares, and a bit-for-bit PCC compare), then
-// executes decoded instructions directly from the block, re-checking per
-// instruction only what an instruction can actually change:
+// executes decoded instructions directly from the block, re-checking only
+// what an instruction can actually change:
 //
-//   - PC instruction-aligned, maintained by induction (every inline PC
-//     advance is a multiple of InstSize; transfer targets and exec-set
-//     PCs are checked where they are produced);
-//   - PC in PCC bounds, as one subtract-and-compare against a
-//     precomputed fetch window (fetchWindow above). The window is fixed
-//     until PCC is replaced — which only CJR/CJALR do, and both end the
-//     run. An out-of-bounds PC exits to the Step slow path, which raises
-//     the identical capability fault;
+//   - the fetch limits, once per line run. When PC enters an L1I line, the
+//     line entry checks the budget, PC's alignment, and PC against the
+//     fetch window (fetchWindow above: the page intersected with PCC's
+//     fetchable bounds, fixed until PCC is replaced — which only
+//     CJR/CJALR do, and both end the run), and works out end, the first
+//     PC at which sequential retirement would leave the line or the
+//     window or exhaust the budget. The window is an interval and
+//     sequential PCs climb by InstSize, so every PC from the checked one
+//     up to end passes all four checks, and each instruction in between
+//     costs one compare, pc < end. A jump, a taken branch or an exec call
+//     that moves PC anywhere but to the next instruction sets end to 0,
+//     so the new PC goes through the line entry (an exec call is the only
+//     way to a misaligned PC, so the alignment check lives there too). An
+//     out-of-window PC exits to the Step slow path, which leaves the page
+//     or raises the identical capability fault;
 //   - AddressSpace.Gen and the executing page's mem.PageGen unchanged.
 //     Only a memory-accessing instruction can change either (a store
 //     mutates page bytes; a translation resolves soft faults), so the
 //     probe runs exactly after loads, stores, and capability loads/stores
 //     — after anything else the generations provably cannot have moved.
+//     A load writes memory only when its translation resolves a soft
+//     fault, which fills a newly allocated frame (never the executing
+//     page's, which is mapped) and bumps AS.Gen, so after a load the
+//     probe compares AS.Gen alone.
 //
 // Exit conditions, exhaustively: trap (returned to the kernel), budget
 // exhausted, misaligned PC, PC out of PCC bounds, PC leaves the page, PCC
@@ -97,18 +108,24 @@ func init() {
 // the simulator reads Stats or cache counters mid-run, so deferring the
 // flushes cannot change what anyone observes.
 
-// fetchWindow reduces pcc's bounds to the window of PCs from which a
-// one-instruction fetch stays in bounds, as a base and a length: pc is in
-// bounds iff pc-lo < span, a single subtract-and-compare per retired
-// instruction in place of InBounds' three (the tag, seal, and permission
-// halves of the execute proof are covered by the latch's bit-for-bit PCC
-// compare, exactly as for the per-instruction InBounds this replaces).
-func fetchWindow(pcc cap.Capability) (lo, span uint64) {
-	lo = pcc.Base()
-	if l := pcc.Len(); l >= isa.InstSize {
-		span = l - isa.InstSize + 1
+// fetchWindow returns the PCs in the page at vaPage from which a
+// one-instruction fetch stays in pcc's bounds, as a base and a length: pc
+// is in the page and in bounds iff pc-lo < span, one subtract-and-compare
+// in place of a page-offset compare and InBounds' three (the tag, seal,
+// and permission halves of the execute proof are covered by the latch's
+// bit-for-bit PCC compare).
+func fetchWindow(pcc *cap.Capability, vaPage uint64) (lo, span uint64) {
+	if pcc.Len() < isa.InstSize {
+		return 0, 0
 	}
-	return
+	// Inclusive ends, so that nothing wraps: base+len never overflows,
+	// and neither does the last byte of a page.
+	lo = max(pcc.Base(), vaPage)
+	hi := min(pcc.Base()+pcc.Len()-isa.InstSize, vaPage+vm.PageSize-1)
+	if hi < lo {
+		return 0, 0
+	}
+	return lo, hi - lo + 1
 }
 
 // runBlock executes decoded instructions from the latched page until an
@@ -125,7 +142,7 @@ func (c *CPU) runBlock(rem uint64) *Trap {
 		return nil
 	}
 	vaPage, paPage, asGen := l.vaPage, l.paPage, l.asGen
-	fetchLo, fetchSpan := fetchWindow(c.PCC)
+	fetchLo, fetchSpan := fetchWindow(&c.PCC, vaPage)
 	// Hot-probe pointers hoisted out of the loop: the executing page's
 	// write-generation counter and the address space's. c.AS cannot change
 	// inside a run — nothing the run dispatches switches address spaces; a
@@ -144,16 +161,20 @@ func (c *CPU) runBlock(rem uint64) *Trap {
 	// every exec call (exec reads and advances c.PC), before building a
 	// trap, and at every loop exit.
 	pc := c.PC
-	var nInst, nCycles, nLoads, nStores, nBranches, nTaken uint64
+	var nInst, nCycles, nLoads, nStores, nCapLoads, nCapStores, nBranches, nTaken uint64
 
-	// Pending same-line instruction fetches (see the batching note above):
-	// [lineBase, lineEnd) spans the L1I line of the last real fetch;
-	// lineRepeats counts fetches from it not yet applied to the cache
-	// model. The span compare keeps the per-instruction check free of
-	// method calls; the line index is recomputed only at flush time.
-	lineSize := c.Hier.L1I.Config().LineSize  // a power of two (cache.New)
-	lineBase, lineEnd := uint64(1), uint64(0) // empty span: no line fetched yet
-	var lineRepeats uint64
+	// The line run (see the note above): when pc enters an L1I line, the
+	// line-entry checks work out once where sequential retirement must
+	// stop — at the end of the line, the page or the fetch window, or when
+	// the budget runs out — and every pc below end reached by sequential
+	// advance passes all four checks. Any other PC change sets end to 0,
+	// which sends the next instruction through the line-entry checks.
+	// lineBase is the L1I line of the last real fetch (1, which no line
+	// base equals, before the first); lineRepeats counts the fetches from
+	// it not yet applied to the cache model.
+	lineSize := c.Hier.L1I.Config().LineSize // a power of two (cache.New)
+	lineBase := uint64(1)
+	var lineRepeats, end uint64
 	flushLine := func() {
 		if lineRepeats != 0 {
 			nCycles += c.Hier.FetchRepeats(c.Hier.FetchLine(lineBase), lineRepeats)
@@ -169,6 +190,8 @@ func (c *CPU) runBlock(rem uint64) *Trap {
 		c.Stats.Cycles += nCycles
 		c.Stats.Loads += nLoads
 		c.Stats.Stores += nStores
+		c.Stats.CapLoads += nCapLoads
+		c.Stats.CapStores += nCapStores
 		c.Stats.Branches += nBranches
 		c.Stats.Taken += nTaken
 		c.DecodeStats.Hits += nInst
@@ -177,38 +200,50 @@ func (c *CPU) runBlock(rem uint64) *Trap {
 	}
 run:
 	for {
-		if nInst >= limit {
-			break
-		}
-		off := pc - vaPage
-		if off >= vm.PageSize {
-			break // PC left the page; Step's fetch proves the next one
-		}
-		// pc is instruction-aligned here by induction: the latch head check
-		// proves it at entry, every inline advance is a multiple of
-		// InstSize, and an exec-set PC is re-checked at the exec call site
-		// below.
-		if pc-fetchLo >= fetchSpan {
-			break // Step's slow path raises the identical bounds fault
-		}
-		// Identical I-cache accounting to the Step path: the fetch charge
-		// subsumes the base execution cycle (an L1I hit costs 1). Same-line
-		// fetches accumulate in lineRepeats and are applied in bulk.
-		pa := paPage + off
-		if pa >= lineBase && pa < lineEnd {
+		if pc < end {
+			// Inside the line run: a same-line fetch, batched.
 			lineRepeats++
 		} else {
-			flushLine()
-			nCycles += c.Hier.Fetch(pa, isa.InstSize)
-			lineBase = pa &^ (lineSize - 1)
-			lineEnd = lineBase + lineSize
+			// Line entry. pc is instruction-aligned unless an exec call set
+			// it, and that set end to 0, so it is checked here.
+			if nInst >= limit || pc%isa.InstSize != 0 {
+				break
+			}
+			d := pc - fetchLo
+			if d >= fetchSpan {
+				// PC left the page, and Step's fetch proves the next one, or
+				// it left PCC's bounds, and Step raises the identical fault.
+				break
+			}
+			// Identical I-cache accounting to the Step path: the fetch
+			// charge subsumes the base execution cycle (an L1I hit costs
+			// 1). A branch back into the line just fetched is a repeat.
+			pa := paPage + (pc - vaPage)
+			if pa&^(lineSize-1) == lineBase {
+				lineRepeats++
+			} else {
+				flushLine()
+				nCycles += c.Hier.Fetch(pa, isa.InstSize)
+				lineBase = pa &^ (lineSize - 1)
+			}
+			// n instructions from pc on stay in the line, the fetch window
+			// (d+4k < fetchSpan) and the budget.
+			n := (lineBase + lineSize - pa) / isa.InstSize
+			if w := (fetchSpan-d-1)/isa.InstSize + 1; w < n {
+				n = w
+			}
+			if r := limit - nInst; r < n {
+				n = r
+			}
+			end = pc + n*isa.InstSize
 		}
 		nInst++
-		in := page.insts[off/isa.InstSize]
-		// One jump-table dispatch for every instruction class: scalar and
-		// capability memory ops fall OUT of the switch to the generation
-		// probe below; everything else continues (or exits) directly,
-		// since nothing but a memory op can move the generations.
+		in := page.insts[(pc-vaPage)/isa.InstSize%uint64(len(page.insts))]
+		// One jump-table dispatch for every instruction class: stores fall
+		// OUT of the switch to the generation probe below, loads probe
+		// AS.Gen themselves, and everything else continues (or exits)
+		// directly, since nothing but a memory op can move the
+		// generations.
 		switch in.Op {
 		// Inline scalar loads/stores: same LoadVia/StoreVia sequence and
 		// Stats updates as exec's loadInt/storeInt, minus the per-op
@@ -231,6 +266,10 @@ run:
 			}
 			c.setX(in.Ra, v)
 			pc += isa.InstSize
+			if *asGenPtr != asGen {
+				break run // the load resolved a soft fault
+			}
+			continue
 
 		case isa.CLB, isa.CLBU, isa.CLH, isa.CLHU, isa.CLW, isa.CLWU, isa.CLD:
 			mo := scalarMemOps[in.Op]
@@ -247,6 +286,10 @@ run:
 			}
 			c.setX(in.Ra, v)
 			pc += isa.InstSize
+			if *asGenPtr != asGen {
+				break run // the load resolved a soft fault
+			}
+			continue
 
 		case isa.SB, isa.SH, isa.SW, isa.SD:
 			mo := scalarMemOps[in.Op]
@@ -269,20 +312,50 @@ run:
 			nStores++
 			pc += isa.InstSize
 
-		case isa.CLC, isa.CLCB, isa.CSC, isa.CSCB:
-			// Capability loads/stores — the only ops outside the scalar
-			// table that can touch memory (and therefore bump AS.Gen via a
-			// soft fault resolved in translate, or a page's write
-			// generation via a store): capMem, exactly as exec calls it,
-			// minus the dispatch. Like the scalar memops above they advance
-			// PC by one instruction and fall through to the generation
-			// probe.
-			if err := c.capMem(in); err != nil {
+		// Capability loads and stores: the only ops outside the scalar
+		// table that touch memory. Like the scalar memops they go straight
+		// to the pointer-based access (loadCapP decodes into the
+		// destination register), count in the run-local ledger, advance PC
+		// by one instruction and probe the generations as they do.
+		case isa.CLC, isa.CLCB:
+			auth := &c.C[in.Rb]
+			if err := c.loadCapP(auth, auth.Addr()+uint64(int64(in.Imm)), in.Ra); err != nil {
 				c.PC = pc
 				flush()
 				return c.accessTrap(in, err)
 			}
+			nCapLoads++
 			pc += isa.InstSize
+			if *asGenPtr != asGen {
+				break run // the load resolved a soft fault
+			}
+			continue
+
+		case isa.CSC, isa.CSCB:
+			auth := &c.C[in.Rb]
+			if err := c.storeCapP(auth, auth.Addr()+uint64(int64(in.Imm)), &c.C[in.Ra]); err != nil {
+				c.PC = pc
+				flush()
+				return c.accessTrap(in, err)
+			}
+			nCapStores++
+			pc += isa.InstSize
+
+		// Pointer arithmetic: exec's CIncOffset through pointers, so no
+		// capability value enters the loop (IncAddrP). It touches neither
+		// memory nor PCC.
+		case isa.CINCOFF:
+			if in.Ra != 0 {
+				c.Fmt.IncAddrP(&c.C[in.Ra], &c.C[in.Rb], int64(c.X[in.Rc]))
+			}
+			pc += isa.InstSize
+			continue
+		case isa.CINCOFFI:
+			if in.Ra != 0 {
+				c.Fmt.IncAddrP(&c.C[in.Ra], &c.C[in.Rb], int64(in.Imm))
+			}
+			pc += isa.InstSize
+			continue
 
 		// Inline direct branches and jumps: the same compare, Stats
 		// updates, taken-bubble charge, and PC arithmetic as exec's
@@ -295,6 +368,7 @@ run:
 				nTaken++
 				nCycles++ // taken-branch bubble
 				pc += uint64(int64(in.Imm)) * isa.InstSize
+				end = 0
 			} else {
 				pc += isa.InstSize
 			}
@@ -305,6 +379,7 @@ run:
 				nTaken++
 				nCycles++
 				pc += uint64(int64(in.Imm)) * isa.InstSize
+				end = 0
 			} else {
 				pc += isa.InstSize
 			}
@@ -315,6 +390,7 @@ run:
 				nTaken++
 				nCycles++
 				pc += uint64(int64(in.Imm)) * isa.InstSize
+				end = 0
 			} else {
 				pc += isa.InstSize
 			}
@@ -325,6 +401,7 @@ run:
 				nTaken++
 				nCycles++
 				pc += uint64(int64(in.Imm)) * isa.InstSize
+				end = 0
 			} else {
 				pc += isa.InstSize
 			}
@@ -335,6 +412,7 @@ run:
 				nTaken++
 				nCycles++
 				pc += uint64(int64(in.Imm)) * isa.InstSize
+				end = 0
 			} else {
 				pc += isa.InstSize
 			}
@@ -345,6 +423,7 @@ run:
 				nTaken++
 				nCycles++
 				pc += uint64(int64(in.Imm)) * isa.InstSize
+				end = 0
 			} else {
 				pc += isa.InstSize
 			}
@@ -352,11 +431,21 @@ run:
 		case isa.J:
 			nCycles++
 			pc += uint64(int64(in.Imm)) * isa.InstSize
+			end = 0
 			continue
 		case isa.JAL:
 			nCycles++
 			c.setX(isa.RRA, pc+isa.InstSize)
 			pc += uint64(int64(in.Imm)) * isa.InstSize
+			end = 0
+			continue
+		case isa.CJAL:
+			// exec's CJAL: the link capability is PCC with its cursor at
+			// the return address, built in place (SetAddrP).
+			nCycles++
+			c.Fmt.SetAddrP(&c.C[isa.CRA], &c.PCC, pc+isa.InstSize)
+			pc += uint64(int64(in.Imm)) * isa.InstSize
+			end = 0
 			continue
 
 		// Inline single-cycle integer ALU ops: same register reads,
@@ -505,13 +594,13 @@ run:
 				flush()
 				return t
 			}
-			pc = c.PC
-			if pc%isa.InstSize != 0 {
-				break run // exec set a misaligned PC; only it can (see above)
+			if c.PC != pc+isa.InstSize {
+				end = 0 // a jump or taken branch: the line entry re-checks pc
 			}
+			pc = c.PC
 			// Everything dispatched through exec is memory-free (the
-			// capability memops took the capMem case above), so the
-			// generations provably cannot have moved.
+			// capability memops have cases above), so the generations
+			// provably cannot have moved.
 			continue
 		}
 		if *asGenPtr != asGen || *genPtr != page.gen {

@@ -3,6 +3,7 @@ package cpu
 import (
 	"testing"
 
+	"cheriabi/internal/cache"
 	"cheriabi/internal/cap"
 	"cheriabi/internal/isa"
 	"cheriabi/internal/vm"
@@ -41,15 +42,41 @@ type tierCase struct {
 	check func(t *testing.T, c *CPU, tr *Trap)
 }
 
-// tierState is what must match across the two engines.
+// tierState is what must match across the two engines: the registers,
+// Stats, every cache level's counters and the DRAM count, and the trap
+// the run stopped on (TrapKind -1 for none).
 type tierState struct {
-	X        [isa.NumRegs]uint64
-	C        [isa.NumRegs]cap.Capability
-	PC       uint64
-	PCC      cap.Capability
-	Stats    Stats
-	TrapKind TrapKind
-	TrapPC   uint64
+	X             [isa.NumRegs]uint64
+	C             [isa.NumRegs]cap.Capability
+	PC            uint64
+	PCC           cap.Capability
+	Stats         Stats
+	L1I, L1D, L2  cache.Stats
+	DRAM          uint64
+	TrapKind      TrapKind
+	TrapPC        uint64
+	TrapInst      isa.Inst
+	TrapCapCause  cap.FaultCause
+	TrapFaultAddr uint64
+}
+
+// stateOf captures c's tierState after a run that stopped on tr.
+func stateOf(c *CPU, tr *Trap) tierState {
+	s := tierState{
+		X: c.X, C: c.C, PC: c.PC, PCC: c.PCC, Stats: c.Stats,
+		L1I: c.Hier.L1I.Stats(), L1D: c.Hier.L1D.Stats(), L2: c.Hier.L2.Stats(),
+		DRAM: c.Hier.DRAMAccesses(), TrapKind: -1,
+	}
+	if tr != nil {
+		s.TrapKind, s.TrapPC, s.TrapInst = tr.Kind, tr.PC, tr.Inst
+		if tr.Cap != nil {
+			s.TrapCapCause, s.TrapFaultAddr = tr.Cap.Cause, tr.Cap.Addr
+		}
+		if tr.Page != nil {
+			s.TrapFaultAddr = tr.Page.VA
+		}
+	}
+	return s
 }
 
 // engineName names the engine c runs, for failure messages.
@@ -82,10 +109,7 @@ func runTiers(t *testing.T, tc tierCase) {
 		} else if tr = c.Run(1_000_000); tr == nil || tr.Kind != TrapBreak {
 			t.Fatalf("%v: trap = %v, want a BREAK", e, tr)
 		}
-		got := tierState{X: c.X, C: c.C, PC: c.PC, PCC: c.PCC, Stats: c.Stats, TrapKind: -1}
-		if tr != nil {
-			got.TrapKind, got.TrapPC = tr.Kind, tr.PC
-		}
+		got := stateOf(c, tr)
 		if tc.check != nil {
 			tc.check(t, c, tr)
 		}

@@ -53,9 +53,12 @@ func (k *Kernel) native(t *Thread, id int) {
 // to grow its arena; the returned capability is the provenance root for
 // the allocations carved from it.
 func (k *Kernel) MapAnon(p *Proc, length uint64, prot vm.Prot) (cap.Capability, Errno) {
+	if length > UserTop-UserBase {
+		return cap.Null(), ENOMEM // larger than user space (see sysMmap)
+	}
 	rlen := k.M.Fmt.RepresentableLength((length + vm.PageSize - 1) &^ (vm.PageSize - 1))
-	va := p.AS.FindFree(p.MmapHint, rlen)
-	if !validUserRange(va, rlen) {
+	va, ok := p.AS.FindFree(p.MmapHint, rlen, UserTop)
+	if !ok || !validUserRange(va, rlen) {
 		return cap.Null(), ENOMEM
 	}
 	if err := p.AS.Map(va, rlen, prot, false); err != nil {

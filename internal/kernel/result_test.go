@@ -47,6 +47,9 @@ func TestResultContract(t *testing.T) {
 			v0: 0, e: kernel.EINVAL, nullC3: true, num: nat.SysMmap, traps: 1},
 		{name: "ptr native fail", body: `char *q = malloc(16); malloc(1 << 31);`,
 			v0: 0, e: kernel.ENOMEM, nullC3: true},
+		// Larger than user space: refused before any placement scan.
+		{name: "ptr native too large", body: `char *q = malloc(16); malloc(1 << 40);`,
+			v0: 0, e: kernel.ENOMEM, nullC3: true},
 		{name: "void native", body: `char *q = malloc(16); free(q);`,
 			v0: 0, e: kernel.OK},
 		{name: "parked read woken", body: `int fds[2]; char b[8]; pipe(fds);

@@ -53,7 +53,11 @@ func sysShmat(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		}
 		va = hint.Addr() &^ (vm.PageSize - 1)
 	} else {
-		va = p.AS.FindFree(p.MmapHint, seg.size)
+		// shmget caps a segment at 64 MiB, so the bounded scan is short.
+		var ok bool
+		if va, ok = p.AS.FindFree(p.MmapHint, seg.size, UserTop); !ok {
+			return Err(EINVAL)
+		}
 		p.MmapHint = va + seg.size
 	}
 	if !validUserRange(va, seg.size) {

@@ -596,6 +596,15 @@ func sysMmap(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		return Err(EINVAL)
 	}
 	k.charge(CostCheriCapCheck)
+	fixed := flags&MapFixed != 0
+	if length > UserTop-UserBase {
+		// No mapping that large fits in user space, and rounding the
+		// length up could wrap.
+		if fixed {
+			return Err(EINVAL)
+		}
+		return Err(ENOMEM)
+	}
 
 	rlen := k.M.Fmt.RepresentableLength((length + vm.PageSize - 1) &^ (vm.PageSize - 1))
 	var prot2 vm.Prot
@@ -610,7 +619,6 @@ func sysMmap(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	}
 
 	var va uint64
-	fixed := flags&MapFixed != 0
 	if fixed {
 		va = hint.Addr() &^ (vm.PageSize - 1)
 		if !validUserRange(va, rlen) {
@@ -638,8 +646,9 @@ func sysMmap(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		if hint.Addr() != 0 {
 			start = hint.Addr()
 		}
-		va = p.AS.FindFree(start, rlen)
-		if !validUserRange(va, rlen) {
+		var ok bool
+		va, ok = p.AS.FindFree(start, rlen, UserTop)
+		if !ok || !validUserRange(va, rlen) {
 			return Err(ENOMEM)
 		}
 		if err := p.AS.Map(va, rlen, prot2, false); err != nil {

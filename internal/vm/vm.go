@@ -347,23 +347,30 @@ func (as *AddressSpace) Mapped(va, length uint64) bool {
 }
 
 // FindFree returns the lowest page-aligned address >= hint with length
-// bytes unmapped (the mmap placement policy).
-func (as *AddressSpace) FindFree(hint, length uint64) uint64 {
+// bytes unmapped that ends at or below end (the mmap placement policy),
+// and false when there is none. Each conflict moves the candidate past
+// the mapped page it found, so the scan stops once the candidate cannot
+// fit below end.
+func (as *AddressSpace) FindFree(hint, length, end uint64) (uint64, bool) {
+	if length > end {
+		return 0, false
+	}
 	length = (length + PageSize - 1) &^ (PageSize - 1)
 	va := hint &^ (PageSize - 1)
-	for {
-		ok := true
+	for va <= end && length <= end-va {
+		free := true
 		for p := vpn(va); p < vpn(va+length); p++ {
 			if _, exists := as.pages[p]; exists {
-				ok = false
+				free = false
 				va = (p + 1) << PageShift
 				break
 			}
 		}
-		if ok {
-			return va
+		if free {
+			return va, true
 		}
 	}
+	return 0, false
 }
 
 // Translate resolves va for the given access, handling soft faults

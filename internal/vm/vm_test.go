@@ -235,13 +235,24 @@ func TestFindFree(t *testing.T) {
 	as := s.NewAddressSpace()
 	as.Map(0x10000, PageSize, ProtRead, false)
 	as.Map(0x12000, PageSize, ProtRead, false)
-	va := as.FindFree(0x10000, PageSize)
-	if va != 0x11000 {
-		t.Fatalf("FindFree = %x, want 0x11000", va)
+	const end = 0x20000
+	if va, ok := as.FindFree(0x10000, PageSize, end); !ok || va != 0x11000 {
+		t.Fatalf("FindFree = %x %v, want 0x11000", va, ok)
 	}
-	va = as.FindFree(0x10000, 2*PageSize)
-	if va != 0x13000 {
-		t.Fatalf("FindFree(2 pages) = %x, want 0x13000", va)
+	if va, ok := as.FindFree(0x10000, 2*PageSize, end); !ok || va != 0x13000 {
+		t.Fatalf("FindFree(2 pages) = %x %v, want 0x13000", va, ok)
+	}
+	// The gap must end at or below end.
+	if va, ok := as.FindFree(0x13000, end-0x13000, end); !ok || va != 0x13000 {
+		t.Fatalf("FindFree(to end) = %x %v, want 0x13000", va, ok)
+	}
+	for _, length := range []uint64{end - 0x13000 + 1, 1 << 40, ^uint64(0)} {
+		if va, ok := as.FindFree(0x10000, length, end); ok {
+			t.Fatalf("FindFree(%#x) = %x, want none below %#x", length, va, end)
+		}
+	}
+	if va, ok := as.FindFree(end, PageSize, end); ok {
+		t.Fatalf("FindFree at end = %x, want none", va)
 	}
 }
 

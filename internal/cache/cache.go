@@ -51,42 +51,82 @@ const (
 // which needs one compare and changes nothing but the access counter (and
 // the dirty bit, for a write).
 type Cache struct {
-	cfg       Config
-	ways      []uint64 // nsets*Ways words, set s at [s*Ways, (s+1)*Ways)
-	lineShift uint
-	lineMask  uint64
-	setMask   uint64
-	stats     Stats
+	probe
+	cfg      Config
+	lineMask uint64
+	stats    Stats
 }
 
-// New builds a cache from cfg. The line size and the set count must be
-// powers of two (as in all modelled hardware), so addressing is shift and
-// mask, and a line must be at least 4 bytes so the packed way word keeps
-// every line address bit.
+// Probe is the part of a cache level that a way-0 hit test reads: the
+// ways and the geometry that addresses them. A caller that tests many
+// accesses keeps a copy (Cache.Probe), so each test reads the geometry
+// from the copy rather than through the cache. The ways slice is the
+// cache's own (Flush clears it in place and nothing reallocates it), so a
+// copy always sees, and marks, the live lines.
+type Probe struct {
+	ways      []uint64 // nsets*Ways words, set s at [s<<wayShift, (s+1)<<wayShift)
+	lineShift uint
+	wayShift  uint // log2(Ways)
+	setMask   uint64
+	lineSize  uint64
+}
+
+// New builds a cache from cfg. The line size, the associativity and the
+// set count must be powers of two (as in all modelled hardware), so
+// addressing is shift and mask, and a line must be at least 4 bytes so
+// the packed way word keeps every line address bit.
 func New(cfg Config) *Cache {
 	pow2 := func(n uint64) bool { return n != 0 && n&(n-1) == 0 }
-	if cfg.LineSize < 4 || !pow2(cfg.LineSize) || cfg.Ways == 0 ||
+	if cfg.LineSize < 4 || !pow2(cfg.LineSize) || !pow2(cfg.Ways) ||
 		cfg.Size%(cfg.LineSize*cfg.Ways) != 0 || !pow2(cfg.Size/(cfg.LineSize*cfg.Ways)) {
 		panic(fmt.Sprintf("cache %s: bad geometry %+v", cfg.Name, cfg))
 	}
 	nsets := cfg.Size / (cfg.LineSize * cfg.Ways)
-	c := &Cache{cfg: cfg, ways: make([]uint64, nsets*cfg.Ways),
-		lineMask: cfg.LineSize - 1, setMask: nsets - 1}
+	c := &Cache{cfg: cfg, lineMask: cfg.LineSize - 1}
+	c.probe = Probe{ways: make([]uint64, nsets*cfg.Ways), setMask: nsets - 1, lineSize: cfg.LineSize}
 	for s := cfg.LineSize; s > 1; s >>= 1 {
 		c.lineShift++
+	}
+	for w := cfg.Ways; w > 1; w >>= 1 {
+		c.wayShift++
 	}
 	return c
 }
 
+// probe names the embedded Probe, keeping the field unexported.
+type probe = Probe
+
+// Probe returns a copy of the cache's probe view, sharing its ways.
+func (c *Cache) Probe() Probe { return c.probe }
+
 // lineAddr maps a physical address to its line index.
-func (c *Cache) lineAddr(pa uint64) uint64 { return pa >> c.lineShift }
+func (p *Probe) lineAddr(pa uint64) uint64 { return pa >> (p.lineShift & 63) }
 
 // mru reports whether line la is its set's most recently used line, and
-// returns that way's index in c.ways. Small enough to inline into every
+// returns that way's index in the ways. Small enough to inline into every
 // entry point's fast path.
-func (c *Cache) mru(la uint64) (i uint64, ok bool) {
-	i = (la & c.setMask) * c.cfg.Ways
-	return i, c.ways[i]|dirtyBit == la<<2|validBit|dirtyBit
+func (p *Probe) mru(la uint64) (i uint64, ok bool) {
+	i = (la & p.setMask) << (p.wayShift & 63) // the masks spare the shifts a range check
+	return i, p.ways[i]|dirtyBit == la<<2|validBit|dirtyBit
+}
+
+// Hit reports whether an access of size bytes at pa hits its set's most
+// recently used way, and marks that way dirty for a write hit. pa must be
+// aligned to size, a power of two: such an access stays in one line if it
+// is no longer than a line. It does not count the access: a way-0 hit
+// changes nothing else, so the caller counts its hits and applies them
+// with Cache.Hits before anything reads the statistics. On a miss it
+// changes nothing, and the caller issues the access through
+// Hierarchy.Data.
+func (p *Probe) Hit(pa, size uint64, write bool) bool {
+	i, ok := p.mru(p.lineAddr(pa))
+	if !ok || size > p.lineSize {
+		return false
+	}
+	if write {
+		p.ways[i] |= dirtyBit
+	}
+	return true
 }
 
 // Config returns the cache configuration.
@@ -103,7 +143,7 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // and whether a dirty line was written back.
 func (c *Cache) access(la uint64, write bool) (hit, writeback bool) {
 	c.stats.Accesses++
-	lo := (la & c.setMask) * c.cfg.Ways
+	lo := (la & c.setMask) << c.wayShift
 	set := c.ways[lo : lo+c.cfg.Ways]
 	want := la<<2 | validBit
 	if write {
@@ -197,53 +237,38 @@ func (h *Hierarchy) Fetch(pa, size uint64) uint64 {
 	return h.span(l1, pa, size, false)
 }
 
-// FetchLine returns the L1I line index containing pa, for callers that
-// detect same-line instruction fetches and batch them with FetchRepeats.
-func (h *Hierarchy) FetchLine(pa uint64) uint64 { return h.L1I.lineAddr(pa) }
-
-// FetchRepeats applies n instruction fetches that all hit the L1I line
-// lineAddr, which the caller fetched last: it has issued no other L1I
-// access since, so the line is still its set's most recently used. Each
-// of the n fetches would be a way-0 hit, whose only effect is the access
-// count, so applying them at once leaves state bit-identical to n
-// individual Fetch calls. Returns n times the L1I hit latency.
-func (h *Hierarchy) FetchRepeats(lineAddr, n uint64) uint64 {
-	c := h.L1I
-	if _, ok := c.mru(lineAddr); !ok {
-		panic("cache: FetchRepeats on a line that is not its set's most recent")
-	}
+// Hits applies n accesses that each hit its set's most recently used way
+// when it was made, and returns their latency, n times the hit latency.
+// Such a hit changes only the access count, and the dirty bit of a write,
+// which the caller has already set (Probe.Hit); the count commutes with
+// every other access, so applying n of them at once, at any later point
+// before the statistics are read, leaves the cache bit-identical to
+// issuing them one by one. The caller guarantees the precondition; no
+// line is probed here. The CPU's threaded engine applies two batches
+// this way when a run ends:
+//
+//   - its same-line instruction fetches: each fetch after the first from
+//     an L1I line, with no L1I access in between, hits the line that
+//     first fetch left most recent;
+//   - its data accesses that Probe.Hit accepted.
+func (c *Cache) Hits(n uint64) uint64 {
 	c.stats.Accesses += n
 	return n * c.cfg.HitLatency
 }
 
-// DataHit attempts a data access as a way-0 hit alone: a non-spanning
-// access to its set's most recently used line is counted and returns its
-// hit latency with ok true; anything else returns ok false having changed
-// nothing, and the caller issues the access through Data. Split out of
-// Data because this probe is small enough to inline into the CPU's scalar
-// access path, where the call overhead is measurable per retired memory
-// instruction.
-func (c *Cache) DataHit(pa, size uint64, write bool) (cycles uint64, ok bool) {
-	if pa&c.lineMask+size > c.cfg.LineSize {
-		return 0, false
-	}
-	i, ok := c.mru(c.lineAddr(pa))
-	if !ok {
-		return 0, false
-	}
-	if write {
-		c.ways[i] |= dirtyBit
-	}
-	c.stats.Accesses++
-	return c.cfg.HitLatency, true
-}
-
 // Data models a data access of size bytes at pa.
 func (h *Hierarchy) Data(pa, size uint64, write bool) uint64 {
-	if lat, ok := h.L1D.DataHit(pa, size, write); ok {
-		return lat
+	l1 := h.L1D
+	if pa&l1.lineMask+size <= l1.cfg.LineSize {
+		if i, ok := l1.mru(l1.lineAddr(pa)); ok {
+			if write {
+				l1.ways[i] |= dirtyBit
+			}
+			l1.stats.Accesses++
+			return l1.cfg.HitLatency
+		}
 	}
-	return h.span(h.L1D, pa, size, write)
+	return h.span(l1, pa, size, write)
 }
 
 // Flush invalidates the whole hierarchy.

@@ -105,6 +105,7 @@ func TestBadGeometryPanics(t *testing.T) {
 		{Name: "set count not a power of two", Size: 3 * 64 * 4, LineSize: 64, Ways: 4},
 		{Name: "line too small for the packed way", Size: 2 * 4 * 4, LineSize: 2, Ways: 4},
 		{Name: "no ways", Size: 1 << 10, LineSize: 64, Ways: 0},
+		{Name: "ways not a power of two", Size: 3 * 64 * 4, LineSize: 64, Ways: 3},
 	} {
 		func() {
 			defer func() {

@@ -155,15 +155,22 @@ var fuzzGeometries = []func() *Hierarchy{
 var fuzzSizes = [8]uint64{0, 1, 2, 4, 8, 32, 64, 200}
 
 // FuzzHierarchyMatchesLRUModel drives a Hierarchy and the LRU oracle with
-// the same random sequence of Fetch, Data, DataHit, FetchRepeats, Flush
-// and ResetStats calls, and requires every call's cycles, every level's
-// Stats and the DRAM count to agree after each call.
+// the same random sequence of Fetch, Data, probed data accesses, fetch
+// repeats, Flush and ResetStats calls, and requires every call's cycles,
+// every level's Stats and the DRAM count to agree after each call.
+//
+// The two batched forms follow the CPU's contracts. A probed access is
+// the CPU's data hit path: Probe.Hit, and Data if it declines; the hits
+// it accepts are applied with one L1D.Hits call only before a Flush or a
+// ResetStats (and counted in the comparison until then). Fetch repeats
+// are applied with L1I.Hits only while the last L1I access was a fetch of
+// one line, which is when runBlock counts them.
 //
 // The first input byte picks the geometry; each following 4-byte group is
 // one op: kind and write flag, the line, the offset within the line, and
-// the size (or FetchRepeats' count). Lines are clustered into four L1
-// sets and, through the line stride, into few L2 sets, so accesses hit,
-// miss, evict and write back dirty lines at both levels.
+// the size (or the repeat count). Lines are clustered into four L1 sets
+// and, through the line stride, into few L2 sets, so accesses hit, miss,
+// evict and write back dirty lines at both levels.
 func FuzzHierarchyMatchesLRUModel(f *testing.F) {
 	f.Add([]byte{0, 0x01, 0x00, 0x00, 0x03, 0x81, 0x04, 0x08, 0x04})
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -177,6 +184,8 @@ func FuzzHierarchyMatchesLRUModel(f *testing.F) {
 		// L2 sets, so each of the four base sets sees 64 distinct lines.
 		stride := 4 * h.L1I.Config().Size / lineSize
 		fetched, fetchOK := uint64(0), false // last fetched line, if still MRU
+		var pending uint64                   // probed L1D hits not yet applied
+		probe := h.L1D.Probe()
 		for op, ops := 0, in[1:]; len(ops) >= 4; op, ops = op+1, ops[4:] {
 			kind, write := (ops[0]&0x7f)%6, ops[0]&0x80 != 0
 			la := uint64(ops[1]&3) + uint64(ops[1]>>2)*stride
@@ -193,28 +202,39 @@ func FuzzHierarchyMatchesLRUModel(f *testing.F) {
 				what = fmt.Sprintf("Data(%#x, %d, %v)", pa, size, write)
 				got, want = h.Data(pa, size, write), m.data(pa, size, write)
 			case 2:
-				// The CPU's scalar path: the inline probe, then Data if
-				// the probe declines (having changed nothing).
-				what = fmt.Sprintf("DataHit(%#x, %d, %v)", pa, size, write)
-				lat, ok := h.L1D.DataHit(pa, size, write)
-				if !ok {
-					lat = h.Data(pa, size, write)
+				// The CPU's data hit path: an aligned power-of-two access,
+				// the probe, then Data if the probe declines (having
+				// changed nothing). Hits are counted, not yet applied.
+				if size == 0 || size&(size-1) != 0 {
+					size = 1
 				}
-				got, want = lat, m.data(pa, size, write)
+				pa &^= size - 1
+				what = fmt.Sprintf("Probe.Hit(%#x, %d, %v)", pa, size, write)
+				if probe.Hit(pa, size, write) {
+					pending++
+					got = h.L1D.Config().HitLatency
+				} else {
+					got = h.Data(pa, size, write)
+				}
+				want = m.data(pa, size, write)
 			case 3:
 				if !fetchOK {
-					continue // FetchRepeats requires the last L1I access's line
+					continue // repeats need the last L1I access's line
 				}
 				n := uint64(ops[3]) + 1
-				what = fmt.Sprintf("FetchRepeats(%#x, %d)", fetched, n)
-				got, want = h.FetchRepeats(fetched, n), m.fetchRepeats(fetched, n)
+				what = fmt.Sprintf("L1I.Hits(%d) after fetching line %#x", n, fetched)
+				got, want = h.L1I.Hits(n), m.fetchRepeats(fetched, n)
 			case 4:
 				what = "Flush()"
+				h.L1D.Hits(pending)
+				pending = 0
 				h.Flush()
 				m.flush()
 				fetchOK = false
 			case 5:
 				what = "ResetStats()"
+				h.L1D.Hits(pending)
+				pending = 0
 				h.ResetStats()
 				m.resetStats()
 			}
@@ -222,12 +242,15 @@ func FuzzHierarchyMatchesLRUModel(f *testing.F) {
 				t.Fatalf("op %d %s: %d cycles, model %d", op, what, got, want)
 			}
 			for _, lv := range []struct {
-				c *Cache
-				m *modelCache
-			}{{h.L1I, m.l1i}, {h.L1D, m.l1d}, {h.L2, m.l2}} {
-				if lv.c.Stats() != lv.m.stats {
-					t.Fatalf("op %d %s: %s stats %+v, model %+v",
-						op, what, lv.c.Config().Name, lv.c.Stats(), lv.m.stats)
+				c       *Cache
+				m       *modelCache
+				pending uint64
+			}{{h.L1I, m.l1i, 0}, {h.L1D, m.l1d, pending}, {h.L2, m.l2, 0}} {
+				got := lv.c.Stats()
+				got.Accesses += lv.pending
+				if got != lv.m.stats {
+					t.Fatalf("op %d %s: %s stats %+v (%d hits pending), model %+v",
+						op, what, lv.c.Config().Name, lv.c.Stats(), lv.pending, lv.m.stats)
 				}
 			}
 			if h.DRAMAccesses() != m.dram {

@@ -109,10 +109,13 @@ func Root(base, length uint64, perms Perm) Capability {
 	return Capability{tag: true, base: base, len: length, addr: base, perms: perms, otype: OTypeUnsealed}
 }
 
-// Accessors.
+// Accessors. Tag, Addr and HasPerm, which the simulator's access fast
+// paths call on capability registers through pointers, take a pointer
+// receiver: a value-receiver method called through a pointer copies the
+// whole capability first, even when inlined.
 
 // Tag reports whether the capability is valid (its provenance chain is intact).
-func (c Capability) Tag() bool { return c.tag }
+func (c *Capability) Tag() bool { return c.tag }
 
 // Base returns the lower bound.
 func (c Capability) Base() uint64 { return c.base }
@@ -125,7 +128,7 @@ func (c Capability) Top() uint64 { return c.base + c.len }
 
 // Addr returns the cursor: the integer value a C program observes when it
 // casts the pointer to uintptr_t (the paper's CGetAddr semantics).
-func (c Capability) Addr() uint64 { return c.addr }
+func (c *Capability) Addr() uint64 { return c.addr }
 
 // Offset returns addr-base (the legacy CHERI offset interpretation).
 func (c Capability) Offset() uint64 { return c.addr - c.base }
@@ -140,7 +143,7 @@ func (c Capability) OType() uint32 { return c.otype }
 func (c Capability) Sealed() bool { return c.otype != OTypeUnsealed }
 
 // HasPerm reports whether every permission in p is present.
-func (c Capability) HasPerm(p Perm) bool { return c.perms&p == p }
+func (c *Capability) HasPerm(p Perm) bool { return c.perms&p == p }
 
 func (c Capability) String() string {
 	t := "cap"
@@ -223,9 +226,10 @@ func fault(cause FaultCause, c Capability, addr, size uint64) error {
 // Authorizes reports whether c fully authorizes a memory access of size
 // bytes at addr with the permissions in need — the same decision
 // CheckDeref makes, as a single branch chain small enough to inline into
-// the simulator's access fast paths. It does not attribute a fault cause;
+// the simulator's access fast paths, which call it on a register through
+// the pointer rather than on a copy. It does not attribute a fault cause;
 // callers needing the precise fault call CheckDeref after a false return.
-func (c Capability) Authorizes(addr, size uint64, need Perm) bool {
+func (c *Capability) Authorizes(addr, size uint64, need Perm) bool {
 	if !c.tag || c.otype != OTypeUnsealed || c.perms&need != need || addr < c.base {
 		return false
 	}

@@ -197,26 +197,38 @@ func (f *Format) IncAddrP(dst, src *Capability, delta int64) {
 // threaded engine's inline CIncOffset and CJAL, which keep
 // capability-typed values out of its loop.
 //
-// It takes an exact shortcut for the common case: a tagged, unsealed
-// capability whose new cursor stays in [base, top) keeps its tag and its
-// bounds. The representable window [base-slack, top+slack) contains the
-// bounds (slack is at least 1, and the window's clamp at 2^64-1 is
-// still at or above top, which addr stays strictly below), so cursorOK
-// holds and SetAddr would change nothing but the cursor. Every other
-// case goes through SetAddr, the one definition of the rule.
+// It takes an exact shortcut for the common cases: it copies src with the
+// new cursor, which is SetAddr's result unless src is tagged and either
+// sealed (SetAddr clears the tag) or given a cursor outside [base, top).
+// An untagged capability just takes the cursor. A tagged, unsealed one
+// whose cursor stays in [base, top) keeps its tag and its bounds: the
+// representable window [base-slack, top+slack) contains the bounds (slack
+// is at least 1, and the window's clamp at 2^64-1 is still at or above
+// top, which addr stays strictly below), so cursorOK holds and SetAddr
+// would change nothing but the cursor. Every other case goes through
+// SetAddr, the one definition of the rule, whose result does not depend
+// on the old cursor.
 func (f *Format) SetAddrP(dst, src *Capability, addr uint64) {
-	if src.tag && src.otype == OTypeUnsealed && addr-src.base < src.len {
-		*dst = *src
-		dst.addr = addr
-		return
-	}
-	f.setAddrP(dst, src, addr)
+	setAddrP(f, dst, src, addr, (*Format).setAddr)
 }
 
-// setAddrP is SetAddrP's general case, out of line so that its
-// capability-typed values stay out of the caller's frame.
+// setAddrP is SetAddrP with its general case passed in as general. The
+// inliner prices a call through a parameter at 17 rather than the 57 of
+// a direct call, which is what keeps SetAddrP and IncAddrP within its
+// budget; the call is indirect, and off the shortcut.
+func setAddrP(f *Format, dst, src *Capability, addr uint64, general func(*Format, *Capability)) {
+	*dst = *src
+	dst.addr = addr
+	if dst.tag && (dst.otype != OTypeUnsealed || addr-dst.base >= dst.len) {
+		general(f, dst)
+	}
+}
+
+// setAddr is SetAddrP's general case: *c = SetAddr(*c, c.addr), out of
+// line so that capability-typed values stay out of SetAddrP's callers'
+// frames.
 //
 //go:noinline
-func (f *Format) setAddrP(dst, src *Capability, addr uint64) {
-	*dst = f.SetAddr(*src, addr)
+func (f *Format) setAddr(c *Capability) {
+	*c = f.SetAddr(*c, c.addr)
 }

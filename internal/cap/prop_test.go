@@ -164,3 +164,191 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 		}
 	}
 }
+
+// The capability algebra's monotonicity, after A Formal CHERI-C
+// Semantics for Verification (arXiv 2211.07511): a derivation never
+// widens bounds or permissions, and a tag is never reconstructed. Over
+// random capabilities in both formats, with the edges drawn on purpose,
+// every derived capability that carries a tag must come from a tagged
+// input, lie within the input's bounds and hold a subset of its
+// permissions.
+
+// derivedWithin reports why out is not a monotonic derivation of in, or
+// "" if it is. An untagged output grants nothing, so only its origin is
+// checked.
+func derivedWithin(in, out Capability) string {
+	switch {
+	case !out.tag:
+		return ""
+	case !in.tag:
+		return "tag reconstructed from an untagged input"
+	case out.base < in.base || out.base+out.len > in.base+in.len:
+		return "bounds widened"
+	case out.perms&^in.perms != 0:
+		return "permissions widened"
+	}
+	return ""
+}
+
+func TestDerivationsNeverWiden(t *testing.T) {
+	r := rand.New(rand.NewPCG(5, 6))
+	for _, f := range []Format{Format128, Format256} {
+		for i := 0; i < 100_000; i++ {
+			c := randCap(r)
+			addr := edgeU64(r, c.base, c.base+c.len, c.addr)
+			length := edgeU64(r, 0, c.len, c.base+c.len-addr, 1<<14, 7<<11)
+			delta := int64(edgeU64(r, c.base-c.addr, c.base+c.len-c.addr, 0))
+			perms := Perm(r.IntN(int(PermAll) + 1))
+			type derivation struct {
+				name string
+				out  Capability
+				err  error
+			}
+			bounded, errB := f.SetBounds(c, addr, length)
+			exact, errE := f.SetBoundsExact(c, addr, length)
+			for _, d := range []derivation{
+				{"SetBounds", bounded, errB},
+				{"SetBoundsExact", exact, errE},
+				{"AndPerms", c.AndPerms(perms), nil},
+				{"SetAddr", f.SetAddr(c, addr), nil},
+				{"IncAddr", f.IncAddr(c, delta), nil},
+			} {
+				if d.err != nil {
+					if d.out.tag {
+						t.Fatalf("%s: %s of %v failed (%v) but returned a tagged %v", f.Name, d.name, c, d.err, d.out)
+					}
+					continue
+				}
+				if why := derivedWithin(c, d.out); why != "" {
+					t.Fatalf("%s: %s of %v (addr %#x, length %#x, delta %d, perms %v) gave %v: %s",
+						f.Name, d.name, c, addr, length, delta, perms, d.out, why)
+				}
+			}
+		}
+	}
+}
+
+// TestSetBoundsExactMatchesRepresentable: under a parent that covers the
+// request, SetBoundsExact succeeds exactly when RepresentableLength keeps
+// the length and RepresentableAlignmentMask keeps the base, and then
+// returns exactly the requested bounds. SetBounds returns the smallest
+// aligned region at the request's exponent that contains it.
+func TestSetBoundsExactMatchesRepresentable(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 8))
+	for _, f := range []Format{Format128, Format256} {
+		parent := Root(0, ^uint64(0), PermAll)
+		exact := 0
+		for i := 0; i < 200_000; i++ {
+			length := edgeU64(r, 1<<11, 7<<11, 1<<14, 7<<13, 1<<20, 7<<20)
+			if r.IntN(3) == 0 {
+				length = f.RepresentableLength(length)
+			}
+			addr := edgeU64(r, 0, 1<<20, 1<<40)
+			if r.IntN(3) == 0 {
+				addr &= f.RepresentableAlignmentMask(length)
+			}
+			if addr > ^uint64(0)-length {
+				continue
+			}
+			want := f.RepresentableLength(length) == length && addr&^f.RepresentableAlignmentMask(length) == 0
+			got, err := f.SetBoundsExact(parent, addr, length)
+			if (err == nil) != want {
+				t.Fatalf("%s: SetBoundsExact(%#x, %#x) err %v, RepresentableLength %#x, mask %#x",
+					f.Name, addr, length, err, f.RepresentableLength(length), f.RepresentableAlignmentMask(length))
+			}
+			if err == nil {
+				exact++
+				if got.base != addr || got.len != length || got.addr != addr || !got.tag {
+					t.Fatalf("%s: SetBoundsExact(%#x, %#x) = %v", f.Name, addr, length, got)
+				}
+			}
+			b, err := f.SetBounds(parent, addr, length)
+			if err != nil {
+				continue // rounding left the parent
+			}
+			mask := ^f.RepresentableAlignmentMask(length)
+			if b.base != addr&^mask || b.base+b.len != (addr+length+mask)&^mask {
+				t.Fatalf("%s: SetBounds(%#x, %#x) = %v, want [%#x, %#x)", f.Name, addr, length, b,
+					addr&^mask, (addr+length+mask)&^mask)
+			}
+		}
+		if exact < 10_000 {
+			t.Fatalf("%s: only %d exact requests", f.Name, exact)
+		}
+	}
+}
+
+// representableCap returns a random capability the encoding can hold:
+// exactly representable bounds, a cursor in the representable window and
+// an object type that fits the encoded field.
+func representableCap(r *rand.Rand, f Format) Capability {
+	for {
+		c := randCap(r)
+		c.tag = true
+		if c.otype != OTypeUnsealed {
+			c.otype %= 0xFF
+		}
+		if f.MW != 0 {
+			mask := ^f.RepresentableAlignmentMask(c.len)
+			c.base &^= mask
+			c.len &^= mask
+			if c.base > ^uint64(0)-c.len {
+				continue
+			}
+			if r.IntN(2) == 0 {
+				c.addr = c.base + edgeU64(r, 0, c.len)
+			}
+		}
+		if f.representable(c.base, c.len) && f.cursorOK(c.base, c.len, c.addr) {
+			return c
+		}
+	}
+}
+
+// TestEncodeDecodeRoundTripsRepresentable: Decode(Encode(c)) == c for
+// every representable tagged capability, and an untagged one decodes to
+// its cursor alone.
+func TestEncodeDecodeRoundTripsRepresentable(t *testing.T) {
+	r := rand.New(rand.NewPCG(9, 10))
+	var buf [32]byte
+	for _, f := range []Format{Format128, Format256} {
+		for i := 0; i < 200_000; i++ {
+			c := representableCap(r, f)
+			f.Encode(c, buf[:f.Bytes])
+			if got := f.Decode(buf[:f.Bytes], true); got != c {
+				t.Fatalf("%s: Decode(Encode(%v)) = %v", f.Name, c, got)
+			}
+			if got := f.Decode(buf[:f.Bytes], false); got != NullWithAddr(c.addr) {
+				t.Fatalf("%s: untagged Decode(Encode(%v)) = %v", f.Name, c, got)
+			}
+		}
+	}
+}
+
+// TestAuthorizesMatchesCheckDeref: the pointer-based Authorizes the
+// access fast paths call makes exactly CheckDeref's decision.
+func TestAuthorizesMatchesCheckDeref(t *testing.T) {
+	r := rand.New(rand.NewPCG(11, 12))
+	needs := []Perm{PermLoad, PermStore, PermExecute, PermLoad | PermLoadCap,
+		PermStore | PermStoreCap, PermStore | PermStoreCap | PermStoreLocalCap}
+	yes := 0
+	for i := 0; i < 300_000; i++ {
+		c := randCap(r)
+		addr := edgeU64(r, c.base, c.base+c.len, c.addr, c.base+c.len-8)
+		size := edgeU64(r, 0, 1, 8, 16, 32, c.len)
+		need := needs[r.IntN(len(needs))]
+		if r.IntN(4) == 0 {
+			need = Perm(r.IntN(int(PermAll) + 1))
+		}
+		got := c.Authorizes(addr, size, need)
+		if want := c.CheckDeref(addr, size, need) == nil; got != want {
+			t.Fatalf("Authorizes(%v, %#x, %d, %v) = %v, CheckDeref says %v", c, addr, size, need, got, want)
+		}
+		if got {
+			yes++
+		}
+	}
+	if yes < 5_000 {
+		t.Fatalf("only %d draws were authorized", yes)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"cheriabi/internal/cache"
 	"cheriabi/internal/cap"
 	"cheriabi/internal/isa"
 	"cheriabi/internal/vm"
@@ -82,70 +83,184 @@ func (c *CPU) storeInt(in isa.Inst, auth cap.Capability, ea uint64, v uint64) *T
 	return nil
 }
 
-// LoadVia performs a capability-authorized scalar load. The kernel uses
-// this with user-supplied capabilities to implement copyin ("Kernel code
-// dereferences user-provided capabilities when accessing user memory").
-func (c *CPU) LoadVia(auth cap.Capability, ea, size uint64) (uint64, error) {
-	return c.loadViaP(&auth, ea, size)
+// The data hit path. Nearly every guest load and store hits the micro-TLB
+// on a backed entry and the L1D on its set's most recent way. Each
+// direction has one function, load and store, serving scalar and
+// capability accesses alike, and each states the hit test once: the
+// access is aligned and authorized, the micro-TLB entry for ea holds the
+// direction's proof at the run's generation and a backing, and the L1D
+// line is its set's most recent (cache.Probe.Hit). A hit is served from
+// the backing, and its L1D access is counted in the dataRun rather than
+// charged: the run applies its hits with one Cache.Hits call when it
+// ends (Hits says why that is bit-identical). An access that passes all
+// but the L1D test is served from the backing too, charging
+// Hierarchy.Data at once. Anything else — a fault, a micro-TLB miss, an
+// unbacked page — runs the general sequence from the start; the test
+// changes no state when it declines.
+
+// dataRun is the state the hit tests read that stays fixed while the
+// threaded engine runs, and the hits they have counted.
+//
+// as and gen are the address space and its generation when the run began.
+// Any change to a translation moves AS.Gen, the run ends as soon as it
+// does (see runBlock), and nothing switches address spaces inside a run,
+// so an entry that matches them matches the live AS and generation. A
+// caller outside a run sets one up for each access (newDataRun) and
+// applies its hits at once (settle).
+type dataRun struct {
+	as   *vm.AddressSpace
+	gen  uint64
+	l1d  cache.Probe
+	hits uint64 // L1D way-0 hits not yet applied to the cache
 }
 
-// loadViaP is LoadVia behind a pointer: the threaded engine authorizes
-// straight against the register file, so the hot path never copies the
-// capability (the checks are value-identical; only the error path, which
-// embeds the capability in the fault, reads it in full).
-func (c *CPU) loadViaP(auth *cap.Capability, ea, size uint64) (uint64, error) {
+func (c *CPU) newDataRun() dataRun {
+	return dataRun{as: c.AS, gen: c.AS.Gen, l1d: c.Hier.L1D.Probe()}
+}
+
+// settle applies r's counted hits to the L1D and the cycle count.
+func (c *CPU) settle(r *dataRun) {
+	c.Stats.Cycles += c.Hier.L1D.Hits(r.hits)
+	r.hits = 0
+}
+
+// load performs a load of size bytes at ea through auth: a scalar load
+// (size 1, 2, 4 or 8) returns the value; a capability load (size
+// Fmt.Bytes, 16 or 32) decodes the capability into register rd (c0 stays
+// NULL), stripping its tag without PermLoadCap, and returns 0.
+func (c *CPU) load(r *dataRun, auth *cap.Capability, ea, size uint64, rd uint8) (uint64, error) {
+	vpn := ea >> vm.PageShift
+	e := &c.tlb[vpn&(dtlbSize-1)]
+	off := ea & pageOffMask
+	if ea&(size-1) == 0 && auth.Authorizes(ea, size, cap.PermLoad) &&
+		e.vpn == vpn && e.gen == r.gen && e.as == r.as && e.prot&vm.ProtRead != 0 && e.data != nil {
+		if r.l1d.Hit(e.base+off, size, false) {
+			r.hits++
+		} else {
+			c.Stats.Cycles += c.Hier.Data(e.base+off, size, false)
+		}
+		// An aligned access no wider than a granule never leaves the page.
+		d := e.data[off:]
+		switch size {
+		case 1:
+			return uint64(d[0]), nil
+		case 2:
+			return uint64(binary.LittleEndian.Uint16(d)), nil
+		case 4:
+			return uint64(binary.LittleEndian.Uint32(d)), nil
+		case 8:
+			return binary.LittleEndian.Uint64(d), nil
+		}
+		tag := e.tags[off>>c.Mem.GranShift()] && auth.HasPerm(cap.PermLoadCap)
+		if rd != 0 {
+			c.Fmt.DecodeInto(&c.C[rd], d[:size], tag)
+		}
+		return 0, nil
+	}
+	if size > 8 {
+		return 0, c.loadCapMiss(auth, ea, rd)
+	}
+	return c.loadMiss(auth, ea, size)
+}
+
+// loadMiss is a scalar load's general sequence: alignment, the full
+// capability check, translation, the cache walk and the memory read.
+func (c *CPU) loadMiss(auth *cap.Capability, ea, size uint64) (uint64, error) {
 	// Access sizes are always powers of two (1/2/4/8 scalars, 16/32
 	// capability widths), so the natural-alignment check is a mask — a
-	// variable-divisor modulo here is a hardware divide on the hottest
-	// path in the simulator.
+	// variable-divisor modulo here is a hardware divide.
 	if ea&(size-1) != 0 {
 		return 0, &AlignmentError{VA: ea, Size: size}
 	}
-	if !auth.Authorizes(ea, size, cap.PermLoad) {
-		return 0, auth.CheckDeref(ea, size, cap.PermLoad)
+	if err := auth.CheckDeref(ea, size, cap.PermLoad); err != nil {
+		return 0, err
 	}
-	// Micro-TLB probe inlined from translate: this is the hottest
-	// translation site in the simulator, and the call (with its two return
-	// values) is measurable against a four-compare hit test.
-	vpn := ea >> vm.PageShift
-	e := &c.tlb[vpn&(dtlbSize-1)]
-	var pa uint64
-	if e.as == c.AS && e.gen == c.AS.Gen && e.vpn == vpn && e.prot&vm.ProtRead != 0 {
-		off := ea & pageOffMask
-		pa = e.base + off
-		if e.data != nil {
-			// Backed hit: serve the load from the entry's page slice. An
-			// aligned power-of-two access of ≤ 8 bytes never leaves the
-			// page. The inline-able front-latch probe comes first; only a
-			// latch miss pays the Data call.
-			if lat, ok := c.Hier.L1D.DataHit(pa, size, false); ok {
-				c.Stats.Cycles += lat
-			} else {
-				c.Stats.Cycles += c.Hier.Data(pa, size, false)
-			}
-			d := e.data[off:]
-			switch size {
-			case 1:
-				return uint64(d[0]), nil
-			case 2:
-				return uint64(binary.LittleEndian.Uint16(d)), nil
-			case 4:
-				return uint64(binary.LittleEndian.Uint32(d)), nil
-			case 8:
-				return binary.LittleEndian.Uint64(d), nil
-			}
-			return c.Mem.Load(pa, size), nil // other sizes panic there
-		}
-	} else {
-		var pf *vm.PageFault
-		pa, pf = c.translate(ea, vm.ProtRead)
-		if pf != nil {
-			return 0, pf
-		}
+	pa, pf := c.translate(ea, vm.ProtRead)
+	if pf != nil {
+		return 0, pf
 	}
-	c.fill(e, pa)
+	c.fill(&c.tlb[(ea>>vm.PageShift)&(dtlbSize-1)], pa)
 	c.Stats.Cycles += c.Hier.Data(pa, size, false)
 	return c.Mem.Load(pa, size), nil
+}
+
+// loadCapMiss is a capability load's general sequence, LoadCapVia, into
+// register rd; out of line, so that its capability value stays out of
+// load's frame.
+func (c *CPU) loadCapMiss(auth *cap.Capability, ea uint64, rd uint8) error {
+	v, err := c.LoadCapVia(*auth, ea)
+	if err != nil {
+		return err
+	}
+	c.setC(rd, v)
+	return nil
+}
+
+// store performs a store of size bytes at ea through auth: a scalar
+// store (size 1, 2, 4 or 8) of v, or a capability store (size Fmt.Bytes)
+// of *cv. The hit test needs the entry's write proof, so a page proven
+// only for reads still takes the full Translate walk, with its
+// copy-on-write resolution, on its first write. A hit marks the L1D line
+// dirty at once and takes over Store's and StoreCap's contracts: a scalar
+// store of at most 8 bytes never straddles a tag granule (at least 16
+// bytes), so it clears exactly one tag; a capability store sets its
+// granule's tag; either bumps the page generation once.
+func (c *CPU) store(r *dataRun, auth *cap.Capability, ea, size, v uint64, cv *cap.Capability) error {
+	need := cap.PermStore
+	if size > 8 {
+		need = capStoreNeed(cv)
+	}
+	vpn := ea >> vm.PageShift
+	e := &c.tlb[vpn&(dtlbSize-1)]
+	off := ea & pageOffMask
+	if ea&(size-1) == 0 && auth.Authorizes(ea, size, need) &&
+		e.vpn == vpn && e.gen == r.gen && e.as == r.as && e.prot&vm.ProtWrite != 0 && e.data != nil {
+		if r.l1d.Hit(e.base+off, size, true) {
+			r.hits++
+		} else {
+			c.Stats.Cycles += c.Hier.Data(e.base+off, size, true)
+		}
+		d := e.data[off:]
+		tag := false
+		switch size {
+		case 1:
+			d[0] = byte(v)
+		case 2:
+			binary.LittleEndian.PutUint16(d, uint16(v))
+		case 4:
+			binary.LittleEndian.PutUint32(d, uint32(v))
+		case 8:
+			binary.LittleEndian.PutUint64(d, v)
+		default:
+			c.Fmt.Encode(*cv, d[:size])
+			tag = cv.Tag()
+		}
+		e.tags[off>>c.Mem.GranShift()] = tag
+		*e.pgen++
+		return nil
+	}
+	if size > 8 {
+		return c.StoreCapVia(*auth, ea, *cv)
+	}
+	return c.storeMiss(auth, ea, size, v)
+}
+
+// storeMiss is a scalar store's general sequence (see loadMiss).
+func (c *CPU) storeMiss(auth *cap.Capability, ea, size, v uint64) error {
+	if ea&(size-1) != 0 { // sizes are powers of two (see loadMiss)
+		return &AlignmentError{VA: ea, Size: size}
+	}
+	if err := auth.CheckDeref(ea, size, cap.PermStore); err != nil {
+		return err
+	}
+	pa, pf := c.translate(ea, vm.ProtWrite)
+	if pf != nil {
+		return pf
+	}
+	c.Stats.Cycles += c.Hier.Data(pa, size, true)
+	c.Mem.Store(pa, size, v)
+	c.fill(&c.tlb[(ea>>vm.PageShift)&(dtlbSize-1)], pa)
+	return nil
 }
 
 // fill attaches a backing to e, which holds a proof for the page
@@ -164,126 +279,22 @@ func (c *CPU) fill(e *tlbEntry, pa uint64) {
 	e.data, e.tags, e.pgen = c.Mem.Page(pa &^ pageOffMask)
 }
 
+// LoadVia performs a capability-authorized scalar load. The kernel uses
+// this with user-supplied capabilities to implement copyin ("Kernel code
+// dereferences user-provided capabilities when accessing user memory").
+func (c *CPU) LoadVia(auth cap.Capability, ea, size uint64) (uint64, error) {
+	r := c.newDataRun()
+	v, err := c.load(&r, &auth, ea, size, 0)
+	c.settle(&r)
+	return v, err
+}
+
 // StoreVia performs a capability-authorized scalar store.
 func (c *CPU) StoreVia(auth cap.Capability, ea, size, v uint64) error {
-	return c.storeViaP(&auth, ea, size, v)
-}
-
-// storeViaP is StoreVia behind a pointer (see loadViaP).
-func (c *CPU) storeViaP(auth *cap.Capability, ea, size, v uint64) error {
-	if ea&(size-1) != 0 { // sizes are powers of two (see loadViaP)
-		return &AlignmentError{VA: ea, Size: size}
-	}
-	if !auth.Authorizes(ea, size, cap.PermStore) {
-		return auth.CheckDeref(ea, size, cap.PermStore)
-	}
-	// Micro-TLB probe inlined from translate (see loadViaP).
-	vpn := ea >> vm.PageShift
-	e := &c.tlb[vpn&(dtlbSize-1)]
-	var pa uint64
-	if e.as == c.AS && e.gen == c.AS.Gen && e.vpn == vpn && e.prot&vm.ProtWrite != 0 {
-		off := ea & pageOffMask
-		pa = e.base + off
-		if e.data != nil {
-			// Backed hit: write the page slice directly, taking
-			// over Store's aligned single-granule contract — an aligned
-			// store of ≤ 8 bytes never straddles a ≥ 16-byte tag granule,
-			// so exactly one tag is cleared and one page generation bumped.
-			if lat, ok := c.Hier.L1D.DataHit(pa, size, true); ok {
-				c.Stats.Cycles += lat
-			} else {
-				c.Stats.Cycles += c.Hier.Data(pa, size, true)
-			}
-			d := e.data[off:]
-			switch size {
-			case 1:
-				d[0] = byte(v)
-			case 2:
-				binary.LittleEndian.PutUint16(d, uint16(v))
-			case 4:
-				binary.LittleEndian.PutUint32(d, uint32(v))
-			case 8:
-				binary.LittleEndian.PutUint64(d, v)
-			default:
-				c.Mem.Store(pa, size, v) // other sizes panic there
-				return nil
-			}
-			e.tags[off>>c.Mem.GranShift()] = false
-			*e.pgen++
-			return nil
-		}
-	} else {
-		var pf *vm.PageFault
-		pa, pf = c.translate(ea, vm.ProtWrite)
-		if pf != nil {
-			return pf
-		}
-	}
-	c.Stats.Cycles += c.Hier.Data(pa, size, true)
-	c.Mem.Store(pa, size, v)
-	c.fill(e, pa)
-	return nil
-}
-
-// loadCapP is LoadCapVia behind a pointer, decoding the loaded capability
-// in place into register rd (c0 stays NULL). A load whose checks pass and
-// whose page has a backing is served from the micro-TLB entry;
-// anything else — a fault, a TLB miss, an unbacked page — runs
-// LoadCapVia's exact sequence from the start. The fast path changes no
-// state before it commits, so the fallback sees the machine untouched.
-func (c *CPU) loadCapP(auth *cap.Capability, ea uint64, rd uint8) error {
-	bytes := c.Fmt.Bytes
-	if ea&(bytes-1) == 0 && auth.Authorizes(ea, bytes, cap.PermLoad) {
-		vpn := ea >> vm.PageShift
-		e := &c.tlb[vpn&(dtlbSize-1)]
-		if e.as == c.AS && e.gen == c.AS.Gen && e.vpn == vpn && e.prot&vm.ProtRead != 0 && e.data != nil {
-			off := ea & pageOffMask
-			pa := e.base + off
-			if lat, ok := c.Hier.L1D.DataHit(pa, bytes, false); ok {
-				c.Stats.Cycles += lat
-			} else {
-				c.Stats.Cycles += c.Hier.Data(pa, bytes, false)
-			}
-			tag := e.tags[off>>c.Mem.GranShift()] && auth.HasPerm(cap.PermLoadCap)
-			if rd != 0 {
-				c.Fmt.DecodeInto(&c.C[rd], e.data[off:off+bytes], tag)
-			}
-			return nil
-		}
-	}
-	v, err := c.LoadCapVia(*auth, ea)
-	if err != nil {
-		return err
-	}
-	c.setC(rd, v)
-	return nil
-}
-
-// storeCapP is StoreCapVia behind pointers, served from the micro-TLB
-// backing when every check passes (see loadCapP); anything else
-// runs StoreCapVia's exact sequence.
-func (c *CPU) storeCapP(auth *cap.Capability, ea uint64, v *cap.Capability) error {
-	bytes := c.Fmt.Bytes
-	if ea&(bytes-1) == 0 && auth.Authorizes(ea, bytes, capStoreNeed(v)) {
-		vpn := ea >> vm.PageShift
-		e := &c.tlb[vpn&(dtlbSize-1)]
-		if e.as == c.AS && e.gen == c.AS.Gen && e.vpn == vpn && e.prot&vm.ProtWrite != 0 && e.data != nil {
-			off := ea & pageOffMask
-			pa := e.base + off
-			if lat, ok := c.Hier.L1D.DataHit(pa, bytes, true); ok {
-				c.Stats.Cycles += lat
-			} else {
-				c.Stats.Cycles += c.Hier.Data(pa, bytes, true)
-			}
-			// StoreCap's contract: the bytes, the granule's tag, and one
-			// page-generation bump (a granule never straddles a page).
-			c.Fmt.Encode(*v, e.data[off:off+bytes])
-			e.tags[off>>c.Mem.GranShift()] = v.Tag()
-			*e.pgen++
-			return nil
-		}
-	}
-	return c.StoreCapVia(*auth, ea, *v)
+	r := c.newDataRun()
+	err := c.store(&r, &auth, ea, size, v, nil)
+	c.settle(&r)
+	return err
 }
 
 // capStoreNeed returns the permissions storing v requires: PermStore, plus

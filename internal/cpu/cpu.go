@@ -542,14 +542,20 @@ func (c *CPU) exec(in isa.Inst) *Trap {
 			return t
 		}
 	case isa.CLC, isa.CLCB:
+		r := c.newDataRun()
 		auth := &c.C[in.Rb]
-		if err := c.loadCapP(auth, auth.Addr()+uint64(int64(in.Imm)), in.Ra); err != nil {
+		_, err := c.load(&r, auth, auth.Addr()+uint64(int64(in.Imm)), c.Fmt.Bytes, in.Ra)
+		c.settle(&r)
+		if err != nil {
 			return c.accessTrap(in, err)
 		}
 		c.Stats.CapLoads++
 	case isa.CSC, isa.CSCB:
+		r := c.newDataRun()
 		auth := &c.C[in.Rb]
-		if err := c.storeCapP(auth, auth.Addr()+uint64(int64(in.Imm)), &c.C[in.Ra]); err != nil {
+		err := c.store(&r, auth, auth.Addr()+uint64(int64(in.Imm)), c.Fmt.Bytes, 0, &c.C[in.Ra])
+		c.settle(&r)
+		if err != nil {
 			return c.accessTrap(in, err)
 		}
 		c.Stats.CapStores++

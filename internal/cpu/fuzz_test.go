@@ -6,24 +6,35 @@ import (
 	"testing"
 	"time"
 
+	"cheriabi/internal/cache"
 	"cheriabi/internal/cap"
 	"cheriabi/internal/isa"
 	"cheriabi/internal/vm"
 )
 
 // FuzzEngineMatchesReference runs one random instruction stream on the
-// reference engine and on the fast engine and requires them to agree bit
-// for bit: the tierState (registers, PC/PCC, Stats, every cache level's
-// counters and the DRAM count) at every trap and at the end.
+// reference engine, on the fast engine, and on the general engine (the
+// reference with every micro-TLB backing dropped before each
+// instruction), and requires them to agree bit for bit: the tierState
+// (registers, PC/PCC, Stats, every cache level's counters and the DRAM
+// count) at every trap and at the end. The reference and the fast engine
+// share the data hit test (load and store in access.go); the general
+// engine never passes it, because a hit needs a backing, so every one of
+// its data accesses runs the general sequence, and a hit test that
+// accepts an access it should not, or a hit that forgets part of its
+// effect, shows as a divergence from it.
 //
 // A stream mixes ALU ops; branches and jumps, short ones that straddle an
 // L1I line and long ones that straddle a page; stores into the code
-// pages; pointer arithmetic whose deltas stay in bounds, reach top, or
-// leave the representable window; and capability loads and stores, some
-// misaligned, out of bounds or through an authority without PermLoadCap,
-// over tagged, untagged and sealed operands. The program runs under a
-// Run(max) budget drawn from the input, down to a single instruction,
-// so budget clipping at every point of a line run is exercised. A trap
+// pages; loads and stores that hit, that soft-fault a demand-zero page
+// mid-run, or that write a page so far proven only for reads, among them
+// a read-only page whose stores must fault; pointer arithmetic whose
+// deltas stay in bounds, reach top, or leave the representable window;
+// and capability loads and stores, some misaligned, out of bounds or
+// through an authority without PermLoadCap, over tagged, untagged and
+// sealed operands. The program runs under a Run(max) budget drawn from
+// the input, down to a single instruction, so budget clipping at every
+// point of a line run is exercised. A trap
 // is taken and execution resumes after it, as the kernel does for a
 // call, or back at the entry point when that leaves the code.
 //
@@ -31,55 +42,83 @@ import (
 func FuzzEngineMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint16(200), uint16(5000))
 	f.Add(uint64(2), uint16(1400), uint16(1))
-	f.Fuzz(func(t *testing.T, seed uint64, n, budget uint16) {
-		size := 1 + int(n)%1500
-		prog, start := fuzzProgram(seed, size)
-		max := 1 + uint64(budget)%2000
-		run := func(ref bool) []tierState {
-			c := newTestCPU(t)
-			c.Reference = ref
-			fuzzSetup(c, seed)
-			load(t, c, prog)
-			// A run that never reaches a budget check would hang the test,
-			// so the drive has a deadline. Missing it panics: the spinning
-			// goroutine cannot be stopped, and would slow every later case.
-			done := make(chan []tierState, 1)
-			go func() { done <- fuzzDrive(c, start, size, max) }()
-			select {
-			case states := <-done:
-				return states
-			case <-time.After(20 * time.Second):
-				panic(fmt.Sprintf("%v engine: seed %d, %d instructions, budget %d: the program did not stop within 20 s",
-					engineName(c), seed, size, max))
+	f.Fuzz(engineCase)
+}
+
+// engineCase is one FuzzEngineMatchesReference input: the stream seed
+// draws, n sets its length and budget the Run(max) budget.
+func engineCase(t *testing.T, seed uint64, n, budget uint16) {
+	size := 1 + int(n)%1500
+	prog, start := fuzzProgram(seed, size)
+	max := 1 + uint64(budget)%2000
+	run := func(name string, ref, general bool) []tierState {
+		c := newTestCPU(t)
+		c.Reference = ref
+		fuzzSetup(c, seed)
+		load(t, c, prog)
+		step := c.Run
+		if general {
+			// Run(max) on the reference is max single Steps, stopping
+			// at a trap; so is this, with the backings dropped first.
+			step = func(max uint64) *Trap {
+				for range max {
+					for i := range c.tlb {
+						c.tlb[i].data = nil
+					}
+					if tr := c.Run(1); tr != nil {
+						return tr
+					}
+				}
+				return nil
 			}
 		}
-		want, got := run(true), run(false)
+		// A run that never reaches a budget check would hang the test,
+		// so the drive has a deadline. Missing it panics: the spinning
+		// goroutine cannot be stopped, and would slow every later case.
+		done := make(chan []tierState, 1)
+		go func() { done <- fuzzDrive(c, step, start, size, max) }()
+		select {
+		case states := <-done:
+			return states
+		case <-time.After(20 * time.Second):
+			panic(fmt.Sprintf("%s engine: seed %d, %d instructions, budget %d: the program did not stop within 20 s",
+				name, seed, size, max))
+		}
+	}
+	want := run("reference", true, false)
+	for _, e := range []struct {
+		name    string
+		ref     bool
+		general bool
+	}{{"fast", false, false}, {"general", true, true}} {
+		got := run(e.name, e.ref, e.general)
 		if len(got) != len(want) {
-			t.Fatalf("fast engine stopped %d times, reference %d times", len(got), len(want))
+			t.Fatalf("%s engine stopped %d times, reference %d times", e.name, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("stop %d of %d (budget %d): fast engine diverged from the reference:\n got %+v\nwant %+v",
-					i, len(got), max, got[i], want[i])
+				t.Fatalf("stop %d of %d (budget %d): %s engine diverged from the reference:\n got %+v\nwant %+v",
+					i, len(got), max, e.name, got[i], want[i])
 			}
 		}
-	})
+	}
 }
 
-// fuzzDrive runs c from start under Run(max) and returns its state at
+// fuzzDrive runs c from start under run(max), c.Run or its stand-in,
+// and returns its state at
 // every trap and at the end. After a trap it resumes at the next
 // instruction, as the kernel does after a call, or, when that is outside
 // the n-instruction program at codeVA or one time in four, at a random
 // instruction of the program. It also moves to a random instruction
 // after 1000 instructions without a trap. Either way a loop, around a
 // faulting instruction or none, cannot use up the run.
-func fuzzDrive(c *CPU, start uint64, n int, max uint64) []tierState {
+func fuzzDrive(c *CPU, run func(max uint64) *Trap, start uint64, n int, max uint64) []tierState {
 	const maxCalls, maxInsts, maxLoop = 2000, 30_000, 1000
 	r := rand.New(rand.NewPCG(start, uint64(n)))
 	c.PC = start
 	var states []tierState
 	for i, last := 0, uint64(0); i < maxCalls && c.Stats.Instructions < maxInsts; i++ {
-		tr := c.Run(max)
+		tr := run(max)
 		if tr == nil {
 			if c.Stats.Instructions-last >= maxLoop {
 				last = c.Stats.Instructions
@@ -114,15 +153,35 @@ const (
 )
 
 // Integer registers: r1..r7 hold edge values (deltas and lengths),
-// r8..r11 data addresses, r12 a code address and r13 an instruction word
-// (for stores into the code pages).
+// r8..r11 data addresses (r11 sometimes in the read-only page), r12 a
+// code address and r13 an instruction word (for stores into the code
+// pages).
 const fzXRegs = 14
+
+// fzROVA is a read-only page just past the data region. fuzzSetup writes
+// it before revoking the write permission, so its chunk holds data and a
+// load gives its micro-TLB entry a backing; every store to it must still
+// take the page fault.
+const fzROVA = dataVA + 4*vm.PageSize
 
 var fzEdges = []uint64{0, 1, ^uint64(0), 16, 48, 0xFFF, 0x1000, 1 << 20, 1 << 40, ^uint64(1<<40) + 1, 1 << 63}
 
 // fuzzSetup fills the registers and a few capabilities in memory from
 // seed, identically for both engines.
 func fuzzSetup(c *CPU, seed uint64) {
+	// A stream of its own for what was added after the first seeds were
+	// committed, so that the draws below stay theirs.
+	r2 := rand.New(rand.NewPCG(seed, 0x20))
+	if r2.IntN(2) == 0 {
+		// A tiny hierarchy, where a few lines already evict at every
+		// level and write dirty lines back.
+		c.Hier = &cache.Hierarchy{
+			L1I:         cache.New(cache.Config{Name: "L1I", Size: 128, LineSize: 16, Ways: 2, HitLatency: 1}),
+			L1D:         cache.New(cache.Config{Name: "L1D", Size: 256, LineSize: 32, Ways: 2, HitLatency: 2}),
+			L2:          cache.New(cache.Config{Name: "L2", Size: 2048, LineSize: 32, Ways: 4, HitLatency: 9}),
+			DRAMLatency: 50,
+		}
+	}
 	r := rand.New(rand.NewPCG(seed, 0x5e7))
 	for i := 1; i <= 7; i++ {
 		c.X[i] = fzEdges[r.IntN(len(fzEdges))]
@@ -155,6 +214,20 @@ func fuzzSetup(c *CPU, seed uint64) {
 		if err := c.StoreCapVia(c.DDC, dataVA+0x100+i*c.Fmt.Bytes, v); err != nil {
 			panic(err)
 		}
+	}
+	if err := c.AS.Map(fzROVA, vm.PageSize, vm.ProtRead|vm.ProtWrite, false); err != nil {
+		panic(err)
+	}
+	for i := uint64(0); i < 8; i++ {
+		if err := c.StoreVia(c.DDC, fzROVA+i*64, 8, i+1); err != nil {
+			panic(err)
+		}
+	}
+	if err := c.AS.Protect(fzROVA, vm.PageSize, vm.ProtRead); err != nil {
+		panic(err)
+	}
+	if r2.IntN(3) == 0 {
+		c.X[11] = fzROVA + uint64(r2.IntN(vm.PageSize))&^7
 	}
 	// Setup must not count towards either run.
 	c.Stats = Stats{}

@@ -100,13 +100,16 @@ func init() {
 // the same way: only the first issues a real Hierarchy.Fetch, which leaves
 // the line first in its set's recency order. Nothing but instruction
 // fetches touches L1I state, so the rest are hits on that most recent way
-// whose only effect is the access count, and one FetchRepeats counter add
-// before the next real fetch or flush leaves the cache bit-identical to
-// per-fetch issue. Op-specific extras (multi-cycle ALU ops, branch
-// bubbles, data-cache costs) are charged directly by exec, exactly as on
-// the Step path; the final sums are bit-identical either way. Nothing in
-// the simulator reads Stats or cache counters mid-run, so deferring the
-// flushes cannot change what anyone observes.
+// whose only effect is the access count; the flush applies all of them
+// with one L1I.Hits call, which leaves the cache bit-identical to
+// per-fetch issue. Data accesses that hit the micro-TLB and the L1D's
+// most recent way are counted in the run's dataRun and applied with one
+// L1D.Hits call at the same flush (access.go). Op-specific extras
+// (multi-cycle ALU ops, branch bubbles, the costs of data accesses that
+// miss) are charged directly, exactly as on the Step path; the final sums
+// are bit-identical either way. Nothing in the simulator reads Stats or
+// cache counters mid-run, so deferring the flushes cannot change what
+// anyone observes.
 
 // fetchWindow returns the PCs in the page at vaPage from which a
 // one-instruction fetch stays in pcc's bounds, as a base and a length: pc
@@ -150,6 +153,9 @@ func (c *CPU) runBlock(rem uint64) *Trap {
 	// stays aimed at the live counter even as translations bump it.
 	genPtr := c.Mem.PageGenPtr(paPage)
 	asGenPtr := &c.AS.Gen
+	// The data hit tests' fixed state (see dataRun): the run ends as soon
+	// as AS.Gen moves, so asGen stays the live generation while it runs.
+	dr := dataRun{as: c.AS, gen: asGen, l1d: c.Hier.L1D.Probe()}
 	// The retirement budget as a simple limit: comparing against ^0 for
 	// "unlimited" keeps the per-instruction check to one compare.
 	limit := rem
@@ -161,7 +167,18 @@ func (c *CPU) runBlock(rem uint64) *Trap {
 	// every exec call (exec reads and advances c.PC), before building a
 	// trap, and at every loop exit.
 	pc := c.PC
-	var nInst, nCycles, nLoads, nStores, nCapLoads, nCapStores, nBranches, nTaken uint64
+	var end uint64 // the line run's end (see below)
+	var nCycles, nLoads, nStores, nCapLoads, nCapStores, nBranches, nTaken uint64
+	// The instructions retired so far are not counted one by one: pc
+	// advances by one instruction per retirement, so the count before the
+	// instruction at pc retires is base + pc/4, and only a PC change that
+	// is not a sequential advance moves base (jump).
+	base := -(pc / isa.InstSize)
+	jump := func(target uint64) {
+		base += (pc+isa.InstSize)/isa.InstSize - target/isa.InstSize
+		pc = target
+		end = 0 // the line entry re-checks the new pc
+	}
 
 	// The line run (see the note above): when pc enters an L1I line, the
 	// line-entry checks work out once where sequential retirement must
@@ -170,24 +187,19 @@ func (c *CPU) runBlock(rem uint64) *Trap {
 	// advance passes all four checks. Any other PC change sets end to 0,
 	// which sends the next instruction through the line-entry checks.
 	// lineBase is the L1I line of the last real fetch (1, which no line
-	// base equals, before the first); lineRepeats counts the fetches from
-	// it not yet applied to the cache model.
+	// base equals, before the first). Every instruction the run retires is
+	// fetched either by a real fetch, counted in nFetches, or as a repeat
+	// from lineBase, so the repeats need no counter of their own: the
+	// flush applies nInst - nFetches of them.
 	lineSize := c.Hier.L1I.Config().LineSize // a power of two (cache.New)
 	lineBase := uint64(1)
-	var lineRepeats, end uint64
-	flushLine := func() {
-		if lineRepeats != 0 {
-			nCycles += c.Hier.FetchRepeats(c.Hier.FetchLine(lineBase), lineRepeats)
-			lineRepeats = 0
-		}
-	}
-	flush := func() {
-		flushLine()
+	var nFetches uint64
+	flush := func(nInst uint64) {
 		if nInst == 0 {
 			return
 		}
 		c.Stats.Instructions += nInst
-		c.Stats.Cycles += nCycles
+		c.Stats.Cycles += nCycles + c.Hier.L1I.Hits(nInst-nFetches) + c.Hier.L1D.Hits(dr.hits)
 		c.Stats.Loads += nLoads
 		c.Stats.Stores += nStores
 		c.Stats.CapLoads += nCapLoads
@@ -200,12 +212,11 @@ func (c *CPU) runBlock(rem uint64) *Trap {
 	}
 run:
 	for {
-		if pc < end {
-			// Inside the line run: a same-line fetch, batched.
-			lineRepeats++
-		} else {
+		// Inside the line run, a same-line fetch is a repeat.
+		if pc >= end {
 			// Line entry. pc is instruction-aligned unless an exec call set
 			// it, and that set end to 0, so it is checked here.
+			nInst := base + pc/isa.InstSize
 			if nInst >= limit || pc%isa.InstSize != 0 {
 				break
 			}
@@ -219,11 +230,9 @@ run:
 			// charge subsumes the base execution cycle (an L1I hit costs
 			// 1). A branch back into the line just fetched is a repeat.
 			pa := paPage + (pc - vaPage)
-			if pa&^(lineSize-1) == lineBase {
-				lineRepeats++
-			} else {
-				flushLine()
+			if pa&^(lineSize-1) != lineBase {
 				nCycles += c.Hier.Fetch(pa, isa.InstSize)
+				nFetches++
 				lineBase = pa &^ (lineSize - 1)
 			}
 			// n instructions from pc on stay in the line, the fetch window
@@ -237,7 +246,6 @@ run:
 			}
 			end = pc + n*isa.InstSize
 		}
-		nInst++
 		in := page.insts[(pc-vaPage)/isa.InstSize%uint64(len(page.insts))]
 		// One jump-table dispatch for every instruction class: stores fall
 		// OUT of the switch to the generation probe below, loads probe
@@ -245,25 +253,27 @@ run:
 		// directly, since nothing but a memory op can move the
 		// generations.
 		switch in.Op {
-		// Inline scalar loads/stores: same LoadVia/StoreVia sequence and
-		// Stats updates as exec's loadInt/storeInt, minus the per-op
-		// opSize lookup. Scalar memory ops never replace PCC, so the
-		// CJR/CJALR exit check is skipped too. The four authority/direction
-		// combinations get their own jump-table entries: the outer switch
-		// already resolved in.Op, so re-deriving "cheri?" and "store?" from
-		// table flags would re-branch on data the dispatch has settled.
+		// Inline scalar loads/stores: the same load/store calls and Stats
+		// updates as exec's loadInt/storeInt, minus the per-op opSize
+		// lookup, with the run's dataRun. Scalar memory ops never replace
+		// PCC, so the CJR/CJALR exit check is skipped too. The four
+		// authority/direction combinations get their own jump-table
+		// entries: the outer switch already resolved in.Op, so re-deriving
+		// "cheri?" and "store?" from table flags would re-branch on data
+		// the dispatch has settled.
 		case isa.LB, isa.LBU, isa.LH, isa.LHU, isa.LW, isa.LWU, isa.LD:
 			mo := scalarMemOps[in.Op]
-			v, err := c.loadViaP(&c.DDC, c.X[in.Rb]+uint64(int64(in.Imm)), uint64(mo.size))
+			v, err := c.load(&dr, &c.DDC, c.X[in.Rb]+uint64(int64(in.Imm)), uint64(mo.size), 0)
 			if err != nil {
 				c.PC = pc
-				flush()
+				flush(base + pc/isa.InstSize + 1)
 				return c.accessTrap(in, err)
 			}
 			nLoads++
-			if mo.shift != 0 {
-				v = uint64(int64(v<<mo.shift) >> mo.shift)
-			}
+			// Sign-extend; a zero shift (unsigned) leaves v as it is, and
+			// the mask spares the shifts a range check.
+			sh := mo.shift & 63
+			v = uint64(int64(v<<sh) >> sh)
 			c.setX(in.Ra, v)
 			pc += isa.InstSize
 			if *asGenPtr != asGen {
@@ -274,16 +284,15 @@ run:
 		case isa.CLB, isa.CLBU, isa.CLH, isa.CLHU, isa.CLW, isa.CLWU, isa.CLD:
 			mo := scalarMemOps[in.Op]
 			auth := &c.C[in.Rb]
-			v, err := c.loadViaP(auth, auth.Addr()+uint64(int64(in.Imm)), uint64(mo.size))
+			v, err := c.load(&dr, auth, auth.Addr()+uint64(int64(in.Imm)), uint64(mo.size), 0)
 			if err != nil {
 				c.PC = pc
-				flush()
+				flush(base + pc/isa.InstSize + 1)
 				return c.accessTrap(in, err)
 			}
 			nLoads++
-			if mo.shift != 0 {
-				v = uint64(int64(v<<mo.shift) >> mo.shift)
-			}
+			sh := mo.shift & 63 // sign-extend, as above
+			v = uint64(int64(v<<sh) >> sh)
 			c.setX(in.Ra, v)
 			pc += isa.InstSize
 			if *asGenPtr != asGen {
@@ -293,9 +302,9 @@ run:
 
 		case isa.SB, isa.SH, isa.SW, isa.SD:
 			mo := scalarMemOps[in.Op]
-			if err := c.storeViaP(&c.DDC, c.X[in.Rb]+uint64(int64(in.Imm)), uint64(mo.size), c.X[in.Ra]); err != nil {
+			if err := c.store(&dr, &c.DDC, c.X[in.Rb]+uint64(int64(in.Imm)), uint64(mo.size), c.X[in.Ra], nil); err != nil {
 				c.PC = pc
-				flush()
+				flush(base + pc/isa.InstSize + 1)
 				return c.accessTrap(in, err)
 			}
 			nStores++
@@ -304,9 +313,9 @@ run:
 		case isa.CSB, isa.CSH, isa.CSW, isa.CSD:
 			mo := scalarMemOps[in.Op]
 			auth := &c.C[in.Rb]
-			if err := c.storeViaP(auth, auth.Addr()+uint64(int64(in.Imm)), uint64(mo.size), c.X[in.Ra]); err != nil {
+			if err := c.store(&dr, auth, auth.Addr()+uint64(int64(in.Imm)), uint64(mo.size), c.X[in.Ra], nil); err != nil {
 				c.PC = pc
-				flush()
+				flush(base + pc/isa.InstSize + 1)
 				return c.accessTrap(in, err)
 			}
 			nStores++
@@ -314,14 +323,14 @@ run:
 
 		// Capability loads and stores: the only ops outside the scalar
 		// table that touch memory. Like the scalar memops they go straight
-		// to the pointer-based access (loadCapP decodes into the
+		// to load and store (a capability load decodes into the
 		// destination register), count in the run-local ledger, advance PC
 		// by one instruction and probe the generations as they do.
 		case isa.CLC, isa.CLCB:
 			auth := &c.C[in.Rb]
-			if err := c.loadCapP(auth, auth.Addr()+uint64(int64(in.Imm)), in.Ra); err != nil {
+			if _, err := c.load(&dr, auth, auth.Addr()+uint64(int64(in.Imm)), c.Fmt.Bytes, in.Ra); err != nil {
 				c.PC = pc
-				flush()
+				flush(base + pc/isa.InstSize + 1)
 				return c.accessTrap(in, err)
 			}
 			nCapLoads++
@@ -333,9 +342,9 @@ run:
 
 		case isa.CSC, isa.CSCB:
 			auth := &c.C[in.Rb]
-			if err := c.storeCapP(auth, auth.Addr()+uint64(int64(in.Imm)), &c.C[in.Ra]); err != nil {
+			if err := c.store(&dr, auth, auth.Addr()+uint64(int64(in.Imm)), c.Fmt.Bytes, 0, &c.C[in.Ra]); err != nil {
 				c.PC = pc
-				flush()
+				flush(base + pc/isa.InstSize + 1)
 				return c.accessTrap(in, err)
 			}
 			nCapStores++
@@ -367,8 +376,7 @@ run:
 			if c.X[in.Ra] == c.X[in.Rb] {
 				nTaken++
 				nCycles++ // taken-branch bubble
-				pc += uint64(int64(in.Imm)) * isa.InstSize
-				end = 0
+				jump(pc + uint64(int64(in.Imm))*isa.InstSize)
 			} else {
 				pc += isa.InstSize
 			}
@@ -378,8 +386,7 @@ run:
 			if c.X[in.Ra] != c.X[in.Rb] {
 				nTaken++
 				nCycles++
-				pc += uint64(int64(in.Imm)) * isa.InstSize
-				end = 0
+				jump(pc + uint64(int64(in.Imm))*isa.InstSize)
 			} else {
 				pc += isa.InstSize
 			}
@@ -389,8 +396,7 @@ run:
 			if int64(c.X[in.Ra]) < int64(c.X[in.Rb]) {
 				nTaken++
 				nCycles++
-				pc += uint64(int64(in.Imm)) * isa.InstSize
-				end = 0
+				jump(pc + uint64(int64(in.Imm))*isa.InstSize)
 			} else {
 				pc += isa.InstSize
 			}
@@ -400,8 +406,7 @@ run:
 			if int64(c.X[in.Ra]) >= int64(c.X[in.Rb]) {
 				nTaken++
 				nCycles++
-				pc += uint64(int64(in.Imm)) * isa.InstSize
-				end = 0
+				jump(pc + uint64(int64(in.Imm))*isa.InstSize)
 			} else {
 				pc += isa.InstSize
 			}
@@ -411,8 +416,7 @@ run:
 			if c.X[in.Ra] < c.X[in.Rb] {
 				nTaken++
 				nCycles++
-				pc += uint64(int64(in.Imm)) * isa.InstSize
-				end = 0
+				jump(pc + uint64(int64(in.Imm))*isa.InstSize)
 			} else {
 				pc += isa.InstSize
 			}
@@ -422,30 +426,26 @@ run:
 			if c.X[in.Ra] >= c.X[in.Rb] {
 				nTaken++
 				nCycles++
-				pc += uint64(int64(in.Imm)) * isa.InstSize
-				end = 0
+				jump(pc + uint64(int64(in.Imm))*isa.InstSize)
 			} else {
 				pc += isa.InstSize
 			}
 			continue
 		case isa.J:
 			nCycles++
-			pc += uint64(int64(in.Imm)) * isa.InstSize
-			end = 0
+			jump(pc + uint64(int64(in.Imm))*isa.InstSize)
 			continue
 		case isa.JAL:
 			nCycles++
 			c.setX(isa.RRA, pc+isa.InstSize)
-			pc += uint64(int64(in.Imm)) * isa.InstSize
-			end = 0
+			jump(pc + uint64(int64(in.Imm))*isa.InstSize)
 			continue
 		case isa.CJAL:
 			// exec's CJAL: the link capability is PCC with its cursor at
 			// the return address, built in place (SetAddrP).
 			nCycles++
 			c.Fmt.SetAddrP(&c.C[isa.CRA], &c.PCC, pc+isa.InstSize)
-			pc += uint64(int64(in.Imm)) * isa.InstSize
-			end = 0
+			jump(pc + uint64(int64(in.Imm))*isa.InstSize)
 			continue
 
 		// Inline single-cycle integer ALU ops: same register reads,
@@ -582,22 +582,23 @@ run:
 		case isa.CJR, isa.CJALR:
 			c.PC = pc
 			if t := c.exec(in); t != nil {
-				flush()
+				flush(base + pc/isa.InstSize + 1)
 				return t
 			}
-			pc = c.PC
+			jump(c.PC)
 			break run
 
 		default:
 			c.PC = pc
 			if t := c.exec(in); t != nil {
-				flush()
+				flush(base + pc/isa.InstSize + 1)
 				return t
 			}
 			if c.PC != pc+isa.InstSize {
-				end = 0 // a jump or taken branch: the line entry re-checks pc
+				jump(c.PC) // a jump or taken branch
+			} else {
+				pc = c.PC
 			}
-			pc = c.PC
 			// Everything dispatched through exec is memory-free (the
 			// capability memops have cases above), so the generations
 			// provably cannot have moved.
@@ -608,6 +609,6 @@ run:
 		}
 	}
 	c.PC = pc
-	flush()
+	flush(base + pc/isa.InstSize)
 	return nil
 }

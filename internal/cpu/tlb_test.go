@@ -345,17 +345,19 @@ func TestTLBBackingOutlivesOtherChunks(t *testing.T) {
 				se.data, se.tags, se.pgen = nil, nil, nil
 			}
 			var err error
+			r := c.newDataRun()
 			switch i % 4 {
 			case 0:
-				err = c.storeCapP(&ddc, dataVA+off, &val)
+				err = c.store(&r, &ddc, dataVA+off, c.Fmt.Bytes, 0, &val)
 			case 1, 3:
-				if err = c.loadCapP(&ddc, dataVA+off, 5); err == nil {
+				if _, err = c.load(&r, &ddc, dataVA+off, c.Fmt.Bytes, 5); err == nil {
 					caps[k] = c.C[5]
 					got[k], err = c.LoadVia(ddc, dataVA+off, 8)
 				}
 			case 2:
 				err = c.StoreVia(ddc, dataVA+off+size, size, i*0x0101010101010101)
 			}
+			c.settle(&r)
 			if err != nil {
 				t.Fatalf("access %d: %v", i, err)
 			}
@@ -620,4 +622,57 @@ func TestThreadedMidRunCSCSMC(t *testing.T) {
 	if gotOff != gotOn || statsOn != statsOff {
 		t.Fatalf("threaded on/off diverged: on r2=%d %+v, off r2=%d %+v", gotOn, statsOn, gotOff, statsOff)
 	}
+}
+
+// TestThreadedDataHitsFlushedBeforeTrap: a run counts its L1D way-0 hits
+// and applies them when it ends, so a trap must surface with them
+// applied. The loop below hits one backed page (after its first pass)
+// and then stores into a read-only page whose entry holds a read proof
+// and a backing: the hit test must decline the store, which takes the
+// protection fault, and at that trap the fast engine's Stats and cache
+// counters must be the reference's.
+func TestThreadedDataHitsFlushedBeforeTrap(t *testing.T) {
+	const roVA = 0x44000 // LUI-reachable, and its micro-TLB slot is no code page's
+	prog := []isa.Inst{
+		{Op: isa.LUI, Ra: 8, Imm: dataVA >> 14},
+		{Op: isa.LUI, Ra: 9, Imm: roVA >> 14},
+		{Op: isa.ADDI, Ra: 10, Rb: 0, Imm: 40},
+		{Op: isa.SD, Ra: 10, Rb: 8, Imm: 0},  // 3: loop: a store hit after the first pass
+		{Op: isa.LD, Ra: 2, Rb: 8, Imm: 8},   // a load hit
+		{Op: isa.CLD, Ra: 3, Rb: 3, Imm: 16}, // a capability-relative load hit
+		{Op: isa.CSC, Ra: 3, Rb: 3, Imm: 32}, // a capability store hit
+		{Op: isa.CLC, Ra: 4, Rb: 3, Imm: 32}, // a capability load hit
+		{Op: isa.LD, Ra: 5, Rb: 9, Imm: 0},   // proves the read-only page for reads
+		{Op: isa.ADDI, Ra: 10, Rb: 10, Imm: -1},
+		{Op: isa.BNE, Ra: 10, Rb: 0, Imm: -7},
+		{Op: isa.SD, Ra: 10, Rb: 9, Imm: 0}, // the protection fault
+		{Op: isa.BREAK},
+	}
+	runTiers(t, tierCase{
+		prog: prog,
+		setup: func(c *CPU) {
+			c.C[3] = cap.Root(dataVA, vm.PageSize, cap.PermData)
+			if err := c.AS.Map(roVA, vm.PageSize, vm.ProtRead|vm.ProtWrite, false); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.StoreVia(testDDC(), roVA, 8, 7); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AS.Protect(roVA, vm.PageSize, vm.ProtRead); err != nil {
+				t.Fatal(err)
+			}
+		},
+		drive: func(t *testing.T, c *CPU) *Trap { return c.Run(0) },
+		check: func(t *testing.T, c *CPU, tr *Trap) {
+			if tr == nil || tr.Kind != TrapPageFault || tr.PC != codeVA+11*isa.InstSize {
+				t.Fatalf("%v: trap %v, want the page fault of the store at %#x", engineName(c), tr, codeVA+11*isa.InstSize)
+			}
+			if e := tlbSlot(c, roVA); e.data == nil || e.prot != vm.ProtRead {
+				t.Fatalf("%v: read-only page's entry has prot %v, backing %v; want a backed read proof", engineName(c), e.prot, e.data != nil)
+			}
+			if c.Stats.Loads != 120 || c.Stats.Stores != 40 || c.Stats.CapLoads != 40 || c.Stats.CapStores != 40 {
+				t.Fatalf("%v: Stats %+v", engineName(c), c.Stats)
+			}
+		},
+	})
 }

@@ -830,13 +830,13 @@ func sysSelect(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 			return Err(EJUSTRETURN)
 		}
 	}
-	if a.Ptr(0).Addr() != 0 {
-		if e := k.writeUserWord(a.Ptr(0), a.Ptr(0).Addr(), 8, rdy); e != OK {
+	if p := a.Ptr(0); p.Addr() != 0 {
+		if e := k.writeUserWord(p, p.Addr(), 8, rdy); e != OK {
 			return Err(e)
 		}
 	}
-	if a.Ptr(1).Addr() != 0 {
-		if e := k.writeUserWord(a.Ptr(1), a.Ptr(1).Addr(), 8, wdy); e != OK {
+	if p := a.Ptr(1); p.Addr() != 0 {
+		if e := k.writeUserWord(p, p.Addr(), 8, wdy); e != OK {
 			return Err(e)
 		}
 	}

@@ -390,7 +390,8 @@ func (rt *Runtime) nQsort(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, 
 		if rt.cheri(t) {
 			capArgs = []cap.Capability{elem(i), elem(j)}
 		} else {
-			intArgs = []uint64{elem(i).Addr(), elem(j).Addr()}
+			a, b := elem(i), elem(j)
+			intArgs = []uint64{a.Addr(), b.Addr()}
 		}
 		r, err := rt.k.CallGuest(t, cmp, intArgs, capArgs)
 		return int64(r) < 0, err
@@ -403,13 +404,14 @@ func (rt *Runtime) nQsort(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, 
 		return kernel.Err(errno)
 	}
 	swap := func(i, j uint64) error {
-		if err := rt.copyGuest(tmp, tmp.Base(), base, elem(i).Addr(), width); err != nil {
+		a, b := elem(i), elem(j)
+		if err := rt.copyGuest(tmp, tmp.Base(), base, a.Addr(), width); err != nil {
 			return err
 		}
-		if err := rt.copyGuest(base, elem(i).Addr(), base, elem(j).Addr(), width); err != nil {
+		if err := rt.copyGuest(base, a.Addr(), base, b.Addr(), width); err != nil {
 			return err
 		}
-		return rt.copyGuest(base, elem(j).Addr(), tmp, tmp.Base(), width)
+		return rt.copyGuest(base, b.Addr(), tmp, tmp.Base(), width)
 	}
 	// Heapsort: deterministic, in-place, O(n log n) comparator calls.
 	var err error

@@ -11,6 +11,7 @@ package cheriabi_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"cheriabi"
@@ -19,7 +20,6 @@ import (
 	"cheriabi/internal/cap"
 	"cheriabi/internal/compat"
 	"cheriabi/internal/cpu"
-	"cheriabi/internal/driver"
 	"cheriabi/internal/mem"
 	"cheriabi/internal/testsuite"
 	"cheriabi/internal/trace"
@@ -231,9 +231,9 @@ func BenchmarkCopyInOut(b *testing.B) {
 		{"bytecopy", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			m := mem.New(16<<20, 16)
+			m := mem.New(16 << 20)
 			sys := vm.NewSystem(m, 1<<20)
-			c := cpu.New(m, cache.DefaultHierarchy(), cap.Format128)
+			c := cpu.New(m, cache.DefaultHierarchy())
 			c.AS = sys.NewAddressSpace()
 			const va = 0x40000
 			if err := c.AS.Map(va, pages*vm.PageSize, vm.ProtRead|vm.ProtWrite, false); err != nil {
@@ -504,7 +504,7 @@ func BenchmarkCloneFanout(b *testing.B) {
 	for i := 0; i < len(all); i += 24 {
 		subset = append(subset, all[i])
 	}
-	workers := driver.AutoWorkers(len(subset) * 4 * len(bodiag.Envs))
+	workers := runtime.GOMAXPROCS(0)
 	b.Run("bodiag-short", func(b *testing.B) {
 		var res *bodiag.Result
 		var err error

@@ -114,8 +114,6 @@ type Config struct {
 	UrandomSeed uint64
 	// Console mirrors all process output when non-nil.
 	Console io.Writer
-	// Cap256 selects the uncompressed 256-bit capability format.
-	Cap256 bool
 	// Tracer observes user-code capability derivations (Figure 5).
 	Tracer cpu.CapTracer
 	// OnCapCreate observes kernel/linker/allocator-created capabilities.
@@ -138,13 +136,8 @@ func NewSystem(cfg Config) *System { return newSystem(cfg, kernel.NewFS()) }
 
 // newSystem boots a machine with fs as its file tree.
 func newSystem(cfg Config, fs *kernel.FS) *System {
-	format := cap.Format128
-	if cfg.Cap256 {
-		format = cap.Format256
-	}
 	m := kernel.NewMachineFS(kernel.Config{
 		MemBytes:    cfg.MemBytes,
-		Format:      format,
 		Seed:        cfg.Seed,
 		UrandomSeed: cfg.UrandomSeed,
 		Console:     cfg.Console,
@@ -158,16 +151,14 @@ func newSystem(cfg Config, fs *kernel.FS) *System {
 	return &System{Machine: m, Kernel: m.Kern, Runtime: rt}
 }
 
-// Snapshot is a boot template: a machine's memory size, capability
-// format and a frozen copy of its file tree. Clone boots a fresh System
-// with those values and gives it its own copy of the tree. Boot writes no
-// guest memory, so this is all the state a never-run machine holds that
-// NewSystem would not rebuild. Any number of goroutines may Clone the
+// Snapshot is a boot template: a machine's memory size and a frozen copy
+// of its file tree. Clone boots a fresh System with that size and gives it
+// its own copy of the tree. Boot writes no guest memory, so this is all
+// the state a never-run machine holds that NewSystem would not rebuild. Any number of goroutines may Clone the
 // same Snapshot concurrently; driver.RunFleet, given one, stamps one
 // clone per node.
 type Snapshot struct {
 	memBytes uint64
-	cap256   bool
 	fs       *kernel.FS
 }
 
@@ -183,20 +174,18 @@ func (s *System) Snapshot() (*Snapshot, error) {
 	}
 	return &Snapshot{
 		memBytes: s.Machine.Mem.Size(),
-		cap256:   s.Machine.Fmt == cap.Format256,
 		fs:       s.Kernel.FS.Clone(),
 	}, nil
 }
 
-// Clone boots a fresh System from the snapshot. cfg.MemBytes and
-// cfg.Cap256 are fixed by the snapshot and ignored; every other field
-// applies to the clone exactly as it would to NewSystem. A clone is a
-// cold boot with the template's file tree, so it is bit-identical to
+// Clone boots a fresh System from the snapshot. cfg.MemBytes is fixed by
+// the snapshot and ignored; every other field applies to the clone
+// exactly as it would to NewSystem. A clone is a cold boot with the template's file tree, so it is bit-identical to
 // NewSystem with the same Config and tree — the differential suite's
 // TestSnapshotCloneDifferential enforces this on the reference and the
 // fast engine.
 func (s *Snapshot) Clone(cfg Config) *System {
-	cfg.MemBytes, cfg.Cap256 = s.memBytes, s.cap256
+	cfg.MemBytes = s.memBytes
 	return newSystem(cfg, s.fs.Clone())
 }
 

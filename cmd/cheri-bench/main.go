@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"cheriabi/internal/driver"
 	"cheriabi/internal/testsuite"
 	"cheriabi/internal/workload"
 )
@@ -21,8 +20,7 @@ import (
 func main() {
 	experiment := flag.String("experiment", "all", "fig4|table1|syscall|initdb|clc|all")
 	seeds := flag.Int("seeds", 3, "number of layout seeds per measurement")
-	workersFlag := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"parallel evaluation workers (the default auto-calibrates to host parallelism and the sweep size)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel evaluation workers")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
@@ -52,14 +50,10 @@ func main() {
 			}
 		}()
 	}
-	// Figure 4's row count is the widest sweep this tool shards; it
-	// bounds the useful pool size for the auto-calibrated default.
-	wk, err := driver.ResolveWorkers(driver.FlagPassed("workers"), *workersFlag, len(workload.Figure4))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cheri-bench:", err)
+	if *workers < 1 {
+		fmt.Fprintf(os.Stderr, "cheri-bench: -workers must be positive (got %d)\n", *workers)
 		os.Exit(2)
 	}
-	workers := &wk
 
 	run := func(name string, fn func() error) {
 		if *experiment != "all" && *experiment != name {

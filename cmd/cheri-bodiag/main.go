@@ -11,23 +11,20 @@ import (
 	"runtime"
 
 	"cheriabi/internal/bodiag"
-	"cheriabi/internal/driver"
 )
 
 func main() {
-	workersFlag := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"parallel evaluation workers (the default auto-calibrates to host parallelism and the sweep size)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel evaluation workers")
 	flag.Parse()
-
-	cases := bodiag.Generate()
-	workers, err := driver.ResolveWorkers(driver.FlagPassed("workers"), *workersFlag, len(cases))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cheri-bodiag:", err)
+	if *workers < 1 {
+		fmt.Fprintf(os.Stderr, "cheri-bodiag: -workers must be positive (got %d)\n", *workers)
 		os.Exit(2)
 	}
+
+	cases := bodiag.Generate()
 	fmt.Printf("Running BOdiagsuite: %d cases x 4 variants x 3 environments (%d workers)\n",
-		len(cases), workers)
-	res, err := bodiag.RunParallel(cases, bodiag.Envs, workers)
+		len(cases), *workers)
+	res, err := bodiag.RunParallel(cases, bodiag.Envs, *workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cheri-bodiag:", err)
 		os.Exit(1)

@@ -99,6 +99,9 @@ type probe = Probe
 // Probe returns a copy of the cache's probe view, sharing its ways.
 func (c *Cache) Probe() Probe { return c.probe }
 
+// LineSize returns the line size in bytes, a power of two.
+func (p *Probe) LineSize() uint64 { return p.lineSize }
+
 // lineAddr maps a physical address to its line index.
 func (p *Probe) lineAddr(pa uint64) uint64 { return pa >> (p.lineShift & 63) }
 

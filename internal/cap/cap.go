@@ -4,7 +4,7 @@
 // compressed encoding with representability constraints.
 //
 // A Capability always carries full-precision bounds in this package; the
-// compressed Format constrains which bounds are *constructible* (SetBounds
+// compressed encoding constrains which bounds are *constructible* (SetBounds
 // rounding, alignment) and which cursor movements keep the tag (the
 // representable window). This mirrors how ISA-level CHERI emulators model
 // compression, and it round-trips exactly through the 16-byte in-memory
@@ -109,22 +109,22 @@ func Root(base, length uint64, perms Perm) Capability {
 	return Capability{tag: true, base: base, len: length, addr: base, perms: perms, otype: OTypeUnsealed}
 }
 
-// Accessors. Tag, Addr and HasPerm, which the simulator's access fast
-// paths call on capability registers through pointers, take a pointer
-// receiver: a value-receiver method called through a pointer copies the
-// whole capability first, even when inlined.
+// Accessors. Tag, Base, Len, Top, Addr and HasPerm, which the
+// simulator's fast paths call on capability registers through pointers,
+// take a pointer receiver: a value-receiver method called through a
+// pointer copies the whole capability first, even when inlined.
 
 // Tag reports whether the capability is valid (its provenance chain is intact).
 func (c *Capability) Tag() bool { return c.tag }
 
 // Base returns the lower bound.
-func (c Capability) Base() uint64 { return c.base }
+func (c *Capability) Base() uint64 { return c.base }
 
 // Len returns the length (top - base).
-func (c Capability) Len() uint64 { return c.len }
+func (c *Capability) Len() uint64 { return c.len }
 
 // Top returns the upper bound (exclusive).
-func (c Capability) Top() uint64 { return c.base + c.len }
+func (c *Capability) Top() uint64 { return c.base + c.len }
 
 // Addr returns the cursor: the integer value a C program observes when it
 // casts the pointer to uintptr_t (the paper's CGetAddr semantics).

@@ -81,29 +81,27 @@ func TestClearTag(t *testing.T) {
 }
 
 func TestSetBoundsMonotonic(t *testing.T) {
-	f := Format128
 	parent := Root(0x1000, 0x1000, PermAll)
-	child, err := f.SetBounds(parent, 0x1100, 0x100)
+	child, err := SetBounds(parent, 0x1100, 0x100)
 	if err != nil {
 		t.Fatalf("SetBounds: %v", err)
 	}
 	if child.Base() != 0x1100 || child.Len() != 0x100 || child.Addr() != 0x1100 {
 		t.Fatalf("SetBounds produced %v", child)
 	}
-	if _, err := f.SetBounds(parent, 0x1100, 0x1000); err == nil {
+	if _, err := SetBounds(parent, 0x1100, 0x1000); err == nil {
 		t.Fatal("SetBounds beyond parent top must fail")
 	}
-	if _, err := f.SetBounds(parent, 0x0800, 0x100); err == nil {
+	if _, err := SetBounds(parent, 0x0800, 0x100); err == nil {
 		t.Fatal("SetBounds below parent base must fail")
 	}
-	if _, err := f.SetBounds(child, 0x1100, 0x200); err == nil {
+	if _, err := SetBounds(child, 0x1100, 0x200); err == nil {
 		t.Fatal("re-widening via SetBounds must fail")
 	}
 }
 
 func TestSetBoundsUntaggedAndSealed(t *testing.T) {
-	f := Format128
-	if _, err := f.SetBounds(Null(), 0, 0); err == nil {
+	if _, err := SetBounds(Null(), 0, 0); err == nil {
 		t.Fatal("SetBounds on NULL must fail")
 	}
 	sealer := Root(1, 1, PermSeal)
@@ -112,7 +110,7 @@ func TestSetBoundsUntaggedAndSealed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
 	}
-	if _, err := f.SetBounds(s, 0x1000, 0x10); err == nil {
+	if _, err := SetBounds(s, 0x1000, 0x10); err == nil {
 		t.Fatal("SetBounds on sealed capability must fail")
 	}
 }
@@ -144,11 +142,10 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 }
 
 func TestSmallBoundsExact128(t *testing.T) {
-	f := Format128
 	parent := Root(0, 1<<30, PermAll)
 	// Small lengths are byte-exact under compression.
 	for _, n := range []uint64{1, 3, 7, 15, 100, 1000, 4095, 8192, 14336} {
-		c, err := f.SetBounds(parent, 0x1234, n)
+		c, err := SetBounds(parent, 0x1234, n)
 		if err != nil {
 			t.Fatalf("SetBounds(%d): %v", n, err)
 		}
@@ -159,10 +156,9 @@ func TestSmallBoundsExact128(t *testing.T) {
 }
 
 func TestLargeBoundsPadded128(t *testing.T) {
-	f := Format128
 	parent := Root(0, 1<<40, PermAll)
 	const req = 1 << 20 // 1 MiB: requires E > 0
-	c, err := f.SetBounds(parent, 1<<20, req+3)
+	c, err := SetBounds(parent, 1<<20, req+3)
 	if err != nil {
 		t.Fatalf("SetBounds: %v", err)
 	}
@@ -170,48 +166,34 @@ func TestLargeBoundsPadded128(t *testing.T) {
 		t.Fatalf("bounds shrank: %d < %d", c.Len(), req+3)
 	}
 	if c.Len() == req+3 {
-		t.Fatalf("1MiB+3 should have been padded under c128")
+		t.Fatalf("1MiB+3 should have been padded")
 	}
-	if rl := f.RepresentableLength(req + 3); c.Len() != rl {
+	if rl := RepresentableLength(req + 3); c.Len() != rl {
 		t.Fatalf("padded length %d != RepresentableLength %d", c.Len(), rl)
 	}
 }
 
-func TestFormat256AlwaysExact(t *testing.T) {
-	f := Format256
-	parent := Root(0, 1<<40, PermAll)
-	c, err := f.SetBounds(parent, (1<<20)+1, (1<<20)+3)
-	if err != nil {
-		t.Fatalf("SetBounds: %v", err)
-	}
-	if c.Base() != (1<<20)+1 || c.Len() != (1<<20)+3 {
-		t.Fatalf("c256 must be exact, got %v", c)
-	}
-}
-
 func TestSetBoundsExact(t *testing.T) {
-	f := Format128
 	parent := Root(0, 1<<40, PermAll)
-	if _, err := f.SetBoundsExact(parent, 1<<20, (1<<20)+3); err == nil {
+	if _, err := SetBoundsExact(parent, 1<<20, (1<<20)+3); err == nil {
 		t.Fatal("unrepresentable exact bounds must fail")
 	}
-	rl := f.RepresentableLength((1 << 20) + 3)
-	mask := f.RepresentableAlignmentMask(rl)
+	rl := RepresentableLength((1 << 20) + 3)
+	mask := RepresentableAlignmentMask(rl)
 	base := uint64(1<<21) & mask
-	if _, err := f.SetBoundsExact(parent, base, rl); err != nil {
+	if _, err := SetBoundsExact(parent, base, rl); err != nil {
 		t.Fatalf("aligned exact bounds failed: %v", err)
 	}
 }
 
 func TestCursorWindow(t *testing.T) {
-	f := Format128
 	parent := Root(0, 1<<40, PermAll)
-	c, err := f.SetBounds(parent, 1<<20, 1<<16)
+	c, err := SetBounds(parent, 1<<20, 1<<16)
 	if err != nil {
 		t.Fatalf("SetBounds: %v", err)
 	}
 	// One past the top: C idiom, must keep the tag.
-	d := f.IncAddr(c, 1<<16)
+	d := IncAddr(c, 1<<16)
 	if !d.Tag() {
 		t.Fatal("one-past-the-end pointer lost its tag")
 	}
@@ -219,7 +201,7 @@ func TestCursorWindow(t *testing.T) {
 		t.Fatal("one-past-the-end must be out of bounds")
 	}
 	// Far out of the representable window: tag must clear.
-	e := f.IncAddr(c, 1<<30)
+	e := IncAddr(c, 1<<30)
 	if e.Tag() {
 		t.Fatal("far out-of-window cursor kept its tag")
 	}
@@ -227,41 +209,37 @@ func TestCursorWindow(t *testing.T) {
 		t.Fatalf("address not preserved: %x", e.Addr())
 	}
 	// Back in bounds via SetAddr on the untagged value stays untagged.
-	g := f.SetAddr(e, 1<<20)
+	g := SetAddr(e, 1<<20)
 	if g.Tag() {
 		t.Fatal("tag resurrected by SetAddr")
 	}
 }
 
 func TestRepresentableLengthProperties(t *testing.T) {
-	f := Format128
 	check := func(n uint64) bool {
 		n &= (1 << 44) - 1
-		r := f.RepresentableLength(n)
+		r := RepresentableLength(n)
 		if r < n {
 			return false
 		}
 		// Idempotent.
-		if f.RepresentableLength(r) != r {
+		if RepresentableLength(r) != r {
 			return false
 		}
 		// Aligned base + rounded length is exactly representable.
-		mask := f.RepresentableAlignmentMask(r)
-		return f.representable(uint64(1<<45)&mask, r)
+		mask := RepresentableAlignmentMask(r)
+		return representable(uint64(1<<45)&mask, r)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// exponentLoop is the reference definition of Format.exponent: the
-// smallest E whose scaled length fits under the mantissa limit, found one
-// step at a time.
-func exponentLoop(f Format, length uint64) uint {
-	if f.MW == 0 {
-		return 0
-	}
-	limit := (uint64(1) << f.MW) - (uint64(1) << (f.MW - 3))
+// exponentLoop is the reference definition of exponent: the smallest E
+// whose scaled length fits under the mantissa limit, found one step at a
+// time.
+func exponentLoop(length uint64) uint {
+	const limit = 1<<mw - 1<<(mw-3)
 	e := uint(0)
 	for length>>e > limit {
 		e++
@@ -271,73 +249,60 @@ func exponentLoop(f Format, length uint64) uint {
 
 // TestExponentClosedForm: the bits.Len64 closed form agrees with the
 // reference loop on every length below 2^20, on every 2^k-1, 2^k and
-// 2^k+1, and on 10^5 random 64-bit lengths, for both formats and a spread
-// of mantissa widths.
+// 2^k+1, and on 10^5 random 64-bit lengths.
 func TestExponentClosedForm(t *testing.T) {
-	formats := []Format{Format128, Format256}
-	for mw := uint(3); mw <= 24; mw += 3 {
-		formats = append(formats, Format{Name: "mw", Bytes: 16, MW: mw})
-	}
-	check := func(f Format, n uint64) {
-		if got, want := f.exponent(n), exponentLoop(f, n); got != want {
-			t.Fatalf("MW=%d length=%#x: exponent %d, loop %d", f.MW, n, got, want)
+	check := func(n uint64) {
+		if got, want := exponent(n), exponentLoop(n); got != want {
+			t.Fatalf("length=%#x: exponent %d, loop %d", n, got, want)
 		}
 	}
 	rng := rand.New(rand.NewSource(1))
-	for _, f := range formats {
-		for n := uint64(0); n < 1<<20; n++ {
-			check(f, n)
-		}
-		for k := 0; k < 64; k++ {
-			p := uint64(1) << k
-			check(f, p-1)
-			check(f, p)
-			check(f, p+1)
-		}
-		check(f, ^uint64(0))
-		for i := 0; i < 100_000; i++ {
-			// A random shift spreads the draws over every bit length.
-			check(f, rng.Uint64()>>uint(rng.Intn(64)))
-		}
+	for n := uint64(0); n < 1<<20; n++ {
+		check(n)
+	}
+	for k := 0; k < 64; k++ {
+		p := uint64(1) << k
+		check(p - 1)
+		check(p)
+		check(p + 1)
+	}
+	check(^uint64(0))
+	for i := 0; i < 100_000; i++ {
+		// A random shift spreads the draws over every bit length.
+		check(rng.Uint64() >> uint(rng.Intn(64)))
 	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	for _, f := range []Format{Format128, Format256} {
-		f := f
-		t.Run(f.Name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(42))
-			parent := Root(0, 1<<46, PermAll)
-			buf := make([]byte, f.Bytes)
-			for i := 0; i < 5000; i++ {
-				addr := rng.Uint64() & ((1 << 45) - 1)
-				length := rng.Uint64() & ((1 << uint(4+rng.Intn(24))) - 1)
-				c, err := f.SetBounds(parent, addr, length)
-				if err != nil {
-					continue
-				}
-				perms := Perm(rng.Uint32()) & PermAll
-				c = c.AndPerms(perms)
-				// Wiggle the cursor inside bounds.
-				if c.Len() > 0 {
-					c = f.IncAddr(c, int64(rng.Uint64()%c.Len()))
-				}
-				f.Encode(c, buf)
-				got := f.Decode(buf, true)
-				if !got.Equal(c) {
-					t.Fatalf("round trip failed:\n in: %v\nout: %v", c, got)
-				}
-			}
-		})
+	rng := rand.New(rand.NewSource(42))
+	parent := Root(0, 1<<46, PermAll)
+	buf := make([]byte, Bytes)
+	for i := 0; i < 5000; i++ {
+		addr := rng.Uint64() & ((1 << 45) - 1)
+		length := rng.Uint64() & ((1 << uint(4+rng.Intn(24))) - 1)
+		c, err := SetBounds(parent, addr, length)
+		if err != nil {
+			continue
+		}
+		perms := Perm(rng.Uint32()) & PermAll
+		c = c.AndPerms(perms)
+		// Wiggle the cursor inside bounds.
+		if c.Len() > 0 {
+			c = IncAddr(c, int64(rng.Uint64()%c.Len()))
+		}
+		Encode(c, buf)
+		got := Decode(buf, true)
+		if !got.Equal(c) {
+			t.Fatalf("round trip failed:\n in: %v\nout: %v", c, got)
+		}
 	}
 }
 
 func TestDecodeUntagged(t *testing.T) {
-	f := Format128
-	buf := make([]byte, f.Bytes)
+	buf := make([]byte, Bytes)
 	c := Root(0x4000, 0x100, PermAll)
-	f.Encode(c, buf)
-	got := f.Decode(buf, false)
+	Encode(c, buf)
+	got := Decode(buf, false)
 	if got.Tag() {
 		t.Fatal("decode with clear tag produced tagged cap")
 	}
@@ -350,7 +315,6 @@ func TestDecodeUntagged(t *testing.T) {
 // monotonicity property: along any random chain of derivations, bounds
 // never grow and permissions never reappear.
 func TestDerivationChainMonotonic(t *testing.T) {
-	f := Format128
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 200; iter++ {
 		c := Root(0, 1<<40, PermAll)
@@ -363,7 +327,7 @@ func TestDerivationChainMonotonic(t *testing.T) {
 				}
 				off := rng.Uint64() % c.Len()
 				ln := rng.Uint64() % (c.Len() - off)
-				d, err := f.SetBounds(c, c.Base()+off, ln)
+				d, err := SetBounds(c, c.Base()+off, ln)
 				if err != nil {
 					continue
 				}
@@ -372,7 +336,7 @@ func TestDerivationChainMonotonic(t *testing.T) {
 				c = c.AndPerms(Perm(rng.Uint32()) & PermAll)
 			case 2:
 				if c.Len() > 0 {
-					c = f.SetAddr(c, c.Base()+rng.Uint64()%c.Len())
+					c = SetAddr(c, c.Base()+rng.Uint64()%c.Len())
 					if !c.Tag() {
 						t.Fatal("in-bounds SetAddr cleared tag")
 					}

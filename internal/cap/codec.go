@@ -6,7 +6,7 @@ import "encoding/binary"
 // per capability-sized granule of physical memory, package mem); these
 // functions pack and unpack only the in-band bits.
 //
-// 128-bit layout (little endian):
+// Layout (Bytes = 16, little endian):
 //
 //	[0:8)   cursor (the full 64-bit address)
 //	[8:16)  packed metadata:
@@ -19,8 +19,6 @@ import "encoding/binary"
 //	                     recovers the base from the cursor exactly while the
 //	                     cursor stays inside the representable window
 //
-// 256-bit layout: cursor, base, length, packed perms/otype — all direct.
-//
 // Untagged memory bytes decode to an untagged capability carrying only the
 // cursor bits; untagged capabilities are never dereferenceable so their
 // bounds are immaterial.
@@ -32,18 +30,11 @@ const (
 	boffShift  = 41
 )
 
-// Encode packs c into buf, which must be at least f.Bytes long. The tag is
+// Encode packs c into buf, which must be at least Bytes long. The tag is
 // not stored; callers keep it out of band.
-func (f Format) Encode(c Capability, buf []byte) {
-	if f.MW == 0 {
-		binary.LittleEndian.PutUint64(buf[0:8], c.addr)
-		binary.LittleEndian.PutUint64(buf[8:16], c.base)
-		binary.LittleEndian.PutUint64(buf[16:24], c.len)
-		binary.LittleEndian.PutUint64(buf[24:32], uint64(c.perms)|uint64(c.otype&0xFF)<<otypeShift)
-		return
-	}
+func Encode(c Capability, buf []byte) {
 	binary.LittleEndian.PutUint64(buf[0:8], c.addr)
-	e := f.exponent(c.len)
+	e := exponent(c.len)
 	ot := uint64(0xFF)
 	if c.otype != OTypeUnsealed {
 		ot = uint64(c.otype & 0xFF)
@@ -58,33 +49,26 @@ func (f Format) Encode(c Capability, buf []byte) {
 }
 
 // Decode unpacks a capability from buf with the given out-of-band tag.
-func (f Format) Decode(buf []byte, tag bool) Capability {
+func Decode(buf []byte, tag bool) Capability {
 	var c Capability
-	f.DecodeInto(&c, buf, tag)
+	DecodeInto(&c, buf, tag)
 	return c
 }
 
 // DecodeInto unpacks a capability from buf with the given out-of-band tag
 // into *dst, overwriting every field: the CPU decodes a loaded
 // capability straight into its destination register.
-func (f *Format) DecodeInto(dst *Capability, buf []byte, tag bool) {
+func DecodeInto(dst *Capability, buf []byte, tag bool) {
 	addr := binary.LittleEndian.Uint64(buf[0:8])
 	if !tag {
 		*dst = NullWithAddr(addr)
 		return
 	}
-	var packed uint64
-	if f.MW == 0 {
-		packed = binary.LittleEndian.Uint64(buf[24:32])
-		dst.base = binary.LittleEndian.Uint64(buf[8:16])
-		dst.len = binary.LittleEndian.Uint64(buf[16:24])
-	} else {
-		packed = binary.LittleEndian.Uint64(buf[8:16])
-		e := uint(packed >> expShift & 0x3F)
-		boff := int64(int16(packed >> boffShift & 0xFFFF))
-		dst.base = uint64(int64(addr>>e)-boff) << e
-		dst.len = (packed >> lenShift & 0x7FFF) << e
-	}
+	packed := binary.LittleEndian.Uint64(buf[8:16])
+	e := uint(packed >> expShift & 0x3F)
+	boff := int64(int16(packed >> boffShift & 0xFFFF))
+	dst.base = uint64(int64(addr>>e)-boff) << e
+	dst.len = (packed >> lenShift & 0x7FFF) << e
 	ot := uint32(packed >> otypeShift & 0xFF)
 	if ot == 0xFF {
 		ot = OTypeUnsealed

@@ -2,59 +2,42 @@ package cap
 
 import "math/bits"
 
-// Format describes a capability encoding. The paper benchmarks the 128-bit
-// compressed encoding ("as its lower overheads make it a more realistic
-// candidate for commercial adoption") and mentions a 256-bit direct
-// encoding; both are provided.
+// The capability encoding is the 128-bit compressed one the paper
+// benchmarks ("as its lower overheads make it a more realistic candidate
+// for commercial adoption"). It follows the CHERI-Concentrate recipe:
+// bounds are expressed as mw-bit mantissas scaled by 2^E, so
 //
-// The 128-bit format follows the CHERI-Concentrate recipe: bounds are
-// expressed as MW-bit mantissas scaled by 2^E, so
-//
-//   - lengths up to (2^MW - 2^(MW-3)) bytes are exactly representable with
+//   - lengths up to (2^mw - 2^(mw-3)) bytes are exactly representable with
 //     E = 0 (byte-granular bounds for small objects);
 //   - larger regions require base and top aligned to 2^E, forcing
 //     allocators to pad ("Compression exploits commonalities ... but
 //     requires that large spans are aligned and sized at larger than byte
 //     granularity", paper §2 fn. 2);
-//   - the cursor may roam a slack of 2^(MW-3) scaled units beyond either
+//   - the cursor may roam a slack of 2^(mw-3) scaled units beyond either
 //     bound (the representable window); moving it further clears the tag.
-type Format struct {
-	Name string
-	// Bytes is the in-memory size of one capability (16 or 32). Pointer
-	// size is what drives the purecap cache-footprint overhead in Fig. 4.
-	Bytes uint64
-	// MW is the mantissa width for compressed bounds; 0 means exact
-	// (uncompressed) bounds with unlimited cursor range.
-	MW uint
-}
-
-// Format128 is the compressed 128-bit encoding benchmarked in the paper.
-var Format128 = Format{Name: "c128", Bytes: 16, MW: 14}
-
-// Format256 is the direct 256-bit encoding: exact bounds, no
-// representability constraints, double the memory footprint.
-var Format256 = Format{Name: "c256", Bytes: 32, MW: 0}
-
-// Exact reports whether the format represents all bounds exactly.
-func (f Format) Exact() bool { return f.MW == 0 }
+const (
+	// Bytes is the in-memory size of one capability: the pointer size
+	// under CheriABI, the tag granule of physical memory, and what drives
+	// the purecap cache-footprint overhead in Fig. 4.
+	Bytes = 16
+	// mw is the mantissa width of the compressed bounds.
+	mw = 14
+)
 
 // exponent returns the smallest exponent E at which a region of the given
 // length is representable: length in scaled units must leave 1/8 headroom
-// in the MW-bit mantissa so the representable window exists.
+// in the mw-bit mantissa so the representable window exists.
 //
-// Closed form: a length above the limit has n ≥ MW significant bits, so
-// length>>(n-MW) is an MW-bit mantissa. It fits unless its top three bits
-// are all set (the limit is 7·2^(MW-3)), in which case one more shift
-// does; one shift fewer leaves MW+1 bits, which never fits.
-func (f Format) exponent(length uint64) uint {
-	if f.MW == 0 {
-		return 0
-	}
-	limit := (uint64(1) << f.MW) - (uint64(1) << (f.MW - 3))
+// Closed form: a length above the limit has n ≥ mw significant bits, so
+// length>>(n-mw) is an mw-bit mantissa. It fits unless its top three bits
+// are all set (the limit is 7·2^(mw-3)), in which case one more shift
+// does; one shift fewer leaves mw+1 bits, which never fits.
+func exponent(length uint64) uint {
+	const limit = 1<<mw - 1<<(mw-3)
 	if length <= limit {
 		return 0
 	}
-	e := uint(bits.Len64(length)) - f.MW
+	e := uint(bits.Len64(length)) - mw
 	if length>>e > limit {
 		e++
 	}
@@ -64,16 +47,16 @@ func (f Format) exponent(length uint64) uint {
 // RepresentableLength returns length rounded up to the next representable
 // capability length (the CRRL instruction). Allocators use this to pad
 // requests so SetBounds yields exact bounds.
-func (f Format) RepresentableLength(length uint64) uint64 {
-	e := f.exponent(length)
+func RepresentableLength(length uint64) uint64 {
+	e := exponent(length)
 	if e == 0 {
 		return length
 	}
 	mask := (uint64(1) << e) - 1
 	r := (length + mask) &^ mask
 	// Rounding up may push the length past the limit for this exponent.
-	if f.exponent(r) != e {
-		e = f.exponent(r)
+	if exponent(r) != e {
+		e = exponent(r)
 		mask = (uint64(1) << e) - 1
 		r = (length + mask) &^ mask
 	}
@@ -83,17 +66,14 @@ func (f Format) RepresentableLength(length uint64) uint64 {
 // RepresentableAlignmentMask returns the mask a base address must be
 // aligned with for a region of the given length to have exact bounds (the
 // CRAM instruction).
-func (f Format) RepresentableAlignmentMask(length uint64) uint64 {
-	return ^((uint64(1) << f.exponent(length)) - 1)
+func RepresentableAlignmentMask(length uint64) uint64 {
+	return ^((uint64(1) << exponent(length)) - 1)
 }
 
 // representable reports whether bounds [base, base+length) are exactly
 // encodable.
-func (f Format) representable(base, length uint64) bool {
-	if f.MW == 0 {
-		return true
-	}
-	e := f.exponent(length)
+func representable(base, length uint64) bool {
+	e := exponent(length)
 	mask := (uint64(1) << e) - 1
 	return base&mask == 0 && length&mask == 0
 }
@@ -102,12 +82,9 @@ func (f Format) representable(base, length uint64) bool {
 // capability with the given bounds: [base - slack, top + slack) where
 // slack is 1/8 of the mantissa span. Outside the window the encoding can
 // no longer recover the bounds from the address, so the tag is cleared.
-func (f Format) cursorOK(base, length, addr uint64) bool {
-	if f.MW == 0 {
-		return true
-	}
-	e := f.exponent(length)
-	slack := uint64(1) << (e + f.MW - 3)
+func cursorOK(base, length, addr uint64) bool {
+	e := exponent(length)
+	slack := uint64(1) << (e + mw - 3)
 	lo := base - slack
 	if lo > base { // underflow: window clamps at 0
 		lo = 0
@@ -124,7 +101,7 @@ func (f Format) cursorOK(base, length, addr uint64) bool {
 // addr. It fails with FaultLength if even the *requested* region exceeds
 // c's bounds, and with FaultLength if rounding would exceed them (strict
 // monotonicity: a derived capability never grants more than its parent).
-func (f Format) SetBounds(c Capability, addr, length uint64) (Capability, error) {
+func SetBounds(c Capability, addr, length uint64) (Capability, error) {
 	if !c.tag {
 		return Null(), fault(FaultTag, c, addr, length)
 	}
@@ -134,7 +111,7 @@ func (f Format) SetBounds(c Capability, addr, length uint64) (Capability, error)
 	if addr < c.base || addr-c.base > c.len || length > c.len-(addr-c.base) {
 		return Null(), fault(FaultLength, c, addr, length)
 	}
-	e := f.exponent(length)
+	e := exponent(length)
 	mask := (uint64(1) << e) - 1
 	newBase := addr &^ mask
 	newTop := (addr + length + mask) &^ mask
@@ -150,11 +127,11 @@ func (f Format) SetBounds(c Capability, addr, length uint64) (Capability, error)
 // SetBoundsExact is SetBounds but fails with FaultRepresentable unless the
 // requested bounds are exactly representable (the CSetBoundsExact
 // instruction).
-func (f Format) SetBoundsExact(c Capability, addr, length uint64) (Capability, error) {
-	if !f.representable(addr, length) {
+func SetBoundsExact(c Capability, addr, length uint64) (Capability, error) {
+	if !representable(addr, length) {
 		return Null(), fault(FaultRepresentable, c, addr, length)
 	}
-	out, err := f.SetBounds(c, addr, length)
+	out, err := SetBounds(c, addr, length)
 	if err != nil {
 		return out, err
 	}
@@ -169,11 +146,11 @@ func (f Format) SetBoundsExact(c Capability, addr, length uint64) (Capability, e
 // (and, as in real implementations, its bounds become unusable — we model
 // that by zeroing them, since an untagged capability's bounds are never
 // consulted).
-func (f Format) SetAddr(c Capability, addr uint64) Capability {
+func SetAddr(c Capability, addr uint64) Capability {
 	if c.Sealed() && c.tag {
 		c.tag = false
 	}
-	if c.tag && !f.cursorOK(c.base, c.len, addr) {
+	if c.tag && !cursorOK(c.base, c.len, addr) {
 		return NullWithAddr(addr)
 	}
 	c.addr = addr
@@ -183,14 +160,14 @@ func (f Format) SetAddr(c Capability, addr uint64) Capability {
 // IncAddr returns c with the cursor advanced by delta (pointer arithmetic:
 // "arithmetic on the address contained in the architectural capability,
 // leaving its bounds and permissions unchanged").
-func (f Format) IncAddr(c Capability, delta int64) Capability {
-	return f.SetAddr(c, c.addr+uint64(delta))
+func IncAddr(c Capability, delta int64) Capability {
+	return SetAddr(c, c.addr+uint64(delta))
 }
 
 // IncAddrP sets *dst to IncAddr(*src, delta) through pointers (see
 // SetAddrP).
-func (f *Format) IncAddrP(dst, src *Capability, delta int64) {
-	f.SetAddrP(dst, src, src.addr+uint64(delta))
+func IncAddrP(dst, src *Capability, delta int64) {
+	SetAddrP(dst, src, src.addr+uint64(delta))
 }
 
 // SetAddrP sets *dst to SetAddr(*src, addr) through pointers, for the
@@ -208,19 +185,19 @@ func (f *Format) IncAddrP(dst, src *Capability, delta int64) {
 // would change nothing but the cursor. Every other case goes through
 // SetAddr, the one definition of the rule, whose result does not depend
 // on the old cursor.
-func (f *Format) SetAddrP(dst, src *Capability, addr uint64) {
-	setAddrP(f, dst, src, addr, (*Format).setAddr)
+func SetAddrP(dst, src *Capability, addr uint64) {
+	setAddrP(dst, src, addr, setAddr)
 }
 
 // setAddrP is SetAddrP with its general case passed in as general. The
 // inliner prices a call through a parameter at 17 rather than the 57 of
 // a direct call, which is what keeps SetAddrP and IncAddrP within its
 // budget; the call is indirect, and off the shortcut.
-func setAddrP(f *Format, dst, src *Capability, addr uint64, general func(*Format, *Capability)) {
+func setAddrP(dst, src *Capability, addr uint64, general func(*Capability)) {
 	*dst = *src
 	dst.addr = addr
 	if dst.tag && (dst.otype != OTypeUnsealed || addr-dst.base >= dst.len) {
-		general(f, dst)
+		general(dst)
 	}
 }
 
@@ -229,6 +206,6 @@ func setAddrP(f *Format, dst, src *Capability, addr uint64, general func(*Format
 // frames.
 //
 //go:noinline
-func (f *Format) setAddr(c *Capability) {
-	*c = f.SetAddr(*c, c.addr)
+func setAddr(c *Capability) {
+	*c = SetAddr(*c, c.addr)
 }

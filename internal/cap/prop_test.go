@@ -8,8 +8,8 @@ import (
 // Property tests for the pointer-based shortcuts the CPU's fast engine
 // uses: IncAddrP must equal IncAddr (and so SetAddr, the one definition
 // of the representable-window rule), and DecodeInto must equal Decode
-// field for field, over random capabilities in both formats with their
-// edges drawn on purpose.
+// field for field, over random capabilities with their edges drawn on
+// purpose.
 
 // edgeU64 returns a random value, drawn often from the edges near the
 // given points.
@@ -61,38 +61,36 @@ func randCap(r *rand.Rand) Capability {
 
 func TestIncAddrPMatchesIncAddr(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
-	for _, f := range []Format{Format128, Format256} {
-		shortcut := 0
-		for i := 0; i < 200_000; i++ {
-			src := randCap(r)
-			// Deltas to the bounds, one past them, and wrapping ones.
-			delta := int64(edgeU64(r, src.base-src.addr, src.base+src.len-src.addr, 0, ^uint64(0)))
-			want := f.IncAddr(src, delta)
+	shortcut := 0
+	for i := 0; i < 200_000; i++ {
+		src := randCap(r)
+		// Deltas to the bounds, one past them, and wrapping ones.
+		delta := int64(edgeU64(r, src.base-src.addr, src.base+src.len-src.addr, 0, ^uint64(0)))
+		want := IncAddr(src, delta)
 
-			dst := randCap(r) // a stale register: every field must be overwritten
-			f.IncAddrP(&dst, &src, delta)
-			if dst != want {
-				t.Fatalf("%s: IncAddrP(%v, %d) = %v, IncAddr gives %v", f.Name, src, delta, dst, want)
-			}
-			inPlace := src
-			f.IncAddrP(&inPlace, &inPlace, delta)
-			if inPlace != want {
-				t.Fatalf("%s: in-place IncAddrP(%v, %d) = %v, IncAddr gives %v", f.Name, src, delta, inPlace, want)
-			}
+		dst := randCap(r) // a stale register: every field must be overwritten
+		IncAddrP(&dst, &src, delta)
+		if dst != want {
+			t.Fatalf("IncAddrP(%v, %d) = %v, IncAddr gives %v", src, delta, dst, want)
+		}
+		inPlace := src
+		IncAddrP(&inPlace, &inPlace, delta)
+		if inPlace != want {
+			t.Fatalf("in-place IncAddrP(%v, %d) = %v, IncAddr gives %v", src, delta, inPlace, want)
+		}
 
-			// The shortcut's condition implies the general rule keeps the
-			// tag and the bounds.
-			addr := src.addr + uint64(delta)
-			if src.tag && !src.Sealed() && addr-src.base < src.len {
-				shortcut++
-				if !f.cursorOK(src.base, src.len, addr) || !want.tag || want.base != src.base || want.len != src.len {
-					t.Fatalf("%s: in-bounds cursor %#x of %v is not kept by SetAddr: %v", f.Name, addr, src, want)
-				}
+		// The shortcut's condition implies the general rule keeps the
+		// tag and the bounds.
+		addr := src.addr + uint64(delta)
+		if src.tag && !src.Sealed() && addr-src.base < src.len {
+			shortcut++
+			if !cursorOK(src.base, src.len, addr) || !want.tag || want.base != src.base || want.len != src.len {
+				t.Fatalf("in-bounds cursor %#x of %v is not kept by SetAddr: %v", addr, src, want)
 			}
 		}
-		if shortcut < 10_000 {
-			t.Fatalf("%s: only %d draws took the shortcut", f.Name, shortcut)
-		}
+	}
+	if shortcut < 10_000 {
+		t.Fatalf("only %d draws took the shortcut", shortcut)
 	}
 }
 
@@ -103,25 +101,23 @@ func TestIncAddrPEdges(t *testing.T) {
 	top := Root(^uint64(0)-0xFFF, 0xFFF, PermData)
 	cases := []struct {
 		name  string
-		f     Format
 		c     Capability
 		delta int64
 		tag   bool
 	}{
-		{"last byte", Format128, top, 0xFFE, true},
-		{"top == 2^64-1", Format128, top, 0xFFF, false},
-		{"top == 2^64-1, c256", Format256, top, 0xFFF, true},
-		{"one past top", Format128, Root(0x1000, 0x100, PermData), 0x100, true},
-		{"len 0", Format128, Root(0x1000, 0, PermData), 0, true},
-		{"below base", Format128, Root(0x1000, 0x100, PermData), -1, true},
-		{"wraps below 0", Format128, Root(0, 0x100, PermData), -1, false},
-		{"far outside", Format128, Root(0x1000, 0x100, PermData), 1 << 40, false},
-		{"untagged", Format128, Root(0x1000, 0x100, PermData).ClearTag(), 1, false},
+		{"last byte", top, 0xFFE, true},
+		{"top == 2^64-1", top, 0xFFF, false},
+		{"one past top", Root(0x1000, 0x100, PermData), 0x100, true},
+		{"len 0", Root(0x1000, 0, PermData), 0, true},
+		{"below base", Root(0x1000, 0x100, PermData), -1, true},
+		{"wraps below 0", Root(0, 0x100, PermData), -1, false},
+		{"far outside", Root(0x1000, 0x100, PermData), 1 << 40, false},
+		{"untagged", Root(0x1000, 0x100, PermData).ClearTag(), 1, false},
 	}
 	for _, tc := range cases {
 		var got Capability
-		tc.f.IncAddrP(&got, &tc.c, tc.delta)
-		if want := tc.f.IncAddr(tc.c, tc.delta); got != want {
+		IncAddrP(&got, &tc.c, tc.delta)
+		if want := IncAddr(tc.c, tc.delta); got != want {
 			t.Errorf("%s: IncAddrP = %v, IncAddr = %v", tc.name, got, want)
 		}
 		if got.Tag() != tc.tag {
@@ -135,32 +131,30 @@ func TestIncAddrPEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got Capability
-	Format128.IncAddrP(&got, &sealed, 1)
-	if got.Tag() || got != Format128.IncAddr(sealed, 1) {
+	IncAddrP(&got, &sealed, 1)
+	if got.Tag() || got != IncAddr(sealed, 1) {
 		t.Errorf("sealed: IncAddrP = %v, want the untagged IncAddr result", got)
 	}
 }
 
 func TestDecodeIntoMatchesDecode(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 4))
-	var buf [32]byte
-	for _, f := range []Format{Format128, Format256} {
-		for i := 0; i < 100_000; i++ {
-			tag := r.IntN(4) != 0
-			if r.IntN(2) == 0 {
-				// Encoded capabilities, as memory holds them.
-				f.Encode(randCap(r), buf[:f.Bytes])
-			} else {
-				for j := range buf {
-					buf[j] = byte(r.Uint32())
-				}
+	var buf [Bytes]byte
+	for i := 0; i < 100_000; i++ {
+		tag := r.IntN(4) != 0
+		if r.IntN(2) == 0 {
+			// Encoded capabilities, as memory holds them.
+			Encode(randCap(r), buf[:])
+		} else {
+			for j := range buf {
+				buf[j] = byte(r.Uint32())
 			}
-			want := f.Decode(buf[:f.Bytes], tag)
-			got := randCap(r) // a stale register: every field must be overwritten
-			f.DecodeInto(&got, buf[:f.Bytes], tag)
-			if got != want {
-				t.Fatalf("%s: DecodeInto(% x, %v) = %v, Decode gives %v", f.Name, buf[:f.Bytes], tag, got, want)
-			}
+		}
+		want := Decode(buf[:], tag)
+		got := randCap(r) // a stale register: every field must be overwritten
+		DecodeInto(&got, buf[:], tag)
+		if got != want {
+			t.Fatalf("DecodeInto(% x, %v) = %v, Decode gives %v", buf[:], tag, got, want)
 		}
 	}
 }
@@ -168,10 +162,9 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 // The capability algebra's monotonicity, after A Formal CHERI-C
 // Semantics for Verification (arXiv 2211.07511): a derivation never
 // widens bounds or permissions, and a tag is never reconstructed. Over
-// random capabilities in both formats, with the edges drawn on purpose,
-// every derived capability that carries a tag must come from a tagged
-// input, lie within the input's bounds and hold a subset of its
-// permissions.
+// random capabilities, with the edges drawn on purpose, every derived
+// capability that carries a tag must come from a tagged input, lie within
+// the input's bounds and hold a subset of its permissions.
 
 // derivedWithin reports why out is not a monotonic derivation of in, or
 // "" if it is. An untagged output grants nothing, so only its origin is
@@ -192,37 +185,35 @@ func derivedWithin(in, out Capability) string {
 
 func TestDerivationsNeverWiden(t *testing.T) {
 	r := rand.New(rand.NewPCG(5, 6))
-	for _, f := range []Format{Format128, Format256} {
-		for i := 0; i < 100_000; i++ {
-			c := randCap(r)
-			addr := edgeU64(r, c.base, c.base+c.len, c.addr)
-			length := edgeU64(r, 0, c.len, c.base+c.len-addr, 1<<14, 7<<11)
-			delta := int64(edgeU64(r, c.base-c.addr, c.base+c.len-c.addr, 0))
-			perms := Perm(r.IntN(int(PermAll) + 1))
-			type derivation struct {
-				name string
-				out  Capability
-				err  error
+	for i := 0; i < 100_000; i++ {
+		c := randCap(r)
+		addr := edgeU64(r, c.base, c.base+c.len, c.addr)
+		length := edgeU64(r, 0, c.len, c.base+c.len-addr, 1<<14, 7<<11)
+		delta := int64(edgeU64(r, c.base-c.addr, c.base+c.len-c.addr, 0))
+		perms := Perm(r.IntN(int(PermAll) + 1))
+		type derivation struct {
+			name string
+			out  Capability
+			err  error
+		}
+		bounded, errB := SetBounds(c, addr, length)
+		exact, errE := SetBoundsExact(c, addr, length)
+		for _, d := range []derivation{
+			{"SetBounds", bounded, errB},
+			{"SetBoundsExact", exact, errE},
+			{"AndPerms", c.AndPerms(perms), nil},
+			{"SetAddr", SetAddr(c, addr), nil},
+			{"IncAddr", IncAddr(c, delta), nil},
+		} {
+			if d.err != nil {
+				if d.out.tag {
+					t.Fatalf("%s of %v failed (%v) but returned a tagged %v", d.name, c, d.err, d.out)
+				}
+				continue
 			}
-			bounded, errB := f.SetBounds(c, addr, length)
-			exact, errE := f.SetBoundsExact(c, addr, length)
-			for _, d := range []derivation{
-				{"SetBounds", bounded, errB},
-				{"SetBoundsExact", exact, errE},
-				{"AndPerms", c.AndPerms(perms), nil},
-				{"SetAddr", f.SetAddr(c, addr), nil},
-				{"IncAddr", f.IncAddr(c, delta), nil},
-			} {
-				if d.err != nil {
-					if d.out.tag {
-						t.Fatalf("%s: %s of %v failed (%v) but returned a tagged %v", f.Name, d.name, c, d.err, d.out)
-					}
-					continue
-				}
-				if why := derivedWithin(c, d.out); why != "" {
-					t.Fatalf("%s: %s of %v (addr %#x, length %#x, delta %d, perms %v) gave %v: %s",
-						f.Name, d.name, c, addr, length, delta, perms, d.out, why)
-				}
+			if why := derivedWithin(c, d.out); why != "" {
+				t.Fatalf("%s of %v (addr %#x, length %#x, delta %d, perms %v) gave %v: %s",
+					d.name, c, addr, length, delta, perms, d.out, why)
 			}
 		}
 	}
@@ -235,71 +226,67 @@ func TestDerivationsNeverWiden(t *testing.T) {
 // aligned region at the request's exponent that contains it.
 func TestSetBoundsExactMatchesRepresentable(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 8))
-	for _, f := range []Format{Format128, Format256} {
-		parent := Root(0, ^uint64(0), PermAll)
-		exact := 0
-		for i := 0; i < 200_000; i++ {
-			length := edgeU64(r, 1<<11, 7<<11, 1<<14, 7<<13, 1<<20, 7<<20)
-			if r.IntN(3) == 0 {
-				length = f.RepresentableLength(length)
-			}
-			addr := edgeU64(r, 0, 1<<20, 1<<40)
-			if r.IntN(3) == 0 {
-				addr &= f.RepresentableAlignmentMask(length)
-			}
-			if addr > ^uint64(0)-length {
-				continue
-			}
-			want := f.RepresentableLength(length) == length && addr&^f.RepresentableAlignmentMask(length) == 0
-			got, err := f.SetBoundsExact(parent, addr, length)
-			if (err == nil) != want {
-				t.Fatalf("%s: SetBoundsExact(%#x, %#x) err %v, RepresentableLength %#x, mask %#x",
-					f.Name, addr, length, err, f.RepresentableLength(length), f.RepresentableAlignmentMask(length))
-			}
-			if err == nil {
-				exact++
-				if got.base != addr || got.len != length || got.addr != addr || !got.tag {
-					t.Fatalf("%s: SetBoundsExact(%#x, %#x) = %v", f.Name, addr, length, got)
-				}
-			}
-			b, err := f.SetBounds(parent, addr, length)
-			if err != nil {
-				continue // rounding left the parent
-			}
-			mask := ^f.RepresentableAlignmentMask(length)
-			if b.base != addr&^mask || b.base+b.len != (addr+length+mask)&^mask {
-				t.Fatalf("%s: SetBounds(%#x, %#x) = %v, want [%#x, %#x)", f.Name, addr, length, b,
-					addr&^mask, (addr+length+mask)&^mask)
+	parent := Root(0, ^uint64(0), PermAll)
+	exact := 0
+	for i := 0; i < 200_000; i++ {
+		length := edgeU64(r, 1<<11, 7<<11, 1<<14, 7<<13, 1<<20, 7<<20)
+		if r.IntN(3) == 0 {
+			length = RepresentableLength(length)
+		}
+		addr := edgeU64(r, 0, 1<<20, 1<<40)
+		if r.IntN(3) == 0 {
+			addr &= RepresentableAlignmentMask(length)
+		}
+		if addr > ^uint64(0)-length {
+			continue
+		}
+		want := RepresentableLength(length) == length && addr&^RepresentableAlignmentMask(length) == 0
+		got, err := SetBoundsExact(parent, addr, length)
+		if (err == nil) != want {
+			t.Fatalf("SetBoundsExact(%#x, %#x) err %v, RepresentableLength %#x, mask %#x",
+				addr, length, err, RepresentableLength(length), RepresentableAlignmentMask(length))
+		}
+		if err == nil {
+			exact++
+			if got.base != addr || got.len != length || got.addr != addr || !got.tag {
+				t.Fatalf("SetBoundsExact(%#x, %#x) = %v", addr, length, got)
 			}
 		}
-		if exact < 10_000 {
-			t.Fatalf("%s: only %d exact requests", f.Name, exact)
+		b, err := SetBounds(parent, addr, length)
+		if err != nil {
+			continue // rounding left the parent
 		}
+		mask := ^RepresentableAlignmentMask(length)
+		if b.base != addr&^mask || b.base+b.len != (addr+length+mask)&^mask {
+			t.Fatalf("SetBounds(%#x, %#x) = %v, want [%#x, %#x)", addr, length, b,
+				addr&^mask, (addr+length+mask)&^mask)
+		}
+	}
+	if exact < 10_000 {
+		t.Fatalf("only %d exact requests", exact)
 	}
 }
 
 // representableCap returns a random capability the encoding can hold:
 // exactly representable bounds, a cursor in the representable window and
 // an object type that fits the encoded field.
-func representableCap(r *rand.Rand, f Format) Capability {
+func representableCap(r *rand.Rand) Capability {
 	for {
 		c := randCap(r)
 		c.tag = true
 		if c.otype != OTypeUnsealed {
 			c.otype %= 0xFF
 		}
-		if f.MW != 0 {
-			mask := ^f.RepresentableAlignmentMask(c.len)
-			c.base &^= mask
-			c.len &^= mask
-			if c.base > ^uint64(0)-c.len {
-				continue
-			}
-			if r.IntN(2) == 0 {
-				c.addr = c.base + edgeU64(r, 0, c.len)
-			}
+		mask := ^RepresentableAlignmentMask(c.len)
+		c.base &^= mask
+		c.len &^= mask
+		if c.base > ^uint64(0)-c.len {
+			continue
 		}
-		if f.representable(c.base, c.len) && f.cursorOK(c.base, c.len, c.addr) {
+		if r.IntN(2) == 0 {
+			c.addr = c.base + edgeU64(r, 0, c.len)
+		}
+		if representable(c.base, c.len) && cursorOK(c.base, c.len, c.addr) {
 			return c
 		}
 	}
@@ -310,17 +297,15 @@ func representableCap(r *rand.Rand, f Format) Capability {
 // its cursor alone.
 func TestEncodeDecodeRoundTripsRepresentable(t *testing.T) {
 	r := rand.New(rand.NewPCG(9, 10))
-	var buf [32]byte
-	for _, f := range []Format{Format128, Format256} {
-		for i := 0; i < 200_000; i++ {
-			c := representableCap(r, f)
-			f.Encode(c, buf[:f.Bytes])
-			if got := f.Decode(buf[:f.Bytes], true); got != c {
-				t.Fatalf("%s: Decode(Encode(%v)) = %v", f.Name, c, got)
-			}
-			if got := f.Decode(buf[:f.Bytes], false); got != NullWithAddr(c.addr) {
-				t.Fatalf("%s: untagged Decode(Encode(%v)) = %v", f.Name, c, got)
-			}
+	var buf [Bytes]byte
+	for i := 0; i < 200_000; i++ {
+		c := representableCap(r)
+		Encode(c, buf[:])
+		if got := Decode(buf[:], true); got != c {
+			t.Fatalf("Decode(Encode(%v)) = %v", c, got)
+		}
+		if got := Decode(buf[:], false); got != NullWithAddr(c.addr) {
+			t.Fatalf("untagged Decode(Encode(%v)) = %v", c, got)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"cheriabi/internal/cap"
 	"cheriabi/internal/isa"
 )
 
@@ -121,7 +122,7 @@ func (g *gen) emitCall(plan callPlan, x *callExpr) (val, error) {
 			// Load the descriptor's two slots from our own GOT.
 			if g.cheri {
 				g.emitGOTLoadCap(isa.CK0, slotOff)
-				g.emitGOTLoadCap(isa.CK1, slotOff+capBytes)
+				g.emitGOTLoadCap(isa.CK1, slotOff+cap.Bytes)
 			} else {
 				g.emitGOTLoadWord(isa.RK0, slotOff)
 				g.emitGOTLoadWord(isa.RK1, slotOff+8)
@@ -132,7 +133,7 @@ func (g *gen) emitCall(plan callPlan, x *callExpr) (val, error) {
 		g.emitDescriptorCall(func() {
 			if g.cheri {
 				g.emit(isa.Inst{Op: isa.CLC, Ra: isa.CK0, Rb: fp.reg, Imm: 0})
-				g.emit(isa.Inst{Op: isa.CLC, Ra: isa.CK1, Rb: fp.reg, Imm: capBytes})
+				g.emit(isa.Inst{Op: isa.CLC, Ra: isa.CK1, Rb: fp.reg, Imm: cap.Bytes})
 			} else {
 				g.emit(isa.Inst{Op: isa.LD, Ra: isa.RK0, Rb: fp.reg, Imm: 0})
 				g.emit(isa.Inst{Op: isa.LD, Ra: isa.RK1, Rb: fp.reg, Imm: 8})

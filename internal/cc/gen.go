@@ -31,9 +31,6 @@ type Options struct {
 	Needed []string
 }
 
-// capBytes is the build-target capability size (128-bit encoding).
-const capBytes = 16
-
 // Temp register pools.
 var intTempRegs = []uint8{8, 9, 10, 11, 12, 13, 14, 15, isa.RT8, isa.RT9}
 var capTempRegs = []uint8{isa.CT2, 13, 14, 15, 16, isa.CT3, 28, 29}
@@ -111,7 +108,7 @@ func (g *gen) capSpillOff() int64 { return g.intSpillOff() + nIntSpill*8 }
 func (g *gen) varargOff() int64 {
 	off := g.capSpillOff()
 	if g.cheri {
-		off += nCapSpill * capBytes
+		off += nCapSpill * cap.Bytes
 	}
 	return off
 }
@@ -133,7 +130,7 @@ func (g *gen) sizeOf(t *ctype) int64 {
 		return 1
 	case tInt:
 		if t.capInt && g.cheri {
-			return capBytes
+			return cap.Bytes
 		}
 		return int64(t.size)
 	case tPtr:
@@ -155,7 +152,7 @@ func (g *gen) alignOf(t *ctype) int64 {
 	switch t.kind {
 	case tInt:
 		if t.capInt && g.cheri {
-			return capBytes
+			return cap.Bytes
 		}
 		return int64(t.size)
 	case tPtr:
@@ -319,7 +316,7 @@ func (g *gen) spillLive(intMark, capMark int) (ints, caps []uint8) {
 		g.storeLocalSlot(g.intSpillOff()+int64(i)*8, r, 8)
 	}
 	for i, r := range caps {
-		g.storeLocalCapSlot(g.capSpillOff()+int64(i)*capBytes, r)
+		g.storeLocalCapSlot(g.capSpillOff()+int64(i)*cap.Bytes, r)
 	}
 	return ints, caps
 }
@@ -330,7 +327,7 @@ func (g *gen) restoreLive(ints, caps []uint8) {
 		g.loadLocalSlot(g.intSpillOff()+int64(i)*8, r, 8, false)
 	}
 	for i, r := range caps {
-		g.loadLocalCapSlot(g.capSpillOff()+int64(i)*capBytes, r)
+		g.loadLocalCapSlot(g.capSpillOff()+int64(i)*cap.Bytes, r)
 	}
 }
 
@@ -467,7 +464,7 @@ func (g *gen) defineLocal(name string, typ *ctype, line int) (localVar, error) {
 		if a < 16 {
 			a = 16
 		}
-		size = int64(cap.Format128.RepresentableLength(uint64(size)))
+		size = int64(cap.RepresentableLength(uint64(size)))
 	}
 	if g.opt.ASan {
 		g.localOff = align64(g.localOff, 8) + asanRedzone

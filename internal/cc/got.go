@@ -3,6 +3,7 @@ package cc
 import (
 	"fmt"
 
+	"cheriabi/internal/cap"
 	"cheriabi/internal/image"
 	"cheriabi/internal/isa"
 )
@@ -114,7 +115,7 @@ func (g *gen) funcPointer(name string, fd *funcDecl, line int) (val, error) {
 			g.emitConst(isa.RAT, off)
 			g.emit(isa.Inst{Op: isa.CINCOFF, Ra: cd, Rb: isa.CGP, Rc: isa.RAT})
 		}
-		g.emit(isa.Inst{Op: isa.ADDI, Ra: isa.RAT, Rb: 0, Imm: int32(2 * capBytes)})
+		g.emit(isa.Inst{Op: isa.ADDI, Ra: isa.RAT, Rb: 0, Imm: 2 * cap.Bytes})
 		g.emit(isa.Inst{Op: isa.CSETBNDS, Ra: cd, Rb: cd, Rc: isa.RAT})
 		return val{kind: vkTemp, typ: ftyp, reg: cd, isCap: true}, nil
 	}

@@ -41,7 +41,7 @@ func Compile(opt Options, sources ...string) (*image.Image, []Finding, error) {
 	}
 	g.ptrSize = 8
 	if g.cheri {
-		g.ptrSize = capBytes
+		g.ptrSize = cap.Bytes
 	}
 	if opt.ASan && g.cheri {
 		return nil, nil, fmt.Errorf("cc: ASan instrumentation is a legacy-ABI baseline")
@@ -206,13 +206,13 @@ func (g *gen) layoutGlobal(vd *varDecl) error {
 	if g.cheri {
 		// Pad and align so per-symbol bounds are exactly representable
 		// ("Some objects must be enlarged or more strongly aligned").
-		size = int64(cap.Format128.RepresentableLength(uint64(size)))
-		mask := cap.Format128.RepresentableAlignmentMask(uint64(size))
+		size = int64(cap.RepresentableLength(uint64(size)))
+		mask := cap.RepresentableAlignmentMask(uint64(size))
 		if a := int64(^mask + 1); a > alignv {
 			alignv = a
 		}
-		if alignv < capBytes && (vd.typ.isPtr() || vd.typ.isArray() || vd.typ.kind == tStruct || vd.typ.capInt) {
-			alignv = capBytes
+		if alignv < cap.Bytes && (vd.typ.isPtr() || vd.typ.isArray() || vd.typ.kind == tStruct || vd.typ.capInt) {
+			alignv = cap.Bytes
 		}
 	}
 

@@ -7,6 +7,7 @@ import (
 	"cheriabi/internal/cache"
 	"cheriabi/internal/cap"
 	"cheriabi/internal/isa"
+	"cheriabi/internal/mem"
 	"cheriabi/internal/vm"
 )
 
@@ -34,49 +35,63 @@ func (c *CPU) accessTrap(in isa.Inst, err error) *Trap {
 	panic(fmt.Sprintf("cpu: unexpected access error %T: %v", err, err))
 }
 
-func opSize(op isa.Op) (size uint64, signed bool) {
-	switch op {
-	case isa.LB, isa.CLB:
-		return 1, true
-	case isa.LBU, isa.CLBU, isa.SB, isa.CSB:
-		return 1, false
-	case isa.LH, isa.CLH:
-		return 2, true
-	case isa.LHU, isa.CLHU, isa.SH, isa.CSH:
-		return 2, false
-	case isa.LW, isa.CLW:
-		return 4, true
-	case isa.LWU, isa.CLWU, isa.SW, isa.CSW:
-		return 4, false
-	case isa.LD, isa.CLD, isa.SD, isa.CSD:
-		return 8, false
+// scalarMemOp is the pre-resolved description of a scalar load/store,
+// the one both engines read: the access size and the sign-extension
+// shift (64-8*size for signed loads, 0 otherwise). The store/cheri split
+// is encoded in each engine's dispatch itself — in the threaded engine
+// each authority/direction combination has its own jump-table case — so
+// the table carries only what varies within a case. A zero size marks ops
+// that are not scalar memory accesses. The fields are deliberately
+// byte-sized: the table is indexed per retired instruction, and a
+// two-byte entry loads in one half-word.
+type scalarMemOp struct {
+	size  uint8
+	shift uint8
+}
+
+var scalarMemOps [isa.NumOps]scalarMemOp
+
+func init() {
+	type def struct {
+		op     isa.Op
+		size   uint64
+		signed bool
 	}
-	panic(fmt.Sprintf("cpu: not a scalar memory op: %v", op))
+	for _, d := range []def{
+		{isa.LB, 1, true}, {isa.LBU, 1, false},
+		{isa.LH, 2, true}, {isa.LHU, 2, false},
+		{isa.LW, 4, true}, {isa.LWU, 4, false},
+		{isa.LD, 8, false},
+		{isa.SB, 1, false}, {isa.SH, 2, false},
+		{isa.SW, 4, false}, {isa.SD, 8, false},
+		{isa.CLB, 1, true}, {isa.CLBU, 1, false},
+		{isa.CLH, 2, true}, {isa.CLHU, 2, false},
+		{isa.CLW, 4, true}, {isa.CLWU, 4, false},
+		{isa.CLD, 8, false},
+		{isa.CSB, 1, false}, {isa.CSH, 2, false},
+		{isa.CSW, 4, false}, {isa.CSD, 8, false},
+	} {
+		mo := scalarMemOp{size: uint8(d.size)}
+		if d.signed {
+			mo.shift = uint8(64 - 8*d.size)
+		}
+		scalarMemOps[d.op] = mo
+	}
 }
 
 func (c *CPU) loadInt(in isa.Inst, auth cap.Capability, ea uint64) (uint64, *Trap) {
-	size, signed := opSize(in.Op)
-	v, err := c.LoadVia(auth, ea, size)
+	mo := scalarMemOps[in.Op]
+	v, err := c.LoadVia(auth, ea, uint64(mo.size))
 	if err != nil {
 		return 0, c.accessTrap(in, err)
 	}
 	c.Stats.Loads++
-	if signed {
-		switch size {
-		case 1:
-			v = uint64(int64(int8(v)))
-		case 2:
-			v = uint64(int64(int16(v)))
-		case 4:
-			v = uint64(int64(int32(v)))
-		}
-	}
-	return v, nil
+	sh := mo.shift & 63 // sign-extend; a zero shift leaves v as it is
+	return uint64(int64(v<<sh) >> sh), nil
 }
 
 func (c *CPU) storeInt(in isa.Inst, auth cap.Capability, ea uint64, v uint64) *Trap {
-	size, _ := opSize(in.Op)
-	if err := c.StoreVia(auth, ea, size, v); err != nil {
+	if err := c.StoreVia(auth, ea, uint64(scalarMemOps[in.Op].size), v); err != nil {
 		return c.accessTrap(in, err)
 	}
 	c.Stats.Stores++
@@ -126,7 +141,7 @@ func (c *CPU) settle(r *dataRun) {
 
 // load performs a load of size bytes at ea through auth: a scalar load
 // (size 1, 2, 4 or 8) returns the value; a capability load (size
-// Fmt.Bytes, 16 or 32) decodes the capability into register rd (c0 stays
+// cap.Bytes) decodes the capability into register rd (c0 stays
 // NULL), stripping its tag without PermLoadCap, and returns 0.
 func (c *CPU) load(r *dataRun, auth *cap.Capability, ea, size uint64, rd uint8) (uint64, error) {
 	vpn := ea >> vm.PageShift
@@ -151,9 +166,9 @@ func (c *CPU) load(r *dataRun, auth *cap.Capability, ea, size uint64, rd uint8) 
 		case 8:
 			return binary.LittleEndian.Uint64(d), nil
 		}
-		tag := e.tags[off>>c.Mem.GranShift()] && auth.HasPerm(cap.PermLoadCap)
+		tag := e.tags[off>>mem.GranShift] && auth.HasPerm(cap.PermLoadCap)
 		if rd != 0 {
-			c.Fmt.DecodeInto(&c.C[rd], d[:size], tag)
+			cap.DecodeInto(&c.C[rd], d[:size], tag)
 		}
 		return 0, nil
 	}
@@ -166,8 +181,8 @@ func (c *CPU) load(r *dataRun, auth *cap.Capability, ea, size uint64, rd uint8) 
 // loadMiss is a scalar load's general sequence: alignment, the full
 // capability check, translation, the cache walk and the memory read.
 func (c *CPU) loadMiss(auth *cap.Capability, ea, size uint64) (uint64, error) {
-	// Access sizes are always powers of two (1/2/4/8 scalars, 16/32
-	// capability widths), so the natural-alignment check is a mask — a
+	// Access sizes are always powers of two (1/2/4/8 scalars, cap.Bytes
+	// capabilities), so the natural-alignment check is a mask — a
 	// variable-divisor modulo here is a hardware divide.
 	if ea&(size-1) != 0 {
 		return 0, &AlignmentError{VA: ea, Size: size}
@@ -197,7 +212,7 @@ func (c *CPU) loadCapMiss(auth *cap.Capability, ea uint64, rd uint8) error {
 }
 
 // store performs a store of size bytes at ea through auth: a scalar
-// store (size 1, 2, 4 or 8) of v, or a capability store (size Fmt.Bytes)
+// store (size 1, 2, 4 or 8) of v, or a capability store (size cap.Bytes)
 // of *cv. The hit test needs the entry's write proof, so a page proven
 // only for reads still takes the full Translate walk, with its
 // copy-on-write resolution, on its first write. A hit marks the L1D line
@@ -232,10 +247,10 @@ func (c *CPU) store(r *dataRun, auth *cap.Capability, ea, size, v uint64, cv *ca
 		case 8:
 			binary.LittleEndian.PutUint64(d, v)
 		default:
-			c.Fmt.Encode(*cv, d[:size])
+			cap.Encode(*cv, d[:size])
 			tag = cv.Tag()
 		}
-		e.tags[off>>c.Mem.GranShift()] = tag
+		e.tags[off>>mem.GranShift] = tag
 		*e.pgen++
 		return nil
 	}
@@ -311,14 +326,13 @@ func capStoreNeed(v *cap.Capability) cap.Perm {
 	return need
 }
 
-// LoadCapVia loads one capability. PermLoad authorizes the bytes; without
+// LoadCapVia loads one capability. PermLoad authorizes the cap.Bytes; without
 // PermLoadCap the loaded value arrives with its tag stripped.
 func (c *CPU) LoadCapVia(auth cap.Capability, ea uint64) (cap.Capability, error) {
-	bytes := c.Fmt.Bytes
-	if ea&(bytes-1) != 0 { // capability widths are powers of two
-		return cap.Null(), &AlignmentError{VA: ea, Size: bytes}
+	if ea&(cap.Bytes-1) != 0 { // the capability width is a power of two
+		return cap.Null(), &AlignmentError{VA: ea, Size: cap.Bytes}
 	}
-	if err := auth.CheckDeref(ea, bytes, cap.PermLoad); err != nil {
+	if err := auth.CheckDeref(ea, cap.Bytes, cap.PermLoad); err != nil {
 		return cap.Null(), err
 	}
 	pa, pf := c.translate(ea, vm.ProtRead)
@@ -326,36 +340,33 @@ func (c *CPU) LoadCapVia(auth cap.Capability, ea uint64) (cap.Capability, error)
 		return cap.Null(), pf
 	}
 	c.fill(&c.tlb[(ea>>vm.PageShift)&(dtlbSize-1)], pa)
-	c.Stats.Cycles += c.Hier.Data(pa, bytes, false)
-	var arr [32]byte // large enough for both capability formats
-	buf := arr[:bytes]
-	tag := c.Mem.LoadCap(pa, buf)
+	c.Stats.Cycles += c.Hier.Data(pa, cap.Bytes, false)
+	var buf [cap.Bytes]byte
+	tag := c.Mem.LoadCap(pa, buf[:])
 	if tag && !auth.HasPerm(cap.PermLoadCap) {
 		tag = false
 	}
-	return c.Fmt.Decode(buf, tag), nil
+	return cap.Decode(buf[:], tag), nil
 }
 
 // StoreCapVia stores one capability. Storing a tagged value requires
 // PermStoreCap; storing a tagged non-global value additionally requires
 // PermStoreLocalCap.
 func (c *CPU) StoreCapVia(auth cap.Capability, ea uint64, v cap.Capability) error {
-	bytes := c.Fmt.Bytes
-	if ea&(bytes-1) != 0 { // capability widths are powers of two
-		return &AlignmentError{VA: ea, Size: bytes}
+	if ea&(cap.Bytes-1) != 0 { // the capability width is a power of two
+		return &AlignmentError{VA: ea, Size: cap.Bytes}
 	}
-	if err := auth.CheckDeref(ea, bytes, capStoreNeed(&v)); err != nil {
+	if err := auth.CheckDeref(ea, cap.Bytes, capStoreNeed(&v)); err != nil {
 		return err
 	}
 	pa, pf := c.translate(ea, vm.ProtWrite)
 	if pf != nil {
 		return pf
 	}
-	c.Stats.Cycles += c.Hier.Data(pa, bytes, true)
-	var arr [32]byte // large enough for both capability formats
-	buf := arr[:bytes]
-	c.Fmt.Encode(v, buf)
-	c.Mem.StoreCap(pa, buf, v.Tag())
+	c.Stats.Cycles += c.Hier.Data(pa, cap.Bytes, true)
+	var buf [cap.Bytes]byte
+	cap.Encode(v, buf[:])
+	c.Mem.StoreCap(pa, buf[:], v.Tag())
 	c.fill(&c.tlb[(ea>>vm.PageShift)&(dtlbSize-1)], pa)
 	return nil
 }

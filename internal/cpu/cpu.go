@@ -7,6 +7,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cheriabi/internal/cache"
 	"cheriabi/internal/cap"
@@ -123,7 +124,6 @@ type CPU struct {
 	AS     *vm.AddressSpace
 	Mem    *mem.Physical
 	Hier   *cache.Hierarchy
-	Fmt    cap.Format
 	Tracer CapTracer
 
 	// OnTrap observes every trap Run surfaces, in order. The differential
@@ -238,14 +238,12 @@ func (c *CPU) TranslateData(va uint64, access vm.Prot) (uint64, *vm.PageFault) {
 	return c.translate(va, access)
 }
 
-// New returns a CPU bound to the given memory system. The memory's tag
-// granule must be the capability width: one tag per stored capability is
-// what LoadCap/StoreCap and the micro-TLB's capability fast paths assume.
-func New(m *mem.Physical, h *cache.Hierarchy, f cap.Format) *CPU {
-	if m.Granule() != f.Bytes {
-		panic(fmt.Sprintf("cpu: memory granule %d is not the %s capability width %d", m.Granule(), f.Name, f.Bytes))
-	}
-	c := &CPU{Mem: m, Hier: h, Fmt: f}
+// New returns a CPU bound to the given memory system. One tag per stored
+// capability, which LoadCap/StoreCap and the micro-TLB's capability fast
+// paths assume, holds by construction: package mem asserts at compile
+// time that its tag granule is cap.Bytes.
+func New(m *mem.Physical, h *cache.Hierarchy) *CPU {
+	c := &CPU{Mem: m, Hier: h}
 	for i := range c.C {
 		c.C[i] = cap.Null()
 	}
@@ -375,7 +373,7 @@ func (c *CPU) exec(in isa.Inst) *Trap {
 		c.setX(in.Ra, c.X[in.Rb]*c.X[in.Rc])
 	case isa.MULH:
 		c.Stats.Cycles += 2
-		hi, _ := mul128(c.X[in.Rb], c.X[in.Rc])
+		hi, _ := bits.Mul64(c.X[in.Rb], c.X[in.Rc])
 		c.setX(in.Ra, hi)
 	case isa.DIV:
 		c.Stats.Cycles += 15
@@ -495,12 +493,12 @@ func (c *CPU) exec(in isa.Inst) *Trap {
 			return c.capTrap(in, err)
 		}
 		c.Stats.Cycles++
-		c.setC(in.Ra, c.Fmt.SetAddr(c.PCC, c.PC+isa.InstSize))
+		c.setC(in.Ra, cap.SetAddr(c.PCC, c.PC+isa.InstSize))
 		c.PCC = cb
 		next = cb.Addr()
 	case isa.CJAL:
 		c.Stats.Cycles++
-		c.setC(isa.CRA, c.Fmt.SetAddr(c.PCC, c.PC+isa.InstSize))
+		c.setC(isa.CRA, cap.SetAddr(c.PCC, c.PC+isa.InstSize))
 		next = c.PC + uint64(int64(in.Imm))*isa.InstSize
 
 	// ---- traps ----
@@ -544,7 +542,7 @@ func (c *CPU) exec(in isa.Inst) *Trap {
 	case isa.CLC, isa.CLCB:
 		r := c.newDataRun()
 		auth := &c.C[in.Rb]
-		_, err := c.load(&r, auth, auth.Addr()+uint64(int64(in.Imm)), c.Fmt.Bytes, in.Ra)
+		_, err := c.load(&r, auth, auth.Addr()+uint64(int64(in.Imm)), cap.Bytes, in.Ra)
 		c.settle(&r)
 		if err != nil {
 			return c.accessTrap(in, err)
@@ -553,7 +551,7 @@ func (c *CPU) exec(in isa.Inst) *Trap {
 	case isa.CSC, isa.CSCB:
 		r := c.newDataRun()
 		auth := &c.C[in.Rb]
-		err := c.store(&r, auth, auth.Addr()+uint64(int64(in.Imm)), c.Fmt.Bytes, 0, &c.C[in.Ra])
+		err := c.store(&r, auth, auth.Addr()+uint64(int64(in.Imm)), cap.Bytes, 0, &c.C[in.Ra])
 		c.settle(&r)
 		if err != nil {
 			return c.accessTrap(in, err)
@@ -564,11 +562,11 @@ func (c *CPU) exec(in isa.Inst) *Trap {
 	case isa.CMOVE:
 		c.setC(in.Ra, c.C[in.Rb])
 	case isa.CINCOFF:
-		c.setC(in.Ra, c.Fmt.IncAddr(c.C[in.Rb], int64(c.X[in.Rc])))
+		c.setC(in.Ra, cap.IncAddr(c.C[in.Rb], int64(c.X[in.Rc])))
 	case isa.CINCOFFI:
-		c.setC(in.Ra, c.Fmt.IncAddr(c.C[in.Rb], int64(in.Imm)))
+		c.setC(in.Ra, cap.IncAddr(c.C[in.Rb], int64(in.Imm)))
 	case isa.CSETADDR:
-		c.setC(in.Ra, c.Fmt.SetAddr(c.C[in.Rb], c.X[in.Rc]))
+		c.setC(in.Ra, cap.SetAddr(c.C[in.Rb], c.X[in.Rc]))
 	case isa.CGETADDR:
 		c.setX(in.Ra, c.C[in.Rb].Addr())
 	case isa.CSETBNDS, isa.CSETBNDSI, isa.CSETBNDSE:
@@ -580,9 +578,9 @@ func (c *CPU) exec(in isa.Inst) *Trap {
 		var nc cap.Capability
 		var err error
 		if in.Op == isa.CSETBNDSE {
-			nc, err = c.Fmt.SetBoundsExact(cb, cb.Addr(), length)
+			nc, err = cap.SetBoundsExact(cb, cb.Addr(), length)
 		} else {
-			nc, err = c.Fmt.SetBounds(cb, cb.Addr(), length)
+			nc, err = cap.SetBounds(cb, cb.Addr(), length)
 		}
 		if err != nil {
 			return c.capTrap(in, err)
@@ -632,7 +630,7 @@ func (c *CPU) exec(in isa.Inst) *Trap {
 		if c.X[in.Rc] == 0 {
 			c.setC(in.Ra, cap.Null())
 		} else {
-			c.setC(in.Ra, c.Fmt.SetAddr(c.C[in.Rb], c.C[in.Rb].Base()+c.X[in.Rc]))
+			c.setC(in.Ra, cap.SetAddr(c.C[in.Rb], c.C[in.Rb].Base()+c.X[in.Rc]))
 		}
 	case isa.CTOPTR:
 		cb, ct := c.C[in.Rb], c.C[in.Rc]
@@ -644,13 +642,13 @@ func (c *CPU) exec(in isa.Inst) *Trap {
 	case isa.CSUB:
 		c.setX(in.Ra, c.C[in.Rb].Addr()-c.C[in.Rc].Addr())
 	case isa.CRRL:
-		c.setX(in.Ra, c.Fmt.RepresentableLength(c.X[in.Rb]))
+		c.setX(in.Ra, cap.RepresentableLength(c.X[in.Rb]))
 	case isa.CRAM:
-		c.setX(in.Ra, c.Fmt.RepresentableAlignmentMask(c.X[in.Rb]))
+		c.setX(in.Ra, cap.RepresentableAlignmentMask(c.X[in.Rb]))
 	case isa.CEXEQ:
 		c.setX(in.Ra, b2i(c.C[in.Rb].Equal(c.C[in.Rc])))
 	case isa.CGETPCC:
-		c.setC(in.Ra, c.Fmt.SetAddr(c.PCC, c.PC))
+		c.setC(in.Ra, cap.SetAddr(c.PCC, c.PC))
 	case isa.CRDDDC:
 		c.setC(in.Ra, c.DDC)
 	case isa.CWRDDC:
@@ -688,18 +686,4 @@ func udiv(signed bool, a, b uint64, rem bool) uint64 {
 		return a % b
 	}
 	return a / b
-}
-
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 0xFFFFFFFF
-	al, ah := a&mask, a>>32
-	bl, bh := b&mask, b>>32
-	t := al * bl
-	lo = t & mask
-	carry := t >> 32
-	t = ah*bl + carry
-	t2 := al*bh + t&mask
-	lo |= t2 << 32
-	hi = ah*bh + t>>32 + t2>>32
-	return hi, lo
 }

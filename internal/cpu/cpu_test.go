@@ -19,9 +19,9 @@ const (
 
 func newTestCPU(t *testing.T) *CPU {
 	t.Helper()
-	m := mem.New(16<<20, 16)
+	m := mem.New(16 << 20)
 	sys := vm.NewSystem(m, 1<<20)
-	c := New(m, cache.DefaultHierarchy(), cap.Format128)
+	c := New(m, cache.DefaultHierarchy())
 	c.AS = sys.NewAddressSpace()
 	if err := c.AS.Map(codeVA, 4*vm.PageSize, vm.ProtRead|vm.ProtExec|vm.ProtWrite, false); err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestCSetBoundsTrapsOnWiden(t *testing.T) {
 func TestCapFunctionCall(t *testing.T) {
 	c := newTestCPU(t)
 	// main: cjalr c17, c12 ; break     callee at codeVA+0x100: addi r2,r0,7 ; cjr c17
-	target := c.Fmt.SetAddr(c.PCC, codeVA+0x100)
+	target := cap.SetAddr(c.PCC, codeVA+0x100)
 	c.C[12] = target
 	load(t, c, []isa.Inst{
 		{Op: isa.CJALR, Ra: 17, Rb: 12},
@@ -377,11 +377,11 @@ func TestCRRLAndCRAM(t *testing.T) {
 		{Op: isa.BREAK},
 	})
 	run(t, c)
-	want := cap.Format128.RepresentableLength(1<<21 + 3)
+	want := cap.RepresentableLength(1<<21 + 3)
 	if c.X[9] != want {
 		t.Fatalf("CRRL = %d, want %d", c.X[9], want)
 	}
-	if c.X[10] != cap.Format128.RepresentableAlignmentMask(1<<21+3) {
+	if c.X[10] != cap.RepresentableAlignmentMask(1<<21+3) {
 		t.Fatalf("CRAM = %x", c.X[10])
 	}
 }
@@ -445,14 +445,34 @@ func TestCFromPtrAndCToPtr(t *testing.T) {
 // Kernel-style bulk copyin/copyout through user capabilities is covered
 // by internal/uaccess, which owns the page-run bulk access engine.
 
+// TestMul128 pins MULH, the high half of the unsigned 128-bit product,
+// on edge operands under both engines. The engines share the product's
+// definition, so the differential suites alone would not notice it wrong.
 func TestMul128(t *testing.T) {
-	hi, lo := mul128(0xFFFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF)
-	if hi != 0xFFFFFFFFFFFFFFFE || lo != 1 {
-		t.Fatalf("mul128 = %x %x", hi, lo)
+	const max = ^uint64(0)
+	cases := []struct{ a, b, hi uint64 }{
+		{0, 0, 0}, {0, 1 << 32, 0}, {0, 1 << 63, 0}, {0, max, 0},
+		{1 << 32, 1 << 32, 1},
+		{1 << 32, 1 << 63, 1 << 31},
+		{1 << 32, max, 1<<32 - 1},
+		{1 << 63, 1 << 63, 1 << 62},
+		{1 << 63, max, 1<<63 - 1},
+		{max, max, max - 1},
 	}
-	hi, _ = mul128(1<<32, 1<<32)
-	if hi != 1 {
-		t.Fatalf("mul128 hi = %x", hi)
+	for _, reference := range []bool{false, true} {
+		c := newTestCPU(t)
+		c.Reference = reference
+		load(t, c, []isa.Inst{{Op: isa.MULH, Ra: 2, Rb: 4, Rc: 5}, {Op: isa.BREAK}})
+		for _, tc := range cases {
+			for _, ab := range [][2]uint64{{tc.a, tc.b}, {tc.b, tc.a}} {
+				c.PC = codeVA
+				c.X[4], c.X[5] = ab[0], ab[1]
+				run(t, c)
+				if c.X[2] != tc.hi {
+					t.Errorf("reference=%v: MULH(%#x, %#x) = %#x, want %#x", reference, ab[0], ab[1], c.X[2], tc.hi)
+				}
+			}
+		}
 	}
 }
 

@@ -234,9 +234,9 @@ func TestDecodeCacheDifferentialSmoke(t *testing.T) {
 // (shared text) may both use the same decoded block; a write through one
 // mapping must invalidate what the other executes.
 func TestDecodeCacheSharedFrames(t *testing.T) {
-	m := mem.New(16<<20, 16)
+	m := mem.New(16 << 20)
 	sys := vm.NewSystem(m, 1<<20)
-	c := New(m, cache.DefaultHierarchy(), cap.Format128)
+	c := New(m, cache.DefaultHierarchy())
 	frames := sys.AllocFrames(1)
 
 	as1 := sys.NewAddressSpace()

@@ -146,7 +146,7 @@ const (
 	fzSealed = 4 // sealed
 	fzUntag  = 5 // untagged
 	fzTop    = 6 // top == 2^64-1
-	fzBig    = 7 // 64 KiB: a non-zero exponent under Format128
+	fzBig    = 7 // 64 KiB: a non-zero exponent
 	fzMisal  = 8 // the data region, cursor misaligned
 	fzCode   = 9 // the code region, for CJR/CJALR
 	fzCRegs  = 16
@@ -193,25 +193,24 @@ func fuzzSetup(c *CPU, seed uint64) {
 	w, _ := isa.Encode(isa.Inst{Op: isa.ADDI, Ra: 2, Rb: 2, Imm: 1})
 	c.X[13] = uint64(w)
 
-	f := c.Fmt
 	data := cap.Root(dataVA, 4*vm.PageSize, cap.PermData)
-	c.C[fzData] = f.SetAddr(data, dataVA+0x100)
-	small, _ := f.SetBounds(data, dataVA+0x100, 48)
+	c.C[fzData] = cap.SetAddr(data, dataVA+0x100)
+	small, _ := cap.SetBounds(data, dataVA+0x100, 48)
 	c.C[fzSmall] = small
 	c.C[fzNoLC] = c.C[fzData].ClearPerms(cap.PermLoadCap | cap.PermStoreCap)
-	sealer := f.SetAddr(cap.Root(0, 1<<12, cap.PermSeal), 5)
+	sealer := cap.SetAddr(cap.Root(0, 1<<12, cap.PermSeal), 5)
 	c.C[fzSealed], _ = c.C[fzData].Seal(sealer)
 	c.C[fzUntag] = c.C[fzData].ClearTag()
 	c.C[fzTop] = cap.Root(^uint64(0)-0xFFF, 0xFFF, cap.PermData)
-	big, _ := f.SetBounds(cap.Root(0, 1<<40, cap.PermData), dataVA, 1<<16)
+	big, _ := cap.SetBounds(cap.Root(0, 1<<40, cap.PermData), dataVA, 1<<16)
 	c.C[fzBig] = big
-	c.C[fzMisal] = f.SetAddr(data, dataVA+0x108)
-	c.C[fzCode] = f.SetAddr(c.PCC, codeVA+uint64(r.IntN(3*vm.PageSize))&^3)
+	c.C[fzMisal] = cap.SetAddr(data, dataVA+0x108)
+	c.C[fzCode] = cap.SetAddr(c.PCC, codeVA+uint64(r.IntN(3*vm.PageSize))&^3)
 
 	// Tagged capabilities in the first data granules, so CLC loads some.
 	for i := uint64(0); i < 8; i++ {
 		v := c.C[1+r.IntN(fzCRegs-1)]
-		if err := c.StoreCapVia(c.DDC, dataVA+0x100+i*c.Fmt.Bytes, v); err != nil {
+		if err := c.StoreCapVia(c.DDC, dataVA+0x100+i*cap.Bytes, v); err != nil {
 			panic(err)
 		}
 	}

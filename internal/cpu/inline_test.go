@@ -25,7 +25,7 @@ func TestHotHelpersInline(t *testing.T) {
 	}
 	for _, fn := range []string{
 		// internal/cap: pointer arithmetic and the access check.
-		`\(\*Format\)\.SetAddrP`, `\(\*Format\)\.IncAddrP`, `\(\*Capability\)\.Authorizes`,
+		`SetAddrP`, `IncAddrP`, `\(\*Capability\)\.Authorizes`,
 		// internal/cache: the way-0 hit test and the batched hit count.
 		`\(\*Probe\)\.mru`, `\(\*Probe\)\.Hit`, `\(\*Cache\)\.Hits`,
 		// internal/cpu: a data run's set-up and settlement.

@@ -1,54 +1,12 @@
 package cpu
 
 import (
+	"math/bits"
+
 	"cheriabi/internal/cap"
 	"cheriabi/internal/isa"
 	"cheriabi/internal/vm"
 )
-
-// scalarMemOp is the pre-resolved description of a scalar load/store for
-// the threaded engine's inline dispatch: the access size and the
-// sign-extension shift (64-8*size for signed loads, 0 otherwise). The
-// store/cheri split is encoded in the dispatch itself — each
-// authority/direction combination has its own jump-table case — so the
-// table carries only what varies within a case. A zero size marks ops
-// that are not scalar memory accesses. The fields are deliberately
-// byte-sized: the table is indexed per retired instruction, and a
-// two-byte entry loads in one half-word.
-type scalarMemOp struct {
-	size  uint8
-	shift uint8
-}
-
-var scalarMemOps [isa.NumOps]scalarMemOp
-
-func init() {
-	type def struct {
-		op     isa.Op
-		size   uint64
-		signed bool
-	}
-	for _, d := range []def{
-		{isa.LB, 1, true}, {isa.LBU, 1, false},
-		{isa.LH, 2, true}, {isa.LHU, 2, false},
-		{isa.LW, 4, true}, {isa.LWU, 4, false},
-		{isa.LD, 8, false},
-		{isa.SB, 1, false}, {isa.SH, 2, false},
-		{isa.SW, 4, false}, {isa.SD, 8, false},
-		{isa.CLB, 1, true}, {isa.CLBU, 1, false},
-		{isa.CLH, 2, true}, {isa.CLHU, 2, false},
-		{isa.CLW, 4, true}, {isa.CLWU, 4, false},
-		{isa.CLD, 8, false},
-		{isa.CSB, 1, false}, {isa.CSH, 2, false},
-		{isa.CSW, 4, false}, {isa.CSD, 8, false},
-	} {
-		mo := scalarMemOp{size: uint8(d.size)}
-		if d.signed {
-			mo.shift = uint8(64 - 8*d.size)
-		}
-		scalarMemOps[d.op] = mo
-	}
-}
 
 // Block-threaded execution engine: the simulator's fast path, which Run
 // takes unless the CPU runs its Reference.
@@ -191,7 +149,7 @@ func (c *CPU) runBlock(rem uint64) *Trap {
 	// fetched either by a real fetch, counted in nFetches, or as a repeat
 	// from lineBase, so the repeats need no counter of their own: the
 	// flush applies nInst - nFetches of them.
-	lineSize := c.Hier.L1I.Config().LineSize // a power of two (cache.New)
+	lineSize := c.Hier.L1I.LineSize()
 	lineBase := uint64(1)
 	var nFetches uint64
 	flush := func(nInst uint64) {
@@ -253,9 +211,9 @@ run:
 		// directly, since nothing but a memory op can move the
 		// generations.
 		switch in.Op {
-		// Inline scalar loads/stores: the same load/store calls and Stats
-		// updates as exec's loadInt/storeInt, minus the per-op opSize
-		// lookup, with the run's dataRun. Scalar memory ops never replace
+		// Inline scalar loads/stores: the same load/store calls, Stats
+		// updates and scalarMemOps rows as exec's loadInt/storeInt, with
+		// the run's dataRun. Scalar memory ops never replace
 		// PCC, so the CJR/CJALR exit check is skipped too. The four
 		// authority/direction combinations get their own jump-table
 		// entries: the outer switch already resolved in.Op, so re-deriving
@@ -328,7 +286,7 @@ run:
 		// by one instruction and probe the generations as they do.
 		case isa.CLC, isa.CLCB:
 			auth := &c.C[in.Rb]
-			if _, err := c.load(&dr, auth, auth.Addr()+uint64(int64(in.Imm)), c.Fmt.Bytes, in.Ra); err != nil {
+			if _, err := c.load(&dr, auth, auth.Addr()+uint64(int64(in.Imm)), cap.Bytes, in.Ra); err != nil {
 				c.PC = pc
 				flush(base + pc/isa.InstSize + 1)
 				return c.accessTrap(in, err)
@@ -342,7 +300,7 @@ run:
 
 		case isa.CSC, isa.CSCB:
 			auth := &c.C[in.Rb]
-			if err := c.store(&dr, auth, auth.Addr()+uint64(int64(in.Imm)), c.Fmt.Bytes, 0, &c.C[in.Ra]); err != nil {
+			if err := c.store(&dr, auth, auth.Addr()+uint64(int64(in.Imm)), cap.Bytes, 0, &c.C[in.Ra]); err != nil {
 				c.PC = pc
 				flush(base + pc/isa.InstSize + 1)
 				return c.accessTrap(in, err)
@@ -355,13 +313,13 @@ run:
 		// memory nor PCC.
 		case isa.CINCOFF:
 			if in.Ra != 0 {
-				c.Fmt.IncAddrP(&c.C[in.Ra], &c.C[in.Rb], int64(c.X[in.Rc]))
+				cap.IncAddrP(&c.C[in.Ra], &c.C[in.Rb], int64(c.X[in.Rc]))
 			}
 			pc += isa.InstSize
 			continue
 		case isa.CINCOFFI:
 			if in.Ra != 0 {
-				c.Fmt.IncAddrP(&c.C[in.Ra], &c.C[in.Rb], int64(in.Imm))
+				cap.IncAddrP(&c.C[in.Ra], &c.C[in.Rb], int64(in.Imm))
 			}
 			pc += isa.InstSize
 			continue
@@ -444,7 +402,7 @@ run:
 			// exec's CJAL: the link capability is PCC with its cursor at
 			// the return address, built in place (SetAddrP).
 			nCycles++
-			c.Fmt.SetAddrP(&c.C[isa.CRA], &c.PCC, pc+isa.InstSize)
+			cap.SetAddrP(&c.C[isa.CRA], &c.PCC, pc+isa.InstSize)
 			jump(pc + uint64(int64(in.Imm))*isa.InstSize)
 			continue
 
@@ -552,7 +510,7 @@ run:
 			continue
 		case isa.MULH:
 			nCycles += 2
-			hi, _ := mul128(c.X[in.Rb], c.X[in.Rc])
+			hi, _ := bits.Mul64(c.X[in.Rb], c.X[in.Rc])
 			c.setX(in.Ra, hi)
 			pc += isa.InstSize
 			continue

@@ -156,7 +156,7 @@ func wantTrap(t *testing.T, c *CPU, tr *Trap, kind TrapKind, pc uint64) {
 
 // callTarget aims C12 at the callee entry point.
 func callTarget(c *CPU) {
-	c.C[12] = c.Fmt.SetAddr(c.PCC, targetVA)
+	c.C[12] = cap.SetAddr(c.PCC, targetVA)
 }
 
 // revocations are the two ways a test takes execute rights from the page

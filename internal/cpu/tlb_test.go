@@ -97,9 +97,9 @@ func TestMicroTLBUnmapRemap(t *testing.T) {
 // COW copy would mutate the frame the child still shares — the Gen bump in
 // Fork is what prevents it.
 func TestMicroTLBForkCOW(t *testing.T) {
-	m := mem.New(16<<20, 16)
+	m := mem.New(16 << 20)
 	sys := vm.NewSystem(m, 1<<20)
-	c := New(m, cache.DefaultHierarchy(), cap.Format128)
+	c := New(m, cache.DefaultHierarchy())
 	ddc := testDDC()
 	as1 := sys.NewAddressSpace()
 	if err := as1.Map(dataVA, vm.PageSize, vm.ProtRead|vm.ProtWrite, false); err != nil {
@@ -130,9 +130,9 @@ func TestMicroTLBForkCOW(t *testing.T) {
 // the spaces even when the virtual pages collide in the direct-mapped
 // array.
 func TestMicroTLBSharedFrames(t *testing.T) {
-	m := mem.New(16<<20, 16)
+	m := mem.New(16 << 20)
 	sys := vm.NewSystem(m, 1<<20)
-	c := New(m, cache.DefaultHierarchy(), cap.Format128)
+	c := New(m, cache.DefaultHierarchy())
 	ddc := testDDC()
 	frames := sys.AllocFrames(1)
 	as1, as2 := sys.NewAddressSpace(), sys.NewAddressSpace()
@@ -348,9 +348,9 @@ func TestTLBBackingOutlivesOtherChunks(t *testing.T) {
 			r := c.newDataRun()
 			switch i % 4 {
 			case 0:
-				err = c.store(&r, &ddc, dataVA+off, c.Fmt.Bytes, 0, &val)
+				err = c.store(&r, &ddc, dataVA+off, cap.Bytes, 0, &val)
 			case 1, 3:
-				if _, err = c.load(&r, &ddc, dataVA+off, c.Fmt.Bytes, 5); err == nil {
+				if _, err = c.load(&r, &ddc, dataVA+off, cap.Bytes, 5); err == nil {
 					caps[k] = c.C[5]
 					got[k], err = c.LoadVia(ddc, dataVA+off, 8)
 				}
@@ -475,7 +475,7 @@ func TestTLBFastCLCStripsTag(t *testing.T) {
 func TestTLBCapAccessFaultOrder(t *testing.T) {
 	const unmapped = dataVA + 5*vm.PageSize // past the 4 mapped data pages
 	wide := cap.Root(dataVA, 8*vm.PageSize, cap.PermData)
-	at := func(c cap.Capability, va uint64) cap.Capability { return cap.Format128.SetAddr(c, va) }
+	at := func(c cap.Capability, va uint64) cap.Capability { return cap.SetAddr(c, va) }
 	sealer := at(cap.Root(0, 1<<10, cap.PermSeal), 5)
 	sealed, err := wide.Seal(sealer)
 	if err != nil {

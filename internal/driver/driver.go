@@ -13,58 +13,9 @@
 package driver
 
 import (
-	"flag"
-	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// FlagPassed reports whether the named flag was set explicitly on the
-// command line (flag.Parse must have run). Companion to ResolveWorkers
-// for the evaluation CLIs' shared -workers handling.
-func FlagPassed(name string) bool {
-	passed := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			passed = true
-		}
-	})
-	return passed
-}
-
-// ResolveWorkers turns a -workers flag value into the pool size for a
-// sweep of nItems: an explicitly passed value must be positive and is
-// honored as given; the default (explicit == false) auto-calibrates via
-// AutoWorkers. Shared by the evaluation CLIs so the validation and
-// calibration rules live in one place.
-func ResolveWorkers(explicit bool, requested, nItems int) (int, error) {
-	if requested <= 0 {
-		return 0, fmt.Errorf("-workers must be positive (got %d); omit the flag to auto-calibrate", requested)
-	}
-	if explicit {
-		return requested, nil
-	}
-	return AutoWorkers(nItems), nil
-}
-
-// AutoWorkers returns the calibrated worker count for a sweep of nItems
-// independent whole-machine runs: the host's available parallelism
-// (GOMAXPROCS), clamped to the number of shards — workers beyond the
-// shard count only pay goroutine spin-up for idle hands — with a floor
-// of one. Single-core hosts therefore run sequentially without pool
-// overhead, and the nightly multi-core runners use every core the sweep
-// can feed.
-func AutoWorkers(nItems int) int {
-	w := runtime.GOMAXPROCS(0)
-	if nItems > 0 && w > nItems {
-		w = nItems
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // Map runs fn over items on a pool of workers and returns the results in
 // input order. workers < 1 (or > len(items)) is clamped. A sweep gives

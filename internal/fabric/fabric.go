@@ -40,18 +40,21 @@ const BaseAddr = 0x0A000001
 // so guests can be handed peer addresses before the fleet boots.
 func NodeAddr(i int) uint64 { return BaseAddr + uint64(i) }
 
-// Config seeds and sizes a Fabric.
+// Config seeds a Fabric.
 type Config struct {
 	// Seed drives per-packet latency draws. Same seed, same send order:
 	// same delivery schedule, bit for bit.
 	Seed uint64
-	// MinLatency/MaxLatency bound the per-packet latency in cycles
-	// (defaults 500–2000: 5–20 µs of virtual time at 100 MHz).
-	MinLatency, MaxLatency uint64
-	// Slice is the per-turn instruction budget for one machine (default
-	// 20_000): smaller slices interleave machines more finely.
-	Slice uint64
 }
+
+const (
+	// minLatency and maxLatency bound the per-packet latency in cycles:
+	// 5–20 µs of virtual time at 100 MHz.
+	minLatency, maxLatency = 500, 2000
+	// slice is the per-turn instruction budget for one machine: smaller
+	// slices interleave machines more finely.
+	slice = 20_000
+)
 
 // packet is one scheduled delivery.
 type packet struct {
@@ -69,7 +72,6 @@ type node struct {
 // Fabric is the switch: per-destination delivery queues plus the
 // lockstep coordinator.
 type Fabric struct {
-	cfg    Config
 	nodes  []*node
 	byAddr map[uint64]int
 	rng    uint64
@@ -85,21 +87,11 @@ type Fabric struct {
 
 // New builds an empty fabric.
 func New(cfg Config) *Fabric {
-	if cfg.MinLatency == 0 {
-		cfg.MinLatency = 500
-	}
-	if cfg.MaxLatency < cfg.MinLatency {
-		cfg.MaxLatency = cfg.MinLatency + 1500
-	}
-	if cfg.Slice == 0 {
-		cfg.Slice = 20_000
-	}
 	rng := cfg.Seed*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
 	if rng == 0 {
 		rng = 0x9E3779B97F4A7C15
 	}
 	return &Fabric{
-		cfg:    cfg,
 		byAddr: map[uint64]int{},
 		rng:    rng,
 		lastAt: map[uint64]uint64{},
@@ -136,7 +128,7 @@ func (f *Fabric) latency() uint64 {
 	s ^= s >> 7
 	s ^= s << 17
 	f.rng = s
-	return f.cfg.MinLatency + s%(f.cfg.MaxLatency-f.cfg.MinLatency+1)
+	return minLatency + s%(maxLatency-minLatency+1)
 }
 
 // schedule queues p (sent by node src at cycle now) for its destination.
@@ -300,7 +292,7 @@ func (f *Fabric) Run(budget uint64, stop func() bool) error {
 			}
 		}
 		if best >= 0 {
-			f.nodes[best].kern.StepSlice(f.cfg.Slice)
+			f.nodes[best].kern.StepSlice(slice)
 			continue
 		}
 		if f.fireNextTimer() {

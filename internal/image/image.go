@@ -13,6 +13,7 @@ import (
 	"encoding/gob"
 	"fmt"
 
+	"cheriabi/internal/cap"
 	"cheriabi/internal/vm"
 )
 
@@ -46,9 +47,9 @@ func ParseABI(s string) (ABI, error) {
 }
 
 // PtrSize returns the in-memory pointer size for the ABI.
-func (a ABI) PtrSize(capBytes uint64) uint64 {
+func (a ABI) PtrSize() uint64 {
 	if a == ABICheri {
-		return capBytes
+		return cap.Bytes
 	}
 	return 8
 }
@@ -188,11 +189,10 @@ func pageUp(v uint64) uint64 {
 	return (v + vm.PageSize - 1) &^ (vm.PageSize - 1)
 }
 
-// Layout computes the load layout for the given capability size. The GOT
-// is writable data (the linker fills it) but separated so its capability
-// can be bounded exactly.
-func (img *Image) Layout(capBytes uint64) Layout {
-	slot := img.ABI.PtrSize(capBytes)
+// Layout computes the load layout. The GOT is writable data (the linker
+// fills it) but separated so its capability can be bounded exactly.
+func (img *Image) Layout() Layout {
+	slot := img.ABI.PtrSize()
 	var l Layout
 	l.TextSize = uint64(len(img.Code)) * 4
 	l.ROSize = uint64(len(img.ROData))

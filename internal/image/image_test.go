@@ -58,7 +58,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 
 func TestLayoutPageSeparation(t *testing.T) {
 	img := sample()
-	l := img.Layout(16)
+	l := img.Layout()
 	if l.TextOff != 0 || l.TextSize != 16 {
 		t.Fatalf("text: %+v", l)
 	}
@@ -81,7 +81,7 @@ func TestLayoutPageSeparation(t *testing.T) {
 func TestLayoutLegacySlotSize(t *testing.T) {
 	img := sample()
 	img.ABI = ABILegacy
-	l := img.Layout(16)
+	l := img.Layout()
 	if l.GOTSize != 4*8 {
 		t.Fatalf("legacy GOT size = %d", l.GOTSize)
 	}
@@ -97,7 +97,7 @@ func TestGOTEntrySlots(t *testing.T) {
 }
 
 func TestABIHelpers(t *testing.T) {
-	if ABICheri.PtrSize(16) != 16 || ABILegacy.PtrSize(16) != 8 {
+	if ABICheri.PtrSize() != 16 || ABILegacy.PtrSize() != 8 {
 		t.Fatal("pointer sizes wrong")
 	}
 	if ABICheri.String() != "cheriabi" || ABILegacy.String() != "mips64" {
@@ -124,7 +124,7 @@ func TestParseABI(t *testing.T) {
 
 func TestEmptyImageLayout(t *testing.T) {
 	img := &Image{Name: "empty", ABI: ABICheri}
-	l := img.Layout(16)
+	l := img.Layout()
 	if l.Total == 0 {
 		t.Fatal("empty image must still occupy a page")
 	}

@@ -1,6 +1,10 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+
+	"cheriabi/internal/cap"
+)
 
 // Binary encoding: 32-bit little-endian words.
 //
@@ -22,8 +26,8 @@ const (
 	Imm24Max = 1<<23 - 1
 
 	// Capability load/store immediates are in bytes, must be multiples of
-	// the 16-byte granule, and are stored scaled by 16.
-	CapImmScale = 16
+	// the capability width, and are stored scaled by it.
+	CapImmScale = cap.Bytes
 	// Short-form CLC/CSC reach (the pre-extension encoding, a 5-bit scaled
 	// immediate): ±256 bytes — 16 capability slots, "often too small" for
 	// GOT access, exactly the §5.2 complaint.

@@ -41,7 +41,7 @@ func newIOProc(t *testing.T, abi image.ABI) *ioProc {
 		sp = th.Frame.C[isa.CSP].Addr()
 	}
 	at := func(va, n uint64) cap.Capability {
-		c, err := m.Fmt.SetBounds(p.Root, va, n)
+		c, err := cap.SetBounds(p.Root, va, n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func (k *Kernel) materializePtr(p *Proc, raw cap.Capability) cap.Capability {
 // accessed. The accessor faithfully reaches whatever address the integer
 // names.
 func (k *Kernel) dataAuth(p *Proc, va uint64) cap.Capability {
-	return k.M.Fmt.SetAddr(p.Root.AndPerms(cap.PermData), va)
+	return cap.SetAddr(p.Root.AndPerms(cap.PermData), va)
 }
 
 // staging returns the kernel's staging buffer cut to n bytes, n ≤
@@ -126,7 +126,7 @@ func (k *Kernel) readStrVec(t *Thread, vec cap.Capability) ([]string, Errno) {
 }
 
 // ptrStride is the pointer stride for a process.
-func (k *Kernel) ptrStride(p *Proc) uint64 { return p.ABI.PtrSize(k.M.Fmt.Bytes) }
+func (k *Kernel) ptrStride(p *Proc) uint64 { return p.ABI.PtrSize() }
 
 // readUserWord loads a word-sized integer through auth.
 func (k *Kernel) readUserWord(auth cap.Capability, va uint64, size uint64) (uint64, Errno) {

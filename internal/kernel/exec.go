@@ -26,8 +26,8 @@ func (k *Kernel) writeCapAS(as *vm.AddressSpace, va uint64, c cap.Capability) er
 	if pf != nil {
 		return pf
 	}
-	buf := make([]byte, k.M.Fmt.Bytes)
-	k.M.Fmt.Encode(c, buf)
+	buf := make([]byte, cap.Bytes)
+	cap.Encode(c, buf)
 	k.M.Mem.StoreCap(pa, buf, c.Tag())
 	return nil
 }
@@ -92,7 +92,7 @@ func (k *Kernel) exec(p *Proc, t *Thread, path string, argv, envv []string) erro
 
 	// Fresh principal and process root, carved from the kernel root.
 	p.Prin = k.Ledger.NewPrincipal(core.ProcessPrincipal, fmt.Sprintf("%s#%d", path, p.PID))
-	root, err := k.M.Fmt.SetBounds(k.kernRoot, UserBase, UserTop-UserBase)
+	root, err := cap.SetBounds(k.kernRoot, UserBase, UserTop-UserBase)
 	if err != nil {
 		return err
 	}
@@ -107,7 +107,6 @@ func (k *Kernel) exec(p *Proc, t *Thread, path string, argv, envv []string) erro
 	ld := &rtld.Linker{
 		AS:       as,
 		Mem:      k.M.Mem,
-		Fmt:      k.M.Fmt,
 		ABI:      img.ABI,
 		UserRoot: root,
 		NextBase: ExecBase + perturb,
@@ -178,7 +177,7 @@ func (k *Kernel) exec(p *Proc, t *Thread, path string, argv, envv []string) erro
 	// Build argv/envv on the stack (Figure 1): string bytes first, then
 	// pointer arrays. CheriABI pointers are bounded capabilities.
 	cheri := img.ABI == image.ABICheri
-	ptrSize := img.ABI.PtrSize(k.M.Fmt.Bytes)
+	ptrSize := img.ABI.PtrSize()
 	sp := stackTop
 
 	writeStrings := func(strs []string) ([]uint64, error) {
@@ -201,9 +200,9 @@ func (k *Kernel) exec(p *Proc, t *Thread, path string, argv, envv []string) erro
 	if err != nil {
 		return err
 	}
-	sp &^= k.M.Fmt.Bytes - 1 // capability-align the arrays
+	sp &^= cap.Bytes - 1 // capability-align the arrays
 
-	stackCap, err := k.M.Fmt.SetBounds(root, stackBase, StackSize)
+	stackCap, err := cap.SetBounds(root, stackBase, StackSize)
 	if err != nil {
 		return err
 	}
@@ -220,7 +219,7 @@ func (k *Kernel) exec(p *Proc, t *Thread, path string, argv, envv []string) erro
 		for i, a := range addrs {
 			va := sp + uint64(i)*ptrSize
 			if cheri {
-				sc, err := k.M.Fmt.SetBounds(stackCap, a, uint64(len(strs[i]))+1)
+				sc, err := cap.SetBounds(stackCap, a, uint64(len(strs[i]))+1)
 				if err != nil {
 					return 0, err
 				}
@@ -259,19 +258,19 @@ func (k *Kernel) exec(p *Proc, t *Thread, path string, argv, envv []string) erro
 	if cheri {
 		f.PCC = pcc
 		f.DDC = cap.Null() // the CheriABI property: no implicit authority
-		f.C[isa.CSP] = k.M.Fmt.SetAddr(stackCap, sp)
+		f.C[isa.CSP] = cap.SetAddr(stackCap, sp)
 		f.C[isa.CGP] = cgp
-		argvCap, err := k.M.Fmt.SetBounds(stackCap, argvVA, uint64(len(argv)+1)*ptrSize)
+		argvCap, err := cap.SetBounds(stackCap, argvVA, uint64(len(argv)+1)*ptrSize)
 		if err != nil {
 			return err
 		}
-		envvCap, err := k.M.Fmt.SetBounds(stackCap, envvVA, uint64(len(envv)+1)*ptrSize)
+		envvCap, err := cap.SetBounds(stackCap, envvVA, uint64(len(envv)+1)*ptrSize)
 		if err != nil {
 			return err
 		}
 		f.C[isa.CA0] = argvCap // first pointer argument
 		f.C[isa.CA1] = envvCap
-		tlsCap, err := k.M.Fmt.SetBounds(root, tlsVA, vm.PageSize)
+		tlsCap, err := cap.SetBounds(root, tlsVA, vm.PageSize)
 		if err != nil {
 			return err
 		}

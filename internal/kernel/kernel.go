@@ -31,8 +31,6 @@ import (
 type Config struct {
 	// MemBytes is physical memory size (default 256 MiB).
 	MemBytes uint64
-	// Format is the capability encoding (default Format128).
-	Format cap.Format
 	// Seed perturbs load addresses and stack placement across boots, the
 	// way ASLR and environment differences perturb the paper's runs.
 	Seed int64
@@ -56,7 +54,6 @@ type Machine struct {
 	Hier *cache.Hierarchy
 	CPU  *cpu.CPU
 	UA   *uaccess.Space
-	Fmt  cap.Format
 	Kern *Kernel
 }
 
@@ -146,13 +143,9 @@ func NewMachineFS(cfg Config, fs *FS) *Machine {
 	if cfg.MemBytes == 0 {
 		cfg.MemBytes = 256 << 20
 	}
-	if cfg.Format.Bytes == 0 {
-		cfg.Format = cap.Format128
-	}
 	m := &Machine{
-		Mem:  mem.New(cfg.MemBytes, cfg.Format.Bytes),
+		Mem:  mem.New(cfg.MemBytes),
 		Hier: cache.DefaultHierarchy(),
-		Fmt:  cfg.Format,
 	}
 	m.VM = vm.NewSystem(m.Mem, 1<<20) // boot-reserved low MiB
 	// Layout perturbation: retire a seed-dependent number of frames at
@@ -161,7 +154,7 @@ func NewMachineFS(cfg Config, fs *FS) *Machine {
 	if n := int(cfg.Seed % 61); n > 0 {
 		m.VM.AllocFrames(n)
 	}
-	m.CPU = cpu.New(m.Mem, m.Hier, m.Fmt)
+	m.CPU = cpu.New(m.Mem, m.Hier)
 	m.CPU.Tracer = cfg.Tracer
 	m.CPU.OnTrap = cfg.OnTrap
 	m.UA = &uaccess.Space{CPU: m.CPU}
@@ -621,11 +614,10 @@ func (k *Kernel) Reap(p *Proc) {
 // process's root ("the swap-in code derives a new architectural capability
 // from the saved values and an appropriate root capability").
 func (k *Kernel) installRederive(p *Proc) {
-	fmtc := k.M.Fmt
 	p.AS.Rederive = func(pa uint64) bool {
-		buf := make([]byte, fmtc.Bytes)
+		buf := make([]byte, cap.Bytes)
 		k.M.Mem.LoadCap(pa, buf)
-		c := fmtc.Decode(buf, true)
+		c := cap.Decode(buf, true)
 		root := p.Root
 		ok := c.Base() >= root.Base() && c.Top() <= root.Top() && c.Perms()&^root.Perms() == 0
 		if ok && k.Ledger != nil && p.AbsRoot != nil {

@@ -37,24 +37,24 @@ type kqueue struct {
 //	8  filter i64 (sign-extended i16; change flags packed in the high word)
 //	16 data   i64 (output only: the filter's readiness depth)
 //	24 udata  pointer (capability or 8-byte address), capability-aligned
-//	          for CheriABI — offset 32 for both capability formats
+//	          for CheriABI — offset 32
 //
 // This is MiniC's natural layout for
 //
 //	struct kev { long ident; long filter; long data; char *udata; };
 //
-// under each ABI: total 32 bytes for the legacy ABI, 32 + capBytes for
+// under each ABI: total 32 bytes for the legacy ABI, 32 + cap.Bytes for
 // CheriABI.
-func keventUdataOff(abi image.ABI, capBytes uint64) uint64 {
+func keventUdataOff(abi image.ABI) uint64 {
 	if abi == image.ABICheri {
-		return (24 + capBytes - 1) / capBytes * capBytes
+		return (24 + cap.Bytes - 1) / cap.Bytes * cap.Bytes
 	}
 	return 24
 }
 
-func keventSize(abi image.ABI, capBytes uint64) uint64 {
+func keventSize(abi image.ABI) uint64 {
 	if abi == image.ABICheri {
-		return keventUdataOff(abi, capBytes) + capBytes
+		return keventUdataOff(abi) + cap.Bytes
 	}
 	return 32
 }
@@ -80,8 +80,8 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	if kq == nil {
 		return Err(EBADF)
 	}
-	size := keventSize(p.ABI, k.M.Fmt.Bytes)
-	udataOff := keventUdataOff(p.ABI, k.M.Fmt.Bytes)
+	size := keventSize(p.ABI)
+	udataOff := keventUdataOff(p.ABI)
 
 	// Apply the changelist.
 	for i := uint64(0); i < nchanges; i++ {

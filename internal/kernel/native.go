@@ -56,7 +56,7 @@ func (k *Kernel) MapAnon(p *Proc, length uint64, prot vm.Prot) (cap.Capability, 
 	if length > UserTop-UserBase {
 		return cap.Null(), ENOMEM // larger than user space (see sysMmap)
 	}
-	rlen := k.M.Fmt.RepresentableLength((length + vm.PageSize - 1) &^ (vm.PageSize - 1))
+	rlen := cap.RepresentableLength((length + vm.PageSize - 1) &^ (vm.PageSize - 1))
 	va, ok := p.AS.FindFree(p.MmapHint, rlen, UserTop)
 	if !ok || !validUserRange(va, rlen) {
 		return cap.Null(), ENOMEM
@@ -65,7 +65,7 @@ func (k *Kernel) MapAnon(p *Proc, length uint64, prot vm.Prot) (cap.Capability, 
 		return cap.Null(), ENOMEM
 	}
 	p.MmapHint = va + rlen + vm.PageSize // guard gap between regions
-	c, err := k.M.Fmt.SetBounds(p.Root, va, rlen)
+	c, err := cap.SetBounds(p.Root, va, rlen)
 	if err != nil {
 		return cap.Null(), ENOMEM
 	}
@@ -94,7 +94,7 @@ func (k *Kernel) CallGuest(t *Thread, fn cap.Capability, intArgs []uint64, capAr
 	if cheri {
 		code, err = c.LoadCapVia(fn, fn.Addr())
 		if err == nil {
-			got, err = c.LoadCapVia(fn, fn.Addr()+k.M.Fmt.Bytes)
+			got, err = c.LoadCapVia(fn, fn.Addr()+cap.Bytes)
 		}
 	} else {
 		auth := k.dataAuth(p, fn.Addr())
@@ -121,9 +121,9 @@ func (k *Kernel) CallGuest(t *Thread, fn cap.Capability, intArgs []uint64, capAr
 	}
 	retPC := uint64(TrampVA + callbackRetOff)
 	if cheri {
-		c.C[isa.CSP] = k.M.Fmt.IncAddr(c.C[isa.CSP], -256)
+		c.C[isa.CSP] = cap.IncAddr(c.C[isa.CSP], -256)
 		c.C[isa.CGP] = got
-		c.C[isa.CRA] = k.M.Fmt.SetAddr(p.sigTrampCap(k), retPC)
+		c.C[isa.CRA] = cap.SetAddr(p.sigTrampCap(k), retPC)
 		c.PCC = code
 		c.PC = code.Addr()
 	} else {

@@ -129,12 +129,12 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 			}
 			vals[i] = v
 		}
-		nc, err := k.M.Fmt.SetBounds(target.Root, vals[0], vals[1])
+		nc, err := cap.SetBounds(target.Root, vals[0], vals[1])
 		if err != nil {
 			return Err(EACCES)
 		}
 		nc = nc.AndPerms(cap.Perm(vals[3]) & target.Root.Perms())
-		nc = k.M.Fmt.SetAddr(nc, vals[2])
+		nc = cap.SetAddr(nc, vals[2])
 		tt.Frame.C[data] = nc
 		k.capCreated("ptrace", nc)
 		k.Ledger.Derive(target.Prin, target.AbsRoot, nc, core.OriginPtrace)
@@ -151,12 +151,12 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 			}
 			vals[i] = v
 		}
-		nc, err := k.M.Fmt.SetBounds(target.Root, vals[0], vals[1])
+		nc, err := cap.SetBounds(target.Root, vals[0], vals[1])
 		if err != nil {
 			return Err(EACCES)
 		}
 		nc = nc.AndPerms(cap.Perm(vals[3]) & target.Root.Perms())
-		nc = k.M.Fmt.SetAddr(nc, vals[2])
+		nc = cap.SetAddr(nc, vals[2])
 		k.M.CPU.AS = target.AS
 		if err := k.M.CPU.StoreCapVia(targetMem(data), data, nc); err != nil {
 			return Err(EFAULT)

@@ -21,7 +21,7 @@ func sysShmget(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	if size == 0 || size > 64<<20 {
 		return Err(EINVAL)
 	}
-	rlen := k.M.Fmt.RepresentableLength((size + vm.PageSize - 1) &^ (vm.PageSize - 1))
+	rlen := cap.RepresentableLength((size + vm.PageSize - 1) &^ (vm.PageSize - 1))
 	k.nextShmID++
 	seg := &shmSeg{
 		id:     k.nextShmID,
@@ -69,7 +69,7 @@ func sysShmat(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	if p.ABI != image.ABICheri {
 		return Ret(va)
 	}
-	ret, err := k.M.Fmt.SetBounds(p.Root, va, seg.size)
+	ret, err := cap.SetBounds(p.Root, va, seg.size)
 	if err != nil {
 		return Err(ENOMEM)
 	}

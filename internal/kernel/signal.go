@@ -36,10 +36,10 @@ const sigFrameWords = 34
 // sigFrameSize returns the signal-frame footprint for an ABI. CheriABI
 // frames additionally hold the full capability register file plus PCC
 // ("the register state is copied to the signal stack for modification").
-func sigFrameSize(abi image.ABI, capBytes uint64) uint64 {
+func sigFrameSize(abi image.ABI) uint64 {
 	n := uint64(sigFrameWords * 8)
 	if abi == image.ABICheri {
-		n += (isa.NumRegs + 1) * capBytes
+		n += (isa.NumRegs + 1) * cap.Bytes
 	}
 	return (n + 15) &^ 15
 }
@@ -85,7 +85,7 @@ func (k *Kernel) deliverSignal(t *Thread, sig int) bool {
 	k.saveFrom(t) // capture the interrupted state precisely
 	c := k.M.CPU
 	cheri := p.ABI == image.ABICheri
-	size := sigFrameSize(p.ABI, k.M.Fmt.Bytes)
+	size := sigFrameSize(p.ABI)
 
 	// Push the frame below the current stack pointer.
 	var sp uint64
@@ -113,12 +113,12 @@ func (k *Kernel) deliverSignal(t *Thread, sig int) bool {
 	}
 	if cheri {
 		capOff := uint64(sigFrameWords * 8)
-		capOff = (capOff + k.M.Fmt.Bytes - 1) &^ (k.M.Fmt.Bytes - 1)
+		capOff = (capOff + cap.Bytes - 1) &^ (cap.Bytes - 1)
 		for i := 0; i < isa.NumRegs && err == nil; i++ {
-			err = c.StoreCapVia(stackAuth, sp+capOff+uint64(i)*k.M.Fmt.Bytes, t.Frame.C[i])
+			err = c.StoreCapVia(stackAuth, sp+capOff+uint64(i)*cap.Bytes, t.Frame.C[i])
 		}
 		if err == nil {
-			err = c.StoreCapVia(stackAuth, sp+capOff+uint64(isa.NumRegs)*k.M.Fmt.Bytes, t.Frame.PCC)
+			err = c.StoreCapVia(stackAuth, sp+capOff+uint64(isa.NumRegs)*cap.Bytes, t.Frame.PCC)
 		}
 	}
 	if err != nil {
@@ -132,7 +132,7 @@ func (k *Kernel) deliverSignal(t *Thread, sig int) bool {
 	if cheri {
 		code, err = c.LoadCapVia(act.Handler, act.Handler.Addr())
 		if err == nil {
-			got, err = c.LoadCapVia(act.Handler, act.Handler.Addr()+k.M.Fmt.Bytes)
+			got, err = c.LoadCapVia(act.Handler, act.Handler.Addr()+cap.Bytes)
 		}
 	} else {
 		var a, g uint64
@@ -158,14 +158,14 @@ func (k *Kernel) deliverSignal(t *Thread, sig int) bool {
 	p.SigMask |= 1 << uint(sig)
 	t.Frame.X[isa.RA0] = uint64(sig)
 	if cheri {
-		frameCap, berr := k.M.Fmt.SetBounds(stackAuth, sp, size)
+		frameCap, berr := cap.SetBounds(stackAuth, sp, size)
 		if berr != nil {
 			k.exitProc(p, SIGSEGV)
 			return true
 		}
 		k.capCreated("signal", frameCap)
 		t.Frame.C[isa.CA0] = frameCap
-		t.Frame.C[isa.CSP] = k.M.Fmt.SetAddr(stackAuth, sp)
+		t.Frame.C[isa.CSP] = cap.SetAddr(stackAuth, sp)
 		t.Frame.C[isa.CGP] = got
 		t.Frame.C[isa.CRA] = p.sigTrampCap(k)
 		t.Frame.PCC = code
@@ -184,7 +184,7 @@ func (k *Kernel) deliverSignal(t *Thread, sig int) bool {
 // sigTrampCap returns the tightly bounded capability to the sigreturn
 // trampoline page.
 func (p *Proc) sigTrampCap(k *Kernel) cap.Capability {
-	c, err := k.M.Fmt.SetBounds(p.Root, TrampVA, uint64(len(sigTrampoline))*isa.InstSize)
+	c, err := cap.SetBounds(p.Root, TrampVA, uint64(len(sigTrampoline))*isa.InstSize)
 	if err != nil {
 		return cap.Null()
 	}
@@ -228,12 +228,12 @@ func sysSigreturn(k *Kernel, t *Thread, _ *SysArgs) (cap.Capability, Errno) {
 	mask := read(33 * 8)
 	if cheri {
 		capOff := uint64(sigFrameWords * 8)
-		capOff = (capOff + k.M.Fmt.Bytes - 1) &^ (k.M.Fmt.Bytes - 1)
+		capOff = (capOff + cap.Bytes - 1) &^ (cap.Bytes - 1)
 		for i := 0; i < isa.NumRegs && err == nil; i++ {
-			f.C[i], err = c.LoadCapVia(stackAuth, sp+capOff+uint64(i)*k.M.Fmt.Bytes)
+			f.C[i], err = c.LoadCapVia(stackAuth, sp+capOff+uint64(i)*cap.Bytes)
 		}
 		if err == nil {
-			f.PCC, err = c.LoadCapVia(stackAuth, sp+capOff+uint64(isa.NumRegs)*k.M.Fmt.Bytes)
+			f.PCC, err = c.LoadCapVia(stackAuth, sp+capOff+uint64(isa.NumRegs)*cap.Bytes)
 		}
 		f.DDC = cap.Null()
 	} else {

@@ -45,8 +45,8 @@ func storeCapInProc(t *testing.T, m *Machine, p *Proc) uint64 {
 	t.Helper()
 	csp := p.mainThread().Frame.C[isa.CSP]
 	va := csp.Addr() - 256
-	va &^= m.Fmt.Bytes - 1
-	inner, err := m.Fmt.SetBounds(p.Root, csp.Base(), 64)
+	va &^= cap.Bytes - 1
+	inner, err := cap.SetBounds(p.Root, csp.Base(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSwapTamperedCapabilityRefused(t *testing.T) {
 				continue
 			}
 			forged := cap.Root(0, 1<<47, cap.PermAll)
-			m.Fmt.Encode(forged, data[g*int(m.Fmt.Bytes):])
+			cap.Encode(forged, data[g*cap.Bytes:])
 			tampered++
 		}
 	})
@@ -119,7 +119,7 @@ func TestSwapTamperAblationWithoutRederivation(t *testing.T) {
 		for g := range tags {
 			if tags[g] {
 				forged := cap.Root(0, 1<<47, cap.PermAll)
-				m.Fmt.Encode(forged, data[g*int(m.Fmt.Bytes):])
+				cap.Encode(forged, data[g*cap.Bytes:])
 			}
 		}
 	})

@@ -606,7 +606,7 @@ func sysMmap(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		return Err(ENOMEM)
 	}
 
-	rlen := k.M.Fmt.RepresentableLength((length + vm.PageSize - 1) &^ (vm.PageSize - 1))
+	rlen := cap.RepresentableLength((length + vm.PageSize - 1) &^ (vm.PageSize - 1))
 	var prot2 vm.Prot
 	if prot&ProtReadFlag != 0 {
 		prot2 |= vm.ProtRead
@@ -676,7 +676,7 @@ func sysMmap(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	if prot&ProtExecFlag != 0 {
 		perms |= cap.PermExecute
 	}
-	ret, err := k.M.Fmt.SetBounds(parent, va, rlen)
+	ret, err := cap.SetBounds(parent, va, rlen)
 	if err != nil {
 		return Err(ENOMEM)
 	}

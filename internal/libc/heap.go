@@ -76,8 +76,7 @@ func (h *heap) carve(class uint64) (cap.Capability, kernel.Errno) {
 		h.chunk = c
 		h.chunkMu = 0
 	}
-	fmtc := h.k.M.Fmt
-	blk, err := fmtc.SetBounds(h.chunk, h.chunk.Base()+h.chunkMu, class)
+	blk, err := cap.SetBounds(h.chunk, h.chunk.Base()+h.chunkMu, class)
 	if err != nil {
 		return cap.Null(), kernel.ENOMEM
 	}
@@ -91,11 +90,10 @@ func (h *heap) Malloc(n uint64) (cap.Capability, kernel.Errno) {
 	if n == 0 {
 		n = 1
 	}
-	fmtc := h.k.M.Fmt
 	// Representability padding: the size the capability can express
 	// exactly ("which must pad allocation sizes up to ensure that
 	// capability references do not overlap").
-	rn := fmtc.RepresentableLength(n)
+	rn := cap.RepresentableLength(n)
 	pad := rn
 	if h.asan {
 		pad = rn + 2*asanRedzone
@@ -123,7 +121,7 @@ func (h *heap) Malloc(n uint64) (cap.Capability, kernel.Errno) {
 		h.poison(base+rn, asanRedzone, 0xFB)
 		h.unpoison(base, n)
 	}
-	out, err := fmtc.SetBounds(inner, base, rn)
+	out, err := cap.SetBounds(inner, base, rn)
 	if err != nil {
 		return cap.Null(), kernel.ENOMEM
 	}

@@ -362,7 +362,7 @@ func (rt *Runtime) nStrchr(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability,
 			return rt.memFault(t, err)
 		}
 		if byte(v) == ch {
-			return rt.k.M.Fmt.IncAddr(s, int64(i)), kernel.OK
+			return cap.IncAddr(s, int64(i)), kernel.OK
 		}
 		if v == 0 {
 			return cap.Null(), kernel.OK
@@ -382,7 +382,7 @@ func (rt *Runtime) nQsort(t *kernel.Thread, a *kernel.SysArgs) (cap.Capability, 
 	}
 
 	elem := func(i uint64) cap.Capability {
-		return rt.k.M.Fmt.SetAddr(base, base.Addr()+i*width)
+		return cap.SetAddr(base, base.Addr()+i*width)
 	}
 	less := func(i, j uint64) (bool, error) {
 		var capArgs []cap.Capability
@@ -485,7 +485,7 @@ func (rt *Runtime) formatGuest(t *kernel.Thread, format string, va cap.Capabilit
 		}
 		v, err := c.LoadVia(va, va.Addr()+slot*16, 8)
 		slot++
-		auth := rt.k.M.Fmt.SetAddr(t.Proc.Root.AndPerms(cap.PermData), v)
+		auth := cap.SetAddr(t.Proc.Root.AndPerms(cap.PermData), v)
 		return auth, err
 	}
 	for i := 0; i < len(format); i++ {

@@ -46,7 +46,7 @@ func (r *reference) clearTags(pa, n uint64) {
 // without materializing anything; ReadBytes must overwrite (not skip) a
 // dirty destination buffer.
 func TestLazyFirstTouchZero(t *testing.T) {
-	m := New(8<<20, 16)
+	m := New(8 << 20)
 	for _, pa := range []uint64{0, 1, chunkSize - 8, chunkSize, chunkSize + 1, 8<<20 - 8} {
 		if v := m.Load(pa, 8); v != 0 {
 			t.Fatalf("untouched Load(0x%x) = %#x, want 0", pa, v)
@@ -83,7 +83,7 @@ func TestLazyFirstTouchZero(t *testing.T) {
 func TestLazyMatchesEagerReference(t *testing.T) {
 	const size = 4 << 20
 	const granule = 16
-	m := New(size, granule)
+	m := New(size)
 	ref := newReference(size, granule)
 
 	store := func(pa, n, v uint64) {
@@ -166,7 +166,7 @@ func TestCopyTaggedOverlap(t *testing.T) {
 	} {
 		t.Run(d.name, func(t *testing.T) {
 			const n = 0x800
-			m := New(4<<20, granule)
+			m := New(4 << 20)
 			want := make([]byte, n)
 			for i := uint64(0); i < n; i++ {
 				b := byte(i*13 + 5)
@@ -197,7 +197,7 @@ func TestCopyTaggedOverlap(t *testing.T) {
 // but must still bump the page write generations — the decode cache's
 // invalidation contract does not care whether bytes physically changed.
 func TestLazyZeroBumpsGenerations(t *testing.T) {
-	m := New(1<<20, 16)
+	m := New(1 << 20)
 	g0 := m.PageGen(0x2000)
 	m.Zero(0x2000, PageSize)
 	if m.PageGen(0x2000) == g0 {
@@ -212,7 +212,7 @@ func TestLazyZeroBumpsGenerations(t *testing.T) {
 // must still serve its tail bytes.
 func TestLazyPartialTailChunk(t *testing.T) {
 	size := uint64(chunkSize + chunkSize/2)
-	m := New(size, 16)
+	m := New(size)
 	m.Store(size-8, 8, 0x1122334455667788)
 	if v := m.Load(size-8, 8); v != 0x1122334455667788 {
 		t.Fatalf("tail chunk: got %#x", v)

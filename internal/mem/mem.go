@@ -10,6 +10,8 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+
+	"cheriabi/internal/cap"
 )
 
 // PageShift is the log2 of the page used for write-generation tracking.
@@ -39,6 +41,15 @@ const (
 	chunkMask  = chunkSize - 1
 )
 
+// GranShift is log2 of the tag granule: one tag bit per capability
+// (cap.Bytes bytes, capability-aligned). Callers index the tag slices
+// Page hands out with it.
+const GranShift = 4
+
+// The granule is the capability width: one tag per stored capability. A
+// cap.Bytes other than 1<<GranShift fails to compile here.
+var _ [0]struct{} = [cap.Bytes - 1<<GranShift]struct{}{}
+
 // A page never straddles a chunk: Page hands out one page as a subslice
 // of one chunk.
 var _ [0]struct{} = [chunkSize % PageSize]struct{}{}
@@ -47,9 +58,7 @@ var _ [0]struct{} = [chunkSize % PageSize]struct{}{}
 // permission checking happen above this layer (capabilities + MMU), so an
 // out-of-range physical access is a simulator bug and panics.
 type Physical struct {
-	size      uint64
-	granule   uint64 // capability size in bytes; one tag per granule
-	granShift uint   // log2(granule); granule is asserted a power of two
+	size uint64
 	// chunks and tags are parallel lazily-allocated arrays: chunks[i] is
 	// nil until the chunk's bytes (or tags) are first written, and nil
 	// means "all zero bytes, all tags clear". The two materialize
@@ -69,45 +78,22 @@ type Physical struct {
 }
 
 // New returns size bytes of zeroed physical memory with one tag per
-// granule bytes. size must be a multiple of granule, and granule a power
-// of two no larger than a chunk (both capability formats are 16 or 32
-// bytes).
-func New(size, granule uint64) *Physical {
-	if granule == 0 || size%granule != 0 {
-		panic(fmt.Sprintf("mem: size %d not a multiple of granule %d", size, granule))
-	}
-	if granule&(granule-1) != 0 || granule > chunkSize {
-		panic(fmt.Sprintf("mem: granule %d must be a power of two ≤ %d", granule, chunkSize))
+// capability-sized granule. size must be a multiple of cap.Bytes.
+func New(size uint64) *Physical {
+	if size%cap.Bytes != 0 {
+		panic(fmt.Sprintf("mem: size %d not a multiple of the %d-byte granule", size, cap.Bytes))
 	}
 	nchunks := (size + chunkSize - 1) / chunkSize
 	return &Physical{
-		size:      size,
-		granule:   granule,
-		granShift: granShiftOf(granule),
-		chunks:    make([][]byte, nchunks),
-		tags:      make([][]bool, nchunks),
-		gens:      make([]uint64, (size+PageSize-1)/PageSize),
+		size:   size,
+		chunks: make([][]byte, nchunks),
+		tags:   make([][]bool, nchunks),
+		gens:   make([]uint64, (size+PageSize-1)/PageSize),
 	}
-}
-
-// granShiftOf returns log2 of a power-of-two granule.
-func granShiftOf(granule uint64) uint {
-	var sh uint
-	for g := granule; g > 1; g >>= 1 {
-		sh++
-	}
-	return sh
 }
 
 // Size returns the memory size in bytes.
 func (m *Physical) Size() uint64 { return m.size }
-
-// Granule returns the capability granule size in bytes.
-func (m *Physical) Granule() uint64 { return m.granule }
-
-// GranShift returns log2(Granule()), for callers that index the tag
-// slices Page hands out.
-func (m *Physical) GranShift() uint { return m.granShift }
 
 func (m *Physical) check(pa, n uint64) {
 	if pa+n > m.size || pa+n < pa {
@@ -125,7 +111,7 @@ func (m *Physical) materialize(pa uint64) ([]byte, []bool) {
 			csize = rem
 		}
 		m.chunks[ci] = make([]byte, csize)
-		m.tags[ci] = make([]bool, csize/m.granule)
+		m.tags[ci] = make([]bool, csize/cap.Bytes)
 	}
 	return m.chunks[ci], m.tags[ci]
 }
@@ -175,9 +161,8 @@ func (m *Physical) Page(paPage uint64) (data []byte, tags []bool, gen *uint64) {
 		return nil, nil, nil
 	}
 	off := paPage & chunkMask // the whole page lies in chunk ci
-	gs := m.granShift
 	return ch[off : off+PageSize : off+PageSize],
-		m.tags[ci][off>>gs : (off+PageSize)>>gs : (off+PageSize)>>gs],
+		m.tags[ci][off>>GranShift : (off+PageSize)>>GranShift : (off+PageSize)>>GranShift],
 		&m.gens[paPage>>PageShift]
 }
 
@@ -187,17 +172,16 @@ func (m *Physical) clearTags(pa, n uint64) {
 	if n == 0 {
 		return
 	}
-	gs := m.granShift
-	first, last := pa>>gs, (pa+n-1)>>gs
+	first, last := pa>>GranShift, (pa+n-1)>>GranShift
 	for g := first; g <= last; {
-		ci := g << gs >> chunkShift
-		chunkEnd := (ci + 1) << chunkShift >> gs // first granule of next chunk
+		ci := g << GranShift >> chunkShift
+		chunkEnd := (ci + 1) << chunkShift >> GranShift // first granule of next chunk
 		end := last + 1
 		if chunkEnd < end {
 			end = chunkEnd
 		}
 		if t := m.tags[ci]; t != nil {
-			base := ci << chunkShift >> gs
+			base := ci << chunkShift >> GranShift
 			clear(t[g-base : end-base])
 		}
 		g = end
@@ -270,11 +254,11 @@ func (m *Physical) Store(pa, n, v uint64) {
 		default:
 			panic(fmt.Sprintf("mem: bad store size %d", n))
 		}
-		if pa>>m.granShift == (pa+n-1)>>m.granShift {
+		if pa>>GranShift == (pa+n-1)>>GranShift {
 			// Inside one granule (every naturally aligned scalar store):
 			// exactly one tag to clear and — granules never straddle
 			// pages — exactly one page generation to bump.
-			tags[off>>m.granShift] = false
+			tags[off>>GranShift] = false
 			m.gens[pa>>PageShift]++
 			return
 		}
@@ -339,45 +323,45 @@ func (m *Physical) Tag(pa uint64) bool {
 	if t == nil {
 		return false
 	}
-	return t[(pa&chunkMask)/m.granule]
+	return t[(pa&chunkMask)/cap.Bytes]
 }
 
 // LoadCap reads one capability-sized value at pa, returning the raw bytes
 // and the granule's tag. pa must be granule-aligned.
 func (m *Physical) LoadCap(pa uint64, buf []byte) bool {
-	if pa%m.granule != 0 {
+	if pa%cap.Bytes != 0 {
 		panic(fmt.Sprintf("mem: unaligned capability load at 0x%x", pa))
 	}
-	m.check(pa, m.granule)
+	m.check(pa, cap.Bytes)
 	ch := m.chunks[pa>>chunkShift]
 	if ch == nil {
-		clear(buf[:m.granule])
+		clear(buf[:cap.Bytes])
 		return false
 	}
 	off := pa & chunkMask
-	copy(buf, ch[off:off+m.granule])
-	return m.tags[pa>>chunkShift][off/m.granule]
+	copy(buf, ch[off:off+cap.Bytes])
+	return m.tags[pa>>chunkShift][off/cap.Bytes]
 }
 
 // StoreCap writes one capability-sized value at pa with the given tag.
 // pa must be granule-aligned.
 func (m *Physical) StoreCap(pa uint64, buf []byte, tag bool) {
-	if pa%m.granule != 0 {
+	if pa%cap.Bytes != 0 {
 		panic(fmt.Sprintf("mem: unaligned capability store at 0x%x", pa))
 	}
-	m.check(pa, m.granule)
+	m.check(pa, cap.Bytes)
 	ch, tags := m.materialize(pa)
 	off := pa & chunkMask
-	copy(ch[off:off+m.granule], buf[:m.granule])
-	tags[off/m.granule] = tag
-	m.touch(pa, m.granule)
+	copy(ch[off:off+cap.Bytes], buf[:cap.Bytes])
+	tags[off/cap.Bytes] = tag
+	m.touch(pa, cap.Bytes)
 }
 
 // CopyTagged copies n bytes from src to dst preserving tags where both
 // sides are granule-aligned granules (used by page copies: COW, fork).
 // n, src and dst must be granule-aligned.
 func (m *Physical) CopyTagged(dst, src, n uint64) {
-	if dst%m.granule != 0 || src%m.granule != 0 || n%m.granule != 0 {
+	if dst%cap.Bytes != 0 || src%cap.Bytes != 0 || n%cap.Bytes != 0 {
 		panic("mem: CopyTagged requires granule alignment")
 	}
 	m.check(dst, n)
@@ -397,13 +381,13 @@ func (m *Physical) CopyTagged(dst, src, n uint64) {
 			if dstCh, dstTags := m.chunks[d>>chunkShift], m.tags[d>>chunkShift]; dstCh != nil {
 				off := d & chunkMask
 				clear(dstCh[off : off+span])
-				clear(dstTags[off/m.granule : (off+span)/m.granule])
+				clear(dstTags[off/cap.Bytes : (off+span)/cap.Bytes])
 			}
 		} else {
 			dstCh, dstTags := m.materialize(d)
 			so, do := s&chunkMask, d&chunkMask
 			copy(dstCh[do:do+span], srcCh[so:so+span])
-			copy(dstTags[do/m.granule:(do+span)/m.granule], srcTags[so/m.granule:(so+span)/m.granule])
+			copy(dstTags[do/cap.Bytes:(do+span)/cap.Bytes], srcTags[so/cap.Bytes:(so+span)/cap.Bytes])
 		}
 	}
 	spanAt := func(done uint64) uint64 {
@@ -440,7 +424,7 @@ func (m *Physical) CopyTagged(dst, src, n uint64) {
 // granule-aligned and len(tags) must be len(buf)/granule.
 func (m *Physical) WriteTagged(pa uint64, buf []byte, tags []bool) {
 	n := uint64(len(buf))
-	if pa%m.granule != 0 || n%m.granule != 0 || uint64(len(tags)) != n/m.granule {
+	if pa%cap.Bytes != 0 || n%cap.Bytes != 0 || uint64(len(tags)) != n/cap.Bytes {
 		panic("mem: WriteTagged requires granule alignment")
 	}
 	m.check(pa, n)
@@ -452,7 +436,7 @@ func (m *Physical) WriteTagged(pa uint64, buf []byte, tags []bool) {
 		ch, t := m.materialize(pa + done)
 		off := (pa + done) & chunkMask
 		copy(ch[off:off+span], buf[done:done+span])
-		copy(t[off/m.granule:(off+span)/m.granule], tags[done/m.granule:(done+span)/m.granule])
+		copy(t[off/cap.Bytes:(off+span)/cap.Bytes], tags[done/cap.Bytes:(done+span)/cap.Bytes])
 		done += span
 	}
 	m.touch(pa, n)
@@ -487,11 +471,11 @@ func (m *Physical) Fill(pa, n uint64, v byte) {
 // used by the swapper to preserve abstract capabilities across storage
 // that cannot hold tags.
 func (m *Physical) ExtractTags(pa, n uint64) []bool {
-	if pa%m.granule != 0 || n%m.granule != 0 {
+	if pa%cap.Bytes != 0 || n%cap.Bytes != 0 {
 		panic("mem: ExtractTags requires granule alignment")
 	}
 	m.check(pa, n)
-	out := make([]bool, n/m.granule)
+	out := make([]bool, n/cap.Bytes)
 	for done := uint64(0); done < n; {
 		p := pa + done
 		span := n - done
@@ -500,7 +484,7 @@ func (m *Physical) ExtractTags(pa, n uint64) []bool {
 		}
 		if t := m.tags[p>>chunkShift]; t != nil {
 			off := p & chunkMask
-			copy(out[done/m.granule:(done+span)/m.granule], t[off/m.granule:(off+span)/m.granule])
+			copy(out[done/cap.Bytes:(done+span)/cap.Bytes], t[off/cap.Bytes:(off+span)/cap.Bytes])
 		}
 		done += span
 	}

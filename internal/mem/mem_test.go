@@ -6,7 +6,7 @@ import (
 )
 
 func TestLoadStoreRoundTrip(t *testing.T) {
-	m := New(1<<16, 16)
+	m := New(1 << 16)
 	for _, n := range []uint64{1, 2, 4, 8} {
 		v := uint64(0x1122334455667788) & ((1 << (8 * n)) - 1)
 		if n == 8 {
@@ -20,7 +20,7 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 }
 
 func TestStoreClearsTag(t *testing.T) {
-	m := New(1<<16, 16)
+	m := New(1 << 16)
 	capBytes := make([]byte, 16)
 	m.StoreCap(0x40, capBytes, true)
 	if !m.Tag(0x40) {
@@ -34,7 +34,7 @@ func TestStoreClearsTag(t *testing.T) {
 }
 
 func TestStoreAdjacentKeepsTag(t *testing.T) {
-	m := New(1<<16, 16)
+	m := New(1 << 16)
 	m.StoreCap(0x40, make([]byte, 16), true)
 	m.Store(0x50, 8, 1) // next granule
 	m.Store(0x38, 8, 1) // previous granule
@@ -44,7 +44,7 @@ func TestStoreAdjacentKeepsTag(t *testing.T) {
 }
 
 func TestWriteBytesClearsOverlappedTags(t *testing.T) {
-	m := New(1<<16, 16)
+	m := New(1 << 16)
 	m.StoreCap(0x40, make([]byte, 16), true)
 	m.StoreCap(0x50, make([]byte, 16), true)
 	m.WriteBytes(0x4F, []byte{1, 2}) // straddles both granules
@@ -54,7 +54,7 @@ func TestWriteBytesClearsOverlappedTags(t *testing.T) {
 }
 
 func TestCapRoundTrip(t *testing.T) {
-	m := New(1<<16, 16)
+	m := New(1 << 16)
 	in := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 	m.StoreCap(0x80, in, true)
 	out := make([]byte, 16)
@@ -70,7 +70,7 @@ func TestCapRoundTrip(t *testing.T) {
 }
 
 func TestCopyTaggedPreservesTags(t *testing.T) {
-	m := New(1<<16, 16)
+	m := New(1 << 16)
 	m.StoreCap(0x100, []byte{0xAA, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, true)
 	m.Store(0x110, 8, 0xDEAD) // untagged data granule
 	m.CopyTagged(0x200, 0x100, 32)
@@ -86,7 +86,7 @@ func TestCopyTaggedPreservesTags(t *testing.T) {
 }
 
 func TestExtractTags(t *testing.T) {
-	m := New(1<<16, 16)
+	m := New(1 << 16)
 	m.StoreCap(0x100, make([]byte, 16), true)
 	m.StoreCap(0x120, make([]byte, 16), true)
 	tags := m.ExtractTags(0x100, 64)
@@ -99,7 +99,7 @@ func TestExtractTags(t *testing.T) {
 }
 
 func TestZero(t *testing.T) {
-	m := New(1<<16, 16)
+	m := New(1 << 16)
 	m.StoreCap(0x100, []byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, true)
 	m.Zero(0x100, 32)
 	if m.Tag(0x100) {
@@ -111,7 +111,7 @@ func TestZero(t *testing.T) {
 }
 
 func TestLoadStoreQuick(t *testing.T) {
-	m := New(1<<20, 16)
+	m := New(1 << 20)
 	f := func(addr uint32, v uint64) bool {
 		pa := uint64(addr) % (1<<20 - 8)
 		m.Store(pa, 8, v)
@@ -123,7 +123,7 @@ func TestLoadStoreQuick(t *testing.T) {
 }
 
 func TestOutOfRangePanics(t *testing.T) {
-	m := New(1<<12, 16)
+	m := New(1 << 12)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -137,7 +137,7 @@ func TestOutOfRangePanics(t *testing.T) {
 // of a chunk boundary are each served whole from their own chunk, and a
 // write through one page's backing never reaches the other.
 func TestPagesTileChunks(t *testing.T) {
-	m := New(2*chunkSize, 16)
+	m := New(2 * chunkSize)
 	last, first := uint64(chunkSize-PageSize), uint64(chunkSize)
 	if d, _, _ := m.Page(last); d != nil {
 		t.Fatal("Page handed out a never-written page")

@@ -98,7 +98,6 @@ func (ln *Linked) LookupGlobal(name string) (*LinkedImage, *image.Symbol) {
 type Linker struct {
 	AS      *vm.AddressSpace
 	Mem     *mem.Physical
-	Fmt     cap.Format
 	ABI     image.ABI
 	Resolve Resolver
 	Trace   TraceFunc
@@ -143,8 +142,8 @@ func (ld *Linker) writeCap(va uint64, c cap.Capability) error {
 	if pf != nil {
 		return pf
 	}
-	buf := make([]byte, ld.Fmt.Bytes)
-	ld.Fmt.Encode(c, buf)
+	buf := make([]byte, cap.Bytes)
+	cap.Encode(c, buf)
 	ld.Mem.StoreCap(pa, buf, c.Tag())
 	return nil
 }
@@ -198,7 +197,7 @@ func (ld *Linker) loadRecursive(img *image.Image, ln *Linked) error {
 
 // mapImage maps one image's segments and copies in its contents.
 func (ld *Linker) mapImage(img *image.Image) (*LinkedImage, error) {
-	l := img.Layout(ld.Fmt.Bytes)
+	l := img.Layout()
 	base := ld.NextBase
 	ld.NextBase = base + l.Total + vm.PageSize // guard page between images
 
@@ -247,7 +246,7 @@ func (ld *Linker) mapImage(img *image.Image) (*LinkedImage, error) {
 			if err != nil || size == 0 {
 				return cap.Null()
 			}
-			c, e := ld.Fmt.SetBounds(ld.UserRoot, base+off, size)
+			c, e := cap.SetBounds(ld.UserRoot, base+off, size)
 			if e != nil {
 				err = e
 				return cap.Null()
@@ -269,7 +268,7 @@ func (ld *Linker) mapImage(img *image.Image) (*LinkedImage, error) {
 
 // slotVA returns the address of GOT slot n in li.
 func (ld *Linker) slotVA(li *LinkedImage, slot int) uint64 {
-	return li.Base + li.Layout.GOTOff + uint64(slot)*ld.ABI.PtrSize(ld.Fmt.Bytes)
+	return li.Base + li.Layout.GOTOff + uint64(slot)*ld.ABI.PtrSize()
 }
 
 // resolve finds the defining image and symbol for a reference from li.
@@ -292,7 +291,7 @@ func (ld *Linker) dataCapFor(def *LinkedImage, s *image.Symbol) (cap.Capability,
 	}
 	// Pad to a representable length so large objects keep exact-feeling
 	// bounds; the compiler aligns and pads large globals correspondingly.
-	c, err := ld.Fmt.SetBounds(def.sectionCap(s), va, size)
+	c, err := cap.SetBounds(def.sectionCap(s), va, size)
 	if err != nil {
 		return cap.Null(), fmt.Errorf("rtld: bounding %s: %w", s.Name, err)
 	}
@@ -306,7 +305,7 @@ func (ld *Linker) dataCapFor(def *LinkedImage, s *image.Symbol) (cap.Capability,
 // whole defining object ("While these bounds are not minimal, this
 // preserves the ability of code to use branches in place of jumps").
 func (ld *Linker) funcCapFor(def *LinkedImage, s *image.Symbol) cap.Capability {
-	return ld.Fmt.SetAddr(def.TextCap, def.SymbolVA(s))
+	return cap.SetAddr(def.TextCap, def.SymbolVA(s))
 }
 
 func (ld *Linker) fillGOT(li *LinkedImage, ln *Linked) error {
@@ -374,7 +373,7 @@ func (ld *Linker) applyCapRelocs(li *LinkedImage, ln *Linked) error {
 			}
 			descVA := ld.slotVA(li, ge.Slot)
 			if ld.ABI == image.ABICheri {
-				c, err := ld.Fmt.SetBounds(li.GOTCap, descVA, 2*ld.Fmt.Bytes)
+				c, err := cap.SetBounds(li.GOTCap, descVA, 2*cap.Bytes)
 				if err != nil {
 					return err
 				}
@@ -392,7 +391,7 @@ func (ld *Linker) applyCapRelocs(li *LinkedImage, ln *Linked) error {
 			if err != nil {
 				return err
 			}
-			c = ld.Fmt.IncAddr(c, int64(r.Addend))
+			c = cap.IncAddr(c, int64(r.Addend))
 			ld.trace("cap relocs", c)
 			if err := ld.writeCap(loc, c); err != nil {
 				return err
@@ -413,7 +412,7 @@ func (ld *Linker) EntryPoint(ln *Linked) (pc uint64, pcc, cgp cap.Capability, go
 	}
 	pc = ln.Exec.SymbolVA(sym)
 	if ld.ABI == image.ABICheri {
-		pcc = ld.Fmt.SetAddr(ln.Exec.TextCap, pc)
+		pcc = cap.SetAddr(ln.Exec.TextCap, pc)
 		cgp = ln.Exec.GOTCap
 	}
 	gotAddr = ln.Exec.Base + ln.Exec.Layout.GOTOff

@@ -13,12 +13,11 @@ import (
 // testEnv builds an address space and a linker for the given ABI.
 func testEnv(t *testing.T, abi image.ABI) (*Linker, *mem.Physical) {
 	t.Helper()
-	m := mem.New(32<<20, 16)
+	m := mem.New(32 << 20)
 	sys := vm.NewSystem(m, 1<<20)
 	ld := &Linker{
 		AS:       sys.NewAddressSpace(),
 		Mem:      m,
-		Fmt:      cap.Format128,
 		ABI:      abi,
 		UserRoot: cap.Root(0, 1<<40, cap.PermAll),
 		NextBase: 0x100000,
@@ -101,9 +100,9 @@ func (ld *Linker) readCap(t *testing.T, va uint64) cap.Capability {
 	if pf != nil {
 		t.Fatal(pf)
 	}
-	buf := make([]byte, ld.Fmt.Bytes)
+	buf := make([]byte, cap.Bytes)
 	tag := ld.Mem.LoadCap(pa, buf)
-	return ld.Fmt.Decode(buf, tag)
+	return cap.Decode(buf, tag)
 }
 
 func (ld *Linker) readWord(t *testing.T, va uint64) uint64 {

@@ -278,7 +278,7 @@ func (u *Space) Copy(dst cap.Capability, dstVA uint64, src cap.Capability, srcVA
 		return err
 	}
 	m := u.CPU.Mem
-	g := m.Granule()
+	const g = cap.Bytes
 
 	// Tag preservation needs matching granule alignment on both sides and
 	// the capability-copy permissions; otherwise this is a data copy and
@@ -337,7 +337,7 @@ func (u *Space) Copy(dst cap.Capability, dstVA uint64, src cap.Capability, srcVA
 			if !tags[o/g] {
 				continue
 			}
-			if v := u.CPU.Fmt.Decode(buf[o:o+g], true); !v.HasPerm(cap.PermGlobal) {
+			if v := cap.Decode(buf[o:o+g], true); !v.HasPerm(cap.PermGlobal) {
 				return &cap.Fault{Cause: cap.FaultUnderivedLocal, Cap: dst, Addr: dstVA + o, Size: g}
 			}
 		}

@@ -17,9 +17,9 @@ const dataVA = 0x20000 // page-aligned test region base
 // address space mapping pages pages at dataVA, and a Space over it.
 func newSpace(t *testing.T, pages int, slow bool) (*Space, *cpu.CPU) {
 	t.Helper()
-	m := mem.New(16<<20, 16)
+	m := mem.New(16 << 20)
 	sys := vm.NewSystem(m, 1<<20)
-	c := cpu.New(m, cache.DefaultHierarchy(), cap.Format128)
+	c := cpu.New(m, cache.DefaultHierarchy())
 	c.AS = sys.NewAddressSpace()
 	if err := c.AS.Map(dataVA, uint64(pages)*vm.PageSize, vm.ProtRead|vm.ProtWrite, false); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 
+	"cheriabi/internal/cap"
 	"cheriabi/internal/mem"
 )
 
@@ -419,13 +420,12 @@ func (as *AddressSpace) swapIn(e *pte) {
 	e.present = true
 	as.Gen++
 	as.sys.Mem.WriteBytes(e.frame, slot.data)
-	granule := as.sys.Mem.Granule()
-	buf := make([]byte, granule)
+	buf := make([]byte, cap.Bytes)
 	for i, tagged := range slot.tags {
 		if !tagged {
 			continue
 		}
-		pa := e.frame + uint64(i)*granule
+		pa := e.frame + uint64(i)*cap.Bytes
 		if as.Rederive == nil || as.Rederive(pa) {
 			as.sys.Mem.LoadCap(pa, buf)
 			as.sys.Mem.StoreCap(pa, buf, true)

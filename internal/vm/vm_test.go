@@ -10,7 +10,7 @@ import (
 
 func newSys(t *testing.T) *System {
 	t.Helper()
-	return NewSystem(mem.New(8<<20, 16), 1<<20)
+	return NewSystem(mem.New(8<<20), 1<<20)
 }
 
 func TestMapTranslateDemandZero(t *testing.T) {
@@ -379,7 +379,7 @@ func FuzzFramesMatchesFreeList(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 0, 3, 4, 4, 0, 3, 4, 5, 0, 0, 0, 2, 0, 6, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		const reserved, size = 1 << 20, 1<<20 + 64*PageSize
-		s := NewSystem(mem.New(size, 16), reserved)
+		s := NewSystem(mem.New(size), reserved)
 		o := newFreeListFrames(reserved, size)
 		type space struct {
 			as    *AddressSpace

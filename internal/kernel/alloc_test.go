@@ -153,6 +153,41 @@ func TestFileReadWriteDoesNotAllocate(t *testing.T) {
 	})
 }
 
+func TestPreadPwriteDoesNotAllocate(t *testing.T) {
+	var fd uint64
+	wantZeroAllocs(t, "pwrite+pread of a regular file", func(h *ioProc) {
+		h.k.FS.WriteFile("/data", nil)
+		fd = h.open(&vnodeFile{node: h.k.FS.lookup("/data")})
+	}, func(h *ioProc) string {
+		n, e := h.call(nat.SysPwrite, []uint64{fd, ioAllocLen, 64}, []cap.Capability{h.buf})
+		if msg := moved("pwrite", n, e); msg != "" {
+			return msg
+		}
+		n, e = h.call(nat.SysPread, []uint64{fd, ioAllocLen, 64}, []cap.Capability{h.buf})
+		return moved("pread", n, e)
+	})
+}
+
+func TestGetdentsDoesNotAllocate(t *testing.T) {
+	var fd uint64
+	wantZeroAllocs(t, "getdents+lseek of a directory", func(h *ioProc) {
+		h.k.FS.Mkdir("/d")
+		for i := 0; i < ioAllocLen/direntSize; i++ {
+			h.k.FS.WriteFile("/d/"+itoa(i), nil)
+		}
+		fd = h.open(newDirFile(h.k.FS.lookup("/d")))
+	}, func(h *ioProc) string {
+		n, e := h.call(nat.SysGetdents, []uint64{fd, ioAllocLen}, []cap.Capability{h.buf})
+		if msg := moved("getdents", n, e); msg != "" {
+			return msg
+		}
+		if _, e := h.call(nat.SysLseek, []uint64{fd, 0, 0}, nil); e != OK {
+			return "lseek: errno " + itoa(int(e))
+		}
+		return ""
+	})
+}
+
 // pipePair opens the two ends of a pipe as descriptors r and w.
 func (h *ioProc) pipePair() (r, w uint64) {
 	pip := &pipe{readers: 1, writers: 1}

@@ -20,7 +20,6 @@ func TestByteQueuesCompactInPlace(t *testing.T) {
 		{"pipe", &pipeFile{pip: pip, writeEnd: true}, &pipeFile{pip: pip}, func() []byte { return pip.buf }, pipeCap},
 		{"AF_UNIX", s1, s2, func() []byte { return s1.send.data }, sockCap},
 	} {
-		var f FDesc
 		writeSizes := []int{1000, 7919, 30000, 65536, 12, 40000}
 		readSizes := []int{513, 20000, 64, 65536, 9000}
 		out := make([]byte, 1<<17)
@@ -30,7 +29,7 @@ func TestByteQueuesCompactInPlace(t *testing.T) {
 			for i := range in {
 				in[i] = byte((sent + i) % 251)
 			}
-			n, e := tc.w.Write(&f, in)
+			n, e := tc.w.Write(in, 0)
 			if e != OK {
 				t.Fatalf("%s: write: errno %v", tc.name, e)
 			}
@@ -38,7 +37,7 @@ func TestByteQueuesCompactInPlace(t *testing.T) {
 			if c := cap(tc.buf()); c > tc.limit {
 				t.Fatalf("%s: buffer capacity %d after a write, bound %d", tc.name, c, tc.limit)
 			}
-			n, e = tc.r.Read(&f, out[:readSizes[step%len(readSizes)]])
+			n, e = tc.r.Read(out[:readSizes[step%len(readSizes)]], 0)
 			if e != OK {
 				t.Fatalf("%s: read: errno %v", tc.name, e)
 			}

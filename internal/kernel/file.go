@@ -23,10 +23,10 @@ import (
 //     internal/uaccess (one capability check per transfer, page-run bulk
 //     copies); File methods move bytes between kernel scratch buffers and
 //     the object only.
-//   - Read/Write operate at the descriptor cursor (f.off) and advance it
-//     if the object is seekable; Pread/Pwrite are positional and leave
-//     the cursor alone. Non-seekable objects return ESPIPE from the
-//     positional forms and from Seek.
+//   - Read/Write transfer at the offset they are handed; stream objects
+//     (pipes, sockets, devices, kqueues) ignore it. The descriptor layer
+//     owns positioning: the cursor, O_APPEND, lseek, and the ESPIPE rule
+//     for objects without positions (see DESIGN.md, "Descriptor I/O").
 //   - Close is called exactly once, when the last descriptor reference
 //     to the open-file description goes away.
 
@@ -62,20 +62,13 @@ const (
 
 // File is one open file object.
 type File interface {
-	// Read reads up to len(b) bytes at the descriptor cursor into b,
-	// advancing the cursor for seekable objects. Returns 0, OK at EOF.
-	Read(f *FDesc, b []byte) (int, Errno)
-	// Write writes b at the descriptor cursor (honouring OAppend),
-	// returning the bytes accepted — pipes may accept a short count. b
-	// is the kernel's staging buffer: copy what you keep, never retain b.
-	Write(f *FDesc, b []byte) (int, Errno)
-	// Pread reads up to len(b) bytes at offset off, cursor untouched.
-	Pread(b []byte, off int64) (int, Errno)
-	// Pwrite writes b at offset off, cursor untouched. As for Write, b
-	// must not be retained.
-	Pwrite(b []byte, off int64) (int, Errno)
-	// Seek repositions the descriptor cursor and returns it.
-	Seek(f *FDesc, off int64, whence int) (int64, Errno)
+	// Read reads up to len(b) bytes at offset off into b. Returns 0, OK
+	// at EOF.
+	Read(b []byte, off int64) (int, Errno)
+	// Write writes b at offset off, returning the bytes accepted — pipes
+	// may accept a short count. b is the kernel's staging buffer: copy
+	// what you keep, never retain b.
+	Write(b []byte, off int64) (int, Errno)
 	// Truncate sets the object's size.
 	Truncate(size int64) Errno
 	// Ioctl handles object-specific control requests; argp transfers go
@@ -118,17 +111,12 @@ func pollDepth(f File, kind PollKind) int64 {
 }
 
 // baseFile supplies stream-object defaults: unreadable/unwritable until
-// overridden, unseekable, no ioctls, always ready, nothing to release.
+// overridden, no ioctls, always ready, nothing to release.
 type baseFile struct{}
 
-func (baseFile) Read(*FDesc, []byte) (int, Errno)  { return 0, EBADF }
-func (baseFile) Write(*FDesc, []byte) (int, Errno) { return 0, EBADF }
-func (baseFile) Pread([]byte, int64) (int, Errno)  { return 0, ESPIPE }
-func (baseFile) Pwrite([]byte, int64) (int, Errno) { return 0, ESPIPE }
-func (baseFile) Seek(*FDesc, int64, int) (int64, Errno) {
-	return 0, ESPIPE
-}
-func (baseFile) Truncate(int64) Errno { return EINVAL }
+func (baseFile) Read([]byte, int64) (int, Errno)  { return 0, EBADF }
+func (baseFile) Write([]byte, int64) (int, Errno) { return 0, EBADF }
+func (baseFile) Truncate(int64) Errno             { return EINVAL }
 func (baseFile) Ioctl(*Kernel, *Thread, *FDesc, uint64, cap.Capability) Errno {
 	return ENOTTY
 }
@@ -144,13 +132,7 @@ type vnodeFile struct {
 	node *fsNode
 }
 
-func (v *vnodeFile) Read(f *FDesc, b []byte) (int, Errno) {
-	n, e := v.Pread(b, f.off)
-	f.off += int64(n)
-	return n, e
-}
-
-func (v *vnodeFile) Pread(b []byte, off int64) (int, Errno) {
+func (v *vnodeFile) Read(b []byte, off int64) (int, Errno) {
 	if off < 0 {
 		return 0, EINVAL
 	}
@@ -158,15 +140,6 @@ func (v *vnodeFile) Pread(b []byte, off int64) (int, Errno) {
 		return 0, OK // EOF
 	}
 	return copy(b, v.node.data[off:]), OK
-}
-
-func (v *vnodeFile) Write(f *FDesc, b []byte) (int, Errno) {
-	if f.flags&OAppend != 0 {
-		f.off = int64(len(v.node.data))
-	}
-	n, e := v.Pwrite(b, f.off)
-	f.off += int64(n)
-	return n, e
 }
 
 // vnodeMaxBytes bounds a regular file's size. Guest-chosen offsets reach
@@ -184,7 +157,7 @@ func (v *vnodeFile) grow(end int64) {
 	}
 }
 
-func (v *vnodeFile) Pwrite(b []byte, off int64) (int, Errno) {
+func (v *vnodeFile) Write(b []byte, off int64) (int, Errno) {
 	if off < 0 {
 		return 0, EINVAL
 	}
@@ -195,25 +168,6 @@ func (v *vnodeFile) Pwrite(b []byte, off int64) (int, Errno) {
 	v.grow(end)
 	copy(v.node.data[off:end], b)
 	return len(b), OK
-}
-
-func (v *vnodeFile) Seek(f *FDesc, off int64, whence int) (int64, Errno) {
-	var pos int64
-	switch whence {
-	case 0:
-		pos = off
-	case 1:
-		pos = f.off + off
-	case 2:
-		pos = int64(len(v.node.data)) + off
-	default:
-		return 0, EINVAL
-	}
-	if pos < 0 {
-		return 0, EINVAL // the cursor stays where it was
-	}
-	f.off = pos
-	return pos, OK
 }
 
 func (v *vnodeFile) Truncate(size int64) Errno {
@@ -238,8 +192,8 @@ func (v *vnodeFile) Stat() FileStat {
 // guest iteration trivial and the layout identical under both ABIs.
 const direntSize = 64
 
-// dirFile is an open directory (O_RDONLY only). Read and Pread serve a
-// stream of fixed-size dirent records — getdents(2) is read(2) on a
+// dirFile is an open directory (O_RDONLY only). Read serves a stream of
+// fixed-size dirent records — getdents(2) is read(2) on a
 // directory descriptor — snapshotted in sorted name order at open time,
 // so iteration is deterministic and stable against concurrent
 // creates/unlinks. Writes fail EISDIR.
@@ -272,13 +226,7 @@ func newDirFile(n *fsNode) *dirFile {
 	return d
 }
 
-func (d *dirFile) Read(f *FDesc, b []byte) (int, Errno) {
-	n, e := d.Pread(b, f.off)
-	f.off += int64(n)
-	return n, e
-}
-
-func (d *dirFile) Pread(b []byte, off int64) (int, Errno) {
+func (d *dirFile) Read(b []byte, off int64) (int, Errno) {
 	if off < 0 {
 		return 0, EINVAL
 	}
@@ -288,27 +236,7 @@ func (d *dirFile) Pread(b []byte, off int64) (int, Errno) {
 	return copy(b, d.ents[off:]), OK
 }
 
-func (d *dirFile) Seek(f *FDesc, off int64, whence int) (int64, Errno) {
-	var pos int64
-	switch whence {
-	case 0:
-		pos = off
-	case 1:
-		pos = f.off + off
-	case 2:
-		pos = int64(len(d.ents)) + off
-	default:
-		return 0, EINVAL
-	}
-	if pos < 0 {
-		return 0, EINVAL
-	}
-	f.off = pos // lseek(fd, 0, 0) is rewinddir
-	return pos, OK
-}
-
-func (d *dirFile) Write(*FDesc, []byte) (int, Errno) { return 0, EISDIR }
-func (d *dirFile) Pwrite([]byte, int64) (int, Errno) { return 0, EISDIR }
+func (d *dirFile) Write([]byte, int64) (int, Errno) { return 0, EISDIR }
 func (d *dirFile) Stat() FileStat {
 	return FileStat{Size: int64(len(d.ents)), Kind: StatDir}
 }
@@ -339,7 +267,7 @@ type pipeFile struct {
 	writeEnd bool
 }
 
-func (pf *pipeFile) Read(f *FDesc, b []byte) (int, Errno) {
+func (pf *pipeFile) Read(b []byte, _ int64) (int, Errno) {
 	if pf.writeEnd {
 		return 0, EBADF
 	}
@@ -351,7 +279,7 @@ func (pf *pipeFile) Read(f *FDesc, b []byte) (int, Errno) {
 	return n, OK
 }
 
-func (pf *pipeFile) Write(f *FDesc, b []byte) (int, Errno) {
+func (pf *pipeFile) Write(b []byte, _ int64) (int, Errno) {
 	if !pf.writeEnd {
 		return 0, EBADF
 	}
@@ -413,9 +341,9 @@ type ttyFile struct {
 	console *Proc
 }
 
-func (tf *ttyFile) Read(*FDesc, []byte) (int, Errno) { return 0, OK }
+func (tf *ttyFile) Read([]byte, int64) (int, Errno) { return 0, OK }
 
-func (tf *ttyFile) Write(f *FDesc, b []byte) (int, Errno) {
+func (tf *ttyFile) Write(b []byte, _ int64) (int, Errno) {
 	tf.console.Stdout.Write(b)
 	if tf.k.Console != nil {
 		tf.k.Console.Write(b)
@@ -438,27 +366,21 @@ func (tf *ttyFile) Stat() FileStat { return FileStat{Kind: StatDev} }
 // nullFile is /dev/null: reads are EOF, writes vanish.
 type nullFile struct{ baseFile }
 
-func (nullFile) Read(*FDesc, []byte) (int, Errno)      { return 0, OK }
-func (nullFile) Pread([]byte, int64) (int, Errno)      { return 0, OK }
-func (nullFile) Write(f *FDesc, b []byte) (int, Errno) { return len(b), OK }
-func (nullFile) Pwrite(b []byte, off int64) (int, Errno) {
-	return len(b), OK
-}
-func (nullFile) Stat() FileStat { return FileStat{Kind: StatDev} }
+func (nullFile) Read([]byte, int64) (int, Errno)      { return 0, OK }
+func (nullFile) Write(b []byte, _ int64) (int, Errno) { return len(b), OK }
+func (nullFile) Stat() FileStat                       { return FileStat{Kind: StatDev} }
 
 // zeroFile is /dev/zero: reads supply zeros, writes vanish.
 type zeroFile struct{ baseFile }
 
-func (zeroFile) Read(f *FDesc, b []byte) (int, Errno) {
+func (zeroFile) Read(b []byte, _ int64) (int, Errno) {
 	for i := range b {
 		b[i] = 0
 	}
 	return len(b), OK
 }
-func (z zeroFile) Pread(b []byte, off int64) (int, Errno) { return z.Read(nil, b) }
-func (zeroFile) Write(f *FDesc, b []byte) (int, Errno)    { return len(b), OK }
-func (zeroFile) Pwrite(b []byte, off int64) (int, Errno)  { return len(b), OK }
-func (zeroFile) Stat() FileStat                           { return FileStat{Kind: StatDev} }
+func (zeroFile) Write(b []byte, _ int64) (int, Errno) { return len(b), OK }
+func (zeroFile) Stat() FileStat                       { return FileStat{Kind: StatDev} }
 
 // urandomFile is /dev/urandom: a per-boot-seed deterministic xorshift
 // stream (differential runs replay the same syscall sequence, so runs
@@ -469,16 +391,12 @@ type urandomFile struct {
 	k *Kernel
 }
 
-func (uf *urandomFile) Read(f *FDesc, b []byte) (int, Errno) {
+func (uf *urandomFile) Read(b []byte, _ int64) (int, Errno) {
 	uf.k.urandomBytes(b)
 	return len(b), OK
 }
-func (uf *urandomFile) Pread(b []byte, off int64) (int, Errno) {
-	return uf.Read(nil, b)
-}
-func (uf *urandomFile) Write(f *FDesc, b []byte) (int, Errno)   { return len(b), OK }
-func (uf *urandomFile) Pwrite(b []byte, off int64) (int, Errno) { return len(b), OK }
-func (uf *urandomFile) Stat() FileStat                          { return FileStat{Kind: StatDev} }
+func (uf *urandomFile) Write(b []byte, _ int64) (int, Errno) { return len(b), OK }
+func (uf *urandomFile) Stat() FileStat                       { return FileStat{Kind: StatDev} }
 
 // ---- kqueues ----
 

@@ -88,24 +88,7 @@ func (k *Kernel) CallGuest(t *Thread, fn cap.Capability, intArgs []uint64, capAr
 	c := k.M.CPU
 	cheri := p.ABI == image.ABICheri
 
-	// Resolve the descriptor [code, got].
-	var code, got cap.Capability
-	var err error
-	if cheri {
-		code, err = c.LoadCapVia(fn, fn.Addr())
-		if err == nil {
-			got, err = c.LoadCapVia(fn, fn.Addr()+cap.Bytes)
-		}
-	} else {
-		auth := k.dataAuth(p, fn.Addr())
-		var a, g uint64
-		a, err = c.LoadVia(auth, fn.Addr(), 8)
-		if err == nil {
-			g, err = c.LoadVia(auth, fn.Addr()+8, 8)
-		}
-		code = cap.NullWithAddr(a)
-		got = cap.NullWithAddr(g)
-	}
+	code, got, err := k.readFuncDesc(p, fn, k.dataAuth(p, fn.Addr()))
 	if err != nil {
 		return 0, fmt.Errorf("kernel: bad function descriptor: %w", err)
 	}
@@ -140,6 +123,25 @@ func (k *Kernel) CallGuest(t *Thread, fn cap.Capability, intArgs []uint64, capAr
 		return 0, fmt.Errorf("kernel: guest callback misbehaved: %v", tr)
 	}
 	return result, nil
+}
+
+// readFuncDesc reads the function descriptor [code, GOT] that fn points
+// to. Under CheriABI fn authorizes the two capability loads. A legacy
+// process's pointer is an address, so the two words are loaded through
+// the caller's authority legacy and returned as untagged addresses.
+func (k *Kernel) readFuncDesc(p *Proc, fn, legacy cap.Capability) (code, got cap.Capability, err error) {
+	c := k.M.CPU
+	if p.ABI == image.ABICheri {
+		if code, err = c.LoadCapVia(fn, fn.Addr()); err == nil {
+			got, err = c.LoadCapVia(fn, fn.Addr()+cap.Bytes)
+		}
+		return code, got, err
+	}
+	var a, g uint64
+	if a, err = c.LoadVia(legacy, fn.Addr(), 8); err == nil {
+		g, err = c.LoadVia(legacy, fn.Addr()+8, 8)
+	}
+	return cap.NullWithAddr(a), cap.NullWithAddr(g), err
 }
 
 // sigTrampCap needs the trampoline length including the callback slot; it

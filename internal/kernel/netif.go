@@ -29,8 +29,8 @@ package kernel
 // AF_UNIX: every delivery that changes an endpoint's readiness wakes the
 // endpoint's queue.
 //
-// Payload bytes cross guest<->kernel exclusively through doWriteFD /
-// doReadFD's uaccess staging, so the guest<->NIC boundary inherits the
+// Payload bytes cross guest<->kernel exclusively through writeFD /
+// readFD's uaccess staging, so the guest<->NIC boundary inherits the
 // same capability checks as every other kernel crossing; the NIC only
 // ever touches kernel-side staged copies.
 

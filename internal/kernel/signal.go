@@ -128,21 +128,7 @@ func (k *Kernel) deliverSignal(t *Thread, sig int) bool {
 	}
 
 	// Resolve the handler descriptor [code, GOT].
-	var code, got cap.Capability
-	if cheri {
-		code, err = c.LoadCapVia(act.Handler, act.Handler.Addr())
-		if err == nil {
-			got, err = c.LoadCapVia(act.Handler, act.Handler.Addr()+cap.Bytes)
-		}
-	} else {
-		var a, g uint64
-		a, err = c.LoadVia(t.Frame.DDC, act.Handler.Addr(), 8)
-		if err == nil {
-			g, err = c.LoadVia(t.Frame.DDC, act.Handler.Addr()+8, 8)
-		}
-		code = cap.NullWithAddr(a)
-		got = cap.NullWithAddr(g)
-	}
+	code, got, err := k.readFuncDesc(p, act.Handler, t.Frame.DDC)
 	if err != nil {
 		k.exitProc(p, SIGSEGV)
 		return true

@@ -163,7 +163,7 @@ func (s *socketFile) PollDepth(kind PollKind) int64 {
 	return 0
 }
 
-func (s *socketFile) Read(f *FDesc, b []byte) (int, Errno) {
+func (s *socketFile) Read(b []byte, _ int64) (int, Errno) {
 	if s.state != sockConnected {
 		return 0, ENOTCONN
 	}
@@ -185,7 +185,7 @@ func (s *socketFile) Read(f *FDesc, b []byte) (int, Errno) {
 	return n, OK
 }
 
-func (s *socketFile) Write(f *FDesc, b []byte) (int, Errno) {
+func (s *socketFile) Write(b []byte, _ int64) (int, Errno) {
 	if s.state != sockConnected {
 		return 0, ENOTCONN
 	}
@@ -653,15 +653,15 @@ func sysGetpeername(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 }
 
 // sysSend and sysRecv are send(fd, buf, n, flags) / recv(fd, buf, n,
-// flags): the shared read/write bodies over a socket descriptor (flags
-// are accepted and ignored — no MSG_* semantics exist here; O_NONBLOCK
-// governs blocking, as with plain read/write on the socket).
+// flags): write and read over a socket descriptor (flags are accepted and
+// ignored — no MSG_* semantics exist here; O_NONBLOCK governs blocking,
+// as with plain read/write on the socket).
 func sysSend(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	f, _, e := sockFD(t.Proc, int(a.Int(0)))
 	if e != OK {
 		return Err(e)
 	}
-	return doWriteFD(k, t, f, a.Ptr(0), a.Int(1))
+	return k.writeFD(t, f, ioReq{buf: a.Ptr(0), n: a.Int(1)})
 }
 
 func sysRecv(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
@@ -669,5 +669,5 @@ func sysRecv(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	if e != OK {
 		return Err(e)
 	}
-	return doReadFD(k, t, f, a.Ptr(0), a.Int(1))
+	return k.readFD(t, f, ioReq{buf: a.Ptr(0), n: a.Int(1)})
 }

@@ -90,20 +90,115 @@ func sysFork(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	return Ret(uint64(child.PID))
 }
 
+// ---- descriptor I/O ----
+//
+// Every read-side call (read, recv, getdents, pread, readv) runs readFD's
+// loop and every write-side call (write, send, pwrite, writev) writeFD's,
+// over the guest segments an ioReq names. The descriptor layer owns
+// positioning: Files transfer at the offset they are handed, and ioReq.at
+// decides it (see DESIGN.md, "Descriptor I/O").
+
 // ioChunk caps one call's use of the kernel staging buffer: streams whose
 // length is caller-invented (/dev/zero, /dev/urandom) are served in
 // bounded chunks — a short read is POSIX-legal — and a runaway length
 // never turns into a host-side allocation.
 const ioChunk = 256 << 10
 
-// ioScratch cuts the staging buffer for one read at offset off (the
-// cursor for read, the argument for pread): the claimed length, clamped
-// to the bytes the object can currently supply (regular files: size
-// minus off; pipes: buffered bytes — so an EOF read stages zero bytes and
-// needs no destination authority) and to ioChunk. Devices synthesize
-// their stream, so only the chunk clamp applies.
-func (k *Kernel) ioScratch(f *FDesc, off int64, n uint64) []byte {
-	switch st := f.file.Stat(); st.Kind {
+// iovMax bounds readv/writev vectors, like a small IOV_MAX.
+const iovMax = 16
+
+// seekable reports whether an object of kind st has a cursor: regular
+// files and directories. Every other object is a stream, which ignores
+// the offset it is handed.
+func seekable(st FileStat) bool { return st.Kind == StatFile || st.Kind == StatDir }
+
+// positional reports whether pread/pwrite reach file, of kind st: the
+// seekable objects, and the devices whose stream ignores position
+// (/dev/null, /dev/zero, /dev/urandom). Pipes, sockets, kqueues and the
+// console fail ESPIPE.
+func positional(file File, st FileStat) bool {
+	if st.Kind == StatDev {
+		_, tty := file.(*ttyFile)
+		return !tty
+	}
+	return seekable(st)
+}
+
+// ioReq is one read-side or write-side call: the guest memory it names
+// and where it transfers.
+type ioReq struct {
+	buf cap.Capability // the one segment, or the struct iovec array (vec)
+	n   uint64         // the segment's length, or the iovec count (vec)
+	vec bool
+	pos bool  // pread/pwrite: at off, cursor untouched, no readiness gate
+	off int64 // pos only
+}
+
+// segs is the number of guest segments r names.
+func (r *ioReq) segs() uint64 {
+	if r.vec {
+		return r.n
+	}
+	return 1
+}
+
+// seg returns r's i-th segment: the plain calls' argument pair, or a
+// vectored call's i-th struct iovec.
+func (k *Kernel) seg(t *Thread, r *ioReq, i uint64) (cap.Capability, uint64, Errno) {
+	if !r.vec {
+		return r.buf, r.n, OK
+	}
+	return k.readIovec(t, r.buf, i)
+}
+
+// at returns the offset r's next transfer on f, of kind st, runs at: the
+// cursor, which a write under O_APPEND first moves to the end, or
+// pread/pwrite's argument, ESPIPE on objects without positions.
+func (r *ioReq) at(f *FDesc, st FileStat, write bool) (int64, Errno) {
+	switch {
+	case !r.pos:
+		if write && f.flags&OAppend != 0 && seekable(st) {
+			f.off = st.Size
+		}
+		return f.off, OK
+	case positional(f.file, st):
+		return r.off, OK
+	}
+	return 0, ESPIPE
+}
+
+// advance moves the cursor past the m bytes a transfer at it moved.
+func (r *ioReq) advance(f *FDesc, st FileStat, m int) {
+	if !r.pos && seekable(st) {
+		f.off += int64(m)
+	}
+}
+
+// gate admits r to f's transfer loop. A vector past iovMax is EINVAL.
+// The cursor calls wait for the readiness predicate in direction kind:
+// EAGAIN for non-blocking descriptors, else the thread parks on the
+// object's wait queue and the call restarts on wake. pread/pwrite pass.
+func (k *Kernel) gate(t *Thread, f *FDesc, r *ioReq, kind PollKind) Errno {
+	switch {
+	case r.vec && r.n > iovMax:
+		return EINVAL
+	case r.pos || f.file.Poll(kind):
+		return OK
+	case f.nonblock():
+		return EAGAIN
+	}
+	k.blockFD(t, f)
+	return EJUSTRETURN
+}
+
+// ioScratch cuts the staging buffer for one read at offset off from an
+// object of kind st: the claimed length, clamped to the bytes the object
+// can currently supply (regular files: size minus off; pipes: buffered
+// bytes — so an EOF read stages zero bytes and needs no destination
+// authority) and to ioChunk. Devices synthesize their stream, so only
+// the chunk clamp applies.
+func (k *Kernel) ioScratch(st FileStat, off int64, n uint64) []byte {
+	switch st.Kind {
 	case StatFile, StatDir:
 		avail := st.Size - off
 		if avail < 0 {
@@ -139,157 +234,6 @@ func precheckOut(buf cap.Capability, n int) Errno {
 	return OK
 }
 
-// doReadFD is the shared body of read(2), recv(2), and getdents(2) after
-// descriptor validation: gate on the readiness predicate (EAGAIN for
-// non-blocking descriptors, park on the object's wait queue otherwise),
-// stage through uaccess into the guest buffer, and wake threads parked on
-// the object (a drained pipe or socket has space for writers again).
-func doReadFD(k *Kernel, t *Thread, f *FDesc, buf cap.Capability, n uint64) (cap.Capability, Errno) {
-	if !f.file.Poll(PollIn) {
-		if f.nonblock() {
-			return Err(EAGAIN)
-		}
-		k.blockFD(t, f)
-		return Err(EJUSTRETURN)
-	}
-	scratch := k.ioScratch(f, f.off, n)
-	if e := precheckOut(buf, len(scratch)); e != OK {
-		return Err(e)
-	}
-	m, e := f.file.Read(f, scratch)
-	if e != OK {
-		return Err(e)
-	}
-	if m > 0 {
-		// Wake before attempting the copyout: the object was drained
-		// either way, and a parked writer must learn about the space even
-		// if the destination faults past the precheck (e.g. an unmapped
-		// in-bounds page) — a skipped wake here is a lost wakeup.
-		k.wakeFD(f)
-		if e := k.copyOut(buf, scratch[:m]); e != OK {
-			return Err(e)
-		}
-	}
-	return Ret(uint64(m))
-}
-
-// doWriteFD is the shared body of write(2) and send(2) after descriptor
-// validation; EPIPE raises SIGPIPE, and accepted bytes wake threads
-// parked on the object (readers of the pipe or socket).
-func doWriteFD(k *Kernel, t *Thread, f *FDesc, buf cap.Capability, n uint64) (cap.Capability, Errno) {
-	if !f.file.Poll(PollOut) {
-		if f.nonblock() {
-			return Err(EAGAIN)
-		}
-		k.blockFD(t, f)
-		return Err(EJUSTRETURN)
-	}
-	if n > ioChunk {
-		n = ioChunk // short write: bounds the staging buffer
-	}
-	data, e := k.copyIn(buf, n)
-	if e != OK {
-		return Err(e)
-	}
-	m, e := f.file.Write(f, data)
-	if e != OK {
-		if e == EPIPE {
-			k.PostSignal(t.Proc, SIGPIPE)
-		}
-		return Err(e)
-	}
-	if m > 0 {
-		k.wakeFD(f)
-	}
-	return Ret(uint64(m))
-}
-
-func sysRead(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
-	f := t.Proc.fd(int(a.Int(0)))
-	if f == nil || !f.mayRead() {
-		return Err(EBADF)
-	}
-	return doReadFD(k, t, f, a.Ptr(0), a.Int(1))
-}
-
-func sysWrite(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
-	f := t.Proc.fd(int(a.Int(0)))
-	if f == nil || !f.mayWrite() {
-		return Err(EBADF)
-	}
-	return doWriteFD(k, t, f, a.Ptr(0), a.Int(1))
-}
-
-// sysGetdents reads directory entries: read(2) semantics over a directory
-// descriptor's dirent stream (fixed 64-byte records: an 8-byte kind word
-// then a NUL-terminated name), in sorted-name order snapshotted at open.
-func sysGetdents(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
-	f := t.Proc.fd(int(a.Int(0)))
-	if f == nil || !f.mayRead() {
-		return Err(EBADF)
-	}
-	if f.file.Stat().Kind != StatDir {
-		return Err(ENOTDIR)
-	}
-	return doReadFD(k, t, f, a.Ptr(0), a.Int(1))
-}
-
-func sysPread(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
-	p := t.Proc
-	fd := int(a.Int(0))
-	buf := a.Ptr(0)
-	n := a.Int(1)
-	off := int64(a.Int(2))
-	f := p.fd(fd)
-	if f == nil || !f.mayRead() {
-		return Err(EBADF)
-	}
-	scratch := k.ioScratch(f, off, n)
-	if e := precheckOut(buf, len(scratch)); e != OK {
-		return Err(e)
-	}
-	m, e := f.file.Pread(scratch, off)
-	if e != OK {
-		return Err(e)
-	}
-	if m > 0 {
-		if e := k.copyOut(buf, scratch[:m]); e != OK {
-			return Err(e)
-		}
-	}
-	return Ret(uint64(m))
-}
-
-func sysPwrite(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
-	p := t.Proc
-	fd := int(a.Int(0))
-	buf := a.Ptr(0)
-	n := a.Int(1)
-	off := int64(a.Int(2))
-	f := p.fd(fd)
-	if f == nil || !f.mayWrite() {
-		return Err(EBADF)
-	}
-	if n > ioChunk {
-		n = ioChunk // short write: bounds the staging buffer
-	}
-	data, e := k.copyIn(buf, n)
-	if e != OK {
-		return Err(e)
-	}
-	m, e := f.file.Pwrite(data, off)
-	if e != OK {
-		if e == EPIPE {
-			k.PostSignal(p, SIGPIPE)
-		}
-		return Err(e)
-	}
-	return Ret(uint64(m))
-}
-
-// iovMax bounds readv/writev vectors, like a small IOV_MAX.
-const iovMax = 16
-
 // readIovec reads the i-th struct iovec {base, len} from the user vector.
 // The base pointer is read with copyInPtr — a capability under CheriABI,
 // a constructed authority under legacy — so each segment's transfer is
@@ -310,10 +254,10 @@ func (k *Kernel) readIovec(t *Thread, vec cap.Capability, i uint64) (cap.Capabil
 	return bp, length, OK
 }
 
-// partial is a vectored transfer's result. Once any segment has moved,
-// a later error reports the partial count (the bytes are already in the
-// guest's buffers or the object); an error with nothing transferred
-// reports the errno.
+// partial is a transfer's result. Once any segment has moved, a later
+// error reports the partial count (the bytes are already in the guest's
+// buffers or the object); an error with nothing transferred reports the
+// errno.
 func partial(total uint64, e Errno) (cap.Capability, Errno) {
 	if total > 0 || e == OK {
 		return Ret(total)
@@ -321,118 +265,176 @@ func partial(total uint64, e Errno) (cap.Capability, Errno) {
 	return Err(e)
 }
 
-func sysReadv(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
-	p := t.Proc
-	fd := int(a.Int(0))
-	vec := a.Ptr(0)
-	cnt := a.Int(1)
-	f := p.fd(fd)
+// readFD is the read loop. Per segment it stages what the object can
+// supply, checks the destination before the object gives the bytes up,
+// reads, and copies them out; a short read ends the call. readv skips
+// empty segments, but read(fd, buf, 0) still reaches the object (an
+// unconnected socket reports ENOTCONN, an AF_INET one returns credit).
+// If the object gave up bytes, threads parked on it are woken once —
+// even when landing the bytes faulted, or a parked writer would never
+// learn of the space.
+func (k *Kernel) readFD(t *Thread, f *FDesc, r ioReq) (cap.Capability, Errno) {
 	if f == nil || !f.mayRead() {
 		return Err(EBADF)
 	}
-	if cnt > iovMax {
-		return Err(EINVAL)
+	if e := k.gate(t, f, &r, PollIn); e != OK {
+		return Err(e)
 	}
-	if !f.file.Poll(PollIn) {
-		if f.nonblock() {
-			return Err(EAGAIN)
+	total, drained, e := uint64(0), false, OK
+	for i := uint64(0); i < r.segs(); i++ {
+		buf, n, se := k.seg(t, &r, i)
+		if e = se; e != OK {
+			break
 		}
-		k.blockFD(t, f)
-		return Err(EJUSTRETURN)
-	}
-	total, consumed := uint64(0), false
-	defer func() {
-		if consumed {
-			k.wakeFD(f) // drained bytes freed object space for writers
-		}
-	}()
-	for i := uint64(0); i < cnt; i++ {
-		bp, n, e := k.readIovec(t, vec, i)
-		if e != OK {
-			return partial(total, e)
-		}
-		if n == 0 {
+		if n == 0 && r.vec {
 			continue
 		}
-		scratch := k.ioScratch(f, f.off, n)
-		// Validate this segment's destination before consuming the
-		// object: a bad iovec entry must not drain bytes it cannot land.
-		if e := precheckOut(bp, len(scratch)); e != OK {
-			return partial(total, e)
+		st := f.file.Stat()
+		off, pe := r.at(f, st, false)
+		scratch := k.ioScratch(st, off, n)
+		// A fault on the destination outranks ESPIPE.
+		if e = precheckOut(buf, len(scratch)); e == OK {
+			e = pe
 		}
-		m, e := f.file.Read(f, scratch)
 		if e != OK {
-			return partial(total, e)
+			break
 		}
-		// The object gave up bytes: parked writers must be woken even if
-		// landing them in the guest faults below (lost-wakeup hazard).
-		consumed = consumed || m > 0
+		var m int
+		if m, e = f.file.Read(scratch, off); e != OK {
+			break
+		}
+		r.advance(f, st, m)
 		if m > 0 {
-			if e := k.copyOut(bp, scratch[:m]); e != OK {
-				return partial(total, e)
+			drained = true
+			if e = k.copyOut(buf, scratch[:m]); e != OK {
+				break
 			}
 		}
 		total += uint64(m)
 		if uint64(m) < n {
-			break // short read: stop filling further segments
+			break
 		}
 	}
-	return Ret(total)
+	if drained {
+		k.wakeFD(f)
+	}
+	return partial(total, e)
 }
 
-func sysWritev(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
-	p := t.Proc
-	fd := int(a.Int(0))
-	vec := a.Ptr(0)
-	cnt := a.Int(1)
-	f := p.fd(fd)
+// writeFD is the write loop. Per segment it copies in at most ioChunk
+// bytes and writes them; a short write (a full object) ends the call.
+// EPIPE with nothing written raises SIGPIPE; accepted bytes wake the
+// threads parked on the object (readers of the pipe or socket).
+func (k *Kernel) writeFD(t *Thread, f *FDesc, r ioReq) (cap.Capability, Errno) {
 	if f == nil || !f.mayWrite() {
 		return Err(EBADF)
 	}
-	if cnt > iovMax {
-		return Err(EINVAL)
+	if e := k.gate(t, f, &r, PollOut); e != OK {
+		return Err(e)
 	}
-	if !f.file.Poll(PollOut) {
-		if f.nonblock() {
-			return Err(EAGAIN)
+	total, e := uint64(0), OK
+	for i := uint64(0); i < r.segs(); i++ {
+		buf, n, se := k.seg(t, &r, i)
+		if e = se; e != OK {
+			break
 		}
-		k.blockFD(t, f)
-		return Err(EJUSTRETURN)
-	}
-	total := uint64(0)
-	defer func() {
-		if total > 0 {
-			k.wakeFD(f) // supplied bytes made the object readable
-		}
-	}()
-	for i := uint64(0); i < cnt; i++ {
-		bp, n, e := k.readIovec(t, vec, i)
-		if e != OK {
-			return partial(total, e)
-		}
-		if n == 0 {
+		if n == 0 && r.vec {
 			continue
 		}
-		if n > ioChunk {
-			n = ioChunk // short write: bounds the staging buffer
+		n = min(n, ioChunk) // short write: bounds the staging buffer
+		var data []byte
+		if data, e = k.copyIn(buf, n); e != OK {
+			break
 		}
-		data, e := k.copyIn(bp, n)
-		if e != OK {
-			return partial(total, e)
+		st := f.file.Stat()
+		var off int64
+		if off, e = r.at(f, st, true); e != OK {
+			break
 		}
-		m, e := f.file.Write(f, data)
-		if e != OK {
+		var m int
+		if m, e = f.file.Write(data, off); e != OK {
 			if e == EPIPE && total == 0 {
-				k.PostSignal(p, SIGPIPE) // nothing written: as write(2) does
+				k.PostSignal(t.Proc, SIGPIPE)
 			}
-			return partial(total, e)
+			break
 		}
+		r.advance(f, st, m)
 		total += uint64(m)
 		if uint64(m) < n {
-			break // short write: the object is full
+			break
 		}
 	}
-	return Ret(total)
+	if total > 0 {
+		k.wakeFD(f)
+	}
+	return partial(total, e)
+}
+
+func sysRead(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
+	return k.readFD(t, t.Proc.fd(int(a.Int(0))), ioReq{buf: a.Ptr(0), n: a.Int(1)})
+}
+
+func sysWrite(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
+	return k.writeFD(t, t.Proc.fd(int(a.Int(0))), ioReq{buf: a.Ptr(0), n: a.Int(1)})
+}
+
+// sysGetdents reads directory entries: read(2) semantics over a directory
+// descriptor's dirent stream (fixed 64-byte records: an 8-byte kind word
+// then a NUL-terminated name), in sorted-name order snapshotted at open.
+func sysGetdents(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
+	f := t.Proc.fd(int(a.Int(0)))
+	if f == nil || !f.mayRead() {
+		return Err(EBADF)
+	}
+	if f.file.Stat().Kind != StatDir {
+		return Err(ENOTDIR)
+	}
+	return k.readFD(t, f, ioReq{buf: a.Ptr(0), n: a.Int(1)})
+}
+
+func sysPread(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
+	return k.readFD(t, t.Proc.fd(int(a.Int(0))), ioReq{buf: a.Ptr(0), n: a.Int(1), pos: true, off: int64(a.Int(2))})
+}
+
+func sysPwrite(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
+	return k.writeFD(t, t.Proc.fd(int(a.Int(0))), ioReq{buf: a.Ptr(0), n: a.Int(1), pos: true, off: int64(a.Int(2))})
+}
+
+func sysReadv(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
+	return k.readFD(t, t.Proc.fd(int(a.Int(0))), ioReq{buf: a.Ptr(0), n: a.Int(1), vec: true})
+}
+
+func sysWritev(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
+	return k.writeFD(t, t.Proc.fd(int(a.Int(0))), ioReq{buf: a.Ptr(0), n: a.Int(1), vec: true})
+}
+
+// sysLseek moves the cursor of a seekable object; streams are ESPIPE.
+// A resulting position below zero is EINVAL and leaves the cursor where
+// it was. On a directory, lseek(fd, 0, 0) is rewinddir.
+func sysLseek(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
+	f := t.Proc.fd(int(a.Int(0)))
+	if f == nil {
+		return Err(EBADF)
+	}
+	st := f.file.Stat()
+	if !seekable(st) {
+		return Err(ESPIPE)
+	}
+	pos := int64(a.Int(1))
+	switch a.Int(2) {
+	case 0:
+	case 1:
+		pos += f.off
+	case 2:
+		pos += st.Size
+	default:
+		return Err(EINVAL)
+	}
+	if pos < 0 {
+		return Err(EINVAL)
+	}
+	f.off = pos
+	return Ret(uint64(pos))
 }
 
 func sysFtruncate(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
@@ -955,41 +957,48 @@ func sysPoll(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	return Ret(count)
 }
 
-// sleepState classifies the in-flight timed-sleep syscall on (re)entry.
-type sleepState int
-
-const (
-	sleepArm    sleepState = iota // fresh call: arm the deadline and park
-	sleepDone                     // deadline reached: complete successfully
-	sleepIntr                     // a signal handler ran during the park: EINTR
-	sleepRepark                   // spurious wake: park again, same deadline
-)
-
-// sleepCheck drives the shared sleep state machine. A fresh call has no
-// deadline (the dispatcher cleared it when the previous syscall
-// completed); a restarted one consults the expiry and the
-// handler-interruption mark. Sleeps are the one family that must NOT
-// restart after a handler runs (BSD restart semantics explicitly exclude
-// them): they fail EINTR with the balance reported to the caller.
-func (k *Kernel) sleepCheck(t *Thread) sleepState {
+// sleepFor is the timed-sleep state machine nanosleep, sleep and usleep
+// share. A fresh call has no deadline (the dispatcher cleared it when the
+// previous syscall completed): it takes its length in cycles from delta
+// (an errno fails the call, zero completes it at once), arms the deadline
+// and parks. A restarted call completes at its deadline, or fails through
+// intr, given the unslept balance in cycles, when a caught signal's
+// handler ran during the park — sleeps are the one family that must NOT
+// restart after a handler (BSD restart semantics explicitly exclude
+// them). Any other wake is spurious: park again, same deadline.
+func (k *Kernel) sleepFor(t *Thread, delta func() (uint64, Errno), intr func(left uint64) (cap.Capability, Errno)) (cap.Capability, Errno) {
 	switch {
 	case t.deadline == 0:
-		return sleepArm
+		d, e := delta()
+		if e != OK {
+			return Err(e)
+		}
+		if d == 0 {
+			return Ret(0)
+		}
+		k.blockOnDeadline(t, k.Now()+d)
 	case k.deadlineExpired(t):
-		return sleepDone
+		return Ret(0)
 	case t.interrupted:
-		return sleepIntr
+		var left uint64
+		if t.deadline > k.Now() {
+			left = t.deadline - k.Now()
+		}
+		return intr(left)
 	default:
-		return sleepRepark
+		k.blockOnDeadline(t, t.deadline)
 	}
+	return Err(EJUSTRETURN)
 }
 
-// sleepLeft is the unslept balance of the in-flight sleep, in cycles.
-func (k *Kernel) sleepLeft(t *Thread) uint64 {
-	if t.deadline > k.Now() {
-		return t.deadline - k.Now()
+// writeTime writes ns nanoseconds through p as a two-word {sec, frac}
+// struct, frac counting units of unitNs: a timespec for 1, a timeval for
+// 1000.
+func (k *Kernel) writeTime(p cap.Capability, ns, unitNs uint64) Errno {
+	if e := k.writeUserWord(p, p.Addr(), 8, ns/1_000_000_000); e != OK {
+		return e
 	}
-	return 0
+	return k.writeUserWord(p, p.Addr()+8, 8, ns%1_000_000_000/unitNs)
 }
 
 // sysNanosleep sleeps for a timespec {sec, nsec} on the virtual clock.
@@ -997,92 +1006,44 @@ func (k *Kernel) sleepLeft(t *Thread) uint64 {
 // virtual time written through rem (when non-NULL).
 func sysNanosleep(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	req, rem := a.Ptr(0), a.Ptr(1)
-	switch k.sleepCheck(t) {
-	case sleepArm:
+	return k.sleepFor(t, func() (uint64, Errno) {
 		sec, e1 := k.readUserWord(req, req.Addr(), 8)
 		nsec, e2 := k.readUserWord(req, req.Addr()+8, 8)
 		if e1 != OK || e2 != OK {
-			return Err(EFAULT)
+			return 0, EFAULT
 		}
 		if int64(sec) < 0 || int64(nsec) < 0 || nsec >= 1_000_000_000 {
-			return Err(EINVAL)
+			return 0, EINVAL
 		}
-		delta := sec*ClockHz + nsToCycles(nsec)
-		if delta == 0 {
-			return Ret(0)
-		}
-		k.blockOnDeadline(t, k.Now()+delta)
-		return Err(EJUSTRETURN)
-	case sleepIntr:
+		return sec*ClockHz + nsToCycles(nsec), OK
+	}, func(left uint64) (cap.Capability, Errno) {
 		if rem.Addr() != 0 {
-			ns := cyclesToNs(k.sleepLeft(t))
-			if e := k.writeUserWord(rem, rem.Addr(), 8, ns/1_000_000_000); e != OK {
-				return Err(e)
-			}
-			if e := k.writeUserWord(rem, rem.Addr()+8, 8, ns%1_000_000_000); e != OK {
+			if e := k.writeTime(rem, cyclesToNs(left), 1); e != OK {
 				return Err(e)
 			}
 		}
 		return Err(EINTR)
-	case sleepDone:
-		return Ret(0)
-	default:
-		k.blockOnDeadline(t, t.deadline)
-		return Err(EJUSTRETURN)
-	}
+	})
 }
 
 // sysSleep sleeps whole seconds; like libc sleep(3) it returns the
 // number of unslept seconds when a caught signal cut it short, else 0.
 func sysSleep(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
-	switch k.sleepCheck(t) {
-	case sleepArm:
-		sec := a.Int(0)
-		if sec == 0 {
-			return Ret(0)
-		}
-		k.blockOnDeadline(t, k.Now()+sec*ClockHz)
-		return Err(EJUSTRETURN)
-	case sleepIntr:
-		return Ret((k.sleepLeft(t) + ClockHz - 1) / ClockHz)
-	case sleepDone:
-		return Ret(0)
-	default:
-		k.blockOnDeadline(t, t.deadline)
-		return Err(EJUSTRETURN)
-	}
+	return k.sleepFor(t, func() (uint64, Errno) { return a.Int(0) * ClockHz, OK },
+		func(left uint64) (cap.Capability, Errno) { return Ret((left + ClockHz - 1) / ClockHz) })
 }
 
 // sysUsleep sleeps microseconds; EINTR when a caught signal interrupts.
 func sysUsleep(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
-	switch k.sleepCheck(t) {
-	case sleepArm:
-		us := a.Int(0)
-		if us == 0 {
-			return Ret(0)
-		}
-		k.blockOnDeadline(t, k.Now()+usToCycles(us))
-		return Err(EJUSTRETURN)
-	case sleepIntr:
-		return Err(EINTR)
-	case sleepDone:
-		return Ret(0)
-	default:
-		k.blockOnDeadline(t, t.deadline)
-		return Err(EJUSTRETURN)
-	}
+	return k.sleepFor(t, func() (uint64, Errno) { return usToCycles(a.Int(0)), OK },
+		func(uint64) (cap.Capability, Errno) { return Err(EINTR) })
 }
 
 // sysClockGettime writes the virtual clock as a timespec {sec, nsec}.
 // Every clock id reads the same clock: the cycle counter is the only
 // time source the machine has, and it is monotonic by construction.
 func sysClockGettime(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
-	tp := a.Ptr(0)
-	ns := cyclesToNs(k.Now())
-	if e := k.writeUserWord(tp, tp.Addr(), 8, ns/1_000_000_000); e != OK {
-		return Err(e)
-	}
-	if e := k.writeUserWord(tp, tp.Addr()+8, 8, ns%1_000_000_000); e != OK {
+	if e := k.writeTime(a.Ptr(0), cyclesToNs(k.Now()), 1); e != OK {
 		return Err(e)
 	}
 	return Ret(0)
@@ -1090,12 +1051,7 @@ func sysClockGettime(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 
 // sysGettimeofday writes the virtual clock as a timeval {sec, usec}.
 func sysGettimeofday(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
-	tv := a.Ptr(0)
-	ns := cyclesToNs(k.Now())
-	if e := k.writeUserWord(tv, tv.Addr(), 8, ns/1_000_000_000); e != OK {
-		return Err(e)
-	}
-	if e := k.writeUserWord(tv, tv.Addr()+8, 8, ns%1_000_000_000/1_000); e != OK {
+	if e := k.writeTime(a.Ptr(0), cyclesToNs(k.Now()), 1_000); e != OK {
 		return Err(e)
 	}
 	return Ret(0)
@@ -1185,22 +1141,6 @@ func sysChdir(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	}
 	p.CWD = path
 	return Ret(0)
-}
-
-func sysLseek(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
-	p := t.Proc
-	fd := int(a.Int(0))
-	off := int64(a.Int(1))
-	whence := int(a.Int(2))
-	f := p.fd(fd)
-	if f == nil {
-		return Err(EBADF)
-	}
-	pos, e := f.file.Seek(f, off, whence)
-	if e != OK {
-		return Err(e)
-	}
-	return Ret(uint64(pos))
 }
 
 func sysFstat(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {

@@ -85,7 +85,7 @@ var ioKinds = map[string]func(h *ioProc) (File, int){
 	"null":    func(h *ioProc) (File, int) { return nullFile{}, ORdWr },
 	"zero":    func(h *ioProc) (File, int) { return zeroFile{}, ORdWr },
 	"urandom": func(h *ioProc) (File, int) { return &urandomFile{k: h.k}, ORdWr },
-	"kqueue":  func(h *ioProc) (File, int) { return &kqueueFile{kq: &kqueue{}}, ORdWr },
+	"kqueue":  func(h *ioProc) (File, int) { return &kqueueFile{}, ORdWr },
 }
 
 // ioCall is one syscall on the row's descriptor.

@@ -400,12 +400,14 @@ func (uf *urandomFile) Stat() FileStat                       { return FileStat{K
 
 // ---- kqueues ----
 
-// kqueueFile wraps a kqueue so its descriptor flows through the same
-// layer; data transfers on it fail EBADF (baseFile), kevent(2) reaches
-// the kq through Proc.kqs.
+// kqueueFile is a kqueue: the notes kevent(2) registered on it. The
+// descriptor is the kqueue's only name — kevent resolves its kq argument
+// through the descriptor table, so a dup'd descriptor reaches the same
+// queue and a closed one reaches none — and data transfers on it fail
+// EBADF (baseFile). A forked child does not inherit it.
 type kqueueFile struct {
 	baseFile
-	kq *kqueue
+	notes []knote
 }
 
 func (kf *kqueueFile) Stat() FileStat { return FileStat{Kind: StatKqueue} }

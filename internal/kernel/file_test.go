@@ -237,7 +237,7 @@ func TestDeviceFiles(t *testing.T) {
 	}
 
 	// kqueue descriptors reject transfers and have no positions.
-	kf := &kqueueFile{kq: &kqueue{}}
+	kf := &kqueueFile{}
 	if _, e := kf.Read(b, 0); e != EBADF {
 		t.Fatalf("kqueue read: %v", e)
 	}

@@ -130,6 +130,9 @@ type Kernel struct {
 	// stage is the staging buffer every byte-moving syscall copies
 	// through (see Kernel.staging).
 	stage []byte
+	// waitSet collects the wait queues of the descriptors a multiplexer
+	// watches, for its park (see Kernel.scan).
+	waitSet []*WaitQueue
 }
 
 // NewMachine boots a machine: memory, caches, CPU, kernel, the standard
@@ -267,7 +270,6 @@ func (k *Kernel) newProc(parent *Proc) *Proc {
 		Parent:   parent,
 		Children: map[int]*Proc{},
 		CWD:      "/",
-		kqs:      map[int]*kqueue{},
 	}
 	if parent != nil {
 		parent.Children[p.PID] = p

@@ -27,10 +27,6 @@ type knote struct {
 	udata  cap.Capability
 }
 
-type kqueue struct {
-	notes []knote
-}
-
 // keventLayout: the user-memory struct kevent layout:
 //
 //	0  ident  u64
@@ -60,24 +56,30 @@ func keventSize(abi image.ABI) uint64 {
 }
 
 func sysKqueue(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
-	p := t.Proc
-	kq := &kqueue{}
-	fd := p.allocFD(&FDesc{file: &kqueueFile{kq: kq}, flags: ORdWr, refs: 1})
-	p.kqs[fd] = kq
-	return Ret(uint64(fd))
+	return Ret(uint64(t.Proc.allocFD(&FDesc{file: &kqueueFile{}, flags: ORdWr, refs: 1})))
 }
 
+// sysKevent applies the changelist to the kqueue its descriptor names,
+// then reports up to nevents ready notes. A hang-up satisfies either
+// filter — a read on a drained, hung-up object returns EOF at once and a
+// write raises EPIPE, so neither blocks — and sets EV_EOF. With nothing
+// ready it parks on the watched objects' queues as its timespec says
+// (see readTimeout); a kqueue with no notes, or none whose object can
+// still transition, parks with no wake source, as kqueue(2) blocks
+// forever, rather than return a spurious 0.
 func sysKevent(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
-	kqfd := int(a.Int(0))
 	changes := a.Ptr(0)
 	nchanges := a.Int(1)
 	events := a.Ptr(1)
 	nevents := a.Int(2)
-	tmo := a.Ptr(2)
 
-	kq := p.kqs[kqfd]
-	if kq == nil {
+	kqd := p.fd(int(a.Int(0)))
+	if kqd == nil {
+		return Err(EBADF)
+	}
+	kq, ok := kqd.file.(*kqueueFile)
+	if !ok {
 		return Err(EBADF)
 	}
 	size := keventSize(p.ABI)
@@ -113,9 +115,10 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		return Ret(0)
 	}
 
-	// Collect ready events; the stored udata capability is returned to the
-	// process intact.
+	// Report the ready notes; the stored udata capability is returned to
+	// the process intact.
 	count := uint64(0)
+	k.waitSet = k.waitSet[:0]
 	for _, n := range kq.notes {
 		if count >= nevents {
 			break
@@ -124,12 +127,8 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		if f == nil {
 			continue
 		}
-		// A hang-up satisfies any filter: a read on a drained, hung-up
-		// object returns EOF immediately, and a write raises EPIPE — both
-		// are "the operation will not block", which is what readiness means.
-		hup := f.file.Poll(PollHup)
-		ready := hup || (n.filter == EvfiltRead && f.file.Poll(PollIn)) || (n.filter == EvfiltWrite && f.file.Poll(PollOut))
-		if !ready {
+		r := k.scan(f)
+		if !r.hup && !(n.filter == EvfiltRead && r.in) && !(n.filter == EvfiltWrite && r.out) {
 			continue
 		}
 		kind := PollIn
@@ -144,7 +143,7 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		// in the low 32 bits (truncated, not sign-extended across the whole
 		// word) and flags — here EV_EOF on hang-up — in the high word.
 		outFilt := uint64(uint32(int32(n.filter)))
-		if hup {
+		if r.hup {
 			outFilt |= uint64(EvEOF) << 32
 		}
 		if e := k.writeUserWord(events, base+8, 8, outFilt); e != OK {
@@ -163,50 +162,13 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		count++
 	}
 	if count == 0 {
-		// Nothing ready. With a NULL timeout, park on the wait queues of
-		// the watched objects, exactly as select and poll do — kevent is
-		// the third thin wrapper over the same readiness predicate and
-		// subscription path. Objects that are always ready contribute no
-		// queue (their filters would have fired above). The park is
-		// unconditional: a kqueue with no registered filters — or none
-		// whose object can still transition — has no wake source, so the
-		// thread stays Blocked and the scheduler's empty-runq detector
-		// reports the deadlock, exactly as kqueue(2) blocks forever. (A
-		// silent 0 return here would turn a programming error into a
-		// spurious "no events".) Signals still wake the thread through the
-		// normal delivery path.
-		//
-		// A non-NULL timespec bounds the wait on the virtual clock: a zero
-		// timespec is the classic non-blocking scan, a positive one parks
-		// with a deadline and returns 0 if it fires first.
-		block, deadline := tmo.Addr() == 0, uint64(0)
-		if !block {
-			sec, e1 := k.readUserWord(tmo, tmo.Addr(), 8)
-			nsec, e2 := k.readUserWord(tmo, tmo.Addr()+8, 8)
-			if e1 != OK || e2 != OK {
-				return Err(EFAULT)
-			}
-			if delta := sec*ClockHz + nsToCycles(nsec); delta > 0 && !k.deadlineExpired(t) {
-				block, deadline = true, k.parkDeadline(t, delta)
-			}
+		w, e := k.readTimeout(a.Ptr(2), nsToCycles)
+		if e != OK {
+			return Err(e)
 		}
-		if !block {
-			return Ret(0)
+		if k.park(t, w) {
+			return Err(EJUSTRETURN)
 		}
-		var qs []*WaitQueue
-		for _, n := range kq.notes {
-			if f := p.fd(int(n.ident)); f != nil {
-				if q := f.file.Queue(); q != nil {
-					qs = append(qs, q)
-				}
-			}
-		}
-		if deadline != 0 {
-			k.blockOnDeadline(t, deadline, qs...)
-		} else {
-			t.blockOn(qs...)
-		}
-		return Err(EJUSTRETURN)
 	}
 	return Ret(count)
 }

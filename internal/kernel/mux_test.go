@@ -437,3 +437,72 @@ func runMuxEdge(t *testing.T, abi image.ABI, r muxEdge) (string, uint64) {
 	}
 	return out, cycles
 }
+
+// keventScan issues kevent(kq, NULL, 0, ev, 1, &{0, 0}) and returns its
+// result and errno.
+func (h *ioProc) keventScan(t *testing.T, kq uint64) (uint64, Errno) {
+	return h.call(nat.SysKevent, []uint64{kq, 0, 1}, []cap.Capability{cap.Null(), h.ptr(offEv), h.timeArg(t, tmoZero, 0)})
+}
+
+// addNote registers EVFILT_READ on fd with kq.
+func (h *ioProc) addNote(t *testing.T, kq, fd uint64) {
+	filter := int32(EvfiltRead)
+	h.poke(t, offIn, fd)
+	h.poke(t, offIn+8, uint64(uint32(filter))|EvAdd<<32)
+	h.pokePtr(t, offIn+keventUdataOff(h.th.Proc.ABI), h.buf)
+	if _, e := h.call(nat.SysKevent, []uint64{kq, 1, 0}, []cap.Capability{h.ptr(offIn), cap.Null(), cap.Null()}); e != OK {
+		t.Fatalf("EV_ADD: %v", e)
+	}
+}
+
+// The kqueue is the descriptor: kevent reaches it through a dup, and a
+// descriptor number reused after close(kq) names no kqueue.
+func TestKeventFindsKqueueThroughDescriptor(t *testing.T) {
+	for _, abi := range []image.ABI{image.ABILegacy, image.ABICheri} {
+		h := newIOProc(t, abi)
+		kq, _ := h.call(nat.SysKqueue, nil, nil)
+		h.addNote(t, kq, h.open(nullFile{}))
+		d, e := h.call(nat.SysDup, []uint64{kq}, nil)
+		if e != OK {
+			t.Fatalf("abi %v: dup: %v", abi, e)
+		}
+		if n, e := h.keventScan(t, d); e != OK || n != 1 {
+			t.Errorf("abi %v: kevent on a dup of the kqueue = %d, %v; want 1, OK", abi, n, e)
+		}
+		for _, fd := range []uint64{kq, d} {
+			if _, e := h.call(nat.SysClose, []uint64{fd}, nil); e != OK {
+				t.Fatalf("abi %v: close(%d): %v", abi, fd, e)
+			}
+		}
+		if reused := h.open(nullFile{}); reused != kq {
+			t.Fatalf("abi %v: reopen took fd %d, want %d", abi, reused, kq)
+		}
+		if _, e := h.keventScan(t, kq); e != EBADF {
+			t.Errorf("abi %v: kevent on a reused descriptor number = %v, want EBADF", abi, e)
+		}
+	}
+}
+
+// A forked child does not inherit its parent's kqueues: the slot is empty
+// in the child and the parent's queue still works.
+func TestForkDropsKqueues(t *testing.T) {
+	for _, abi := range []image.ABI{image.ABILegacy, image.ABICheri} {
+		h := newIOProc(t, abi)
+		kq, _ := h.call(nat.SysKqueue, nil, nil)
+		h.addNote(t, kq, h.open(nullFile{}))
+		pid, e := h.call(nat.SysFork, nil, nil)
+		if e != OK {
+			t.Fatalf("abi %v: fork: %v", abi, e)
+		}
+		child := h.th.Proc.Children[int(pid)]
+		if child.fd(int(kq)) != nil {
+			t.Errorf("abi %v: the child inherited the kqueue at fd %d", abi, kq)
+		}
+		if child.fd(int(kq)+1) == nil {
+			t.Errorf("abi %v: the child lost the descriptor after the kqueue", abi)
+		}
+		if n, e := h.keventScan(t, kq); e != OK || n != 1 {
+			t.Errorf("abi %v: the parent's kevent after fork = %d, %v; want 1, OK", abi, n, e)
+		}
+	}
+}

@@ -111,9 +111,6 @@ type Proc struct {
 	MmapHint uint64
 	// Stdout collects fd 1 and 2 output.
 	Stdout bytes.Buffer
-	// Kqueues owned by this process, indexed by kq fd.
-	kqs map[int]*kqueue
-
 	// Brk tracking (legacy only; CheriABI rejects sbrk by design).
 	brk uint64
 	// Suspended marks a ptrace-stopped process: its threads do not run.

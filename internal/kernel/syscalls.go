@@ -79,7 +79,11 @@ func sysFork(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	child.brk = p.brk
 	child.FDs = make([]*FDesc, len(p.FDs))
 	for i, f := range p.FDs {
-		if f != nil {
+		if f == nil {
+			continue
+		}
+		// kqueue(2): the child does not inherit its parent's kqueues.
+		if _, kq := f.file.(*kqueueFile); !kq {
 			child.FDs[i] = f.incref()
 		}
 	}
@@ -767,6 +771,11 @@ func sysSbrk(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	return Ret(old)
 }
 
+// sysSelect scans the descriptors below nfds (at most 64) named in the
+// read and write masks. A hung-up descriptor is readable: the read that
+// follows observes EOF without blocking. The timeout is a timeval (see
+// readTimeout), so select(0, 0, 0, 0, &tv) is the portable sub-second
+// sleep.
 func sysSelect(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	nfds := int(a.Int(0))
@@ -788,47 +797,29 @@ func sysSelect(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	}
 	var rdy, wdy uint64
 	count := 0
+	k.waitSet = k.waitSet[:0]
 	for fd := 0; fd < nfds; fd++ {
+		bit := uint64(1) << uint(fd)
 		f := p.fd(fd)
-		if f == nil {
+		if (rq|wq)&bit == 0 || f == nil {
 			continue
 		}
-		// A hung-up descriptor is readable per select(2): the read that
-		// follows observes EOF without blocking.
-		if rq&(1<<uint(fd)) != 0 && (f.file.Poll(PollIn) || f.file.Poll(PollHup)) {
-			rdy |= 1 << uint(fd)
+		r := k.scan(f)
+		if rq&bit != 0 && (r.in || r.hup) {
+			rdy |= bit
 			count++
 		}
-		if wq&(1<<uint(fd)) != 0 && f.file.Poll(PollOut) {
-			wdy |= 1 << uint(fd)
+		if wq&bit != 0 && r.out {
+			wdy |= bit
 			count++
 		}
 	}
 	if count == 0 {
-		// The timeout is a timeval {sec, usec}: NULL blocks until a watched
-		// object transitions, a zero value is a pure non-blocking scan, and
-		// a finite value parks with a deadline — so select(0, 0, 0, 0, &tv)
-		// is the portable sub-second sleep. With nothing watched and NULL,
-		// the park has no wake source and the deadlock detector reports it.
-		tmo := a.Ptr(3)
-		block, deadline := tmo.Addr() == 0, uint64(0)
-		if !block {
-			sec, e1 := k.readUserWord(tmo, tmo.Addr(), 8)
-			usec, e2 := k.readUserWord(tmo, tmo.Addr()+8, 8)
-			if e1 != OK || e2 != OK {
-				return Err(EFAULT)
-			}
-			if delta := sec*ClockHz + usToCycles(usec); delta > 0 && !k.deadlineExpired(t) {
-				block, deadline = true, k.parkDeadline(t, delta)
-			}
+		w, e := k.readTimeout(a.Ptr(3), usToCycles)
+		if e != OK {
+			return Err(e)
 		}
-		if block {
-			qs := k.collectFDSet(p, nfds, rq|wq)
-			if deadline != 0 {
-				k.blockOnDeadline(t, deadline, qs...)
-			} else {
-				t.blockOn(qs...)
-			}
+		if k.park(t, w) {
 			return Err(EJUSTRETURN)
 		}
 	}
@@ -845,25 +836,6 @@ func sysSelect(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	return Ret(uint64(count))
 }
 
-// collectFDSet gathers the wait queues of every descriptor named in mask
-// — the shared subscription set select-style parks use. Always-ready
-// objects contribute no queue; a park with an empty set (and no deadline)
-// is permanent, and the scheduler's deadlock detection reports it.
-func (k *Kernel) collectFDSet(p *Proc, nfds int, mask uint64) []*WaitQueue {
-	var qs []*WaitQueue
-	for fd := 0; fd < nfds; fd++ {
-		if mask&(1<<uint(fd)) == 0 {
-			continue
-		}
-		if f := p.fd(fd); f != nil {
-			if q := f.file.Queue(); q != nil {
-				qs = append(qs, q)
-			}
-		}
-	}
-	return qs
-}
-
 // poll(2) event bits (FreeBSD values).
 const (
 	PollInEv   = 0x0001
@@ -876,8 +848,8 @@ const (
 // pollMax bounds the pollfd vector, like select's 64-descriptor mask.
 const pollMax = 64
 
-// sysPoll implements poll(2) over the same readiness predicate select and
-// kevent use. The guest struct pollfd is {long fd; long events; long
+// sysPoll implements poll(2) over the scan and park select and kevent
+// share. The guest struct pollfd is {long fd; long events; long
 // revents} — 24 bytes under both ABIs (MiniC int is 8 bytes, no
 // pointers). A negative timeout blocks until a watched object
 // transitions; a positive timeout is milliseconds on the virtual clock
@@ -895,7 +867,7 @@ func sysPoll(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	}
 	k.charge(nfds * CostSelectPerFD)
 	count := uint64(0)
-	var qs []*WaitQueue
+	k.waitSet = k.waitSet[:0]
 	for i := uint64(0); i < nfds; i++ {
 		base := fds.Addr() + i*24
 		fdw, e1 := k.readUserWord(fds, base, 8)
@@ -911,26 +883,24 @@ func sysPoll(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		case f == nil:
 			revents = PollNvalEv
 		default:
-			if events&PollInEv != 0 && f.file.Poll(PollIn) {
+			// The scan subscribes whatever the events bits ask for, since
+			// a hang-up must wake a parked poller.
+			r := k.scan(f)
+			if events&PollInEv != 0 && r.in {
 				revents |= PollInEv
 			}
-			if events&PollOutEv != 0 && f.file.Poll(PollOut) {
+			if events&PollOutEv != 0 && r.out {
 				revents |= PollOutEv
 			}
 			// POLLHUP — and POLLERR on writable descriptors, where the
 			// hang-up means a write would raise EPIPE — are reported
 			// unconditionally: POSIX says they are not maskable through
-			// events. The queue subscription is likewise unconditional (not
-			// gated on events bits), since a hang-up transition must wake a
-			// parked poller whatever it asked for.
-			if f.file.Poll(PollHup) {
+			// events.
+			if r.hup {
 				revents |= PollHupEv
 				if f.mayWrite() {
 					revents |= PollErrEv
 				}
-			}
-			if q := f.file.Queue(); q != nil {
-				qs = append(qs, q)
 			}
 		}
 		if e := k.writeUserWord(fds, base+16, 8, revents); e != OK {
@@ -940,18 +910,7 @@ func sysPoll(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 			count++
 		}
 	}
-	if count == 0 && timeout != 0 {
-		if timeout > 0 {
-			if k.deadlineExpired(t) {
-				return Ret(0)
-			}
-			k.blockOnDeadline(t, k.parkDeadline(t, msToCycles(uint64(timeout))), qs...)
-			return Err(EJUSTRETURN)
-		}
-		// Infinite timeout: park even with an empty subscription set — a
-		// poll with nothing that can ever wake it is a genuine deadlock,
-		// not a spurious 0 return.
-		t.blockOn(qs...)
+	if count == 0 && k.park(t, wait{forever: timeout < 0, timed: timeout > 0, delta: msToCycles(uint64(timeout))}) {
 		return Err(EJUSTRETURN)
 	}
 	return Ret(count)
@@ -999,6 +958,24 @@ func (k *Kernel) writeTime(p cap.Capability, ns, unitNs uint64) Errno {
 		return e
 	}
 	return k.writeUserWord(p, p.Addr()+8, 8, ns%1_000_000_000/unitNs)
+}
+
+// readTimeout decodes the timeout of select or kevent, the inverse of
+// writeTime: NULL waits forever; otherwise p names a two-word {sec, frac}
+// struct, frac converted to cycles by conv (usToCycles for a timeval,
+// nsToCycles for a timespec), and a zero sum is a non-blocking scan.
+// Huge values wrap in the conversion.
+func (k *Kernel) readTimeout(p cap.Capability, conv func(uint64) uint64) (wait, Errno) {
+	if p.Addr() == 0 {
+		return wait{forever: true}, OK
+	}
+	sec, e1 := k.readUserWord(p, p.Addr(), 8)
+	frac, e2 := k.readUserWord(p, p.Addr()+8, 8)
+	if e1 != OK || e2 != OK {
+		return wait{}, EFAULT
+	}
+	d := sec*ClockHz + conv(frac)
+	return wait{timed: d > 0, delta: d}, OK
 }
 
 // sysNanosleep sleeps for a timespec {sec, nsec} on the virtual clock.

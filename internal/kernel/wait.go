@@ -110,3 +110,49 @@ func (k *Kernel) wakeFD(f *FDesc) {
 func (k *Kernel) blockFD(t *Thread, f *FDesc) {
 	t.blockOn(f.file.Queue())
 }
+
+// The multiplexers' scan and park. select, poll and kevent translate
+// their guest structures and keep their own report rules; under them,
+// scan reads each watched descriptor and park ends a call that found
+// nothing ready, as its timeout says.
+
+// readiness is one watched descriptor's state, as scan reads it.
+type readiness struct{ in, out, hup bool }
+
+// scan reads f's readiness in both directions and whether it hung up
+// (Poll is pure and charges nothing), and adds f's wait queue, if it has
+// one, to k.waitSet, the set a park subscribes to. A multiplexer empties
+// the set before its first scan.
+func (k *Kernel) scan(f *FDesc) readiness {
+	if q := f.file.Queue(); q != nil {
+		k.waitSet = append(k.waitSet, q)
+	}
+	return readiness{f.file.Poll(PollIn), f.file.Poll(PollOut), f.file.Poll(PollHup)}
+}
+
+// wait is what a multiplexer's timeout asks of a call whose scan found
+// nothing ready: a non-blocking scan (the zero wait), a park with no
+// deadline (forever), or a park of delta cycles (timed).
+type wait struct {
+	forever, timed bool
+	delta          uint64
+}
+
+// park ends a call whose scan found nothing ready. Unless w is a
+// non-blocking scan, or the call is a restart whose deadline has passed,
+// it parks t on the wait set, with the deadline w asks for (a restarted
+// call keeps the one it armed), and reports true; otherwise the call
+// reports its empty scan. A forever park on an empty wait set has no
+// wake source, so the scheduler's deadlock detector reports it, as the
+// multiplexers block forever on nothing; signals still wake it.
+func (k *Kernel) park(t *Thread, w wait) bool {
+	switch {
+	case w.forever:
+		t.blockOn(k.waitSet...)
+	case !w.timed || k.deadlineExpired(t):
+		return false
+	default:
+		k.blockOnDeadline(t, k.parkDeadline(t, w.delta), k.waitSet...)
+	}
+	return true
+}

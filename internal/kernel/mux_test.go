@@ -106,19 +106,26 @@ type muxer struct {
 	show func(t *testing.T, h *ioProc) string
 }
 
-var muxers = map[string]muxer{
-	// select(fd+1, &r, &w, NULL, tmo), one of r and w naming fd.
-	"select": {nat.SysSelect, func(t *testing.T, h *ioProc, _, fd uint64, out bool, tmo muxTmo) ([]uint64, []cap.Capability) {
+// selectWith is select(nfds(fd), &r, &w, NULL, tmo), one of r and w
+// naming fd.
+func selectWith(nfds func(fd uint64) uint64) muxer {
+	return muxer{nat.SysSelect, func(t *testing.T, h *ioProc, _, fd uint64, out bool, tmo muxTmo) ([]uint64, []cap.Capability) {
 		r, w := uint64(1)<<fd, uint64(0)
 		if out {
 			r, w = w, r
 		}
 		h.poke(t, offIn, r)
 		h.poke(t, offOut, w)
-		return []uint64{fd + 1}, []cap.Capability{h.ptr(offIn), h.ptr(offOut), cap.Null(), h.timeArg(t, tmo, 100)}
+		return []uint64{nfds(fd)}, []cap.Capability{h.ptr(offIn), h.ptr(offOut), cap.Null(), h.timeArg(t, tmo, 100)}
 	}, func(t *testing.T, h *ioProc) string {
 		return fmt.Sprintf("r=%#x w=%#x", h.peek(t, offIn), h.peek(t, offOut))
-	}},
+	}}
+}
+
+var muxers = map[string]muxer{
+	"select": selectWith(func(fd uint64) uint64 { return fd + 1 }),
+	// A negative nfds.
+	"select(-1000)": selectWith(func(uint64) uint64 { return ^uint64(999) }),
 	// poll({fd, POLLIN or POLLOUT}, 1, ms).
 	"poll": {nat.SysPoll, func(t *testing.T, h *ioProc, _, fd uint64, out bool, tmo muxTmo) ([]uint64, []cap.Capability) {
 		events := uint64(PollInEv)
@@ -363,6 +370,9 @@ var muxEdges = []muxEdge{
 	{mux: "select", kind: "pipe-r-empty", tmo: tmoHuge, want: "parked r=0x10 w=0x0 dl=-100 wq=1", cycles: [2]uint64{494, 298}},
 	{mux: "poll", kind: "pipe-r-empty", tmo: tmoHuge, want: "parked rev=0x0 dl=+0 wq=1", cycles: [2]uint64{208, 159}},
 	{mux: "kevent", kind: "pipe-r-empty", tmo: tmoHuge, want: "n=0 ev=none", cycles: [2]uint64{287, 140}},
+
+	// A negative nfds fails before select charges for descriptors.
+	{mux: "select(-1000)", kind: "pipe-r", tmo: tmoZero, want: "EINVAL r=0x10 w=0x0", cycles: [2]uint64{340, 144}},
 }
 
 func TestMultiplexerEdges(t *testing.T) {

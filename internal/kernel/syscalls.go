@@ -771,17 +771,18 @@ func sysSbrk(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	return Ret(old)
 }
 
-// sysSelect scans the descriptors below nfds (at most 64) named in the
-// read and write masks. A hung-up descriptor is readable: the read that
+// sysSelect scans the descriptors below nfds (at most 64; a negative
+// nfds is EINVAL, as in FreeBSD) named in the read and write masks. A hung-up descriptor is readable: the read that
 // follows observes EOF without blocking. The timeout is a timeval (see
 // readTimeout), so select(0, 0, 0, 0, &tv) is the portable sub-second
 // sleep.
 func sysSelect(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	nfds := int(a.Int(0))
-	if nfds > 64 {
-		nfds = 64
+	if nfds < 0 {
+		return Err(EINVAL)
 	}
+	nfds = min(nfds, 64)
 	k.charge(uint64(nfds) * CostSelectPerFD)
 
 	readMask := func(c cap.Capability) (uint64, Errno) {

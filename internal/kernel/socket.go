@@ -174,7 +174,7 @@ func (s *socketFile) Read(b []byte, _ int64) (int, Errno) {
 	}
 	var n int
 	s.recv.data, n = queueRead(s.recv.data, b)
-	if s.domain == AFInet && !s.peerGone {
+	if s.domain == AFInet && !s.peerGone && n > 0 {
 		// Credit return: the guest drained n bytes, so the peer may send
 		// n more (loopback delivers the Ack synchronously, waking the
 		// peer's queue; cross-machine it rides the fabric).
@@ -196,6 +196,9 @@ func (s *socketFile) Write(b []byte, _ int64) (int, Errno) {
 		n := len(b)
 		if space := sockCap - s.inFlight; n > space {
 			n = space
+		}
+		if n == 0 {
+			return 0, OK // nothing to carry: no packet
 		}
 		s.inFlight += n
 		pkt := s.netHeader(NetData)

@@ -155,20 +155,17 @@ func (k *Kernel) seg(t *Thread, r *ioReq, i uint64) (cap.Capability, uint64, Err
 	return k.readIovec(t, r.buf, i)
 }
 
-// at returns the offset r's next transfer on f, of kind st, runs at: the
-// cursor, which a write under O_APPEND first moves to the end, or
-// pread/pwrite's argument, ESPIPE on objects without positions.
-func (r *ioReq) at(f *FDesc, st FileStat, write bool) (int64, Errno) {
-	switch {
-	case !r.pos:
-		if write && f.flags&OAppend != 0 && seekable(st) {
-			f.off = st.Size
-		}
-		return f.off, OK
-	case positional(f.file, st):
-		return r.off, OK
+// at returns the offset r's next transfer on f, of kind st, runs at:
+// pread/pwrite's argument, or the cursor, which a write under O_APPEND
+// first moves to the end.
+func (r *ioReq) at(f *FDesc, st FileStat, write bool) int64 {
+	if r.pos {
+		return r.off
 	}
-	return 0, ESPIPE
+	if write && f.flags&OAppend != 0 && seekable(st) {
+		f.off = st.Size
+	}
+	return f.off
 }
 
 // advance moves the cursor past the m bytes a transfer at it moved.
@@ -179,13 +176,17 @@ func (r *ioReq) advance(f *FDesc, st FileStat, m int) {
 }
 
 // gate admits r to f's transfer loop. A vector past iovMax is EINVAL.
-// The cursor calls wait for the readiness predicate in direction kind:
-// EAGAIN for non-blocking descriptors, else the thread parks on the
-// object's wait queue and the call restarts on wake. pread/pwrite pass.
+// pread/pwrite pass on objects with positions and fail ESPIPE on the
+// rest, before any guest memory is touched. The cursor calls wait for
+// the readiness predicate in direction kind: EAGAIN for non-blocking
+// descriptors, else the thread parks on the object's wait queue and the
+// call restarts on wake.
 func (k *Kernel) gate(t *Thread, f *FDesc, r *ioReq, kind PollKind) Errno {
 	switch {
 	case r.vec && r.n > iovMax:
 		return EINVAL
+	case r.pos && !positional(f.file, f.file.Stat()):
+		return ESPIPE
 	case r.pos || f.file.Poll(kind):
 		return OK
 	case f.nonblock():
@@ -294,13 +295,9 @@ func (k *Kernel) readFD(t *Thread, f *FDesc, r ioReq) (cap.Capability, Errno) {
 			continue
 		}
 		st := f.file.Stat()
-		off, pe := r.at(f, st, false)
+		off := r.at(f, st, false)
 		scratch := k.ioScratch(st, off, n)
-		// A fault on the destination outranks ESPIPE.
-		if e = precheckOut(buf, len(scratch)); e == OK {
-			e = pe
-		}
-		if e != OK {
+		if e = precheckOut(buf, len(scratch)); e != OK {
 			break
 		}
 		var m int
@@ -351,12 +348,8 @@ func (k *Kernel) writeFD(t *Thread, f *FDesc, r ioReq) (cap.Capability, Errno) {
 			break
 		}
 		st := f.file.Stat()
-		var off int64
-		if off, e = r.at(f, st, true); e != OK {
-			break
-		}
 		var m int
-		if m, e = f.file.Write(data, off); e != OK {
+		if m, e = f.file.Write(data, r.at(f, st, true)); e != OK {
 			if e == EPIPE && total == 0 {
 				k.PostSignal(t.Proc, SIGPIPE)
 			}

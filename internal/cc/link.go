@@ -13,9 +13,6 @@ import (
 // executable, or a shared library with Options.Shared). It returns the
 // image and the compatibility-lint findings (the Table 2 taxonomy).
 func Compile(opt Options, sources ...string) (*image.Image, []Finding, error) {
-	if !opt.BigCLC && opt.ABI == image.ABICheri {
-		// Default on: the paper adopts the extension; ablations turn it off.
-	}
 	merged := &unit{structs: map[string]*structDef{}}
 	for i, src := range sources {
 		u, err := parse(fmt.Sprintf("%s:%d", opt.Name, i), src)

@@ -13,34 +13,6 @@ import (
 	"cheriabi/internal/vm"
 )
 
-// writeAS / writeCapAS write into an address space that may not be the one
-// currently on the CPU (used while building a new image during execve).
-// Bulk bytes go through the uaccess construction-write helper the
-// run-time linker also uses.
-func (k *Kernel) writeAS(as *vm.AddressSpace, va uint64, b []byte) error {
-	return uaccess.WriteAS(k.M.Mem, as, va, b)
-}
-
-func (k *Kernel) writeCapAS(as *vm.AddressSpace, va uint64, c cap.Capability) error {
-	pa, pf := as.Translate(va, vm.ProtRead)
-	if pf != nil {
-		return pf
-	}
-	buf := make([]byte, cap.Bytes)
-	cap.Encode(c, buf)
-	k.M.Mem.StoreCap(pa, buf, c.Tag())
-	return nil
-}
-
-func (k *Kernel) writeWordAS(as *vm.AddressSpace, va uint64, v uint64) error {
-	pa, pf := as.Translate(va, vm.ProtRead)
-	if pf != nil {
-		return pf
-	}
-	k.M.Mem.Store(pa, 8, v)
-	return nil
-}
-
 // Spawn creates a fresh process running the executable at path.
 func (k *Kernel) Spawn(path string, argv, envv []string) (*Proc, error) {
 	p := k.newProc(nil)
@@ -149,7 +121,7 @@ func (k *Kernel) exec(p *Proc, t *Thread, path string, argv, envv []string) erro
 		tramp[i*4+2] = byte(w >> 16)
 		tramp[i*4+3] = byte(w >> 24)
 	}
-	if err := k.writeAS(as, TrampVA, tramp); err != nil {
+	if err := uaccess.WriteAS(k.M.Mem, as, TrampVA, tramp); err != nil {
 		return err
 	}
 	// Executable bytes are final: sync the decoded-instruction cache, as an
@@ -185,7 +157,7 @@ func (k *Kernel) exec(p *Proc, t *Thread, path string, argv, envv []string) erro
 		for i, s := range strs {
 			b := append([]byte(s), 0)
 			sp -= uint64(len(b))
-			if err := k.writeAS(as, sp, b); err != nil {
+			if err := uaccess.WriteAS(k.M.Mem, as, sp, b); err != nil {
 				return nil, err
 			}
 			addrs[i] = sp
@@ -224,10 +196,10 @@ func (k *Kernel) exec(p *Proc, t *Thread, path string, argv, envv []string) erro
 					return 0, err
 				}
 				k.capCreated("exec", sc)
-				if err := k.writeCapAS(as, va, sc); err != nil {
+				if err := uaccess.WriteCapAS(k.M.Mem, as, va, sc); err != nil {
 					return 0, err
 				}
-			} else if err := k.writeWordAS(as, va, a); err != nil {
+			} else if err := uaccess.WriteWordAS(k.M.Mem, as, va, a); err != nil {
 				return 0, err
 			}
 		}

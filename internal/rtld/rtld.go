@@ -122,30 +122,13 @@ func (ld *Linker) trace(kind string, c cap.Capability) {
 	}
 }
 
-// writeBytes stores raw bytes at va (pages must already be mapped),
-// through the same construction-write helper the kernel's execve uses.
-func (ld *Linker) writeBytes(va uint64, b []byte) error {
-	return uaccess.WriteAS(ld.Mem, ld.AS, va, b)
-}
-
-func (ld *Linker) writeWord(va uint64, v uint64) error {
-	pa, pf := ld.AS.Translate(va, vm.ProtRead)
-	if pf != nil {
-		return pf
-	}
-	ld.Mem.Store(pa, 8, v)
-	return nil
-}
-
+// writeBytes, writeWord and writeCap store into the image's address
+// space (pages must already be mapped) through the construction writes
+// the kernel's execve also uses.
+func (ld *Linker) writeBytes(va uint64, b []byte) error { return uaccess.WriteAS(ld.Mem, ld.AS, va, b) }
+func (ld *Linker) writeWord(va, v uint64) error         { return uaccess.WriteWordAS(ld.Mem, ld.AS, va, v) }
 func (ld *Linker) writeCap(va uint64, c cap.Capability) error {
-	pa, pf := ld.AS.Translate(va, vm.ProtRead)
-	if pf != nil {
-		return pf
-	}
-	buf := make([]byte, cap.Bytes)
-	cap.Encode(c, buf)
-	ld.Mem.StoreCap(pa, buf, c.Tag())
-	return nil
+	return uaccess.WriteCapAS(ld.Mem, ld.AS, va, c)
 }
 
 // Load maps the executable and its dependency closure, fills every GOT,

@@ -396,3 +396,27 @@ func WriteAS(m *mem.Physical, as *vm.AddressSpace, va uint64, b []byte) error {
 	}
 	return nil
 }
+
+// WriteWordAS writes the 8-byte word v at va into as, as WriteAS writes
+// bytes.
+func WriteWordAS(m *mem.Physical, as *vm.AddressSpace, va, v uint64) error {
+	pa, pf := as.Translate(va, vm.ProtRead)
+	if pf != nil {
+		return pf
+	}
+	m.Store(pa, 8, v)
+	return nil
+}
+
+// WriteCapAS writes c, tag included, at the capability-aligned va into
+// as, as WriteAS writes bytes.
+func WriteCapAS(m *mem.Physical, as *vm.AddressSpace, va uint64, c cap.Capability) error {
+	pa, pf := as.Translate(va, vm.ProtRead)
+	if pf != nil {
+		return pf
+	}
+	var buf [cap.Bytes]byte
+	cap.Encode(c, buf[:])
+	m.StoreCap(pa, buf[:], c.Tag())
+	return nil
+}

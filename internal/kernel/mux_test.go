@@ -516,3 +516,32 @@ func TestForkDropsKqueues(t *testing.T) {
 		}
 	}
 }
+
+// An untimed park and wake of each multiplexer allocates nothing: the
+// scan fills the Kernel's wait set, and the park copies it into the
+// thread's, both reused.
+func TestMultiplexerParkDoesNotAllocate(t *testing.T) {
+	for _, name := range []string{"select", "poll", "kevent"} {
+		m := muxers[name]
+		var r uint64
+		var ints []uint64
+		var ptrs []cap.Capability
+		wantZeroAllocs(t, name+" park and wake", func(h *ioProc) {
+			kq, _ := h.call(nat.SysKqueue, nil, nil)
+			r, _ = h.pipePair()
+			ints, ptrs = m.args(t, h, kq, r, false, tmoNull)
+		}, func(h *ioProc) string {
+			h.call(m.num, ints, ptrs)
+			if h.th.State != ThreadBlocked {
+				return "the call did not park"
+			}
+			h.th.Proc.fd(int(r)).file.Queue().Wake(h.k)
+			for h.k.runqPop() != nil {
+			}
+			if h.th.State != ThreadRunnable {
+				return "the wake did not reach the thread"
+			}
+			return ""
+		})
+	}
+}

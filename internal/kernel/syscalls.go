@@ -765,10 +765,10 @@ func sysSbrk(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 }
 
 // sysSelect scans the descriptors below nfds (at most 64; a negative
-// nfds is EINVAL, as in FreeBSD) named in the read and write masks. A hung-up descriptor is readable: the read that
-// follows observes EOF without blocking. The timeout is a timeval (see
-// readTimeout), so select(0, 0, 0, 0, &tv) is the portable sub-second
-// sleep.
+// nfds is EINVAL, as in FreeBSD) named in the read and write masks. A
+// hung-up descriptor is readable: the read that follows observes EOF
+// without blocking. The timeout is a timeval (see readTimeout), so
+// select(0, 0, 0, 0, &tv) is the portable sub-second sleep.
 func sysSelect(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	nfds := int(a.Int(0))

@@ -58,7 +58,7 @@ const (
 
 // packet is one scheduled delivery.
 type packet struct {
-	p   *kernel.NetPacket
+	p   kernel.NetPacket
 	at  uint64 // receiver-clock cycle at which it may be delivered
 	seq uint64 // schedule order: the FIFO/determinism tie-break
 	src int    // sending node index (trace only)
@@ -66,7 +66,7 @@ type packet struct {
 
 type node struct {
 	kern    *kernel.Kernel
-	pending []*packet // sorted by (at, seq)
+	pending []packet // sorted by (at, seq)
 }
 
 // Fabric is the switch: per-destination delivery queues plus the
@@ -132,7 +132,7 @@ func (f *Fabric) latency() uint64 {
 }
 
 // schedule queues p (sent by node src at cycle now) for its destination.
-func (f *Fabric) schedule(src int, now uint64, p *kernel.NetPacket) {
+func (f *Fabric) schedule(src int, now uint64, p kernel.NetPacket) {
 	dst, ok := f.byAddr[p.DstAddr]
 	if !ok {
 		// Unreachable address: bounce connection attempts as refused, in
@@ -140,7 +140,7 @@ func (f *Fabric) schedule(src int, now uint64, p *kernel.NetPacket) {
 		if p.Kind != kernel.NetSyn {
 			return
 		}
-		rst := &kernel.NetPacket{
+		rst := kernel.NetPacket{
 			Kind:    kernel.NetRst,
 			SrcAddr: p.DstAddr, SrcPort: p.DstPort,
 			DstAddr: p.SrcAddr, DstPort: p.SrcPort,
@@ -152,7 +152,7 @@ func (f *Fabric) schedule(src int, now uint64, p *kernel.NetPacket) {
 	f.enqueue(src, dst, now, p)
 }
 
-func (f *Fabric) enqueue(src, dst int, now uint64, p *kernel.NetPacket) {
+func (f *Fabric) enqueue(src, dst int, now uint64, p kernel.NetPacket) {
 	at := now + f.latency()
 	link := uint64(src)<<32 | uint64(dst)
 	if last := f.lastAt[link]; at < last {
@@ -160,7 +160,7 @@ func (f *Fabric) enqueue(src, dst int, now uint64, p *kernel.NetPacket) {
 	}
 	f.lastAt[link] = at
 	f.seq++
-	pk := &packet{p: p, at: at, seq: f.seq, src: src}
+	pk := packet{p: p, at: at, seq: f.seq, src: src}
 	n := f.nodes[dst]
 	n.pending = append(n.pending, pk)
 	// Mostly-append workload: restore (at, seq) order only when a short
@@ -207,7 +207,7 @@ func (f *Fabric) deliver() bool {
 				k.AdvanceClock(pk.at)
 			}
 			n.pending = n.pending[1:]
-			f.recordDelivery(i, pk)
+			f.recordDelivery(i, &pk)
 			k.DeliverNetPacket(pk.p)
 			any = true
 		}

@@ -218,20 +218,57 @@ func TestReadvWritevDoesNotAllocate(t *testing.T) {
 	})
 }
 
-func TestUnixSendRecvDoesNotAllocate(t *testing.T) {
-	var a, b uint64
-	wantZeroAllocs(t, "AF_UNIX send+recv", func(h *ioProc) {
-		s1, s2 := newSocketFile(h.k, AFUnix), newSocketFile(h.k, AFUnix)
-		wireSockets(s1, s2, &WaitQueue{})
-		a, b = h.open(s1), h.open(s2)
-	}, func(h *ioProc) string {
-		n, e := h.call(nat.SysSend, []uint64{a, ioAllocLen, 0}, []cap.Capability{h.buf})
+// sendRecv sends ioAllocLen bytes on a and receives them on b.
+func sendRecv(a, b *uint64) func(h *ioProc) string {
+	return func(h *ioProc) string {
+		n, e := h.call(nat.SysSend, []uint64{*a, ioAllocLen, 0}, []cap.Capability{h.buf})
 		if msg := moved("send", n, e); msg != "" {
 			return msg
 		}
-		n, e = h.call(nat.SysRecv, []uint64{b, ioAllocLen, 0}, []cap.Capability{h.buf})
+		n, e = h.call(nat.SysRecv, []uint64{*b, ioAllocLen, 0}, []cap.Capability{h.buf})
 		return moved("recv", n, e)
-	})
+	}
+}
+
+// mustCall issues a setup syscall that must not fail.
+func (h *ioProc) mustCall(t *testing.T, num int, ints []uint64, ptrs []cap.Capability, ok ...Errno) uint64 {
+	t.Helper()
+	v, e := h.call(num, ints, ptrs)
+	if e != OK && (len(ok) == 0 || e != ok[0]) {
+		t.Fatalf("%s: %v", nat.Syscalls[num].Name, e)
+	}
+	return v
+}
+
+func TestUnixSendRecvDoesNotAllocate(t *testing.T) {
+	var a, b uint64
+	wantZeroAllocs(t, "AF_UNIX send+recv", func(h *ioProc) {
+		h.mustCall(t, nat.SysSocketpair, []uint64{AFUnix, SockStream, 0}, []cap.Capability{h.buf})
+		a, b = h.peek(t, 0), h.peek(t, 8)
+	}, sendRecv(&a, &b))
+}
+
+// TestInetLoopbackSendRecvDoesNotAllocate: an AF_INET connection to
+// 127.0.0.1 carries each send as a Data packet and each recv's credit
+// return as an Ack, both by value, the payload aliasing the staging
+// buffer.
+func TestInetLoopbackSendRecvDoesNotAllocate(t *testing.T) {
+	var a, b uint64
+	wantZeroAllocs(t, "AF_INET loopback send+recv", func(h *ioProc) {
+		sa := []cap.Capability{h.buf}
+		h.poke(t, 0, AFInet)
+		h.poke(t, 8, 7000)
+		h.poke(t, 16, 0)
+		l := h.mustCall(t, nat.SysSocket, []uint64{AFInet, SockStream, 0}, nil)
+		h.mustCall(t, nat.SysBind, []uint64{l}, sa)
+		h.mustCall(t, nat.SysListen, []uint64{l, 1}, nil)
+		a = h.mustCall(t, nat.SysSocket, []uint64{AFInet, SockStream, 0}, nil)
+		h.mustCall(t, nat.SysFcntl, []uint64{a, FSetFl, ONonblock}, nil)
+		h.poke(t, 16, NetLoopback)
+		h.mustCall(t, nat.SysConnect, []uint64{a}, sa, EINPROGRESS)
+		b = h.mustCall(t, nat.SysAccept, []uint64{l}, nil)
+		h.mustCall(t, nat.SysConnect, []uint64{a}, sa)
+	}, sendRecv(&a, &b))
 }
 
 // TestSyscallTrapDoesNotAllocate: a SYSCALL instruction surfaces from

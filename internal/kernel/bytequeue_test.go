@@ -1,6 +1,10 @@
 package kernel
 
-import "testing"
+import (
+	"testing"
+
+	"cheriabi/internal/image"
+)
 
 // TestByteQueuesCompactInPlace: partial writes and reads of varying
 // sizes, interleaved, move more than ten times the buffer bound through
@@ -9,8 +13,7 @@ import "testing"
 // bound (pipeCap, sockCap), however the unread bytes sit in it.
 func TestByteQueuesCompactInPlace(t *testing.T) {
 	pip := &pipe{readers: 1, writers: 1}
-	s1, s2 := newSocketFile(nil, AFUnix), newSocketFile(nil, AFUnix)
-	wireSockets(s1, s2, &WaitQueue{})
+	s1, s2 := newIOProc(t, image.ABICheri).k.socketPair()
 	for _, tc := range []struct {
 		name  string
 		w, r  File
@@ -18,7 +21,7 @@ func TestByteQueuesCompactInPlace(t *testing.T) {
 		limit int
 	}{
 		{"pipe", &pipeFile{pip: pip, writeEnd: true}, &pipeFile{pip: pip}, func() []byte { return pip.buf }, pipeCap},
-		{"AF_UNIX", s1, s2, func() []byte { return s1.send.data }, sockCap},
+		{"AF_UNIX", s1, s2, func() []byte { return s2.recv }, sockCap},
 	} {
 		writeSizes := []int{1000, 7919, 30000, 65536, 12, 40000}
 		readSizes := []int{513, 20000, 64, 65536, 9000}

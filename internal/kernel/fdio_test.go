@@ -55,15 +55,13 @@ var ioKinds = map[string]func(h *ioProc) (File, int){
 	},
 	// A connected AF_UNIX endpoint with "ping" to receive.
 	"unix": func(h *ioProc) (File, int) {
-		s, peer := newSocketFile(h.k, AFUnix), newSocketFile(h.k, AFUnix)
-		wireSockets(s, peer, &WaitQueue{})
-		s.recv.data = []byte("ping")
+		s, peer := h.k.socketPair()
+		peer.Write([]byte("ping"), 0)
 		return s, ORdWr
 	},
 	// A connected AF_UNIX endpoint with nothing to receive.
 	"unix-empty": func(h *ioProc) (File, int) {
-		s, peer := newSocketFile(h.k, AFUnix), newSocketFile(h.k, AFUnix)
-		wireSockets(s, peer, &WaitQueue{})
+		s, _ := h.k.socketPair()
 		return s, ORdWr
 	},
 	// A fresh socket: neither connected nor listening.
@@ -75,7 +73,7 @@ var ioKinds = map[string]func(h *ioProc) (File, int){
 	"inet": func(h *ioProc) (File, int) {
 		h.k.AttachNIC(5)
 		s := newSocketFile(h.k, AFInet)
-		s.state, s.recv = sockConnected, &sockBuf{data: []byte("ping")}
+		s.state, s.recv = sockConnected, []byte("ping")
 		s.peerAddr = 6
 		return s, ORdWr
 	},

@@ -102,7 +102,7 @@ type Kernel struct {
 	netConns    map[int]*socketFile
 	nextConn    int
 	nextPort    uint64
-	netOut      []*NetPacket
+	netOut      []NetPacket
 
 	// timers is the deadline min-heap of timed waiters, ordered by
 	// (deadline, seq); timerSeq is the arm counter supplying the

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"slices"
+
 	"cheriabi/internal/cap"
 	"cheriabi/internal/image"
 )
@@ -60,9 +62,11 @@ func sysKqueue(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 }
 
 // sysKevent applies the changelist to the kqueue its descriptor names,
-// then reports up to nevents ready notes. A hang-up satisfies either
-// filter — a read on a drained, hung-up object returns EOF at once and a
-// write raises EPIPE, so neither blocks — and sets EV_EOF. With nothing
+// then reports up to nevents ready notes. EV_ADD registers a note for an
+// (ident, filter) pair, or, as kqueue(2) specifies, updates the udata of
+// the one already registered; EV_DELETE removes it. A hang-up satisfies
+// either filter — a read on a drained, hung-up object returns EOF at once
+// and a write raises EPIPE, so neither blocks — and sets EV_EOF. With nothing
 // ready it parks on the watched objects' queues as its timespec says
 // (see readTimeout); a kqueue with no notes, or none whose object can
 // still transition, parks with no wake source, as kqueue(2) blocks
@@ -99,16 +103,17 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		if e != OK {
 			return Err(e)
 		}
-		if flags&EvDelete != 0 {
-			for j, n := range kq.notes {
-				if n.ident == ident && n.filter == filter {
-					kq.notes = append(kq.notes[:j], kq.notes[j+1:]...)
-					break
-				}
+		j := slices.IndexFunc(kq.notes, func(n knote) bool { return n.ident == ident && n.filter == filter })
+		switch {
+		case flags&EvDelete != 0:
+			if j >= 0 {
+				kq.notes = slices.Delete(kq.notes, j, j+1)
 			}
-			continue
+		case j >= 0:
+			kq.notes[j].udata = udata // EV_ADD of a registered pair modifies it
+		default:
+			kq.notes = append(kq.notes, knote{ident: ident, filter: filter, udata: udata})
 		}
-		kq.notes = append(kq.notes, knote{ident: ident, filter: filter, udata: udata})
 	}
 
 	if nevents == 0 {
@@ -162,7 +167,7 @@ func sysKevent(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		count++
 	}
 	if count == 0 {
-		w, e := k.readTimeout(a.Ptr(2), nsToCycles)
+		w, e := k.readTimeout(a.Ptr(2), 1)
 		if e != OK {
 			return Err(e)
 		}

@@ -22,20 +22,19 @@ import (
 var muxKinds = map[string]func(h *ioProc) (File, int){
 	// The read end of an empty pipe whose writer closed.
 	"pipe-r-eof": func(h *ioProc) (File, int) { return &pipeFile{pip: &pipe{readers: 1}}, ORdOnly },
-	// A listening AF_UNIX socket with one connector awaiting accept.
+	// A listening AF_UNIX socket with one connection request awaiting
+	// accept.
 	"listener":       func(h *ioProc) (File, int) { return listener(h, 1), ORdWr },
 	"listener-empty": func(h *ioProc) (File, int) { return listener(h, 0), ORdWr },
 	"closed":         func(*ioProc) (File, int) { return nil, 0 },
 }
 
-// listener is a listening AF_UNIX socket with n connectors queued.
+// listener is a listening AF_UNIX socket with n Syns queued.
 func listener(h *ioProc, n int) *socketFile {
 	s := newSocketFile(h.k, AFUnix)
 	s.state, s.backlog = sockListening, 4
 	for i := 0; i < n; i++ {
-		c := newSocketFile(h.k, AFUnix)
-		c.state, c.waitingOn = sockConnecting, s
-		s.pending = append(s.pending, c)
+		s.pendingSyn = append(s.pendingSyn, NetPacket{Kind: NetSyn})
 	}
 	return s
 }
@@ -44,15 +43,16 @@ func listener(h *ioProc, n int) *socketFile {
 type muxTmo int
 
 const (
-	tmoNull  muxTmo = iota // NULL (select, kevent) or -1 (poll): no deadline
-	tmoZero                // a non-blocking scan
-	tmoPos                 // 100 µs (select, kevent) or 1 ms (poll)
-	tmoFired               // tmoPos, parked, restarted after its timer fired
-	tmoEarly               // tmoPos, parked, woken early and restarted
-	tmoHuge                // a fraction of 2^64-1 (select, kevent) or 2^62 ms (poll): the conversion wraps
+	tmoNull    muxTmo = iota // NULL (select, kevent) or -1 (poll): no deadline
+	tmoZero                  // a non-blocking scan
+	tmoPos                   // 100 µs (select, kevent) or 1 ms (poll)
+	tmoFired                 // tmoPos, parked, restarted after its timer fired
+	tmoEarly                 // tmoPos, parked, woken early and restarted
+	tmoHuge                  // a fraction of 2^64-1 (select, kevent: out of range) or 2^62 ms (poll: too many cycles)
+	tmoHugeSec               // 2^62 seconds (select, kevent): too many cycles
 )
 
-var tmoNames = [...]string{"null", "zero", "pos", "fired", "early", "huge"}
+var tmoNames = [...]string{"null", "zero", "pos", "fired", "early", "huge", "huge-sec"}
 
 // Offsets into h.buf of a row's guest structures. Output fields start
 // out holding muxFill, so a field the call never wrote shows.
@@ -92,7 +92,11 @@ func (h *ioProc) timeArg(t *testing.T, tmo muxTmo, pos uint64) cap.Capability {
 	case tmoHuge:
 		frac = ^uint64(0)
 	}
-	h.poke(t, offTime, 0)
+	sec := uint64(0)
+	if tmo == tmoHugeSec {
+		sec, frac = 1<<62, 0
+	}
+	h.poke(t, offTime, sec)
 	h.poke(t, offTime+8, frac)
 	return h.ptr(offTime)
 }
@@ -364,12 +368,13 @@ var muxEdges = []muxEdge{
 	{mux: "kevent", kind: "closed", tmo: tmoFired, want: "n=0 ev=none", cycles: [2]uint64{287, 140}},
 	{mux: "kevent", kind: "closed", tmo: tmoEarly, want: "parked ev=none dl=+10000 wq=0", cycles: [2]uint64{287, 140}},
 
-	// Timeouts whose conversion to cycles wraps: select's parks with a
-	// deadline in the past, poll's with one at the clock, kevent's is a
-	// non-blocking scan.
-	{mux: "select", kind: "pipe-r-empty", tmo: tmoHuge, want: "parked r=0x10 w=0x0 dl=-100 wq=1", cycles: [2]uint64{494, 298}},
-	{mux: "poll", kind: "pipe-r-empty", tmo: tmoHuge, want: "parked rev=0x0 dl=+0 wq=1", cycles: [2]uint64{208, 159}},
-	{mux: "kevent", kind: "pipe-r-empty", tmo: tmoHuge, want: "n=0 ev=none", cycles: [2]uint64{287, 140}},
+	// A fraction outside one second is EINVAL; a timeout too long for a
+	// 64-bit cycle count parks with no deadline.
+	{mux: "select", kind: "pipe-r-empty", tmo: tmoHuge, want: "EINVAL r=0x10 w=0x0", cycles: [2]uint64{494, 298}},
+	{mux: "poll", kind: "pipe-r-empty", tmo: tmoHuge, want: "parked rev=0x0 wq=1", cycles: [2]uint64{208, 159}},
+	{mux: "kevent", kind: "pipe-r-empty", tmo: tmoHuge, want: "EINVAL ev=none", cycles: [2]uint64{287, 140}},
+	{mux: "select", kind: "pipe-r-empty", tmo: tmoHugeSec, want: "parked r=0x10 w=0x0 wq=1", cycles: [2]uint64{494, 298}},
+	{mux: "kevent", kind: "pipe-r-empty", tmo: tmoHugeSec, want: "parked ev=none wq=1", cycles: [2]uint64{287, 140}},
 
 	// A negative nfds fails before select charges for descriptors.
 	{mux: "select(-1000)", kind: "pipe-r", tmo: tmoZero, want: "EINVAL r=0x10 w=0x0", cycles: [2]uint64{340, 144}},
@@ -454,14 +459,40 @@ func (h *ioProc) keventScan(t *testing.T, kq uint64) (uint64, Errno) {
 	return h.call(nat.SysKevent, []uint64{kq, 0, 1}, []cap.Capability{cap.Null(), h.ptr(offEv), h.timeArg(t, tmoZero, 0)})
 }
 
-// addNote registers EVFILT_READ on fd with kq.
-func (h *ioProc) addNote(t *testing.T, kq, fd uint64) {
+// addNote registers EVFILT_READ on fd with kq, whose udata is udata.
+func (h *ioProc) addNote(t *testing.T, kq, fd uint64, udata cap.Capability) {
 	filter := int32(EvfiltRead)
 	h.poke(t, offIn, fd)
 	h.poke(t, offIn+8, uint64(uint32(filter))|EvAdd<<32)
-	h.pokePtr(t, offIn+keventUdataOff(h.th.Proc.ABI), h.buf)
+	h.pokePtr(t, offIn+keventUdataOff(h.th.Proc.ABI), udata)
 	if _, e := h.call(nat.SysKevent, []uint64{kq, 1, 0}, []cap.Capability{h.ptr(offIn), cap.Null(), cap.Null()}); e != OK {
 		t.Fatalf("EV_ADD: %v", e)
+	}
+}
+
+// An EV_ADD of a registered (ident, filter) pair modifies its note: three
+// identical adds leave one note, reported once, with the last udata.
+func TestKeventAddModifiesNote(t *testing.T) {
+	for _, abi := range []image.ABI{image.ABILegacy, image.ABICheri} {
+		h := newIOProc(t, abi)
+		kq, _ := h.call(nat.SysKqueue, nil, nil)
+		fd := h.open(nullFile{})
+		var last cap.Capability
+		for i := int64(0); i < 3; i++ {
+			last = cap.IncAddr(h.buf, 8*i)
+			h.addNote(t, kq, fd, last)
+		}
+		if notes := h.th.Proc.fd(int(kq)).file.(*kqueueFile).notes; len(notes) != 1 {
+			t.Errorf("abi %v: %d notes after three identical EV_ADDs, want 1", abi, len(notes))
+		}
+		n, e := h.call(nat.SysKevent, []uint64{kq, 0, 3}, []cap.Capability{cap.Null(), h.ptr(offEv), h.timeArg(t, tmoZero, 0)})
+		if e != OK || n != 1 {
+			t.Fatalf("abi %v: kevent = %d, %v; want 1 event", abi, n, e)
+		}
+		got := h.peekPtr(t, offEv+keventUdataOff(abi))
+		if got.Addr() != last.Addr() || abi == image.ABICheri && !got.Equal(last) {
+			t.Errorf("abi %v: the event carries udata %#x, want the last add's %#x", abi, got.Addr(), last.Addr())
+		}
 	}
 }
 
@@ -471,7 +502,7 @@ func TestKeventFindsKqueueThroughDescriptor(t *testing.T) {
 	for _, abi := range []image.ABI{image.ABILegacy, image.ABICheri} {
 		h := newIOProc(t, abi)
 		kq, _ := h.call(nat.SysKqueue, nil, nil)
-		h.addNote(t, kq, h.open(nullFile{}))
+		h.addNote(t, kq, h.open(nullFile{}), h.buf)
 		d, e := h.call(nat.SysDup, []uint64{kq}, nil)
 		if e != OK {
 			t.Fatalf("abi %v: dup: %v", abi, e)
@@ -499,7 +530,7 @@ func TestForkDropsKqueues(t *testing.T) {
 	for _, abi := range []image.ABI{image.ABILegacy, image.ABICheri} {
 		h := newIOProc(t, abi)
 		kq, _ := h.call(nat.SysKqueue, nil, nil)
-		h.addNote(t, kq, h.open(nullFile{}))
+		h.addNote(t, kq, h.open(nullFile{}), h.buf)
 		pid, e := h.call(nat.SysFork, nil, nil)
 		if e != OK {
 			t.Fatalf("abi %v: fork: %v", abi, e)

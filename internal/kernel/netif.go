@@ -1,33 +1,37 @@
 package kernel
 
-// The virtual NIC: the kernel side of the network fabric. AF_INET stream
-// endpoints never share Go state across machines — everything a
-// connection does (handshake, data, credit return, teardown) is a
-// NetPacket, so two endpoints of one connection may live on different
-// simulated machines joined by internal/fabric, or on the same machine
-// (loopback), with identical semantics.
+import "bytes"
+
+// The virtual NIC: the kernel side of the network fabric, and the one
+// protocol every stream connection speaks (socket.go). Two endpoints of a
+// connection never share Go state: everything a connection does
+// (handshake, data, credit return, teardown) is a NetPacket, so the
+// endpoints of an AF_INET connection may live on different simulated
+// machines joined by internal/fabric, or on the same machine (loopback),
+// with identical semantics; an AF_UNIX connection is always loopback.
 //
 // Delivery model:
 //
 //   - Packets addressed to the machine itself (its fabric address or
 //     127.0.0.1) are delivered synchronously, inside the emitting
-//     syscall. A single-machine posix-inet run therefore needs no fabric
-//     and stays bit-identical across the differential config matrix.
-//   - Packets addressed elsewhere are queued on the NIC's outbound ring;
-//     the fabric drains it between scheduling slices, assigns seeded
-//     integer-cycle latency, and calls DeliverNetPacket on the target
-//     machine when its virtual clock reaches the delivery time. An
-//     unattached machine treats every remote address as unreachable
-//     (connects are refused).
+//     syscall, and passed by value: a Data payload aliases the sender's
+//     staging buffer until the receiver copies it, so loopback traffic
+//     allocates nothing. A single-machine posix-inet run therefore needs
+//     no fabric and stays bit-identical across the differential config
+//     matrix.
+//   - Packets addressed elsewhere are queued on the NIC's outbound ring,
+//     their payload cloned; the fabric drains it between scheduling
+//     slices, assigns seeded integer-cycle latency, and calls
+//     DeliverNetPacket on the target machine when its virtual clock
+//     reaches the delivery time. An unattached machine treats every
+//     remote address as unreachable (connects are refused).
 //
 // Flow control is a credit scheme bounded by sockCap: a sender may have
 // at most sockCap un-acknowledged payload bytes per connection
 // (socketFile.inFlight); the receiving kernel returns credit with an Ack
 // carrying the byte count each time the guest drains its receive buffer.
-// The receive buffer therefore never exceeds sockCap, and writer
-// blocking/poll-writability ride the same WaitQueue wake model as
-// AF_UNIX: every delivery that changes an endpoint's readiness wakes the
-// endpoint's queue.
+// The receive buffer therefore never exceeds sockCap, and every delivery
+// that changes an endpoint's readiness wakes the endpoint's queue.
 //
 // Payload bytes cross guest<->kernel exclusively through writeFD /
 // readFD's uaccess staging, so the guest<->NIC boundary inherits the
@@ -52,10 +56,11 @@ const (
 	NetFin           // orderly shutdown; Close set means full close (hang-up)
 )
 
-// NetPacket is one fabric datagram. Addresses are IPv4 host integers;
-// SrcConn/DstConn are the per-machine connection ids of the sending and
-// receiving endpoints (DstConn 0 means "not yet known": Syn packets
-// demux by destination port instead).
+// NetPacket is one fabric datagram, passed and queued by value. Addresses
+// are IPv4 host integers; SrcConn/DstConn are the per-machine connection
+// ids of the sending and receiving endpoints (DstConn 0 means "not yet
+// known": an AF_INET Syn demuxes by destination port instead, and an
+// AF_UNIX Syn goes straight to the listener its path names).
 type NetPacket struct {
 	Kind             int
 	SrcAddr, DstAddr uint64
@@ -91,7 +96,7 @@ func (k *Kernel) NetAddr() uint64 { return k.netAddr }
 
 // NetOutbound returns and clears the NIC's outbound packet queue, in
 // send order. The fabric calls it between scheduling slices.
-func (k *Kernel) NetOutbound() []*NetPacket {
+func (k *Kernel) NetOutbound() []NetPacket {
 	out := k.netOut
 	k.netOut = nil
 	return out
@@ -103,14 +108,16 @@ func (k *Kernel) netLocal(addr uint64) bool {
 }
 
 // netEmit routes one packet: local destinations deliver synchronously,
-// remote ones queue for the fabric. On an unattached machine a remote
-// destination is unreachable: connection attempts fail as refused, and
-// anything else (stale teardown traffic) is dropped.
-func (k *Kernel) netEmit(p *NetPacket) {
+// remote ones queue for the fabric with their own copy of the payload. On
+// an unattached machine a remote destination is unreachable: connection
+// attempts fail as refused, and anything else (stale teardown traffic) is
+// dropped.
+func (k *Kernel) netEmit(p NetPacket) {
 	switch {
 	case k.netLocal(p.DstAddr):
 		k.DeliverNetPacket(p)
 	case k.netAttached:
+		p.Data = bytes.Clone(p.Data)
 		k.netOut = append(k.netOut, p)
 	case p.Kind == NetSyn:
 		if s := k.netConns[p.SrcConn]; s != nil && s.state == sockConnecting {
@@ -130,8 +137,8 @@ func (k *Kernel) netRefuse(s *socketFile) {
 
 // netReply builds the return-path header for a reply to p sent by the
 // endpoint with connection id conn.
-func (k *Kernel) netReply(p *NetPacket, kind, conn int) *NetPacket {
-	return &NetPacket{
+func (k *Kernel) netReply(p NetPacket, kind, conn int) NetPacket {
+	return NetPacket{
 		Kind:    kind,
 		SrcAddr: k.netAddr, SrcPort: p.DstPort,
 		DstAddr: p.SrcAddr, DstPort: p.SrcPort,
@@ -144,18 +151,10 @@ func (k *Kernel) netReply(p *NetPacket, kind, conn int) *NetPacket {
 // reached the packet's delivery time; loopback calls it synchronously
 // from netEmit. Deliveries mutate socket state and wake wait queues but
 // never run guest code.
-func (k *Kernel) DeliverNetPacket(p *NetPacket) {
+func (k *Kernel) DeliverNetPacket(p NetPacket) {
 	switch p.Kind {
 	case NetSyn:
-		l := k.inetNS[p.DstPort]
-		if l == nil || l.state != sockListening || len(l.pendingSyn) >= l.backlog {
-			// No listener, or the accept backlog is full: refuse. The
-			// connector sees ECONNREFUSED and may retry after backoff.
-			k.netEmit(k.netReply(p, NetRst, 0))
-			return
-		}
-		l.pendingSyn = append(l.pendingSyn, p)
-		l.q.Wake(k) // accept(2) waiters / listener pollers
+		k.synArrive(k.inetNS[p.DstPort], p)
 	case NetSynAck:
 		s := k.netConns[p.DstConn]
 		if s == nil || s.state != sockConnecting {
@@ -164,7 +163,6 @@ func (k *Kernel) DeliverNetPacket(p *NetPacket) {
 			return
 		}
 		s.state = sockConnected
-		s.recv = &sockBuf{}
 		s.peerConn = p.SrcConn
 		s.q.Wake(k) // complete the parked (or polling) connect
 	case NetRst:
@@ -178,7 +176,7 @@ func (k *Kernel) DeliverNetPacket(p *NetPacket) {
 		case sockConnected:
 			// Hard teardown: the peer endpoint vanished.
 			s.peerGone = true
-			s.recv.shut = true
+			s.eof = true
 			s.q.Wake(k)
 		}
 	case NetData:
@@ -187,7 +185,7 @@ func (k *Kernel) DeliverNetPacket(p *NetPacket) {
 			k.netEmit(k.netReply(p, NetRst, 0))
 			return
 		}
-		s.recv.data = queueWrite(s.recv.data, p.Data, sockCap)
+		s.recv = queueWrite(s.recv, p.Data, sockCap)
 		s.q.Wake(k) // readers and pollers
 	case NetAck:
 		s := k.netConns[p.DstConn]
@@ -204,12 +202,26 @@ func (k *Kernel) DeliverNetPacket(p *NetPacket) {
 		if s == nil || s.state != sockConnected {
 			return
 		}
-		s.recv.shut = true // drain, then EOF
+		s.eof = true // drain, then EOF
 		if p.Close {
 			s.peerGone = true // full close: POLLHUP / EV_EOF, writes EPIPE
 		}
 		s.q.Wake(k)
 	}
+}
+
+// synArrive queues a connection request at listener l, the socket its
+// address names (nil when nothing is bound there), and wakes accept(2)
+// waiters and listener pollers. With no listener, or a full accept
+// backlog, it refuses: the connector sees ECONNREFUSED and may retry
+// after backoff.
+func (k *Kernel) synArrive(l *socketFile, p NetPacket) {
+	if l == nil || l.state != sockListening || len(l.pendingSyn) >= l.backlog {
+		k.netEmit(k.netReply(p, NetRst, 0))
+		return
+	}
+	l.pendingSyn = append(l.pendingSyn, p)
+	l.q.Wake(k)
 }
 
 // netAllocConn registers s in the connection demux table under a fresh
@@ -221,8 +233,8 @@ func (k *Kernel) netAllocConn(s *socketFile) {
 }
 
 // netHeader fills p's addressing from a connected endpoint's view.
-func (s *socketFile) netHeader(kind int) *NetPacket {
-	return &NetPacket{
+func (s *socketFile) netHeader(kind int) NetPacket {
+	return NetPacket{
 		Kind:    kind,
 		SrcAddr: s.addr, SrcPort: s.port,
 		DstAddr: s.peerAddr, DstPort: s.peerPort,

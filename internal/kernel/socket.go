@@ -2,30 +2,29 @@ package kernel
 
 import "cheriabi/internal/cap"
 
-// In-kernel stream sockets over the File layer, in two address families.
+// In-kernel stream sockets over the File layer, in two address families
+// that differ only in how an address is named. A socketFile is one
+// endpoint; a connection is two endpoints that share no Go state. Every
+// connection, AF_UNIX or AF_INET, is carried by the NetPackets of the
+// virtual NIC (netif.go): a Syn/SynAck handshake, Data into the
+// receiver's buffer, Acks returning flow-control credit, Fin for
+// shutdown and close, Rst for refusal and teardown. Each endpoint owns
+// its receive buffer and its wait queue, and a delivery wakes the queue
+// of the endpoint it reaches, so a transfer wakes the peer through the
+// packet and the caller through the syscall layer's generic post-transfer
+// wake (wakeFD).
 //
-// AF_UNIX: a socketFile is one endpoint; a connection is a pair of
-// endpoints joined by two directional byte buffers and ONE shared wait
-// queue — so the generic post-transfer wake in the syscall layer
-// (wakeFD) reaches the peer without the File knowing who is parked.
-// Connection establishment is a two-phase handshake: connect(2) enqueues
-// the caller on the listener's accept queue and parks (or returns
-// EINPROGRESS when non-blocking); accept(2) builds the server endpoint,
-// wires the buffers, adopts the connector's wait queue as the shared
-// connection queue, and wakes it.
+// An AF_INET peer may live on another simulated machine reached through
+// internal/fabric, or on this one (loopback, delivered synchronously). An
+// AF_UNIX address is a path in the machine's unixNS: connect hands its
+// Syn straight to the listener the path names, and every later packet
+// goes over loopback by connection id. socketpair(2) registers two
+// AF_UNIX endpoints as each other's peer, already connected.
 //
-// AF_INET: endpoints share no Go state — the connection is carried
-// entirely by NetPackets through the virtual NIC (netif.go), so the peer
-// may live on another simulated machine reached through internal/fabric,
-// or on the same machine (loopback, delivered synchronously). Each
-// endpoint owns its receive buffer and its own wait queue; packet
-// deliveries wake it. Sending is bounded by a sockCap credit window
-// (inFlight), returned by Acks as the receiving guest drains.
-//
-// Either way, readiness for accept, connect completion, data, buffer
-// space, EOF, and EPIPE all flow through the same Poll predicate
-// select/poll/kevent use, and connects beyond a listener's backlog are
-// refused (ECONNREFUSED), never queued unboundedly.
+// Readiness for accept, connect completion, data, buffer space, EOF, and
+// EPIPE all flow through the same Poll predicate select/poll/kevent use,
+// and connects beyond a listener's backlog are refused (ECONNREFUSED),
+// never queued unboundedly.
 
 // Socket constants (FreeBSD values).
 const (
@@ -37,8 +36,9 @@ const (
 	ShutRdWr   = 2
 )
 
-// sockCap bounds each direction's in-flight bytes, like pipeCap. For
-// AF_INET it is the flow-control credit window per connection.
+// sockCap is each connection's flow-control credit window per direction:
+// a sender may have at most sockCap bytes sent and not yet drained by the
+// receiving guest, so a receive buffer never holds more.
 const sockCap = 64 << 10
 
 // sockState is the endpoint's connection state.
@@ -47,18 +47,10 @@ type sockState int
 const (
 	sockNew        sockState = iota // fresh socket(2) result; bind/connect legal
 	sockListening                   // listen(2) called; accept legal
-	sockConnecting                  // awaiting accept (queued, or Syn in flight)
+	sockConnecting                  // Syn sent, awaiting the accept's SynAck
 	sockConnected                   // data may flow
 	sockRefused                     // the connection attempt was refused
 )
-
-// sockBuf is one direction of a connection. shut means no further bytes
-// will ever arrive (the producing side shut down or closed): consumers
-// drain what is buffered, then observe EOF.
-type sockBuf struct {
-	data []byte
-	shut bool
-}
 
 // socketFile is one stream endpoint (either family).
 type socketFile struct {
@@ -66,44 +58,43 @@ type socketFile struct {
 	k       *Kernel
 	domain  int // AFUnix or AFInet
 	state   sockState
-	path    string        // AF_UNIX: bound address, "" if unbound
-	backlog int           // listener: accept-queue bound
-	pending []*socketFile // AF_UNIX listener: connectors awaiting accept, FIFO
-	q       *WaitQueue    // AF_UNIX: shared with the peer once connected
-	peer    *socketFile   // AF_UNIX only
-	recv    *sockBuf      // bytes flowing to this endpoint
-	send    *sockBuf      // AF_UNIX: bytes flowing to the peer
+	path    string // AF_UNIX: bound address, "" if unbound
+	backlog int    // listener: accept-queue bound
+	q       WaitQueue
+	// recv holds the bytes delivered and not yet read; eof means no
+	// further bytes will arrive (the peer shut down or closed): readers
+	// drain what is buffered, then observe EOF.
+	recv []byte
+	eof  bool
 	// recvShut/sendShut record shutdown(2) on this endpoint: SHUT_RD makes
 	// local reads EOF immediately; SHUT_WR makes local writes EPIPE (the
 	// peer drains, then sees EOF).
 	recvShut bool
 	sendShut bool
 	peerGone bool // the peer endpoint closed
-	// waitingOn is the listener a sockConnecting AF_UNIX endpoint is
-	// queued on, so closing the endpoint can withdraw it from the queue.
-	waitingOn *socketFile
 	// connReported distinguishes "the connect(2) that initiated this
 	// connection is reporting success (possibly restarted after parking)"
 	// from a second user connect on an established socket (EISCONN).
 	connReported bool
 
-	// AF_INET state. addr/port are the local binding, peerAddr/peerPort
-	// the remote one; connID is this endpoint's id in k.netConns and
-	// peerConn the peer's id on its machine (packet addressing). inFlight
-	// counts sent-but-unacknowledged payload bytes against sockCap;
-	// pendingSyn is a listener's not-yet-accepted connection requests.
+	// Packet addressing. addr/port are the local binding, peerAddr/peerPort
+	// the remote one (an AF_UNIX endpoint sits at NetLoopback, port 0);
+	// connID is this endpoint's id in k.netConns and peerConn the peer's
+	// id on its machine. inFlight counts sent-but-undrained payload bytes
+	// against sockCap; pendingSyn is a listener's not-yet-accepted
+	// connection requests.
 	addr, port         uint64
 	peerAddr, peerPort uint64
 	connID, peerConn   int
 	inFlight           int
-	pendingSyn         []*NetPacket
+	pendingSyn         []NetPacket
 }
 
 func newSocketFile(k *Kernel, domain int) *socketFile {
-	return &socketFile{k: k, domain: domain, q: &WaitQueue{}}
+	return &socketFile{k: k, domain: domain}
 }
 
-func (s *socketFile) Queue() *WaitQueue { return s.q }
+func (s *socketFile) Queue() *WaitQueue { return &s.q }
 
 // Poll is the single readiness predicate every blocking path shares.
 // "Progress" includes error returns: a refused connector polls ready (the
@@ -113,21 +104,15 @@ func (s *socketFile) Queue() *WaitQueue { return s.q }
 func (s *socketFile) Poll(kind PollKind) bool {
 	switch s.state {
 	case sockListening:
-		return kind == PollIn && len(s.pending)+len(s.pendingSyn) > 0
+		return kind == PollIn && len(s.pendingSyn) > 0
 	case sockConnecting:
 		return false // completion is observed as writability after accept
 	case sockConnected:
 		switch kind {
 		case PollIn:
-			return len(s.recv.data) > 0 || s.recv.shut || s.recvShut || s.peerGone
+			return len(s.recv) > 0 || s.eof || s.recvShut || s.peerGone
 		case PollOut:
-			if s.sendShut || s.peerGone {
-				return true
-			}
-			if s.domain == AFInet {
-				return s.inFlight < sockCap
-			}
-			return len(s.send.data) < sockCap
+			return s.sendShut || s.peerGone || s.inFlight < sockCap
 		default:
 			// PollHup only when the peer endpoint is gone. A half-close
 			// (peer SHUT_WR) is orderly EOF, not a hang-up: the local end
@@ -144,21 +129,18 @@ func (s *socketFile) Poll(kind PollKind) bool {
 // PollDepth quantifies readiness for kevent's data field: a listener's
 // EVFILT_READ depth is its pending-connection backlog count (kqueue(2)'s
 // listen-socket rule), a connected endpoint's is the buffered byte count
-// in the polled direction (send space for EVFILT_WRITE).
+// in the polled direction (send credit for EVFILT_WRITE).
 func (s *socketFile) PollDepth(kind PollKind) int64 {
 	switch s.state {
 	case sockListening:
 		if kind == PollIn {
-			return int64(len(s.pending) + len(s.pendingSyn))
+			return int64(len(s.pendingSyn))
 		}
 	case sockConnected:
 		if kind == PollIn {
-			return int64(len(s.recv.data))
+			return int64(len(s.recv))
 		}
-		if s.domain == AFInet {
-			return int64(sockCap - s.inFlight)
-		}
-		return int64(sockCap - len(s.send.data))
+		return int64(sockCap - s.inFlight)
 	}
 	return 0
 }
@@ -167,14 +149,14 @@ func (s *socketFile) Read(b []byte, _ int64) (int, Errno) {
 	if s.state != sockConnected {
 		return 0, ENOTCONN
 	}
-	if s.recvShut || len(s.recv.data) == 0 {
+	if s.recvShut || len(s.recv) == 0 {
 		// Poll gated the would-block case, so an empty buffer here means
-		// the stream is finished: EOF (recv.shut or peerGone).
+		// the stream is finished: EOF (eof or peerGone).
 		return 0, OK
 	}
 	var n int
-	s.recv.data, n = queueRead(s.recv.data, b)
-	if s.domain == AFInet && !s.peerGone && n > 0 {
+	s.recv, n = queueRead(s.recv, b)
+	if !s.peerGone && n > 0 {
 		// Credit return: the guest drained n bytes, so the peer may send
 		// n more (loopback delivers the Ack synchronously, waking the
 		// peer's queue; cross-machine it rides the fabric).
@@ -192,25 +174,17 @@ func (s *socketFile) Write(b []byte, _ int64) (int, Errno) {
 	if s.sendShut || s.peerGone {
 		return 0, EPIPE
 	}
-	if s.domain == AFInet {
-		n := len(b)
-		if space := sockCap - s.inFlight; n > space {
-			n = space
-		}
-		if n == 0 {
-			return 0, OK // nothing to carry: no packet
-		}
-		s.inFlight += n
-		pkt := s.netHeader(NetData)
-		pkt.Data = append([]byte(nil), b[:n]...)
-		s.k.netEmit(pkt)
-		return n, OK
+	n := min(len(b), sockCap-s.inFlight)
+	if n == 0 {
+		return 0, OK // nothing to carry: no packet
 	}
-	n := len(b)
-	if space := sockCap - len(s.send.data); n > space {
-		n = space
-	}
-	s.send.data = queueWrite(s.send.data, b[:n], sockCap)
+	s.inFlight += n
+	// The payload aliases the caller's staging buffer: a local delivery
+	// copies it into the receiver's buffer, and netEmit clones it for a
+	// packet that leaves the machine.
+	pkt := s.netHeader(NetData)
+	pkt.Data = b[:n]
+	s.k.netEmit(pkt)
 	return n, OK
 }
 
@@ -218,45 +192,20 @@ func (s *socketFile) Close(k *Kernel) {
 	switch s.state {
 	case sockListening:
 		// Refuse every queued connector.
-		for _, c := range s.pending {
-			c.state = sockRefused
-			c.waitingOn = nil
-			c.q.Wake(k)
-		}
-		s.pending = nil
 		for _, syn := range s.pendingSyn {
 			k.netEmit(k.netReply(syn, NetRst, 0))
 		}
 		s.pendingSyn = nil
-	case sockConnecting:
-		// AF_UNIX: withdraw from the listener's accept queue — a closed
-		// endpoint must never be wired up by a later accept. AF_INET: the
-		// Syn may be in flight; dropping the conn id means a late SynAck
-		// finds nobody and is answered with Rst, tearing down the server
-		// endpoint (netif.go).
-		if l := s.waitingOn; l != nil {
-			for i, c := range l.pending {
-				if c == s {
-					l.pending = append(l.pending[:i], l.pending[i+1:]...)
-					break
-				}
-			}
-			s.waitingOn = nil
-		}
 	case sockConnected:
-		if s.domain == AFInet {
-			if !s.peerGone {
-				fin := s.netHeader(NetFin)
-				fin.Close = true
-				k.netEmit(fin)
-			}
-		} else {
-			if s.peer != nil {
-				s.peer.peerGone = true
-			}
-			s.send.shut = true
+		if !s.peerGone {
+			fin := s.netHeader(NetFin)
+			fin.Close = true
+			k.netEmit(fin)
 		}
 	}
+	// A connector's Syn may still be queued at the listener; dropping the
+	// conn id means the accept's SynAck finds nobody and is answered with
+	// Rst, tearing down the server endpoint (netif.go).
 	if s.path != "" && k.unixNS[s.path] == s {
 		delete(k.unixNS, s.path)
 	}
@@ -272,23 +221,7 @@ func (s *socketFile) Close(k *Kernel) {
 }
 
 func (s *socketFile) Stat() FileStat {
-	var size int64
-	if s.recv != nil {
-		size = int64(len(s.recv.data))
-	}
-	return FileStat{Size: size, Kind: StatSock}
-}
-
-// wireSockets joins two AF_UNIX endpoints into a connection: two
-// directional buffers and one shared wait queue (q), which must already
-// be the queue any parked party subscribed to.
-func wireSockets(a, b *socketFile, q *WaitQueue) {
-	ab, ba := &sockBuf{}, &sockBuf{}
-	a.send, b.recv = ab, ab
-	b.send, a.recv = ba, ba
-	a.peer, b.peer = b, a
-	a.q, b.q = q, q
-	a.state, b.state = sockConnected, sockConnected
+	return FileStat{Size: int64(len(s.recv)), Kind: StatSock}
 }
 
 // sockFD fetches fd as a socket endpoint.
@@ -328,11 +261,7 @@ func sysSocketpair(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		return Err(EINVAL)
 	}
 	sv := a.Ptr(0)
-	s1, s2 := newSocketFile(k, AFUnix), newSocketFile(k, AFUnix)
-	wireSockets(s1, s2, &WaitQueue{})
-	// No connect(2) initiated these connections, so there is no pending
-	// success to report: a user connect on either end is EISCONN.
-	s1.connReported, s2.connReported = true, true
+	s1, s2 := k.socketPair()
 	fd1 := p.allocFD(&FDesc{file: s1, flags: ORdWr, refs: 1})
 	fd2 := p.allocFD(&FDesc{file: s2, flags: ORdWr, refs: 1})
 	if e := k.writeUserWord(sv, sv.Addr(), 8, uint64(fd1)); e != OK {
@@ -342,6 +271,22 @@ func sysSocketpair(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		return Err(e)
 	}
 	return Ret(0)
+}
+
+// socketPair registers two AF_UNIX endpoints as each other's peer
+// connection, already connected. No connect(2) initiated the connection,
+// so there is no pending success to report: a user connect on either end
+// is EISCONN.
+func (k *Kernel) socketPair() (*socketFile, *socketFile) {
+	s1, s2 := newSocketFile(k, AFUnix), newSocketFile(k, AFUnix)
+	k.netAllocConn(s1)
+	k.netAllocConn(s2)
+	for _, s := range []*socketFile{s1, s2} {
+		s.addr, s.peerAddr = NetLoopback, NetLoopback
+		s.state, s.connReported = sockConnected, true
+	}
+	s1.peerConn, s2.peerConn = s2.connID, s1.connID
+	return s1, s2
 }
 
 // readSockaddrIn copies in a guest struct sockaddr_in — three 8-byte
@@ -358,16 +303,14 @@ func (k *Kernel) readSockaddrIn(sa cap.Capability) (family, port, addr uint64, e
 	return
 }
 
-// writeSockaddrIn fills a guest struct sockaddr_in.
-func (k *Kernel) writeSockaddrIn(sa cap.Capability, family, port, addr uint64) Errno {
-	base := sa.Addr()
-	if e := k.writeUserWord(sa, base, 8, family); e != OK {
-		return e
+// unixPath copies in an AF_UNIX address, a path string, and resolves a
+// relative one against the CWD, as open does.
+func (k *Kernel) unixPath(p *Proc, sa cap.Capability) (string, Errno) {
+	path, e := k.copyInStr(sa)
+	if e == OK && path != "" && path[0] != '/' {
+		path = p.CWD + "/" + path
 	}
-	if e := k.writeUserWord(sa, base+8, 8, port); e != OK {
-		return e
-	}
-	return k.writeUserWord(sa, base+16, 8, addr)
+	return path, e
 }
 
 // sysBind registers the socket's address. The AF_UNIX sockaddr is the
@@ -404,15 +347,12 @@ func sysBind(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		s.addr = k.netAddr
 		return Ret(0)
 	}
-	path, e := k.copyInStr(a.Ptr(0))
+	path, e := k.unixPath(p, a.Ptr(0))
 	if e != OK {
 		return Err(e)
 	}
 	if path == "" {
 		return Err(EINVAL)
-	}
-	if path[0] != '/' {
-		path = p.CWD + "/" + path
 	}
 	if s.state != sockNew || s.path != "" {
 		return Err(EINVAL)
@@ -422,6 +362,7 @@ func sysBind(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	}
 	k.unixNS[path] = s
 	s.path = path
+	s.addr = NetLoopback // where the endpoints this listener accepts sit
 	return Ret(0)
 }
 
@@ -447,13 +388,15 @@ func sysListen(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 }
 
 // sysConnect initiates (or, restarted after a wake, completes) a
-// connection. Blocking connects park on the endpoint's own queue until
-// the connection completes — an AF_UNIX accept adopts the queue and
-// wakes it; an AF_INET SynAck delivery wakes it — and non-blocking
-// connects return EINPROGRESS, with completion observed as poll/select
-// writability and the follow-up connect returning 0. A connect that hits
-// a full listener backlog (either family) is refused: ECONNREFUSED, with
-// the socket reusable for a later retry.
+// connection. It resolves the address per family, then sends a Syn to the
+// listener: an AF_INET Syn through the NIC, which finds the listener by
+// port, and an AF_UNIX Syn straight to the listener its path names.
+// Blocking connects park on the endpoint's own queue until the accept's
+// SynAck wakes it, and non-blocking connects return EINPROGRESS, with
+// completion observed as poll/select writability and the follow-up
+// connect returning 0. A connect that hits a full listener backlog, or
+// finds no listener, is refused: ECONNREFUSED, with the socket reusable
+// for a later retry.
 func sysConnect(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	f, s, e := sockFD(p, int(a.Int(0)))
@@ -471,7 +414,7 @@ func sysConnect(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		if f.nonblock() {
 			return Err(EINPROGRESS)
 		}
-		t.blockOn(s.q)
+		t.blockOn(&s.q)
 		return Err(EJUSTRETURN)
 	case sockRefused:
 		s.state = sockNew // a later retry may succeed
@@ -479,6 +422,7 @@ func sysConnect(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	case sockListening:
 		return Err(EINVAL)
 	}
+	var l *socketFile // AF_UNIX: the listener the path names, if any
 	if s.domain == AFInet {
 		family, port, addr, e := k.readSockaddrIn(a.Ptr(0))
 		if e != OK {
@@ -494,54 +438,37 @@ func sysConnect(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		k.nextPort++
 		s.port = k.nextPort - 1
 		s.peerAddr, s.peerPort = addr, port
-		k.netAllocConn(s)
-		s.state = sockConnecting
-		k.netEmit(&NetPacket{
-			Kind:    NetSyn,
-			SrcAddr: s.addr, SrcPort: s.port,
-			DstAddr: addr, DstPort: port,
-			SrcConn: s.connID,
-		})
-		// Loopback (and unreachable-destination) refusals arrive
-		// synchronously, inside the netEmit above: report them now, as
-		// FreeBSD does for a local connect, leaving the socket reusable.
-		if s.state == sockRefused {
-			s.state = sockNew
-			return Err(ECONNREFUSED)
+	} else {
+		path, e := k.unixPath(p, a.Ptr(0))
+		if e != OK {
+			return Err(e)
 		}
-		if f.nonblock() {
-			return Err(EINPROGRESS)
-		}
-		t.blockOn(s.q)
-		return Err(EJUSTRETURN)
+		l = k.unixNS[path]
+		s.addr, s.peerAddr = NetLoopback, NetLoopback
 	}
-	path, e := k.copyInStr(a.Ptr(0))
-	if e != OK {
-		return Err(e)
-	}
-	if path != "" && path[0] != '/' {
-		path = p.CWD + "/" + path
-	}
-	l := k.unixNS[path]
-	if l == nil || l.state != sockListening {
-		return Err(ECONNREFUSED)
-	}
-	if len(l.pending) >= l.backlog {
-		// listen(2)'s backlog is a hard bound: refuse instead of queueing
-		// unboundedly. The caller may retry after the server accepts.
-		return Err(ECONNREFUSED)
-	}
+	k.netAllocConn(s)
 	s.state = sockConnecting
-	s.waitingOn = l
-	l.pending = append(l.pending, s)
-	l.q.Wake(k) // accept(2) waiters
+	if s.domain == AFUnix {
+		k.synArrive(l, s.netHeader(NetSyn)) // no port demux: the path named l
+	} else {
+		k.netEmit(s.netHeader(NetSyn))
+	}
+	// Local refusals arrive synchronously, inside the send above: report
+	// them now, as FreeBSD does for a local connect, leaving the socket
+	// reusable.
+	if s.state == sockRefused {
+		s.state = sockNew
+		return Err(ECONNREFUSED)
+	}
 	if f.nonblock() {
 		return Err(EINPROGRESS)
 	}
-	t.blockOn(s.q)
+	t.blockOn(&s.q)
 	return Err(EJUSTRETURN)
 }
 
+// sysAccept takes the oldest queued Syn, builds the server endpoint and
+// completes the connector's handshake with a SynAck.
 func sysAccept(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
 	f, s, e := sockFD(p, int(a.Int(0)))
@@ -551,47 +478,26 @@ func sysAccept(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	if s.state != sockListening {
 		return Err(EINVAL)
 	}
-	if s.domain == AFInet {
-		if len(s.pendingSyn) == 0 {
-			if f.nonblock() {
-				return Err(EAGAIN)
-			}
-			t.blockOn(s.q)
-			return Err(EJUSTRETURN)
-		}
-		syn := s.pendingSyn[0]
-		s.pendingSyn = s.pendingSyn[1:]
-		srv := newSocketFile(k, AFInet)
-		srv.connReported = true // connect on the server endpoint is EISCONN
-		srv.state = sockConnected
-		srv.recv = &sockBuf{}
-		srv.addr, srv.port = s.addr, s.port
-		srv.peerAddr, srv.peerPort = syn.SrcAddr, syn.SrcPort
-		srv.peerConn = syn.SrcConn
-		k.netAllocConn(srv)
-		// Complete the connector's handshake. If it closed while the Syn
-		// was queued, this SynAck finds no connection and bounces back as
-		// Rst, tearing srv down again.
-		k.netEmit(srv.netHeader(NetSynAck))
-		fd := p.allocFD(&FDesc{file: srv, flags: ORdWr, refs: 1})
-		return Ret(uint64(fd))
-	}
-	if len(s.pending) == 0 {
+	if len(s.pendingSyn) == 0 {
 		if f.nonblock() {
 			return Err(EAGAIN)
 		}
-		t.blockOn(s.q)
+		t.blockOn(&s.q)
 		return Err(EJUSTRETURN)
 	}
-	c := s.pending[0]
-	s.pending = s.pending[1:]
-	c.waitingOn = nil
-	// The connector's in-flight connect still owes a success report; the
-	// server-side endpoint never had one, so connect on it is EISCONN.
-	srv := &socketFile{k: k, domain: AFUnix, connReported: true}
-	connq := c.q // the connector may be parked on it; adopt it as shared
-	wireSockets(c, srv, connq)
-	connq.Wake(k) // complete the connector's connect(2)
+	syn := s.pendingSyn[0]
+	s.pendingSyn = s.pendingSyn[:copy(s.pendingSyn, s.pendingSyn[1:])]
+	srv := newSocketFile(k, s.domain)
+	srv.connReported = true // connect on the server endpoint is EISCONN
+	srv.state = sockConnected
+	srv.addr, srv.port = s.addr, s.port
+	srv.peerAddr, srv.peerPort = syn.SrcAddr, syn.SrcPort
+	srv.peerConn = syn.SrcConn
+	k.netAllocConn(srv)
+	// Complete the connector's handshake. If it closed while the Syn was
+	// queued, this SynAck finds no connection and bounces back as Rst,
+	// leaving srv with its peer gone.
+	k.netEmit(srv.netHeader(NetSynAck))
 	fd := p.allocFD(&FDesc{file: srv, flags: ORdWr, refs: 1})
 	return Ret(uint64(fd))
 }
@@ -612,15 +518,10 @@ func sysShutdown(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		s.recvShut = true
 	}
 	if how == ShutWr || how == ShutRdWr {
-		alreadyShut := s.sendShut
-		s.sendShut = true
-		if s.domain == AFInet {
-			if !alreadyShut && !s.peerGone {
-				k.netEmit(s.netHeader(NetFin)) // peer drains, then EOF
-			}
-		} else {
-			s.send.shut = true // the peer drains, then observes EOF
+		if !s.sendShut && !s.peerGone {
+			k.netEmit(s.netHeader(NetFin)) // peer drains, then EOF
 		}
+		s.sendShut = true
 	}
 	s.q.Wake(k)
 	return Ret(0)
@@ -635,7 +536,7 @@ func sysGetsockname(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	if e != OK {
 		return Err(e)
 	}
-	if e := k.writeSockaddrIn(a.Ptr(0), uint64(s.domain), s.port, s.addr); e != OK {
+	if e := k.writeSockaddr(a.Ptr(0), s, s.port, s.addr); e != OK {
 		return Err(e)
 	}
 	return Ret(0)
@@ -649,10 +550,26 @@ func sysGetpeername(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	if s.state != sockConnected {
 		return Err(ENOTCONN)
 	}
-	if e := k.writeSockaddrIn(a.Ptr(0), uint64(s.domain), s.peerPort, s.peerAddr); e != OK {
+	if e := k.writeSockaddr(a.Ptr(0), s, s.peerPort, s.peerAddr); e != OK {
 		return Err(e)
 	}
 	return Ret(0)
+}
+
+// writeSockaddr fills a guest struct sockaddr_in with s's family and
+// port and addr; an AF_UNIX name carries the family alone.
+func (k *Kernel) writeSockaddr(sa cap.Capability, s *socketFile, port, addr uint64) Errno {
+	if s.domain == AFUnix {
+		port, addr = 0, 0
+	}
+	base := sa.Addr()
+	if e := k.writeUserWord(sa, base, 8, uint64(s.domain)); e != OK {
+		return e
+	}
+	if e := k.writeUserWord(sa, base+8, 8, port); e != OK {
+		return e
+	}
+	return k.writeUserWord(sa, base+16, 8, addr)
 }
 
 // sysSend and sysRecv are send(fd, buf, n, flags) / recv(fd, buf, n,

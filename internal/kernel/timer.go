@@ -1,5 +1,7 @@
 package kernel
 
+import "math"
+
 // The virtual clock and the deadline queue. Simulated time IS the cycle
 // counter: Kernel.Now() returns CPU.Stats.Cycles, and ClockHz fixes the
 // conversion to guest-visible seconds. Timed waits park the thread with
@@ -33,8 +35,14 @@ func nsToCycles(ns uint64) uint64 { return (ns + nsPerCycle - 1) / nsPerCycle }
 // usToCycles converts microseconds to cycles.
 func usToCycles(us uint64) uint64 { return us * (ClockHz / 1_000_000) }
 
-// msToCycles converts milliseconds to cycles.
-func msToCycles(ms uint64) uint64 { return ms * (ClockHz / 1_000) }
+// msToCycles converts milliseconds to cycles, saturating at
+// math.MaxUint64.
+func msToCycles(ms uint64) uint64 {
+	if ms > math.MaxUint64/(ClockHz/1_000) {
+		return math.MaxUint64
+	}
+	return ms * (ClockHz / 1_000)
+}
 
 // cyclesToNs converts cycles to nanoseconds.
 func cyclesToNs(cy uint64) uint64 { return cy * nsPerCycle }

@@ -1,6 +1,14 @@
 package kernel
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"cheriabi/internal/cap"
+	"cheriabi/internal/image"
+	"cheriabi/internal/nat"
+)
 
 // White-box tests for the deadline queue: heap ordering, determinism of
 // same-deadline ties, lazy cancellation through unsubscribe, and the
@@ -97,5 +105,38 @@ func TestDeadlineExpiredAndParkDeadline(t *testing.T) {
 	k.M.CPU.Stats.Cycles = 100
 	if !k.deadlineExpired(a) {
 		t.Fatal("deadline 100 not expired at cycle 100")
+	}
+}
+
+// TestNanosleepRange: nanosleep fails EINVAL for a negative second count
+// or a nanosecond count outside one second, and a sleep longer than
+// FreeBSD's INT32_MAX/2 seconds, or too long for a 64-bit cycle count,
+// parks for that bound instead of wrapping to a short sleep.
+func TestNanosleepRange(t *testing.T) {
+	for _, abi := range []image.ABI{image.ABILegacy, image.ABICheri} {
+		for _, r := range []struct {
+			sec, nsec uint64
+			want      string
+		}{
+			{^uint64(0), 0, "EINVAL"},
+			{0, 1_000_000_000, "EINVAL"},
+			{0, ^uint64(0), "EINVAL"},
+			{1, 999_999_999, "parked dl=+200000000"},
+			{math.MaxInt32 / 2, 0, "parked dl=+107374182300000000"},
+			{math.MaxInt32/2 + 1, 0, "parked dl=+107374182300000000"},
+			{1 << 62, 0, "parked dl=+107374182300000000"},
+		} {
+			h := newIOProc(t, abi)
+			h.poke(t, offTime, r.sec)
+			h.poke(t, offTime+8, r.nsec)
+			_, e := h.call(nat.SysNanosleep, nil, []cap.Capability{h.ptr(offTime), cap.Null()})
+			got := e.String()
+			if h.th.State == ThreadBlocked {
+				got = fmt.Sprintf("parked dl=%+d", int64(h.th.deadline-h.k.Now()))
+			}
+			if got != r.want {
+				t.Errorf("abi %v: nanosleep({%d, %d}) = %s, want %s", abi, r.sec, r.nsec, got, r.want)
+			}
+		}
 	}
 }

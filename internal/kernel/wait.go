@@ -1,7 +1,7 @@
 package kernel
 
 // Event-driven blocking. Every kernel object a thread can sleep on — a
-// pipe, a socket connection, a listener's accept queue, a process's set
+// pipe, a socket endpoint, a listener's accept queue, a process's set
 // of children — owns a WaitQueue. A blocking syscall that finds its
 // object not ready subscribes the thread to the object's queue(s) and
 // parks it; the state transition that makes the object ready (a pipe

@@ -203,15 +203,15 @@ func (s *socketFile) Close(k *Kernel) {
 			k.netEmit(fin)
 		}
 	}
-	// A connector's Syn may still be queued at the listener; dropping the
-	// conn id means the accept's SynAck finds nobody and is answered with
-	// Rst, tearing down the server endpoint (netif.go).
 	if s.path != "" && k.unixNS[s.path] == s {
 		delete(k.unixNS, s.path)
 	}
 	if s.port != 0 && k.inetNS[s.port] == s {
 		delete(k.inetNS, s.port)
 	}
+	// A connector's Syn may still be queued at the listener; dropping the
+	// conn id means the accept's SynAck finds nobody and is answered with
+	// Rst, leaving the server endpoint with its peer gone (netif.go).
 	if s.connID != 0 {
 		delete(k.netConns, s.connID)
 		s.connID = 0
@@ -291,15 +291,25 @@ func (k *Kernel) socketPair() (*socketFile, *socketFile) {
 
 // readSockaddrIn copies in a guest struct sockaddr_in — three 8-byte
 // MiniC ints {family, port, addr} — through the materialized capability.
-func (k *Kernel) readSockaddrIn(sa cap.Capability) (family, port, addr uint64, e Errno) {
+// Another family is EAFNOSUPPORT, a port outside [1, 65535] EINVAL.
+func (k *Kernel) readSockaddrIn(sa cap.Capability) (port, addr uint64, e Errno) {
 	base := sa.Addr()
-	if family, e = k.readUserWord(sa, base, 8); e != OK {
+	family, e := k.readUserWord(sa, base, 8)
+	if e != OK {
 		return
 	}
 	if port, e = k.readUserWord(sa, base+8, 8); e != OK {
 		return
 	}
-	addr, e = k.readUserWord(sa, base+16, 8)
+	if addr, e = k.readUserWord(sa, base+16, 8); e != OK {
+		return
+	}
+	switch {
+	case family != AFInet:
+		e = EAFNOSUPPORT
+	case port == 0 || port > 65535:
+		e = EINVAL
+	}
 	return
 }
 
@@ -326,17 +336,11 @@ func sysBind(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		return Err(e)
 	}
 	if s.domain == AFInet {
-		family, port, addr, e := k.readSockaddrIn(a.Ptr(0))
+		port, addr, e := k.readSockaddrIn(a.Ptr(0))
 		if e != OK {
 			return Err(e)
 		}
-		if family != AFInet {
-			return Err(EAFNOSUPPORT)
-		}
-		if port == 0 || port > 65535 || (addr != 0 && !k.netLocal(addr)) {
-			return Err(EINVAL)
-		}
-		if s.state != sockNew || s.port != 0 {
+		if addr != 0 && !k.netLocal(addr) || s.state != sockNew || s.port != 0 {
 			return Err(EINVAL)
 		}
 		if k.inetNS[port] != nil {
@@ -424,15 +428,9 @@ func sysConnect(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	}
 	var l *socketFile // AF_UNIX: the listener the path names, if any
 	if s.domain == AFInet {
-		family, port, addr, e := k.readSockaddrIn(a.Ptr(0))
+		port, addr, e := k.readSockaddrIn(a.Ptr(0))
 		if e != OK {
 			return Err(e)
-		}
-		if family != AFInet {
-			return Err(EAFNOSUPPORT)
-		}
-		if port == 0 || port > 65535 {
-			return Err(EINVAL)
 		}
 		s.addr = k.netAddr
 		k.nextPort++

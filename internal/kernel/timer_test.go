@@ -108,34 +108,45 @@ func TestDeadlineExpiredAndParkDeadline(t *testing.T) {
 	}
 }
 
-// TestNanosleepRange: nanosleep fails EINVAL for a negative second count
-// or a nanosecond count outside one second, and a sleep longer than
+// TestSleepRange: nanosleep fails EINVAL for a negative second count or
+// a nanosecond count outside one second, and a sleep longer than
 // FreeBSD's INT32_MAX/2 seconds, or too long for a 64-bit cycle count,
-// parks for that bound instead of wrapping to a short sleep.
-func TestNanosleepRange(t *testing.T) {
+// parks for that bound (10^17 cycles and change) instead of wrapping to a
+// short sleep; sleep and usleep share the bound.
+func TestSleepRange(t *testing.T) {
 	for _, abi := range []image.ABI{image.ABILegacy, image.ABICheri} {
 		for _, r := range []struct {
-			sec, nsec uint64
+			num       int
+			sec, nsec uint64 // sleep and usleep take sec alone
 			want      string
 		}{
-			{^uint64(0), 0, "EINVAL"},
-			{0, 1_000_000_000, "EINVAL"},
-			{0, ^uint64(0), "EINVAL"},
-			{1, 999_999_999, "parked dl=+200000000"},
-			{math.MaxInt32 / 2, 0, "parked dl=+107374182300000000"},
-			{math.MaxInt32/2 + 1, 0, "parked dl=+107374182300000000"},
-			{1 << 62, 0, "parked dl=+107374182300000000"},
+			{nat.SysNanosleep, ^uint64(0), 0, "EINVAL"},
+			{nat.SysNanosleep, 0, 1_000_000_000, "EINVAL"},
+			{nat.SysNanosleep, 0, ^uint64(0), "EINVAL"},
+			{nat.SysNanosleep, 1, 999_999_999, "parked dl=+200000000"},
+			{nat.SysNanosleep, math.MaxInt32 / 2, 0, "parked dl=+107374182300000000"},
+			{nat.SysNanosleep, math.MaxInt32/2 + 1, 0, "parked dl=+107374182300000000"},
+			{nat.SysNanosleep, 1 << 62, 0, "parked dl=+107374182300000000"},
+			{nat.SysSleep, 2, 0, "parked dl=+200000000"},
+			{nat.SysSleep, 1<<62 + 1, 0, "parked dl=+107374182300000000"},
+			{nat.SysUsleep, 2, 0, "parked dl=+200"},
+			{nat.SysUsleep, 1<<62 + 1, 0, "parked dl=+107374182300000000"},
 		} {
 			h := newIOProc(t, abi)
-			h.poke(t, offTime, r.sec)
-			h.poke(t, offTime+8, r.nsec)
-			_, e := h.call(nat.SysNanosleep, nil, []cap.Capability{h.ptr(offTime), cap.Null()})
+			var e Errno
+			if r.num == nat.SysNanosleep {
+				h.poke(t, offTime, r.sec)
+				h.poke(t, offTime+8, r.nsec)
+				_, e = h.call(r.num, nil, []cap.Capability{h.ptr(offTime), cap.Null()})
+			} else {
+				_, e = h.call(r.num, []uint64{r.sec}, nil)
+			}
 			got := e.String()
 			if h.th.State == ThreadBlocked {
 				got = fmt.Sprintf("parked dl=%+d", int64(h.th.deadline-h.k.Now()))
 			}
 			if got != r.want {
-				t.Errorf("abi %v: nanosleep({%d, %d}) = %s, want %s", abi, r.sec, r.nsec, got, r.want)
+				t.Errorf("abi %v: %s(%d, %d) = %s, want %s", abi, nat.Syscalls[r.num].Name, r.sec, r.nsec, got, r.want)
 			}
 		}
 	}

@@ -49,6 +49,33 @@ func TestMicroTLBProtectInvalidates(t *testing.T) {
 	}
 }
 
+// TestMicroTLBFailedProtectChangesNothing: an mprotect over a range with
+// a hole fails and changes no page, so a write proof cached before it
+// stays true. A partial change would leave the micro-TLB authorizing
+// writes that Translate refuses.
+func TestMicroTLBFailedProtectChangesNothing(t *testing.T) {
+	c := newTestCPU(t)
+	ddc := testDDC()
+	last := uint64(dataVA + 3*vm.PageSize) // the data region's last page
+	if err := c.StoreVia(ddc, last, 8, 0x11); err != nil {
+		t.Fatal(err)
+	}
+	err := c.AS.Protect(last, 2*vm.PageSize, vm.ProtRead)
+	pf, ok := err.(*vm.PageFault)
+	if !ok || pf.Kind != vm.FaultNotMapped || pf.VA != last+vm.PageSize {
+		t.Fatalf("protect over a hole: want not-mapped at %#x, got %v", last+vm.PageSize, err)
+	}
+	if _, pf := c.AS.Translate(last, vm.ProtWrite); pf != nil {
+		t.Fatalf("failed protect changed the page: %v", pf)
+	}
+	if err := c.StoreVia(ddc, last, 8, 0x22); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := c.LoadVia(ddc, last, 8); v != 0x22 {
+		t.Fatalf("got %#x, want 0x22", v)
+	}
+}
+
 // TestMicroTLBReadEntryDoesNotAuthorizeWrite: an entry proven for reads
 // must not satisfy a write on a read-only page (per-access-kind proofs).
 func TestMicroTLBReadEntryDoesNotAuthorizeWrite(t *testing.T) {

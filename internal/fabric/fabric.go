@@ -28,6 +28,7 @@ package fabric
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"cheriabi/internal/kernel"
 )
@@ -81,6 +82,7 @@ type Fabric struct {
 	lastAt map[uint64]uint64
 
 	trace     uint64 // FNV-1a over the delivery record stream
+	rec       []byte // recordDelivery's reused record buffer
 	delivered uint64
 	dataBytes uint64
 }
@@ -195,8 +197,9 @@ func (f *Fabric) deliver() bool {
 	any := false
 	for i, n := range f.nodes {
 		k := n.kern
-		for len(n.pending) > 0 {
-			pk := n.pending[0]
+		head := 0 // n.pending[:head] is delivered
+		for ; head < len(n.pending); head++ {
+			pk := &n.pending[head]
 			if k.Now() < pk.at {
 				if k.RunnableNow() {
 					break // busy: it will reach pk.at by executing
@@ -206,10 +209,14 @@ func (f *Fabric) deliver() bool {
 				}
 				k.AdvanceClock(pk.at)
 			}
-			n.pending = n.pending[1:]
-			f.recordDelivery(i, &pk)
+			f.recordDelivery(i, pk)
 			k.DeliverNetPacket(pk.p)
 			any = true
+		}
+		if head > 0 { // compact in place, so the queue keeps its storage
+			rest := copy(n.pending, n.pending[head:])
+			clear(n.pending[rest:])
+			n.pending = n.pending[:rest]
 		}
 	}
 	return any
@@ -220,13 +227,28 @@ func (f *Fabric) recordDelivery(dst int, pk *packet) {
 	if pk.p.Kind == kernel.NetData {
 		f.dataBytes += uint64(len(pk.p.Data))
 	}
-	rec := fmt.Sprintf("%d:%d>%d %s:%d>%d n%d@%d|",
-		pk.src, pk.seq, dst, kernel.NetKindName(pk.p.Kind),
-		pk.p.SrcPort, pk.p.DstPort, len(pk.p.Data)+pk.p.N, pk.at)
-	for i := 0; i < len(rec); i++ {
-		f.trace ^= uint64(rec[i])
+	// The record is "src:seq>dst kind:srcport>dstport n<bytes>@at|".
+	rec := strconv.AppendInt(f.rec[:0], int64(pk.src), 10)
+	rec = append(rec, ':')
+	rec = strconv.AppendUint(rec, pk.seq, 10)
+	rec = append(rec, '>')
+	rec = strconv.AppendInt(rec, int64(dst), 10)
+	rec = append(rec, ' ')
+	rec = append(rec, kernel.NetKindName(pk.p.Kind)...)
+	rec = append(rec, ':')
+	rec = strconv.AppendUint(rec, pk.p.SrcPort, 10)
+	rec = append(rec, '>')
+	rec = strconv.AppendUint(rec, pk.p.DstPort, 10)
+	rec = append(rec, " n"...)
+	rec = strconv.AppendInt(rec, int64(len(pk.p.Data)+pk.p.N), 10)
+	rec = append(rec, '@')
+	rec = strconv.AppendUint(rec, pk.at, 10)
+	rec = append(rec, '|')
+	for _, c := range rec {
+		f.trace ^= uint64(c)
 		f.trace *= 1099511628211 // FNV-1a prime
 	}
+	f.rec = rec
 }
 
 // fireNextTimer advances the machine with the earliest timer deadline to

@@ -382,14 +382,17 @@ int main() {
 	})
 }
 
-// TestNoLostWakeupOnFaultingRead: a read whose destination faults AFTER
-// the object was drained (in-bounds capability, unmapped page — past the
-// precheck) must still wake writers parked on the now-unfull pipe.
-// Skipping that wake deadlocked the writer under the event-driven
-// scheduler; the old O(blocked) re-polling masked it.
+// TestNoLostWakeupOnFaultingRead: a read whose destination is an
+// in-bounds capability over an unmapped page fails EFAULT before the pipe
+// gives up a byte. A readv whose first segment drains the pipe and whose
+// second segment faults returns the partial count, and must still wake
+// the writer parked on the now-unfull pipe. Skipping that wake
+// deadlocked the writer under the event-driven scheduler; the old
+// O(blocked) re-polling masked it.
 func TestNoLostWakeupOnFaultingRead(t *testing.T) {
 	res := runC(t, cheriabi.ABICheri, `
-char b[8];
+struct iovec { char *base; long len; };
+char b[64];
 int fds[2];
 char big[70000];
 int main() {
@@ -397,20 +400,26 @@ int main() {
 	int pid = fork();
 	if (pid == 0) {
 		// Writer child: fill the pipe, then park on the full pipe; the
-		// parent's faulting read must free space and wake us.
+		// parent's partly faulting readv must free space and wake us.
+		big[0] = 'x';
 		if (write(fds[1], big, 70000) != 65536) exit(41);
 		if (write(fds[1], "tail", 4) != 4) exit(42); // parks until space
 		exit(0);
 	}
 	int i;
 	for (i = 0; i < 4; i++) yield(); // let the writer fill and park
-	// An in-bounds capability over an unmapped page: precheckOut passes,
-	// the pipe is drained, the copyout faults.
 	char *m = (char *)mmap(0, 8192, 3, 0);
 	if (m == 0) return 1;
 	munmap(m, 8192);
 	if (read(fds[0], m, 64) >= 0) return 2;
-	if (errno() != 14) return 3;        // EFAULT
+	if (errno() != 14) return 3;        // EFAULT, and nothing consumed
+	struct iovec v[2];
+	v[0].base = b;
+	v[0].len = 64;
+	v[1].base = m;
+	v[1].len = 64;
+	if (readv(fds[0], v, 2) != 64) return 6;
+	if (b[0] != 'x') return 7;          // the first byte was still there
 	// The parked writer was woken by the drain: it finishes and exits.
 	int status = 0;
 	if (wait4(pid, &status, 0) != pid) return 4;

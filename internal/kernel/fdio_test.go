@@ -16,7 +16,9 @@ import (
 // fresh machine under both ABIs, through the syscall dispatcher.
 
 // badPtr is an untagged pointer below user space: no store or load
-// through it passes a capability check under either ABI.
+// through it succeeds under either ABI. CheriABI's capability check
+// refuses it; under the legacy ABI the data authority covers it, but its
+// page is not mapped.
 var badPtr = cap.NullWithAddr(16)
 
 // ioKinds builds each File kind on h and returns it with the open flags
@@ -169,14 +171,13 @@ func (h *ioProc) setIov(t *testing.T, l0, l1 uint64, bad bool) {
 // ioEdge is one row: a call on a File kind, with optional preparation
 // (extra open flags, a moved cursor, rewritten iovecs), the outcome
 // ("n=<result>", "parked" or the errno, then the cursor and any side
-// effects), the outcome under the legacy ABI where it differs, and the
-// cycles charged under the legacy ABI and CheriABI.
+// effects), the same under both ABIs, and the cycles charged under the
+// legacy ABI and CheriABI.
 type ioEdge struct {
 	kind   string
 	call   ioCall
 	prep   func(t *testing.T, h *ioProc, f *FDesc)
 	want   string
-	legacy string
 	cycles [2]uint64
 }
 
@@ -215,7 +216,7 @@ var ioEdges = []ioEdge{
 	{kind: "file", call: read(256), prep: cursor(8), want: "n=3 off=11", cycles: [2]uint64{235, 186}},
 	{kind: "file", call: read(256), prep: cursor(11), want: "n=0 off=11", cycles: [2]uint64{175, 126}},
 	{kind: "file", call: read(256), prep: cursor(50), want: "n=0 off=50", cycles: [2]uint64{175, 126}},
-	{kind: "file", call: xfer(nat.SysRead, 5, true), want: "EFAULT off=0", legacy: "EFAULT off=5", cycles: [2]uint64{175, 126}},
+	{kind: "file", call: xfer(nat.SysRead, 5, true), want: "EFAULT off=0", cycles: [2]uint64{175, 126}},
 	{kind: "file", call: read(5), prep: mode(OWrOnly), want: "EBADF off=0", cycles: [2]uint64{175, 126}},
 	{kind: "file", call: readv(2), want: "n=11 off=11", cycles: [2]uint64{292, 188}},
 	{kind: "file", call: readv(2), prep: iov(0, 128, false), want: "n=11 off=11", cycles: [2]uint64{349, 190}},
@@ -226,7 +227,7 @@ var ioEdges = []ioEdge{
 	{kind: "file", call: readv(2), prep: func(t *testing.T, h *ioProc, f *FDesc) {
 		f.file.(*vnodeFile).node.data = make([]byte, 200)
 		h.setIov(t, 128, 128, true)
-	}, want: "n=128 off=128", legacy: "n=128 off=200", cycles: [2]uint64{409, 250}},
+	}, want: "n=128 off=128", cycles: [2]uint64{409, 250}},
 	{kind: "file", call: pread(5, 6), prep: cursor(2), want: "n=5 off=2", cycles: [2]uint64{235, 186}},
 	{kind: "file", call: pread(256, 0), want: "n=11 off=0", cycles: [2]uint64{235, 186}},
 	{kind: "file", call: pread(8, 100), want: "n=0 off=0", cycles: [2]uint64{175, 126}},
@@ -279,7 +280,7 @@ var ioEdges = []ioEdge{
 	{kind: "pipe-r", call: read(0), want: "n=0 off=0", cycles: [2]uint64{175, 126}},
 	{kind: "pipe-r", call: readv(2), want: "n=4 off=0 wake", cycles: [2]uint64{292, 188}},
 	{kind: "pipe-r", call: readv(2), prep: iov(0, 128, false), want: "n=4 off=0 wake", cycles: [2]uint64{349, 190}},
-	{kind: "pipe-r", call: xfer(nat.SysRead, 4, true), want: "EFAULT off=0", legacy: "EFAULT off=0 wake", cycles: [2]uint64{175, 126}},
+	{kind: "pipe-r", call: xfer(nat.SysRead, 4, true), want: "EFAULT off=0", cycles: [2]uint64{175, 126}},
 	{kind: "pipe-r", call: pread(4, 0), want: "ESPIPE off=0", cycles: [2]uint64{175, 126}},
 	{kind: "pipe-r", call: at(nat.SysPread, 4, 0, true), want: "ESPIPE off=0", cycles: [2]uint64{175, 126}},
 	{kind: "pipe-r", call: getdents(64), want: "ENOTDIR off=0", cycles: [2]uint64{175, 126}},
@@ -386,13 +387,9 @@ func TestDescriptorIOEdges(t *testing.T) {
 	for _, r := range ioEdges {
 		t.Run(r.kind+"/"+r.call.name, func(t *testing.T) {
 			for i, abi := range []image.ABI{image.ABILegacy, image.ABICheri} {
-				want := r.want
-				if abi == image.ABILegacy && r.legacy != "" {
-					want = r.legacy
-				}
 				got, cycles := runIOEdge(t, abi, r)
-				if got != want || cycles != r.cycles[i] {
-					t.Errorf("abi %v: got %q, %d cycles; want %q, %d cycles", abi, got, cycles, want, r.cycles[i])
+				if got != r.want || cycles != r.cycles[i] {
+					t.Errorf("abi %v: got %q, %d cycles; want %q, %d cycles", abi, got, cycles, r.want, r.cycles[i])
 				}
 			}
 		})

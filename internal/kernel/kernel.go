@@ -633,14 +633,10 @@ func (k *Kernel) installRederive(p *Proc) {
 // exercises tag-stripping swap and rederivation).
 func (k *Kernel) SwapOutProc(p *Proc) int {
 	n := 0
-	for _, r := range p.AS.Regions() {
-		for va := r.Start; va < r.End; va += vm.PageSize {
-			if p.AS.Resident(va) {
-				if err := p.AS.SwapOut(va); err == nil {
-					k.charge(CostSwapIO)
-					n++
-				}
-			}
+	for _, va := range p.AS.ResidentPages() {
+		if err := p.AS.SwapOut(va); err == nil {
+			k.charge(CostSwapIO)
+			n++
 		}
 	}
 	return n

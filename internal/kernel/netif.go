@@ -94,11 +94,14 @@ func (k *Kernel) AttachNIC(addr uint64) {
 // unattached).
 func (k *Kernel) NetAddr() uint64 { return k.netAddr }
 
-// NetOutbound returns and clears the NIC's outbound packet queue, in
-// send order. The fabric calls it between scheduling slices.
+// NetOutbound returns the NIC's outbound packets, in send order, and
+// empties the queue. The returned slice shares the queue's storage, which
+// the next outbound packet reuses: it is valid until the machine next
+// runs or receives a packet. The fabric drains it between scheduling
+// slices.
 func (k *Kernel) NetOutbound() []NetPacket {
 	out := k.netOut
-	k.netOut = nil
+	k.netOut = k.netOut[:0]
 	return out
 }
 

@@ -56,11 +56,7 @@ func sysKill(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 
 func sysFork(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	p := t.Proc
-	pages := 0
-	for _, r := range p.AS.Regions() {
-		pages += int((r.End - r.Start) / vm.PageSize)
-	}
-	k.charge(CostForkBase + uint64(pages)*CostForkPerPage)
+	k.charge(CostForkBase + p.AS.MappedPages()*CostForkPerPage)
 	if p.ABI == image.ABICheri {
 		k.charge(CostForkCheriExtra)
 	}
@@ -225,17 +221,22 @@ func (k *Kernel) ioScratch(st FileStat, off int64, n uint64) []byte {
 	return k.staging(n)
 }
 
-// precheckOut validates the destination capability for the bytes a read
-// is about to supply, *before* the File object is consumed: a
-// capability-level fault (tag, seal, permission, bounds — the check
-// uaccess will repeat) must not drain pipe bytes or advance the cursor.
-// It is a pure host-side check: no cycles are charged, exactly as
-// uaccess charges nothing on a failed capability check.
-func precheckOut(buf cap.Capability, n int) Errno {
+// precheckOut validates the destination for the bytes a read is about
+// to supply, *before* the File object is consumed: a capability-level
+// fault (tag, seal, permission, bounds) or a destination that is not
+// mapped writable — the checks uaccess will repeat — must not drain pipe
+// bytes or advance the cursor (FreeBSD's pipe_read consumes only after
+// uiomove succeeds). It is a pure host-side check: no cycles are charged
+// and no page is touched, exactly as uaccess charges nothing on a failed
+// capability check.
+func precheckOut(t *Thread, buf cap.Capability, n int) Errno {
 	if n == 0 {
 		return OK
 	}
 	if err := buf.CheckDeref(buf.Addr(), uint64(n), cap.PermStore); err != nil {
+		return EFAULT
+	}
+	if !t.Proc.AS.Mapped(buf.Addr(), uint64(n), vm.ProtWrite) {
 		return EFAULT
 	}
 	return OK
@@ -299,7 +300,7 @@ func (k *Kernel) readFD(t *Thread, f *FDesc, r ioReq) (cap.Capability, Errno) {
 		st := f.file.Stat()
 		off := r.at(f, st, false)
 		scratch := k.ioScratch(st, off, n)
-		if e = precheckOut(buf, len(scratch)); e != OK {
+		if e = precheckOut(t, buf, len(scratch)); e != OK {
 			break
 		}
 		var m int
@@ -625,7 +626,7 @@ func sysMmap(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		if !validUserRange(va, rlen) {
 			return Err(EINVAL)
 		}
-		replacing := p.AS.Mapped(va, rlen)
+		replacing := p.AS.Mapped(va, rlen, 0)
 		if p.ABI == image.ABICheri {
 			// "If the fixed address is a valid capability, we require that
 			// it have the vmmap user-defined capability permission ...

@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // Physical memory materializes lazily, one chunk at a time, on first
 // write. These tests prove the first-touch semantics are indistinguishable
@@ -223,4 +226,62 @@ func TestLazyPartialTailChunk(t *testing.T) {
 		}
 	}()
 	m.Load(size-4, 8)
+}
+
+// TestGenerationsStartAtZero: a page's generation reads 0 until the page
+// is first written or zeroed, and reading it allocates no chunk header.
+func TestGenerationsStartAtZero(t *testing.T) {
+	m := New(4 * chunkSize)
+	for _, pa := range []uint64{0, PageSize, chunkSize + 3*PageSize, 4*chunkSize - 1} {
+		if g := m.PageGen(pa); g != 0 {
+			t.Fatalf("PageGen(%#x) = %d before any write", pa, g)
+		}
+	}
+	for ci, c := range m.chunks {
+		if c != nil {
+			t.Fatalf("reading generations allocated chunk %d's header", ci)
+		}
+	}
+	m.Store(chunkSize+3*PageSize, 8, 1)
+	if g := m.PageGen(chunkSize + 3*PageSize); g != 1 {
+		t.Fatalf("PageGen after one store = %d, want 1", g)
+	}
+	if g := m.PageGen(chunkSize + 4*PageSize); g != 0 {
+		t.Fatalf("a store bumped its neighbour's generation to %d", g)
+	}
+}
+
+// TestPageGenPtrSeesFirstWrite: the generation pointer handed out for a
+// page that was never written (the threaded engine probes the executing
+// page's through it) sees a later store to that page, so code patched
+// into a fresh page is still caught.
+func TestPageGenPtrSeesFirstWrite(t *testing.T) {
+	m := New(2 * chunkSize)
+	pa := uint64(chunkSize + 2*PageSize)
+	gen := m.PageGenPtr(pa)
+	if *gen != 0 {
+		t.Fatalf("fresh page generation %d", *gen)
+	}
+	m.Store(pa+8, 4, 0xdeadbeef)
+	if *gen != 1 || m.PageGen(pa) != 1 {
+		t.Fatalf("store not seen through the pointer: *gen = %d, PageGen = %d", *gen, m.PageGen(pa))
+	}
+	if _, _, g := m.Page(pa); g != gen {
+		t.Fatal("Page hands out a different generation counter than PageGenPtr")
+	}
+}
+
+// TestNewAllocationIsTheChunkTable: booting a 128 MiB machine allocates
+// its chunk header table (8 bytes per 64 KiB chunk) and nothing per page.
+func TestNewAllocationIsTheChunkTable(t *testing.T) {
+	const runs = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		New(128 << 20)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 32<<10 {
+		t.Fatalf("New(128 MiB) allocates %d bytes, want at most 32 KiB", got)
+	}
 }

@@ -31,10 +31,10 @@ const PageSize = 1 << PageShift
 // proves it against a flat reference model).
 //
 // The chunk size trades the bytes (and tags) a first write allocates and
-// zeroes against the two chunk tables New allocates per boot. A short
+// zeroes against the chunk header table New allocates per boot. A short
 // program touches a few hundred scattered pages: 1 MiB chunks made every
 // exec zero a whole megabyte for them, while 4 KiB chunks would give a
-// 256 MiB machine 65,536-entry tables; 64 KiB chunks give 4096.
+// 256 MiB machine a 65,536-entry table; 64 KiB chunks give 4096.
 const (
 	chunkShift = 16 // 64 KiB chunks
 	chunkSize  = 1 << chunkShift
@@ -59,22 +59,32 @@ var _ [0]struct{} = [chunkSize % PageSize]struct{}{}
 // out-of-range physical access is a simulator bug and panics.
 type Physical struct {
 	size uint64
-	// chunks and tags are parallel lazily-allocated arrays: chunks[i] is
-	// nil until the chunk's bytes (or tags) are first written, and nil
-	// means "all zero bytes, all tags clear". The two materialize
-	// together, so chunks[i] == nil ⟺ tags[i] == nil. Once allocated, a
-	// chunk's arrays never move: slices into them (the page backings in
-	// the CPU's data micro-TLB) stay valid for the Physical's lifetime.
-	chunks [][]byte
-	tags   [][]bool
+	// chunks holds one header per chunk, nil until one of the chunk's
+	// page generations is first bumped or handed out. A nil header means
+	// "all zero bytes, all tags clear, every generation 0", so a machine's
+	// host memory grows with the chunks its guest touches: New allocates
+	// 8 bytes per 64 KiB.
+	chunks []*chunk
+}
+
+// A chunk is the header of one 64 KiB chunk of physical memory.
+type chunk struct {
 	// gens holds one write-generation counter per page. Every mutation of
 	// page bytes (or tags) bumps the page's counter, so consumers that
 	// cache derived views of memory — the CPU's decoded-instruction
 	// cache — can validate them with a single compare. This is the
 	// innermost layer of the fetch-fast-path invalidation protocol: any
 	// store, byte copy, capability store, tagged copy, or zeroing that can
-	// change executable bytes lands here.
-	gens []uint64
+	// change executable bytes lands here. Generations only grow.
+	gens [chunkSize / PageSize]uint64
+	// data and tags are nil until the chunk's bytes (or tags) are first
+	// written; nil means all zero bytes, all tags clear. The two
+	// materialize together. Once allocated, neither the header nor its
+	// arrays move: pointers to gens and slices into data and tags (the
+	// page backings in the CPU's data micro-TLB) stay valid for the
+	// Physical's lifetime.
+	data []byte
+	tags []bool
 }
 
 // New returns size bytes of zeroed physical memory with one tag per
@@ -83,13 +93,7 @@ func New(size uint64) *Physical {
 	if size%cap.Bytes != 0 {
 		panic(fmt.Sprintf("mem: size %d not a multiple of the %d-byte granule", size, cap.Bytes))
 	}
-	nchunks := (size + chunkSize - 1) / chunkSize
-	return &Physical{
-		size:   size,
-		chunks: make([][]byte, nchunks),
-		tags:   make([][]bool, nchunks),
-		gens:   make([]uint64, (size+PageSize-1)/PageSize),
-	}
+	return &Physical{size: size, chunks: make([]*chunk, (size+chunkSize-1)/chunkSize)}
 }
 
 // Size returns the memory size in bytes.
@@ -101,20 +105,44 @@ func (m *Physical) check(pa, n uint64) {
 	}
 }
 
-// materialize returns the chunk containing pa for mutation, allocating
-// (implicitly zeroed) bytes and tags on first touch.
-func (m *Physical) materialize(pa uint64) ([]byte, []bool) {
+// header returns chunk ci's header, allocating it on first use.
+func (m *Physical) header(ci uint64) *chunk {
+	c := m.chunks[ci]
+	if c == nil {
+		c = &chunk{}
+		m.chunks[ci] = c
+	}
+	return c
+}
+
+// written returns chunk ci's header if the chunk's bytes were ever
+// written, else nil.
+func (m *Physical) written(ci uint64) *chunk {
+	if c := m.chunks[ci]; c != nil && c.data != nil {
+		return c
+	}
+	return nil
+}
+
+// materialize returns the header of the chunk containing pa for
+// mutation, allocating its (implicitly zeroed) bytes and tags on first
+// touch.
+func (m *Physical) materialize(pa uint64) *chunk {
 	ci := pa >> chunkShift
-	if m.chunks[ci] == nil {
+	c := m.header(ci)
+	if c.data == nil {
 		csize := uint64(chunkSize)
 		if rem := m.size - ci<<chunkShift; rem < csize {
 			csize = rem
 		}
-		m.chunks[ci] = make([]byte, csize)
-		m.tags[ci] = make([]bool, csize/cap.Bytes)
+		c.data = make([]byte, csize)
+		c.tags = make([]bool, csize/cap.Bytes)
 	}
-	return m.chunks[ci], m.tags[ci]
+	return c
 }
+
+// genIndex is the index of pa's page in its chunk header's gens.
+func genIndex(pa uint64) uint64 { return pa >> PageShift & (chunkSize/PageSize - 1) }
 
 // touch bumps the write generation of every page overlapping [pa, pa+n).
 // Every mutator below calls it; PageGen exposes the counters.
@@ -123,24 +151,28 @@ func (m *Physical) touch(pa, n uint64) {
 		return
 	}
 	for p := pa >> PageShift; p <= (pa+n-1)>>PageShift; p++ {
-		m.gens[p]++
+		m.header(p << PageShift >> chunkShift).gens[genIndex(p<<PageShift)]++
 	}
 }
 
-// PageGen returns the write generation of the page containing pa. A cached
-// view of the page's contents is valid iff the generation it was built at
-// still matches.
+// PageGen returns the write generation of the page containing pa: 0
+// until the page is first written or zeroed. A cached view of the page's
+// contents is valid iff the generation it was built at still matches.
 func (m *Physical) PageGen(pa uint64) uint64 {
-	return m.gens[pa>>PageShift]
+	if c := m.chunks[pa>>chunkShift]; c != nil {
+		return c.gens[genIndex(pa)]
+	}
+	return 0
 }
 
 // PageGenPtr returns a pointer to the page's write-generation counter, for
 // hot loops that probe one page's generation repeatedly (the threaded
 // engine probes the executing page after every memory instruction). The
-// pointer stays valid for the Physical's lifetime: gens is allocated once
-// and never reallocated.
+// pointer stays valid for the Physical's lifetime: handing it out
+// allocates the chunk's header, which never moves, so a later store to a
+// page never written before still shows through it.
 func (m *Physical) PageGenPtr(pa uint64) *uint64 {
-	return &m.gens[pa>>PageShift]
+	return &m.header(pa >> chunkShift).gens[genIndex(pa)]
 }
 
 // Page returns the byte and tag slices backing the page at paPage, plus
@@ -155,15 +187,14 @@ func (m *Physical) Page(paPage uint64) (data []byte, tags []bool, gen *uint64) {
 	if paPage%PageSize != 0 || paPage+PageSize > m.size || paPage+PageSize < paPage {
 		return nil, nil, nil
 	}
-	ci := paPage >> chunkShift
-	ch := m.chunks[ci]
-	if ch == nil {
+	c := m.written(paPage >> chunkShift)
+	if c == nil {
 		return nil, nil, nil
 	}
-	off := paPage & chunkMask // the whole page lies in chunk ci
-	return ch[off : off+PageSize : off+PageSize],
-		m.tags[ci][off>>GranShift : (off+PageSize)>>GranShift : (off+PageSize)>>GranShift],
-		&m.gens[paPage>>PageShift]
+	off := paPage & chunkMask // the whole page lies in the chunk
+	return c.data[off : off+PageSize : off+PageSize],
+		c.tags[off>>GranShift : (off+PageSize)>>GranShift : (off+PageSize)>>GranShift],
+		&c.gens[genIndex(paPage)]
 }
 
 // clearTags clears the tags of every granule overlapping [pa, pa+n).
@@ -180,9 +211,9 @@ func (m *Physical) clearTags(pa, n uint64) {
 		if chunkEnd < end {
 			end = chunkEnd
 		}
-		if t := m.tags[ci]; t != nil {
+		if c := m.written(ci); c != nil {
 			base := ci << chunkShift >> GranShift
-			clear(t[g-base : end-base])
+			clear(c.tags[g-base : end-base])
 		}
 		g = end
 	}
@@ -190,11 +221,11 @@ func (m *Physical) clearTags(pa, n uint64) {
 
 // byteAt reads one byte, treating untouched chunks as zero.
 func (m *Physical) byteAt(pa uint64) byte {
-	ch := m.chunks[pa>>chunkShift]
-	if ch == nil {
+	c := m.written(pa >> chunkShift)
+	if c == nil {
 		return 0
 	}
-	return ch[pa&chunkMask]
+	return c.data[pa&chunkMask]
 }
 
 // Load returns an n-byte little-endian integer at pa (n in 1,2,4,8).
@@ -202,14 +233,15 @@ func (m *Physical) Load(pa, n uint64) uint64 {
 	m.check(pa, n)
 	off := pa & chunkMask
 	if off+n <= chunkSize {
-		ch := m.chunks[pa>>chunkShift]
-		if ch == nil {
+		c := m.written(pa >> chunkShift)
+		if c == nil {
 			switch n {
 			case 1, 2, 4, 8:
 				return 0
 			}
 			panic(fmt.Sprintf("mem: bad load size %d", n))
 		}
+		ch := c.data
 		switch n {
 		case 1:
 			return uint64(ch[off])
@@ -241,7 +273,8 @@ func (m *Physical) Store(pa, n, v uint64) {
 	m.check(pa, n)
 	off := pa & chunkMask
 	if off+n <= chunkSize {
-		ch, tags := m.materialize(pa)
+		c := m.materialize(pa)
+		ch := c.data
 		switch n {
 		case 1:
 			ch[off] = byte(v)
@@ -258,8 +291,8 @@ func (m *Physical) Store(pa, n, v uint64) {
 			// Inside one granule (every naturally aligned scalar store):
 			// exactly one tag to clear and — granules never straddle
 			// pages — exactly one page generation to bump.
-			tags[off>>GranShift] = false
-			m.gens[pa>>PageShift]++
+			c.tags[off>>GranShift] = false
+			c.gens[genIndex(pa)]++
 			return
 		}
 		m.clearTags(pa, n)
@@ -273,8 +306,7 @@ func (m *Physical) Store(pa, n, v uint64) {
 		panic(fmt.Sprintf("mem: bad store size %d", n))
 	}
 	for i := uint64(0); i < n; i++ {
-		ch, _ := m.materialize(pa + i)
-		ch[(pa+i)&chunkMask] = byte(v >> (8 * i))
+		m.materialize(pa + i).data[(pa+i)&chunkMask] = byte(v >> (8 * i))
 	}
 	m.clearTags(pa, n)
 	m.touch(pa, n)
@@ -290,8 +322,8 @@ func (m *Physical) ReadBytes(pa uint64, buf []byte) {
 			span = r
 		}
 		dst := buf[done : done+span]
-		if ch := m.chunks[(pa+done)>>chunkShift]; ch != nil {
-			copy(dst, ch[(pa+done)&chunkMask:])
+		if c := m.written((pa + done) >> chunkShift); c != nil {
+			copy(dst, c.data[(pa+done)&chunkMask:])
 		} else {
 			clear(dst)
 		}
@@ -308,8 +340,7 @@ func (m *Physical) WriteBytes(pa uint64, buf []byte) {
 		if r := chunkSize - (pa+done)&chunkMask; r < span {
 			span = r
 		}
-		ch, _ := m.materialize(pa + done)
-		copy(ch[(pa+done)&chunkMask:], buf[done:done+span])
+		copy(m.materialize(pa + done).data[(pa+done)&chunkMask:], buf[done:done+span])
 		done += span
 	}
 	m.clearTags(pa, n)
@@ -319,11 +350,11 @@ func (m *Physical) WriteBytes(pa uint64, buf []byte) {
 // Tag returns the tag bit of the granule containing pa.
 func (m *Physical) Tag(pa uint64) bool {
 	m.check(pa, 1)
-	t := m.tags[pa>>chunkShift]
-	if t == nil {
+	c := m.written(pa >> chunkShift)
+	if c == nil {
 		return false
 	}
-	return t[(pa&chunkMask)/cap.Bytes]
+	return c.tags[(pa&chunkMask)/cap.Bytes]
 }
 
 // LoadCap reads one capability-sized value at pa, returning the raw bytes
@@ -333,14 +364,14 @@ func (m *Physical) LoadCap(pa uint64, buf []byte) bool {
 		panic(fmt.Sprintf("mem: unaligned capability load at 0x%x", pa))
 	}
 	m.check(pa, cap.Bytes)
-	ch := m.chunks[pa>>chunkShift]
-	if ch == nil {
+	c := m.written(pa >> chunkShift)
+	if c == nil {
 		clear(buf[:cap.Bytes])
 		return false
 	}
 	off := pa & chunkMask
-	copy(buf, ch[off:off+cap.Bytes])
-	return m.tags[pa>>chunkShift][off/cap.Bytes]
+	copy(buf, c.data[off:off+cap.Bytes])
+	return c.tags[off/cap.Bytes]
 }
 
 // StoreCap writes one capability-sized value at pa with the given tag.
@@ -350,10 +381,10 @@ func (m *Physical) StoreCap(pa uint64, buf []byte, tag bool) {
 		panic(fmt.Sprintf("mem: unaligned capability store at 0x%x", pa))
 	}
 	m.check(pa, cap.Bytes)
-	ch, tags := m.materialize(pa)
+	c := m.materialize(pa)
 	off := pa & chunkMask
-	copy(ch[off:off+cap.Bytes], buf[:cap.Bytes])
-	tags[off/cap.Bytes] = tag
+	copy(c.data[off:off+cap.Bytes], buf[:cap.Bytes])
+	c.tags[off/cap.Bytes] = tag
 	m.touch(pa, cap.Bytes)
 }
 
@@ -374,20 +405,20 @@ func (m *Physical) CopyTagged(dst, src, n uint64) {
 	backward := dst > src && dst < src+n
 	copySpan := func(done, span uint64) {
 		s, d := src+done, dst+done
-		srcCh, srcTags := m.chunks[s>>chunkShift], m.tags[s>>chunkShift]
-		if srcCh == nil {
+		src := m.written(s >> chunkShift)
+		if src == nil {
 			// Source untouched: the destination range becomes zero bytes
 			// with clear tags; an untouched destination already is.
-			if dstCh, dstTags := m.chunks[d>>chunkShift], m.tags[d>>chunkShift]; dstCh != nil {
+			if dst := m.written(d >> chunkShift); dst != nil {
 				off := d & chunkMask
-				clear(dstCh[off : off+span])
-				clear(dstTags[off/cap.Bytes : (off+span)/cap.Bytes])
+				clear(dst.data[off : off+span])
+				clear(dst.tags[off/cap.Bytes : (off+span)/cap.Bytes])
 			}
 		} else {
-			dstCh, dstTags := m.materialize(d)
+			dst := m.materialize(d)
 			so, do := s&chunkMask, d&chunkMask
-			copy(dstCh[do:do+span], srcCh[so:so+span])
-			copy(dstTags[do/cap.Bytes:(do+span)/cap.Bytes], srcTags[so/cap.Bytes:(so+span)/cap.Bytes])
+			copy(dst.data[do:do+span], src.data[so:so+span])
+			copy(dst.tags[do/cap.Bytes:(do+span)/cap.Bytes], src.tags[so/cap.Bytes:(so+span)/cap.Bytes])
 		}
 	}
 	spanAt := func(done uint64) uint64 {
@@ -433,10 +464,10 @@ func (m *Physical) WriteTagged(pa uint64, buf []byte, tags []bool) {
 		if r := chunkSize - (pa+done)&chunkMask; r < span {
 			span = r
 		}
-		ch, t := m.materialize(pa + done)
+		c := m.materialize(pa + done)
 		off := (pa + done) & chunkMask
-		copy(ch[off:off+span], buf[done:done+span])
-		copy(t[off/cap.Bytes:(off+span)/cap.Bytes], tags[done/cap.Bytes:(done+span)/cap.Bytes])
+		copy(c.data[off:off+span], buf[done:done+span])
+		copy(c.tags[off/cap.Bytes:(off+span)/cap.Bytes], tags[done/cap.Bytes:(done+span)/cap.Bytes])
 		done += span
 	}
 	m.touch(pa, n)
@@ -456,8 +487,8 @@ func (m *Physical) Fill(pa, n uint64, v byte) {
 		if r := chunkSize - p&chunkMask; r < span {
 			span = r
 		}
-		ch, _ := m.materialize(p)
 		off := p & chunkMask
+		ch := m.materialize(p).data
 		for i := uint64(0); i < span; i++ {
 			ch[off+i] = v
 		}
@@ -482,9 +513,9 @@ func (m *Physical) ExtractTags(pa, n uint64) []bool {
 		if r := chunkSize - p&chunkMask; r < span {
 			span = r
 		}
-		if t := m.tags[p>>chunkShift]; t != nil {
+		if c := m.written(p >> chunkShift); c != nil {
 			off := p & chunkMask
-			copy(out[done/cap.Bytes:(done+span)/cap.Bytes], t[off/cap.Bytes:(off+span)/cap.Bytes])
+			copy(out[done/cap.Bytes:(done+span)/cap.Bytes], c.tags[off/cap.Bytes:(off+span)/cap.Bytes])
 		}
 		done += span
 	}
@@ -502,9 +533,9 @@ func (m *Physical) Zero(pa, n uint64) {
 		if r := chunkSize - p&chunkMask; r < span {
 			span = r
 		}
-		if ch := m.chunks[p>>chunkShift]; ch != nil {
+		if c := m.written(p >> chunkShift); c != nil {
 			off := p & chunkMask
-			clear(ch[off : off+span])
+			clear(c.data[off : off+span])
 		}
 		done += span
 	}

@@ -255,7 +255,7 @@ func TestGuardPagesBetweenImages(t *testing.T) {
 	if lib.Base < exe.Base+exe.Layout.Total+vm.PageSize {
 		t.Fatalf("no guard page: exe ends %x, lib at %x", exe.Base+exe.Layout.Total, lib.Base)
 	}
-	if ld.AS.Mapped(exe.Base+exe.Layout.Total, vm.PageSize) {
+	if ld.AS.Mapped(exe.Base+exe.Layout.Total, vm.PageSize, 0) {
 		t.Fatal("guard page is mapped")
 	}
 }

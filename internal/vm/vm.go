@@ -80,15 +80,24 @@ type Stats struct {
 	TagsLost   uint64 // tags refused by rederivation
 }
 
+// A mapping is one range of an address space with uniform protection.
+// An AddressSpace keeps its mappings sorted and non-overlapping and
+// merges neighbours that abut and agree, so a mapping costs one entry
+// however many pages it spans.
+type mapping struct {
+	start, end uint64 // VPNs [start, end)
+	prot       Prot
+	shared     bool // MAP_SHARED semantics (MapFrames): never copy-on-write
+}
+
+// A pte is the state of one page that has any: a frame, or a swap slot.
+// A demand-zero page that was never touched is just a page inside a
+// mapping; Translate makes its pte at first touch.
 type pte struct {
-	frame   uint64
-	prot    Prot
-	present bool
+	frame   uint64 // the resident frame, unless swapped
+	swapID  uint64 // the swap slot, if swapped
 	cow     bool
-	shared  bool // MAP_SHARED semantics: never copy-on-write
-	zero    bool // demand-zero: no frame yet
 	swapped bool
-	swapID  uint64
 }
 
 // Frames is the physical frame allocator, shared by all address spaces.
@@ -212,10 +221,22 @@ type RederiveFunc func(pa uint64) bool
 // AddressSpace is one process's page table. Each address space is a fresh
 // abstract principal ("Principal IDs are freshly created for the kernel
 // and each process address space").
+//
+// Its host cost follows what the guest touches: mappings are ranges, and
+// only pages with a frame or a swap slot have a pte, so Map, Unmap,
+// Protect, Mapped, FindFree, Regions, Fork and Release cost O(mappings +
+// touched pages) whatever the mapped length.
+//
+// Frames leave the address space in ascending VPN order (Unmap, Map with
+// replace, Release), and Fork duplicates swap slots in page order. The
+// order in which frames re-enter the shared allocator decides where later
+// allocations land, and so the simulated cache behaviour.
 type AddressSpace struct {
 	ID       uint64
 	sys      *System
-	pages    map[uint64]*pte // keyed by VPN
+	maps     []mapping      // sorted by start, non-overlapping
+	pages    map[uint64]pte // keyed by VPN; pages with a frame or a swap slot
+	vpns     []uint64       // scratch for ascending-order walks
 	Stats    Stats
 	Rederive RederiveFunc // nil: restore tags verbatim (unsafe; for ablation)
 	// Gen increments whenever a translation could change; TLB-style caches
@@ -226,10 +247,13 @@ type AddressSpace struct {
 // NewAddressSpace returns an empty address space with a fresh principal ID.
 func (s *System) NewAddressSpace() *AddressSpace {
 	s.nextAS++
-	return &AddressSpace{ID: s.nextAS, sys: s, pages: map[uint64]*pte{}}
+	return &AddressSpace{ID: s.nextAS, sys: s, pages: map[uint64]pte{}}
 }
 
 func vpn(va uint64) uint64 { return va >> PageShift }
+
+// vpnLimit bounds every VPN: [0, vpnLimit) spans the whole address space.
+const vpnLimit = 1 << (64 - PageShift)
 
 // AllocFrames allocates and zeroes n physical frames (shared-memory
 // segments own their frames directly).
@@ -249,6 +273,125 @@ func (s *System) ReleaseFrames(frames []uint64) {
 	}
 }
 
+// index returns the position of the first mapping that ends after VPN p.
+func (as *AddressSpace) index(p uint64) int {
+	lo, hi := 0, len(as.maps)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if as.maps[mid].end <= p {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// lookup returns the mapping containing VPN p.
+func (as *AddressSpace) lookup(p uint64) (mapping, bool) {
+	if i := as.index(p); i < len(as.maps) && as.maps[i].start <= p {
+		return as.maps[i], true
+	}
+	return mapping{}, false
+}
+
+// firstMapped returns the lowest mapped VPN in [s, e).
+func (as *AddressSpace) firstMapped(s, e uint64) (uint64, bool) {
+	if i := as.index(s); s < e && i < len(as.maps) && as.maps[i].start < e {
+		return max(s, as.maps[i].start), true
+	}
+	return 0, false
+}
+
+// firstHole returns the lowest VPN in [s, e) that is unmapped or whose
+// mapping lacks prot.
+func (as *AddressSpace) firstHole(s, e uint64, prot Prot) (uint64, bool) {
+	for i := as.index(s); s < e; i++ {
+		if i == len(as.maps) || as.maps[i].start > s || as.maps[i].prot&prot != prot {
+			return s, true
+		}
+		s = as.maps[i].end
+	}
+	return 0, false
+}
+
+// split makes VPN p a mapping boundary: a mapping straddling p becomes
+// two.
+func (as *AddressSpace) split(p uint64) {
+	i := as.index(p)
+	if i == len(as.maps) || as.maps[i].start >= p {
+		return
+	}
+	as.maps = slices.Insert(as.maps, i+1, as.maps[i])
+	as.maps[i].end = p
+	as.maps[i+1].start = p
+}
+
+// carve makes [s, e) a run of whole mappings and returns their positions
+// [i, j).
+func (as *AddressSpace) carve(s, e uint64) (int, int) {
+	as.split(s)
+	as.split(e)
+	return as.index(s), as.index(e)
+}
+
+// merge joins neighbouring mappings that abut and agree.
+func (as *AddressSpace) merge() {
+	out := as.maps[:0]
+	for _, m := range as.maps {
+		if n := len(out); n > 0 && out[n-1].end == m.start && out[n-1].prot == m.prot && out[n-1].shared == m.shared {
+			out[n-1].end = m.end
+			continue
+		}
+		out = append(out, m)
+	}
+	as.maps = out
+}
+
+// touched returns the VPNs in [s, e) that have a pte, in ascending order,
+// in the scratch slice as.vpns.
+func (as *AddressSpace) touched(s, e uint64) []uint64 {
+	out := as.vpns[:0]
+	if e-s <= uint64(len(as.pages)) {
+		for p := s; p < e; p++ {
+			if _, ok := as.pages[p]; ok {
+				out = append(out, p)
+			}
+		}
+	} else {
+		for p := range as.pages {
+			if s <= p && p < e {
+				out = append(out, p)
+			}
+		}
+		slices.Sort(out)
+	}
+	as.vpns = out
+	return out
+}
+
+// drop releases the frame or swap slot of every page in [s, e) that has
+// one, in ascending VPN order, and forgets the pages' state.
+func (as *AddressSpace) drop(s, e uint64) {
+	for _, p := range as.touched(s, e) {
+		if e := as.pages[p]; e.swapped {
+			as.sys.Swap.take(e.swapID)
+		} else {
+			as.sys.Frames.decref(e.frame)
+		}
+		delete(as.pages, p)
+	}
+}
+
+// insert makes [s, e) the mapping m, dropping whatever was mapped there.
+func (as *AddressSpace) insert(s, e uint64, m mapping) {
+	as.drop(s, e)
+	i, j := as.carve(s, e)
+	m.start, m.end = s, e
+	as.maps = slices.Replace(as.maps, i, j, m)
+	as.merge()
+}
+
 // MapFrames maps existing frames at va (shared memory: multiple address
 // spaces can map the same frames). The frames' reference counts are
 // incremented; Unmap drops them.
@@ -256,14 +399,16 @@ func (as *AddressSpace) MapFrames(va uint64, frames []uint64, prot Prot) error {
 	if va%PageSize != 0 {
 		return fmt.Errorf("vm: unaligned MapFrames va=0x%x", va)
 	}
-	for i := range frames {
-		if _, ok := as.pages[vpn(va)+uint64(i)]; ok {
-			return fmt.Errorf("vm: mapping exists at va=0x%x", va+uint64(i)*PageSize)
-		}
+	s, e := vpn(va), vpn(va)+uint64(len(frames))
+	if p, ok := as.firstMapped(s, e); ok {
+		return fmt.Errorf("vm: mapping exists at va=0x%x", p<<PageShift)
+	}
+	if s < e {
+		as.insert(s, e, mapping{prot: prot, shared: true})
 	}
 	for i, f := range frames {
 		as.sys.Frames.incref(f)
-		as.pages[vpn(va)+uint64(i)] = &pte{frame: f, prot: prot, present: true, shared: true}
+		as.pages[s+uint64(i)] = pte{frame: f}
 	}
 	as.Gen++
 	return nil
@@ -277,30 +422,15 @@ func (as *AddressSpace) Map(va, length uint64, prot Prot, replace bool) error {
 	if va%PageSize != 0 || length%PageSize != 0 || length == 0 {
 		return fmt.Errorf("vm: unaligned map va=0x%x len=0x%x", va, length)
 	}
-	if !replace {
-		for p := vpn(va); p < vpn(va+length); p++ {
-			if _, ok := as.pages[p]; ok {
-				return fmt.Errorf("vm: mapping exists at va=0x%x", p<<PageShift)
-			}
-		}
+	s, e := vpn(va), vpn(va+length)
+	if p, ok := as.firstMapped(s, e); ok && !replace {
+		return fmt.Errorf("vm: mapping exists at va=0x%x", p<<PageShift)
 	}
-	for p := vpn(va); p < vpn(va+length); p++ {
-		if old, ok := as.pages[p]; ok {
-			as.release(old)
-		}
-		as.pages[p] = &pte{prot: prot, zero: true}
+	if s < e { // a range that wraps the address space maps nothing
+		as.insert(s, e, mapping{prot: prot})
 	}
 	as.Gen++
 	return nil
-}
-
-func (as *AddressSpace) release(e *pte) {
-	if e.present {
-		as.sys.Frames.decref(e.frame)
-	}
-	if e.swapped {
-		as.sys.Swap.take(e.swapID)
-	}
 }
 
 // Unmap removes [va, va+length).
@@ -308,68 +438,74 @@ func (as *AddressSpace) Unmap(va, length uint64) error {
 	if va%PageSize != 0 || length%PageSize != 0 {
 		return fmt.Errorf("vm: unaligned unmap va=0x%x len=0x%x", va, length)
 	}
-	for p := vpn(va); p < vpn(va+length); p++ {
-		if e, ok := as.pages[p]; ok {
-			as.release(e)
-			delete(as.pages, p)
-		}
+	if s, e := vpn(va), vpn(va+length); s < e {
+		as.drop(s, e)
+		i, j := as.carve(s, e)
+		as.maps = slices.Delete(as.maps, i, j)
 	}
 	as.Gen++
 	return nil
 }
 
-// Protect changes the protection of [va, va+length).
+// Protect changes the protection of [va, va+length). A range with a hole
+// changes nothing and faults at the hole's first page, as FreeBSD's
+// vm_map_protect checks the whole range first.
 func (as *AddressSpace) Protect(va, length uint64, prot Prot) error {
 	if va%PageSize != 0 || length%PageSize != 0 {
 		return fmt.Errorf("vm: unaligned protect va=0x%x len=0x%x", va, length)
 	}
-	for p := vpn(va); p < vpn(va+length); p++ {
-		e, ok := as.pages[p]
-		if !ok {
+	if s, e := vpn(va), vpn(va+length); s < e {
+		if p, hole := as.firstHole(s, e, 0); hole {
 			return &PageFault{VA: p << PageShift, Access: prot, Kind: FaultNotMapped}
 		}
-		e.prot = prot
+		i, j := as.carve(s, e)
+		for k := i; k < j; k++ {
+			as.maps[k].prot = prot
+		}
+		as.merge()
 	}
 	as.Gen++
 	return nil
 }
 
-// Mapped reports whether every page of [va, va+length) is mapped.
-func (as *AddressSpace) Mapped(va, length uint64) bool {
-	if length == 0 {
-		length = 1
+// Mapped reports whether every page of [va, va+length) is mapped with at
+// least the protection prot (0 asks only that it be mapped). A zero
+// length asks about the page containing va; a range that wraps the
+// address space is not mapped.
+func (as *AddressSpace) Mapped(va, length uint64, prot Prot) bool {
+	last := va + max(length, 1) - 1
+	if last < va {
+		return false
 	}
-	for p := vpn(va); p <= vpn(va+length-1); p++ {
-		if _, ok := as.pages[p]; !ok {
-			return false
-		}
+	_, hole := as.firstHole(vpn(va), vpn(last)+1, prot)
+	return !hole
+}
+
+// MappedPages returns the number of mapped pages, touched or not.
+func (as *AddressSpace) MappedPages() uint64 {
+	var n uint64
+	for _, m := range as.maps {
+		n += m.end - m.start
 	}
-	return true
+	return n
 }
 
 // FindFree returns the lowest page-aligned address >= hint with length
 // bytes unmapped that ends at or below end (the mmap placement policy),
 // and false when there is none. Each conflict moves the candidate past
-// the mapped page it found, so the scan stops once the candidate cannot
-// fit below end.
+// the mapping it found, so the scan stops once the candidate cannot fit
+// below end.
 func (as *AddressSpace) FindFree(hint, length, end uint64) (uint64, bool) {
 	if length > end {
 		return 0, false
 	}
 	length = (length + PageSize - 1) &^ (PageSize - 1)
 	va := hint &^ (PageSize - 1)
-	for va <= end && length <= end-va {
-		free := true
-		for p := vpn(va); p < vpn(va+length); p++ {
-			if _, exists := as.pages[p]; exists {
-				free = false
-				va = (p + 1) << PageShift
-				break
-			}
-		}
-		if free {
+	for i := as.index(vpn(va)); va <= end && length <= end-va; i++ {
+		if length == 0 || i == len(as.maps) || as.maps[i].start >= vpn(va+length) {
 			return va, true
 		}
+		va = as.maps[i].end << PageShift
 	}
 	return 0, false
 }
@@ -379,25 +515,26 @@ func (as *AddressSpace) FindFree(hint, length, end uint64) (uint64, bool) {
 // transparently and returning hard faults for the kernel to turn into
 // signals.
 func (as *AddressSpace) Translate(va uint64, access Prot) (uint64, *PageFault) {
-	e, ok := as.pages[vpn(va)]
+	p := vpn(va)
+	m, ok := as.lookup(p)
 	if !ok {
 		return 0, &PageFault{VA: va, Access: access, Kind: FaultNotMapped}
 	}
-	if e.prot&access != access {
+	if m.prot&access != access {
 		return 0, &PageFault{VA: va, Access: access, Kind: FaultProt}
 	}
-	if e.zero {
+	e, ok := as.pages[p]
+	dirty := !ok || e.swapped
+	switch {
+	case !ok:
 		e.frame = as.sys.Frames.alloc()
 		as.sys.Mem.Zero(e.frame, PageSize)
-		e.zero = false
-		e.present = true
 		as.Stats.DemandZero++
 		as.Gen++
+	case e.swapped:
+		as.swapIn(&e)
 	}
-	if e.swapped {
-		as.swapIn(e)
-	}
-	if access&ProtWrite != 0 && e.cow && !e.shared {
+	if access&ProtWrite != 0 && e.cow && !m.shared {
 		if as.sys.Frames.shared(e.frame) {
 			newFrame := as.sys.Frames.alloc()
 			as.sys.Mem.CopyTagged(newFrame, e.frame, PageSize)
@@ -407,6 +544,10 @@ func (as *AddressSpace) Translate(va uint64, access Prot) (uint64, *PageFault) {
 			as.Gen++
 		}
 		e.cow = false
+		dirty = true
+	}
+	if dirty {
+		as.pages[p] = e
 	}
 	return e.frame + va%PageSize, nil
 }
@@ -417,7 +558,6 @@ func (as *AddressSpace) swapIn(e *pte) {
 	slot := as.sys.Swap.take(e.swapID)
 	e.frame = as.sys.Frames.alloc()
 	e.swapped = false
-	e.present = true
 	as.Gen++
 	as.sys.Mem.WriteBytes(e.frame, slot.data)
 	buf := make([]byte, cap.Bytes)
@@ -441,8 +581,9 @@ func (as *AddressSpace) swapIn(e *pte) {
 // the swap store ("The swap subsystem scans evicted pages, recording tags
 // in the swap metadata"), and the frame is freed.
 func (as *AddressSpace) SwapOut(va uint64) error {
-	e, ok := as.pages[vpn(va)]
-	if !ok || !e.present {
+	p := vpn(va)
+	e, ok := as.pages[p]
+	if !ok || e.swapped {
 		return fmt.Errorf("vm: swap-out of non-resident page va=0x%x", va)
 	}
 	if as.sys.Frames.shared(e.frame) {
@@ -453,54 +594,56 @@ func (as *AddressSpace) SwapOut(va uint64) error {
 	tags := as.sys.Mem.ExtractTags(e.frame, PageSize)
 	e.swapID = as.sys.Swap.put(data, tags)
 	e.swapped = true
-	e.present = false
 	as.Gen++
 	as.sys.Frames.decref(e.frame)
 	e.frame = 0
+	as.pages[p] = e
 	as.Stats.SwapOuts++
 	return nil
 }
 
-// Resident reports whether the page containing va currently has a frame.
-func (as *AddressSpace) Resident(va uint64) bool {
-	e, ok := as.pages[vpn(va)]
-	return ok && e.present
+// ResidentPages returns the address of every page that has a frame, in
+// ascending order.
+func (as *AddressSpace) ResidentPages() []uint64 {
+	var out []uint64
+	for _, p := range as.touched(0, vpnLimit) {
+		if !as.pages[p].swapped {
+			out = append(out, p<<PageShift)
+		}
+	}
+	return out
 }
 
 // Fork clones the address space with copy-on-write semantics: writable
-// pages are shared read-only until either side writes.
+// pages are shared read-only until either side writes. Untouched pages
+// stay untouched on both sides, so a fork costs O(mappings + touched
+// pages).
 func (as *AddressSpace) Fork() *AddressSpace {
 	child := as.sys.NewAddressSpace()
 	child.Rederive = nil // kernel installs a fresh one bound to the child root
-	child.pages = make(map[uint64]*pte, len(as.pages))
+	child.maps = slices.Clone(as.maps)
+	child.pages = make(map[uint64]pte, len(as.pages))
 	var swapped []uint64
 	for p, e := range as.pages {
-		ne := *e
-		if e.present {
-			as.sys.Frames.incref(e.frame)
-			if e.prot&ProtWrite != 0 && !e.shared {
-				e.cow = true
-				ne.cow = true
-			}
-		}
 		if e.swapped {
 			swapped = append(swapped, p)
+		} else {
+			as.sys.Frames.incref(e.frame)
+			if m, _ := as.lookup(p); m.prot&ProtWrite != 0 && !m.shared && !e.cow {
+				e.cow = true
+				as.pages[p] = e
+			}
 		}
-		if e.zero {
-			ne = pte{prot: e.prot, zero: true}
-		}
-		child.pages[p] = &ne
+		child.pages[p] = e
 	}
 	// Duplicate each swap slot so each side owns one. Slot IDs are handed
 	// out in sequence, so the duplicates are made in page order.
 	slices.Sort(swapped)
 	for _, p := range swapped {
-		slot := as.sys.Swap.slots[as.pages[p].swapID]
-		data := make([]byte, len(slot.data))
-		copy(data, slot.data)
-		tags := make([]bool, len(slot.tags))
-		copy(tags, slot.tags)
-		child.pages[p].swapID = as.sys.Swap.put(data, tags)
+		e := child.pages[p]
+		slot := as.sys.Swap.slots[e.swapID]
+		e.swapID = as.sys.Swap.put(slices.Clone(slot.data), slices.Clone(slot.tags))
+		child.pages[p] = e
 	}
 	// The fork mutated the *parent's* page table too (writable pages became
 	// copy-on-write), so any cached translation that still allows a direct
@@ -509,55 +652,31 @@ func (as *AddressSpace) Fork() *AddressSpace {
 	return child
 }
 
-// Release drops every mapping (process exit). Resident pages are
-// released in ascending address order: freed frames re-enter the shared
-// allocator in a deterministic sequence, so the physical placement — and
-// therefore the cache behaviour — of every later allocation is a pure
-// function of the boot seed and the guest's actions. (Map-order frees
-// made simulated cycles flicker across identical runs once several
-// processes exited mid-run; the posix-sockets differential rows caught
-// it.) Only the resident pages are sorted: demand-zero pages free
-// nothing, and swap slots are returned in any order.
+// Release drops every mapping (process exit). Frames are released in
+// ascending address order: freed frames re-enter the shared allocator in
+// a deterministic sequence, so the physical placement — and therefore
+// the cache behaviour — of every later allocation is a pure function of
+// the boot seed and the guest's actions. (Map-order frees made simulated
+// cycles flicker across identical runs once several processes exited
+// mid-run; the posix-sockets differential rows caught it.)
 func (as *AddressSpace) Release() {
-	var resident []uint64
-	for p, e := range as.pages {
-		if e.present {
-			resident = append(resident, p)
-		}
-		if e.swapped {
-			as.sys.Swap.take(e.swapID)
-		}
-	}
-	slices.Sort(resident)
-	for _, p := range resident {
-		as.sys.Frames.decref(as.pages[p].frame)
-	}
-	clear(as.pages)
+	as.drop(0, vpnLimit)
+	as.maps = nil
 }
 
 // Regions returns the mapped ranges, merged and sorted, for /proc-style
 // inspection and the debugger.
 func (as *AddressSpace) Regions() []Region {
-	if len(as.pages) == 0 {
-		return nil
-	}
-	vpns := make([]uint64, 0, len(as.pages))
-	for p := range as.pages {
-		vpns = append(vpns, p)
-	}
-	slices.Sort(vpns)
 	var out []Region
-	cur := Region{Start: vpns[0] << PageShift, End: (vpns[0] + 1) << PageShift, Prot: as.pages[vpns[0]].prot}
-	for _, p := range vpns[1:] {
-		e := as.pages[p]
-		if p<<PageShift == cur.End && e.prot == cur.Prot {
-			cur.End += PageSize
+	for _, m := range as.maps {
+		start, end := m.start<<PageShift, m.end<<PageShift
+		if n := len(out); n > 0 && out[n-1].End == start && out[n-1].Prot == m.prot {
+			out[n-1].End = end
 			continue
 		}
-		out = append(out, cur)
-		cur = Region{Start: p << PageShift, End: (p + 1) << PageShift, Prot: e.prot}
+		out = append(out, Region{Start: start, End: end, Prot: m.prot})
 	}
-	return append(out, cur)
+	return out
 }
 
 // Region is a contiguous mapped range with uniform protection.

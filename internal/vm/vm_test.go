@@ -19,7 +19,7 @@ func TestMapTranslateDemandZero(t *testing.T) {
 	if err := as.Map(0x10000, 2*PageSize, ProtRead|ProtWrite, false); err != nil {
 		t.Fatal(err)
 	}
-	if as.Resident(0x10000) {
+	if slices.Contains(as.ResidentPages(), 0x10000) {
 		t.Fatal("demand-zero page resident before touch")
 	}
 	pa, f := as.Translate(0x10004, ProtRead)
@@ -163,7 +163,7 @@ func TestSwapRoundTripRederivesTags(t *testing.T) {
 	if err := as.SwapOut(0x30000); err != nil {
 		t.Fatal(err)
 	}
-	if as.Resident(0x30000) {
+	if slices.Contains(as.ResidentPages(), 0x30000) {
 		t.Fatal("page resident after swap-out")
 	}
 	if s.Swap.Len() != 1 {
@@ -474,4 +474,30 @@ func FuzzFramesMatchesFreeList(f *testing.F) {
 		}
 		check("draining")
 	})
+}
+
+// TestMapForkReleaseAllocsIndependentOfLength: a demand-zero mapping
+// costs one entry however long it is, so mapping 1 GiB, forking and
+// releasing both sides allocates as much as doing it for one page.
+func TestMapForkReleaseAllocsIndependentOfLength(t *testing.T) {
+	s := newSys(t)
+	allocs := func(length uint64) float64 {
+		return testing.AllocsPerRun(20, func() {
+			as := s.NewAddressSpace()
+			if err := as.Map(0x10000, length, ProtRead|ProtWrite, false); err != nil {
+				t.Fatal(err)
+			}
+			as.Translate(0x10000, ProtWrite)
+			child := as.Fork()
+			if child.MappedPages() != length/PageSize {
+				t.Fatalf("child maps %d pages, want %d", child.MappedPages(), length/PageSize)
+			}
+			child.Release()
+			as.Release()
+		})
+	}
+	page, gib := allocs(PageSize), allocs(1<<30)
+	if gib != page {
+		t.Fatalf("Map+Fork+Release allocates %v objects for 1 GiB, %v for one page", gib, page)
+	}
 }

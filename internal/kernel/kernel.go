@@ -630,7 +630,8 @@ func (k *Kernel) installRederive(p *Proc) {
 }
 
 // SwapOutProc evicts every resident page of p (the experiment hook that
-// exercises tag-stripping swap and rederivation).
+// exercises tag-stripping swap and rederivation), in ascending address
+// order: the order frames are freed in decides later placement.
 func (k *Kernel) SwapOutProc(p *Proc) int {
 	n := 0
 	for _, va := range p.AS.ResidentPages() {

@@ -182,9 +182,11 @@ func (f *Fabric) enqueue(src, dst int, now uint64, p kernel.NetPacket) {
 // delivery queues.
 func (f *Fabric) collect() {
 	for i, n := range f.nodes {
-		for _, p := range n.kern.NetOutbound() {
+		out := n.kern.NetOutbound()
+		for _, p := range out {
 			f.schedule(i, n.kern.Now(), p)
 		}
+		clear(out) // the ring keeps its storage, not the payloads
 	}
 }
 

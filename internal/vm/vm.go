@@ -352,20 +352,12 @@ func (as *AddressSpace) merge() {
 // in the scratch slice as.vpns.
 func (as *AddressSpace) touched(s, e uint64) []uint64 {
 	out := as.vpns[:0]
-	if e-s <= uint64(len(as.pages)) {
-		for p := s; p < e; p++ {
-			if _, ok := as.pages[p]; ok {
-				out = append(out, p)
-			}
+	for p := range as.pages {
+		if s <= p && p < e {
+			out = append(out, p)
 		}
-	} else {
-		for p := range as.pages {
-			if s <= p && p < e {
-				out = append(out, p)
-			}
-		}
-		slices.Sort(out)
 	}
+	slices.Sort(out)
 	as.vpns = out
 	return out
 }

@@ -141,9 +141,10 @@ func (c *CPU) settle(r *dataRun) {
 
 // load performs a load of size bytes at ea through auth: a scalar load
 // (size 1, 2, 4 or 8) returns the value; a capability load (size
-// cap.Bytes) decodes the capability into register rd (c0 stays
-// NULL), stripping its tag without PermLoadCap, and returns 0.
-func (c *CPU) load(r *dataRun, auth *cap.Capability, ea, size uint64, rd uint8) (uint64, error) {
+// cap.Bytes) decodes the capability into *dst, unless dst is nil,
+// stripping its tag without PermLoadCap, and returns 0. A scalar load
+// passes a nil dst, and so does a capability load into c0 (see capDst).
+func (c *CPU) load(r *dataRun, auth *cap.Capability, ea, size uint64, dst *cap.Capability) (uint64, error) {
 	vpn := ea >> vm.PageShift
 	e := &c.tlb[vpn&(dtlbSize-1)]
 	off := ea & pageOffMask
@@ -167,15 +168,24 @@ func (c *CPU) load(r *dataRun, auth *cap.Capability, ea, size uint64, rd uint8) 
 			return binary.LittleEndian.Uint64(d), nil
 		}
 		tag := e.tags[off>>mem.GranShift] && auth.HasPerm(cap.PermLoadCap)
-		if rd != 0 {
-			cap.DecodeInto(&c.C[rd], d[:size], tag)
+		if dst != nil {
+			cap.DecodeInto(dst, d[:size], tag)
 		}
 		return 0, nil
 	}
 	if size > 8 {
-		return 0, c.loadCapMiss(auth, ea, rd)
+		return 0, c.loadCapSlow(auth, ea, dst)
 	}
 	return c.loadMiss(auth, ea, size)
+}
+
+// capDst returns the destination of a capability load into register rd:
+// the register, or nil for c0, which stays NULL.
+func (c *CPU) capDst(rd uint8) *cap.Capability {
+	if rd == 0 {
+		return nil
+	}
+	return &c.C[rd]
 }
 
 // loadMiss is a scalar load's general sequence: alignment, the full
@@ -199,15 +209,29 @@ func (c *CPU) loadMiss(auth *cap.Capability, ea, size uint64) (uint64, error) {
 	return c.Mem.Load(pa, size), nil
 }
 
-// loadCapMiss is a capability load's general sequence, LoadCapVia, into
-// register rd; out of line, so that its capability value stays out of
-// load's frame.
-func (c *CPU) loadCapMiss(auth *cap.Capability, ea uint64, rd uint8) error {
-	v, err := c.LoadCapVia(*auth, ea)
-	if err != nil {
+// loadCapSlow is a capability load's general sequence into *dst (nil
+// discards the value): alignment, the full capability check, translation,
+// the cache walk and the tagged memory read. PermLoad authorizes the
+// cap.Bytes; without PermLoadCap the value arrives with its tag stripped.
+// Out of line, so that its buffer stays out of load's frame.
+func (c *CPU) loadCapSlow(auth *cap.Capability, ea uint64, dst *cap.Capability) error {
+	if ea&(cap.Bytes-1) != 0 { // the capability width is a power of two
+		return &AlignmentError{VA: ea, Size: cap.Bytes}
+	}
+	if err := auth.CheckDeref(ea, cap.Bytes, cap.PermLoad); err != nil {
 		return err
 	}
-	c.setC(rd, v)
+	pa, pf := c.translate(ea, vm.ProtRead)
+	if pf != nil {
+		return pf
+	}
+	c.fill(&c.tlb[(ea>>vm.PageShift)&(dtlbSize-1)], pa)
+	c.Stats.Cycles += c.Hier.Data(pa, cap.Bytes, false)
+	var buf [cap.Bytes]byte
+	tag := c.Mem.LoadCap(pa, buf[:])
+	if dst != nil {
+		cap.DecodeInto(dst, buf[:], tag && auth.HasPerm(cap.PermLoadCap))
+	}
 	return nil
 }
 
@@ -299,7 +323,7 @@ func (c *CPU) fill(e *tlbEntry, pa uint64) {
 // dereferences user-provided capabilities when accessing user memory").
 func (c *CPU) LoadVia(auth cap.Capability, ea, size uint64) (uint64, error) {
 	r := c.newDataRun()
-	v, err := c.load(&r, &auth, ea, size, 0)
+	v, err := c.load(&r, &auth, ea, size, nil)
 	c.settle(&r)
 	return v, err
 }
@@ -326,27 +350,15 @@ func capStoreNeed(v *cap.Capability) cap.Perm {
 	return need
 }
 
-// LoadCapVia loads one capability. PermLoad authorizes the cap.Bytes; without
-// PermLoadCap the loaded value arrives with its tag stripped.
+// LoadCapVia loads one capability through the data hit path, as LoadVia
+// loads a scalar. PermLoad authorizes the cap.Bytes; without PermLoadCap
+// the loaded value arrives with its tag stripped.
 func (c *CPU) LoadCapVia(auth cap.Capability, ea uint64) (cap.Capability, error) {
-	if ea&(cap.Bytes-1) != 0 { // the capability width is a power of two
-		return cap.Null(), &AlignmentError{VA: ea, Size: cap.Bytes}
-	}
-	if err := auth.CheckDeref(ea, cap.Bytes, cap.PermLoad); err != nil {
-		return cap.Null(), err
-	}
-	pa, pf := c.translate(ea, vm.ProtRead)
-	if pf != nil {
-		return cap.Null(), pf
-	}
-	c.fill(&c.tlb[(ea>>vm.PageShift)&(dtlbSize-1)], pa)
-	c.Stats.Cycles += c.Hier.Data(pa, cap.Bytes, false)
-	var buf [cap.Bytes]byte
-	tag := c.Mem.LoadCap(pa, buf[:])
-	if tag && !auth.HasPerm(cap.PermLoadCap) {
-		tag = false
-	}
-	return cap.Decode(buf[:], tag), nil
+	v := cap.Null()
+	r := c.newDataRun()
+	_, err := c.load(&r, &auth, ea, cap.Bytes, &v)
+	c.settle(&r)
+	return v, err
 }
 
 // StoreCapVia stores one capability. Storing a tagged value requires

@@ -113,13 +113,22 @@ type CapTracer interface {
 	DeriveOther(c cap.Capability, pc uint64)
 }
 
-// CPU is one simulated hardware thread.
-type CPU struct {
+// Regs is the user register state of a hardware thread: both register
+// files plus the program counter, code and default-data capabilities. A
+// context switch saves and restores exactly this.
+type Regs struct {
 	X   [isa.NumRegs]uint64
 	C   [isa.NumRegs]cap.Capability
 	PC  uint64
 	PCC cap.Capability // bounds/permissions for instruction fetch
 	DDC cap.Capability // authority for legacy loads/stores
+}
+
+// CPU is one simulated hardware thread.
+type CPU struct {
+	// Regs is embedded first, so the register fields keep the offsets the
+	// engines' code was laid out for.
+	Regs
 
 	AS     *vm.AddressSpace
 	Mem    *mem.Physical
@@ -542,7 +551,7 @@ func (c *CPU) exec(in isa.Inst) *Trap {
 	case isa.CLC, isa.CLCB:
 		r := c.newDataRun()
 		auth := &c.C[in.Rb]
-		_, err := c.load(&r, auth, auth.Addr()+uint64(int64(in.Imm)), cap.Bytes, in.Ra)
+		_, err := c.load(&r, auth, auth.Addr()+uint64(int64(in.Imm)), cap.Bytes, c.capDst(in.Ra))
 		c.settle(&r)
 		if err != nil {
 			return c.accessTrap(in, err)

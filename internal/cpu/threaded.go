@@ -221,7 +221,7 @@ run:
 		// the dispatch has settled.
 		case isa.LB, isa.LBU, isa.LH, isa.LHU, isa.LW, isa.LWU, isa.LD:
 			mo := scalarMemOps[in.Op]
-			v, err := c.load(&dr, &c.DDC, c.X[in.Rb]+uint64(int64(in.Imm)), uint64(mo.size), 0)
+			v, err := c.load(&dr, &c.DDC, c.X[in.Rb]+uint64(int64(in.Imm)), uint64(mo.size), nil)
 			if err != nil {
 				c.PC = pc
 				flush(base + pc/isa.InstSize + 1)
@@ -242,7 +242,7 @@ run:
 		case isa.CLB, isa.CLBU, isa.CLH, isa.CLHU, isa.CLW, isa.CLWU, isa.CLD:
 			mo := scalarMemOps[in.Op]
 			auth := &c.C[in.Rb]
-			v, err := c.load(&dr, auth, auth.Addr()+uint64(int64(in.Imm)), uint64(mo.size), 0)
+			v, err := c.load(&dr, auth, auth.Addr()+uint64(int64(in.Imm)), uint64(mo.size), nil)
 			if err != nil {
 				c.PC = pc
 				flush(base + pc/isa.InstSize + 1)
@@ -286,7 +286,7 @@ run:
 		// by one instruction and probe the generations as they do.
 		case isa.CLC, isa.CLCB:
 			auth := &c.C[in.Rb]
-			if _, err := c.load(&dr, auth, auth.Addr()+uint64(int64(in.Imm)), cap.Bytes, in.Ra); err != nil {
+			if _, err := c.load(&dr, auth, auth.Addr()+uint64(int64(in.Imm)), cap.Bytes, c.capDst(in.Ra)); err != nil {
 				c.PC = pc
 				flush(base + pc/isa.InstSize + 1)
 				return c.accessTrap(in, err)

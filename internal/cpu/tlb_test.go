@@ -377,7 +377,7 @@ func TestTLBBackingOutlivesOtherChunks(t *testing.T) {
 			case 0:
 				err = c.store(&r, &ddc, dataVA+off, cap.Bytes, 0, &val)
 			case 1, 3:
-				if _, err = c.load(&r, &ddc, dataVA+off, cap.Bytes, 5); err == nil {
+				if _, err = c.load(&r, &ddc, dataVA+off, cap.Bytes, c.capDst(5)); err == nil {
 					caps[k] = c.C[5]
 					got[k], err = c.LoadVia(ddc, dataVA+off, 8)
 				}

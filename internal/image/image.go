@@ -9,9 +9,10 @@
 package image
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"sort"
 
 	"cheriabi/internal/cap"
 	"cheriabi/internal/vm"
@@ -212,21 +213,262 @@ func (img *Image) Layout() Layout {
 // CodeSize returns the text size in bytes (the §5.2 code-size metric).
 func (img *Image) CodeSize() uint64 { return uint64(len(img.Code)) * 4 }
 
+// The on-disk form, written by Marshal and read by Unmarshal, is the
+// magic "CELF\x01" followed by the fields in declaration order: a uint64
+// as a uvarint, an int (ABI, kinds, sections, slots) as a zigzag varint, a
+// bool as one byte 0 or 1, a string or byte slice as a uvarint length and
+// its bytes, and Code as a uvarint count of little-endian 4-byte words.
+// Symbols follow as a count and, sorted by key, each key then the
+// symbol's fields; GOT, CapRelocs and Needed as a count and their
+// elements. Every varint is minimal and nothing follows the last field,
+// so an image has exactly one encoding.
+const magic = "CELF\x01"
+
+// Minimum encoded sizes of the repeated elements, which bound the counts
+// Unmarshal accepts by the bytes left: a symbol is its key, name, kind,
+// section, offset, size and global flag; a GOT entry its name, kind and
+// slot; a capability relocation its offset, target and addend.
+const (
+	minSymbol   = 7
+	minGOTEntry = 3
+	minCapReloc = 3
+)
+
 // Marshal serialises the image to bytes for storage in the VFS. The
-// encoding holds no capabilities, by construction.
+// encoding holds no capabilities, by construction, and is deterministic:
+// equal images marshal to equal bytes.
 func (img *Image) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		return nil, fmt.Errorf("image: marshal %s: %w", img.Name, err)
+	keys := make([]string, 0, len(img.Symbols))
+	for k, sym := range img.Symbols {
+		if sym == nil {
+			return nil, fmt.Errorf("image: marshal %s: nil symbol %q", img.Name, k)
+		}
+		keys = append(keys, k)
 	}
-	return buf.Bytes(), nil
+	sort.Strings(keys)
+	b := make([]byte, 0, 64+4*len(img.Code)+len(img.ROData)+len(img.Data)+
+		32*(len(keys)+len(img.GOT)+len(img.CapRelocs)))
+	b = append(b, magic...)
+	b = appendString(b, img.Name)
+	b = binary.AppendVarint(b, int64(img.ABI))
+	b = binary.AppendUvarint(b, uint64(len(img.Code)))
+	for _, w := range img.Code {
+		b = binary.LittleEndian.AppendUint32(b, w)
+	}
+	b = appendString(b, img.ROData)
+	b = appendString(b, img.Data)
+	b = binary.AppendUvarint(b, img.BSS)
+	b = appendString(b, img.Entry)
+	b = binary.AppendUvarint(b, uint64(len(keys)))
+	for _, k := range keys {
+		sym := img.Symbols[k]
+		b = appendString(b, k)
+		b = appendString(b, sym.Name)
+		b = binary.AppendVarint(b, int64(sym.Kind))
+		b = binary.AppendVarint(b, int64(sym.Sec))
+		b = binary.AppendUvarint(b, sym.Off)
+		b = binary.AppendUvarint(b, sym.Size)
+		b = appendBool(b, sym.Global)
+	}
+	b = binary.AppendUvarint(b, uint64(len(img.GOT)))
+	for _, e := range img.GOT {
+		b = appendString(b, e.Sym)
+		b = binary.AppendVarint(b, int64(e.Kind))
+		b = binary.AppendVarint(b, int64(e.Slot))
+	}
+	b = binary.AppendVarint(b, int64(img.GOTSlots))
+	b = binary.AppendUvarint(b, uint64(len(img.CapRelocs)))
+	for _, r := range img.CapRelocs {
+		b = binary.AppendUvarint(b, r.Off)
+		b = appendString(b, r.Target)
+		b = binary.AppendUvarint(b, r.Addend)
+	}
+	b = binary.AppendUvarint(b, uint64(len(img.Needed)))
+	for _, n := range img.Needed {
+		b = appendString(b, n)
+	}
+	return appendBool(b, img.ASan), nil
 }
 
-// Unmarshal reads an image back from bytes.
-func Unmarshal(b []byte) (*Image, error) {
-	var img Image
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&img); err != nil {
-		return nil, fmt.Errorf("image: unmarshal: %w", err)
+func appendString[T string | []byte](b []byte, s T) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
 	}
-	return &img, nil
+	return append(b, 0)
+}
+
+// Unmarshal reads an image back from bytes. The input may be hostile (a
+// guest can write a file and execve it): every count is checked against
+// the bytes left before anything is allocated for it, so a malformed
+// image is an error, never a panic or an allocation the input does not
+// back. An empty slice or map decodes as nil.
+func Unmarshal(b []byte) (*Image, error) {
+	if len(b) < len(magic) || string(b[:len(magic)]) != magic {
+		return nil, fmt.Errorf("image: unmarshal: not a CELF image")
+	}
+	d := decoder{b: b[len(magic):]}
+	img := &Image{}
+	img.Name = d.str()
+	img.ABI = ABI(d.int())
+	if n := d.count(4); n > 0 {
+		img.Code = make([]uint32, n)
+		for i := range img.Code {
+			img.Code[i] = binary.LittleEndian.Uint32(d.b[4*i:])
+		}
+		d.b = d.b[4*n:]
+	}
+	img.ROData = d.bytes()
+	img.Data = d.bytes()
+	img.BSS = d.uvarint()
+	img.Entry = d.str()
+	if n := d.count(minSymbol); n > 0 {
+		img.Symbols = make(map[string]*Symbol, n)
+		syms := make([]Symbol, n)
+		prev := ""
+		for i := range syms {
+			sym := &syms[i]
+			key := d.str()
+			if d.err == nil && i > 0 && key <= prev {
+				d.fail("symbols out of order")
+			}
+			prev = key
+			if name := d.raw(); string(name) == key {
+				sym.Name = key
+			} else {
+				sym.Name = string(name)
+			}
+			sym.Kind = SymKind(d.int())
+			sym.Sec = SectionID(d.int())
+			sym.Off = d.uvarint()
+			sym.Size = d.uvarint()
+			sym.Global = d.bool()
+			if d.err != nil {
+				break
+			}
+			img.Symbols[key] = sym
+		}
+	}
+	if n := d.count(minGOTEntry); n > 0 {
+		img.GOT = make([]GOTEntry, n)
+		for i := range img.GOT {
+			e := &img.GOT[i]
+			e.Sym = d.symName(img.Symbols)
+			e.Kind = GOTKind(d.int())
+			e.Slot = d.int()
+		}
+	}
+	img.GOTSlots = d.int()
+	if n := d.count(minCapReloc); n > 0 {
+		img.CapRelocs = make([]CapReloc, n)
+		for i := range img.CapRelocs {
+			r := &img.CapRelocs[i]
+			r.Off = d.uvarint()
+			r.Target = d.symName(img.Symbols)
+			r.Addend = d.uvarint()
+		}
+	}
+	if n := d.count(1); n > 0 {
+		img.Needed = make([]string, n)
+		for i := range img.Needed {
+			img.Needed[i] = d.str()
+		}
+	}
+	img.ASan = d.bool()
+	if d.err == nil && len(d.b) != 0 {
+		d.fail("trailing bytes")
+	}
+	if d.err != nil {
+		return nil, fmt.Errorf("image: unmarshal: %w", d.err)
+	}
+	return img, nil
+}
+
+// decoder reads Marshal's encoding from b. The first malformation sets
+// err; every later read returns a zero value, so Unmarshal checks once.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail(msg string) {
+	if d.err == nil {
+		d.err = errors.New(msg)
+	}
+	d.b = nil
+}
+
+// uvarint reads a minimal uvarint: one that is overlong (ends in a zero
+// byte) would decode to the same value as a shorter one.
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 || n > 1 && d.b[n-1] == 0 {
+		d.fail("bad varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// int reads a zigzag varint into an int.
+func (d *decoder) int() int {
+	u := d.uvarint()
+	v := int64(u>>1) ^ -int64(u&1)
+	if int64(int(v)) != v {
+		d.fail("integer out of range")
+		return 0
+	}
+	return int(v)
+}
+
+func (d *decoder) bool() bool {
+	if len(d.b) == 0 || d.b[0] > 1 {
+		d.fail("bad bool")
+		return false
+	}
+	v := d.b[0] == 1
+	d.b = d.b[1:]
+	return v
+}
+
+// count reads an element count and checks that the bytes left can hold
+// that many elements of at least size bytes each.
+func (d *decoder) count(size int) int {
+	n := d.uvarint()
+	if n > uint64(len(d.b)/size) {
+		d.fail("count exceeds input")
+		return 0
+	}
+	return int(n)
+}
+
+// raw reads a length-prefixed byte string without copying it.
+func (d *decoder) raw() []byte {
+	n := d.count(1)
+	v := d.b[:n:n]
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) str() string { return string(d.raw()) }
+
+// bytes reads a length-prefixed byte string into a copy, nil when empty.
+func (d *decoder) bytes() []byte {
+	if v := d.raw(); len(v) > 0 {
+		return append([]byte(nil), v...)
+	}
+	return nil
+}
+
+// symName reads a symbol name, sharing the symbol table's string when the
+// name is one of its keys.
+func (d *decoder) symName(syms map[string]*Symbol) string {
+	v := d.raw()
+	if sym := syms[string(v)]; sym != nil && sym.Name == string(v) {
+		return sym.Name
+	}
+	return string(v)
 }

@@ -36,9 +36,9 @@ func newIOProc(t *testing.T, abi image.ABI) *ioProc {
 	k := m.Kern
 	th := p.mainThread()
 	k.switchTo(th)
-	sp := th.Frame.X[isa.RSP]
+	sp := k.regs(th).X[isa.RSP]
 	if abi == image.ABICheri {
-		sp = th.Frame.C[isa.CSP].Addr()
+		sp = k.regs(th).C[isa.CSP].Addr()
 	}
 	at := func(va, n uint64) cap.Capability {
 		c, err := cap.SetBounds(p.Root, va, n)
@@ -71,11 +71,19 @@ func newIOProc(t *testing.T, abi image.ABI) *ioProc {
 	return h
 }
 
-// call issues syscall num with its integer and pointer arguments, each
-// in declaration order, placed in registers as the process's ABI passes
+// call issues syscall num on h.th, switched onto the CPU as the
+// scheduler does, with its integer and pointer arguments, each in
+// declaration order, placed in registers as the process's ABI passes
 // them, and returns the result and errno.
 func (h *ioProc) call(num int, ints []uint64, ptrs []cap.Capability) (uint64, Errno) {
-	f := &h.th.Frame
+	h.k.switchTo(h.th)
+	return h.dispatch(num, ints, ptrs)
+}
+
+// dispatch is call without the switch: the call runs on whichever
+// thread's registers the CPU holds.
+func (h *ioProc) dispatch(num int, ints []uint64, ptrs []cap.Capability) (uint64, Errno) {
+	f := h.k.regs(h.th)
 	legacy := h.th.Proc.ABI == image.ABILegacy
 	ni, np := 0, 0
 	for idx, c := range nat.Syscalls[num].Spec {
@@ -97,6 +105,7 @@ func (h *ioProc) call(num int, ints []uint64, ptrs []cap.Capability) (uint64, Er
 	}
 	f.X[isa.RV0] = uint64(num)
 	h.k.syscall(h.th)
+	f = h.k.regs(h.th)
 	return f.X[isa.RV0], Errno(f.X[isa.RV1])
 }
 

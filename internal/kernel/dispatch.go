@@ -186,7 +186,7 @@ func readArgs(f *Frame, abi image.ABI, spec string, a *SysArgs) int {
 // pointer; pass two copies in 's' strings, so all pointer charges land
 // before any string bytes are touched, even when a copyin fails.
 func (k *Kernel) decodeArgs(t *Thread, spec string, a *SysArgs) Errno {
-	readArgs(&t.Frame, t.Proc.ABI, spec, a)
+	readArgs(k.regs(t), t.Proc.ABI, spec, a)
 	np := 0
 	for pos := 0; pos < len(spec); pos++ {
 		if spec[pos] == 'i' {
@@ -220,7 +220,7 @@ func (k *Kernel) decodeArgs(t *Thread, spec string, a *SysArgs) Errno {
 // its result. A call that returns EJUSTRETURN (it parked, or replaced the
 // frame) keeps its PC, so a parked call restarts on wake.
 func (k *Kernel) syscall(t *Thread) {
-	num := int(t.Frame.X[isa.RV0])
+	num := int(k.regs(t).X[isa.RV0])
 	k.charge(CostSyscallBase)
 	kind, v, e := nat.Int, cap.Null(), ENOSYS
 	if num > 0 && num < len(sysTable) && sysTable[num] != nil {
@@ -241,11 +241,12 @@ func (k *Kernel) syscall(t *Thread) {
 		// restarts.
 		return
 	}
-	setResult(&t.Frame, t.Proc.ABI, kind, v, e)
+	f := k.regs(t)
+	setResult(f, t.Proc.ABI, kind, v, e)
 	// A completed syscall consumes its timed-park state; the next timed
 	// syscall arms a fresh deadline.
 	t.deadline, t.timedOut, t.interrupted = 0, false, false
 	if t.State != ThreadExited && t.Proc.State != ProcZombie {
-		t.Frame.PC += isa.InstSize
+		f.PC += isa.InstSize
 	}
 }

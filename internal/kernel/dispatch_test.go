@@ -18,10 +18,11 @@ func TestSyscallDispatchDoesNotAllocate(t *testing.T) {
 		k := schedKernel(t)
 		th := schedThread(k)
 		th.Proc.ABI = abi
+		f := k.regs(th)
 		for _, num := range []int{nat.SysGetpid, nat.SysLseek, nat.SysFstat} {
-			th.Frame.X[isa.RA0] = 99 // a closed descriptor
+			f.X[isa.RA0] = 99 // a closed descriptor
 			allocs := testing.AllocsPerRun(100, func() {
-				th.Frame.X[isa.RV0] = uint64(num)
+				f.X[isa.RV0] = uint64(num)
 				k.syscall(th)
 			})
 			if allocs != 0 {

@@ -266,7 +266,7 @@ func (k *Kernel) exec(p *Proc, t *Thread, path string, argv, envv []string) erro
 		f.X[isa.RK0] = tlsVA
 		p.brk = 0 // sbrk-able region is assigned lazily
 	}
-	t.Frame = f
+	*k.regs(t) = f
 	p.MmapHint = MmapBase + perturb*16
 
 	if oldAS != nil {

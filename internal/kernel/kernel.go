@@ -75,6 +75,10 @@ type Kernel struct {
 	kernRoot cap.Capability
 
 	procs map[int]*Proc
+	// cur is the thread whose registers the CPU holds (nil before the
+	// first switch); every other thread's registers are in its saved
+	// frame (see switchTo and regs).
+	cur *Thread
 	// runq is the FIFO ring of runnable-but-not-running threads: a slice
 	// indexed from runqHead, compacted in place so steady-state rotation
 	// never allocates. Blocked threads are not in the ring — they live on
@@ -286,25 +290,30 @@ func (k *Kernel) newThread(p *Proc) *Thread {
 	return t
 }
 
-// switchTo loads t's state onto the CPU.
+// switchTo puts t on the CPU. Registers move only when t is not already
+// there: the outgoing thread's are saved and t's loaded, so a thread that
+// runs again after its own trap keeps them in place. The address space is
+// set every time, since exec replaces it and ptrace borrows the CPU's.
 func (k *Kernel) switchTo(t *Thread) {
 	c := k.M.CPU
-	c.X = t.Frame.X
-	c.C = t.Frame.C
-	c.PC = t.Frame.PC
-	c.PCC = t.Frame.PCC
-	c.DDC = t.Frame.DDC
+	if t != k.cur {
+		if k.cur != nil {
+			k.cur.saved = c.Regs
+		}
+		c.Regs = t.saved
+		k.cur = t
+	}
 	c.AS = t.Proc.AS
 }
 
-// saveFrom stores the CPU state back into t.
-func (k *Kernel) saveFrom(t *Thread) {
-	c := k.M.CPU
-	t.Frame.X = c.X
-	t.Frame.C = c.C
-	t.Frame.PC = c.PC
-	t.Frame.PCC = c.PCC
-	t.Frame.DDC = c.DDC
+// regs returns t's registers: the CPU's while t is the current thread,
+// its saved frame otherwise. It is the only way the kernel reaches a
+// thread's registers.
+func (k *Kernel) regs(t *Thread) *Frame {
+	if t == k.cur {
+		return &k.M.CPU.Regs
+	}
+	return &t.saved
 }
 
 // runqPush appends t to the tail of the scheduler ring.
@@ -435,7 +444,9 @@ func (k *Kernel) Run(budget uint64, stop func() bool) error {
 
 // runThread gives t one quantum on the CPU: context switch, pending
 // signal delivery, execution, trap handling, round-robin re-enqueue.
-// Shared by Run and StepSlice.
+// Shared by Run and StepSlice. The switch is charged on every call, as
+// the modelled kernel saves and restores the register file on every
+// trap, even when switchTo finds t already on the CPU and copies nothing.
 func (k *Kernel) runThread(t *Thread, quantum uint64) {
 	k.charge(CostContextSwitch)
 	k.switchTo(t)
@@ -444,7 +455,6 @@ func (k *Kernel) runThread(t *Thread, quantum uint64) {
 		return // delivery killed the thread
 	}
 	tr := k.M.CPU.Run(quantum)
-	k.saveFrom(t)
 	if tr != nil {
 		k.handleTrap(t, tr)
 	}

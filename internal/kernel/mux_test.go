@@ -208,8 +208,10 @@ func (h *ioProc) peekPtr(t *testing.T, off uint64) cap.Capability {
 // restart re-executes the parked call in the thread's frame, as the
 // scheduler does when a parked thread runs again.
 func (h *ioProc) restart() (uint64, Errno) {
+	h.k.switchTo(h.th)
 	h.k.syscall(h.th)
-	return h.th.Frame.X[isa.RV0], Errno(h.th.Frame.X[isa.RV1])
+	f := h.k.regs(h.th)
+	return f.X[isa.RV0], Errno(f.X[isa.RV1])
 }
 
 // muxEdge is one row: a multiplexer watching a File kind for reading

@@ -37,15 +37,16 @@ func (k *Kernel) native(t *Thread, id int) {
 	// another call is in flight (see Kernel.syscall).
 	a := &k.args
 	*a = SysArgs{}
-	np := readArgs(&t.Frame, t.Proc.ABI, nat.Natives[id].Spec, a)
+	f := k.regs(t)
+	np := readArgs(f, t.Proc.ABI, nat.Natives[id].Spec, a)
 	if t.Proc.ABI == image.ABILegacy {
 		for i := range np {
 			a.ptrs[i] = k.dataAuth(t.Proc, a.ptrs[i].Addr())
 		}
 	}
 	v, e := k.Natives[id](k, t, a)
-	setResult(&t.Frame, t.Proc.ABI, nat.Natives[id].Ret, v, e)
-	t.Frame.PC += isa.InstSize
+	setResult(f, t.Proc.ABI, nat.Natives[id].Ret, v, e)
+	f.PC += isa.InstSize
 }
 
 // MapAnon maps anonymous memory for a process and returns the region
@@ -93,32 +94,33 @@ func (k *Kernel) CallGuest(t *Thread, fn cap.Capability, intArgs []uint64, capAr
 		return 0, fmt.Errorf("kernel: bad function descriptor: %w", err)
 	}
 
-	// Build a scratch activation below the thread's stack pointer.
-	save := t.Frame
+	// Build a scratch activation below the thread's stack pointer, on t's
+	// registers on the CPU, and put them back when the callback returns.
 	k.switchTo(t)
+	r := k.regs(t)
+	save := *r
 	for i, v := range intArgs {
-		c.X[isa.RA0+i] = v
+		r.X[isa.RA0+i] = v
 	}
 	for i, v := range capArgs {
-		c.C[isa.CA0+i] = v
+		r.C[isa.CA0+i] = v
 	}
 	retPC := uint64(TrampVA + callbackRetOff)
 	if cheri {
-		c.C[isa.CSP] = cap.IncAddr(c.C[isa.CSP], -256)
-		c.C[isa.CGP] = got
-		c.C[isa.CRA] = cap.SetAddr(p.sigTrampCap(k), retPC)
-		c.PCC = code
-		c.PC = code.Addr()
+		r.C[isa.CSP] = cap.IncAddr(r.C[isa.CSP], -256)
+		r.C[isa.CGP] = got
+		r.C[isa.CRA] = cap.SetAddr(p.sigTrampCap(k), retPC)
+		r.PCC = code
+		r.PC = code.Addr()
 	} else {
-		c.X[isa.RSP] -= 256
-		c.X[isa.RGP] = got.Addr()
-		c.X[isa.RRA] = retPC
-		c.PC = code.Addr()
+		r.X[isa.RSP] -= 256
+		r.X[isa.RGP] = got.Addr()
+		r.X[isa.RRA] = retPC
+		r.PC = code.Addr()
 	}
 	tr := c.Run(10_000_000)
-	result := c.X[isa.RV0]
-	t.Frame = save
-	k.switchTo(t)
+	result := r.X[isa.RV0]
+	*r = save
 	if tr == nil || tr.Kind != cpu.TrapBreak || tr.PC != retPC {
 		return 0, fmt.Errorf("kernel: guest callback misbehaved: %v", tr)
 	}

@@ -5,22 +5,17 @@ import (
 
 	"cheriabi/internal/cap"
 	"cheriabi/internal/core"
+	"cheriabi/internal/cpu"
 	"cheriabi/internal/image"
-	"cheriabi/internal/isa"
 	"cheriabi/internal/rtld"
 	"cheriabi/internal/vm"
 )
 
-// Frame is the saved user register state of a thread: both register files
-// plus the program counter, code and default-data capabilities. Context
-// switching "saves and restores user-thread register capability state".
-type Frame struct {
-	X   [isa.NumRegs]uint64
-	C   [isa.NumRegs]cap.Capability
-	PC  uint64
-	PCC cap.Capability
-	DDC cap.Capability
-}
+// Frame is the user register state of a thread: both register files plus
+// the program counter, code and default-data capabilities. Context
+// switching "saves and restores user-thread register capability state";
+// Kernel.regs is the one way to reach a thread's frame (see switchTo).
+type Frame = cpu.Regs
 
 // ThreadState is the scheduler state of a thread.
 type ThreadState int
@@ -36,8 +31,11 @@ const (
 type Thread struct {
 	TID   int
 	Proc  *Proc
-	Frame Frame
 	State ThreadState
+	// saved holds the thread's registers while the CPU does not: it is
+	// stale while the thread is Kernel.cur, so only Kernel.regs reads or
+	// writes it.
+	saved Frame
 	// waitq lists the wait queues a blocked thread subscribes to (see
 	// wait.go); the blocked syscall re-executes when any of them wakes.
 	waitq []*WaitQueue

@@ -90,7 +90,7 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		if data >= isa.NumRegs {
 			return Err(EINVAL)
 		}
-		return Ret(tt.Frame.X[data])
+		return Ret(k.regs(tt).X[data])
 
 	case PtGetCapReg:
 		// Extends ptrace "to permit reading the values of capability
@@ -99,7 +99,7 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		if data >= isa.NumRegs {
 			return Err(EINVAL)
 		}
-		c := tt.Frame.C[data]
+		c := k.regs(tt).C[data]
 		k.M.CPU.AS = p.AS
 		vals := []uint64{0, c.Base(), c.Len(), c.Addr(), uint64(c.Perms())}
 		if c.Tag() {
@@ -135,7 +135,7 @@ func sysPtrace(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		}
 		nc = nc.AndPerms(cap.Perm(vals[3]) & target.Root.Perms())
 		nc = cap.SetAddr(nc, vals[2])
-		tt.Frame.C[data] = nc
+		k.regs(tt).C[data] = nc
 		k.capCreated("ptrace", nc)
 		k.Ledger.Derive(target.Prin, target.AbsRoot, nc, core.OriginPtrace)
 		return Ret(0)

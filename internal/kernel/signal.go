@@ -82,7 +82,7 @@ func (k *Kernel) deliverSignal(t *Thread, sig int) bool {
 		return true
 	}
 	k.charge(CostSignalDeliver)
-	k.saveFrom(t) // capture the interrupted state precisely
+	f := k.regs(t) // the interrupted state
 	c := k.M.CPU
 	cheri := p.ABI == image.ABICheri
 	size := sigFrameSize(p.ABI)
@@ -91,11 +91,11 @@ func (k *Kernel) deliverSignal(t *Thread, sig int) bool {
 	var sp uint64
 	var stackAuth cap.Capability
 	if cheri {
-		stackAuth = t.Frame.C[isa.CSP]
+		stackAuth = f.C[isa.CSP]
 		sp = (stackAuth.Addr() - size) &^ 15
 	} else {
-		stackAuth = t.Frame.DDC
-		sp = (t.Frame.X[isa.RSP] - size) &^ 15
+		stackAuth = f.DDC
+		sp = (f.X[isa.RSP] - size) &^ 15
 	}
 
 	write := func(off uint64, v uint64) error {
@@ -103,10 +103,10 @@ func (k *Kernel) deliverSignal(t *Thread, sig int) bool {
 	}
 	var err error
 	for i := 0; i < isa.NumRegs && err == nil; i++ {
-		err = write(uint64(i)*8, t.Frame.X[i])
+		err = write(uint64(i)*8, f.X[i])
 	}
 	if err == nil {
-		err = write(32*8, t.Frame.PC)
+		err = write(32*8, f.PC)
 	}
 	if err == nil {
 		err = write(33*8, p.SigMask)
@@ -115,10 +115,10 @@ func (k *Kernel) deliverSignal(t *Thread, sig int) bool {
 		capOff := uint64(sigFrameWords * 8)
 		capOff = (capOff + cap.Bytes - 1) &^ (cap.Bytes - 1)
 		for i := 0; i < isa.NumRegs && err == nil; i++ {
-			err = c.StoreCapVia(stackAuth, sp+capOff+uint64(i)*cap.Bytes, t.Frame.C[i])
+			err = c.StoreCapVia(stackAuth, sp+capOff+uint64(i)*cap.Bytes, f.C[i])
 		}
 		if err == nil {
-			err = c.StoreCapVia(stackAuth, sp+capOff+uint64(isa.NumRegs)*cap.Bytes, t.Frame.PCC)
+			err = c.StoreCapVia(stackAuth, sp+capOff+uint64(isa.NumRegs)*cap.Bytes, f.PCC)
 		}
 	}
 	if err != nil {
@@ -128,7 +128,7 @@ func (k *Kernel) deliverSignal(t *Thread, sig int) bool {
 	}
 
 	// Resolve the handler descriptor [code, GOT].
-	code, got, err := k.readFuncDesc(p, act.Handler, t.Frame.DDC)
+	code, got, err := k.readFuncDesc(p, act.Handler, f.DDC)
 	if err != nil {
 		k.exitProc(p, SIGSEGV)
 		return true
@@ -142,7 +142,7 @@ func (k *Kernel) deliverSignal(t *Thread, sig int) bool {
 	// nothing, so the sleep quietly re-parks).
 	t.interrupted = true
 	p.SigMask |= 1 << uint(sig)
-	t.Frame.X[isa.RA0] = uint64(sig)
+	f.X[isa.RA0] = uint64(sig)
 	if cheri {
 		frameCap, berr := cap.SetBounds(stackAuth, sp, size)
 		if berr != nil {
@@ -150,20 +150,19 @@ func (k *Kernel) deliverSignal(t *Thread, sig int) bool {
 			return true
 		}
 		k.capCreated("signal", frameCap)
-		t.Frame.C[isa.CA0] = frameCap
-		t.Frame.C[isa.CSP] = cap.SetAddr(stackAuth, sp)
-		t.Frame.C[isa.CGP] = got
-		t.Frame.C[isa.CRA] = p.sigTrampCap(k)
-		t.Frame.PCC = code
-		t.Frame.PC = code.Addr()
+		f.C[isa.CA0] = frameCap
+		f.C[isa.CSP] = cap.SetAddr(stackAuth, sp)
+		f.C[isa.CGP] = got
+		f.C[isa.CRA] = p.sigTrampCap(k)
+		f.PCC = code
+		f.PC = code.Addr()
 	} else {
-		t.Frame.X[isa.RA1] = sp
-		t.Frame.X[isa.RSP] = sp
-		t.Frame.X[isa.RGP] = got.Addr()
-		t.Frame.X[isa.RRA] = TrampVA
-		t.Frame.PC = code.Addr()
+		f.X[isa.RA1] = sp
+		f.X[isa.RSP] = sp
+		f.X[isa.RGP] = got.Addr()
+		f.X[isa.RRA] = TrampVA
+		f.PC = code.Addr()
 	}
-	k.switchTo(t)
 	return false
 }
 
@@ -187,14 +186,15 @@ func sysSigreturn(k *Kernel, t *Thread, _ *SysArgs) (cap.Capability, Errno) {
 	c := k.M.CPU
 	cheri := p.ABI == image.ABICheri
 
+	r := k.regs(t)
 	var sp uint64
 	var stackAuth cap.Capability
 	if cheri {
-		stackAuth = t.Frame.C[isa.CSP]
+		stackAuth = r.C[isa.CSP]
 		sp = stackAuth.Addr()
 	} else {
-		stackAuth = t.Frame.DDC
-		sp = t.Frame.X[isa.RSP]
+		stackAuth = r.DDC
+		sp = r.X[isa.RSP]
 	}
 
 	var f Frame
@@ -223,16 +223,15 @@ func sysSigreturn(k *Kernel, t *Thread, _ *SysArgs) (cap.Capability, Errno) {
 		}
 		f.DDC = cap.Null()
 	} else {
-		f.PCC = t.Frame.PCC
-		f.DDC = t.Frame.DDC
+		f.PCC = r.PCC
+		f.DDC = r.DDC
 	}
 	if err != nil {
 		k.exitProc(p, SIGSEGV)
 		return Err(EJUSTRETURN)
 	}
 	p.SigMask = mask
-	t.Frame = f
-	k.switchTo(t)
+	*r = f
 	return Err(EJUSTRETURN)
 }
 

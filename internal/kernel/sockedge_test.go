@@ -76,7 +76,7 @@ func newSockRun(t *testing.T, abi image.ABI, fam sockFam) *sockRun {
 		thr: map[string]*Thread{"s": h.th}, names: map[*Thread]string{h.th: "s"}, fd: map[string]uint64{}}
 	for _, who := range []string{"c", "d"} {
 		th := h.k.newThread(p)
-		th.Frame = h.th.Frame
+		*h.k.regs(th) = *h.k.regs(h.th)
 		r.thr[who], r.names[th] = th, who
 	}
 	for h.k.runqPop() != nil {

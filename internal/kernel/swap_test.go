@@ -19,31 +19,40 @@ func spawnStopped(t *testing.T) (*Machine, *Proc) {
 func spawnStoppedCode(t *testing.T, abi image.ABI, in isa.Inst) (*Machine, *Proc) {
 	t.Helper()
 	m := NewMachine(Config{MemBytes: 64 << 20})
+	return m, spawnCode(t, m, "victim", abi, in)
+}
+
+// spawnCode installs /bin/name, an image under abi whose code is the
+// given instructions from _start, and spawns it on m without running it.
+func spawnCode(t *testing.T, m *Machine, name string, abi image.ABI, code ...isa.Inst) *Proc {
+	t.Helper()
 	img := &image.Image{
-		Name: "victim", ABI: abi,
-		Code:  []uint32{isa.MustEncode(in)},
+		Name: name, ABI: abi,
 		Entry: "_start",
 		Symbols: map[string]*image.Symbol{
-			"_start": {Name: "_start", Kind: image.SymFunc, Sec: image.SecText, Size: 4, Global: true},
+			"_start": {Name: "_start", Kind: image.SymFunc, Sec: image.SecText, Size: uint64(len(code)) * isa.InstSize, Global: true},
 		},
+	}
+	for _, in := range code {
+		img.Code = append(img.Code, isa.MustEncode(in))
 	}
 	b, err := img.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Kern.FS.WriteFile("/bin/victim", b)
-	p, err := m.Kern.Spawn("/bin/victim", []string{"victim"}, nil)
+	m.Kern.FS.WriteFile("/bin/"+name, b)
+	p, err := m.Kern.Spawn("/bin/"+name, []string{name}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, p
+	return p
 }
 
 // storeCapInProc writes a legitimate bounded capability into the process's
 // stack memory and returns its address.
 func storeCapInProc(t *testing.T, m *Machine, p *Proc) uint64 {
 	t.Helper()
-	csp := p.mainThread().Frame.C[isa.CSP]
+	csp := m.Kern.regs(p.mainThread()).C[isa.CSP]
 	va := csp.Addr() - 256
 	va &^= cap.Bytes - 1
 	inner, err := cap.SetBounds(p.Root, csp.Base(), 64)

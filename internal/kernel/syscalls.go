@@ -86,9 +86,10 @@ func sysFork(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 		}
 	}
 	ct := k.newThread(child)
-	ct.Frame = t.Frame
-	setResult(&ct.Frame, p.ABI, nat.Int, cap.Null(), OK) // child sees 0
-	ct.Frame.PC += isa.InstSize                          // child resumes after the syscall
+	cf := k.regs(ct)
+	*cf = *k.regs(t)
+	setResult(cf, p.ABI, nat.Int, cap.Null(), OK) // child sees 0
+	cf.PC += isa.InstSize                         // child resumes after the syscall
 	return Ret(uint64(child.PID))
 }
 
@@ -582,8 +583,10 @@ func sysExecve(k *Kernel, t *Thread, a *SysArgs) (cap.Capability, Errno) {
 	if err := k.exec(p, t, path, argv, envv); err != nil {
 		return Err(ENOEXEC)
 	}
+	// exec replaced the frame (entry point, no PC advance) and the
+	// address space the CPU runs.
 	k.switchTo(t)
-	return Err(EJUSTRETURN) // frame replaced: entry point, no PC advance
+	return Err(EJUSTRETURN)
 }
 
 // sysMmap implements the paper's mmap rules (§4, "Virtual-address

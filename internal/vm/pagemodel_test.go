@@ -258,7 +258,7 @@ func (as *pageModel) Fork() *pageModel {
 		ne := *e
 		if e.present {
 			as.sys.Frames.incref(e.frame)
-			if e.prot&ProtWrite != 0 && !e.shared {
+			if !e.shared {
 				e.cow = true
 				ne.cow = true
 			}

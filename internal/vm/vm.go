@@ -606,8 +606,10 @@ func (as *AddressSpace) ResidentPages() []uint64 {
 	return out
 }
 
-// Fork clones the address space with copy-on-write semantics: writable
-// pages are shared read-only until either side writes. Untouched pages
+// Fork clones the address space with copy-on-write semantics: every
+// private page is shared until either side writes it, a read-only one
+// included, since mprotect may make it writable later (FreeBSD marks
+// every private mapping copy-on-write at fork). Untouched pages
 // stay untouched on both sides, so a fork costs O(mappings + touched
 // pages).
 func (as *AddressSpace) Fork() *AddressSpace {
@@ -621,7 +623,7 @@ func (as *AddressSpace) Fork() *AddressSpace {
 			swapped = append(swapped, p)
 		} else {
 			as.sys.Frames.incref(e.frame)
-			if m, _ := as.lookup(p); m.prot&ProtWrite != 0 && !m.shared && !e.cow {
+			if m, _ := as.lookup(p); !m.shared && !e.cow {
 				e.cow = true
 				as.pages[p] = e
 			}
@@ -637,7 +639,7 @@ func (as *AddressSpace) Fork() *AddressSpace {
 		e.swapID = as.sys.Swap.put(slices.Clone(slot.data), slices.Clone(slot.tags))
 		child.pages[p] = e
 	}
-	// The fork mutated the *parent's* page table too (writable pages became
+	// The fork mutated the *parent's* page table too (private pages became
 	// copy-on-write), so any cached translation that still allows a direct
 	// write to a now-shared frame must die: bump the parent's generation.
 	as.Gen++

@@ -135,6 +135,46 @@ func TestCopyOnWriteFork(t *testing.T) {
 	}
 }
 
+// TestForkSharesReadOnlyPageCopyOnWrite: a private page that is read-only
+// at fork is still copy-on-write, so a parent that makes it writable
+// again afterwards writes its own copy and the child keeps the old bytes.
+func TestForkSharesReadOnlyPageCopyOnWrite(t *testing.T) {
+	s := newSys(t)
+	parent := s.NewAddressSpace()
+	const va = 0x20000
+	if err := parent.Map(va, PageSize, ProtRead|ProtWrite, false); err != nil {
+		t.Fatal(err)
+	}
+	pa, f := parent.Translate(va, ProtWrite)
+	if f != nil {
+		t.Fatal(f)
+	}
+	s.Mem.Store(pa, 8, 1)
+	if err := parent.Protect(va, PageSize, ProtRead); err != nil {
+		t.Fatal(err)
+	}
+	child := parent.Fork()
+	if err := parent.Protect(va, PageSize, ProtRead|ProtWrite); err != nil {
+		t.Fatal(err)
+	}
+	ppa, f := parent.Translate(va, ProtWrite)
+	if f != nil {
+		t.Fatal(f)
+	}
+	s.Mem.Store(ppa, 8, 2)
+	cpa, f := child.Translate(va, ProtRead)
+	if f != nil {
+		t.Fatal(f)
+	}
+	if got := s.Mem.Load(cpa, 8); got != 1 {
+		t.Fatalf("child reads %d at frame %#x (parent's %#x), want the value at fork, 1", got, cpa, ppa)
+	}
+	if ppa == pa || cpa != pa || parent.Stats.COWCopies != 1 {
+		t.Fatalf("frames: fork %#x, parent %#x, child %#x, parent copies %d; want the parent to copy once",
+			pa, ppa, cpa, parent.Stats.COWCopies)
+	}
+}
+
 func TestCOWPreservesTags(t *testing.T) {
 	s := newSys(t)
 	parent := s.NewAddressSpace()

@@ -115,11 +115,9 @@ func FuzzImageUnmarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("CELF\x01"))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		img, err := image.Unmarshal(b)
-		runtime.ReadMemStats(&after)
-		if n := after.TotalAlloc - before.TotalAlloc; n > unmarshalBytesPerByte*uint64(len(b))+1024 {
+		var img *image.Image
+		var err error
+		if n := fewestBytes(func() { img, err = image.Unmarshal(b) }); n > unmarshalBytesPerByte*uint64(len(b))+1024 {
 			t.Fatalf("Unmarshal of %d bytes allocated %d bytes", len(b), n)
 		}
 		if err != nil {
@@ -133,6 +131,24 @@ func FuzzImageUnmarshal(f *testing.F) {
 			t.Fatalf("decoded image marshals to different bytes:\n in  %q\n out %q", b, re)
 		}
 	})
+}
+
+// fewestBytes returns the fewest bytes any of three calls of f allocated.
+// The allocation counter is the process's, and while fuzzing the engine
+// allocates on other goroutines now and then; the fewest of three calls
+// is f's own figure.
+func fewestBytes(f func()) uint64 {
+	var fewest uint64
+	for i := range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; i == 0 || n < fewest {
+			fewest = n
+		}
+	}
+	return fewest
 }
 
 // manySymbols is an image whose symbol map is large enough that two map

@@ -37,8 +37,8 @@ const (
 // regPattern fills f with registers that name their thread (id) and their
 // index. The legacy stack pointer and the capability stack pointer keep
 // their values: signal delivery pushes its frame below them. Under the
-// legacy ABI the capability registers are not part of the ABI (sigreturn
-// does not restore them), so they are left alone.
+// legacy ABI the capability registers are not part of the signal frame,
+// so they keep the NULL capabilities exec gave them.
 func regPattern(f *Frame, abi image.ABI, id int) {
 	for i := 1; i < isa.NumRegs; i++ {
 		if abi == image.ABILegacy && i == isa.RSP {
@@ -58,15 +58,14 @@ func regPattern(f *Frame, abi image.ABI, id int) {
 }
 
 // checkPattern reports every register of f outside RV0, RV1 and PC that
-// differs from want; under the legacy ABI, outside the capability
-// registers too (see regPattern).
-func checkPattern(t *testing.T, abi image.ABI, who string, f, want *Frame) {
+// differs from want.
+func checkPattern(t *testing.T, who string, f, want *Frame) {
 	t.Helper()
 	for i := 1; i < isa.NumRegs; i++ {
 		if i != isa.RV0 && i != isa.RV1 && f.X[i] != want.X[i] {
 			t.Errorf("%s: x%d = %#x, want %#x", who, i, f.X[i], want.X[i])
 		}
-		if abi == image.ABICheri && !f.C[i].Equal(want.C[i]) {
+		if !f.C[i].Equal(want.C[i]) {
 			t.Errorf("%s: c%d = %v, want %v", who, i, f.C[i], want.C[i])
 		}
 	}
@@ -225,9 +224,9 @@ func TestRegisterFilesSurviveSwitches(t *testing.T) {
 				t.Errorf("getpid on the CPU left v0 %d pc %#x, want %d %#x", m.CPU.X[isa.RV0], m.CPU.PC, cur.Proc.PID, pc+isa.InstSize)
 			}
 
-			checkPattern(t, abi, "thread a", k.regs(a), &wantA)
-			checkPattern(t, abi, "thread b", k.regs(b), &wantB)
-			checkPattern(t, abi, "forked child", k.regs(ct), &wantA)
+			checkPattern(t, "thread a", k.regs(a), &wantA)
+			checkPattern(t, "thread b", k.regs(b), &wantB)
+			checkPattern(t, "forked child", k.regs(ct), &wantA)
 			for _, th := range []*Thread{a, b, ct} {
 				if v := k.regs(th).X[isa.RV0]; v != nat.SysGetpid && v != uint64(th.Proc.PID) {
 					t.Errorf("thread %d: v0 = %d, want getpid's number or result", th.TID, v)

@@ -223,6 +223,9 @@ func sysSigreturn(k *Kernel, t *Thread, _ *SysArgs) (cap.Capability, Errno) {
 		}
 		f.DDC = cap.Null()
 	} else {
+		// The legacy frame holds no capabilities: the capability
+		// registers, PCC and DDC stay as the handler left them.
+		f.C = r.C
 		f.PCC = r.PCC
 		f.DDC = r.DDC
 	}

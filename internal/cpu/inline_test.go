@@ -10,10 +10,9 @@ import (
 // paths are built on. Each helper below sits on the path of nearly every
 // retired instruction or every trap, and a call to it costs the threaded
 // engine, or the kernel's trap path, a spill of its state, so an edit
-// that pushes one over the
-// compiler's inlining budget would quietly put that call back. The test
-// asks the compiler (go build -gcflags=-m) and fails if any of them stops
-// reporting "can inline".
+// that pushes one over the compiler's inlining budget would quietly put
+// that call back. The test asks the compiler (go build -gcflags=-m) and
+// fails if any of them stops reporting "can inline".
 func TestHotHelpersInline(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
